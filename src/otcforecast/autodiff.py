@@ -211,23 +211,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 
-def elementwise(kind: str, a: Tensor, b=None) -> Tensor:
-    """Dispatch by name: add/sub/mul (tensor pairs), tanh (unary), scale (by float)."""
-    if kind == "add":
-        return add(a, b)
-    if kind == "sub":
-        return sub(a, b)
-    if kind == "mul":
-        return mul(a, b)
-    if kind == "tanh":
-        if b is not None:
-            raise ContractError("tanh is unary")
-        return tanh(a)
-    if kind == "scale":
-        return scale(a, b)
-    raise ConfigurationError(f"unknown elementwise kind {kind!r}")
-
-
 def sum_all(a: Tensor) -> Tensor:
     return _record(
         "sum_all", (a,), np.asarray(a.values.sum()),
@@ -385,20 +368,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         return tuple(grads)
 
     return _record("concat_rows", tuple(parts), out, vjp)
-
-
-def concat_vec(parts: Sequence[Tensor]) -> Tensor:
-    lengths = [p.values.size for p in parts]
-    out = np.concatenate([p.values.reshape(-1) for p in parts])
-
-    def vjp(g):
-        grads, at = [], 0
-        for p, n in zip(parts, lengths):
-            grads.append(g[at:at + n].reshape(p.shape))
-            at += n
-        return tuple(grads)
-
-    return _record("concat_vec", tuple(parts), out, vjp)
 
 
 def stack_rows(vecs: Sequence[Tensor]) -> Tensor:

@@ -13,8 +13,6 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import market
 from .clustering import (
     compute_dealer_features,
@@ -32,14 +30,13 @@ from .errors import (
     ShapeMismatchError,
 )
 from .harness import (
-    evaluate,
     layer_signal_stats,
-    train,
+    run_granularity_experiment,
+    score_units,
+    train_units,
     training_units,
-    unit_test_samples,
     write_layer_stats,
     write_reports,
-    _aggregate_cluster_rows,
 )
 from .models import MODEL_KINDS, TRANSFORMER_KINDS, build_model, load_checkpoint, save_checkpoint
 from .seeding import derive_seed
@@ -77,24 +74,6 @@ def _checkpoint_path(out: Path, tag: str) -> Path:
     return out / f"checkpoint_{tag}.ckpt"
 
 
-def _load_histories(out: Path):
-    histories, days, vocab_size = market.load_histories(_require(out / HISTORIES_FILE, "gen"))
-    return histories, days, vocab_size
-
-
-def _split_samples(cfg: RunConfig, histories, days):
-    samples = [
-        s
-        for h in histories
-        for s in market.windowize(h, cfg.t_in, cfg.t_out, cfg.stride)
-    ]
-    return market.split_train_test(samples, days, cfg.train_fraction)
-
-
-def _labels(out: Path) -> dict[str, int]:
-    return load_assignment(_require(out / CLUSTERS_FILE, "cluster"))
-
-
 def cmd_gen(cfg: RunConfig, out: Path) -> None:
     spec = cfg.market_spec()
     records = market.generate_synthetic_market(spec)
@@ -114,7 +93,7 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_cluster(cfg: RunConfig, out: Path) -> None:
-    histories, days, _ = _load_histories(out)
+    histories, days, _ = market.load_histories(_require(out / HISTORIES_FILE, "gen"))
     boundary = market.split_boundary(days, cfg.train_fraction)
     features = compute_dealer_features(histories, boundary)
     assignment = kmeans_cluster(features, k=4, seed=derive_seed(cfg.seed, "cluster"))
@@ -123,77 +102,66 @@ def cmd_cluster(cfg: RunConfig, out: Path) -> None:
     print(f"wrote {out / CLUSTERS_FILE} ({len(assignment.labels)} dealers, k=4)")
 
 
-def _train_units(cfg: RunConfig, out: Path, kind: str, persist: bool):
-    """Train one model per unit of the configured granularity."""
-    histories, days, vocab_size = _load_histories(out)
-    train_samples, test_samples = _split_samples(cfg, histories, days)
-    labels = _labels(out) if cfg.granularity != "single" else {}
-    units = training_units(cfg.granularity, train_samples, labels)
-    trained = {}
-    for tag, unit_train in units:
-        model = build_model(cfg.model_config(vocab_size, kind=kind))
-        _, losses = train(model, unit_train, cfg.train_spec())
-        trained[tag] = model
-        if persist:
-            save_checkpoint(_checkpoint_path(out, tag), model.params)
-            with open(out / f"loss_{tag}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["epoch", "loss"])
-                for epoch, loss in enumerate(losses):
-                    writer.writerow([epoch, repr(loss)])
-            print(f"wrote {_checkpoint_path(out, tag)}")
-    return trained, test_samples
+def _prepare(cfg: RunConfig, out: Path, per_cluster: bool = False):
+    """Load the histories, window and split them, and read the labels.
+
+    Labels are read when the granularity needs them or ``per_cluster``
+    rows are wanted; otherwise they are empty and clusters.csv is optional.
+    Returns (vocab size, train samples, test samples, labels).
+    """
+    histories, days, vocab_size = market.load_histories(_require(out / HISTORIES_FILE, "gen"))
+    samples = [
+        s
+        for h in histories
+        for s in market.windowize(h, cfg.t_in, cfg.t_out, cfg.stride)
+    ]
+    train_samples, test_samples = market.split_train_test(samples, days, cfg.train_fraction)
+    labels = {}
+    if per_cluster or cfg.granularity != "single":
+        labels = load_assignment(_require(out / CLUSTERS_FILE, "cluster"))
+    return vocab_size, train_samples, test_samples, labels
+
+
+def _load_model(cfg: RunConfig, out: Path, vocab_size: int, tag: str):
+    path = _require(_checkpoint_path(out, tag), "train")
+    model = build_model(cfg.model_config(vocab_size))
+    model.params.load_state(load_checkpoint(path))
+    return model
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> None:
-    _train_units(cfg, out, cfg.kind, persist=True)
-
-
-def _evaluate_units(cfg, models: dict[str, object], test_samples, labels, kind: str):
-    counts = {}
-    for tag, model in models.items():
-        unit_test = unit_test_samples(tag, test_samples, labels)
-        if not unit_test:
-            continue
-        report = evaluate(
-            model, unit_test, cfg.threshold, mode=cfg.eval_mode,
-            cluster_of=labels, granularity=cfg.granularity, cluster_tag=tag,
-        )
-        for label, sub in (report.per_cluster or {}).items():
-            counts.setdefault(label, np.zeros(4, dtype=np.int64))
-            counts[label] += np.array([sub.tp, sub.fp, sub.fn, sub.tn], dtype=np.int64)
-    return _aggregate_cluster_rows(kind, cfg.granularity, counts)
-
-
-def _load_units(cfg: RunConfig, out: Path):
-    histories, days, vocab_size = _load_histories(out)
-    train_samples, test_samples = _split_samples(cfg, histories, days)
-    labels = _labels(out)
-    units = training_units(cfg.granularity, train_samples, labels)
-    models = {}
-    for tag, _ in units:
-        path = _require(_checkpoint_path(out, tag), "train")
-        model = build_model(cfg.model_config(vocab_size))
-        model.params.load_state(load_checkpoint(path))
-        models[tag] = model
-    return models, test_samples, labels
+    vocab_size, train_samples, test_samples, labels = _prepare(cfg, out)
+    units = training_units(cfg.granularity, train_samples, test_samples, labels)
+    for tag, model, losses, _ in train_units(cfg.model_config(vocab_size), units, cfg.train_spec()):
+        save_checkpoint(_checkpoint_path(out, tag), model.params)
+        with open(out / f"loss_{tag}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["epoch", "loss"])
+            for epoch, loss in enumerate(losses):
+                writer.writerow([epoch, repr(loss)])
+        print(f"wrote {_checkpoint_path(out, tag)}")
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
-    models, test_samples, labels = _load_units(cfg, out)
-    rows = _evaluate_units(cfg, models, test_samples, labels, cfg.kind)
+    vocab_size, train_samples, test_samples, labels = _prepare(cfg, out, per_cluster=True)
+    units = training_units(cfg.granularity, train_samples, test_samples, labels)
+    models = [(tag, _load_model(cfg, out, vocab_size, tag), unit_test)
+              for tag, _, unit_test in units]
+    rows = score_units(cfg.kind, cfg.granularity, models, cfg.threshold, cfg.eval_mode, labels)
     write_reports(out / REPORT_FILE, rows)
     print(f"wrote {out / REPORT_FILE}")
 
 
 def cmd_compare(cfg: RunConfig, out: Path) -> None:
     """Train every model kind and tabulate per-cluster F1 plus a pooled avg."""
+    vocab_size, train_samples, test_samples, labels = _prepare(cfg, out, per_cluster=True)
     all_rows = []
     grid = []
     for kind in MODEL_KINDS:
-        models, test_samples = _train_units(cfg, out, kind, persist=False)
-        labels = _labels(out)
-        rows = _evaluate_units(cfg, models, test_samples, labels, kind)
+        rows = run_granularity_experiment(
+            cfg.model_config(vocab_size, kind), train_samples, test_samples, labels,
+            cfg.train_spec(), (cfg.granularity,), cfg.eval_mode,
+        )
         all_rows.extend(rows)
         by_cluster = {row.cluster: row.f1 for row in rows}
         grid.append(
@@ -202,7 +170,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> None:
                 repr(by_cluster[str(label)]) if str(label) in by_cluster else ""
                 for label in range(len(CLUSTER_COLUMNS))
             ]
-            + [repr(by_cluster["all"]) if "all" in by_cluster else ""]
+            + [repr(by_cluster["all"])]
         )
     with open(out / COMPARE_FILE, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -219,17 +187,13 @@ def cmd_stats(cfg: RunConfig, out: Path) -> None:
             f"stats needs a transformer kind, got {cfg.kind} "
             f"(one of {', '.join(TRANSFORMER_KINDS)})"
         )
-    histories, days, vocab_size = _load_histories(out)
-    train_samples, _ = _split_samples(cfg, histories, days)
-    labels = _labels(out) if cfg.granularity != "single" else {}
-    units = training_units(cfg.granularity, train_samples, labels)
-    stats_list = []
-    for tag, unit_train in units:
-        path = _require(_checkpoint_path(out, tag), "train")
-        model = build_model(cfg.model_config(vocab_size))
-        model.params.load_state(load_checkpoint(path))
-        probe = unit_train[: cfg.probe_samples]
-        stats_list.append(layer_signal_stats(model, probe, tag=tag))
+    vocab_size, train_samples, test_samples, labels = _prepare(cfg, out)
+    units = training_units(cfg.granularity, train_samples, test_samples, labels)
+    stats_list = [
+        layer_signal_stats(_load_model(cfg, out, vocab_size, tag),
+                           unit_train[: cfg.probe_samples], tag=tag)
+        for tag, unit_train, _ in units
+    ]
     write_layer_stats(out / STATS_FILE, stats_list)
     print(f"wrote {out / STATS_FILE}")
 

@@ -230,57 +230,87 @@ def layer_signal_stats(model, probe_samples: list[Sample], tag: str = "") -> Lay
 # ---------------------------------------------------------------------------
 
 
-def _samples_by_dealer(samples: list[Sample]) -> dict[str, list[Sample]]:
-    grouped: dict[str, list[Sample]] = {}
-    for s in samples:
-        grouped.setdefault(s.dealer_id, []).append(s)
-    return grouped
+def _cluster_label(labels: dict[str, int], dealer: str) -> int:
+    if dealer not in labels:
+        raise ContractError(f"dealer {dealer} missing from cluster assignment")
+    return labels[dealer]
 
 
 def training_units(
     granularity: str,
     train_samples: list[Sample],
+    test_samples: list[Sample],
     assignment: ClusterAssignment | dict[str, int],
-) -> list[tuple[str, list[Sample]]]:
-    """Decompose the training set into (unit tag, unit samples) groups."""
+) -> list[tuple[str, list[Sample], list[Sample]]]:
+    """Group both splits by the unit key: (unit tag, unit train, unit test).
+
+    ``single`` is one unit, ``cluster`` one per cluster label and
+    ``individual`` one per dealer, in key order.  A unit exists only where
+    there are training samples; test samples of any other key are skipped
+    with a warning.
+    """
     labels = assignment.labels if isinstance(assignment, ClusterAssignment) else assignment
     if granularity == "single":
-        return [("single", list(train_samples))]
-    if granularity == "cluster":
-        grouped: dict[int, list[Sample]] = {}
-        for s in train_samples:
-            if s.dealer_id not in labels:
-                raise ContractError(f"dealer {s.dealer_id} missing from cluster assignment")
-            grouped.setdefault(labels[s.dealer_id], []).append(s)
-        return [(f"cluster{c}", grouped[c]) for c in sorted(grouped)]
-    if granularity == "individual":
-        by_dealer = _samples_by_dealer(train_samples)
-        return [(f"dealer_{d}", by_dealer[d]) for d in sorted(by_dealer)]
-    raise ContractError(f"unknown granularity {granularity!r}")
+        key, tag = (lambda s: 0), (lambda k: "single")
+    elif granularity == "cluster":
+        key, tag = (lambda s: _cluster_label(labels, s.dealer_id)), "cluster{}".format
+    elif granularity == "individual":
+        key, tag = (lambda s: s.dealer_id), "dealer_{}".format
+    else:
+        raise ContractError(f"unknown granularity {granularity!r}")
+    train_by: dict = {}
+    test_by: dict = {}
+    for samples, grouped in ((train_samples, train_by), (test_samples, test_by)):
+        for s in samples:
+            grouped.setdefault(key(s), []).append(s)
+    for k in sorted(test_by.keys() - train_by.keys()):
+        warnings.warn(f"{granularity}: unit {tag(k)} has no training samples; skipped")
+    return [(tag(k), train_by[k], test_by.get(k, [])) for k in sorted(train_by)]
 
 
-def unit_test_samples(tag: str, test_samples: list[Sample], labels: dict[str, int]) -> list[Sample]:
-    """Test samples belonging to one training unit."""
-    if tag == "single":
-        return list(test_samples)
-    if tag.startswith("cluster"):
-        label = int(tag[len("cluster"):])
-        return [s for s in test_samples if labels[s.dealer_id] == label]
-    dealer = tag[len("dealer_"):]
-    return [s for s in test_samples if s.dealer_id == dealer]
+def train_units(config: ModelConfig, units, spec: TrainSpec):
+    """Train a fresh model per (tag, unit train, unit test) unit.
+
+    Yields (tag, model, per-epoch losses, unit test) as each unit finishes.
+    Every unit model starts from the same seeded initialization.
+    """
+    for tag, unit_train, unit_test in units:
+        model = build_model(config)
+        _, losses = train(model, unit_train, spec)
+        yield tag, model, losses, unit_test
 
 
-def _aggregate_cluster_rows(
+def score_units(
     kind: str,
     granularity: str,
-    counts_by_cluster: dict[int, np.ndarray],
+    units,
+    threshold: float,
+    mode: str,
+    labels: dict[str, int],
 ) -> list[EvalReport]:
+    """Evaluate each (tag, model, unit test) unit and pool counts per cluster.
+
+    Returns one row per cluster label, in label order, then the pooled
+    "all" row.  Units without test samples are skipped with a warning.
+    """
+    counts: dict[int, np.ndarray] = {}
+    for tag, model, unit_test in units:
+        if not unit_test:
+            warnings.warn(f"{granularity}: unit {tag} has no test samples; skipped")
+            continue
+        report = evaluate(
+            model, unit_test, threshold, mode=mode,
+            cluster_of=labels, granularity=granularity, cluster_tag=tag,
+        )
+        for label, sub in report.per_cluster.items():
+            counts.setdefault(label, np.zeros(4, dtype=np.int64))
+            counts[label] += (sub.tp, sub.fp, sub.fn, sub.tn)
     rows = [
-        EvalReport.from_counts(kind, granularity, str(label), *counts_by_cluster[label].tolist())
-        for label in sorted(counts_by_cluster)
+        EvalReport.from_counts(kind, granularity, str(label), *counts[label].tolist())
+        for label in sorted(counts)
     ]
-    pooled = np.sum(list(counts_by_cluster.values()), axis=0) if counts_by_cluster else np.zeros(4, np.int64)
-    rows.append(EvalReport.from_counts(kind, granularity, "all", *np.asarray(pooled, dtype=np.int64).tolist()))
+    pooled = sum(counts.values(), np.zeros(4, dtype=np.int64))
+    rows.append(EvalReport.from_counts(kind, granularity, "all", *pooled.tolist()))
     return rows
 
 
@@ -297,40 +327,18 @@ def run_granularity_experiment(
 
     Every unit model starts from the same seeded initialization, so the
     degenerate one-dealer market yields identical scores across
-    granularities.  Units without training samples are skipped with a
-    warning; rows aggregate confusion counts per cluster plus an "all" row.
+    granularities.  Rows aggregate confusion counts per cluster plus an
+    "all" row (see :func:`score_units`).
     """
     labels = assignment.labels if isinstance(assignment, ClusterAssignment) else assignment
     for s in train_samples + test_samples:
-        if s.dealer_id not in labels:
-            raise ContractError(f"dealer {s.dealer_id} missing from cluster assignment")
+        _cluster_label(labels, s.dealer_id)
     rows: list[EvalReport] = []
     for granularity in granularities:
-        counts_by_cluster: dict[int, np.ndarray] = {}
-        if granularity == "individual":
-            untrained = sorted(
-                {s.dealer_id for s in test_samples} - {s.dealer_id for s in train_samples}
-            )
-            for dealer in untrained:
-                warnings.warn(f"individual: dealer {dealer} has no training samples; skipped")
-        for tag, unit_train in training_units(granularity, train_samples, labels):
-            unit_test = unit_test_samples(tag, test_samples, labels)
-            if not unit_train:
-                warnings.warn(f"{granularity}: unit {tag} has no training samples; skipped")
-                continue
-            model = build_model(config)
-            train(model, unit_train, spec)
-            if not unit_test:
-                warnings.warn(f"{granularity}: unit {tag} has no test samples; skipped")
-                continue
-            report = evaluate(
-                model, unit_test, spec.threshold, mode=mode,
-                cluster_of=labels, granularity=granularity, cluster_tag=tag,
-            )
-            for label, sub in (report.per_cluster or {}).items():
-                counts_by_cluster.setdefault(label, np.zeros(4, dtype=np.int64))
-                counts_by_cluster[label] += np.array([sub.tp, sub.fp, sub.fn, sub.tn], dtype=np.int64)
-        rows.extend(_aggregate_cluster_rows(config.kind, granularity, counts_by_cluster))
+        units = training_units(granularity, train_samples, test_samples, labels)
+        trained = [(tag, model, unit_test)
+                   for tag, model, _, unit_test in train_units(config, units, spec)]
+        rows.extend(score_units(config.kind, granularity, trained, spec.threshold, mode, labels))
     return rows
 
 
@@ -349,21 +357,6 @@ def write_reports(path, rows: list[EvalReport]) -> None:
                 [r.model_kind, r.granularity, r.cluster, r.tp, r.fp, r.fn,
                  repr(r.precision), repr(r.recall), repr(r.f1)]
             )
-
-
-def read_reports(path) -> list[EvalReport]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            model, granularity, cluster, tp, fp, fn, precision, recall, f1 = row
-            tp, fp, fn = int(tp), int(fp), int(fn)
-            rows.append(
-                EvalReport(model, granularity, cluster, tp, fp, fn, 0,
-                           float(precision), float(recall), float(f1))
-            )
-    return rows
 
 
 def write_layer_stats(path, stats_list: list[LayerStats]) -> None:

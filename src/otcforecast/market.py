@@ -429,44 +429,3 @@ def write_histories_text(path, histories: list[DealerHistory], vocab_size: int) 
                 for col in np.flatnonzero(h.day_vectors[day]):
                     side = BUY if col < vocab_size else SELL
                     fh.write(f"{h.dealer_id},{day},{side},{col % vocab_size}\n")
-
-
-def save_samples(path, samples: list[Sample], days: int, vocab_size: int) -> None:
-    """Same 16-byte header as histories, then sample count, T_in, T_out and
-    per sample a length-prefixed dealer id, start day, and two bitmaps."""
-    if not samples:
-        raise ContractError("save_samples needs at least one sample")
-    t_in = samples[0].input_days.shape[0]
-    t_out = samples[0].target_days.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, days, vocab_size))
-        fh.write(struct.pack("<III", len(samples), t_in, t_out))
-        for s in samples:
-            ident = s.dealer_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(ident)))
-            fh.write(ident)
-            fh.write(struct.pack("<I", s.start_day))
-            fh.write(_pack_bits(s.input_days))
-            fh.write(_pack_bits(s.target_days))
-
-
-def load_samples(path) -> tuple[list[Sample], int, int]:
-    with open(path, "rb") as fh:
-        magic, version, days, vocab_size = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != _MAGIC:
-            raise ContractError(f"{path}: bad magic {magic!r}")
-        if version != _FORMAT_VERSION:
-            raise ContractError(f"{path}: unsupported version {version}")
-        count, t_in, t_out = struct.unpack("<III", fh.read(12))
-        width = 2 * vocab_size
-        in_bytes = (t_in * width + 7) // 8
-        out_bytes = (t_out * width + 7) // 8
-        samples = []
-        for _ in range(count):
-            (id_len,) = struct.unpack("<H", fh.read(2))
-            dealer_id = fh.read(id_len).decode("utf-8")
-            (start_day,) = struct.unpack("<I", fh.read(4))
-            input_days = _unpack_bits(fh.read(in_bytes), (t_in, width))
-            target_days = _unpack_bits(fh.read(out_bytes), (t_out, width))
-            samples.append(Sample(dealer_id, start_day, input_days, target_days))
-    return samples, days, vocab_size

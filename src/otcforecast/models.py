@@ -516,31 +516,6 @@ def build_model(config: ModelConfig):
     return TransformerModel(config)
 
 
-def fc_forward(variant: str, input_days: np.ndarray, model: FCModel) -> Tensor:
-    if variant not in ("sum", "concat"):
-        raise ContractError(f"unknown FC variant {variant!r}")
-    expected = "FCSum" if variant == "sum" else "FCConcat"
-    if model.config.kind != expected:
-        raise ContractError(f"model kind {model.config.kind} does not match variant {variant!r}")
-    return model.forward(input_days)
-
-
-def recurrent_forward(kind: str, input_days: np.ndarray, model: RecurrentModel) -> Tensor:
-    if model.config.kind != kind:
-        raise ContractError(f"model kind {model.config.kind} does not match {kind!r}")
-    return model.forward(input_days)
-
-
-def transformer_forward(
-    model: TransformerModel,
-    input_days: np.ndarray,
-    teacher_days: np.ndarray | None = None,
-) -> Tensor:
-    if model.config.kind not in TRANSFORMER_KINDS:
-        raise ContractError(f"{model.config.kind!r} is not a transformer kind")
-    return model.forward(input_days, teacher=teacher_days)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------

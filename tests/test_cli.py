@@ -1,11 +1,17 @@
 """Config parsing and end-to-end command-line pipeline tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from otcforecast import market
 from otcforecast.cli import main
+from otcforecast.clustering import load_assignment
 from otcforecast.config import parse_config, write_resolved
 from otcforecast.errors import ConfigurationError
+from otcforecast.harness import run_granularity_experiment, write_reports
+from otcforecast.models import MODEL_KINDS
 
 TINY_CONFIG = """\
 [market]
@@ -252,3 +258,45 @@ class TestPipeline:
         kinds = [line.split(",")[0] for line in lines[1:]]
         assert kinds == ["FCSum", "FCConcat", "LSTM", "BiLSTM",
                          "TransFV", "TransCTE", "TransRE", "TransPPRZ"]
+
+    @pytest.mark.parametrize("train_fraction", ["0.8", "0.9"])  # 0.9 leaves no test window
+    def test_compare_matches_library_driver(self, tmp_path, train_fraction):
+        cfg_path, out = write_config(
+            tmp_path,
+            text=TINY_CONFIG.replace("granularity = single", "granularity = cluster")
+                            .replace("train_fraction = 0.8", f"train_fraction = {train_fraction}"),
+        )
+        for command in ("gen", "cluster"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        with warnings.catch_warnings(record=True) as cli_warnings:
+            warnings.simplefilter("always")
+            assert self.run("compare", "-c", str(cfg_path)) == 0
+        cfg = parse_config(cfg_path)
+        histories, days, vocab_size = market.load_histories(out / "histories.bin")
+        samples = [s for h in histories
+                   for s in market.windowize(h, cfg.t_in, cfg.t_out, cfg.stride)]
+        train_s, test_s = market.split_train_test(samples, days, cfg.train_fraction)
+        labels = load_assignment(out / "clusters.csv")
+        with warnings.catch_warnings(record=True) as lib_warnings:
+            warnings.simplefilter("always")
+            rows = [
+                row
+                for kind in MODEL_KINDS
+                for row in run_granularity_experiment(
+                    cfg.model_config(vocab_size, kind), train_s, test_s, labels,
+                    cfg.train_spec(), ("cluster",), cfg.eval_mode)
+            ]
+        write_reports(tmp_path / "library.csv", rows)
+        assert (tmp_path / "library.csv").read_bytes() == (out / "compare_report.csv").read_bytes()
+        assert [str(w.message) for w in cli_warnings] == [str(w.message) for w in lib_warnings]
+
+    def test_compare_reads_histories_once(self, tmp_path, monkeypatch):
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "cluster"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        loads = []
+        load_histories = market.load_histories
+        monkeypatch.setattr(market, "load_histories",
+                            lambda path: loads.append(path) or load_histories(path))
+        assert self.run("compare", "-c", str(cfg_path)) == 0
+        assert loads == [out / "histories.bin"]

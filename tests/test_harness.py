@@ -1,5 +1,7 @@
 """Training loop, metrics, layer statistics, and granularity experiment."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from otcforecast.harness import (
     initial_loss,
     layer_signal_stats,
     micro_prf,
-    read_reports,
     run_granularity_experiment,
+    score_units,
     train,
     training_units,
     write_layer_stats,
@@ -281,8 +283,23 @@ class TestGranularityExperiment:
 
     def test_cluster_granularity_trains_one_model_per_cluster(self):
         labels = {"DA": 0, "DB": 0, "DC": 1, "DD": 1}
-        units = training_units("cluster", market_samples(labels), labels)
-        assert [tag for tag, _ in units] == ["cluster0", "cluster1"]
+        units = training_units("cluster", market_samples(labels), [], labels)
+        assert [tag for tag, _, _ in units] == ["cluster0", "cluster1"]
+
+    def test_units_group_test_samples_by_the_same_key(self):
+        labels = {"DA": 0, "DB": 0, "DC": 1, "DD": 1}
+        train_s = market_samples(labels, per_dealer=3, seed=90)
+        test_s = market_samples(labels, per_dealer=2, seed=95)
+        by_cluster = training_units("cluster", train_s, test_s, labels)
+        for tag, unit_train, unit_test in by_cluster:
+            assert {f"cluster{labels[s.dealer_id]}" for s in unit_train + unit_test} == {tag}
+        by_dealer = training_units("individual", train_s, test_s, labels)
+        assert [tag for tag, _, _ in by_dealer] == [f"dealer_{d}" for d in labels]
+        for tag, unit_train, unit_test in by_dealer:
+            assert {f"dealer_{s.dealer_id}" for s in unit_train + unit_test} == {tag}
+            assert len(unit_test) == 2
+        for units in (by_cluster, by_dealer, training_units("single", train_s, test_s, labels)):
+            assert sum(len(t) for _, _, t in units) == len(test_s)
 
     def test_row_structure_and_cluster_order(self):
         labels = {"DA": 0, "DB": 1}
@@ -307,6 +324,17 @@ class TestGranularityExperiment:
                 granularities=("individual",),
             )
 
+    def test_unit_without_test_samples_warns_and_is_not_scored(self):
+        model = FixedModel(np.zeros((2, 8)))
+        with pytest.warns(UserWarning, match="cluster1 has no test samples"):
+            rows = score_units("stub", "cluster", [
+                ("cluster0", model, random_samples(2, seed=75, dealer="DA")),
+                ("cluster1", model, []),
+            ], 0.5, "per_day", {"DA": 0, "DB": 1})
+        assert [r.cluster for r in rows] == ["0", "all"]
+        assert (rows[0].tp, rows[0].fp, rows[0].fn, rows[0].tn) == (
+            rows[1].tp, rows[1].fp, rows[1].fn, rows[1].tn)
+
     def test_missing_assignment_rejected(self):
         train_s = market_samples(["DA"], seed=80)
         with pytest.raises(ContractError):
@@ -323,12 +351,16 @@ class TestReportIO:
         ]
         path = tmp_path / "report.csv"
         write_reports(path, rows)
-        loaded = read_reports(path)
-        assert [(r.model_kind, r.cluster, r.tp, r.f1) for r in loaded] == [
-            (r.model_kind, r.cluster, r.tp, r.f1) for r in rows
+        with open(path, newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        assert header == ["model", "granularity", "cluster", "tp", "fp", "fn",
+                          "precision", "recall", "f1"]
+        assert body == [
+            [r.model_kind, r.granularity, r.cluster, str(r.tp), str(r.fp), str(r.fn),
+             repr(r.precision), repr(r.recall), repr(r.f1)]
+            for r in rows
         ]
-        header = path.read_text().splitlines()[0]
-        assert header == "model,granularity,cluster,tp,fp,fn,precision,recall,f1"
+        assert float(body[0][8]) == rows[0].f1
 
     def test_layer_stats_format(self, tmp_path):
         model = build_model(toy_config("TransPPRZ"))

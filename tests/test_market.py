@@ -16,10 +16,8 @@ from otcforecast.market import (
     generate_synthetic_market,
     load_histories,
     load_records,
-    load_samples,
     save_histories,
     save_records,
-    save_samples,
     split_boundary,
     split_train_test,
     windowize,
@@ -358,20 +356,6 @@ class TestFileFormats:
         path = tmp_path / "hist.txt"
         write_histories_text(path, [hist], 2)
         assert path.read_text().splitlines() == ["D1,1,B,0", "D1,2,S,1"]
-
-    def test_samples_round_trip(self, tmp_path):
-        hist = toy_history(16, width=8, seed=15)
-        samples = windowize(hist, 4, 3)
-        path = tmp_path / "samples.bin"
-        save_samples(path, samples, 16, 4)
-        loaded, days, v = load_samples(path)
-        assert (days, v) == (16, 4)
-        assert len(loaded) == len(samples)
-        for a, b in zip(loaded, samples):
-            assert (a.dealer_id, a.start_day) == (b.dealer_id, b.start_day)
-            np.testing.assert_array_equal(a.input_days, b.input_days)
-            np.testing.assert_array_equal(a.target_days, b.target_days)
-            np.testing.assert_array_equal(a.target_union, b.target_union)
 
     def test_gen_byte_determinism(self, tmp_path):
         spec = one_periodic_spec(seed=7)

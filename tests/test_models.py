@@ -13,13 +13,10 @@ from otcforecast.models import (
     TransformerModel,
     build_model,
     cte_encode,
-    fc_forward,
     load_checkpoint,
     positional_encoding,
-    recurrent_forward,
     residual_block,
     save_checkpoint,
-    transformer_forward,
 )
 
 
@@ -138,14 +135,6 @@ class TestFCModels:
         assert out.shape == (4, 16)
         assert all(np.array_equal(out[0], out[i]) for i in range(1, 4))
 
-    def test_fc_forward_wrapper_checks_kind(self):
-        model = build_model(toy_config("FCSum"))
-        with pytest.raises(ContractError):
-            fc_forward("concat", random_day_matrix(3, 8, 3), model)
-        x = random_day_matrix(3, 8, 3)
-        np.testing.assert_array_equal(
-            fc_forward("sum", x, model).values, model.forward(x).values)
-
     def test_input_shape_validated(self):
         model = build_model(toy_config("FCSum"))
         with pytest.raises(ShapeMismatchError):
@@ -163,14 +152,6 @@ class TestRecurrentModels:
     def test_bilstm_readout_width(self):
         model = build_model(toy_config("BiLSTM", hidden=5))
         assert model.params["readout.w"].shape == (10, 16)
-
-    def test_recurrent_forward_wrapper(self):
-        model = build_model(toy_config("LSTM"))
-        x = random_day_matrix(3, 8, 30)
-        np.testing.assert_array_equal(
-            recurrent_forward("LSTM", x, model).values, model.forward(x).values)
-        with pytest.raises(ContractError):
-            recurrent_forward("BiLSTM", x, model)
 
     def test_manual_two_step_recurrence_oracle(self):
         cfg = ModelConfig(kind="LSTM", vocab_size=1, t_in=2, t_out=1, hidden=1, seed=0)
@@ -303,18 +284,6 @@ class TestTransformer:
         model = build_model(toy_config("TransFV"))
         with pytest.raises(ContractError):
             model.forward(random_day_matrix(3, 8, 12))
-        with pytest.raises(ContractError):
-            transformer_forward(model, random_day_matrix(3, 8, 12))
-
-    def test_transformer_forward_wrapper(self):
-        model = build_model(toy_config("TransRE"))
-        x = random_day_matrix(3, 8, 31)
-        teacher = random_day_matrix(2, 8, 32)
-        np.testing.assert_array_equal(
-            transformer_forward(model, x, teacher).values,
-            model.forward(x, teacher=teacher).values)
-        with pytest.raises(ContractError):
-            transformer_forward(build_model(toy_config("FCSum")), x, teacher)
 
     def test_causality_exact(self):
         # perturbing teacher day t may only affect predictions at days > t
