@@ -114,11 +114,14 @@ def _record(name, inputs, out_values, vjp) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into the grad buffer of every tensor.
+    """Accumulate d(loss)/d(leaf) into the grad buffer of every leaf tensor.
 
-    Repeated calls without zeroing grads accumulate (two identical calls
-    double the gradients).  Gradient flow during one call uses private
-    buffers, so earlier accumulated gradients never leak into propagation.
+    A leaf is a tensor that requires gradients and that no tape entry
+    produced (parameters, typically).  Intermediate tensors get no grad
+    buffer written.  Repeated calls without zeroing grads accumulate (two
+    identical calls double the gradients).  Gradient flow during one call
+    uses private buffers, so earlier accumulated gradients never leak into
+    propagation.
     """
     if loss.values.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -127,7 +130,8 @@ def backward(loss: Tensor) -> None:
     flowing: dict[int, Array] = {id(loss): np.ones_like(loss.values)}
     seen: dict[int, Tensor] = {id(loss): loss}
     for entry in reversed(_TAPE):
-        out_grad = flowing.get(id(entry.output))
+        # every consumer of an output is recorded after it, so its gradient is complete here
+        out_grad = flowing.pop(id(entry.output), None)
         if out_grad is None:
             continue
         for tensor, contribution in zip(entry.inputs, entry.vjp(out_grad)):
@@ -158,15 +162,31 @@ def _require_equal_shapes(op: str, a: Tensor, b: Tensor) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """C = A @ B for 2-D operands; backward gives dA = g Bᵀ, dB = Aᵀ g."""
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeMismatchError(f"matmul: operands must be 2-D, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul: inner extents differ: {a.shape} x {b.shape}")
+    """C = A @ B over the last two axes of A.
+
+    ``b`` is either a 2-D (k, m) matrix shared by every leading index of
+    ``a`` (shape (..., k), usually (..., n, k)), or a stack (..., k, m)
+    with the same leading axes as ``a`` (..., n, k).  Backward gives
+    dA = g Bᵀ and dB = Aᵀ g; for a shared matrix dB sums over the leading
+    axes with one (B·n, k)ᵀ @ (B·n, m) product.
+    """
     av, bv = a.values, b.values
+    if av.ndim < 1 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
+        raise ShapeMismatchError(f"matmul: inner extents differ: {a.shape} x {b.shape}")
+    k, m = bv.shape[-2:]
+    if bv.ndim == 2:
+        out = (av.reshape(-1, k) @ bv).reshape(*av.shape[:-1], m)
+
+        def vjp(g):
+            g2 = g.reshape(-1, m)
+            return (g2 @ bv.T).reshape(av.shape), av.reshape(-1, k).T @ g2
+
+        return _record("matmul", (a, b), out, vjp)
+    if av.ndim != bv.ndim or av.shape[:-2] != bv.shape[:-2]:
+        raise ShapeMismatchError(f"matmul: leading axes differ: {a.shape} x {b.shape}")
     return _record(
         "matmul", (a, b), av @ bv,
-        lambda g: (g @ bv.T, av.T @ g),
+        lambda g: (g @ np.swapaxes(bv, -1, -2), np.swapaxes(av, -1, -2) @ g),
     )
 
 
@@ -258,8 +278,8 @@ def embedding_bag(table: Tensor, indices) -> Tensor:
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each last-axis slice to zero mean / unit variance, then affine.
 
-    Population variance, as in the usual formulation.  Accepts 1-D vectors
-    or 2-D (positions x channels) matrices.
+    Population variance, as in the usual formulation.  Any leading axes
+    are positions or batch entries; gamma and beta are shared across them.
     """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -289,33 +309,42 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def softmax_rows(s: Tensor, causal: bool = False) -> Tensor:
-    """Row-wise softmax of a score matrix, with an optional causal mask.
+    """Softmax over the last axis of a (..., rows, cols) score stack.
 
-    The causal mask forbids column j > row i and requires a square matrix.
+    The causal mask forbids column j > row i, needs square trailing
+    matrices, and is shared by every leading index.
     """
     sv = s.values
-    if sv.ndim != 2:
-        raise ShapeMismatchError(f"softmax_rows: expected 2-D scores, got {s.shape}")
+    if sv.ndim < 2:
+        raise ShapeMismatchError(f"softmax_rows: expected (..., rows, cols) scores, got {s.shape}")
     if causal:
-        rows, cols = sv.shape
+        rows, cols = sv.shape[-2:]
         if rows != cols:
             raise ShapeMismatchError(f"softmax_rows: causal mask needs square scores, got {s.shape}")
         sv = np.where(np.triu(np.ones((rows, cols), dtype=bool), k=1), -np.inf, sv)
-    shifted = sv - sv.max(axis=1, keepdims=True)
+    shifted = sv - sv.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _record("softmax_rows", (s,), y, vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeMismatchError(f"transpose: expected 2-D, got {a.shape}")
-    return _record("transpose", (a,), a.values.T.copy(), lambda g: (g.T,))
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Swap the last two axes, or permute all axes in the given order."""
+    if axes is None:
+        if a.values.ndim < 2:
+            raise ShapeMismatchError(f"transpose: expected at least 2-D, got {a.shape}")
+        axes = (*range(a.values.ndim - 2), a.values.ndim - 1, a.values.ndim - 2)
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+    return _record(
+        "transpose", (a,), np.transpose(a.values, axes),
+        lambda g: (np.transpose(g, inverse),),
+    )
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -342,32 +371,21 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _record("slice_cols", (a,), a.values[:, start:stop].copy(), vjp)
 
 
+def _concat(name: str, parts: Sequence[Tensor], axis: int) -> Tensor:
+    sizes = [p.shape[axis] for p in parts]
+    out = np.concatenate([p.values for p in parts], axis=axis)
+    bounds = np.cumsum(sizes)[:-1]
+    return _record(name, tuple(parts), out, lambda g: tuple(np.split(g, bounds, axis=axis)))
+
+
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    widths = [p.shape[1] for p in parts]
-    out = np.concatenate([p.values for p in parts], axis=1)
-
-    def vjp(g):
-        grads, at = [], 0
-        for w in widths:
-            grads.append(g[:, at:at + w])
-            at += w
-        return tuple(grads)
-
-    return _record("concat_cols", tuple(parts), out, vjp)
+    """Concatenate along the last axis."""
+    return _concat("concat_cols", parts, -1)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    heights = [p.shape[0] for p in parts]
-    out = np.concatenate([p.values for p in parts], axis=0)
-
-    def vjp(g):
-        grads, at = [], 0
-        for h in heights:
-            grads.append(g[at:at + h])
-            at += h
-        return tuple(grads)
-
-    return _record("concat_rows", tuple(parts), out, vjp)
+    """Concatenate along the second-to-last axis."""
+    return _concat("concat_rows", parts, -2)
 
 
 def stack_rows(vecs: Sequence[Tensor]) -> Tensor:
@@ -380,33 +398,43 @@ def stack_rows(vecs: Sequence[Tensor]) -> Tensor:
 
 
 def tile_rows(v: Tensor, n: int) -> Tensor:
-    """Repeat a 1-D vector as n identical rows; backward sums over rows."""
-    if v.values.ndim != 1:
-        raise ShapeMismatchError(f"tile_rows: expected 1-D, got {v.shape}")
-    out = np.tile(v.values, (n, 1))
-    return _record("tile_rows", (v,), out, lambda g: (g.sum(axis=0),))
+    """Repeat a (..., d) stack of vectors as n identical rows each, giving
+    (..., n, d); backward sums over the repeated rows."""
+    vv = v.values
+    if vv.ndim < 1:
+        raise ShapeMismatchError(f"tile_rows: expected at least 1-D, got {v.shape}")
+    out = np.broadcast_to(vv[..., None, :], (*vv.shape[:-1], n, vv.shape[-1]))
+    return _record("tile_rows", (v,), out, lambda g: (g.sum(axis=-2),))
+
+
+def _check_rowvec(op: str, x: Tensor, v: Tensor) -> int:
+    if v.values.ndim != 1 or x.values.ndim < 1 or x.shape[-1] != v.shape[0]:
+        raise ShapeMismatchError(f"{op}: incompatible shapes {x.shape} and {v.shape}")
+    return v.shape[0]
 
 
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
-    """Add a 1-D vector to every row of a matrix (explicit bias broadcast)."""
-    if x.values.ndim != 2 or b.values.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"add_rowvec: incompatible shapes {x.shape} and {b.shape}")
-    return _record("add_rowvec", (x, b), x.values + b.values, lambda g: (g, g.sum(axis=0)))
+    """Add a 1-D vector to every last-axis slice of x (explicit bias broadcast)."""
+    d = _check_rowvec("add_rowvec", x, b)
+    return _record(
+        "add_rowvec", (x, b), x.values + b.values,
+        lambda g: (g, g.reshape(-1, d).sum(axis=0)),
+    )
 
 
 def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Multiply every row of a matrix pointwise by a 1-D gate vector."""
-    if x.values.ndim != 2 or v.values.ndim != 1 or x.shape[1] != v.shape[0]:
-        raise ShapeMismatchError(f"mul_rowvec: incompatible shapes {x.shape} and {v.shape}")
+    """Multiply every last-axis slice of x pointwise by a 1-D gate vector."""
+    d = _check_rowvec("mul_rowvec", x, v)
     xv, vv = x.values, v.values
     return _record(
         "mul_rowvec", (x, v), xv * vv,
-        lambda g: (g * vv, (g * xv).sum(axis=0)),
+        lambda g: (g * vv, (g * xv).reshape(-1, d).sum(axis=0)),
     )
 
 
 def scale_by(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply a tensor by a trainable scalar (a 0-d or single-element tensor)."""
+    """Multiply a tensor of any shape by a trainable scalar (a 0-d or
+    single-element tensor)."""
     if s.values.size != 1:
         raise ShapeMismatchError(f"scale_by: scalar operand has shape {s.shape}")
     av, sv = a.values, s.values
@@ -414,6 +442,14 @@ def scale_by(a: Tensor, s: Tensor) -> Tensor:
         "scale_by", (a, s), av * sv,
         lambda g: (g * sv, np.asarray((g * av).sum()).reshape(sv.shape)),
     )
+
+
+def _split_heads(x: Tensor, heads: int, keys: bool = False) -> Tensor:
+    """(..., T, d) -> (..., H, T, d_k), or (..., H, d_k, T) for ``keys``."""
+    *lead, t, d = x.shape
+    n = len(lead)
+    order = (n + 1, n + 2, n) if keys else (n + 1, n, n + 2)
+    return transpose(reshape(x, (*lead, t, heads, d // heads)), (*range(n), *order))
 
 
 def multi_head_attention(
@@ -434,25 +470,25 @@ def multi_head_attention(
 ) -> Tensor:
     """Projected multi-head scaled dot-product attention.
 
-    Per head: softmax(Q'K'ᵀ / sqrt(d_k)) V' over head-sliced projections,
-    concatenated across heads and output-projected.  With ``causal`` the
-    query at position i may only attend to keys at positions <= i.
+    Queries are (..., T_q, d) and keys/values (..., T_k, d) with the same
+    leading axes.  Per head: softmax(Q'K'ᵀ / sqrt(d_k)) V' over head-split
+    projections, merged across heads and output-projected.  All heads run
+    in one batched product for the scores and one for the values.  With
+    ``causal`` the query at position i may only attend to keys at
+    positions <= i.
     """
-    d_model = q.shape[1]
+    d_model = q.shape[-1]
     if d_model % heads != 0:
         raise ConfigurationError(f"d_model={d_model} not divisible by heads={heads}")
     d_k = d_model // heads
-    qp = add_rowvec(matmul(q, wq), bq)
-    kp = add_rowvec(matmul(k, wk), bk)
-    vp = add_rowvec(matmul(v, wv), bv)
-    inv_sqrt_dk = 1.0 / math.sqrt(d_k)
-    head_outputs = []
-    for h in range(heads):
-        lo, hi = h * d_k, (h + 1) * d_k
-        scores = scale(matmul(slice_cols(qp, lo, hi), transpose(slice_cols(kp, lo, hi))), inv_sqrt_dk)
-        weights = softmax_rows(scores, causal=causal)
-        head_outputs.append(matmul(weights, slice_cols(vp, lo, hi)))
-    merged = head_outputs[0] if heads == 1 else concat_cols(head_outputs)
+    qh = _split_heads(add_rowvec(matmul(q, wq), bq), heads)
+    kh = _split_heads(add_rowvec(matmul(k, wk), bk), heads, keys=True)
+    vh = _split_heads(add_rowvec(matmul(v, wv), bv), heads)
+    scores = scale(matmul(qh, kh), 1.0 / math.sqrt(d_k))
+    context = matmul(softmax_rows(scores, causal=causal), vh)  # (..., H, T_q, d_k)
+    *lead, _, t_q, _ = context.shape
+    n = len(lead)
+    merged = reshape(transpose(context, (*range(n), n + 1, n, n + 2)), (*lead, t_q, d_model))
     return add_rowvec(matmul(merged, wo), bo)
 
 

@@ -3,7 +3,7 @@
 Every command reads one config file, writes its artifacts under the
 configured output directory next to an echo of the resolved config, and is
 byte-reproducible from (config, seed).  Exit codes: 0 success, 1 usage or
-config error, 2 missing prerequisite artifact, 3 numeric failure.
+config error, 2 missing or unreadable artifact, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .clustering import (
 )
 from .config import RunConfig, parse_config, write_resolved
 from .errors import (
+    ArtifactError,
     ConfigurationError,
     ContractError,
     MissingArtifactError,
@@ -102,11 +103,13 @@ def cmd_cluster(cfg: RunConfig, out: Path) -> None:
     print(f"wrote {out / CLUSTERS_FILE} ({len(assignment.labels)} dealers, k=4)")
 
 
-def _prepare(cfg: RunConfig, out: Path, per_cluster: bool = False):
+def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
     """Load the histories, window and split them, and read the labels.
 
-    Labels are read when the granularity needs them or ``per_cluster``
-    rows are wanted; otherwise they are empty and clusters.csv is optional.
+    Labels are read when the granularity needs them or the command is
+    ``scoring`` (per-cluster rows); otherwise they are empty and
+    clusters.csv is optional.  A scoring command also needs at least one
+    test window, checked before any training.
     Returns (vocab size, train samples, test samples, labels).
     """
     histories, days, vocab_size = market.load_histories(_require(out / HISTORIES_FILE, "gen"))
@@ -116,8 +119,13 @@ def _prepare(cfg: RunConfig, out: Path, per_cluster: bool = False):
         for s in market.windowize(h, cfg.t_in, cfg.t_out, cfg.stride)
     ]
     train_samples, test_samples = market.split_train_test(samples, days, cfg.train_fraction)
+    if scoring and not test_samples:
+        raise ConfigurationError(
+            f"the temporal split leaves no test window (days {days}, t_in {cfg.t_in}, "
+            f"t_out {cfg.t_out}, train_fraction {cfg.train_fraction})"
+        )
     labels = {}
-    if per_cluster or cfg.granularity != "single":
+    if scoring or cfg.granularity != "single":
         labels = load_assignment(_require(out / CLUSTERS_FILE, "cluster"))
     return vocab_size, train_samples, test_samples, labels
 
@@ -143,7 +151,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
-    vocab_size, train_samples, test_samples, labels = _prepare(cfg, out, per_cluster=True)
+    vocab_size, train_samples, test_samples, labels = _prepare(cfg, out, scoring=True)
     units = training_units(cfg.granularity, train_samples, test_samples, labels)
     models = [(tag, _load_model(cfg, out, vocab_size, tag), unit_test)
               for tag, _, unit_test in units]
@@ -154,7 +162,7 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
 
 def cmd_compare(cfg: RunConfig, out: Path) -> None:
     """Train every model kind and tabulate per-cluster F1 plus a pooled avg."""
-    vocab_size, train_samples, test_samples, labels = _prepare(cfg, out, per_cluster=True)
+    vocab_size, train_samples, test_samples, labels = _prepare(cfg, out, scoring=True)
     all_rows = []
     grid = []
     for kind in MODEL_KINDS:
@@ -230,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except MissingArtifactError as exc:
         print(f"otcforecast: {exc}", file=sys.stderr)
+        return 2
+    except ArtifactError as exc:
+        print(f"otcforecast: unreadable artifact {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"otcforecast: numeric failure: {exc}", file=sys.stderr)

@@ -17,5 +17,9 @@ class MissingArtifactError(FileNotFoundError):
     """Raised when a pipeline stage needs an artifact that was never produced."""
 
 
+class ArtifactError(ValueError):
+    """Raised when an artifact file is truncated, malformed or of another format."""
+
+
 class NumericError(ArithmeticError):
     """Raised when a computation produces NaN or Inf."""

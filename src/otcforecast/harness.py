@@ -1,10 +1,11 @@
 """Training loops, thresholded evaluation, and the granularity experiment.
 
 Training is mini-batch Adam on the mean-squared error over all T_out x 2V
-output cells, with a seeded shuffle per epoch.  Evaluation thresholds the
-predicted probabilities and pools confusion counts over every
-(sample, day, bond, side) decision; precision, recall and F1 are
-micro-averaged from those pooled counts.
+output cells, with a seeded shuffle per epoch; each mini-batch is one
+stacked forward and backward pass.  Evaluation forecasts stacked chunks of
+windows in lockstep, thresholds the predicted probabilities and pools
+confusion counts over every (sample, day, bond, side) decision; precision,
+recall and F1 are micro-averaged from those pooled counts.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import OptimizerState, Tensor
 from .clustering import ClusterAssignment
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, ShapeMismatchError
 from .market import Sample
 from .models import TRANSFORMER_KINDS, ModelConfig, build_model
 from .seeding import rng_for
 
 GRANULARITIES = ("individual", "cluster", "single")
+EVAL_CHUNK = 256  # windows per stacked forecast; bounds evaluation memory
 
 
 @dataclass(frozen=True)
@@ -84,12 +86,24 @@ def micro_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
+def _stack(samples: list[Sample], attr: str) -> np.ndarray:
+    return np.stack([getattr(s, attr) for s in samples])
+
+
+def _chunks(samples: list[Sample]):
+    for lo in range(0, len(samples), EVAL_CHUNK):
+        yield samples[lo:lo + EVAL_CHUNK]
+
+
 def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, list[float]]:
     """Mini-batch Adam training; returns the model's params and per-epoch loss.
 
-    The per-epoch value is the mean per-sample loss seen during that epoch.
-    Gradients average over the batch; a non-finite loss aborts with
-    NumericError.  Optional early stop when the epoch loss has not improved
+    Each mini-batch is one stacked forward and backward pass on the mean
+    squared error over all of its cells, which is the mean of the
+    per-sample losses.  The per-epoch value is the mean per-sample loss
+    seen during that epoch.  A non-finite loss or parameter gradient
+    aborts with NumericError before the optimizer step, so the parameters
+    stay finite.  Optional early stop when the epoch loss has not improved
     by at least 0.1% (relative) for ``patience`` consecutive epochs.
     """
     if not train_samples:
@@ -104,18 +118,18 @@ def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, 
         order = rng_for(spec.seed, "shuffle", epoch).permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, spec.batch_size):
-            batch = order[lo:lo + spec.batch_size]
+            batch = [train_samples[int(i)] for i in order[lo:lo + spec.batch_size]]
+            target = _stack(batch, "target_days").astype(np.float64)
+            ad.reset_tape()
             ad.zero_grads(params)
-            batch_loss = 0.0
-            for idx in batch:
-                sample = train_samples[int(idx)]
-                ad.reset_tape()
-                pred = model.forward(sample.input_days, teacher=sample.target_days)
-                loss = ad.mse_loss(pred, Tensor(np.asarray(sample.target_days, dtype=np.float64)))
-                ad.backward(ad.scale(loss, 1.0 / len(batch)))
-                batch_loss += loss.item()
+            pred = model.forward(_stack(batch, "input_days"), teacher=target)
+            loss = ad.mse_loss(pred, Tensor(target))
+            batch_loss = loss.item() * len(batch)
             if not math.isfinite(batch_loss):
                 raise NumericError(f"non-finite loss in epoch {epoch}")
+            ad.backward(loss)
+            if not all(np.isfinite(p.grad).all() for p in params):
+                raise NumericError(f"non-finite gradient in epoch {epoch}")
             ad.adam_step(params, [p.grad for p in params], state)
             epoch_loss += batch_loss
         ad.reset_tape()
@@ -136,21 +150,22 @@ def initial_loss(model, samples: list[Sample]) -> float:
     """Mean per-sample MSE of the untrained model (diagnostic helper)."""
     total = 0.0
     with ad.no_grad():
-        for s in samples:
-            pred = model.forward(s.input_days, teacher=s.target_days)
-            diff = pred.values - np.asarray(s.target_days, dtype=np.float64)
-            total += float((diff * diff).mean())
+        for chunk in _chunks(samples):
+            target = _stack(chunk, "target_days").astype(np.float64)
+            pred = model.forward(_stack(chunk, "input_days"), teacher=target)
+            diff = pred.values - target
+            total += float((diff * diff).mean(axis=(-2, -1)).sum())
     return total / len(samples)
 
 
-def _confusion(pred_binary: np.ndarray, target: np.ndarray) -> tuple[int, int, int, int]:
-    p = pred_binary.astype(bool)
-    t = target.astype(bool)
-    tp = int((p & t).sum())
-    fp = int((p & ~t).sum())
-    fn = int((~p & t).sum())
-    tn = int((~p & ~t).sum())
-    return tp, fp, fn, tn
+def _confusion(pred_binary: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per-window (tp, fp, fn, tn) counts of stacked (windows, ...) decisions."""
+    p = pred_binary.reshape(len(pred_binary), -1).astype(bool)
+    t = target.reshape(len(target), -1).astype(bool)
+    tp = (p & t).sum(axis=1)
+    fp = (p & ~t).sum(axis=1)
+    fn = (~p & t).sum(axis=1)
+    return np.stack([tp, fp, fn, t.shape[1] - tp - fp - fn], axis=1).astype(np.int64)
 
 
 def evaluate(
@@ -173,29 +188,37 @@ def evaluate(
     if mode not in ("per_day", "union"):
         raise ContractError(f"unknown evaluation mode {mode!r}")
     kind = model.config.kind
-    totals = np.zeros(4, dtype=np.int64)
-    by_cluster: dict[int, np.ndarray] = {}
-    for s in test_samples:
-        probs = model.predict(s.input_days)
-        if mode == "union":
-            pred = probs.max(axis=0) >= threshold
-            target = s.target_union
-        else:
-            pred = probs >= threshold
-            target = s.target_days
-        counts = np.array(_confusion(pred, target), dtype=np.int64)
-        totals += counts
-        if cluster_of is not None:
+    if cluster_of is not None:
+        for s in test_samples:
             if s.dealer_id not in cluster_of:
                 raise ContractError(f"dealer {s.dealer_id} missing from cluster assignment")
-            label = cluster_of[s.dealer_id]
-            by_cluster.setdefault(label, np.zeros(4, dtype=np.int64))
-            by_cluster[label] += counts
+        labels, label_index = np.unique(
+            [cluster_of[s.dealer_id] for s in test_samples], return_inverse=True)
+        by_cluster = np.zeros((len(labels), 4), dtype=np.int64)
+    totals = np.zeros(4, dtype=np.int64)
+    done = 0
+    for chunk in _chunks(test_samples):
+        inputs = _stack(chunk, "input_days")
+        probs = model.predict(inputs)
+        target = _stack(chunk, "target_days")
+        if probs.shape != target.shape:
+            raise ShapeMismatchError(
+                f"predict returned shape {probs.shape} for inputs {inputs.shape}, "
+                f"targets {target.shape}"
+            )
+        if mode == "union":
+            counts = _confusion(probs.max(axis=-2) >= threshold, _stack(chunk, "target_union"))
+        else:
+            counts = _confusion(probs >= threshold, target)
+        totals += counts.sum(axis=0)
+        if cluster_of is not None:
+            np.add.at(by_cluster, label_index[done:done + len(chunk)], counts)
+        done += len(chunk)
     report = EvalReport.from_counts(kind, granularity, cluster_tag, *totals.tolist())
     if cluster_of is not None:
         report.per_cluster = {
-            label: EvalReport.from_counts(kind, granularity, str(label), *by_cluster[label].tolist())
-            for label in sorted(by_cluster)
+            label: EvalReport.from_counts(kind, granularity, str(label), *row.tolist())
+            for label, row in zip(labels.tolist(), by_cluster)
         }
     return report
 
@@ -203,8 +226,8 @@ def evaluate(
 def layer_signal_stats(model, probe_samples: list[Sample], tag: str = "") -> LayerStats:
     """Per-layer mean/variance of post-residual activations on a probe batch.
 
-    Runs teacher-forced forwards so encoder and decoder layers see the same
-    batch; statistics pool over samples, positions and channels.
+    Runs stacked teacher-forced forwards so encoder and decoder layers see
+    the same batch; statistics pool over samples, positions and channels.
     """
     kind = model.config.kind
     if kind not in TRANSFORMER_KINDS:
@@ -213,9 +236,10 @@ def layer_signal_stats(model, probe_samples: list[Sample], tag: str = "") -> Lay
         raise ContractError("layer_signal_stats() needs a nonempty probe batch")
     collected: dict[str, list[np.ndarray]] = {}
     with ad.no_grad():
-        for s in probe_samples:
+        for chunk in _chunks(probe_samples):
             trace: list[tuple[str, np.ndarray]] = []
-            model.forward(s.input_days, teacher=s.target_days, trace=trace)
+            model.forward(_stack(chunk, "input_days"), teacher=_stack(chunk, "target_days"),
+                          trace=trace)
             for name, values in trace:
                 collected.setdefault(name, []).append(values.reshape(-1))
     stats = {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractError, ShapeMismatchError
+from .errors import ArtifactError, ContractError, ShapeMismatchError
 from .seeding import rng_for
 
 BUY = "B"
@@ -403,20 +403,41 @@ def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: 
 
 
 def load_histories(path) -> tuple[list[DealerHistory], int, int]:
+    """Read a histories.bin file written by :func:`save_histories`.
+
+    Raises ArtifactError unless the header, every length prefix, id and
+    bitmap are complete and no byte follows the last dealer.
+    """
     with open(path, "rb") as fh:
-        magic, version, days, vocab_size = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != _MAGIC:
-            raise ContractError(f"{path}: bad magic {magic!r}")
-        if version != _FORMAT_VERSION:
-            raise ContractError(f"{path}: unsupported version {version}")
-        (count,) = struct.unpack("<I", fh.read(4))
-        bitmap_bytes = (days * 2 * vocab_size + 7) // 8
-        histories = []
-        for _ in range(count):
-            (id_len,) = struct.unpack("<H", fh.read(2))
-            dealer_id = fh.read(id_len).decode("utf-8")
-            matrix = _unpack_bits(fh.read(bitmap_bytes), (days, 2 * vocab_size))
-            histories.append(DealerHistory(dealer_id, matrix))
+        blob = fh.read()
+    at = 0
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal at
+        if at + size > len(blob):
+            raise ArtifactError(f"{path}: truncated at byte {len(blob)} while reading {what}")
+        at += size
+        return blob[at - size:at]
+
+    magic, version, days, vocab_size = _HEADER.unpack(take(_HEADER.size, "the header"))
+    if magic != _MAGIC:
+        raise ArtifactError(f"{path}: bad magic {magic!r}")
+    if version != _FORMAT_VERSION:
+        raise ArtifactError(f"{path}: unsupported version {version}")
+    (count,) = struct.unpack("<I", take(4, "the dealer count"))
+    bitmap_bytes = (days * 2 * vocab_size + 7) // 8
+    histories = []
+    for i in range(count):
+        (id_len,) = struct.unpack("<H", take(2, f"the id length of dealer {i}"))
+        try:
+            dealer_id = take(id_len, f"the id of dealer {i}").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ArtifactError(f"{path}: dealer {i} id is not UTF-8") from exc
+        matrix = _unpack_bits(take(bitmap_bytes, f"the bitmap of dealer {dealer_id}"),
+                              (days, 2 * vocab_size))
+        histories.append(DealerHistory(dealer_id, matrix))
+    if at != len(blob):
+        raise ArtifactError(f"{path}: {len(blob) - at} trailing bytes after {count} dealers")
     return histories, days, vocab_size
 
 

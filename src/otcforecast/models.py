@@ -8,10 +8,12 @@ Residual scheme: post-norm (LayerNorm), a trainable scalar gate initialized
 at zero, or a trainable per-channel gate vector initialized at zero.  One
 gate is shared by all sublayers of a layer.
 
-Every model maps a T_in x 2V input window to a T_out x 2V prediction matrix
-with entries in [0, 1] (outputs pass through (tanh + 1) / 2).  The FC and
-recurrent baselines predict a single day vector that is tiled over the
-output window.
+Every model maps a (..., T_in, 2V) stack of input windows to a
+(..., T_out, 2V) stack of predictions with entries in [0, 1] (outputs pass
+through (tanh + 1) / 2).  The leading axes are a batch: one forward pass
+serves a whole mini-batch, and a single (T_in, 2V) window is the case with
+no leading axis.  The FC and recurrent baselines predict a single day
+vector that is tiled over the output window.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError, ContractError, ShapeMismatchError
+from .errors import ArtifactError, ConfigurationError, ContractError, ShapeMismatchError
 from .seeding import rng_for
 
 MODEL_KINDS = (
@@ -199,30 +201,32 @@ def residual_block(
     raise ConfigurationError(f"unknown residual mode {mode!r}")
 
 
-def cte_encode(day_vector: np.ndarray, bond_table: Tensor, action_table: Tensor) -> Tensor:
-    """Co-trading embedding of one day: sum over traded bonds of the bond
-    vector plus the buy or sell action vector; an empty day embeds to zero."""
+def cte_encode(days: np.ndarray, bond_table: Tensor, action_table: Tensor) -> Tensor:
+    """Co-trading embedding of (..., 2V) day vectors: per day, the sum over
+    traded bonds of the bond vector plus the buy or sell action vector.
+
+    Computed as one dense product, (X_buy + X_sell) @ bonds +
+    [n_buy, n_sell] @ actions, on any leading shape; an empty day embeds
+    to zero.
+    """
     v = bond_table.shape[0]
-    day_vector = np.asarray(day_vector)
-    buys = np.flatnonzero(day_vector[:v])
-    sells = np.flatnonzero(day_vector[v:])
-    parts = []
-    if buys.size:
-        parts.append(ad.embedding_bag(bond_table, buys))
-        parts.append(ad.scale(ad.embedding_bag(action_table, (0,)), float(buys.size)))
-    if sells.size:
-        parts.append(ad.embedding_bag(bond_table, sells))
-        parts.append(ad.scale(ad.embedding_bag(action_table, (1,)), float(sells.size)))
-    if not parts:
-        return Tensor(np.zeros(bond_table.shape[1]))
-    total = parts[0]
-    for part in parts[1:]:
-        total = ad.add(total, part)
-    return total
+    days = np.asarray(days, dtype=np.float64)
+    buys, sells = days[..., :v], days[..., v:]
+    counts = np.stack([buys.sum(axis=-1), sells.sum(axis=-1)], axis=-1)
+    return ad.add(
+        ad.matmul(Tensor(buys + sells), bond_table),
+        ad.matmul(Tensor(counts), action_table),
+    )
 
 
-def _as_input(matrix: np.ndarray) -> np.ndarray:
-    return np.asarray(matrix, dtype=np.float64)
+def _windows(days, rows: int, vocab_size: int, what: str = "input") -> np.ndarray:
+    """Validate a (..., rows, 2V) stack of day vectors and cast it to float64."""
+    data = np.asarray(days, dtype=np.float64)
+    if data.ndim < 2 or data.shape[-2:] != (rows, 2 * vocab_size):
+        raise ShapeMismatchError(
+            f"{what} shape {data.shape} does not end in {(rows, 2 * vocab_size)}"
+        )
+    return data
 
 
 class FCModel:
@@ -243,20 +247,15 @@ class FCModel:
 
     def forward(self, input_days: np.ndarray, teacher: np.ndarray | None = None) -> Tensor:
         cfg = self.config
-        data = _as_input(input_days)
-        if data.shape != (cfg.t_in, 2 * cfg.vocab_size):
-            raise ShapeMismatchError(
-                f"input shape {data.shape} != {(cfg.t_in, 2 * cfg.vocab_size)}"
-            )
+        data = _windows(input_days, cfg.t_in, cfg.vocab_size)
         if cfg.kind == "FCSum":
-            x = Tensor(data.sum(axis=0, keepdims=True))
+            x = Tensor(data.sum(axis=-2))
         else:
-            x = Tensor(data.reshape(1, -1))
+            x = Tensor(data.reshape(*data.shape[:-2], -1))
         p = self.params
         h = ad.tanh(ad.add_rowvec(ad.matmul(x, p["fc.w1"]), p["fc.b1"]))
         h = ad.tanh(ad.add_rowvec(ad.matmul(h, p["fc.w2"]), p["fc.b2"]))
-        out = _squash(ad.add_rowvec(ad.matmul(h, p["fc.w3"]), p["fc.b3"]))
-        day = ad.reshape(out, (2 * cfg.vocab_size,))
+        day = _squash(ad.add_rowvec(ad.matmul(h, p["fc.w3"]), p["fc.b3"]))
         return ad.tile_rows(day, cfg.t_out)
 
     def predict(self, input_days: np.ndarray) -> np.ndarray:
@@ -286,12 +285,13 @@ class RecurrentModel:
         b.zeros("readout.b", width)
 
     def _run_direction(self, data: np.ndarray, direction: str) -> Tensor:
+        """Step over axis -2 of (..., T, 2V) inputs; returns the final (..., H) state."""
         p = self.params
-        hidden = self.config.hidden
-        h = Tensor(np.zeros((1, hidden)))
-        c = Tensor(np.zeros((1, hidden)))
-        for row in data:
-            x_t = Tensor(row.reshape(1, -1))
+        state_shape = (*data.shape[:-2], self.config.hidden)
+        h = Tensor(np.zeros(state_shape))
+        c = Tensor(np.zeros(state_shape))
+        for step in range(data.shape[-2]):
+            x_t = Tensor(data[..., step, :])
             pre = {}
             for gate in self._GATES:
                 pre[gate] = ad.add_rowvec(
@@ -311,17 +311,12 @@ class RecurrentModel:
 
     def forward(self, input_days: np.ndarray, teacher: np.ndarray | None = None) -> Tensor:
         cfg = self.config
-        data = _as_input(input_days)
-        if data.shape != (cfg.t_in, 2 * cfg.vocab_size):
-            raise ShapeMismatchError(
-                f"input shape {data.shape} != {(cfg.t_in, 2 * cfg.vocab_size)}"
-            )
+        data = _windows(input_days, cfg.t_in, cfg.vocab_size)
         h = self._run_direction(data, "fwd")
         if cfg.kind == "BiLSTM":
-            h = ad.concat_cols([h, self._run_direction(data[::-1], "bwd")])
+            h = ad.concat_cols([h, self._run_direction(data[..., ::-1, :], "bwd")])
         p = self.params
-        out = _squash(ad.add_rowvec(ad.matmul(h, p["readout.w"]), p["readout.b"]))
-        day = ad.reshape(out, (2 * cfg.vocab_size,))
+        day = _squash(ad.add_rowvec(ad.matmul(h, p["readout.w"]), p["readout.b"]))
         return ad.tile_rows(day, cfg.t_out)
 
     def predict(self, input_days: np.ndarray) -> np.ndarray:
@@ -392,16 +387,18 @@ class TransformerModel:
 
     # ---- forward pieces -------------------------------------------------
 
-    def _cte_encode(self, day_vector: np.ndarray) -> Tensor:
-        return cte_encode(day_vector, self.params["cte.bonds"], self.params["cte.actions"])
-
     def embed_days(self, days: np.ndarray) -> Tensor:
-        """Shared input embedding for encoder and decoder day vectors."""
-        data = _as_input(days)
+        """Shared input embedding of (..., 2V) encoder and decoder day vectors."""
+        p = self.params
         if self.embed_mode == "affine":
-            p = self.params
+            data = np.asarray(days, dtype=np.float64)
             return ad.add_rowvec(ad.matmul(Tensor(data), p["embed.w"]), p["embed.b"])
-        return ad.stack_rows([self._cte_encode(row) for row in data])
+        return cte_encode(days, p["cte.bonds"], p["cte.actions"])
+
+    def _add_positions(self, x: Tensor) -> Tensor:
+        """Add the sinusoidal encoding of axis -2 to every window of x."""
+        pe = positional_encoding(x.shape[-2], self.config.d_model)
+        return ad.add(x, Tensor(np.broadcast_to(pe, x.shape)))
 
     def _residual(self, x: Tensor, fx: Tensor, layer_prefix: str, sublayer: int) -> Tensor:
         p = self.params
@@ -431,12 +428,8 @@ class TransformerModel:
 
     def encode(self, input_days: np.ndarray, trace: list | None = None) -> Tensor:
         cfg = self.config
-        data = _as_input(input_days)
-        if data.shape != (cfg.t_in, 2 * cfg.vocab_size):
-            raise ShapeMismatchError(
-                f"input shape {data.shape} != {(cfg.t_in, 2 * cfg.vocab_size)}"
-            )
-        x = ad.add(self.embed_days(data), Tensor(positional_encoding(cfg.t_in, cfg.d_model)))
+        data = _windows(input_days, cfg.t_in, cfg.vocab_size)
+        x = self._add_positions(self.embed_days(data))
         for i in range(cfg.n_layers):
             layer = f"encoder.l{i}"
             x = self._residual(x, self._attention(f"{layer}.attn", x, x, x, causal=False), layer, 1)
@@ -461,15 +454,19 @@ class TransformerModel:
         p = self.params
         return _squash(ad.add_rowvec(ad.matmul(y, p["head.w"]), p["head.b"]))
 
-    def _decoder_input(self, previous_days: np.ndarray | None, steps: int) -> Tensor:
-        """Stack the learned start vector with embeddings of earlier days."""
+    def _decoder_input(self, previous_days: np.ndarray, steps: int) -> Tensor:
+        """Stack the learned start vector with embeddings of earlier days.
+
+        ``previous_days`` is (..., T_out, 2V); the start vector is broadcast
+        over its leading axes.
+        """
+        lead = previous_days.shape[:-2]
         d = self.config.d_model
-        sos = ad.reshape(self.params["decoder.sos"], (1, d))
+        sos = ad.tile_rows(self.params["decoder.sos"], math.prod(lead))
+        rows = ad.reshape(sos, (*lead, 1, d))
         if steps > 1:
-            rows = ad.concat_rows([sos, self.embed_days(previous_days[: steps - 1])])
-        else:
-            rows = sos
-        return ad.add(rows, Tensor(positional_encoding(steps, d)))
+            rows = ad.concat_rows([rows, self.embed_days(previous_days[..., : steps - 1, :])])
+        return self._add_positions(rows)
 
     def forward(
         self,
@@ -481,30 +478,35 @@ class TransformerModel:
         cfg = self.config
         if teacher is None:
             raise ContractError("transformer training forward needs teacher day vectors")
-        teacher = _as_input(teacher)
-        if teacher.shape != (cfg.t_out, 2 * cfg.vocab_size):
+        teacher = _windows(teacher, cfg.t_out, cfg.vocab_size, "teacher")
+        if teacher.shape[:-2] != np.shape(input_days)[:-2]:
             raise ShapeMismatchError(
-                f"teacher shape {teacher.shape} != {(cfg.t_out, 2 * cfg.vocab_size)}"
+                f"teacher shape {teacher.shape} does not match input shape {np.shape(input_days)}"
             )
         memory = self.encode(input_days, trace=trace)
         decoder_input = self._decoder_input(teacher, cfg.t_out)
         return self._head(self._decode(decoder_input, memory, trace=trace))
 
     def predict(self, input_days: np.ndarray) -> np.ndarray:
-        """Autoregressive inference, feeding back thresholded predictions."""
+        """Autoregressive inference, feeding back thresholded predictions.
+
+        All windows of a (..., T_in, 2V) stack advance in lockstep, one
+        output day per decoder pass.
+        """
         cfg = self.config
         with ad.no_grad():
             memory = self.encode(input_days)
-            fed_back = np.zeros((cfg.t_out, 2 * cfg.vocab_size))
+            lead = memory.shape[:-2]
+            fed_back = np.zeros((*lead, cfg.t_out, 2 * cfg.vocab_size))
             rows = []
             for step in range(1, cfg.t_out + 1):
                 decoder_input = self._decoder_input(fed_back, step)
                 out = self._head(self._decode(decoder_input, memory))
-                day = out.values[-1]
+                day = out.values[..., -1, :]
                 rows.append(day)
                 if step < cfg.t_out:
-                    fed_back[step - 1] = (day >= FEEDBACK_THRESHOLD).astype(np.float64)
-        return np.stack(rows)
+                    fed_back[..., step - 1, :] = (day >= FEEDBACK_THRESHOLD).astype(np.float64)
+        return np.stack(rows, axis=-2)
 
 
 def build_model(config: ModelConfig):
@@ -539,15 +541,37 @@ def save_checkpoint(path, params: Parameters) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Raises ArtifactError unless the manifest line parses and its entries
+    tile the payload exactly: in order, from offset 0, with no bytes
+    missing or left over.
+    """
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
-    manifest = json.loads(header.decode("utf-8"))["entries"]
+    if not header.endswith(b"\n"):
+        raise ArtifactError(f"{path}: truncated manifest line")
+    try:
+        layout = [
+            (str(entry["name"]), tuple(int(n) for n in entry["shape"]), int(entry["offset"]))
+            for entry in json.loads(header.decode("utf-8"))["entries"]
+        ]
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+        raise ArtifactError(f"{path}: malformed manifest ({exc})") from exc
     state = {}
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        values = np.frombuffer(payload, dtype="<f8", count=n, offset=start).reshape(shape)
-        state[entry["name"]] = values.astype(np.float64)
+    end = 0
+    for name, shape, offset in layout:
+        if offset != end or any(n < 0 for n in shape):
+            raise ArtifactError(f"{path}: entry {name!r} has shape {shape} at offset {offset}, "
+                                f"expected offset {end}")
+        count = math.prod(shape)
+        end = offset + 8 * count
+        if end > len(payload):
+            raise ArtifactError(f"{path}: truncated payload: entry {name!r} ends at byte {end}, "
+                                f"payload has {len(payload)}")
+        values = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
+        state[name] = values.astype(np.float64)
+    if end != len(payload):
+        raise ArtifactError(f"{path}: {len(payload) - end} trailing payload bytes")
     return state

@@ -207,8 +207,9 @@ def test_c4_metrics_oracle():
         config = _Config()
         predictions = None
 
-        def predict(self, input_days):
-            return self.predictions
+        def predict(self, input_days):  # one fixed grid per input window
+            return np.broadcast_to(self.predictions,
+                                   np.shape(input_days)[:-2] + self.predictions.shape)
 
     rng = np.random.default_rng(8)
     stub = Stub()

@@ -259,7 +259,7 @@ class TestPipeline:
         assert kinds == ["FCSum", "FCConcat", "LSTM", "BiLSTM",
                          "TransFV", "TransCTE", "TransRE", "TransPPRZ"]
 
-    @pytest.mark.parametrize("train_fraction", ["0.8", "0.9"])  # 0.9 leaves no test window
+    @pytest.mark.parametrize("train_fraction", ["0.8"])
     def test_compare_matches_library_driver(self, tmp_path, train_fraction):
         cfg_path, out = write_config(
             tmp_path,
@@ -300,3 +300,51 @@ class TestPipeline:
                             lambda path: loads.append(path) or load_histories(path))
         assert self.run("compare", "-c", str(cfg_path)) == 0
         assert loads == [out / "histories.bin"]
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_empty_test_split_exits_1_before_training(self, tmp_path, capsys, command):
+        # days 30, t_in 3, t_out 2 and train_fraction 0.9: boundary day 27
+        # leaves no room for a 5-day window after it
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("train_fraction = 0.8", "train_fraction = 0.9"))
+        for step in ("gen", "cluster"):
+            assert self.run(step, "-c", str(cfg_path)) == 0, step
+        capsys.readouterr()
+        assert self.run(command, "-c", str(cfg_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("otcforecast: config error:")
+        for key in ("no test window", "days 30", "t_in 3", "t_out 2", "train_fraction 0.9"):
+            assert key in err, key
+        assert not list(out.glob("compare_*.csv")) and not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("cut", [0, 7, 0.5, -1])
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys, cut):
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "cluster", "train"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        path = out / "checkpoint_single.ckpt"
+        truncate(path, cut)
+        capsys.readouterr()
+        assert self.run("eval", "-c", str(cfg_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err and path.name in err
+
+    @pytest.mark.parametrize("cut", [0, 15, 19, 0.5, -1])
+    def test_truncated_histories_exit_2(self, tmp_path, capsys, cut):
+        cfg_path, out = write_config(tmp_path)
+        assert self.run("gen", "-c", str(cfg_path)) == 0
+        path = out / "histories.bin"
+        truncate(path, cut)
+        capsys.readouterr()
+        for command in ("cluster", "compare"):
+            assert self.run(command, "-c", str(cfg_path)) == 2, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "unreadable artifact" in err and path.name in err
+
+
+def truncate(path, cut):
+    """Keep the first ``cut`` bytes of a file: a byte count, a fraction of
+    its length, or -1 for all but the last byte."""
+    blob = path.read_bytes()
+    keep = len(blob) - 1 if cut == -1 else int(cut * len(blob)) if isinstance(cut, float) else cut
+    path.write_bytes(blob[:keep])

@@ -5,7 +5,9 @@ import csv
 import numpy as np
 import pytest
 
-from otcforecast.errors import ContractError
+import otcforecast.autodiff as ad
+from otcforecast.autodiff import Tensor
+from otcforecast.errors import ContractError, NumericError
 from otcforecast.harness import (
     GRANULARITIES,
     EvalReport,
@@ -22,7 +24,7 @@ from otcforecast.harness import (
     write_reports,
 )
 from otcforecast.market import Sample
-from otcforecast.models import ModelConfig, build_model
+from otcforecast.models import ModelConfig, Parameters, build_model
 
 
 def toy_config(kind="TransRE", **overrides):
@@ -43,7 +45,8 @@ def random_samples(n, vocab_size=4, t_in=3, t_out=2, seed=0, dealer="D1", densit
 
 
 class FixedModel:
-    """Evaluation stub with a fixed prediction per dealer id."""
+    """Evaluation stub that predicts the same (T_out, 2V) matrix for every
+    window of a (..., T_in, 2V) input stack."""
 
     class _Config:
         kind = "stub"
@@ -54,7 +57,7 @@ class FixedModel:
         self.predictions = predictions
 
     def predict(self, input_days):
-        return self.predictions
+        return np.broadcast_to(self.predictions, np.shape(input_days)[:-2] + self.predictions.shape)
 
 
 class TestMicroPrf:
@@ -210,6 +213,31 @@ class TestTrain:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ContractError):
             TrainSpec(batch_size=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_gradient_aborts_before_the_step(self):
+        # pred = 1e308 * w with w = 1e-308: every one of the 32 predictions
+        # is about 1, so the loss is finite, but dloss/dw sums 32 terms of
+        # (1/16) * 1e308, which overflows to inf
+        class OverflowingGradient:
+            class _Config:
+                kind = "stub"
+
+            config = _Config()
+
+            def __init__(self):
+                self.params = Parameters()
+                self.params.add("w", np.asarray(1e-308))
+
+            def forward(self, input_days, teacher=None):
+                big = Tensor(np.full(np.shape(teacher), 1e308))
+                return ad.scale_by(big, self.params["w"])
+
+        model = OverflowingGradient()
+        samples = random_samples(2, seed=18, density=0.0)
+        with pytest.raises(NumericError, match="gradient"):
+            train(model, samples, TrainSpec(epochs=1, batch_size=2))
+        assert model.params["w"].values == 1e-308
 
 
 class TestLayerStats:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from otcforecast import market
-from otcforecast.errors import ContractError
+from otcforecast.errors import ArtifactError, ContractError
 from otcforecast.market import (
     MarketSpec,
     TradeRecord,
@@ -348,6 +348,30 @@ class TestFileFormats:
         for a, b in zip(loaded, histories):
             np.testing.assert_array_equal(a.day_vectors, b.day_vectors)
         assert path.read_bytes()[:4] == b"OTCF"
+
+    def small_histories_file(self, tmp_path):
+        spec = MarketSpec(days=6, bonds=3, periodic_dealers=2, sparse_dealers=1,
+                          dense_dealers=0, cancellation_rate=0.0, seed=15)
+        records = generate_synthetic_market(spec)
+        vocab = build_vocabulary(records)
+        path = tmp_path / "hist.bin"
+        save_histories(path, build_histories(records, vocab, spec.days), spec.days, vocab.size)
+        return path, path.read_bytes()
+
+    def test_histories_truncated_at_every_offset_rejected(self, tmp_path):
+        path, blob = self.small_histories_file(tmp_path)
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ArtifactError, match="truncated"):
+                load_histories(path)
+
+    def test_histories_trailing_bytes_and_bad_header_rejected(self, tmp_path):
+        path, blob = self.small_histories_file(tmp_path)
+        for corrupt, reason in ((blob + b"\0", "trailing"), (b"XXXX" + blob[4:], "magic"),
+                                (blob[:4] + b"\x09" + blob[5:], "version")):
+            path.write_bytes(corrupt)
+            with pytest.raises(ArtifactError, match=reason):
+                load_histories(path)
 
     def test_histories_text_dump(self, tmp_path):
         hist = market.DealerHistory("D1", np.zeros((3, 4), dtype=np.uint8))

@@ -6,7 +6,7 @@ import pytest
 
 import otcforecast.autodiff as ad
 from otcforecast.autodiff import Tensor
-from otcforecast.errors import ConfigurationError, ContractError, ShapeMismatchError
+from otcforecast.errors import ArtifactError, ConfigurationError, ContractError, ShapeMismatchError
 from otcforecast.models import (
     MODEL_KINDS,
     ModelConfig,
@@ -182,37 +182,77 @@ class TestRecurrentModels:
         np.testing.assert_allclose(out, np.full((1, 2), expected), atol=1e-12)
 
 
+def embedding_bag_cte(days, bond_table, action_table):
+    """Reference co-trading embedding: the per-day embedding_bag loop that
+    the dense cte_encode product replaced, on a (..., 2V) stack of days."""
+    v = bond_table.shape[0]
+    days = np.asarray(days)
+    rows = []
+    for day in days.reshape(-1, 2 * v):
+        buys = np.flatnonzero(day[:v])
+        sells = np.flatnonzero(day[v:])
+        total = Tensor(np.zeros(bond_table.shape[1]))
+        if buys.size:
+            total = ad.add(total, ad.embedding_bag(bond_table, buys))
+            total = ad.add(total, ad.scale(ad.embedding_bag(action_table, (0,)), float(buys.size)))
+        if sells.size:
+            total = ad.add(total, ad.embedding_bag(bond_table, sells))
+            total = ad.add(total, ad.scale(ad.embedding_bag(action_table, (1,)), float(sells.size)))
+        rows.append(total)
+    return ad.reshape(ad.stack_rows(rows), (*days.shape[:-1], bond_table.shape[1]))
+
+
 class TestCoTradingEmbedding:
     def setup_method(self):
         self.model = build_model(toy_config("TransPPRZ"))
-        self.bonds = self.model.params["cte.bonds"].values
-        self.actions = self.model.params["cte.actions"].values
+        self.bond_table = self.model.params["cte.bonds"]
+        self.action_table = self.model.params["cte.actions"]
+        self.bonds = self.bond_table.values
+        self.actions = self.action_table.values
+
+    def encode(self, day):
+        return cte_encode(day, self.bond_table, self.action_table)
 
     def test_empty_day_is_zero(self):
-        out = self.model._cte_encode(np.zeros(16, dtype=np.uint8))
+        out = self.encode(np.zeros(16, dtype=np.uint8))
         np.testing.assert_array_equal(out.values, np.zeros(4))
 
     def test_single_buy(self):
         day = np.zeros(16, dtype=np.uint8)
         day[3] = 1
-        out = self.model._cte_encode(day)
+        out = self.encode(day)
         np.testing.assert_allclose(out.values, self.bonds[3] + self.actions[0], atol=1e-15)
 
     def test_buy_and_sell_same_bond(self):
         day = np.zeros(16, dtype=np.uint8)
         day[1] = 1
         day[8 + 1] = 1
-        out = self.model._cte_encode(day)
+        out = self.encode(day)
         expected = 2.0 * self.bonds[1] + self.actions[0] + self.actions[1]
         np.testing.assert_allclose(out.values, expected, atol=1e-15)
 
     def test_free_function_matches_model_path(self):
-        day = np.zeros(16, dtype=np.uint8)
-        day[2] = 1
-        day[8 + 5] = 1
-        direct = cte_encode(day, self.model.params["cte.bonds"],
-                            self.model.params["cte.actions"])
-        np.testing.assert_array_equal(direct.values, self.model._cte_encode(day).values)
+        days = random_day_matrix(3, 8, 21)
+        np.testing.assert_array_equal(self.encode(days).values,
+                                      self.model.embed_days(days).values)
+
+    def test_dense_product_matches_embedding_bag_loop(self):
+        # a (2, 3) stack of days with an empty day in it; float64 sums of a
+        # few table rows in another order agree to well under 1e-12
+        days = random_day_matrix(6, 8, 22, density=0.4).reshape(2, 3, 16)
+        days[1, 2] = 0
+        params = [self.bond_table, self.action_table]
+        grads = []
+        for encode in (self.encode, lambda d: embedding_bag_cte(d, *params)):
+            ad.reset_tape()
+            ad.zero_grads(params)
+            out = encode(days)
+            assert out.shape == (2, 3, 4)
+            ad.backward(ad.sum_all(ad.mul(out, out)))
+            grads.append([out.values] + [p.grad.copy() for p in params])
+        for dense, loop in zip(*grads):
+            np.testing.assert_allclose(dense, loop, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(grads[0][0][1, 2], np.zeros(4))
 
     def test_tables_shared_between_encoder_and_decoder(self):
         x = random_day_matrix(3, 8, 4)
@@ -396,3 +436,25 @@ class TestCheckpoints:
         bigger = build_model(toy_config("FCSum", hidden=6))
         with pytest.raises(ShapeMismatchError):
             bigger.params.load_state(load_checkpoint(path))
+
+    def test_truncated_at_every_offset_rejected(self, tmp_path):
+        path = tmp_path / "fc.ckpt"
+        save_checkpoint(path, build_model(toy_config("FCSum")).params)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ArtifactError, match="truncated"):
+                load_checkpoint(path)
+
+    def test_malformed_manifest_and_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "fc.ckpt"
+        save_checkpoint(path, build_model(toy_config("FCSum")).params)
+        blob = path.read_bytes()
+        header, payload = blob.split(b"\n", 1)
+        shifted = header.replace(b'"offset":0', b'"offset":8', 1)
+        for corrupt, reason in ((blob + b"\0", "trailing"), (b"{" + blob, "malformed"),
+                                (b'{"entries":3}\n' + payload, "malformed"),
+                                (shifted + b"\n" + payload, "offset")):
+            path.write_bytes(corrupt)
+            with pytest.raises(ArtifactError, match=reason):
+                load_checkpoint(path)
