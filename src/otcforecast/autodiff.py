@@ -2,7 +2,7 @@
 
 Operations record entries on a module-level tape as they execute; calling
 :func:`backward` on a scalar loss walks the tape once in reverse and
-accumulates gradients into every tensor that requires them.  Everything is
+returns the gradients of the requested leaf tensors.  Everything is
 64-bit and summation orders are fixed, so a run is bit-reproducible under a
 fixed seed.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,42 +26,26 @@ Array = np.ndarray
 
 
 class Tensor:
-    """A shaped float64 buffer, optionally carrying a gradient buffer."""
+    """A shaped float64 buffer; ``requires_grad`` marks it as differentiable."""
 
-    __slots__ = ("values", "requires_grad", "_grad")
+    __slots__ = ("values", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
         # ascontiguousarray would silently promote 0-d scalars to shape (1,)
         self.values = arr.copy() if arr.ndim == 0 else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
-        self._grad: Array | None = (
-            np.zeros_like(self.values) if self.requires_grad else None
-        )
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
-
-    @property
-    def grad(self) -> Array | None:
-        """Gradient buffer, allocated on demand; None for constant tensors."""
-        if not self.requires_grad:
-            return None
-        if self._grad is None:
-            self._grad = np.zeros_like(self.values)
-        return self._grad
-
-    def zero_grad(self) -> None:
-        if self._grad is not None:
-            self._grad.fill(0.0)
 
     def item(self) -> float:
         if self.values.size != 1:
             raise ContractError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
+    def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
@@ -80,7 +64,7 @@ _RECORDING: bool = True
 
 
 def reset_tape() -> None:
-    """Discard all recorded operations. Parameter grad buffers are untouched."""
+    """Discard all recorded operations."""
     _TAPE.clear()
 
 
@@ -113,22 +97,24 @@ def _record(name, inputs, out_values, vjp) -> Tensor:
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into the grad buffer of every leaf tensor.
+def backward(loss: Tensor, wrt: Sequence[Tensor]) -> list[Array]:
+    """Return d(loss)/d(leaf) for every leaf tensor in ``wrt``, in order.
 
     A leaf is a tensor that requires gradients and that no tape entry
-    produced (parameters, typically).  Intermediate tensors get no grad
-    buffer written.  Repeated calls without zeroing grads accumulate (two
-    identical calls double the gradients).  Gradient flow during one call
-    uses private buffers, so earlier accumulated gradients never leak into
-    propagation.
+    produced (parameters, typically); anything else in ``wrt`` is
+    rejected.  A leaf the loss does not reach gets zeros.  The tape is
+    left in place, and the returned arrays may share memory with each
+    other, so treat them as read-only.
     """
     if loss.values.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("loss does not belong to a recorded graph")
+    produced = {id(entry.output) for entry in _TAPE}
+    for t in wrt:
+        if not t.requires_grad or id(t) in produced:
+            raise ContractError(f"backward() differentiates leaf tensors only, got {t!r}")
     flowing: dict[int, Array] = {id(loss): np.ones_like(loss.values)}
-    seen: dict[int, Tensor] = {id(loss): loss}
     for entry in reversed(_TAPE):
         # every consumer of an output is recorded after it, so its gradient is complete here
         out_grad = flowing.pop(id(entry.output), None)
@@ -140,15 +126,7 @@ def backward(loss: Tensor) -> None:
             key = id(tensor)
             current = flowing.get(key)
             flowing[key] = contribution if current is None else current + contribution
-            seen[key] = tensor
-    for key, grad in flowing.items():
-        tensor = seen[key]
-        tensor.grad[...] = tensor.grad + grad
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
+    return [flowing[id(t)] if id(t) in flowing else np.zeros_like(t.values) for t in wrt]
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +331,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _record("reshape", (a,), a.values.reshape(shape), lambda g: (g.reshape(old),))
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    def vjp(g):
-        da = np.zeros_like(a.values)
-        da[start:stop] = g
-        return (da,)
-
-    return _record("slice_rows", (a,), a.values[start:stop].copy(), vjp)
-
-
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     def vjp(g):
         da = np.zeros_like(a.values)
@@ -512,9 +481,7 @@ def finite_diff_check(
     coordinates noise-dominated in 64-bit arithmetic.
     """
     reset_tape()
-    zero_grads(params)
-    backward(f())
-    analytic = [p.grad.copy() for p in params]
+    analytic = backward(f(), params)
     worst = 0.0
     with no_grad():
         for p, ga in zip(params, analytic):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import market
 from .clustering import (
+    TIERS,
     compute_dealer_features,
     kmeans_cluster,
     load_assignment,
@@ -97,10 +98,10 @@ def cmd_cluster(cfg: RunConfig, out: Path) -> None:
     histories, days, _ = market.load_histories(_require(out / HISTORIES_FILE, "gen"))
     boundary = market.split_boundary(days, cfg.train_fraction)
     features = compute_dealer_features(histories, boundary)
-    assignment = kmeans_cluster(features, k=4, seed=derive_seed(cfg.seed, "cluster"))
+    assignment = kmeans_cluster(features, k=TIERS, seed=derive_seed(cfg.seed, "cluster"))
     assignment = order_clusters(assignment, features)
     save_assignment(out / CLUSTERS_FILE, assignment)
-    print(f"wrote {out / CLUSTERS_FILE} ({len(assignment.labels)} dealers, k=4)")
+    print(f"wrote {out / CLUSTERS_FILE} ({len(assignment.labels)} dealers, k={TIERS})")
 
 
 def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
@@ -108,8 +109,9 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
 
     Labels are read when the granularity needs them or the command is
     ``scoring`` (per-cluster rows); otherwise they are empty and
-    clusters.csv is optional.  A scoring command also needs at least one
-    test window, checked before any training.
+    clusters.csv is optional.  Loaded labels must cover every dealer of
+    the histories.  A scoring command also needs at least one test window,
+    checked before any training.
     Returns (vocab size, train samples, test samples, labels).
     """
     histories, days, vocab_size = market.load_histories(_require(out / HISTORIES_FILE, "gen"))
@@ -126,7 +128,11 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
         )
     labels = {}
     if scoring or cfg.granularity != "single":
-        labels = load_assignment(_require(out / CLUSTERS_FILE, "cluster"))
+        path = _require(out / CLUSTERS_FILE, "cluster")
+        labels = load_assignment(path)
+        for h in histories:
+            if h.dealer_id not in labels:
+                raise ArtifactError(f"{path}: no label for dealer {h.dealer_id}")
     return vocab_size, train_samples, test_samples, labels
 
 
@@ -163,17 +169,19 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
 def cmd_compare(cfg: RunConfig, out: Path) -> None:
     """Train every model kind and tabulate per-cluster F1 plus a pooled avg."""
     vocab_size, train_samples, test_samples, labels = _prepare(cfg, out, scoring=True)
+    # every kind's config is built first, so a bad one fails before any training
+    configs = [cfg.model_config(vocab_size, kind) for kind in MODEL_KINDS]
     all_rows = []
     grid = []
-    for kind in MODEL_KINDS:
+    for config in configs:
         rows = run_granularity_experiment(
-            cfg.model_config(vocab_size, kind), train_samples, test_samples, labels,
+            config, train_samples, test_samples, labels,
             cfg.train_spec(), (cfg.granularity,), cfg.eval_mode,
         )
         all_rows.extend(rows)
         by_cluster = {row.cluster: row.f1 for row in rows}
         grid.append(
-            [kind]
+            [config.kind]
             + [
                 repr(by_cluster[str(label)]) if str(label) in by_cluster else ""
                 for label in range(len(CLUSTER_COLUMNS))

@@ -14,17 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ArtifactError, ContractError
 from .market import DealerHistory
 from .seeding import rng_for
 
-FEATURE_NAMES = (
-    "total_trades",
-    "distinct_bonds",
-    "active_day_fraction",
-    "buy_ratio",
-    "mean_trades_per_active_day",
-)
+TIERS = 4  # activity tiers: the k the CLI clusters with, so clusters.csv labels are 0-3
 
 
 @dataclass(frozen=True)
@@ -233,9 +227,23 @@ def save_assignment(path, assignment: ClusterAssignment) -> None:
 
 
 def load_assignment(path) -> dict[str, int]:
+    """Read the lines of :func:`save_assignment` back as dealer -> label.
+
+    Raises ArtifactError on a line that is not ``dealer,label`` with a
+    label in 0..TIERS-1, or that repeats a dealer.
+    """
     labels: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
+    tiers = [str(label) for label in range(TIERS)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for line, row in enumerate(csv.reader(fh), start=1):
+                if len(row) != 2 or not row[0] or row[1] not in tiers:
+                    raise ArtifactError(
+                        f"{path}: line {line} is not dealer,label with a label in "
+                        f"0-{TIERS - 1}: {row!r}")
+                if row[0] in labels:
+                    raise ArtifactError(f"{path}: line {line} repeats dealer {row[0]}")
                 labels[row[0]] = int(row[1])
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ArtifactError(f"{path}: {exc}") from exc
     return labels

@@ -14,7 +14,7 @@ from typing import Any, Callable
 from .errors import ConfigurationError
 from .harness import GRANULARITIES, TrainSpec
 from .market import MarketSpec
-from .models import MODEL_KINDS, ModelConfig
+from .models import MODEL_KINDS, TRANSFORMER_KINDS, ModelConfig
 from .seeding import derive_seed
 
 
@@ -267,7 +267,7 @@ def _cross_validate(values: dict[str, Any]) -> None:
     ):
         if values[lo] > values[hi]:
             raise ConfigurationError(f"{lo} ({values[lo]}) exceeds {hi} ({values[hi]})")
-    if values["kind"] in ("TransFV", "TransCTE", "TransRE", "TransPPRZ"):
+    if values["kind"] in TRANSFORMER_KINDS:
         if values["d_model"] % values["heads"] != 0:
             raise ConfigurationError(
                 f"[model] d_model ({values['d_model']}) must be divisible by heads ({values['heads']})"

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import OptimizerState, Tensor
-from .clustering import ClusterAssignment
 from .errors import ContractError, NumericError, ShapeMismatchError
 from .market import Sample
 from .models import TRANSFORMER_KINDS, ModelConfig, build_model
@@ -59,7 +58,6 @@ class EvalReport:
     precision: float
     recall: float
     f1: float
-    per_cluster: dict[int, "EvalReport"] | None = None
 
     @classmethod
     def from_counts(cls, model_kind, granularity, cluster, tp, fp, fn, tn) -> "EvalReport":
@@ -121,16 +119,15 @@ def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, 
             batch = [train_samples[int(i)] for i in order[lo:lo + spec.batch_size]]
             target = _stack(batch, "target_days").astype(np.float64)
             ad.reset_tape()
-            ad.zero_grads(params)
             pred = model.forward(_stack(batch, "input_days"), teacher=target)
             loss = ad.mse_loss(pred, Tensor(target))
             batch_loss = loss.item() * len(batch)
             if not math.isfinite(batch_loss):
                 raise NumericError(f"non-finite loss in epoch {epoch}")
-            ad.backward(loss)
-            if not all(np.isfinite(p.grad).all() for p in params):
+            grads = ad.backward(loss, params)
+            if not all(np.isfinite(g).all() for g in grads):
                 raise NumericError(f"non-finite gradient in epoch {epoch}")
-            ad.adam_step(params, [p.grad for p in params], state)
+            ad.adam_step(params, grads, state)
             epoch_loss += batch_loss
         ad.reset_tape()
         epoch_loss /= n
@@ -158,45 +155,29 @@ def initial_loss(model, samples: list[Sample]) -> float:
     return total / len(samples)
 
 
-def _confusion(pred_binary: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Per-window (tp, fp, fn, tn) counts of stacked (windows, ...) decisions."""
-    p = pred_binary.reshape(len(pred_binary), -1).astype(bool)
-    t = target.reshape(len(target), -1).astype(bool)
-    tp = (p & t).sum(axis=1)
-    fp = (p & ~t).sum(axis=1)
-    fn = (~p & t).sum(axis=1)
-    return np.stack([tp, fp, fn, t.shape[1] - tp - fp - fn], axis=1).astype(np.int64)
+def _confusion(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Pooled (tp, fp, fn, tn) counts over every cell of two decision arrays."""
+    t = target.astype(bool)
+    tp = np.count_nonzero(pred & t)
+    fp = np.count_nonzero(pred) - tp
+    fn = np.count_nonzero(t) - tp
+    return np.array([tp, fp, fn, t.size - tp - fp - fn], dtype=np.int64)
 
 
-def evaluate(
-    model,
-    test_samples: list[Sample],
-    threshold: float,
-    mode: str = "per_day",
-    cluster_of: dict[str, int] | None = None,
-    granularity: str = "single",
-    cluster_tag: str = "all",
-) -> EvalReport:
+def evaluate(model, test_samples: list[Sample], threshold: float,
+             mode: str = "per_day") -> EvalReport:
     """Threshold predictions and micro-average over all decision cells.
 
     ``per_day`` scores every output day; ``union`` collapses predictions
-    and targets over the window by elementwise max before scoring.  With
-    ``cluster_of`` the report also carries per-cluster sub-reports.
+    and targets over the window by elementwise max before scoring.  The
+    report pools the counts of every given window; :func:`score_units`
+    splits them by cluster.
     """
     if not test_samples:
         raise ContractError("evaluate() needs a nonempty test set")
     if mode not in ("per_day", "union"):
         raise ContractError(f"unknown evaluation mode {mode!r}")
-    kind = model.config.kind
-    if cluster_of is not None:
-        for s in test_samples:
-            if s.dealer_id not in cluster_of:
-                raise ContractError(f"dealer {s.dealer_id} missing from cluster assignment")
-        labels, label_index = np.unique(
-            [cluster_of[s.dealer_id] for s in test_samples], return_inverse=True)
-        by_cluster = np.zeros((len(labels), 4), dtype=np.int64)
     totals = np.zeros(4, dtype=np.int64)
-    done = 0
     for chunk in _chunks(test_samples):
         inputs = _stack(chunk, "input_days")
         probs = model.predict(inputs)
@@ -207,20 +188,9 @@ def evaluate(
                 f"targets {target.shape}"
             )
         if mode == "union":
-            counts = _confusion(probs.max(axis=-2) >= threshold, _stack(chunk, "target_union"))
-        else:
-            counts = _confusion(probs >= threshold, target)
-        totals += counts.sum(axis=0)
-        if cluster_of is not None:
-            np.add.at(by_cluster, label_index[done:done + len(chunk)], counts)
-        done += len(chunk)
-    report = EvalReport.from_counts(kind, granularity, cluster_tag, *totals.tolist())
-    if cluster_of is not None:
-        report.per_cluster = {
-            label: EvalReport.from_counts(kind, granularity, str(label), *row.tolist())
-            for label, row in zip(labels.tolist(), by_cluster)
-        }
-    return report
+            probs, target = probs.max(axis=-2), target.max(axis=-2)
+        totals += _confusion(probs >= threshold, target)
+    return EvalReport.from_counts(model.config.kind, "single", "all", *totals.tolist())
 
 
 def layer_signal_stats(model, probe_samples: list[Sample], tag: str = "") -> LayerStats:
@@ -264,7 +234,7 @@ def training_units(
     granularity: str,
     train_samples: list[Sample],
     test_samples: list[Sample],
-    assignment: ClusterAssignment | dict[str, int],
+    labels: dict[str, int],
 ) -> list[tuple[str, list[Sample], list[Sample]]]:
     """Group both splits by the unit key: (unit tag, unit train, unit test).
 
@@ -273,7 +243,6 @@ def training_units(
     there are training samples; test samples of any other key are skipped
     with a warning.
     """
-    labels = assignment.labels if isinstance(assignment, ClusterAssignment) else assignment
     if granularity == "single":
         key, tag = (lambda s: 0), (lambda k: "single")
     elif granularity == "cluster":
@@ -314,6 +283,7 @@ def score_units(
 ) -> list[EvalReport]:
     """Evaluate each (tag, model, unit test) unit and pool counts per cluster.
 
+    Each unit's test windows are scored once per cluster label among them.
     Returns one row per cluster label, in label order, then the pooled
     "all" row.  Units without test samples are skipped with a warning.
     """
@@ -322,13 +292,13 @@ def score_units(
         if not unit_test:
             warnings.warn(f"{granularity}: unit {tag} has no test samples; skipped")
             continue
-        report = evaluate(
-            model, unit_test, threshold, mode=mode,
-            cluster_of=labels, granularity=granularity, cluster_tag=tag,
-        )
-        for label, sub in report.per_cluster.items():
+        by_label: dict[int, list[Sample]] = {}
+        for s in unit_test:
+            by_label.setdefault(_cluster_label(labels, s.dealer_id), []).append(s)
+        for label in sorted(by_label):
+            report = evaluate(model, by_label[label], threshold, mode=mode)
             counts.setdefault(label, np.zeros(4, dtype=np.int64))
-            counts[label] += (sub.tp, sub.fp, sub.fn, sub.tn)
+            counts[label] += (report.tp, report.fp, report.fn, report.tn)
     rows = [
         EvalReport.from_counts(kind, granularity, str(label), *counts[label].tolist())
         for label in sorted(counts)
@@ -342,7 +312,7 @@ def run_granularity_experiment(
     config: ModelConfig,
     train_samples: list[Sample],
     test_samples: list[Sample],
-    assignment: ClusterAssignment | dict[str, int],
+    labels: dict[str, int],
     spec: TrainSpec,
     granularities: tuple[str, ...] = GRANULARITIES,
     mode: str = "per_day",
@@ -354,7 +324,6 @@ def run_granularity_experiment(
     granularities.  Rows aggregate confusion counts per cluster plus an
     "all" row (see :func:`score_units`).
     """
-    labels = assignment.labels if isinstance(assignment, ClusterAssignment) else assignment
     for s in train_samples + test_samples:
         _cluster_label(labels, s.dealer_id)
     rows: list[EvalReport] = []

@@ -14,7 +14,7 @@ import csv
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,11 +107,6 @@ class Sample:
     start_day: int
     input_days: np.ndarray  # T_in x 2V
     target_days: np.ndarray  # T_out x 2V
-    target_union: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.target_union is None:
-            self.target_union = self.target_days.max(axis=0)
 
 
 def _dealer_ids(spec: MarketSpec) -> list[tuple[str, str]]:

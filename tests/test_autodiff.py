@@ -1,5 +1,5 @@
 """Engine tests: forward values against hand oracles, gradients against
-central finite differences, and the tape's accumulation semantics."""
+central finite differences, and the semantics of backward()."""
 
 import numpy as np
 import pytest
@@ -125,10 +125,10 @@ class TestEmbeddingBag:
 
     def test_backward_scatters_to_rows(self):
         table = rand((4, 3), 10)
-        backward(ad.sum_all(ad.embedding_bag(table, (1, 3))))
+        (grad,) = backward(ad.sum_all(ad.embedding_bag(table, (1, 3))), [table])
         expected = np.zeros((4, 3))
         expected[[1, 3]] = 1.0
-        np.testing.assert_array_equal(table.grad, expected)
+        np.testing.assert_array_equal(grad, expected)
 
     def test_gradient(self):
         table = rand((6, 4), 11)
@@ -176,8 +176,8 @@ class TestMseLoss:
     def test_gradient_formula(self):
         # d/dpred mean((pred - target)^2) = 2 (pred - target) / N
         pred = Tensor([1.0, 0.0], requires_grad=True)
-        backward(ad.mse_loss(pred, Tensor([0.0, 0.0])))
-        np.testing.assert_allclose(pred.grad, [1.0, 0.0], atol=1e-12)
+        (grad,) = backward(ad.mse_loss(pred, Tensor([0.0, 0.0])), [pred])
+        np.testing.assert_allclose(grad, [1.0, 0.0], atol=1e-12)
 
     def test_shape_error(self):
         with pytest.raises(ShapeMismatchError):
@@ -274,10 +274,8 @@ class TestStructuralOps:
             right = ad.slice_cols(a, 3, 6)
             merged = ad.concat_cols([ad.mul_rowvec(left, v), ad.scale_by(right, alpha)])
             merged = ad.add_rowvec(merged, bias)
-            top = ad.slice_rows(merged, 0, 2)
-            bottom = ad.slice_rows(merged, 2, 4)
-            rebuilt = ad.concat_rows([ad.transpose(ad.transpose(top)), bottom])
-            vec = ad.reshape(rebuilt, (24,))
+            rebuilt = ad.concat_rows([ad.transpose(ad.transpose(merged)), merged])
+            vec = ad.reshape(rebuilt, (48,))
             stacked = ad.stack_rows([g, g])
             tiled = ad.tile_rows(ad.reshape(ad.stack_rows([g, g]), (6,)), 2)
             extra = ad.add(ad.sum_all(stacked), ad.sum_all(tiled))
@@ -288,8 +286,8 @@ class TestStructuralOps:
 
     def test_tile_rows_backward_sums(self):
         v = Tensor([1.0, 2.0], requires_grad=True)
-        backward(ad.sum_all(ad.tile_rows(v, 3)))
-        np.testing.assert_array_equal(v.grad, [3.0, 3.0])
+        (grad,) = backward(ad.sum_all(ad.tile_rows(v, 3)), [v])
+        np.testing.assert_array_equal(grad, [3.0, 3.0])
 
     def test_sigmoid_gradient(self):
         x = rand((5,), 32)
@@ -300,31 +298,47 @@ class TestStructuralOps:
 class TestBackwardSemantics:
     def test_linear_gradient_is_ones(self):
         w = Tensor([2.0, -1.0], requires_grad=True)
-        backward(ad.sum_all(w))
-        np.testing.assert_array_equal(w.grad, [1.0, 1.0])
+        (grad,) = backward(ad.sum_all(w), [w])
+        np.testing.assert_array_equal(grad, [1.0, 1.0])
 
     def test_quadratic_gradient(self):
         w = Tensor([3.0], requires_grad=True)
-        backward(ad.sum_all(ad.mul(w, w)))
-        np.testing.assert_allclose(w.grad, [6.0], atol=1e-12)
+        (grad,) = backward(ad.sum_all(ad.mul(w, w)), [w])
+        np.testing.assert_allclose(grad, [6.0], atol=1e-12)
 
-    def test_repeated_backward_doubles_grads(self):
-        # depth > 1 so propagation must use fresh flow buffers internally
-        w = Tensor([1.5, -0.5], requires_grad=True)
-        loss = ad.sum_all(ad.mul(ad.tanh(w), ad.tanh(w)))
-        backward(loss)
-        once = w.grad.copy()
-        backward(loss)
-        np.testing.assert_allclose(w.grad, 2.0 * once, atol=1e-15)
+    def test_gradients_follow_wrt_order(self):
+        # d/da sum(a*b) = b and d/db = a, returned in the order asked for
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, -4.0], requires_grad=True)
+        loss = ad.sum_all(ad.mul(a, b))
+        grad_b, grad_a = backward(loss, [b, a])
+        np.testing.assert_array_equal(grad_a, b.values)
+        np.testing.assert_array_equal(grad_b, a.values)
+        assert backward(loss, []) == []
+
+    def test_unreached_leaf_gets_zeros(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        unused = rand((2, 3), 35)
+        grad_w, grad_unused = backward(ad.sum_all(ad.mul(w, w)), [w, unused])
+        np.testing.assert_array_equal(grad_w, [2.0, 4.0])
+        assert grad_unused.shape == (2, 3) and not grad_unused.any()
+
+    def test_intermediate_and_constant_rejected(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        hidden = ad.tanh(w)
+        loss = ad.sum_all(ad.mul(hidden, hidden))
+        for bad in (hidden, loss, Tensor([1.0, 2.0])):
+            with pytest.raises(ContractError):
+                backward(loss, [w, bad])
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            backward(ad.mul(w, w))
+            backward(ad.mul(w, w), [w])
 
     def test_constant_loss_rejected(self):
         with pytest.raises(ContractError):
-            backward(ad.sum_all(Tensor([1.0, 2.0])))
+            backward(ad.sum_all(Tensor([1.0, 2.0])), [])
 
     def test_no_grad_suppresses_recording(self):
         w = Tensor([1.0], requires_grad=True)
@@ -349,21 +363,12 @@ class TestBackwardSemantics:
         ad.mul(Tensor([1.0]), Tensor([2.0]))
         assert ad.tape_size() == 0
 
-    def test_zero_grad_then_backward_reproduces(self):
-        w = rand((3,), 33)
-        loss = ad.sum_all(ad.mul(w, w))
-        backward(loss)
-        first = w.grad.copy()
-        w.zero_grad()
-        backward(loss)
-        np.testing.assert_array_equal(w.grad, first)
-
     def test_shared_intermediate_accumulates(self):
         # y = w*w feeds two consumers; dL/dw = 2*(dL/dy)*w with dL/dy = 2
         w = Tensor([2.0], requires_grad=True)
         y = ad.mul(w, w)
-        backward(ad.sum_all(ad.add(y, y)))
-        np.testing.assert_allclose(w.grad, [8.0], atol=1e-12)
+        (grad,) = backward(ad.sum_all(ad.add(y, y)), [w])
+        np.testing.assert_allclose(grad, [8.0], atol=1e-12)
 
     def test_finite_outputs_after_forward_backward(self):
         # random composite on finite inputs never yields NaN/Inf anywhere
@@ -374,11 +379,10 @@ class TestBackwardSemantics:
             b = Tensor(rng.normal(scale=3.0, size=(4, 4)), requires_grad=True)
             out = ad.softmax_rows(ad.matmul(ad.tanh(a), b))
             loss = ad.mse_loss(out, Tensor(rng.random((4, 4))))
-            backward(loss)
             for t in (a, b, out, loss):
                 assert np.isfinite(t.values).all()
-                if t.requires_grad:
-                    assert np.isfinite(t.grad).all()
+            for grad in backward(loss, [a, b]):
+                assert np.isfinite(grad).all()
 
 
 class TestAdam:

@@ -12,8 +12,8 @@ import pytest
 import otcforecast.autodiff as ad
 from otcforecast import harness
 from otcforecast.autodiff import Tensor, finite_diff_check
-from otcforecast.errors import ShapeMismatchError
-from otcforecast.harness import evaluate, initial_loss
+from otcforecast.errors import ContractError, ShapeMismatchError
+from otcforecast.harness import evaluate, initial_loss, score_units
 from otcforecast.market import Sample
 from otcforecast.models import MODEL_KINDS, ModelConfig, build_model
 
@@ -151,9 +151,11 @@ class TestBatchedOps:
     def test_backward_writes_only_leaves(self):
         w = rand((2, 3), 27)
         hidden = ad.tanh(w)
-        ad.backward(ad.sum_all(ad.mul(hidden, hidden)))
-        assert np.abs(w.grad).sum() > 0
-        assert not hidden.grad.any()
+        loss = ad.sum_all(ad.mul(hidden, hidden))
+        (grad,) = ad.backward(loss, [w])
+        assert grad.shape == (2, 3) and np.abs(grad).sum() > 0
+        with pytest.raises(ContractError):
+            ad.backward(loss, [hidden])
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -177,10 +179,8 @@ class TestBatchedModels:
 
         def grads(inputs, targets):
             ad.reset_tape()
-            ad.zero_grads(params)
             pred = model.forward(inputs, teacher=targets)
-            ad.backward(ad.mse_loss(pred, Tensor(targets.astype(np.float64))))
-            return [p.grad.copy() for p in params]
+            return ad.backward(ad.mse_loss(pred, Tensor(targets.astype(np.float64))), params)
 
         batched = grads(x, t)
         per_window = [grads(x[i], t[i]) for i in range(4)]
@@ -209,16 +209,19 @@ class TestBatchedHarness:
         samples = self.samples()
         labels = {"D0": 2, "D1": 0, "D2": 2}
         monkeypatch.setattr(harness, "EVAL_CHUNK", 3)
-        report = evaluate(model, samples, 0.5, mode=mode, cluster_of=labels)
+        report = evaluate(model, samples, 0.5, mode=mode)
+        rows = score_units("TransCTE", "single", [("single", model, samples)], 0.5, mode, labels)
         expected = {}
         for s in samples:
             one = evaluate(model, [s], 0.5, mode=mode)
             counts = expected.setdefault(labels[s.dealer_id], np.zeros(4, dtype=np.int64))
             counts += (one.tp, one.fp, one.fn, one.tn)
-        assert sorted(report.per_cluster) == [0, 2]
-        for label, sub in report.per_cluster.items():
-            assert [sub.tp, sub.fp, sub.fn, sub.tn] == expected[label].tolist()
-        assert [report.tp, report.fp, report.fn, report.tn] == sum(expected.values()).tolist()
+        assert [row.cluster for row in rows] == ["0", "2", "all"]
+        for row, label in zip(rows, (0, 2)):
+            assert [row.tp, row.fp, row.fn, row.tn] == expected[label].tolist()
+        pooled = sum(expected.values()).tolist()
+        assert [report.tp, report.fp, report.fn, report.tn] == pooled
+        assert [rows[-1].tp, rows[-1].fp, rows[-1].fn, rows[-1].tn] == pooled
 
     def test_chunked_initial_loss_is_mean_per_window_loss(self, monkeypatch):
         model = perturbed_model("LSTM", seed=7)

@@ -1,0 +1,52 @@
+"""The benchmark's wrappers still find every binding they wrap.
+
+``perfbench/instrument.py`` looks package functions and model methods up
+by name.  Installing its tracer and probes here, without running a
+workload, fails fast when a rename or deletion leaves one of those names
+behind, and checks that every wrapped binding is put back afterwards.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import otcforecast.cli  # noqa: F401  - the patcher also rebinds names imported by cli
+from otcforecast import autodiff, harness
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def instrument(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import instrument
+
+    return instrument
+
+
+def bindings(instrument) -> dict:
+    """Every attribute of the package's modules and of the model classes."""
+    out = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "otcforecast" or mod_name.startswith("otcforecast."):
+            out.update({(mod_name, attr): value for attr, value in vars(mod).items()})
+    for cls in instrument.MODEL_CLASSES:
+        out.update({(cls.__name__, attr): value for attr, value in vars(cls).items()})
+    return out
+
+
+def test_tracer_and_probes_install_and_restore(instrument):
+    before = bindings(instrument)
+    originals = (harness.train, harness.evaluate, autodiff.backward, autodiff.adam_step)
+    patcher = instrument.Patcher()
+    try:
+        instrument.Tracer("tier1").install(patcher)
+        instrument.Probes().install(patcher)
+        wrapped = (harness.train, harness.evaluate, autodiff.backward, autodiff.adam_step)
+        assert all(w is not o for w, o in zip(wrapped, originals))
+    finally:
+        patcher.restore()
+    after = bindings(instrument)
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []

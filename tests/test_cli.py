@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from otcforecast import market
+from otcforecast import cli, harness, market
 from otcforecast.cli import main
 from otcforecast.clustering import load_assignment
 from otcforecast.config import parse_config, write_resolved
-from otcforecast.errors import ConfigurationError
+from otcforecast.errors import ArtifactError, ConfigurationError
 from otcforecast.harness import run_granularity_experiment, write_reports
 from otcforecast.models import MODEL_KINDS
 
@@ -340,6 +340,71 @@ class TestPipeline:
             assert self.run(command, "-c", str(cfg_path)) == 2, command
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "unreadable artifact" in err and path.name in err
+
+    def test_compare_checks_every_model_config_before_training(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # heads 4 does not divide d_model 6, which only the transformer kinds
+        # need; LSTM itself is valid, so the config parses
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = LSTM")
+                                      .replace("d_model = 8", "d_model = 6")
+                                      .replace("heads = 2", "heads = 4"))
+        for command in ("gen", "cluster"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda *args: trained.append(args))
+        capsys.readouterr()
+        assert self.run("compare", "-c", str(cfg_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "divisible by heads=4" in err
+        assert trained == []
+
+
+class TestClustersFile:
+    def pipeline(self, tmp_path):
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "cluster"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        return cfg_path, out / "clusters.csv"
+
+    def test_every_truncation_is_an_artifact_error(self, tmp_path):
+        cfg_path, path = self.pipeline(tmp_path)
+        cfg = parse_config(cfg_path)
+        blob = path.read_bytes()
+        full = load_assignment(path)
+        assert blob.endswith(b"\r\n") and blob.count(b"\r\n") == 6  # csv's line terminator
+        # every shorter file but those cut inside the final "\r\n", which
+        # keep all six rows whole
+        for keep in range(len(blob) - 2):
+            path.write_bytes(blob[:keep])
+            with pytest.raises(ArtifactError, match="clusters.csv"):
+                cli._prepare(cfg, path.parent, scoring=True)
+        for keep in (len(blob) - 2, len(blob) - 1):
+            path.write_bytes(blob[:keep])
+            assert cli._prepare(cfg, path.parent, scoring=True)[3] == full
+
+    @pytest.mark.parametrize("cut", [0, 3, 8, 13, 0.5])
+    def test_truncated_file_exits_2(self, tmp_path, capsys, cut):
+        cfg_path, path = self.pipeline(tmp_path)
+        truncate(path, cut)
+        capsys.readouterr()
+        assert main(["compare", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err and path.name in err
+        assert not (path.parent / "compare_f1.csv").exists()
+
+    @pytest.mark.parametrize("edit", ["label 7", "repeat", "extra column"])
+    def test_bad_row_exits_2(self, tmp_path, capsys, edit):
+        cfg_path, path = self.pipeline(tmp_path)
+        first, *rest = path.read_text().splitlines(keepends=True)
+        dealer = first.split(",")[0]
+        bad = {"label 7": f"{dealer},7\n", "repeat": first + first,
+               "extra column": f"{dealer},0,1\n"}[edit]
+        path.write_text(bad + "".join(rest))
+        capsys.readouterr()
+        assert main(["compare", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err and dealer in err
 
 
 def truncate(path, cut):

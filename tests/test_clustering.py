@@ -12,7 +12,7 @@ from otcforecast.clustering import (
     order_clusters,
     save_assignment,
 )
-from otcforecast.errors import ContractError
+from otcforecast.errors import ArtifactError, ContractError
 from otcforecast.market import DealerHistory
 
 
@@ -261,3 +261,20 @@ class TestAssignmentIO:
         path = tmp_path / "clusters.csv"
         save_assignment(path, assignment)
         assert load_assignment(path) == assignment.labels
+
+    @pytest.mark.parametrize("blob", [
+        b"D0000,4\r\n",  # label outside the four tiers
+        b"D0000,-1\r\n",
+        b"D0000,\r\n",
+        b"D0000\r\n",
+        b",0\r\n",
+        b"D0000,0,1\r\n",
+        b"D0000,0\r\n\r\nD0001,1\r\n",  # blank line
+        b"D0000,0\r\nD0000,1\r\n",  # repeated dealer
+        b"D0000,\xff\r\n",  # not UTF-8
+    ])
+    def test_malformed_file_rejected(self, tmp_path, blob):
+        path = tmp_path / "clusters.csv"
+        path.write_bytes(blob)
+        with pytest.raises(ArtifactError, match="clusters.csv"):
+            load_assignment(path)

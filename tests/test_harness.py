@@ -150,26 +150,45 @@ class TestEvaluate:
         assert (rep.tp, rep.fp, rep.fn) == (2, 0, 0)
         assert rep.tn == 6
 
-    def test_per_cluster_subreports(self):
-        a = random_samples(2, seed=6, dealer="DA")
-        b = random_samples(2, seed=7, dealer="DB")
-        model = FixedModel(np.zeros((2, 8)))
-        rep = evaluate(model, a + b, 0.5, cluster_of={"DA": 0, "DB": 1})
-        assert set(rep.per_cluster) == {0, 1}
-        pooled = np.array([rep.tp, rep.fp, rep.fn, rep.tn])
-        parts = sum(
-            np.array([s.tp, s.fp, s.fn, s.tn]) for s in rep.per_cluster.values()
-        )
-        np.testing.assert_array_equal(pooled, parts)
+    def test_union_mode_reads_edited_targets(self):
+        # the union target is the window-wise max of target_days as they are
+        # when scored, not as they were when the Sample was built
+        sample = Sample("D1", 0, np.zeros((3, 8), np.uint8), np.zeros((2, 8), np.uint8))
+        sample.target_days[0, 0] = 1
+        sample.target_days[1, 3] = 1
+        probs = np.zeros((2, 8))
+        probs[1, 0] = 0.9
+        rep = evaluate(FixedModel(probs), [sample], 0.5, mode="union")
+        assert (rep.tp, rep.fp, rep.fn, rep.tn) == (1, 0, 1, 6)
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ContractError):
             evaluate(FixedModel(np.zeros((2, 8))), [], 0.5)
 
-    def test_unassigned_dealer_rejected(self):
+
+class TestScoreUnits:
+    def test_single_unit_rows_split_counts_by_cluster(self):
+        rng = np.random.default_rng(6)
+        a = random_samples(3, seed=6, dealer="DA")
+        b = random_samples(2, seed=7, dealer="DB")
+        model = FixedModel(rng.random((2, 8)))
+        labels = {"DA": 0, "DB": 1}
+        rows = score_units("stub", "single", [("single", model, b + a)], 0.5, "per_day", labels)
+        assert [(r.granularity, r.cluster) for r in rows] == [
+            ("single", "0"), ("single", "1"), ("single", "all")]
+
+        def counts(r):
+            return [r.tp, r.fp, r.fn, r.tn]
+
+        assert counts(rows[0]) == counts(evaluate(model, a, 0.5))
+        assert counts(rows[1]) == counts(evaluate(model, b, 0.5))
+        assert counts(rows[2]) == (np.array(counts(rows[0])) + counts(rows[1])).tolist()
+
+    def test_unlabelled_dealer_rejected(self):
         samples = random_samples(1, seed=99, dealer="DX")
         with pytest.raises(ContractError, match="DX"):
-            evaluate(FixedModel(np.zeros((2, 8))), samples, 0.5, cluster_of={"DA": 0})
+            score_units("stub", "single", [("single", FixedModel(np.zeros((2, 8))), samples)],
+                        0.5, "per_day", {"DA": 0})
 
 
 class TestTrain:

@@ -284,10 +284,6 @@ class TestWindowing:
             np.testing.assert_array_equal(
                 s.target_days, hist.day_vectors[s.start_day + 4:s.start_day + 7])
 
-    def test_target_union_is_elementwise_or(self):
-        for s in windowize(toy_history(15, seed=4), 3, 4):
-            np.testing.assert_array_equal(s.target_union, s.target_days.max(axis=0))
-
     def test_invalid_args(self):
         with pytest.raises(ContractError):
             windowize(toy_history(), 0, 5)
