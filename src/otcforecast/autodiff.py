@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -503,35 +503,59 @@ def finite_diff_check(
 
 @dataclass
 class OptimizerState:
-    """Adam moment buffers plus hyperparameters; buffers shape-match params."""
+    """Adam hyperparameters, the step count and three flat buffers.
+
+    The moments ``m`` and ``v`` and the ``scratch`` buffer each have the
+    length of the parameter vector; the first :func:`adam_step` allocates
+    them.
+    """
 
     learning_rate: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m: list[Array] = field(default_factory=list)
-    v: list[Array] = field(default_factory=list)
+    m: Array | None = None
+    v: Array | None = None
+    scratch: Array | None = None
 
 
-def adam_step(params: Sequence[Tensor], grads: Sequence[Array], state: OptimizerState) -> None:
-    """One bias-corrected Adam update, applied to param values in place."""
-    if len(params) != len(grads):
-        raise ShapeMismatchError(f"adam_step: {len(params)} params vs {len(grads)} grads")
-    if not state.m:
-        state.m = [np.zeros_like(p.values) for p in params]
-        state.v = [np.zeros_like(p.values) for p in params]
+def adam_step(values: Array, grad: Array, state: OptimizerState) -> None:
+    """One bias-corrected Adam update of a flat parameter vector, in place.
+
+    ``values`` and ``grad`` are 1-D float64 vectors of one length, such as
+    ``Parameters.flat`` and the gradients concatenated in the same order.
+    ``grad`` serves as a second scratch buffer once the moments are
+    updated, so it no longer holds the gradient when the call returns.
+    No parameter-sized array is allocated after the first step.
+    """
+    if values.ndim != 1 or grad.shape != values.shape:
+        raise ShapeMismatchError(
+            f"adam_step: needs one vector shape, got values {values.shape}, grad {grad.shape}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(values), np.zeros_like(values)
+        state.scratch = np.empty_like(values)
+    elif state.m.shape != values.shape:
+        raise ShapeMismatchError(
+            f"adam_step: moments of shape {state.m.shape} for values {values.shape}")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.values.shape != g.shape or m.shape != g.shape:
-            raise ShapeMismatchError(
-                f"adam_step: param shape {p.values.shape} vs grad shape {g.shape}"
-            )
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.values -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
+    m, v, t = state.m, state.v, state.scratch
+    # the order of operations rounds exactly as
+    # values -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+    np.multiply(grad, grad, out=t)
+    t *= 1.0 - b2
+    v *= b2
+    v += t
+    grad *= 1.0 - b1
+    m *= b1
+    m += grad
+    np.divide(m, bias1, out=t)
+    t *= state.learning_rate
+    np.divide(v, bias2, out=grad)
+    np.sqrt(grad, out=grad)
+    grad += state.epsilon
+    t /= grad
+    values -= t

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import market
@@ -94,13 +96,18 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
     print(f"wrote {out / HISTORIES_FILE} ({len(histories)} dealers, {vocab.size} bonds)")
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def cmd_cluster(cfg: RunConfig, out: Path) -> None:
-    histories, days, _ = market.load_histories(_require(out / HISTORIES_FILE, "gen"))
+    path = _require(out / HISTORIES_FILE, "gen")
+    histories, days, _ = market.load_histories(path)
     boundary = market.split_boundary(days, cfg.train_fraction)
     features = compute_dealer_features(histories, boundary)
     assignment = kmeans_cluster(features, k=TIERS, seed=derive_seed(cfg.seed, "cluster"))
     assignment = order_clusters(assignment, features)
-    save_assignment(out / CLUSTERS_FILE, assignment)
+    save_assignment(out / CLUSTERS_FILE, assignment, _sha256(path))
     print(f"wrote {out / CLUSTERS_FILE} ({len(assignment.labels)} dealers, k={TIERS})")
 
 
@@ -109,12 +116,14 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
 
     Labels are read when the granularity needs them or the command is
     ``scoring`` (per-cluster rows); otherwise they are empty and
-    clusters.csv is optional.  Loaded labels must cover every dealer of
-    the histories.  A scoring command also needs at least one test window,
-    checked before any training.
+    clusters.csv is optional.  Loaded labels must come from these
+    histories (their SHA-256 matches) and cover every dealer.  A scoring
+    command also needs at least one test window, checked before any
+    training.
     Returns (vocab size, train samples, test samples, labels).
     """
-    histories, days, vocab_size = market.load_histories(_require(out / HISTORIES_FILE, "gen"))
+    histories_path = _require(out / HISTORIES_FILE, "gen")
+    histories, days, vocab_size = market.load_histories(histories_path)
     samples = [
         s
         for h in histories
@@ -129,7 +138,10 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
     labels = {}
     if scoring or cfg.granularity != "single":
         path = _require(out / CLUSTERS_FILE, "cluster")
-        labels = load_assignment(path)
+        source, labels = load_assignment(path)
+        if source != _sha256(histories_path):
+            raise ArtifactError(f"{path}: made from other histories than {histories_path} "
+                                f"(rerun `otcforecast cluster`)")
         for h in histories:
             if h.dealer_id not in labels:
                 raise ArtifactError(f"{path}: no label for dealer {h.dealer_id}")
@@ -137,9 +149,17 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
 
 
 def _load_model(cfg: RunConfig, out: Path, vocab_size: int, tag: str):
+    """Build the configured model and load its checkpoint, which must have
+    been trained under the same model config."""
     path = _require(_checkpoint_path(out, tag), "train")
-    model = build_model(cfg.model_config(vocab_size))
-    model.params.load_state(load_checkpoint(path))
+    config = cfg.model_config(vocab_size)
+    trained, state = load_checkpoint(path)
+    for name, value in asdict(config).items():
+        if getattr(trained, name) != value:
+            raise ArtifactError(f"{path}: trained with {name} = {getattr(trained, name)!r}, "
+                                f"the config gives {value!r}")
+    model = build_model(config)
+    model.params.load_state(state)
     return model
 
 
@@ -147,7 +167,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
     vocab_size, train_samples, test_samples, labels = _prepare(cfg, out)
     units = training_units(cfg.granularity, train_samples, test_samples, labels)
     for tag, model, losses, _ in train_units(cfg.model_config(vocab_size), units, cfg.train_spec()):
-        save_checkpoint(_checkpoint_path(out, tag), model.params)
+        save_checkpoint(_checkpoint_path(out, tag), model.params, model.config)
         with open(out / f"loss_{tag}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "loss"])

@@ -10,6 +10,7 @@ active tier and label k-1 the most active.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -218,25 +219,36 @@ def order_clusters(
     )
 
 
-def save_assignment(path, assignment: ClusterAssignment) -> None:
-    """Comma-separated lines of dealer_id, cluster_label (ascending dealer id)."""
+def save_assignment(path, assignment: ClusterAssignment, histories_sha256: str) -> None:
+    """A ``histories_sha256,<hex>`` line naming the SHA-256 of the
+    ``histories.bin`` bytes the tiers were computed from, then
+    comma-separated lines of dealer_id, cluster_label (ascending dealer id)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
+        writer.writerow(["histories_sha256", histories_sha256])
         for dealer in sorted(assignment.labels):
             writer.writerow([dealer, assignment.labels[dealer]])
 
 
-def load_assignment(path) -> dict[str, int]:
-    """Read the lines of :func:`save_assignment` back as dealer -> label.
+def load_assignment(path) -> tuple[str, dict[str, int]]:
+    """Read the lines of :func:`save_assignment` back as the histories'
+    SHA-256 and dealer -> label.
 
-    Raises ArtifactError on a line that is not ``dealer,label`` with a
-    label in 0..TIERS-1, or that repeats a dealer.
+    Raises ArtifactError unless the first line is ``histories_sha256``
+    with 64 lowercase hex digits, and on a later line that is not
+    ``dealer,label`` with a label in 0..TIERS-1, or that repeats a dealer.
     """
     labels: dict[str, int] = {}
     tiers = [str(label) for label in range(TIERS)]
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for line, row in enumerate(csv.reader(fh), start=1):
+            rows = csv.reader(fh)
+            first = next(rows, [])
+            if (len(first) != 2 or first[0] != "histories_sha256"
+                    or not re.fullmatch("[0-9a-f]{64}", first[1])):
+                raise ArtifactError(
+                    f"{path}: line 1 is not histories_sha256,<64 hex digits>: {first!r}")
+            for line, row in enumerate(rows, start=2):
                 if len(row) != 2 or not row[0] or row[1] not in tiers:
                     raise ArtifactError(
                         f"{path}: line {line} is not dealer,label with a label in "
@@ -246,4 +258,4 @@ def load_assignment(path) -> dict[str, int]:
                 labels[row[0]] = int(row[1])
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ArtifactError(f"{path}: {exc}") from exc
-    return labels
+    return first[1], labels

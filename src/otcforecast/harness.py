@@ -103,10 +103,13 @@ def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, 
     aborts with NumericError before the optimizer step, so the parameters
     stay finite.  Optional early stop when the epoch loss has not improved
     by at least 0.1% (relative) for ``patience`` consecutive epochs.
+    Adam updates the packed parameter vector from one flat gradient.
     """
     if not train_samples:
         raise ContractError("train() needs a nonempty training set")
     params = model.params.tensors()
+    values = model.params.flat
+    grad = np.empty_like(values)
     state = OptimizerState(learning_rate=spec.learning_rate)
     losses: list[float] = []
     best = math.inf
@@ -124,10 +127,10 @@ def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, 
             batch_loss = loss.item() * len(batch)
             if not math.isfinite(batch_loss):
                 raise NumericError(f"non-finite loss in epoch {epoch}")
-            grads = ad.backward(loss, params)
-            if not all(np.isfinite(g).all() for g in grads):
+            np.concatenate([g.reshape(-1) for g in ad.backward(loss, params)], out=grad)
+            if not np.isfinite(grad).all():
                 raise NumericError(f"non-finite gradient in epoch {epoch}")
-            ad.adam_step(params, grads, state)
+            ad.adam_step(values, grad, state)
             epoch_loss += batch_loss
         ad.reset_tape()
         epoch_loss /= n

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,12 +82,20 @@ class ModelConfig:
 
 
 class Parameters:
-    """Ordered, uniquely named collection of trainable tensors."""
+    """Ordered, uniquely named collection of trainable tensors.
+
+    On first access, :attr:`flat` packs every tensor into one contiguous
+    float64 vector, in :meth:`names` order, and rebinds each tensor's
+    ``values`` to a view of it; no tensor may be added after that.
+    """
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
+        self._flat: np.ndarray | None = None
 
     def add(self, name: str, values: np.ndarray) -> Tensor:
+        if self._flat is not None:
+            raise ContractError(f"cannot add parameter {name!r}: the parameters are packed")
         if name in self._tensors:
             raise ContractError(f"duplicate parameter name {name!r}")
         t = Tensor(values, requires_grad=True)
@@ -114,6 +122,20 @@ class Parameters:
 
     def count_values(self) -> int:
         return sum(t.values.size for t in self._tensors.values())
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Every parameter value in one vector that the tensors view."""
+        if self._flat is None:
+            flat = np.empty(self.count_values())
+            offset = 0
+            for t in self._tensors.values():
+                view = flat[offset:offset + t.values.size].reshape(t.values.shape)
+                view[...] = t.values
+                t.values = view
+                offset += view.size
+            self._flat = flat
+        return self._flat
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.values.copy() for name, t in self._tensors.items()}
@@ -523,8 +545,13 @@ def build_model(config: ModelConfig):
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path, params: Parameters) -> None:
-    """Manifest line (name, shape, byte offset) + packed little-endian f64."""
+CHECKPOINT_MAGIC = "otcforecast-checkpoint"
+CHECKPOINT_VERSION = 1
+
+
+def save_checkpoint(path, params: Parameters, config: ModelConfig) -> None:
+    """Manifest line (magic, version, the model config, and name, shape and
+    byte offset per parameter) + packed little-endian f64."""
     manifest = []
     offset = 0
     blobs = []
@@ -533,17 +560,21 @@ def save_checkpoint(path, params: Parameters) -> None:
         manifest.append({"name": name, "shape": list(tensor.values.shape), "offset": offset})
         offset += len(blob)
         blobs.append(blob)
+    header = {"magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
+              "config": asdict(config), "entries": manifest}
     with open(path, "wb") as fh:
-        fh.write(json.dumps({"entries": manifest}, separators=(",", ":")).encode("utf-8"))
+        fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
         for blob in blobs:
             fh.write(blob)
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint written by :func:`save_checkpoint`.
+def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+    """Read a checkpoint written by :func:`save_checkpoint`: the config it
+    was trained with and its parameter values.
 
-    Raises ArtifactError unless the manifest line parses and its entries
+    Raises ArtifactError unless the manifest line parses, carries the
+    magic, this format version and a valid model config, and its entries
     tile the payload exactly: in order, from offset 0, with no bytes
     missing or left over.
     """
@@ -553,9 +584,17 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     if not header.endswith(b"\n"):
         raise ArtifactError(f"{path}: truncated manifest line")
     try:
+        manifest = json.loads(header.decode("utf-8"))
+        if manifest["magic"] != CHECKPOINT_MAGIC:
+            raise ValueError(f"magic {manifest['magic']!r}, expected {CHECKPOINT_MAGIC!r}")
+        if manifest["version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"version {manifest['version']!r}, expected {CHECKPOINT_VERSION}")
+        config = ModelConfig(**manifest["config"])
+        if asdict(config) != manifest["config"]:
+            raise ValueError(f"incomplete model config {manifest['config']}")
         layout = [
             (str(entry["name"]), tuple(int(n) for n in entry["shape"]), int(entry["offset"]))
-            for entry in json.loads(header.decode("utf-8"))["entries"]
+            for entry in manifest["entries"]
         ]
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise ArtifactError(f"{path}: malformed manifest ({exc})") from exc
@@ -574,4 +613,4 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         state[name] = values.astype(np.float64)
     if end != len(payload):
         raise ArtifactError(f"{path}: {len(payload) - end} trailing payload bytes")
-    return state
+    return config, state

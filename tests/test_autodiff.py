@@ -1,12 +1,15 @@
 """Engine tests: forward values against hand oracles, gradients against
 central finite differences, and the semantics of backward()."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import otcforecast.autodiff as ad
 from otcforecast.autodiff import OptimizerState, Tensor, adam_step, backward, finite_diff_check
 from otcforecast.errors import ConfigurationError, ContractError, ShapeMismatchError
+from otcforecast.models import ModelConfig, build_model
 
 
 @pytest.fixture(autouse=True)
@@ -387,17 +390,17 @@ class TestBackwardSemantics:
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        p = Tensor([1.0, -2.0], requires_grad=True)
+        values = np.array([1.0, -2.0])
         state = OptimizerState(learning_rate=0.1)
-        adam_step([p], [np.zeros(2)], state)
-        np.testing.assert_array_equal(p.values, [1.0, -2.0])
+        adam_step(values, np.zeros(2), state)
+        np.testing.assert_array_equal(values, [1.0, -2.0])
         assert state.step == 1
 
     def test_first_step_is_minus_lr(self):
         # bias-corrected m/sqrt(v) is 1 on the first step with unit gradient
-        p = Tensor([0.0], requires_grad=True)
-        adam_step([p], [np.ones(1)], OptimizerState(learning_rate=0.1))
-        np.testing.assert_allclose(p.values, [-0.1], atol=1e-8)
+        values = np.zeros(1)
+        adam_step(values, np.ones(1), OptimizerState(learning_rate=0.1))
+        np.testing.assert_allclose(values, [-0.1], atol=1e-8)
 
     def test_two_steps_match_hand_rolled_oracle(self):
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
@@ -413,14 +416,38 @@ class TestAdam:
             vhat = v / (1 - b2 ** t)
             expected -= lr * mhat / (np.sqrt(vhat) + eps)
 
-        p = Tensor([0.3, -0.7], requires_grad=True)
+        values = np.array([0.3, -0.7])
         state = OptimizerState(learning_rate=lr)
         for g in grads:
-            adam_step([p], [g], state)
-        np.testing.assert_allclose(p.values, expected, atol=1e-15)
+            adam_step(values, g.copy(), state)
+        np.testing.assert_allclose(values, expected, atol=1e-15)
         assert state.step == 2
 
     def test_shape_mismatch_rejected(self):
-        p = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeMismatchError):
-            adam_step([p], [np.zeros(3)], OptimizerState())
+            adam_step(np.array([1.0, 2.0]), np.zeros(3), OptimizerState())
+        with pytest.raises(ShapeMismatchError):
+            adam_step(np.zeros((2, 2)), np.zeros((2, 2)), OptimizerState())
+        state = OptimizerState()
+        adam_step(np.zeros(2), np.zeros(2), state)
+        with pytest.raises(ShapeMismatchError):
+            adam_step(np.zeros(3), np.zeros(3), state)
+
+    def test_steps_after_the_first_allocate_less_than_one_vector(self):
+        # numpy reports its buffers to tracemalloc; a parameter-sized
+        # temporary in the update would show as a peak of at least
+        # values.nbytes
+        c7 = ModelConfig("TransPPRZ", vocab_size=20, t_in=5, t_out=5, d_model=32, d_ff=64)
+        values = build_model(c7).params.flat.copy()
+        rng = np.random.default_rng(5)
+        state = OptimizerState()
+        adam_step(values, rng.normal(size=values.size), state)
+        grad = rng.normal(size=values.size)
+        tracemalloc.start()
+        try:
+            adam_step(values, grad, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.size > 40_000
+        assert peak < values.nbytes

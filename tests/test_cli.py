@@ -276,7 +276,7 @@ class TestPipeline:
         samples = [s for h in histories
                    for s in market.windowize(h, cfg.t_in, cfg.t_out, cfg.stride)]
         train_s, test_s = market.split_train_test(samples, days, cfg.train_fraction)
-        labels = load_assignment(out / "clusters.csv")
+        _, labels = load_assignment(out / "clusters.csv")
         with warnings.catch_warnings(record=True) as lib_warnings:
             warnings.simplefilter("always")
             rows = [
@@ -371,10 +371,11 @@ class TestClustersFile:
         cfg_path, path = self.pipeline(tmp_path)
         cfg = parse_config(cfg_path)
         blob = path.read_bytes()
-        full = load_assignment(path)
-        assert blob.endswith(b"\r\n") and blob.count(b"\r\n") == 6  # csv's line terminator
+        _, full = load_assignment(path)
+        # csv's line terminator; a fingerprint row, then six dealer rows
+        assert blob.endswith(b"\r\n") and blob.count(b"\r\n") == 7
         # every shorter file but those cut inside the final "\r\n", which
-        # keep all six rows whole
+        # keep all seven rows whole
         for keep in range(len(blob) - 2):
             path.write_bytes(blob[:keep])
             with pytest.raises(ArtifactError, match="clusters.csv"):
@@ -383,7 +384,7 @@ class TestClustersFile:
             path.write_bytes(blob[:keep])
             assert cli._prepare(cfg, path.parent, scoring=True)[3] == full
 
-    @pytest.mark.parametrize("cut", [0, 3, 8, 13, 0.5])
+    @pytest.mark.parametrize("cut", [0, 3, 8, 13, 30, 80, 88, 0.5])
     def test_truncated_file_exits_2(self, tmp_path, capsys, cut):
         cfg_path, path = self.pipeline(tmp_path)
         truncate(path, cut)
@@ -396,15 +397,69 @@ class TestClustersFile:
     @pytest.mark.parametrize("edit", ["label 7", "repeat", "extra column"])
     def test_bad_row_exits_2(self, tmp_path, capsys, edit):
         cfg_path, path = self.pipeline(tmp_path)
-        first, *rest = path.read_text().splitlines(keepends=True)
+        source, first, *rest = path.read_text().splitlines(keepends=True)
         dealer = first.split(",")[0]
         bad = {"label 7": f"{dealer},7\n", "repeat": first + first,
                "extra column": f"{dealer},0,1\n"}[edit]
-        path.write_text(bad + "".join(rest))
+        path.write_text(source + bad + "".join(rest))
         capsys.readouterr()
         assert main(["compare", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err and dealer in err
+
+
+    def test_file_of_other_histories_exits_2(self, tmp_path, capsys):
+        # dealer ids D0000... repeat across markets, so the old labels
+        # cover every dealer of the new, smaller market
+        eight = TINY_CONFIG.replace("periodic_dealers = 3", "periodic_dealers = 5") \
+                           .replace("top_dealers = 6", "top_dealers = 8")
+        cfg_path, out = write_config(tmp_path, text=eight)
+        for command in ("gen", "cluster"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        cfg_path, _ = write_config(tmp_path, text=TINY_CONFIG.replace("seed = 3", "seed = 4"))
+        assert main(["gen", "-c", str(cfg_path)]) == 0
+        histories, _, _ = market.load_histories(out / "histories.bin")
+        listed = {line.split(",")[0] for line in (out / "clusters.csv").read_text().splitlines()}
+        assert len(histories) == 6 and {f"D000{i}" for i in range(8)} <= listed
+        assert {h.dealer_id for h in histories} <= listed
+        capsys.readouterr()
+        assert main(["compare", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert "clusters.csv" in err and "histories.bin" in err
+        assert not (out / "compare_f1.csv").exists()
+        assert main(["cluster", "-c", str(cfg_path)]) == 0
+        assert main(["compare", "-c", str(cfg_path)]) == 0
+
+
+class TestCheckpointConfig:
+    def test_checkpoint_under_other_heads_exits_2(self, tmp_path, capsys):
+        # parameter shapes do not depend on heads, so only the manifest's
+        # config tells the two apart
+        trained = TINY_CONFIG.replace("kind = TransPPRZ", "kind = TransRE")
+        cfg_path, out = write_config(tmp_path, text=trained.replace("heads = 2", "heads = 4"))
+        for command in ("gen", "cluster", "train", "eval"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        cfg_path, _ = write_config(tmp_path, text=trained)
+        capsys.readouterr()
+        for command in ("eval", "stats"):
+            assert main([command, "-c", str(cfg_path)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "unreadable artifact" in err
+            assert "checkpoint_single.ckpt" in err and "heads = 4" in err and "2" in err
+
+    def test_old_manifest_without_magic_exits_2(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "cluster", "train"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        path = out / "checkpoint_single.ckpt"
+        header, payload = path.read_bytes().split(b"\n", 1)
+        entries = header[header.index(b'"entries"'):]
+        path.write_bytes(b"{" + entries + b"\n" + payload)
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "malformed manifest" in err
 
 
 def truncate(path, cut):

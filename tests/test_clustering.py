@@ -254,13 +254,18 @@ class TestOrderClusters:
         assert all(b >= a for a, b in zip(averages, averages[1:]))
 
 
+SOURCE = "0123456789abcdef" * 4  # a histories.bin SHA-256
+SOURCE_ROW = f"histories_sha256,{SOURCE}\r\n".encode()
+
+
 class TestAssignmentIO:
     def test_round_trip(self, tmp_path):
         feats = two_groups(seed=14)
         assignment = order_clusters(kmeans_cluster(feats, k=2, seed=15), feats)
         path = tmp_path / "clusters.csv"
-        save_assignment(path, assignment)
-        assert load_assignment(path) == assignment.labels
+        save_assignment(path, assignment, SOURCE)
+        assert path.read_bytes().startswith(SOURCE_ROW)
+        assert load_assignment(path) == (SOURCE, assignment.labels)
 
     @pytest.mark.parametrize("blob", [
         b"D0000,4\r\n",  # label outside the four tiers
@@ -275,6 +280,20 @@ class TestAssignmentIO:
     ])
     def test_malformed_file_rejected(self, tmp_path, blob):
         path = tmp_path / "clusters.csv"
-        path.write_bytes(blob)
+        path.write_bytes(SOURCE_ROW + blob)
         with pytest.raises(ArtifactError, match="clusters.csv"):
+            load_assignment(path)
+
+    @pytest.mark.parametrize("first", [
+        b"",
+        b"D0000,0\r\n",
+        SOURCE_ROW.replace(b"histories_sha256", b"sha256"),
+        SOURCE_ROW.replace(SOURCE.encode(), SOURCE[:63].encode()),
+        SOURCE_ROW.replace(SOURCE.encode(), SOURCE.upper().encode()),
+        SOURCE_ROW.replace(b"\r\n", b",x\r\n"),
+    ])
+    def test_malformed_fingerprint_row_rejected(self, tmp_path, first):
+        path = tmp_path / "clusters.csv"
+        path.write_bytes(first + b"D0001,1\r\n")
+        with pytest.raises(ArtifactError, match="line 1 is not histories_sha256"):
             load_assignment(path)

@@ -24,7 +24,8 @@ from otcforecast.harness import (
     write_reports,
 )
 from otcforecast.market import Sample
-from otcforecast.models import ModelConfig, Parameters, build_model
+from otcforecast.models import MODEL_KINDS, ModelConfig, Parameters, build_model
+from otcforecast.seeding import rng_for
 
 
 def toy_config(kind="TransRE", **overrides):
@@ -42,6 +43,19 @@ def random_samples(n, vocab_size=4, t_in=3, t_out=2, seed=0, dealer="D1", densit
         t = (rng.random((t_out, 2 * vocab_size)) < density).astype(np.uint8)
         out.append(Sample(dealer, i, x, t))
     return out
+
+
+def per_tensor_adam(params, grads, moments, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Bias-corrected Adam with one set of array ops per parameter tensor:
+    the reference for the flat, in-place ``autodiff.adam_step``."""
+    bias1 = 1.0 - b1 ** step
+    bias2 = 1.0 - b2 ** step
+    for p, g, (m, v) in zip(params, grads, moments):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        p.values -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
 
 
 class FixedModel:
@@ -232,6 +246,37 @@ class TestTrain:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ContractError):
             TrainSpec(batch_size=0)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_flat_adam_matches_per_tensor_reference(self, kind):
+        samples = random_samples(12, seed=21)
+        spec = TrainSpec(epochs=1, batch_size=4, learning_rate=0.01, seed=22)
+        trained = build_model(toy_config(kind))
+        flat = trained.params.flat
+        train(trained, samples, spec)
+        reference = build_model(toy_config(kind))  # never packed
+        params = reference.params.tensors()
+        moments = [(np.zeros_like(p.values), np.zeros_like(p.values)) for p in params]
+        order = rng_for(spec.seed, "shuffle", 0).permutation(len(samples))
+        lows = range(0, len(samples), spec.batch_size)
+        for step, lo in enumerate(lows, start=1):
+            batch = [samples[i] for i in order[lo:lo + spec.batch_size]]
+            target = np.stack([s.target_days for s in batch]).astype(np.float64)
+            ad.reset_tape()
+            pred = reference.forward(np.stack([s.input_days for s in batch]), teacher=target)
+            grads = ad.backward(ad.mse_loss(pred, Tensor(target)), params)
+            per_tensor_adam(params, grads, moments, step, spec.learning_rate)
+        ad.reset_tape()
+        assert len(lows) == 3
+        initial = build_model(toy_config(kind)).params
+        assert any(not np.array_equal(initial[n].values, trained.params[n].values)
+                   for n in initial.names())
+        for name in reference.params.names():
+            np.testing.assert_array_equal(trained.params[name].values,
+                                          reference.params[name].values, err_msg=name)
+        # training updates the packed vector in place
+        np.testing.assert_array_equal(
+            flat, np.concatenate([t.values.reshape(-1) for t in params]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_gradient_aborts_before_the_step(self):

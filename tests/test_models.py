@@ -1,6 +1,8 @@
 """Model-zoo contracts: construction, embeddings, residual schemes,
 causality, and checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -361,8 +363,8 @@ class TestTransformer:
             for name in decoder_gates:
                 assert np.abs(grads[name]).max() > 0, name
 
-            ad.adam_step(params, list(grads.values()),
-                         ad.OptimizerState(learning_rate=0.01))
+            flat_grad = np.concatenate([g.reshape(-1) for g in grads.values()])
+            ad.adam_step(model.params.flat, flat_grad, ad.OptimizerState(learning_rate=0.01))
             grads = loss_grads()
             for name in model.params.names():
                 if name.endswith(".gate"):
@@ -407,8 +409,9 @@ class TestCheckpoints:
         for kind in ("FCSum", "BiLSTM", "TransPPRZ"):
             model = build_model(toy_config(kind, seed=23))
             path = tmp_path / f"{kind}.ckpt"
-            save_checkpoint(path, model.params)
-            state = load_checkpoint(path)
+            save_checkpoint(path, model.params, model.config)
+            config, state = load_checkpoint(path)
+            assert config == model.config
             fresh = build_model(toy_config(kind, seed=77))
             fresh.params.load_state(state)
             for name, tensor in model.params.items():
@@ -420,22 +423,23 @@ class TestCheckpoints:
     def test_name_mismatch_rejected(self, tmp_path):
         model = build_model(toy_config("TransRE"))
         path = tmp_path / "re.ckpt"
-        save_checkpoint(path, model.params)
+        save_checkpoint(path, model.params, model.config)
         other = build_model(toy_config("TransPPRZ"))
         with pytest.raises(ContractError):
-            other.params.load_state(load_checkpoint(path))
+            other.params.load_state(load_checkpoint(path)[1])
 
     def test_shape_mismatch_rejected(self, tmp_path):
         model = build_model(toy_config("FCSum"))
         path = tmp_path / "fc.ckpt"
-        save_checkpoint(path, model.params)
+        save_checkpoint(path, model.params, model.config)
         bigger = build_model(toy_config("FCSum", hidden=6))
         with pytest.raises(ShapeMismatchError):
-            bigger.params.load_state(load_checkpoint(path))
+            bigger.params.load_state(load_checkpoint(path)[1])
 
     def test_truncated_at_every_offset_rejected(self, tmp_path):
         path = tmp_path / "fc.ckpt"
-        save_checkpoint(path, build_model(toy_config("FCSum")).params)
+        model = build_model(toy_config("FCSum"))
+        save_checkpoint(path, model.params, model.config)
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
@@ -444,7 +448,8 @@ class TestCheckpoints:
 
     def test_malformed_manifest_and_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "fc.ckpt"
-        save_checkpoint(path, build_model(toy_config("FCSum")).params)
+        model = build_model(toy_config("FCSum"))
+        save_checkpoint(path, model.params, model.config)
         blob = path.read_bytes()
         header, payload = blob.split(b"\n", 1)
         shifted = header.replace(b'"offset":0', b'"offset":8', 1)
@@ -454,3 +459,76 @@ class TestCheckpoints:
             path.write_bytes(corrupt)
             with pytest.raises(ArtifactError, match=reason):
                 load_checkpoint(path)
+
+    def test_manifest_carries_magic_version_and_config(self, tmp_path):
+        path = tmp_path / "re.ckpt"
+        model = build_model(toy_config("TransRE", heads=4, seed=3))
+        save_checkpoint(path, model.params, model.config)
+        manifest = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert manifest["magic"] == "otcforecast-checkpoint" and manifest["version"] == 1
+        assert manifest["config"] == {"kind": "TransRE", "vocab_size": 8, "t_in": 3, "t_out": 2,
+                                      "d_model": 4, "heads": 4, "n_layers": 1, "d_ff": 8,
+                                      "hidden": 4, "seed": 3}
+
+    @pytest.mark.parametrize("edit", [
+        ("otcforecast-checkpoint", "otcforecast-histories"),
+        ('"version":1', '"version":2'),
+        ('"heads":2', '"heads":3'),  # d_model 4 is not divisible by 3
+        ('"kind":"TransRE"', '"kind":"MLP"'),
+        ('"hidden":4,', ''),
+        ('"config":{', '"config":{"dropout":1,'),
+    ])
+    def test_bad_magic_version_or_config_rejected(self, tmp_path, edit):
+        path = tmp_path / "re.ckpt"
+        model = build_model(toy_config("TransRE"))
+        save_checkpoint(path, model.params, model.config)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        old, new = edit
+        assert old.encode() in header
+        path.write_bytes(header.replace(old.encode(), new.encode(), 1) + b"\n" + payload)
+        with pytest.raises(ArtifactError, match="malformed"):
+            load_checkpoint(path)
+
+
+class TestFlatParameters:
+    def test_flat_views_every_tensor_in_names_order(self):
+        for kind in MODEL_KINDS:
+            params = build_model(toy_config(kind)).params
+            before = params.state_dict()
+            flat = params.flat
+            assert flat.dtype == np.float64 and flat.ndim == 1
+            assert flat.size == params.count_values()
+            np.testing.assert_array_equal(
+                flat, np.concatenate([before[name].reshape(-1) for name in params.names()]))
+            offset = 0
+            for name in params.names():
+                values = params[name].values
+                assert values.shape == before[name].shape, name
+                assert np.shares_memory(values, flat), name
+                assert values.__array_interface__["data"][0] == (
+                    flat.__array_interface__["data"][0] + 8 * offset), name
+                offset += values.size
+            assert params.flat is flat
+
+    def test_scalar_gate_packs_as_a_0d_view(self):
+        params = build_model(toy_config("TransRE")).params
+        flat = params.flat
+        gate = params["encoder.l0.gate"].values
+        assert gate.shape == () and np.shares_memory(gate, flat)
+        flat[:] = 7.0
+        assert params["encoder.l0.gate"].item() == 7.0
+
+    def test_load_state_writes_through_to_flat(self):
+        params = build_model(toy_config("TransPPRZ")).params
+        flat = params.flat
+        state = {name: np.full(t.shape, float(i)) for i, (name, t) in enumerate(params.items())}
+        params.load_state(state)
+        np.testing.assert_array_equal(
+            flat, np.concatenate([state[name].reshape(-1) for name in params.names()]))
+
+    def test_add_after_packing_rejected(self):
+        params = build_model(toy_config("FCSum")).params
+        params.add("extra", np.zeros(2))
+        params.flat
+        with pytest.raises(ContractError, match="packed"):
+            params.add("late", np.zeros(2))
