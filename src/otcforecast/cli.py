@@ -3,7 +3,8 @@
 Every command reads one config file, writes its artifacts under the
 configured output directory next to an echo of the resolved config, and is
 byte-reproducible from (config, seed).  Exit codes: 0 success, 1 usage or
-config error, 2 missing or unreadable artifact, 3 numeric failure.
+config error, 2 missing, unreadable or unusable artifact path, 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .harness import (
     write_layer_stats,
     write_reports,
 )
-from .models import MODEL_KINDS, TRANSFORMER_KINDS, build_model, load_checkpoint, save_checkpoint
+from .models import MODEL_KINDS, TRANSFORMER_KINDS, load_checkpoint, save_checkpoint
 from .seeding import derive_seed
 
 COMMANDS = ("gen", "cluster", "train", "eval", "compare", "stats")
@@ -117,9 +118,9 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
     Labels are read when the granularity needs them or the command is
     ``scoring`` (per-cluster rows); otherwise they are empty and
     clusters.csv is optional.  Loaded labels must come from these
-    histories (their SHA-256 matches) and cover every dealer.  A scoring
-    command also needs at least one test window, checked before any
-    training.
+    histories (their SHA-256 matches) and cover every dealer.  Every
+    command needs at least one training window, and a scoring command at
+    least one test window, checked before any training.
     Returns (vocab size, train samples, test samples, labels).
     """
     histories_path = _require(out / HISTORIES_FILE, "gen")
@@ -130,11 +131,12 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
         for s in market.windowize(h, cfg.t_in, cfg.t_out, cfg.stride)
     ]
     train_samples, test_samples = market.split_train_test(samples, days, cfg.train_fraction)
+    split = (f"(days {days}, t_in {cfg.t_in}, t_out {cfg.t_out}, "
+             f"train_fraction {cfg.train_fraction})")
+    if not train_samples:
+        raise ConfigurationError(f"the temporal split leaves no training window {split}")
     if scoring and not test_samples:
-        raise ConfigurationError(
-            f"the temporal split leaves no test window (days {days}, t_in {cfg.t_in}, "
-            f"t_out {cfg.t_out}, train_fraction {cfg.train_fraction})"
-        )
+        raise ConfigurationError(f"the temporal split leaves no test window {split}")
     labels = {}
     if scoring or cfg.granularity != "single":
         path = _require(out / CLUSTERS_FILE, "cluster")
@@ -149,17 +151,14 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
 
 
 def _load_model(cfg: RunConfig, out: Path, vocab_size: int, tag: str):
-    """Build the configured model and load its checkpoint, which must have
-    been trained under the same model config."""
+    """Load a checkpoint, which must have been trained under the
+    configured model config."""
     path = _require(_checkpoint_path(out, tag), "train")
-    config = cfg.model_config(vocab_size)
-    trained, state = load_checkpoint(path)
-    for name, value in asdict(config).items():
-        if getattr(trained, name) != value:
-            raise ArtifactError(f"{path}: trained with {name} = {getattr(trained, name)!r}, "
+    model = load_checkpoint(path)
+    for name, value in asdict(cfg.model_config(vocab_size)).items():
+        if getattr(model.config, name) != value:
+            raise ArtifactError(f"{path}: trained with {name} = {getattr(model.config, name)!r}, "
                                 f"the config gives {value!r}")
-    model = build_model(config)
-    model.params.load_state(state)
     return model
 
 
@@ -167,7 +166,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
     vocab_size, train_samples, test_samples, labels = _prepare(cfg, out)
     units = training_units(cfg.granularity, train_samples, test_samples, labels)
     for tag, model, losses, _ in train_units(cfg.model_config(vocab_size), units, cfg.train_spec()):
-        save_checkpoint(_checkpoint_path(out, tag), model.params, model.config)
+        save_checkpoint(_checkpoint_path(out, tag), model)
         with open(out / f"loss_{tag}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "loss"])
@@ -269,6 +268,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ArtifactError as exc:
         print(f"otcforecast: unreadable artifact {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an artifact or output path that cannot be used
+        print(f"otcforecast: unusable path: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"otcforecast: numeric failure: {exc}", file=sys.stderr)

@@ -223,7 +223,7 @@ def parse_config(path: str | None = None) -> RunConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
         parser = configparser.ConfigParser(
             delimiters=("=", ":"),

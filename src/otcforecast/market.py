@@ -401,7 +401,8 @@ def load_histories(path) -> tuple[list[DealerHistory], int, int]:
     """Read a histories.bin file written by :func:`save_histories`.
 
     Raises ArtifactError unless the header, every length prefix, id and
-    bitmap are complete and no byte follows the last dealer.
+    bitmap are complete, no dealer id repeats and no byte follows the last
+    dealer.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -422,12 +423,17 @@ def load_histories(path) -> tuple[list[DealerHistory], int, int]:
     (count,) = struct.unpack("<I", take(4, "the dealer count"))
     bitmap_bytes = (days * 2 * vocab_size + 7) // 8
     histories = []
+    first_index: dict[str, int] = {}
     for i in range(count):
         (id_len,) = struct.unpack("<H", take(2, f"the id length of dealer {i}"))
         try:
             dealer_id = take(id_len, f"the id of dealer {i}").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ArtifactError(f"{path}: dealer {i} id is not UTF-8") from exc
+        if dealer_id in first_index:
+            raise ArtifactError(f"{path}: dealer {i} repeats the id {dealer_id!r} "
+                                f"of dealer {first_index[dealer_id]}")
+        first_index[dealer_id] = i
         matrix = _unpack_bits(take(bitmap_bytes, f"the bitmap of dealer {dealer_id}"),
                               (days, 2 * vocab_size))
         histories.append(DealerHistory(dealer_id, matrix))

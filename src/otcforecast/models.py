@@ -82,34 +82,26 @@ class ModelConfig:
 
 
 class Parameters:
-    """Ordered, uniquely named collection of trainable tensors.
+    """Ordered, uniquely named trainable tensors packed into one vector.
 
-    On first access, :attr:`flat` packs every tensor into one contiguous
-    float64 vector, in :meth:`names` order, and rebinds each tensor's
-    ``values`` to a view of it; no tensor may be added after that.
+    The constructor copies the arrays, in insertion (:meth:`names`) order,
+    into :attr:`flat`, one contiguous float64 vector, and each tensor's
+    ``values`` is a view of it.  A snapshot is ``flat.copy()`` and a
+    restore is ``flat[:] = snapshot``.
     """
 
-    def __init__(self):
-        self._tensors: dict[str, Tensor] = {}
-        self._flat: np.ndarray | None = None
-
-    def add(self, name: str, values: np.ndarray) -> Tensor:
-        if self._flat is not None:
-            raise ContractError(f"cannot add parameter {name!r}: the parameters are packed")
-        if name in self._tensors:
-            raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(values, requires_grad=True)
-        self._tensors[name] = t
-        return t
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        self._tensors = {name: Tensor(values, requires_grad=True) for name, values in arrays.items()}
+        self.flat = np.empty(sum(t.values.size for t in self._tensors.values()))
+        offset = 0
+        for t in self._tensors.values():
+            view = self.flat[offset:offset + t.values.size].reshape(t.values.shape)
+            view[...] = t.values
+            t.values = view
+            offset += view.size
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
 
     def names(self) -> list[str]:
         return list(self._tensors)
@@ -117,70 +109,37 @@ class Parameters:
     def tensors(self) -> list[Tensor]:
         return list(self._tensors.values())
 
-    def items(self):
-        return self._tensors.items()
-
-    def count_values(self) -> int:
-        return sum(t.values.size for t in self._tensors.values())
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Every parameter value in one vector that the tensors view."""
-        if self._flat is None:
-            flat = np.empty(self.count_values())
-            offset = 0
-            for t in self._tensors.values():
-                view = flat[offset:offset + t.values.size].reshape(t.values.shape)
-                view[...] = t.values
-                t.values = view
-                offset += view.size
-            self._flat = flat
-        return self._flat
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.values.copy() for name, t in self._tensors.items()}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        missing = set(self._tensors) - set(state)
-        surplus = set(state) - set(self._tensors)
-        if missing or surplus:
-            raise ContractError(
-                f"parameter name mismatch: missing {sorted(missing)}, surplus {sorted(surplus)}"
-            )
-        for name, tensor in self._tensors.items():
-            values = np.asarray(state[name], dtype=np.float64)
-            if values.shape != tensor.values.shape:
-                raise ShapeMismatchError(
-                    f"parameter {name}: checkpoint shape {values.shape} != {tensor.values.shape}"
-                )
-            tensor.values[...] = values
-
 
 class _Builder:
     """Draws parameter initializations in a fixed order from one generator."""
 
-    def __init__(self, params: Parameters, rng: np.random.Generator):
-        self.params = params
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
+        self.arrays: dict[str, np.ndarray] = {}
 
-    def matrix(self, name: str, rows: int, cols: int) -> Tensor:
+    def _add(self, name: str, values: np.ndarray) -> None:
+        if name in self.arrays:
+            raise ContractError(f"duplicate parameter name {name!r}")
+        self.arrays[name] = values
+
+    def matrix(self, name: str, rows: int, cols: int) -> None:
         bound = 1.0 / math.sqrt(rows)
-        return self.params.add(name, self.rng.uniform(-bound, bound, size=(rows, cols)))
+        self._add(name, self.rng.uniform(-bound, bound, size=(rows, cols)))
 
-    def table(self, name: str, rows: int, cols: int) -> Tensor:
+    def table(self, name: str, rows: int, cols: int) -> None:
         # lookup tables scale with the embedding width, not the row count
         bound = 1.0 / math.sqrt(cols)
-        return self.params.add(name, self.rng.uniform(-bound, bound, size=(rows, cols)))
+        self._add(name, self.rng.uniform(-bound, bound, size=(rows, cols)))
 
-    def vector(self, name: str, n: int) -> Tensor:
+    def vector(self, name: str, n: int) -> None:
         bound = 1.0 / math.sqrt(n)
-        return self.params.add(name, self.rng.uniform(-bound, bound, size=n))
+        self._add(name, self.rng.uniform(-bound, bound, size=n))
 
-    def zeros(self, name: str, shape=()) -> Tensor:
-        return self.params.add(name, np.zeros(shape))
+    def zeros(self, name: str, shape=()) -> None:
+        self._add(name, np.zeros(shape))
 
-    def ones(self, name: str, n: int) -> Tensor:
-        return self.params.add(name, np.ones(n))
+    def ones(self, name: str, n: int) -> None:
+        self._add(name, np.ones(n))
 
 
 def positional_encoding(length: int, d_model: int) -> np.ndarray:
@@ -258,14 +217,14 @@ class FCModel:
         self.config = config
         width = 2 * config.vocab_size
         in_width = width if config.kind == "FCSum" else config.t_in * width
-        self.params = Parameters()
-        b = _Builder(self.params, rng_for(config.seed, "init", config.kind))
+        b = _Builder(rng_for(config.seed, "init", config.kind))
         b.matrix("fc.w1", in_width, config.hidden)
         b.zeros("fc.b1", config.hidden)
         b.matrix("fc.w2", config.hidden, config.hidden)
         b.zeros("fc.b2", config.hidden)
         b.matrix("fc.w3", config.hidden, width)
         b.zeros("fc.b3", width)
+        self.params = Parameters(b.arrays)
 
     def forward(self, input_days: np.ndarray, teacher: np.ndarray | None = None) -> Tensor:
         cfg = self.config
@@ -294,8 +253,7 @@ class RecurrentModel:
         self.config = config
         width = 2 * config.vocab_size
         hidden = config.hidden
-        self.params = Parameters()
-        b = _Builder(self.params, rng_for(config.seed, "init", config.kind))
+        b = _Builder(rng_for(config.seed, "init", config.kind))
         directions = ("fwd", "bwd") if config.kind == "BiLSTM" else ("fwd",)
         for direction in directions:
             for gate in self._GATES:
@@ -305,6 +263,7 @@ class RecurrentModel:
         readout_width = hidden * len(directions)
         b.matrix("readout.w", readout_width, width)
         b.zeros("readout.b", width)
+        self.params = Parameters(b.arrays)
 
     def _run_direction(self, data: np.ndarray, direction: str) -> Tensor:
         """Step over axis -2 of (..., T, 2V) inputs; returns the final (..., H) state."""
@@ -357,13 +316,12 @@ class TransformerModel:
         self.config = config
         self.embed_mode = embed_mode
         self.residual_mode = residual_mode
-        self.params = Parameters()
-        self._build()
+        self.params = self._build()
 
-    def _build(self):
+    def _build(self) -> Parameters:
         cfg = self.config
         d, width = cfg.d_model, 2 * cfg.vocab_size
-        b = _Builder(self.params, rng_for(cfg.seed, "init", cfg.kind))
+        b = _Builder(rng_for(cfg.seed, "init", cfg.kind))
         if self.embed_mode == "affine":
             b.matrix("embed.w", width, d)
             b.zeros("embed.b", d)
@@ -382,6 +340,7 @@ class TransformerModel:
             self._build_residual(b, f"decoder.l{i}", sublayers=3)
         b.matrix("head.w", d, width)
         b.zeros("head.b", width)
+        return Parameters(b.arrays)
 
     def _build_attention(self, b: _Builder, prefix: str):
         d = self.config.d_model
@@ -546,37 +505,28 @@ def build_model(config: ModelConfig):
 
 
 CHECKPOINT_MAGIC = "otcforecast-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-def save_checkpoint(path, params: Parameters, config: ModelConfig) -> None:
-    """Manifest line (magic, version, the model config, and name, shape and
-    byte offset per parameter) + packed little-endian f64."""
-    manifest = []
-    offset = 0
-    blobs = []
-    for name, tensor in params.items():
-        blob = np.ascontiguousarray(tensor.values, dtype="<f8").tobytes()
-        manifest.append({"name": name, "shape": list(tensor.values.shape), "offset": offset})
-        offset += len(blob)
-        blobs.append(blob)
+def save_checkpoint(path, model) -> None:
+    """Manifest line (magic, version and the model config) + the model's
+    packed parameter vector as little-endian f64."""
     header = {"magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
-              "config": asdict(config), "entries": manifest}
+              "config": asdict(model.config)}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(model.params.flat.astype("<f8").tobytes())
 
 
-def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    """Read a checkpoint written by :func:`save_checkpoint`: the config it
-    was trained with and its parameter values.
+def load_checkpoint(path):
+    """Rebuild the model a checkpoint written by :func:`save_checkpoint`
+    holds: :func:`build_model` of the stored config, with the payload
+    copied into its parameter vector.
 
-    Raises ArtifactError unless the manifest line parses, carries the
-    magic, this format version and a valid model config, and its entries
-    tile the payload exactly: in order, from offset 0, with no bytes
-    missing or left over.
+    Raises ArtifactError unless the manifest line parses and carries the
+    magic, this format version and a complete, valid model config, and
+    the payload holds exactly that config's parameter count.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -592,25 +542,14 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         config = ModelConfig(**manifest["config"])
         if asdict(config) != manifest["config"]:
             raise ValueError(f"incomplete model config {manifest['config']}")
-        layout = [
-            (str(entry["name"]), tuple(int(n) for n in entry["shape"]), int(entry["offset"]))
-            for entry in manifest["entries"]
-        ]
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise ArtifactError(f"{path}: malformed manifest ({exc})") from exc
-    state = {}
-    end = 0
-    for name, shape, offset in layout:
-        if offset != end or any(n < 0 for n in shape):
-            raise ArtifactError(f"{path}: entry {name!r} has shape {shape} at offset {offset}, "
-                                f"expected offset {end}")
-        count = math.prod(shape)
-        end = offset + 8 * count
-        if end > len(payload):
-            raise ArtifactError(f"{path}: truncated payload: entry {name!r} ends at byte {end}, "
-                                f"payload has {len(payload)}")
-        values = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
-        state[name] = values.astype(np.float64)
-    if end != len(payload):
-        raise ArtifactError(f"{path}: {len(payload) - end} trailing payload bytes")
-    return config, state
+    model = build_model(config)
+    flat = model.params.flat
+    expected = 8 * flat.size
+    if len(payload) < expected:
+        raise ArtifactError(f"{path}: truncated payload: {len(payload)} of {expected} bytes")
+    if len(payload) > expected:
+        raise ArtifactError(f"{path}: {len(payload) - expected} trailing payload bytes")
+    flat[:] = np.frombuffer(payload, dtype="<f8")
+    return model

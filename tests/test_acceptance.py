@@ -175,17 +175,13 @@ def test_c3_pprz_rezero_reduction():
     worst = 0.0
     trials = 0
     for round_ in range(5):
-        state = pprz.params.state_dict()
-        twin_state = {}
-        for name in state:
+        for name in pprz.params.names():
             if name.endswith(".gate"):
                 c = float(rng.normal(scale=0.5))
-                state[name] = np.full(TOY["d_model"], c)
-                twin_state[name] = np.asarray(c)
+                pprz.params[name].values[...] = c
+                twin.params[name].values[...] = c
             else:
-                twin_state[name] = state[name]
-        pprz.params.load_state(state)
-        twin.params.load_state(twin_state)
+                twin.params[name].values[...] = pprz.params[name].values
         for i in range(20):
             x = day_matrix(3, 8, 1000 * round_ + i)
             teacher = day_matrix(2, 8, 2000 * round_ + i)

@@ -1,5 +1,6 @@
 """Config parsing and end-to-end command-line pipeline tests."""
 
+import json
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from otcforecast.clustering import load_assignment
 from otcforecast.config import parse_config, write_resolved
 from otcforecast.errors import ArtifactError, ConfigurationError
 from otcforecast.harness import run_granularity_experiment, write_reports
-from otcforecast.models import MODEL_KINDS
+from otcforecast.models import MODEL_KINDS, load_checkpoint
 
 TINY_CONFIG = """\
 [market]
@@ -194,6 +195,29 @@ class TestPipeline:
         assert self.run("gen", "-c", str(path)) == 1
         assert "t_inn" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes("[run]\n# d\xe9j\xe0 vu\nseed = 3\n".encode("latin-1"))
+        assert self.run("gen", "-c", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("otcforecast: config error:")
+        assert "latin1.ini" in err
+
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        cfg_path, _ = write_config(tmp_path, out=out)
+        assert self.run("gen", "-c", str(cfg_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out) in err
+
+    def test_histories_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path)
+        (out / "histories.bin").mkdir(parents=True)
+        assert self.run("cluster", "-c", str(cfg_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out / "histories.bin") in err
+
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             self.run("frobnicate")
@@ -301,21 +325,30 @@ class TestPipeline:
         assert self.run("compare", "-c", str(cfg_path)) == 0
         assert loads == [out / "histories.bin"]
 
-    @pytest.mark.parametrize("command", ["eval", "compare"])
-    def test_empty_test_split_exits_1_before_training(self, tmp_path, capsys, command):
-        # days 30, t_in 3, t_out 2 and train_fraction 0.9: boundary day 27
-        # leaves no room for a 5-day window after it
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("train_fraction = 0.8", "train_fraction = 0.9"))
+    @pytest.mark.parametrize("command, train_fraction, split", [
+        pytest.param("eval", "0.9", "test", id="eval"),
+        pytest.param("compare", "0.9", "test", id="compare"),
+        *(pytest.param(command, "0.1", "training", id=f"{command}-no-training-window")
+          for command in ("train", "eval", "compare", "stats")),
+    ])
+    def test_empty_test_split_exits_1_before_training(self, tmp_path, capsys, command,
+                                                      train_fraction, split):
+        # days 30, t_in 3, t_out 2: a 5-day window fits neither after the
+        # boundary day 27 of train_fraction 0.9 (no test window) nor before
+        # the boundary day 3 of train_fraction 0.1 (no training window)
+        cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(
+            "train_fraction = 0.8", f"train_fraction = {train_fraction}"))
         for step in ("gen", "cluster"):
             assert self.run(step, "-c", str(cfg_path)) == 0, step
+        artifacts = sorted(out.iterdir())
         capsys.readouterr()
         assert self.run(command, "-c", str(cfg_path)) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("otcforecast: config error:")
-        for key in ("no test window", "days 30", "t_in 3", "t_out 2", "train_fraction 0.9"):
+        for key in (f"no {split} window", "days 30", "t_in 3", "t_out 2",
+                    f"train_fraction {train_fraction}"):
             assert key in err, key
-        assert not list(out.glob("compare_*.csv")) and not (out / "report.csv").exists()
+        assert sorted(out.iterdir()) == artifacts
 
     @pytest.mark.parametrize("cut", [0, 7, 0.5, -1])
     def test_truncated_checkpoint_exits_2(self, tmp_path, capsys, cut):
@@ -448,18 +481,40 @@ class TestCheckpointConfig:
             assert err.count("\n") == 1 and "unreadable artifact" in err
             assert "checkpoint_single.ckpt" in err and "heads = 4" in err and "2" in err
 
-    def test_old_manifest_without_magic_exits_2(self, tmp_path, capsys):
+    def rewrite_as_old_format(self, tmp_path, header_of):
+        """Train, then replace the checkpoint's manifest line with
+        ``header_of(manifest, entries)``, where ``entries`` is the per-tensor
+        name/shape/offset table of the version 1 format; the payload bytes
+        of both formats are the same."""
         cfg_path, out = write_config(tmp_path)
         for command in ("gen", "cluster", "train"):
             assert main([command, "-c", str(cfg_path)]) == 0, command
         path = out / "checkpoint_single.ckpt"
         header, payload = path.read_bytes().split(b"\n", 1)
-        entries = header[header.index(b'"entries"'):]
-        path.write_bytes(b"{" + entries + b"\n" + payload)
+        entries, offset = [], 0
+        params = load_checkpoint(path).params
+        for name, tensor in zip(params.names(), params.tensors()):
+            entries.append({"name": name, "shape": list(tensor.shape), "offset": offset})
+            offset += 8 * tensor.values.size
+        old = header_of(json.loads(header), entries)
+        path.write_bytes(json.dumps(old, separators=(",", ":")).encode() + b"\n" + payload)
+        return cfg_path
+
+    def test_old_manifest_without_magic_exits_2(self, tmp_path, capsys):
+        cfg_path = self.rewrite_as_old_format(tmp_path, lambda _, entries: {"entries": entries})
         capsys.readouterr()
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "malformed manifest" in err
+
+    def test_version_1_checkpoint_exits_2(self, tmp_path, capsys):
+        cfg_path = self.rewrite_as_old_format(
+            tmp_path, lambda manifest, entries: {**manifest, "version": 1, "entries": entries})
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert "malformed manifest (version 1, expected 2)" in err
 
 
 def truncate(path, cut):

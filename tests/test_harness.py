@@ -208,12 +208,10 @@ class TestScoreUnits:
 class TestTrain:
     def test_zero_epochs_keeps_params(self):
         model = build_model(toy_config())
-        before = model.params.state_dict()
+        before = model.params.flat.copy()
         _, losses = train(model, random_samples(3, seed=8), TrainSpec(epochs=0))
         assert losses == []
-        after = model.params.state_dict()
-        for name in before:
-            np.testing.assert_array_equal(before[name], after[name])
+        np.testing.assert_array_equal(model.params.flat, before)
 
     def test_loss_curve_deterministic(self):
         spec = TrainSpec(epochs=3, batch_size=2, learning_rate=0.01, seed=9)
@@ -254,7 +252,7 @@ class TestTrain:
         trained = build_model(toy_config(kind))
         flat = trained.params.flat
         train(trained, samples, spec)
-        reference = build_model(toy_config(kind))  # never packed
+        reference = build_model(toy_config(kind))
         params = reference.params.tensors()
         moments = [(np.zeros_like(p.values), np.zeros_like(p.values)) for p in params]
         order = rng_for(spec.seed, "shuffle", 0).permutation(len(samples))
@@ -290,8 +288,7 @@ class TestTrain:
             config = _Config()
 
             def __init__(self):
-                self.params = Parameters()
-                self.params.add("w", np.asarray(1e-308))
+                self.params = Parameters({"w": np.asarray(1e-308)})
 
             def forward(self, input_days, teacher=None):
                 big = Tensor(np.full(np.shape(teacher), 1e308))

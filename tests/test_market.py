@@ -361,6 +361,15 @@ class TestFileFormats:
             with pytest.raises(ArtifactError, match="truncated"):
                 load_histories(path)
 
+    def test_histories_repeated_dealer_rejected(self, tmp_path):
+        # at individual granularity the two dealers' windows would merge
+        # into one unit
+        hist = market.DealerHistory("D0000", np.zeros((3, 4), dtype=np.uint8))
+        path = tmp_path / "hist.bin"
+        save_histories(path, [hist, hist], 3, 2)
+        with pytest.raises(ArtifactError, match="dealer 1 repeats the id 'D0000' of dealer 0"):
+            load_histories(path)
+
     def test_histories_trailing_bytes_and_bad_header_rejected(self, tmp_path):
         path, blob = self.small_histories_file(tmp_path)
         for corrupt, reason in ((blob + b"\0", "trailing"), (b"XXXX" + blob[4:], "magic"),

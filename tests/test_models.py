@@ -12,7 +12,9 @@ from otcforecast.errors import ArtifactError, ConfigurationError, ContractError,
 from otcforecast.models import (
     MODEL_KINDS,
     ModelConfig,
+    Parameters,
     TransformerModel,
+    _Builder,
     build_model,
     cte_encode,
     load_checkpoint,
@@ -66,16 +68,15 @@ class TestBuildContracts:
 
     def test_build_determinism(self):
         for kind in MODEL_KINDS:
-            a = build_model(toy_config(kind, seed=42)).params.state_dict()
-            b = build_model(toy_config(kind, seed=42)).params.state_dict()
-            assert set(a) == set(b)
-            for name in a:
-                np.testing.assert_array_equal(a[name], b[name])
+            a = build_model(toy_config(kind, seed=42)).params
+            b = build_model(toy_config(kind, seed=42)).params
+            assert a.names() == b.names()
+            np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_param_count_is_config_pure(self):
         for kind in MODEL_KINDS:
-            c1 = build_model(toy_config(kind, seed=1)).params.count_values()
-            c2 = build_model(toy_config(kind, seed=99)).params.count_values()
+            c1 = build_model(toy_config(kind, seed=1)).params.flat.size
+            c2 = build_model(toy_config(kind, seed=99)).params.flat.size
             assert c1 == c2
 
     def test_invalid_kind_rejected(self):
@@ -374,20 +375,14 @@ class TestTransformer:
         cfg = toy_config("TransPPRZ", n_layers=2, seed=5)
         pprz = build_model(cfg)
         twin = TransformerModel(cfg, embed_mode="cte", residual_mode="scalar")
-        state = pprz.params.state_dict()
         rng = np.random.default_rng(18)
-        constants = {}
-        for name in list(state):
+        for name in pprz.params.names():
             if name.endswith(".gate"):
                 c = float(rng.normal(scale=0.5))
-                constants[name] = c
-                state[name] = np.full(4, c)
-        pprz.params.load_state(state)
-        twin_state = {
-            name: (np.asarray(constants[name]) if name.endswith(".gate") else state[name])
-            for name in state
-        }
-        twin.params.load_state(twin_state)
+                pprz.params[name].values[...] = c
+                twin.params[name].values[...] = c
+            else:
+                twin.params[name].values[...] = pprz.params[name].values
         for trial in range(5):
             x = random_day_matrix(3, 8, 100 + trial)
             teacher = random_day_matrix(2, 8, 200 + trial)
@@ -405,41 +400,28 @@ class TestTransformer:
 
 
 class TestCheckpoints:
+    def trained(self, kind, **overrides):
+        """A model whose parameters differ from a fresh build of its config."""
+        model = build_model(toy_config(kind, **{"seed": 23, **overrides}))
+        model.params.flat[:] = np.random.default_rng(24).normal(size=model.params.flat.size)
+        return model
+
     def test_round_trip_bit_exact(self, tmp_path):
         for kind in ("FCSum", "BiLSTM", "TransPPRZ"):
-            model = build_model(toy_config(kind, seed=23))
+            model = self.trained(kind)
             path = tmp_path / f"{kind}.ckpt"
-            save_checkpoint(path, model.params, model.config)
-            config, state = load_checkpoint(path)
-            assert config == model.config
-            fresh = build_model(toy_config(kind, seed=77))
-            fresh.params.load_state(state)
-            for name, tensor in model.params.items():
-                loaded = fresh.params[name].values
-                assert loaded.shape == tensor.values.shape
-                assert np.array_equal(loaded, tensor.values)
-                assert loaded.tobytes() == tensor.values.tobytes()
-
-    def test_name_mismatch_rejected(self, tmp_path):
-        model = build_model(toy_config("TransRE"))
-        path = tmp_path / "re.ckpt"
-        save_checkpoint(path, model.params, model.config)
-        other = build_model(toy_config("TransPPRZ"))
-        with pytest.raises(ContractError):
-            other.params.load_state(load_checkpoint(path)[1])
-
-    def test_shape_mismatch_rejected(self, tmp_path):
-        model = build_model(toy_config("FCSum"))
-        path = tmp_path / "fc.ckpt"
-        save_checkpoint(path, model.params, model.config)
-        bigger = build_model(toy_config("FCSum", hidden=6))
-        with pytest.raises(ShapeMismatchError):
-            bigger.params.load_state(load_checkpoint(path)[1])
+            save_checkpoint(path, model)
+            loaded = load_checkpoint(path)
+            assert type(loaded) is type(model)
+            assert loaded.config == model.config
+            assert loaded.params.names() == model.params.names()
+            assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+            x = random_day_matrix(3, 8, 24)
+            np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
 
     def test_truncated_at_every_offset_rejected(self, tmp_path):
         path = tmp_path / "fc.ckpt"
-        model = build_model(toy_config("FCSum"))
-        save_checkpoint(path, model.params, model.config)
+        save_checkpoint(path, self.trained("FCSum"))
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
@@ -448,31 +430,34 @@ class TestCheckpoints:
 
     def test_malformed_manifest_and_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "fc.ckpt"
-        model = build_model(toy_config("FCSum"))
-        save_checkpoint(path, model.params, model.config)
+        save_checkpoint(path, self.trained("FCSum"))
         blob = path.read_bytes()
         header, payload = blob.split(b"\n", 1)
-        shifted = header.replace(b'"offset":0', b'"offset":8', 1)
-        for corrupt, reason in ((blob + b"\0", "trailing"), (b"{" + blob, "malformed"),
-                                (b'{"entries":3}\n' + payload, "malformed"),
-                                (shifted + b"\n" + payload, "offset")):
+        extra = np.float64(1.5).astype("<f8").tobytes()
+        for corrupt, reason in ((blob + extra, "8 trailing"), (blob + b"\0", "1 trailing"),
+                                (b"{" + blob, "malformed"),
+                                (b'{"entries":3}\n' + payload, "malformed")):
             path.write_bytes(corrupt)
             with pytest.raises(ArtifactError, match=reason):
                 load_checkpoint(path)
 
     def test_manifest_carries_magic_version_and_config(self, tmp_path):
         path = tmp_path / "re.ckpt"
-        model = build_model(toy_config("TransRE", heads=4, seed=3))
-        save_checkpoint(path, model.params, model.config)
-        manifest = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert manifest["magic"] == "otcforecast-checkpoint" and manifest["version"] == 1
+        model = self.trained("TransRE", heads=4, seed=3)
+        save_checkpoint(path, model)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        manifest = json.loads(header)
+        assert set(manifest) == {"magic", "version", "config"}
+        assert manifest["magic"] == "otcforecast-checkpoint" and manifest["version"] == 2
         assert manifest["config"] == {"kind": "TransRE", "vocab_size": 8, "t_in": 3, "t_out": 2,
                                       "d_model": 4, "heads": 4, "n_layers": 1, "d_ff": 8,
                                       "hidden": 4, "seed": 3}
+        # the payload is the packed vector, in names() order
+        assert payload == model.params.flat.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("edit", [
         ("otcforecast-checkpoint", "otcforecast-histories"),
-        ('"version":1', '"version":2'),
+        ('"version":2', '"version":1'),
         ('"heads":2', '"heads":3'),  # d_model 4 is not divisible by 3
         ('"kind":"TransRE"', '"kind":"MLP"'),
         ('"hidden":4,', ''),
@@ -480,8 +465,7 @@ class TestCheckpoints:
     ])
     def test_bad_magic_version_or_config_rejected(self, tmp_path, edit):
         path = tmp_path / "re.ckpt"
-        model = build_model(toy_config("TransRE"))
-        save_checkpoint(path, model.params, model.config)
+        save_checkpoint(path, self.trained("TransRE"))
         header, payload = path.read_bytes().split(b"\n", 1)
         old, new = edit
         assert old.encode() in header
@@ -492,23 +476,26 @@ class TestCheckpoints:
 
 class TestFlatParameters:
     def test_flat_views_every_tensor_in_names_order(self):
+        arrays = {"w": np.arange(6.0).reshape(2, 3), "gate": np.asarray(7.0), "b": np.ones(4)}
+        params = Parameters(arrays)
+        assert params.names() == ["w", "gate", "b"]
+        np.testing.assert_array_equal(
+            params.flat, np.concatenate([a.reshape(-1) for a in arrays.values()]))
+        arrays["w"][0, 0] = -1.0  # the constructor copied the arrays
+        assert params["w"].values[0, 0] == 0.0
         for kind in MODEL_KINDS:
             params = build_model(toy_config(kind)).params
-            before = params.state_dict()
             flat = params.flat
             assert flat.dtype == np.float64 and flat.ndim == 1
-            assert flat.size == params.count_values()
-            np.testing.assert_array_equal(
-                flat, np.concatenate([before[name].reshape(-1) for name in params.names()]))
             offset = 0
-            for name in params.names():
-                values = params[name].values
-                assert values.shape == before[name].shape, name
-                assert np.shares_memory(values, flat), name
+            # harness.train gathers gradients in tensors() order into flat's layout
+            for name, tensor in zip(params.names(), params.tensors()):
+                values = tensor.values
+                assert tensor is params[name] and np.shares_memory(values, flat), name
                 assert values.__array_interface__["data"][0] == (
                     flat.__array_interface__["data"][0] + 8 * offset), name
                 offset += values.size
-            assert params.flat is flat
+            assert offset == flat.size
 
     def test_scalar_gate_packs_as_a_0d_view(self):
         params = build_model(toy_config("TransRE")).params
@@ -518,17 +505,8 @@ class TestFlatParameters:
         flat[:] = 7.0
         assert params["encoder.l0.gate"].item() == 7.0
 
-    def test_load_state_writes_through_to_flat(self):
-        params = build_model(toy_config("TransPPRZ")).params
-        flat = params.flat
-        state = {name: np.full(t.shape, float(i)) for i, (name, t) in enumerate(params.items())}
-        params.load_state(state)
-        np.testing.assert_array_equal(
-            flat, np.concatenate([state[name].reshape(-1) for name in params.names()]))
-
-    def test_add_after_packing_rejected(self):
-        params = build_model(toy_config("FCSum")).params
-        params.add("extra", np.zeros(2))
-        params.flat
-        with pytest.raises(ContractError, match="packed"):
-            params.add("late", np.zeros(2))
+    def test_duplicate_name_rejected_at_build(self):
+        b = _Builder(np.random.default_rng(0))
+        b.matrix("head.w", 2, 2)
+        with pytest.raises(ContractError, match="duplicate parameter name 'head.w'"):
+            b.zeros("head.w", 2)
