@@ -332,12 +332,13 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start:stop of the last axis, on any leading shape."""
     def vjp(g):
         da = np.zeros_like(a.values)
-        da[:, start:stop] = g
+        da[..., start:stop] = g
         return (da,)
 
-    return _record("slice_cols", (a,), a.values[:, start:stop].copy(), vjp)
+    return _record("slice_cols", (a,), a.values[..., start:stop].copy(), vjp)
 
 
 def _concat(name: str, parts: Sequence[Tensor], axis: int) -> Tensor:

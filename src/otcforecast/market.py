@@ -74,10 +74,6 @@ class MarketSpec:
         if self.dense_rate < 0:
             raise ContractError(f"dense_rate {self.dense_rate} must be nonnegative")
 
-    @property
-    def total_dealers(self) -> int:
-        return self.periodic_dealers + self.sparse_dealers + self.dense_dealers
-
 
 @dataclass
 class Vocabulary:
@@ -382,7 +378,12 @@ def _unpack_bits(blob: bytes, shape: tuple[int, int]) -> np.ndarray:
 
 def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: int) -> None:
     """Binary layout: 16-byte header (magic, version, D, V), then per dealer
-    a length-prefixed id and the packed D x 2V bitmap."""
+    a length-prefixed id and the packed D x 2V bitmap; a repeated id raises ContractError first."""
+    first_index: dict[str, int] = {}
+    for i, h in enumerate(histories):
+        if first_index.setdefault(h.dealer_id, i) != i:
+            raise ContractError(f"dealer {i} repeats the id {h.dealer_id!r} "
+                                f"of dealer {first_index[h.dealer_id]}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, days, vocab_size))
         fh.write(struct.pack("<I", len(histories)))

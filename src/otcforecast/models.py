@@ -117,29 +117,32 @@ class _Builder:
         self.rng = rng
         self.arrays: dict[str, np.ndarray] = {}
 
-    def _add(self, name: str, values: np.ndarray) -> None:
+    def add(self, name: str, values: np.ndarray) -> None:
         if name in self.arrays:
             raise ContractError(f"duplicate parameter name {name!r}")
         self.arrays[name] = values
 
-    def matrix(self, name: str, rows: int, cols: int) -> None:
+    def draw(self, rows: int, cols: int) -> np.ndarray:
         bound = 1.0 / math.sqrt(rows)
-        self._add(name, self.rng.uniform(-bound, bound, size=(rows, cols)))
+        return self.rng.uniform(-bound, bound, size=(rows, cols))
+
+    def matrix(self, name: str, rows: int, cols: int) -> None:
+        self.add(name, self.draw(rows, cols))
 
     def table(self, name: str, rows: int, cols: int) -> None:
         # lookup tables scale with the embedding width, not the row count
         bound = 1.0 / math.sqrt(cols)
-        self._add(name, self.rng.uniform(-bound, bound, size=(rows, cols)))
+        self.add(name, self.rng.uniform(-bound, bound, size=(rows, cols)))
 
     def vector(self, name: str, n: int) -> None:
         bound = 1.0 / math.sqrt(n)
-        self._add(name, self.rng.uniform(-bound, bound, size=n))
+        self.add(name, self.rng.uniform(-bound, bound, size=n))
 
     def zeros(self, name: str, shape=()) -> None:
-        self._add(name, np.zeros(shape))
+        self.add(name, np.zeros(shape))
 
     def ones(self, name: str, n: int) -> None:
-        self._add(name, np.ones(n))
+        self.add(name, np.ones(n))
 
 
 def positional_encoding(length: int, d_model: int) -> np.ndarray:
@@ -245,9 +248,10 @@ class FCModel:
 
 
 class RecurrentModel:
-    """LSTM / BiLSTM over the day vectors, read out from the final state(s)."""
+    """LSTM / BiLSTM over the day vectors, read out from the final state(s).
 
-    _GATES = ("i", "f", "g", "o")
+    A direction holds ``wx`` (2V, 4H), ``wh`` (H, 4H) and ``b`` (4H), gate
+    blocks i, f, g, o: the stacked-gate layout of PyTorch's ``nn.LSTM``."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
@@ -256,10 +260,11 @@ class RecurrentModel:
         b = _Builder(rng_for(config.seed, "init", config.kind))
         directions = ("fwd", "bwd") if config.kind == "BiLSTM" else ("fwd",)
         for direction in directions:
-            for gate in self._GATES:
-                b.matrix(f"lstm.{direction}.wx_{gate}", width, hidden)
-                b.matrix(f"lstm.{direction}.wh_{gate}", hidden, hidden)
-                b.zeros(f"lstm.{direction}.b_{gate}", hidden)
+            # gate by gate, the input block then the recurrent one
+            wx, wh = zip(*[(b.draw(width, hidden), b.draw(hidden, hidden)) for _ in "ifgo"])
+            b.add(f"lstm.{direction}.wx", np.concatenate(wx, axis=1))
+            b.add(f"lstm.{direction}.wh", np.concatenate(wh, axis=1))
+            b.zeros(f"lstm.{direction}.b", 4 * hidden)
         readout_width = hidden * len(directions)
         b.matrix("readout.w", readout_width, width)
         b.zeros("readout.b", width)
@@ -268,24 +273,18 @@ class RecurrentModel:
     def _run_direction(self, data: np.ndarray, direction: str) -> Tensor:
         """Step over axis -2 of (..., T, 2V) inputs; returns the final (..., H) state."""
         p = self.params
-        state_shape = (*data.shape[:-2], self.config.hidden)
-        h = Tensor(np.zeros(state_shape))
-        c = Tensor(np.zeros(state_shape))
-        for step in range(data.shape[-2]):
-            x_t = Tensor(data[..., step, :])
-            pre = {}
-            for gate in self._GATES:
-                pre[gate] = ad.add_rowvec(
-                    ad.add(
-                        ad.matmul(x_t, p[f"lstm.{direction}.wx_{gate}"]),
-                        ad.matmul(h, p[f"lstm.{direction}.wh_{gate}"]),
-                    ),
-                    p[f"lstm.{direction}.b_{gate}"],
-                )
-            i = ad.sigmoid(pre["i"])
-            f = ad.sigmoid(pre["f"])
-            g = ad.tanh(pre["g"])
-            o = ad.sigmoid(pre["o"])
+        hidden = self.config.hidden
+        *lead, steps, _ = data.shape
+        gates = 4 * hidden
+        projected = ad.add_rowvec(ad.matmul(Tensor(data), p[f"lstm.{direction}.wx"]),
+                                  p[f"lstm.{direction}.b"])
+        projected = ad.reshape(projected, (*lead, steps * gates))
+        h = c = Tensor(np.zeros((*lead, hidden)))
+        for step in range(steps):
+            pre = ad.add(ad.slice_cols(projected, step * gates, (step + 1) * gates),
+                         ad.matmul(h, p[f"lstm.{direction}.wh"]))
+            i, f, g, o = (ad.slice_cols(pre, k * hidden, (k + 1) * hidden) for k in range(4))
+            i, f, g, o = ad.sigmoid(i), ad.sigmoid(f), ad.tanh(g), ad.sigmoid(o)
             c = ad.add(ad.mul(f, c), ad.mul(i, g))
             h = ad.mul(o, ad.tanh(c))
         return h
@@ -308,14 +307,11 @@ class RecurrentModel:
 class TransformerModel:
     """Encoder-decoder Transformer with configurable embedding and residuals."""
 
-    def __init__(self, config: ModelConfig, embed_mode: str | None = None, residual_mode: str | None = None):
-        if embed_mode is None or residual_mode is None:
-            if config.kind not in _TRANSFORMER_MODES:
-                raise ConfigurationError(f"{config.kind!r} is not a transformer kind")
-            embed_mode, residual_mode = _TRANSFORMER_MODES[config.kind]
+    def __init__(self, config: ModelConfig):
+        if config.kind not in _TRANSFORMER_MODES:
+            raise ConfigurationError(f"{config.kind!r} is not a transformer kind")
         self.config = config
-        self.embed_mode = embed_mode
-        self.residual_mode = residual_mode
+        self.embed_mode, self.residual_mode = _TRANSFORMER_MODES[config.kind]
         self.params = self._build()
 
     def _build(self) -> Parameters:
@@ -505,7 +501,7 @@ def build_model(config: ModelConfig):
 
 
 CHECKPOINT_MAGIC = "otcforecast-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path, model) -> None:

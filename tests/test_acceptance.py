@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import otcforecast.autodiff as ad
-from otcforecast import market
+from otcforecast import market, models
 from otcforecast.autodiff import Tensor, finite_diff_check
 from otcforecast.cli import main
 from otcforecast.harness import (
@@ -26,7 +26,6 @@ from otcforecast.market import MarketSpec, Sample, split_boundary, split_train_t
 from otcforecast.models import (
     MODEL_KINDS,
     ModelConfig,
-    TransformerModel,
     build_model,
     positional_encoding,
 )
@@ -167,10 +166,12 @@ def test_c2_identity_at_init():
     report(2, f"encoder == embed + positional encoding at init, max dev {worst:.1e}")
 
 
-def test_c3_pprz_rezero_reduction():
+def test_c3_pprz_rezero_reduction(monkeypatch):
     config = ModelConfig(kind="TransPPRZ", seed=6, **{**TOY, "n_layers": 2})
     pprz = build_model(config)
-    twin = TransformerModel(config, embed_mode="cte", residual_mode="scalar")
+    # the CTE embedding under scalar gates, a pairing no kind has
+    monkeypatch.setitem(models._TRANSFORMER_MODES, "TransPPRZ", ("cte", "scalar"))
+    twin = build_model(config)
     rng = np.random.default_rng(7)
     worst = 0.0
     trials = 0

@@ -119,6 +119,16 @@ class TestBatchedOps:
 
         assert finite_diff_check(f, [v, a, b]) < FD_BOUND
 
+    def test_slice_cols_on_leading_axes(self):
+        a = rand((2, 3, 5), 28)
+        assert ad.slice_cols(a, 1, 4).shape == (2, 3, 3)
+
+        def f():
+            left, right = ad.slice_cols(a, 0, 2), ad.slice_cols(a, 1, 5)
+            return ad.add(ad.sum_all(ad.mul(left, left)), ad.sum_all(ad.mul(right, right)))
+
+        assert finite_diff_check(f, [a]) < FD_BOUND
+
     def attention_params(self, seed):
         rng = np.random.default_rng(seed)
         names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")

@@ -514,7 +514,38 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "malformed manifest (version 1, expected 2)" in err
+        assert "malformed manifest (version 1, expected 3)" in err
+
+    @pytest.mark.parametrize("kind, commands", [("LSTM", ("eval",)),
+                                                ("TransPPRZ", ("eval", "stats"))])
+    def test_version_2_checkpoint_exits_2(self, tmp_path, capsys, kind, commands):
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", f"kind = {kind}"))
+        for command in ("gen", "cluster", "train"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        path = out / "checkpoint_single.ckpt"
+        header, payload = path.read_bytes().split(b"\n", 1)
+        # version 2 stored each LSTM direction gate by gate: wx_i, wh_i, b_i, wx_f, ...
+        model = load_checkpoint(path)
+        params, hidden = model.params, model.config.hidden
+        parts = []
+        for name in params.names():
+            if name.endswith(".wx"):
+                parts += [params[name[:-2] + weight].values[..., k * hidden:(k + 1) * hidden]
+                          for k in range(4) for weight in ("wx", "wh", "b")]
+            elif not name.startswith("lstm."):
+                parts.append(params[name].values)
+        old = b"".join(np.ascontiguousarray(part).astype("<f8").tobytes() for part in parts)
+        # same length, so for an LSTM only the version tells a scrambled load apart
+        assert len(old) == len(payload) and (old != payload) == (kind == "LSTM")
+        manifest = {**json.loads(header), "version": 2}
+        path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + old)
+        capsys.readouterr()
+        for command in commands:
+            assert main([command, "-c", str(cfg_path)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "unreadable artifact" in err
+            assert "malformed manifest (version 2, expected 3)" in err
 
 
 def truncate(path, cut):

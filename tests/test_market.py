@@ -1,6 +1,7 @@
 """Generator, cleaning, history, windowing, split, and file-format tests."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -366,9 +367,21 @@ class TestFileFormats:
         # into one unit
         hist = market.DealerHistory("D0000", np.zeros((3, 4), dtype=np.uint8))
         path = tmp_path / "hist.bin"
-        save_histories(path, [hist, hist], 3, 2)
+        save_histories(path, [hist], 3, 2)
+        # the writer refuses a repeat, so the second record is spliced in:
+        # 16-byte header, u32 dealer count, then the dealer's record
+        blob = path.read_bytes()
+        path.write_bytes(blob[:16] + struct.pack("<I", 2) + 2 * blob[20:])
         with pytest.raises(ArtifactError, match="dealer 1 repeats the id 'D0000' of dealer 0"):
             load_histories(path)
+
+    def test_save_histories_rejects_repeated_dealer_before_writing(self, tmp_path):
+        hists = [market.DealerHistory(ident, np.zeros((3, 4), dtype=np.uint8))
+                 for ident in ("D0", "D1", "D0")]
+        path = tmp_path / "hist.bin"
+        with pytest.raises(ContractError, match="dealer 2 repeats the id 'D0' of dealer 0"):
+            save_histories(path, hists, 3, 2)
+        assert not path.exists()
 
     def test_histories_trailing_bytes_and_bad_header_rejected(self, tmp_path):
         path, blob = self.small_histories_file(tmp_path)

@@ -2,19 +2,21 @@
 causality, and checkpoint round-trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 import otcforecast.autodiff as ad
+from otcforecast import models
 from otcforecast.autodiff import Tensor
 from otcforecast.errors import ArtifactError, ConfigurationError, ContractError, ShapeMismatchError
 from otcforecast.models import (
     MODEL_KINDS,
     ModelConfig,
     Parameters,
-    TransformerModel,
     _Builder,
+    _squash,
     build_model,
     cte_encode,
     load_checkpoint,
@@ -22,6 +24,7 @@ from otcforecast.models import (
     residual_block,
     save_checkpoint,
 )
+from otcforecast.seeding import rng_for
 
 
 @pytest.fixture(autouse=True)
@@ -160,10 +163,10 @@ class TestRecurrentModels:
         cfg = ModelConfig(kind="LSTM", vocab_size=1, t_in=2, t_out=1, hidden=1, seed=0)
         model = build_model(cfg)
         wx, wh, b = 0.3, -0.2, 0.1
-        for gate in "ifgo":
-            model.params[f"lstm.fwd.wx_{gate}"].values[...] = wx
-            model.params[f"lstm.fwd.wh_{gate}"].values[...] = wh
-            model.params[f"lstm.fwd.b_{gate}"].values[...] = b
+        # every gate block of the stacked tensors gets the same value
+        model.params["lstm.fwd.wx"].values[...] = wx
+        model.params["lstm.fwd.wh"].values[...] = wh
+        model.params["lstm.fwd.b"].values[...] = b
         model.params["readout.w"].values[...] = 1.0
         model.params["readout.b"].values[...] = 0.0
         x = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -183,6 +186,124 @@ class TestRecurrentModels:
         expected = (np.tanh(h * 1.0) + 1.0) / 2.0
         out = model.predict(x.astype(np.uint8))
         np.testing.assert_allclose(out, np.full((1, 2), expected), atol=1e-12)
+
+    def test_stacked_layout_holds_the_per_gate_draws(self):
+        # blocks drawn gate by gate, wx then wh, in i, f, g, o order
+        width, hidden = 16, 4
+        for kind, directions in (("LSTM", ("fwd",)), ("BiLSTM", ("fwd", "bwd"))):
+            params = build_model(toy_config(kind, seed=7)).params
+            rng = rng_for(7, "init", kind)
+            names = [f"lstm.{d}.{w}" for d in directions for w in ("wx", "wh", "b")]
+            assert params.names() == names + ["readout.w", "readout.b"]
+            for direction in directions:
+                wx, wh = params[f"lstm.{direction}.wx"], params[f"lstm.{direction}.wh"]
+                assert wx.shape == (width, 4 * hidden) and wh.shape == (hidden, 4 * hidden)
+                for k in range(4):
+                    block = slice(k * hidden, (k + 1) * hidden)
+                    for weight, rows in ((wx, width), (wh, hidden)):
+                        bound = 1.0 / math.sqrt(rows)
+                        np.testing.assert_array_equal(
+                            weight.values[:, block],
+                            rng.uniform(-bound, bound, size=(rows, hidden)))
+                np.testing.assert_array_equal(params[f"lstm.{direction}.b"].values,
+                                              np.zeros(4 * hidden))
+            bound = 1.0 / math.sqrt(hidden * len(directions))
+            np.testing.assert_array_equal(
+                params["readout.w"].values,
+                rng.uniform(-bound, bound, size=(hidden * len(directions), width)))
+
+    @pytest.mark.parametrize("kind", ["LSTM", "BiLSTM"])
+    @pytest.mark.parametrize("lead", [(), (4,)], ids=["window", "batch"])
+    def test_stacked_model_matches_per_gate_reference(self, kind, lead):
+        model = build_model(toy_config(kind, seed=8))
+        hidden = model.config.hidden
+        flat = model.params.flat
+        flat[:] = np.random.default_rng(9).normal(scale=0.5, size=flat.size)
+        days = random_day_matrix(math.prod(lead) * 3, 8, 10).reshape(*lead, 3, 16)
+        blocks = per_gate_weights(model)
+        readout = [model.params["readout.w"], model.params["readout.b"]]
+        stacked_out = model.forward(days)
+        stacked = ad.backward(ad.sum_all(ad.mul(stacked_out, stacked_out)),
+                              model.params.tensors())
+        ad.reset_tape()
+        reference_out = per_gate_lstm(model, days, blocks)
+        reference = ad.backward(ad.sum_all(ad.mul(reference_out, reference_out)),
+                                list(blocks.values()) + readout)
+        assert stacked_out.shape == (*lead, 2, 16)
+        np.testing.assert_allclose(stacked_out.values, reference_out.values, rtol=0, atol=1e-12)
+        reference = dict(zip(list(blocks) + ["readout.w", "readout.b"], reference))
+        for name, grad in zip(model.params.names(), stacked):
+            if name.startswith("lstm."):
+                _, direction, weight = name.split(".")
+                for k, gate in enumerate("ifgo"):
+                    np.testing.assert_allclose(
+                        grad[..., k * hidden:(k + 1) * hidden],
+                        reference[f"{direction}.{weight}_{gate}"],
+                        rtol=0, atol=1e-12, err_msg=f"{name} block {gate}")
+            else:
+                np.testing.assert_allclose(grad, reference[name], rtol=0, atol=1e-12,
+                                           err_msg=name)
+
+    @pytest.mark.parametrize("kind, per_step, once", [("LSTM", 1, 2), ("BiLSTM", 2, 3)])
+    def test_one_input_projection_per_window(self, monkeypatch, kind, per_step, once):
+        # per direction: one input projection, then one recurrent product a
+        # step; plus the readout
+        shapes = []
+        matmul = ad.matmul
+        monkeypatch.setattr(ad, "matmul", lambda a, b: shapes.append(a.shape) or matmul(a, b))
+        for t_in in (3, 6):
+            model = build_model(toy_config(kind, t_in=t_in))
+            shapes.clear()
+            model.forward(random_day_matrix(2 * t_in, 8, 11).reshape(2, t_in, 16))
+            assert len(shapes) == per_step * t_in + once, shapes
+            assert shapes.count((2, t_in, 16)) == per_step
+
+
+def per_gate_weights(model):
+    """Split each stacked LSTM tensor into its i, f, g, o gate blocks, as
+    fresh leaves named '<dir>.wx_<gate>', '<dir>.wh_<gate>', '<dir>.b_<gate>'."""
+    hidden = model.config.hidden
+    blocks = {}
+    for name in model.params.names():
+        if name.startswith("lstm."):
+            _, direction, weight = name.split(".")
+            values = model.params[name].values
+            for k, gate in enumerate("ifgo"):
+                blocks[f"{direction}.{weight}_{gate}"] = Tensor(
+                    values[..., k * hidden:(k + 1) * hidden], requires_grad=True)
+    return blocks
+
+
+def per_gate_lstm(model, days, blocks):
+    """Reference recurrent forward: the per-gate LSTM step, eight matmuls a
+    step, that the stacked layout replaced; the readout is the model's."""
+    data = np.asarray(days, dtype=np.float64)
+    hidden = model.config.hidden
+    finals = []
+    for direction in ("fwd", "bwd") if model.config.kind == "BiLSTM" else ("fwd",):
+        seq = data if direction == "fwd" else data[..., ::-1, :]
+        h = Tensor(np.zeros((*seq.shape[:-2], hidden)))
+        c = Tensor(np.zeros((*seq.shape[:-2], hidden)))
+        for step in range(seq.shape[-2]):
+            x_t = Tensor(seq[..., step, :])
+            pre = {}
+            for gate in "ifgo":
+                pre[gate] = ad.add_rowvec(
+                    ad.add(ad.matmul(x_t, blocks[f"{direction}.wx_{gate}"]),
+                           ad.matmul(h, blocks[f"{direction}.wh_{gate}"])),
+                    blocks[f"{direction}.b_{gate}"],
+                )
+            i = ad.sigmoid(pre["i"])
+            f = ad.sigmoid(pre["f"])
+            g = ad.tanh(pre["g"])
+            o = ad.sigmoid(pre["o"])
+            c = ad.add(ad.mul(f, c), ad.mul(i, g))
+            h = ad.mul(o, ad.tanh(c))
+        finals.append(h)
+    h = ad.concat_cols(finals) if len(finals) > 1 else finals[0]
+    p = model.params
+    day = _squash(ad.add_rowvec(ad.matmul(h, p["readout.w"]), p["readout.b"]))
+    return ad.tile_rows(day, model.config.t_out)
 
 
 def embedding_bag_cte(days, bond_table, action_table):
@@ -371,10 +492,12 @@ class TestTransformer:
                 if name.endswith(".gate"):
                     assert np.abs(grads[name]).max() > 0, name
 
-    def test_pprz_reduces_to_scalar_gate_model(self):
+    def test_pprz_reduces_to_scalar_gate_model(self, monkeypatch):
         cfg = toy_config("TransPPRZ", n_layers=2, seed=5)
         pprz = build_model(cfg)
-        twin = TransformerModel(cfg, embed_mode="cte", residual_mode="scalar")
+        # the CTE embedding under scalar gates, a pairing no kind has
+        monkeypatch.setitem(models._TRANSFORMER_MODES, "TransPPRZ", ("cte", "scalar"))
+        twin = build_model(cfg)
         rng = np.random.default_rng(18)
         for name in pprz.params.names():
             if name.endswith(".gate"):
@@ -448,7 +571,7 @@ class TestCheckpoints:
         header, payload = path.read_bytes().split(b"\n", 1)
         manifest = json.loads(header)
         assert set(manifest) == {"magic", "version", "config"}
-        assert manifest["magic"] == "otcforecast-checkpoint" and manifest["version"] == 2
+        assert manifest["magic"] == "otcforecast-checkpoint" and manifest["version"] == 3
         assert manifest["config"] == {"kind": "TransRE", "vocab_size": 8, "t_in": 3, "t_out": 2,
                                       "d_model": 4, "heads": 4, "n_layers": 1, "d_ff": 8,
                                       "hidden": 4, "seed": 3}
@@ -457,7 +580,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("edit", [
         ("otcforecast-checkpoint", "otcforecast-histories"),
-        ('"version":2', '"version":1'),
+        ('"version":3', '"version":2'),
         ('"heads":2', '"heads":3'),  # d_model 4 is not divisible by 3
         ('"kind":"TransRE"', '"kind":"MLP"'),
         ('"hidden":4,', ''),
