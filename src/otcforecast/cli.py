@@ -13,7 +13,6 @@ import argparse
 import csv
 import hashlib
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import market
@@ -151,15 +150,8 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
 
 
 def _load_model(cfg: RunConfig, out: Path, vocab_size: int, tag: str):
-    """Load a checkpoint, which must have been trained under the
-    configured model config."""
-    path = _require(_checkpoint_path(out, tag), "train")
-    model = load_checkpoint(path)
-    for name, value in asdict(cfg.model_config(vocab_size)).items():
-        if getattr(model.config, name) != value:
-            raise ArtifactError(f"{path}: trained with {name} = {getattr(model.config, name)!r}, "
-                                f"the config gives {value!r}")
-    return model
+    return load_checkpoint(_require(_checkpoint_path(out, tag), "train"),
+                           cfg.model_config(vocab_size))
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> None:

@@ -1,174 +1,111 @@
 """Run configuration: line-oriented ``key = value`` files with sections.
 
-Unknown sections or keys are rejected so typos fail loudly; missing keys
-fall back to documented defaults.  The fully resolved configuration is
-echoed next to every artifact a command produces.
+Every setting is declared once, as a :class:`RunConfig` field that carries
+its section, default, constraint text and check; its type annotation picks
+the parser.  Unknown sections or keys are rejected so typos fail loudly;
+missing keys fall back to the defaults.  The fully resolved configuration
+is echoed next to every artifact a command produces.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import Field, dataclass, field, fields
 from typing import Any, Callable
 
 from .errors import ConfigurationError
 from .harness import GRANULARITIES, TrainSpec
 from .market import MarketSpec
-from .models import MODEL_KINDS, TRANSFORMER_KINDS, ModelConfig
+from .models import MODEL_KINDS, ModelConfig
 from .seeding import derive_seed
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw.strip())
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw.strip())
+def _parse_finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
 
 
 def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
+    if raw.lower() in ("1", "true", "yes", "on"):
         return True
-    if lowered in ("0", "false", "no", "off"):
+    if raw.lower() in ("0", "false", "no", "off"):
         return False
-    raise ValueError(lowered)
+    raise ValueError(raw)
 
 
-def _parse_str(raw: str) -> str:
-    return raw.strip()
-
-
-def _parse_optional_int(raw: str) -> int | None:
-    raw = raw.strip()
-    return int(raw) if raw else None
-
-
-@dataclass(frozen=True)
-class _Key:
-    name: str
-    parse: Callable[[str], Any]
-    default: Any
-    constraint: str = ""
-    check: Callable[[Any], bool] | None = None
-
-
-def _positive(x) -> bool:
-    return x >= 1
-
-
-def _nonnegative(x) -> bool:
-    return x >= 0
-
-
-def _unit_interval(x) -> bool:
-    return 0.0 <= x <= 1.0
-
-
-def _open_unit(x) -> bool:
-    return 0.0 < x < 1.0
-
-
-SCHEMA: dict[str, tuple[_Key, ...]] = {
-    "market": (
-        _Key("days", _parse_int, 249, "an integer >= 1", _positive),
-        _Key("bonds", _parse_int, 500, "an integer >= 0", _nonnegative),
-        _Key("periodic_dealers", _parse_int, 80, "an integer >= 0", _nonnegative),
-        _Key("sparse_dealers", _parse_int, 80, "an integer >= 0", _nonnegative),
-        _Key("dense_dealers", _parse_int, 40, "an integer >= 0", _nonnegative),
-        _Key("periodic_min_period", _parse_int, 2, "an integer >= 1", _positive),
-        _Key("periodic_max_period", _parse_int, 7, "an integer >= 1", _positive),
-        _Key("periodic_min_bonds", _parse_int, 2, "an integer >= 1", _positive),
-        _Key("periodic_max_bonds", _parse_int, 6, "an integer >= 1", _positive),
-        _Key("periodic_buy_prob", _parse_float, 0.6, "a float in [0, 1]", _unit_interval),
-        _Key("sparse_rate", _parse_float, 0.1, "a float in [0, 1]", _unit_interval),
-        _Key("dense_rate", _parse_float, 8.0, "a float >= 0", _nonnegative),
-        _Key("dense_min_bonds", _parse_int, 50, "an integer >= 0", _nonnegative),
-        _Key("dense_max_bonds", _parse_int, 150, "an integer >= 0", _nonnegative),
-        _Key("cancellation_rate", _parse_float, 0.02, "a float in [0, 1]", _unit_interval),
-    ),
-    "filters": (
-        _Key("top_dealers", _parse_int, 200, "an integer >= 1", _positive),
-        _Key("top_bonds", _parse_int, 500, "an integer >= 1", _positive),
-        _Key("drop_top_bonds", _parse_bool, False, "a boolean"),
-    ),
-    "window": (
-        _Key("t_in", _parse_int, 5, "an integer >= 1", _positive),
-        _Key("t_out", _parse_int, 5, "an integer >= 1", _positive),
-        _Key("stride", _parse_int, 1, "an integer >= 1", _positive),
-    ),
-    "split": (
-        _Key("train_fraction", _parse_float, 0.9, "a float in (0, 1)", _open_unit),
-    ),
-    "model": (
-        _Key("kind", _parse_str, "TransPPRZ", f"one of {', '.join(MODEL_KINDS)}",
-             lambda v: v in MODEL_KINDS),
-        _Key("d_model", _parse_int, 64, "an integer >= 1", _positive),
-        _Key("heads", _parse_int, 4, "an integer >= 1", _positive),
-        _Key("n_layers", _parse_int, 2, "an integer >= 1", _positive),
-        _Key("d_ff", _parse_int, 128, "an integer >= 1", _positive),
-        _Key("hidden", _parse_int, 64, "an integer >= 1", _positive),
-    ),
-    "train": (
-        _Key("epochs", _parse_int, 10, "an integer >= 0", _nonnegative),
-        _Key("batch_size", _parse_int, 16, "an integer >= 1", _positive),
-        _Key("learning_rate", _parse_float, 0.01, "a float > 0", lambda v: v > 0),
-        _Key("threshold", _parse_float, 0.5, "a float in (0, 1)", _open_unit),
-        _Key("patience", _parse_optional_int, None, "an integer >= 1 or empty",
-             lambda v: v is None or v >= 1),
-    ),
-    "run": (
-        _Key("seed", _parse_int, 0, "an integer", lambda v: True),
-        _Key("granularity", _parse_str, "single", f"one of {', '.join(GRANULARITIES)}",
-             lambda v: v in GRANULARITIES),
-        _Key("output_dir", _parse_str, "runs/default", "a path"),
-        _Key("eval_mode", _parse_str, "per_day", "one of per_day, union",
-             lambda v: v in ("per_day", "union")),
-        _Key("probe_samples", _parse_int, 64, "an integer >= 1", _positive),
-    ),
+# a field's type annotation picks the parser of its stripped raw value
+PARSERS: dict[str, Callable[[str], Any]] = {
+    "int": int,
+    "float": _parse_finite,
+    "bool": _parse_bool,
+    "str": str,
+    "int | None": lambda raw: int(raw) if raw else None,
 }
+
+_AT_LEAST_1 = ("an integer >= 1", lambda v: v >= 1)
+_AT_LEAST_0 = ("an integer >= 0", lambda v: v >= 0)
+_RATE = ("a float in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_OPEN_RATE = ("a float in (0, 1)", lambda v: 0.0 < v < 1.0)
+
+
+def _one_of(choices: tuple[str, ...]) -> tuple[str, Callable[[Any], bool]]:
+    return f"one of {', '.join(choices)}", lambda v: v in choices
+
+
+def _setting(section: str, default: Any, rule: tuple[str, Callable[[Any], bool] | None]):
+    constraint, check = rule
+    return field(default=default,
+                  metadata={"section": section, "constraint": constraint, "check": check})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    days: int
-    bonds: int
-    periodic_dealers: int
-    sparse_dealers: int
-    dense_dealers: int
-    periodic_min_period: int
-    periodic_max_period: int
-    periodic_min_bonds: int
-    periodic_max_bonds: int
-    periodic_buy_prob: float
-    sparse_rate: float
-    dense_rate: float
-    dense_min_bonds: int
-    dense_max_bonds: int
-    cancellation_rate: float
-    top_dealers: int
-    top_bonds: int
-    drop_top_bonds: bool
-    t_in: int
-    t_out: int
-    stride: int
-    train_fraction: float
-    kind: str
-    d_model: int
-    heads: int
-    n_layers: int
-    d_ff: int
-    hidden: int
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    threshold: float
-    patience: int | None
-    seed: int
-    granularity: str
-    output_dir: str
-    eval_mode: str
-    probe_samples: int
+    """Every run setting, in sections of the config file and in file order."""
+
+    days: int = _setting("market", MarketSpec.days, _AT_LEAST_1)
+    bonds: int = _setting("market", MarketSpec.bonds, _AT_LEAST_0)
+    periodic_dealers: int = _setting("market", MarketSpec.periodic_dealers, _AT_LEAST_0)
+    sparse_dealers: int = _setting("market", MarketSpec.sparse_dealers, _AT_LEAST_0)
+    dense_dealers: int = _setting("market", MarketSpec.dense_dealers, _AT_LEAST_0)
+    periodic_min_period: int = _setting("market", MarketSpec.periodic_period_range[0], _AT_LEAST_1)
+    periodic_max_period: int = _setting("market", MarketSpec.periodic_period_range[1], _AT_LEAST_1)
+    periodic_min_bonds: int = _setting("market", MarketSpec.periodic_bonds_range[0], _AT_LEAST_1)
+    periodic_max_bonds: int = _setting("market", MarketSpec.periodic_bonds_range[1], _AT_LEAST_1)
+    periodic_buy_prob: float = _setting("market", MarketSpec.periodic_buy_prob, _RATE)
+    sparse_rate: float = _setting("market", MarketSpec.sparse_rate, _RATE)
+    dense_rate: float = _setting("market", MarketSpec.dense_rate,
+                                 ("a float >= 0", lambda v: v >= 0))
+    dense_min_bonds: int = _setting("market", MarketSpec.dense_bonds_range[0], _AT_LEAST_0)
+    dense_max_bonds: int = _setting("market", MarketSpec.dense_bonds_range[1], _AT_LEAST_0)
+    cancellation_rate: float = _setting("market", MarketSpec.cancellation_rate, _RATE)
+    top_dealers: int = _setting("filters", 200, _AT_LEAST_1)
+    top_bonds: int = _setting("filters", 500, _AT_LEAST_1)
+    drop_top_bonds: bool = _setting("filters", False, ("a boolean", None))
+    t_in: int = _setting("window", 5, _AT_LEAST_1)
+    t_out: int = _setting("window", 5, _AT_LEAST_1)
+    stride: int = _setting("window", 1, _AT_LEAST_1)
+    train_fraction: float = _setting("split", 0.9, _OPEN_RATE)
+    kind: str = _setting("model", "TransPPRZ", _one_of(MODEL_KINDS))
+    d_model: int = _setting("model", ModelConfig.d_model, _AT_LEAST_1)
+    heads: int = _setting("model", ModelConfig.heads, _AT_LEAST_1)
+    n_layers: int = _setting("model", ModelConfig.n_layers, _AT_LEAST_1)
+    d_ff: int = _setting("model", ModelConfig.d_ff, _AT_LEAST_1)
+    hidden: int = _setting("model", ModelConfig.hidden, _AT_LEAST_1)
+    epochs: int = _setting("train", TrainSpec.epochs, _AT_LEAST_0)
+    batch_size: int = _setting("train", TrainSpec.batch_size, _AT_LEAST_1)
+    learning_rate: float = _setting("train", TrainSpec.learning_rate,
+                                    ("a float > 0", lambda v: v > 0))
+    threshold: float = _setting("train", TrainSpec.threshold, _OPEN_RATE)
+    patience: int | None = _setting("train", TrainSpec.patience,
+                                    ("an integer >= 1 or empty", lambda v: v is None or v >= 1))
+    seed: int = _setting("run", 0, ("an integer", None))
+    granularity: str = _setting("run", "single", _one_of(GRANULARITIES))
+    output_dir: str = _setting("run", "runs/default", ("a path", None))
+    eval_mode: str = _setting("run", "per_day", _one_of(("per_day", "union")))
+    probe_samples: int = _setting("run", 64, _AT_LEAST_1)
 
     def market_spec(self) -> MarketSpec:
         return MarketSpec(
@@ -212,13 +149,28 @@ class RunConfig:
         )
 
 
-def _defaults() -> dict[str, Any]:
-    return {key.name: key.default for keys in SCHEMA.values() for key in keys}
+# section -> {key -> field}, both in declaration order
+_SECTIONS: dict[str, dict[str, Field]] = {}
+for _field in fields(RunConfig):
+    _SECTIONS.setdefault(_field.metadata["section"], {})[_field.name] = _field
+
+
+def _parse_value(section: str, key: Field, raw: str) -> Any:
+    error = ConfigurationError(
+        f"[{section}] {key.name} must be {key.metadata['constraint']}, got {raw!r}")
+    parse, check = PARSERS[key.type], key.metadata["check"]
+    try:
+        value = parse(raw.strip())
+    except ValueError as exc:
+        raise error from exc
+    if check is not None and not check(value):
+        raise error
+    return value
 
 
 def parse_config(path: str | None = None) -> RunConfig:
     """Parse a config file into a RunConfig; None means all defaults."""
-    values = _defaults()
+    values = {}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -237,41 +189,27 @@ def parse_config(path: str | None = None) -> RunConfig:
         if parser.defaults():
             raise ConfigurationError("unknown section [DEFAULT]")
         for section in parser.sections():
-            if section not in SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigurationError(f"unknown section [{section}]")
-            known = {key.name: key for key in SCHEMA[section]}
             for name, raw in parser.items(section):
-                if name not in known:
+                if name not in _SECTIONS[section]:
                     raise ConfigurationError(f"unknown key '{name}' in section [{section}]")
-                key = known[name]
-                try:
-                    value = key.parse(raw)
-                except ValueError as exc:
-                    raise ConfigurationError(
-                        f"[{section}] {name} must be {key.constraint}, got {raw!r}"
-                    ) from exc
-                if key.check is not None and not key.check(value):
-                    raise ConfigurationError(
-                        f"[{section}] {name} must be {key.constraint}, got {raw!r}"
-                    )
-                values[name] = value
-    _cross_validate(values)
-    return RunConfig(**values)
+                values[name] = _parse_value(section, _SECTIONS[section][name], raw)
+    config = RunConfig(**values)
+    _cross_validate(config)
+    return config
 
 
-def _cross_validate(values: dict[str, Any]) -> None:
+def _cross_validate(config: RunConfig) -> None:
     for lo, hi in (
         ("periodic_min_period", "periodic_max_period"),
         ("periodic_min_bonds", "periodic_max_bonds"),
         ("dense_min_bonds", "dense_max_bonds"),
     ):
-        if values[lo] > values[hi]:
-            raise ConfigurationError(f"{lo} ({values[lo]}) exceeds {hi} ({values[hi]})")
-    if values["kind"] in TRANSFORMER_KINDS:
-        if values["d_model"] % values["heads"] != 0:
+        if getattr(config, lo) > getattr(config, hi):
             raise ConfigurationError(
-                f"[model] d_model ({values['d_model']}) must be divisible by heads ({values['heads']})"
-            )
+                f"{lo} ({getattr(config, lo)}) exceeds {hi} ({getattr(config, hi)})")
+    config.model_config(1)  # ModelConfig validates the model settings
 
 
 def _format_value(value: Any) -> str:
@@ -283,10 +221,10 @@ def _format_value(value: Any) -> str:
 
 
 def write_resolved(config: RunConfig, path) -> None:
-    """Echo the fully resolved configuration in schema order."""
+    """Echo the fully resolved configuration in declaration order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for section, keys in SCHEMA.items():
+        for section, keys in _SECTIONS.items():
             fh.write(f"[{section}]\n")
-            for key in keys:
-                fh.write(f"{key.name} = {_format_value(getattr(config, key.name))}\n")
+            for name in keys:
+                fh.write(f"{name} = {_format_value(getattr(config, name))}\n")
             fh.write("\n")

@@ -282,23 +282,22 @@ def windowize(
     """Slide an input/output window over one history.
 
     Yields floor((D - t_in - t_out) / stride) + 1 samples when that span is
-    nonnegative, else none.
+    nonnegative, else none.  Each sample's days are read-only views of
+    the history's ``day_vectors``, not copies.
     """
     if t_in < 1 or t_out < 1 or stride < 1:
         raise ContractError("windowize needs t_in, t_out, stride >= 1")
-    days = history.day_vectors.shape[0]
-    samples = []
-    for start in range(0, days - t_in - t_out + 1, stride):
-        block = history.day_vectors
-        samples.append(
-            Sample(
-                dealer_id=history.dealer_id,
-                start_day=start,
-                input_days=block[start:start + t_in].copy(),
-                target_days=block[start + t_in:start + t_in + t_out].copy(),
-            )
+    block = history.day_vectors.view()
+    block.flags.writeable = False
+    return [
+        Sample(
+            dealer_id=history.dealer_id,
+            start_day=start,
+            input_days=block[start:start + t_in],
+            target_days=block[start + t_in:start + t_in + t_out],
         )
-    return samples
+        for start in range(0, block.shape[0] - t_in - t_out + 1, stride)
+    ]
 
 
 def split_boundary(days: int, train_fraction: float) -> int:

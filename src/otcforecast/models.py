@@ -515,31 +515,39 @@ def save_checkpoint(path, model) -> None:
         fh.write(model.params.flat.astype("<f8").tobytes())
 
 
-def load_checkpoint(path):
-    """Rebuild the model a checkpoint written by :func:`save_checkpoint`
-    holds: :func:`build_model` of the stored config, with the payload
-    copied into its parameter vector.
+def load_checkpoint(path, config: ModelConfig):
+    """Load the model a checkpoint written by :func:`save_checkpoint`
+    holds, which must have been trained under ``config``.
 
-    Raises ArtifactError unless the manifest line parses and carries the
-    magic, this format version and a complete, valid model config, and
-    the payload holds exactly that config's parameter count.
+    Raises ArtifactError, in this order, unless the manifest line is
+    complete, parses and carries the magic, this format version and a
+    model config with exactly ``config``'s fields; unless those fields
+    equal ``config``'s (the message names the first that differs); and
+    unless the payload holds exactly ``config``'s parameter count.  The
+    model is built only after the config check, so a manifest cannot
+    choose what is allocated.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
     if not header.endswith(b"\n"):
         raise ArtifactError(f"{path}: truncated manifest line")
+    given = asdict(config)
     try:
         manifest = json.loads(header.decode("utf-8"))
         if manifest["magic"] != CHECKPOINT_MAGIC:
             raise ValueError(f"magic {manifest['magic']!r}, expected {CHECKPOINT_MAGIC!r}")
         if manifest["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"version {manifest['version']!r}, expected {CHECKPOINT_VERSION}")
-        config = ModelConfig(**manifest["config"])
-        if asdict(config) != manifest["config"]:
-            raise ValueError(f"incomplete model config {manifest['config']}")
+        stored = manifest["config"]
+        if not isinstance(stored, dict) or stored.keys() != given.keys():
+            raise ValueError(f"model config {stored}, expected the fields {', '.join(given)}")
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise ArtifactError(f"{path}: malformed manifest ({exc})") from exc
+    for name, value in given.items():
+        if stored[name] != value:
+            raise ArtifactError(f"{path}: trained with {name} = {stored[name]!r}, "
+                                f"the config gives {value!r}")
     model = build_model(config)
     flat = model.params.flat
     expected = 8 * flat.size

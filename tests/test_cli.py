@@ -1,7 +1,11 @@
 """Config parsing and end-to-end command-line pipeline tests."""
 
 import json
+import re
+import tracemalloc
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ import pytest
 from otcforecast import cli, harness, market
 from otcforecast.cli import main
 from otcforecast.clustering import load_assignment
-from otcforecast.config import parse_config, write_resolved
+from otcforecast.config import PARSERS, RunConfig, parse_config, write_resolved
 from otcforecast.errors import ArtifactError, ConfigurationError
 from otcforecast.harness import run_granularity_experiment, write_reports
 from otcforecast.models import MODEL_KINDS, load_checkpoint
@@ -68,6 +72,50 @@ def write_config(tmp_path, text=None, **format_args):
     out = format_args.pop("out", tmp_path / "artifacts")
     path.write_text((text or TINY_CONFIG).format(out=out, **format_args))
     return path, out
+
+
+# a non-default valid and an invalid raw value per RunConfig field; a path
+# has no invalid value
+SETTING_VALUES = {
+    "days": ("30", "0"),
+    "bonds": ("7", "-1"),
+    "periodic_dealers": ("3", "-1"),
+    "sparse_dealers": ("0", "2.5"),
+    "dense_dealers": ("1", "x"),
+    "periodic_min_period": ("3", "0"),
+    "periodic_max_period": ("9", "0"),
+    "periodic_min_bonds": ("1", "0"),
+    "periodic_max_bonds": ("8", ""),
+    "periodic_buy_prob": ("0.25", "1.5"),
+    "sparse_rate": ("0.0", "-0.1"),
+    "dense_rate": ("2.5", "-1"),
+    "dense_min_bonds": ("10", "-1"),
+    "dense_max_bonds": ("200", "-1"),
+    "cancellation_rate": ("1.0", "2"),
+    "top_dealers": ("12", "0"),
+    "top_bonds": ("9", "0"),
+    "drop_top_bonds": ("yes", "maybe"),
+    "t_in": ("7", "0"),
+    "t_out": ("2", "0"),
+    "stride": ("3", "0"),
+    "train_fraction": ("0.75", "1.0"),
+    "kind": ("LSTM", "MLP"),
+    "d_model": ("32", "0"),
+    "heads": ("8", "0"),
+    "n_layers": ("1", "0"),
+    "d_ff": ("16", "0"),
+    "hidden": ("16", "0"),
+    "epochs": ("0", "-1"),
+    "batch_size": ("4", "0"),
+    "learning_rate": ("0.5", "0"),
+    "threshold": ("0.3", "1"),
+    "patience": ("3", "0"),
+    "seed": ("-7", "1.5"),
+    "granularity": ("cluster", "global"),
+    "output_dir": ("runs/other", None),
+    "eval_mode": ("union", "max"),
+    "probe_samples": ("8", "0"),
+}
 
 
 class TestParseConfig:
@@ -148,6 +196,66 @@ class TestParseConfig:
         path.write_text("[window]\nt_in = 5\nt_in = 6\n")
         with pytest.raises(ConfigurationError, match="malformed"):
             parse_config(path)
+
+    def test_odd_transformer_d_model_rejected_at_parse(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[model]\nkind = TransFV\nd_model = 7\nheads = 1\n"
+                        f"[run]\noutput_dir = {tmp_path / 'out'}\n")
+        with pytest.raises(ConfigurationError, match="even d_model"):
+            parse_config(path)
+        assert main(["gen", "-c", str(path)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "Infinity"])
+    @pytest.mark.parametrize("key", [key for key in fields(RunConfig) if key.type == "float"],
+                             ids=lambda key: key.name)
+    def test_non_finite_float_rejected(self, tmp_path, key, raw):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[{key.metadata['section']}]\n{key.name} = {raw}\n")
+        message = f"[{key.metadata['section']}] {key.name} must be {key.metadata['constraint']}"
+        with pytest.raises(ConfigurationError, match=re.escape(f"{message}, got {raw!r}")):
+            parse_config(path)
+
+    def test_non_finite_rate_exits_1_before_gen(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(
+            "dense_rate = 2.0", "dense_rate = inf"))
+        assert main(["gen", "-c", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[market] dense_rate must be a float >= 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", fields(RunConfig), ids=lambda key: key.name)
+    def test_every_setting_round_trips_and_names_its_constraint(self, tmp_path, key):
+        section, constraint = key.metadata.get("section"), key.metadata.get("constraint")
+        assert section and constraint and key.type in PARSERS
+        valid, invalid = SETTING_VALUES[key.name]
+        path = tmp_path / "c.ini"
+        path.write_text(f"[{section}]\n{key.name} = {valid}\n")
+        cfg = parse_config(path)
+        assert getattr(cfg, key.name) != key.default
+        write_resolved(cfg, tmp_path / "resolved.ini")
+        assert parse_config(tmp_path / "resolved.ini") == cfg
+        if invalid is not None:
+            path.write_text(f"[{section}]\n{key.name} = {invalid}\n")
+            with pytest.raises(ConfigurationError) as err:
+                parse_config(path)
+            assert str(err.value) == f"[{section}] {key.name} must be {constraint}, got {invalid!r}"
+
+    def test_readme_configuration_block_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## Configuration\n", 1)[1].split("```ini\n", 1)[1]
+        block = block.split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        assert parse_config(path) == parse_config(None)
+        write_resolved(parse_config(None), tmp_path / "resolved.ini")
+
+        def keys(text):
+            return [line.split("=", 1)[0].strip() for line in text.splitlines()
+                    if line.strip() and not line.startswith("#")]
+
+        assert keys(block) == keys((tmp_path / "resolved.ini").read_text())
 
 
 class TestPipeline:
@@ -465,6 +573,13 @@ class TestClustersFile:
         assert main(["compare", "-c", str(cfg_path)]) == 0
 
 
+def load_trained(cfg_path, out):
+    """The checkpoint `train` wrote at single granularity, under its run config."""
+    _, _, vocab_size = market.load_histories(out / "histories.bin")
+    return load_checkpoint(out / "checkpoint_single.ckpt",
+                           parse_config(cfg_path).model_config(vocab_size))
+
+
 class TestCheckpointConfig:
     def test_checkpoint_under_other_heads_exits_2(self, tmp_path, capsys):
         # parameter shapes do not depend on heads, so only the manifest's
@@ -481,6 +596,34 @@ class TestCheckpointConfig:
             assert err.count("\n") == 1 and "unreadable artifact" in err
             assert "checkpoint_single.ckpt" in err and "heads = 4" in err and "2" in err
 
+    def test_manifest_config_cannot_drive_memory_use(self, tmp_path, capsys):
+        # a short manifest asking for a large vocabulary, with no payload
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = TransFV"))
+        for command in ("gen", "cluster"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        _, _, vocab_size = market.load_histories(out / "histories.bin")
+        config = parse_config(cfg_path).model_config(vocab_size)
+        path = out / "checkpoint_single.ckpt"
+        manifest = {"magic": "otcforecast-checkpoint", "version": 3,
+                    "config": {**vars(config), "vocab_size": 20000}}
+        path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n")
+        assert path.stat().st_size < 256
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArtifactError, match="trained with vocab_size = 20000"):
+                load_checkpoint(path, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        capsys.readouterr()
+        for command in ("eval", "stats"):
+            assert main([command, "-c", str(cfg_path)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "unreadable artifact" in err
+            assert f"trained with vocab_size = 20000, the config gives {vocab_size}" in err
+
     def rewrite_as_old_format(self, tmp_path, header_of):
         """Train, then replace the checkpoint's manifest line with
         ``header_of(manifest, entries)``, where ``entries`` is the per-tensor
@@ -492,7 +635,7 @@ class TestCheckpointConfig:
         path = out / "checkpoint_single.ckpt"
         header, payload = path.read_bytes().split(b"\n", 1)
         entries, offset = [], 0
-        params = load_checkpoint(path).params
+        params = load_trained(cfg_path, out).params
         for name, tensor in zip(params.names(), params.tensors()):
             entries.append({"name": name, "shape": list(tensor.shape), "offset": offset})
             offset += 8 * tensor.values.size
@@ -526,7 +669,7 @@ class TestCheckpointConfig:
         path = out / "checkpoint_single.ckpt"
         header, payload = path.read_bytes().split(b"\n", 1)
         # version 2 stored each LSTM direction gate by gate: wx_i, wh_i, b_i, wx_f, ...
-        model = load_checkpoint(path)
+        model = load_trained(cfg_path, out)
         params, hidden = model.params, model.config.hidden
         parts = []
         for name in params.names():

@@ -289,6 +289,15 @@ class TestWindowing:
         with pytest.raises(ContractError):
             windowize(toy_history(), 0, 5)
 
+    def test_windows_are_read_only_views(self):
+        hist = toy_history(18, seed=3)
+        for s in windowize(hist, 4, 3, stride=2):
+            for days in (s.input_days, s.target_days):
+                assert np.shares_memory(days, hist.day_vectors)
+                with pytest.raises(ValueError, match="read-only"):
+                    days[0, 0] = 1
+        assert hist.day_vectors.flags.writeable
+
 
 class TestSplit:
     def test_boundary_value(self):

@@ -3,6 +3,7 @@ causality, and checkpoint round-trips."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -534,7 +535,7 @@ class TestCheckpoints:
             model = self.trained(kind)
             path = tmp_path / f"{kind}.ckpt"
             save_checkpoint(path, model)
-            loaded = load_checkpoint(path)
+            loaded = load_checkpoint(path, model.config)
             assert type(loaded) is type(model)
             assert loaded.config == model.config
             assert loaded.params.names() == model.params.names()
@@ -544,16 +545,18 @@ class TestCheckpoints:
 
     def test_truncated_at_every_offset_rejected(self, tmp_path):
         path = tmp_path / "fc.ckpt"
-        save_checkpoint(path, self.trained("FCSum"))
+        model = self.trained("FCSum")
+        save_checkpoint(path, model)
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
             with pytest.raises(ArtifactError, match="truncated"):
-                load_checkpoint(path)
+                load_checkpoint(path, model.config)
 
     def test_malformed_manifest_and_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "fc.ckpt"
-        save_checkpoint(path, self.trained("FCSum"))
+        model = self.trained("FCSum")
+        save_checkpoint(path, model)
         blob = path.read_bytes()
         header, payload = blob.split(b"\n", 1)
         extra = np.float64(1.5).astype("<f8").tobytes()
@@ -562,7 +565,7 @@ class TestCheckpoints:
                                 (b'{"entries":3}\n' + payload, "malformed")):
             path.write_bytes(corrupt)
             with pytest.raises(ArtifactError, match=reason):
-                load_checkpoint(path)
+                load_checkpoint(path, model.config)
 
     def test_manifest_carries_magic_version_and_config(self, tmp_path):
         path = tmp_path / "re.ckpt"
@@ -579,22 +582,24 @@ class TestCheckpoints:
         assert payload == model.params.flat.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("edit", [
-        ("otcforecast-checkpoint", "otcforecast-histories"),
-        ('"version":3', '"version":2'),
-        ('"heads":2', '"heads":3'),  # d_model 4 is not divisible by 3
-        ('"kind":"TransRE"', '"kind":"MLP"'),
-        ('"hidden":4,', ''),
-        ('"config":{', '"config":{"dropout":1,'),
+        ("otcforecast-checkpoint", "otcforecast-histories", "malformed manifest"),
+        ('"version":3', '"version":2', "malformed manifest"),
+        ('"heads":2', '"heads":3', "trained with heads = 3, the config gives 2"),
+        ('"kind":"TransRE"', '"kind":"MLP"',
+         "trained with kind = 'MLP', the config gives 'TransRE'"),
+        ('"hidden":4,', '', "malformed manifest"),
+        ('"config":{', '"config":{"dropout":1,', "malformed manifest"),
     ])
     def test_bad_magic_version_or_config_rejected(self, tmp_path, edit):
         path = tmp_path / "re.ckpt"
-        save_checkpoint(path, self.trained("TransRE"))
+        model = self.trained("TransRE")
+        save_checkpoint(path, model)
         header, payload = path.read_bytes().split(b"\n", 1)
-        old, new = edit
+        old, new, reason = edit
         assert old.encode() in header
         path.write_bytes(header.replace(old.encode(), new.encode(), 1) + b"\n" + payload)
-        with pytest.raises(ArtifactError, match="malformed"):
-            load_checkpoint(path)
+        with pytest.raises(ArtifactError, match=re.escape(reason)):
+            load_checkpoint(path, model.config)
 
 
 class TestFlatParameters:
