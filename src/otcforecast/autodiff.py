@@ -173,11 +173,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record("add", (a, b), a.values + b.values, lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_equal_shapes("sub", a, b)
-    return _record("sub", (a, b), a.values - b.values, lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Pointwise product; both operands must have identical shapes."""
     _require_equal_shapes("mul", a, b)

@@ -81,10 +81,15 @@ def _checkpoint_path(out: Path, tag: str) -> Path:
 def cmd_gen(cfg: RunConfig, out: Path) -> None:
     spec = cfg.market_spec()
     records = market.generate_synthetic_market(spec)
-    market.save_records(out / RECORDS_FILE, records)
     filtered, _, _ = market.apply_trade_filters(
         records, cfg.top_dealers, cfg.top_bonds, cfg.drop_top_bonds
     )
+    if not filtered:
+        raise ConfigurationError(
+            f"the market has no dealer with a record left after the filters "
+            f"({len(records)} records generated)"
+        )
+    market.save_records(out / RECORDS_FILE, records)
     vocab = market.build_vocabulary(filtered)
     with open(out / VOCAB_FILE, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -356,10 +356,10 @@ def write_reports(path, rows: list[EvalReport]) -> None:
 
 
 def write_layer_stats(path, stats_list: list[LayerStats]) -> None:
-    """CSV table: model, layer, mean, variance (one block per checkpoint tag)."""
+    """CSV table: unit, model, layer, mean, variance (one block per checkpoint tag)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["model", "layer", "mean", "variance"])
+        writer.writerow(["unit", "model", "layer", "mean", "variance"])
         for stats in stats_list:
             for layer, (mean, variance) in stats.stats.items():
-                writer.writerow([stats.model_kind, layer, repr(mean), repr(variance)])
+                writer.writerow([stats.tag, stats.model_kind, layer, repr(mean), repr(variance)])

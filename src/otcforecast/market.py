@@ -349,22 +349,6 @@ def save_records(path, records: list[TradeRecord]) -> None:
             )
 
 
-def load_records(path) -> list[TradeRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            day, dealer, bond, side, counterparty, status, ref = row
-            records.append(
-                TradeRecord(
-                    int(day), dealer, bond, side, counterparty, status,
-                    int(ref) if ref else None,
-                )
-            )
-    return records
-
-
 def _pack_bits(matrix: np.ndarray) -> bytes:
     return np.packbits(matrix.astype(np.uint8).reshape(-1)).tobytes()
 

@@ -29,19 +29,6 @@ from .autodiff import Tensor
 from .errors import ArtifactError, ConfigurationError, ContractError, ShapeMismatchError
 from .seeding import rng_for
 
-MODEL_KINDS = (
-    "FCSum",
-    "FCConcat",
-    "LSTM",
-    "BiLSTM",
-    "TransFV",
-    "TransCTE",
-    "TransRE",
-    "TransPPRZ",
-)
-
-TRANSFORMER_KINDS = ("TransFV", "TransCTE", "TransRE", "TransPPRZ")
-
 # (input embedding, residual scheme) per transformer kind
 _TRANSFORMER_MODES = {
     "TransFV": ("affine", "norm"),
@@ -49,6 +36,10 @@ _TRANSFORMER_MODES = {
     "TransRE": ("affine", "scalar"),
     "TransPPRZ": ("cte", "vector"),
 }
+
+TRANSFORMER_KINDS = tuple(_TRANSFORMER_MODES)
+
+MODEL_KINDS = ("FCSum", "FCConcat", "LSTM", "BiLSTM", *TRANSFORMER_KINDS)
 
 FEEDBACK_THRESHOLD = 0.5  # binarization of fed-back predictions at inference
 
@@ -160,29 +151,6 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
 def _squash(z: Tensor) -> Tensor:
     """Map activations into [0, 1] via (tanh(z) + 1) / 2."""
     return ad.scale(ad.add_scalar(ad.tanh(z), 1.0), 0.5)
-
-
-def residual_block(
-    x: Tensor,
-    fx: Tensor,
-    mode: str,
-    gate: Tensor | None = None,
-    gamma: Tensor | None = None,
-    beta: Tensor | None = None,
-) -> Tensor:
-    """Combine a sublayer output with its input under one residual scheme.
-
-    norm:   layer_norm(x + fx) with the given affine parameters
-    scalar: x + gate * fx       (trainable scalar, zero at init)
-    vector: x + gate ⊙ fx       (trainable per-channel vector, zero at init)
-    """
-    if mode == "norm":
-        return ad.layer_norm(ad.add(x, fx), gamma, beta)
-    if mode == "scalar":
-        return ad.add(x, ad.scale_by(fx, gate))
-    if mode == "vector":
-        return ad.add(x, ad.mul_rowvec(fx, gate))
-    raise ConfigurationError(f"unknown residual mode {mode!r}")
 
 
 def cte_encode(days: np.ndarray, bond_table: Tensor, action_table: Tensor) -> Tensor:
@@ -325,42 +293,27 @@ class TransformerModel:
             b.table("cte.bonds", cfg.vocab_size, d)
             b.table("cte.actions", 2, d)
         b.vector("decoder.sos", d)
-        for i in range(cfg.n_layers):
-            self._build_attention(b, f"encoder.l{i}.attn")
-            self._build_ff(b, f"encoder.l{i}.ff")
-            self._build_residual(b, f"encoder.l{i}", sublayers=2)
-        for i in range(cfg.n_layers):
-            self._build_attention(b, f"decoder.l{i}.self")
-            self._build_attention(b, f"decoder.l{i}.cross")
-            self._build_ff(b, f"decoder.l{i}.ff")
-            self._build_residual(b, f"decoder.l{i}", sublayers=3)
+        for stack, blocks in (("encoder", ("attn",)), ("decoder", ("self", "cross"))):
+            for i in range(cfg.n_layers):
+                layer = f"{stack}.l{i}"
+                for block in blocks:
+                    for which in "qkvo":
+                        b.matrix(f"{layer}.{block}.w{which}", d, d)
+                        b.zeros(f"{layer}.{block}.b{which}", d)
+                b.matrix(f"{layer}.ff.w1", d, cfg.d_ff)
+                b.zeros(f"{layer}.ff.b1", cfg.d_ff)
+                b.matrix(f"{layer}.ff.w2", cfg.d_ff, d)
+                b.zeros(f"{layer}.ff.b2", d)
+                # one norm per sublayer (the blocks, then ff), or one gate per layer
+                if self.residual_mode == "norm":
+                    for j in range(1, len(blocks) + 2):
+                        b.ones(f"{layer}.norm{j}.gamma", d)
+                        b.zeros(f"{layer}.norm{j}.beta", d)
+                else:
+                    b.zeros(f"{layer}.gate", () if self.residual_mode == "scalar" else d)
         b.matrix("head.w", d, width)
         b.zeros("head.b", width)
         return Parameters(b.arrays)
-
-    def _build_attention(self, b: _Builder, prefix: str):
-        d = self.config.d_model
-        for which in "qkvo":
-            b.matrix(f"{prefix}.w{which}", d, d)
-            b.zeros(f"{prefix}.b{which}", d)
-
-    def _build_ff(self, b: _Builder, prefix: str):
-        d, d_ff = self.config.d_model, self.config.d_ff
-        b.matrix(f"{prefix}.w1", d, d_ff)
-        b.zeros(f"{prefix}.b1", d_ff)
-        b.matrix(f"{prefix}.w2", d_ff, d)
-        b.zeros(f"{prefix}.b2", d)
-
-    def _build_residual(self, b: _Builder, prefix: str, sublayers: int):
-        d = self.config.d_model
-        if self.residual_mode == "norm":
-            for j in range(1, sublayers + 1):
-                b.ones(f"{prefix}.norm{j}.gamma", d)
-                b.zeros(f"{prefix}.norm{j}.beta", d)
-        elif self.residual_mode == "scalar":
-            b.zeros(f"{prefix}.gate")
-        else:
-            b.zeros(f"{prefix}.gate", d)
 
     # ---- forward pieces -------------------------------------------------
 
@@ -377,15 +330,20 @@ class TransformerModel:
         pe = positional_encoding(x.shape[-2], self.config.d_model)
         return ad.add(x, Tensor(np.broadcast_to(pe, x.shape)))
 
-    def _residual(self, x: Tensor, fx: Tensor, layer_prefix: str, sublayer: int) -> Tensor:
+    def _residual(self, x: Tensor, fx: Tensor, layer: str, sublayer: int) -> Tensor:
+        """Combine a sublayer output with its input under the residual scheme.
+
+        norm:   layer_norm(x + fx) with the sublayer's own affine parameters
+        scalar: x + gate * fx       (the layer's trainable scalar, zero at init)
+        vector: x + gate ⊙ fx       (the layer's per-channel vector, zero at init)
+        """
         p = self.params
         if self.residual_mode == "norm":
-            return residual_block(
-                x, fx, "norm",
-                gamma=p[f"{layer_prefix}.norm{sublayer}.gamma"],
-                beta=p[f"{layer_prefix}.norm{sublayer}.beta"],
-            )
-        return residual_block(x, fx, self.residual_mode, gate=p[f"{layer_prefix}.gate"])
+            return ad.layer_norm(ad.add(x, fx), p[f"{layer}.norm{sublayer}.gamma"],
+                                 p[f"{layer}.norm{sublayer}.beta"])
+        if self.residual_mode == "scalar":
+            return ad.add(x, ad.scale_by(fx, p[f"{layer}.gate"]))
+        return ad.add(x, ad.mul_rowvec(fx, p[f"{layer}.gate"]))
 
     def _attention(self, prefix: str, q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
         p = self.params

@@ -297,6 +297,19 @@ class TestPipeline:
         assert (out / "records.csv").read_bytes() == first
         assert (out / "histories.bin").read_bytes() == first_hist
 
+    @pytest.mark.parametrize("edit", [
+        ("\nbonds = 6\n", "\nbonds = 0\n"),
+        ("periodic_dealers = 3\nsparse_dealers = 2\ndense_dealers = 1",
+         "periodic_dealers = 0\nsparse_dealers = 0\ndense_dealers = 0"),
+    ], ids=["no-bonds", "no-dealers"])
+    def test_gen_refuses_an_empty_market(self, tmp_path, capsys, edit):
+        cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(*edit))
+        assert self.run("gen", "-c", str(cfg_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("otcforecast: config error:")
+        assert "no dealer with a record left after the filters" in err
+        assert [p.name for p in out.iterdir()] == ["config.resolved.ini"]
+
     def test_bad_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[window]\nt_inn = 3\n")
@@ -379,6 +392,22 @@ class TestPipeline:
             assert self.run(command, "-c", str(cfg_path)) == 0, command
         checkpoints = sorted(p.name for p in out.glob("checkpoint_cluster*.ckpt"))
         assert checkpoints, "expected per-cluster checkpoints"
+
+    def test_stats_names_each_rows_unit(self, tmp_path):
+        cfg_path, out = write_config(
+            tmp_path,
+            text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"),
+        )
+        for command in ("gen", "cluster", "train", "stats"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        tags = sorted(p.name[len("checkpoint_"):-len(".ckpt")]
+                      for p in out.glob("checkpoint_*.ckpt"))
+        assert len(tags) > 1
+        lines = (out / "layer_stats.csv").read_text().splitlines()
+        assert lines[0] == "unit,model,layer,mean,variance"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(r[0], r[2]) for r in rows] == [(tag, layer) for tag in tags
+                                                for layer in ("enc0", "dec0")]
 
     def test_compare_grid_shape(self, tmp_path):
         cfg_path, out = write_config(tmp_path)

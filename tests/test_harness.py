@@ -457,5 +457,6 @@ class TestReportIO:
         path = tmp_path / "stats.csv"
         write_layer_stats(path, [stats])
         lines = path.read_text().splitlines()
-        assert lines[0] == "model,layer,mean,variance"
-        assert len(lines) == 1 + len(stats.stats)
+        assert lines[0] == "unit,model,layer,mean,variance"
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["single", "TransPPRZ", layer] for layer in stats.stats]

@@ -16,7 +16,6 @@ from otcforecast.market import (
     build_vocabulary,
     generate_synthetic_market,
     load_histories,
-    load_records,
     save_histories,
     save_records,
     split_boundary,
@@ -331,15 +330,6 @@ class TestSplit:
 
 
 class TestFileFormats:
-    def test_records_round_trip(self, tmp_path):
-        spec = MarketSpec(days=20, bonds=10, periodic_dealers=2, sparse_dealers=2,
-                          dense_dealers=1, dense_rate=2.0, dense_bonds_range=(3, 6),
-                          cancellation_rate=0.3, seed=13)
-        records = generate_synthetic_market(spec)
-        path = tmp_path / "records.csv"
-        save_records(path, records)
-        assert load_records(path) == records
-
     def test_histories_round_trip(self, tmp_path):
         spec = MarketSpec(days=15, bonds=8, periodic_dealers=2, sparse_dealers=1,
                           dense_dealers=0, cancellation_rate=0.0, seed=14)

@@ -1,9 +1,11 @@
 """Model-zoo contracts: construction, embeddings, residual schemes,
 causality, and checkpoint round-trips."""
 
+import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from otcforecast.models import (
     cte_encode,
     load_checkpoint,
     positional_encoding,
-    residual_block,
     save_checkpoint,
 )
 from otcforecast.seeding import rng_for
@@ -387,11 +388,20 @@ class TestCoTradingEmbedding:
         assert np.abs(grad).sum() > 0
 
 
+def residual(kind, x, fx, **values):
+    """Encoder layer 0's first residual under ``kind``'s scheme, with the
+    given values written into that layer's parameters first."""
+    model = build_model(toy_config(kind, d_model=x.shape[-1], heads=1))
+    for name, value in values.items():
+        model.params[f"encoder.l0.{name}"].values[...] = value
+    return model._residual(x, fx, "encoder.l0", 1)
+
+
 class TestResidualSchemes:
     def test_zero_vector_gate_is_identity(self):
         x = Tensor(np.random.default_rng(6).normal(size=(3, 4)))
         fx = Tensor(np.random.default_rng(7).normal(size=(3, 4)))
-        out = residual_block(x, fx, "vector", gate=Tensor(np.zeros(4), requires_grad=True))
+        out = residual("TransPPRZ", x, fx)
         assert np.array_equal(out.values, x.values)
 
     def test_constant_vector_equals_scalar_gate(self):
@@ -399,26 +409,21 @@ class TestResidualSchemes:
         x = Tensor(rng.normal(size=(3, 4)))
         fx = Tensor(rng.normal(size=(3, 4)))
         for c in (0.37, -1.2, 2.0):
-            vec = residual_block(x, fx, "vector", gate=Tensor(np.full(4, c)))
-            scal = residual_block(x, fx, "scalar", gate=Tensor(np.asarray(c)))
+            vec = residual("TransPPRZ", x, fx, gate=c)
+            scal = residual("TransRE", x, fx, gate=c)
             np.testing.assert_allclose(vec.values, scal.values, atol=1e-12)
 
     def test_pointwise_arithmetic_example(self):
         x = Tensor(np.array([[1.0, 2.0]]))
         fx = Tensor(np.array([[0.5, -0.5]]))
-        out = residual_block(x, fx, "vector", gate=Tensor(np.array([2.0, 0.0])))
+        out = residual("TransPPRZ", x, fx, gate=[2.0, 0.0])
         assert out.values.tolist() == [[2.0, 2.0]]
 
     def test_norm_mode_normalizes_sum(self):
         x = Tensor(np.array([[1.0, 3.0]]))
         fx = Tensor(np.array([[0.0, 0.0]]))
-        out = residual_block(x, fx, "norm",
-                             gamma=Tensor(np.ones(2)), beta=Tensor(np.zeros(2)))
+        out = residual("TransFV", x, fx)  # gamma ones, beta zeros at init
         np.testing.assert_allclose(out.values, [[-1.0, 1.0]], atol=1e-5)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            residual_block(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), "batch")
 
 
 class TestTransformer:
@@ -638,3 +643,142 @@ class TestFlatParameters:
         b.matrix("head.w", 2, 2)
         with pytest.raises(ContractError, match="duplicate parameter name 'head.w'"):
             b.zeros("head.w", 2)
+
+
+# (SHA-256 of the initial flat.tobytes(), [(name, shape), ...] in names() order)
+# per kind at toy_config, recorded with numpy 2.4.6
+LAYOUTS = {
+    "FCSum": (
+        "8b20e9662a2949d20a812e13eb4ed6b6b636263940d29b6a4487badbca891b03",
+        [("fc.w1", (16, 4)), ("fc.b1", (4,)), ("fc.w2", (4, 4)), ("fc.b2", (4,)),
+         ("fc.w3", (4, 16)), ("fc.b3", (16,))],
+    ),
+    "FCConcat": (
+        "99084896279c2e1bfd38ac29591e2a3fe8ef5d23788798a9c86e83cb55b4901b",
+        [("fc.w1", (48, 4)), ("fc.b1", (4,)), ("fc.w2", (4, 4)), ("fc.b2", (4,)),
+         ("fc.w3", (4, 16)), ("fc.b3", (16,))],
+    ),
+    "LSTM": (
+        "bd575461b7ed7c988991d3f3e3e15fe8e827119b9fd309c4f4c2438871d7c219",
+        [("lstm.fwd.wx", (16, 16)), ("lstm.fwd.wh", (4, 16)), ("lstm.fwd.b", (16,)),
+         ("readout.w", (4, 16)), ("readout.b", (16,))],
+    ),
+    "BiLSTM": (
+        "7f42f4731a1b7601644e5ad4e3a2d848fb661a8ebe39bb4fd5cf8058e9be2d9b",
+        [("lstm.fwd.wx", (16, 16)), ("lstm.fwd.wh", (4, 16)), ("lstm.fwd.b", (16,)),
+         ("lstm.bwd.wx", (16, 16)), ("lstm.bwd.wh", (4, 16)), ("lstm.bwd.b", (16,)),
+         ("readout.w", (8, 16)), ("readout.b", (16,))],
+    ),
+    "TransFV": (
+        "d422b1c98f09a530b1cc8c739f7ca17bafca23c291b3d2c83cda13a4dfd9a06d",
+        [("embed.w", (16, 4)), ("embed.b", (4,)), ("decoder.sos", (4,)),
+         ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
+         ("encoder.l0.attn.wk", (4, 4)), ("encoder.l0.attn.bk", (4,)),
+         ("encoder.l0.attn.wv", (4, 4)), ("encoder.l0.attn.bv", (4,)),
+         ("encoder.l0.attn.wo", (4, 4)), ("encoder.l0.attn.bo", (4,)),
+         ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)), ("encoder.l0.ff.w2", (8, 4)),
+         ("encoder.l0.ff.b2", (4,)), ("encoder.l0.norm1.gamma", (4,)),
+         ("encoder.l0.norm1.beta", (4,)), ("encoder.l0.norm2.gamma", (4,)),
+         ("encoder.l0.norm2.beta", (4,)), ("decoder.l0.self.wq", (4, 4)),
+         ("decoder.l0.self.bq", (4,)), ("decoder.l0.self.wk", (4, 4)),
+         ("decoder.l0.self.bk", (4,)), ("decoder.l0.self.wv", (4, 4)),
+         ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
+         ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
+         ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
+         ("decoder.l0.cross.bk", (4,)), ("decoder.l0.cross.wv", (4, 4)),
+         ("decoder.l0.cross.bv", (4,)), ("decoder.l0.cross.wo", (4, 4)),
+         ("decoder.l0.cross.bo", (4,)), ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)),
+         ("decoder.l0.ff.w2", (8, 4)), ("decoder.l0.ff.b2", (4,)),
+         ("decoder.l0.norm1.gamma", (4,)), ("decoder.l0.norm1.beta", (4,)),
+         ("decoder.l0.norm2.gamma", (4,)), ("decoder.l0.norm2.beta", (4,)),
+         ("decoder.l0.norm3.gamma", (4,)), ("decoder.l0.norm3.beta", (4,)), ("head.w", (4, 16)),
+         ("head.b", (16,))],
+    ),
+    "TransCTE": (
+        "55de7c7acd276a5dbfa650c3e783e3d65ff59a8672a171d2c6c34510191aaf2a",
+        [("cte.bonds", (8, 4)), ("cte.actions", (2, 4)), ("decoder.sos", (4,)),
+         ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
+         ("encoder.l0.attn.wk", (4, 4)), ("encoder.l0.attn.bk", (4,)),
+         ("encoder.l0.attn.wv", (4, 4)), ("encoder.l0.attn.bv", (4,)),
+         ("encoder.l0.attn.wo", (4, 4)), ("encoder.l0.attn.bo", (4,)),
+         ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)), ("encoder.l0.ff.w2", (8, 4)),
+         ("encoder.l0.ff.b2", (4,)), ("encoder.l0.norm1.gamma", (4,)),
+         ("encoder.l0.norm1.beta", (4,)), ("encoder.l0.norm2.gamma", (4,)),
+         ("encoder.l0.norm2.beta", (4,)), ("decoder.l0.self.wq", (4, 4)),
+         ("decoder.l0.self.bq", (4,)), ("decoder.l0.self.wk", (4, 4)),
+         ("decoder.l0.self.bk", (4,)), ("decoder.l0.self.wv", (4, 4)),
+         ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
+         ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
+         ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
+         ("decoder.l0.cross.bk", (4,)), ("decoder.l0.cross.wv", (4, 4)),
+         ("decoder.l0.cross.bv", (4,)), ("decoder.l0.cross.wo", (4, 4)),
+         ("decoder.l0.cross.bo", (4,)), ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)),
+         ("decoder.l0.ff.w2", (8, 4)), ("decoder.l0.ff.b2", (4,)),
+         ("decoder.l0.norm1.gamma", (4,)), ("decoder.l0.norm1.beta", (4,)),
+         ("decoder.l0.norm2.gamma", (4,)), ("decoder.l0.norm2.beta", (4,)),
+         ("decoder.l0.norm3.gamma", (4,)), ("decoder.l0.norm3.beta", (4,)), ("head.w", (4, 16)),
+         ("head.b", (16,))],
+    ),
+    "TransRE": (
+        "5bdadbb598b4fb2e39273b5bcccba2d57dc8b006dd7856f765d7043a77970648",
+        [("embed.w", (16, 4)), ("embed.b", (4,)), ("decoder.sos", (4,)),
+         ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
+         ("encoder.l0.attn.wk", (4, 4)), ("encoder.l0.attn.bk", (4,)),
+         ("encoder.l0.attn.wv", (4, 4)), ("encoder.l0.attn.bv", (4,)),
+         ("encoder.l0.attn.wo", (4, 4)), ("encoder.l0.attn.bo", (4,)),
+         ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)), ("encoder.l0.ff.w2", (8, 4)),
+         ("encoder.l0.ff.b2", (4,)), ("encoder.l0.gate", ()), ("decoder.l0.self.wq", (4, 4)),
+         ("decoder.l0.self.bq", (4,)), ("decoder.l0.self.wk", (4, 4)),
+         ("decoder.l0.self.bk", (4,)), ("decoder.l0.self.wv", (4, 4)),
+         ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
+         ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
+         ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
+         ("decoder.l0.cross.bk", (4,)), ("decoder.l0.cross.wv", (4, 4)),
+         ("decoder.l0.cross.bv", (4,)), ("decoder.l0.cross.wo", (4, 4)),
+         ("decoder.l0.cross.bo", (4,)), ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)),
+         ("decoder.l0.ff.w2", (8, 4)), ("decoder.l0.ff.b2", (4,)), ("decoder.l0.gate", ()),
+         ("head.w", (4, 16)), ("head.b", (16,))],
+    ),
+    "TransPPRZ": (
+        "b2866439a2850871d55367b2adb0b1ab98a7b59c4da741909f95dd70a32e9110",
+        [("cte.bonds", (8, 4)), ("cte.actions", (2, 4)), ("decoder.sos", (4,)),
+         ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
+         ("encoder.l0.attn.wk", (4, 4)), ("encoder.l0.attn.bk", (4,)),
+         ("encoder.l0.attn.wv", (4, 4)), ("encoder.l0.attn.bv", (4,)),
+         ("encoder.l0.attn.wo", (4, 4)), ("encoder.l0.attn.bo", (4,)),
+         ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)), ("encoder.l0.ff.w2", (8, 4)),
+         ("encoder.l0.ff.b2", (4,)), ("encoder.l0.gate", (4,)), ("decoder.l0.self.wq", (4, 4)),
+         ("decoder.l0.self.bq", (4,)), ("decoder.l0.self.wk", (4, 4)),
+         ("decoder.l0.self.bk", (4,)), ("decoder.l0.self.wv", (4, 4)),
+         ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
+         ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
+         ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
+         ("decoder.l0.cross.bk", (4,)), ("decoder.l0.cross.wv", (4, 4)),
+         ("decoder.l0.cross.bv", (4,)), ("decoder.l0.cross.wo", (4, 4)),
+         ("decoder.l0.cross.bo", (4,)), ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)),
+         ("decoder.l0.ff.w2", (8, 4)), ("decoder.l0.ff.b2", (4,)), ("decoder.l0.gate", (4,)),
+         ("head.w", (4, 16)), ("head.b", (16,))],
+    ),
+}
+
+
+class TestParameterLayout:
+    """A checkpoint stores ``flat`` in ``names()`` order and nothing else, so
+    the names, shapes, order and initial draws are pinned per kind."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_names_shapes_and_initial_values_are_pinned(self, kind):
+        params = build_model(toy_config(kind)).params
+        digest, layout = LAYOUTS[kind]
+        assert [(name, params[name].shape) for name in params.names()] == layout
+        assert hashlib.sha256(params.flat.tobytes()).hexdigest() == digest
+
+    def test_every_kind_is_pinned(self):
+        assert list(LAYOUTS) == list(MODEL_KINDS)
+
+
+def test_readme_model_zoo_lists_every_kind_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("## The model zoo", 1)[1].split("\n\n")[1]
+    kinds = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
+    assert tuple(kinds) == MODEL_KINDS
