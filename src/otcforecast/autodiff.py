@@ -72,11 +72,6 @@ def tape_size() -> int:
     return len(_TAPE)
 
 
-def tape_entries() -> tuple[TapeEntry, ...]:
-    """Snapshot of the recorded graph, in execution order."""
-    return tuple(_TAPE)
-
-
 @contextmanager
 def no_grad():
     """Run forward computations without recording them on the tape."""

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .harness import (
     layer_signal_stats,
-    run_granularity_experiment,
     score_units,
     train_units,
     training_units,
@@ -117,7 +116,8 @@ def cmd_cluster(cfg: RunConfig, out: Path) -> None:
 
 
 def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
-    """Load the histories, window and split them, and read the labels.
+    """Load the histories, window and split them, read the labels, and
+    group both splits into the run granularity's units.
 
     Labels are read when the granularity needs them or the command is
     ``scoring`` (per-cluster rows); otherwise they are empty and
@@ -125,7 +125,8 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
     histories (their SHA-256 matches) and cover every dealer.  Every
     command needs at least one training window, and a scoring command at
     least one test window, checked before any training.
-    Returns (vocab size, train samples, test samples, labels).
+    Returns (vocab size, units, labels), the units as
+    :func:`training_units` forms them.
     """
     histories_path = _require(out / HISTORIES_FILE, "gen")
     histories, days, vocab_size = market.load_histories(histories_path)
@@ -151,7 +152,8 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
         for h in histories:
             if h.dealer_id not in labels:
                 raise ArtifactError(f"{path}: no label for dealer {h.dealer_id}")
-    return vocab_size, train_samples, test_samples, labels
+    units = training_units(cfg.granularity, train_samples, test_samples, labels)
+    return vocab_size, units, labels
 
 
 def _load_model(cfg: RunConfig, out: Path, vocab_size: int, tag: str):
@@ -160,8 +162,7 @@ def _load_model(cfg: RunConfig, out: Path, vocab_size: int, tag: str):
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> None:
-    vocab_size, train_samples, test_samples, labels = _prepare(cfg, out)
-    units = training_units(cfg.granularity, train_samples, test_samples, labels)
+    vocab_size, units, _ = _prepare(cfg, out)
     for tag, model, losses, _ in train_units(cfg.model_config(vocab_size), units, cfg.train_spec()):
         save_checkpoint(_checkpoint_path(out, tag), model)
         with open(out / f"loss_{tag}.csv", "w", newline="") as fh:
@@ -173,8 +174,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
-    vocab_size, train_samples, test_samples, labels = _prepare(cfg, out, scoring=True)
-    units = training_units(cfg.granularity, train_samples, test_samples, labels)
+    vocab_size, units, labels = _prepare(cfg, out, scoring=True)
     models = [(tag, _load_model(cfg, out, vocab_size, tag), unit_test)
               for tag, _, unit_test in units]
     rows = score_units(cfg.kind, cfg.granularity, models, cfg.threshold, cfg.eval_mode, labels)
@@ -184,16 +184,18 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
 
 def cmd_compare(cfg: RunConfig, out: Path) -> None:
     """Train every model kind and tabulate per-cluster F1 plus a pooled avg."""
-    vocab_size, train_samples, test_samples, labels = _prepare(cfg, out, scoring=True)
+    vocab_size, units, labels = _prepare(cfg, out, scoring=True)
     # every kind's config is built first, so a bad one fails before any training
     configs = [cfg.model_config(vocab_size, kind) for kind in MODEL_KINDS]
     all_rows = []
     grid = []
     for config in configs:
-        rows = run_granularity_experiment(
-            config, train_samples, test_samples, labels,
-            cfg.train_spec(), (cfg.granularity,), cfg.eval_mode,
-        )
+        # each unit is scored as soon as it is trained, so the kind's unit models
+        # are never all held at once
+        trained = ((tag, model, unit_test)
+                   for tag, model, _, unit_test in train_units(config, units, cfg.train_spec()))
+        rows = score_units(config.kind, cfg.granularity, trained, cfg.threshold,
+                           cfg.eval_mode, labels)
         all_rows.extend(rows)
         by_cluster = {row.cluster: row.f1 for row in rows}
         grid.append(
@@ -219,8 +221,7 @@ def cmd_stats(cfg: RunConfig, out: Path) -> None:
             f"stats needs a transformer kind, got {cfg.kind} "
             f"(one of {', '.join(TRANSFORMER_KINDS)})"
         )
-    vocab_size, train_samples, test_samples, labels = _prepare(cfg, out)
-    units = training_units(cfg.granularity, train_samples, test_samples, labels)
+    vocab_size, units, _ = _prepare(cfg, out)
     stats_list = [
         layer_signal_stats(_load_model(cfg, out, vocab_size, tag),
                            unit_train[: cfg.probe_samples], tag=tag)

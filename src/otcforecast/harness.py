@@ -1,4 +1,4 @@
-"""Training loops, thresholded evaluation, and the granularity experiment.
+"""Training loops, thresholded evaluation, and the per-unit experiment driver.
 
 Training is mini-batch Adam on the mean-squared error over all T_out x 2V
 output cells, with a seeded shuffle per epoch; each mini-batch is one
@@ -84,13 +84,17 @@ def micro_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _stack(samples: list[Sample], attr: str) -> np.ndarray:
-    return np.stack([getattr(s, attr) for s in samples])
+def _batches(samples: list[Sample], size: int = EVAL_CHUNK, order=None):
+    """Yield stacked (inputs, targets) of ``size`` windows at a time.
 
-
-def _chunks(samples: list[Sample]):
-    for lo in range(0, len(samples), EVAL_CHUNK):
-        yield samples[lo:lo + EVAL_CHUNK]
+    Windows are taken in ``order`` (a sequence of indices) when given,
+    else in list order; the arrays keep the windows' uint8 dtype.
+    """
+    if order is None:
+        order = range(len(samples))
+    for lo in range(0, len(samples), size):
+        batch = [samples[int(i)] for i in order[lo:lo + size]]
+        yield np.stack([s.input_days for s in batch]), np.stack([s.target_days for s in batch])
 
 
 def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, list[float]]:
@@ -118,13 +122,12 @@ def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, 
     for epoch in range(spec.epochs):
         order = rng_for(spec.seed, "shuffle", epoch).permutation(n)
         epoch_loss = 0.0
-        for lo in range(0, n, spec.batch_size):
-            batch = [train_samples[int(i)] for i in order[lo:lo + spec.batch_size]]
-            target = _stack(batch, "target_days").astype(np.float64)
+        for inputs, target in _batches(train_samples, spec.batch_size, order):
+            target = target.astype(np.float64)
             ad.reset_tape()
-            pred = model.forward(_stack(batch, "input_days"), teacher=target)
+            pred = model.forward(inputs, teacher=target)
             loss = ad.mse_loss(pred, Tensor(target))
-            batch_loss = loss.item() * len(batch)
+            batch_loss = loss.item() * len(inputs)
             if not math.isfinite(batch_loss):
                 raise NumericError(f"non-finite loss in epoch {epoch}")
             np.concatenate([g.reshape(-1) for g in ad.backward(loss, params)], out=grad)
@@ -150,9 +153,9 @@ def initial_loss(model, samples: list[Sample]) -> float:
     """Mean per-sample MSE of the untrained model (diagnostic helper)."""
     total = 0.0
     with ad.no_grad():
-        for chunk in _chunks(samples):
-            target = _stack(chunk, "target_days").astype(np.float64)
-            pred = model.forward(_stack(chunk, "input_days"), teacher=target)
+        for inputs, target in _batches(samples):
+            target = target.astype(np.float64)
+            pred = model.forward(inputs, teacher=target)
             diff = pred.values - target
             total += float((diff * diff).mean(axis=(-2, -1)).sum())
     return total / len(samples)
@@ -181,10 +184,8 @@ def evaluate(model, test_samples: list[Sample], threshold: float,
     if mode not in ("per_day", "union"):
         raise ContractError(f"unknown evaluation mode {mode!r}")
     totals = np.zeros(4, dtype=np.int64)
-    for chunk in _chunks(test_samples):
-        inputs = _stack(chunk, "input_days")
+    for inputs, target in _batches(test_samples):
         probs = model.predict(inputs)
-        target = _stack(chunk, "target_days")
         if probs.shape != target.shape:
             raise ShapeMismatchError(
                 f"predict returned shape {probs.shape} for inputs {inputs.shape}, "
@@ -209,10 +210,9 @@ def layer_signal_stats(model, probe_samples: list[Sample], tag: str = "") -> Lay
         raise ContractError("layer_signal_stats() needs a nonempty probe batch")
     collected: dict[str, list[np.ndarray]] = {}
     with ad.no_grad():
-        for chunk in _chunks(probe_samples):
+        for inputs, target in _batches(probe_samples):
             trace: list[tuple[str, np.ndarray]] = []
-            model.forward(_stack(chunk, "input_days"), teacher=_stack(chunk, "target_days"),
-                          trace=trace)
+            model.forward(inputs, teacher=target, trace=trace)
             for name, values in trace:
                 collected.setdefault(name, []).append(values.reshape(-1))
     stats = {}
@@ -223,7 +223,7 @@ def layer_signal_stats(model, probe_samples: list[Sample], tag: str = "") -> Lay
 
 
 # ---------------------------------------------------------------------------
-# granularity experiment
+# experiment driver: training_units -> train_units -> score_units
 # ---------------------------------------------------------------------------
 
 
@@ -308,33 +308,6 @@ def score_units(
     ]
     pooled = sum(counts.values(), np.zeros(4, dtype=np.int64))
     rows.append(EvalReport.from_counts(kind, granularity, "all", *pooled.tolist()))
-    return rows
-
-
-def run_granularity_experiment(
-    config: ModelConfig,
-    train_samples: list[Sample],
-    test_samples: list[Sample],
-    labels: dict[str, int],
-    spec: TrainSpec,
-    granularities: tuple[str, ...] = GRANULARITIES,
-    mode: str = "per_day",
-) -> list[EvalReport]:
-    """Train and evaluate one model kind at each requested granularity.
-
-    Every unit model starts from the same seeded initialization, so the
-    degenerate one-dealer market yields identical scores across
-    granularities.  Rows aggregate confusion counts per cluster plus an
-    "all" row (see :func:`score_units`).
-    """
-    for s in train_samples + test_samples:
-        _cluster_label(labels, s.dealer_id)
-    rows: list[EvalReport] = []
-    for granularity in granularities:
-        units = training_units(granularity, train_samples, test_samples, labels)
-        trained = [(tag, model, unit_test)
-                   for tag, model, _, unit_test in train_units(config, units, spec)]
-        rows.extend(score_units(config.kind, granularity, trained, spec.threshold, mode, labels))
     return rows
 
 

@@ -247,22 +247,16 @@ def build_vocabulary(records: list[TradeRecord]) -> Vocabulary:
 
 
 def build_histories(
-    records: list[TradeRecord],
-    vocab: Vocabulary,
-    days: int,
-    dealers: list[str] | None = None,
+    records: list[TradeRecord], vocab: Vocabulary, days: int
 ) -> list[DealerHistory]:
     """Collapse records into per-dealer daily multi-hot matrices.
 
     Multiplicity within a (dealer, day, bond, side) cell collapses to 1.
-    Histories come back in ascending dealer id order.  ``dealers`` forces
-    histories for specific dealers (all-zero when they have no records);
-    by default only dealers present in the records appear.
+    Histories come back in ascending dealer id order, one per dealer
+    present in the records.
     """
     v = vocab.size
-    matrices: dict[str, np.ndarray] = {
-        d: np.zeros((days, 2 * v), dtype=np.uint8) for d in (dealers or ())
-    }
+    matrices: dict[str, np.ndarray] = {}
     for r in records:
         if r.bond_id not in vocab.index:
             raise IndexError(f"bond {r.bond_id!r} not in vocabulary")
@@ -361,7 +355,11 @@ def _unpack_bits(blob: bytes, shape: tuple[int, int]) -> np.ndarray:
 
 def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: int) -> None:
     """Binary layout: 16-byte header (magic, version, D, V), then per dealer
-    a length-prefixed id and the packed D x 2V bitmap; a repeated id raises ContractError first."""
+    a length-prefixed id and the packed D x 2V bitmap.  No dealer, day or
+    bond, or a repeated id, raises ContractError before anything is written."""
+    if min(len(histories), days, vocab_size) < 1:
+        raise ContractError(f"{len(histories)} dealers, {days} days and {vocab_size} bonds: "
+                            "a histories file needs at least one of each")
     first_index: dict[str, int] = {}
     for i, h in enumerate(histories):
         if first_index.setdefault(h.dealer_id, i) != i:
@@ -385,8 +383,8 @@ def load_histories(path) -> tuple[list[DealerHistory], int, int]:
     """Read a histories.bin file written by :func:`save_histories`.
 
     Raises ArtifactError unless the header, every length prefix, id and
-    bitmap are complete, no dealer id repeats and no byte follows the last
-    dealer.
+    bitmap are complete, the file holds at least one dealer, day and bond,
+    no dealer id repeats and no byte follows the last dealer.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -405,6 +403,9 @@ def load_histories(path) -> tuple[list[DealerHistory], int, int]:
     if version != _FORMAT_VERSION:
         raise ArtifactError(f"{path}: unsupported version {version}")
     (count,) = struct.unpack("<I", take(4, "the dealer count"))
+    if min(count, days, vocab_size) < 1:
+        raise ArtifactError(f"{path}: {count} dealers, {days} days and {vocab_size} bonds: "
+                            "a histories file needs at least one of each")
     bitmap_bytes = (days * 2 * vocab_size + 7) // 8
     histories = []
     first_index: dict[str, int] = {}

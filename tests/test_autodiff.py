@@ -355,7 +355,7 @@ class TestBackwardSemantics:
         y = ad.tanh(w)
         z = ad.mul(y, y)
         loss = ad.sum_all(z)
-        entries = ad.tape_entries()
+        entries = tuple(ad._TAPE)
         assert [entry.name for entry in entries] == ["tanh", "mul", "sum_all"]
         assert [entry.output for entry in entries] == [y, z, loss]
         for i, entry in enumerate(entries):

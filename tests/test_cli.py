@@ -15,7 +15,7 @@ from otcforecast.cli import main
 from otcforecast.clustering import load_assignment
 from otcforecast.config import PARSERS, RunConfig, parse_config, write_resolved
 from otcforecast.errors import ArtifactError, ConfigurationError
-from otcforecast.harness import run_granularity_experiment, write_reports
+from otcforecast.harness import score_units, train_units, training_units, write_reports
 from otcforecast.models import MODEL_KINDS, load_checkpoint
 
 TINY_CONFIG = """\
@@ -440,16 +440,34 @@ class TestPipeline:
         _, labels = load_assignment(out / "clusters.csv")
         with warnings.catch_warnings(record=True) as lib_warnings:
             warnings.simplefilter("always")
-            rows = [
-                row
-                for kind in MODEL_KINDS
-                for row in run_granularity_experiment(
-                    cfg.model_config(vocab_size, kind), train_s, test_s, labels,
-                    cfg.train_spec(), ("cluster",), cfg.eval_mode)
-            ]
+            units = training_units("cluster", train_s, test_s, labels)
+            rows = []
+            for kind in MODEL_KINDS:
+                config = cfg.model_config(vocab_size, kind)
+                trained = [(tag, model, unit_test) for tag, model, _, unit_test
+                           in train_units(config, units, cfg.train_spec())]
+                rows += score_units(kind, "cluster", trained, cfg.threshold, cfg.eval_mode,
+                                    labels)
         write_reports(tmp_path / "library.csv", rows)
         assert (tmp_path / "library.csv").read_bytes() == (out / "compare_report.csv").read_bytes()
         assert [str(w.message) for w in cli_warnings] == [str(w.message) for w in lib_warnings]
+
+    def test_compare_forms_units_once(self, tmp_path, monkeypatch):
+        cfg_path, _ = write_config(
+            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
+        for command in ("gen", "cluster"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        calls = []
+        forming = harness.training_units
+
+        def counted(*args):
+            calls.append(args[0])
+            return forming(*args)
+
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "training_units", counted)
+        assert self.run("compare", "-c", str(cfg_path)) == 0
+        assert calls == ["cluster"]
 
     def test_compare_reads_histories_once(self, tmp_path, monkeypatch):
         cfg_path, out = write_config(tmp_path)
@@ -511,6 +529,19 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "unreadable artifact" in err and path.name in err
 
+    def test_histories_without_dealers_exit_2(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path)
+        assert self.run("gen", "-c", str(cfg_path)) == 0
+        path = out / "histories.bin"
+        # keep the header and write a dealer count of 0
+        path.write_bytes(path.read_bytes()[:16] + bytes(4))
+        capsys.readouterr()
+        for command in ("cluster", "train"):
+            assert self.run(command, "-c", str(cfg_path)) == 2, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "unreadable artifact" in err
+            assert path.name in err and "0 dealers" in err
+
     def test_compare_checks_every_model_config_before_training(self, tmp_path, capsys,
                                                                monkeypatch):
         # heads 4 does not divide d_model 6, which only the transformer kinds
@@ -552,7 +583,7 @@ class TestClustersFile:
                 cli._prepare(cfg, path.parent, scoring=True)
         for keep in (len(blob) - 2, len(blob) - 1):
             path.write_bytes(blob[:keep])
-            assert cli._prepare(cfg, path.parent, scoring=True)[3] == full
+            assert cli._prepare(cfg, path.parent, scoring=True)[2] == full
 
     @pytest.mark.parametrize("cut", [0, 3, 8, 13, 30, 80, 88, 0.5])
     def test_truncated_file_exits_2(self, tmp_path, capsys, cut):

@@ -16,9 +16,9 @@ from otcforecast.harness import (
     initial_loss,
     layer_signal_stats,
     micro_prf,
-    run_granularity_experiment,
     score_units,
     train,
+    train_units,
     training_units,
     write_layer_stats,
     write_reports,
@@ -356,18 +356,25 @@ def market_samples(dealers, per_dealer=4, seed=0):
     return samples
 
 
-class TestGranularityExperiment:
-    def quick_spec(self):
-        return TrainSpec(epochs=2, batch_size=4, learning_rate=0.01, seed=1)
+def run_experiment(granularity, train_s, test_s, labels):
+    """training_units -> train_units -> score_units, as the CLI composes them."""
+    spec = TrainSpec(epochs=2, batch_size=4, learning_rate=0.01, seed=1)
+    units = training_units(granularity, train_s, test_s, labels)
+    trained = [(tag, model, unit_test)
+               for tag, model, _, unit_test in train_units(toy_config(), units, spec)]
+    return score_units("TransRE", granularity, trained, spec.threshold, "per_day", labels)
 
+
+class TestGranularityExperiment:
     def test_single_dealer_collapse(self):
+        # every unit model starts from the same seeded initialization
         train_s = market_samples(["D1"], per_dealer=3, seed=20)
         test_s = market_samples(["D1"], per_dealer=2, seed=30)
-        rows = run_granularity_experiment(
-            toy_config(), train_s, test_s, {"D1": 0}, self.quick_spec()
-        )
-        f1s = {r.granularity: r.f1 for r in rows if r.cluster == "all"}
-        assert len(f1s) == 3
+        f1s = {}
+        for granularity in GRANULARITIES:
+            rows = run_experiment(granularity, train_s, test_s, {"D1": 0})
+            assert [r.cluster for r in rows] == ["0", "all"]
+            f1s[granularity] = rows[-1].f1
         assert len(set(f1s.values())) == 1
 
     def test_cluster_granularity_trains_one_model_per_cluster(self):
@@ -394,24 +401,19 @@ class TestGranularityExperiment:
         labels = {"DA": 0, "DB": 1}
         train_s = market_samples(labels, per_dealer=3, seed=40)
         test_s = market_samples(labels, per_dealer=2, seed=50)
-        rows = run_granularity_experiment(
-            toy_config(), train_s, test_s, labels, self.quick_spec()
-        )
-        # (granularities x clusters) rows plus one "all" row per granularity
-        assert len(rows) == 3 * (2 + 1)
         for granularity in GRANULARITIES:
-            clusters = [r.cluster for r in rows if r.granularity == granularity]
-            assert clusters == ["0", "1", "all"]
+            rows = run_experiment(granularity, train_s, test_s, labels)
+            # one row per cluster, then the "all" row
+            assert [r.cluster for r in rows] == ["0", "1", "all"]
+            assert {r.granularity for r in rows} == {granularity}
 
     def test_dealer_without_training_samples_warns(self):
         labels = {"DA": 0, "DB": 0}
         train_s = market_samples(["DA"], per_dealer=3, seed=60)
         test_s = market_samples(labels, per_dealer=1, seed=70)
         with pytest.warns(UserWarning, match="DB"):
-            run_granularity_experiment(
-                toy_config(), train_s, test_s, labels, self.quick_spec(),
-                granularities=("individual",),
-            )
+            rows = run_experiment("individual", train_s, test_s, labels)
+        assert [r.cluster for r in rows] == ["0", "all"]
 
     def test_unit_without_test_samples_warns_and_is_not_scored(self):
         model = FixedModel(np.zeros((2, 8)))
@@ -426,10 +428,8 @@ class TestGranularityExperiment:
 
     def test_missing_assignment_rejected(self):
         train_s = market_samples(["DA"], seed=80)
-        with pytest.raises(ContractError):
-            run_granularity_experiment(
-                toy_config(), train_s, train_s, {}, self.quick_spec()
-            )
+        with pytest.raises(ContractError, match="DA missing from cluster assignment"):
+            training_units("cluster", train_s, train_s, {})
 
 
 class TestReportIO:

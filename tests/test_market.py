@@ -5,6 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from otcforecast import market
 from otcforecast.errors import ArtifactError, ContractError
@@ -213,13 +216,6 @@ class TestVocabulary:
 
 
 class TestHistories:
-    def test_zero_record_dealer_all_zero(self):
-        vocab = build_vocabulary([TradeRecord(0, "D1", "B1", "B", "C")])
-        histories = build_histories([], vocab, 5, dealers=["D9"])
-        assert len(histories) == 1
-        assert histories[0].dealer_id == "D9"
-        assert histories[0].day_vectors.sum() == 0
-
     def test_buy_placement(self):
         records = [TradeRecord(0, "D1", f"B{i}", "B", "C") for i in range(10)]
         vocab = build_vocabulary(records)
@@ -329,6 +325,14 @@ class TestSplit:
             split_train_test([], 10, 1.0)
 
 
+# (dealers, days, V) of a histories file that holds no dealer, day or bond
+EMPTY_SIZES = [
+    pytest.param(0, 6, 2, id="no-dealers"),
+    pytest.param(1, 0, 2, id="no-days"),
+    pytest.param(1, 6, 0, id="no-bonds"),
+]
+
+
 class TestFileFormats:
     def test_histories_round_trip(self, tmp_path):
         spec = MarketSpec(days=15, bonds=8, periodic_dealers=2, sparse_dealers=1,
@@ -382,6 +386,29 @@ class TestFileFormats:
             save_histories(path, hists, 3, 2)
         assert not path.exists()
 
+    @pytest.mark.parametrize("dealers, days, vocab_size", EMPTY_SIZES)
+    def test_histories_without_dealer_day_or_bond_rejected(self, tmp_path, dealers, days,
+                                                           vocab_size):
+        # spliced by hand, because the writer refuses these files too
+        bitmap = bytes((days * 2 * vocab_size + 7) // 8)
+        path = tmp_path / "hist.bin"
+        path.write_bytes(struct.pack("<4sIII", b"OTCF", 1, days, vocab_size)
+                         + struct.pack("<I", dealers)
+                         + dealers * (struct.pack("<H", 2) + b"D0" + bitmap))
+        with pytest.raises(ArtifactError,
+                           match=f"{dealers} dealers, {days} days and {vocab_size} bonds"):
+            load_histories(path)
+
+    @pytest.mark.parametrize("dealers, days, vocab_size", EMPTY_SIZES)
+    def test_save_histories_refuses_an_empty_file_before_writing(self, tmp_path, dealers, days,
+                                                                 vocab_size):
+        hists = [market.DealerHistory("D0", np.zeros((days, 2 * vocab_size), dtype=np.uint8))
+                 for _ in range(dealers)]
+        path = tmp_path / "hist.bin"
+        with pytest.raises(ContractError, match="needs at least one of each"):
+            save_histories(path, hists, days, vocab_size)
+        assert not path.exists()
+
     def test_histories_trailing_bytes_and_bad_header_rejected(self, tmp_path):
         path, blob = self.small_histories_file(tmp_path)
         for corrupt, reason in ((blob + b"\0", "trailing"), (b"XXXX" + blob[4:], "magic"),
@@ -403,3 +430,44 @@ class TestFileFormats:
         for name in ("a.csv", "b.csv"):
             save_records(tmp_path / name, generate_synthetic_market(spec))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@st.composite
+def histories_files(draw):
+    """(histories, days, V) for a random valid histories.bin."""
+    days = draw(st.integers(1, 6))
+    vocab_size = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True))
+    bitmap = arrays(np.uint8, (days, 2 * vocab_size), elements=st.integers(0, 1))
+    return [market.DealerHistory(ident, draw(bitmap)) for ident in ids], days, vocab_size
+
+
+# a function-scoped tmp_path is safe here: every example rewrites the same file
+PROPERTY = settings(max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestHistoriesProperties:
+    @PROPERTY
+    @given(histories_files())
+    def test_round_trip(self, tmp_path, drawn):
+        histories, days, vocab_size = drawn
+        path = tmp_path / "hist.bin"
+        save_histories(path, histories, days, vocab_size)
+        loaded, loaded_days, loaded_v = load_histories(path)
+        assert (loaded_days, loaded_v) == (days, vocab_size)
+        assert [h.dealer_id for h in loaded] == [h.dealer_id for h in histories]
+        for a, b in zip(loaded, histories):
+            assert a.day_vectors.dtype == np.uint8
+            np.testing.assert_array_equal(a.day_vectors, b.day_vectors)
+
+    @PROPERTY
+    @given(histories_files(), st.data())
+    def test_truncation_at_any_offset_rejected(self, tmp_path, drawn, data):
+        histories, days, vocab_size = drawn
+        path = tmp_path / "hist.bin"
+        save_histories(path, histories, days, vocab_size)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="offset")])
+        with pytest.raises(ArtifactError, match="truncated"):
+            load_histories(path)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import otcforecast.autodiff as ad
 from otcforecast import models
@@ -604,6 +606,43 @@ class TestCheckpoints:
         assert old.encode() in header
         path.write_bytes(header.replace(old.encode(), new.encode(), 1) + b"\n" + payload)
         with pytest.raises(ArtifactError, match=re.escape(reason)):
+            load_checkpoint(path, model.config)
+
+
+# a function-scoped tmp_path is safe here: every example rewrites the same file
+CHECKPOINT_PROPERTY = settings(max_examples=24, deadline=None,
+                               suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def checkpointed_models(draw):
+    """A toy model of a drawn kind whose flat vector is arbitrary f64 bit patterns."""
+    model = build_model(toy_config(draw(st.sampled_from(MODEL_KINDS)),
+                                   n_layers=draw(st.integers(1, 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="bits seed"))
+    model.params.flat[:] = rng.integers(0, 2**64, size=model.params.flat.size,
+                                        dtype=np.uint64).view(np.float64)
+    return model
+
+
+class TestCheckpointProperties:
+    @CHECKPOINT_PROPERTY
+    @given(checkpointed_models())
+    def test_round_trip_is_bit_exact(self, tmp_path, model):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        loaded = load_checkpoint(path, model.config)
+        assert loaded.config == model.config
+        assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+
+    @CHECKPOINT_PROPERTY
+    @given(checkpointed_models(), st.data())
+    def test_truncation_at_any_offset_rejected(self, tmp_path, model, data):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="offset")])
+        with pytest.raises(ArtifactError, match="truncated"):
             load_checkpoint(path, model.config)
 
 
