@@ -141,7 +141,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ``a`` (shape (..., k), usually (..., n, k)), or a stack (..., k, m)
     with the same leading axes as ``a`` (..., n, k).  Backward gives
     dA = g Bᵀ and dB = Aᵀ g; for a shared matrix dB sums over the leading
-    axes with one (B·n, k)ᵀ @ (B·n, m) product.
+    axes with one (B·n, k)ᵀ @ (B·n, m) product, and dA is skipped when
+    ``a`` is a constant (an input window, say).
     """
     av, bv = a.values, b.values
     if av.ndim < 1 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
@@ -152,7 +153,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def vjp(g):
             g2 = g.reshape(-1, m)
-            return (g2 @ bv.T).reshape(av.shape), av.reshape(-1, k).T @ g2
+            ga = (g2 @ bv.T).reshape(av.shape) if a.requires_grad else None
+            return ga, av.reshape(-1, k).T @ g2
 
         return _record("matmul", (a, b), out, vjp)
     if av.ndim != bv.ndim or av.shape[:-2] != bv.shape[:-2]:
@@ -213,7 +215,8 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     n = diff.size
     return _record(
         "mse_loss", (pred, target), np.asarray((diff * diff).mean()),
-        lambda g: (g.item() * 2.0 * diff / n, g.item() * (-2.0) * diff / n),
+        lambda g: (g.item() * 2.0 * diff / n,
+                   g.item() * (-2.0) * diff / n if target.requires_grad else None),
     )
 
 
@@ -420,7 +423,6 @@ def multi_head_attention(
     wq: Tensor,
     bq: Tensor,
     wk: Tensor,
-    bk: Tensor,
     wv: Tensor,
     bv: Tensor,
     wo: Tensor,
@@ -435,14 +437,15 @@ def multi_head_attention(
     projections, merged across heads and output-projected.  All heads run
     in one batched product for the scores and one for the values.  With
     ``causal`` the query at position i may only attend to keys at
-    positions <= i.
+    positions <= i.  Keys have no bias: it would add q·bk to every score
+    of a query, a constant that the softmax over that query's row ignores.
     """
     d_model = q.shape[-1]
     if d_model % heads != 0:
         raise ConfigurationError(f"d_model={d_model} not divisible by heads={heads}")
     d_k = d_model // heads
     qh = _split_heads(add_rowvec(matmul(q, wq), bq), heads)
-    kh = _split_heads(add_rowvec(matmul(k, wk), bk), heads, keys=True)
+    kh = _split_heads(matmul(k, wk), heads, keys=True)
     vh = _split_heads(add_rowvec(matmul(v, wv), bv), heads)
     scores = scale(matmul(qh, kh), 1.0 / math.sqrt(d_k))
     context = matmul(softmax_rows(scores, causal=causal), vh)  # (..., H, T_q, d_k)

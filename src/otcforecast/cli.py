@@ -175,8 +175,10 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
     vocab_size, units, labels = _prepare(cfg, out, scoring=True)
-    models = [(tag, _load_model(cfg, out, vocab_size, tag), unit_test)
-              for tag, _, unit_test in units]
+    # each unit's checkpoint is loaded once the unit before it is scored, so the
+    # unit models are never all held at once
+    models = ((tag, _load_model(cfg, out, vocab_size, tag), unit_test)
+              for tag, _, unit_test in units)
     rows = score_units(cfg.kind, cfg.granularity, models, cfg.threshold, cfg.eval_mode, labels)
     write_reports(out / REPORT_FILE, rows)
     print(f"wrote {out / REPORT_FILE}")

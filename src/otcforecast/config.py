@@ -98,7 +98,7 @@ class RunConfig:
     batch_size: int = _setting("train", TrainSpec.batch_size, _AT_LEAST_1)
     learning_rate: float = _setting("train", TrainSpec.learning_rate,
                                     ("a float > 0", lambda v: v > 0))
-    threshold: float = _setting("train", TrainSpec.threshold, _OPEN_RATE)
+    threshold: float = _setting("train", 0.5, _OPEN_RATE)
     patience: int | None = _setting("train", TrainSpec.patience,
                                     ("an integer >= 1 or empty", lambda v: v is None or v >= 1))
     seed: int = _setting("run", 0, ("an integer", None))
@@ -143,7 +143,6 @@ class RunConfig:
             epochs=self.epochs,
             batch_size=self.batch_size,
             learning_rate=self.learning_rate,
-            threshold=self.threshold,
             seed=derive_seed(self.seed, "train"),
             patience=self.patience,
         )

@@ -33,7 +33,6 @@ class TrainSpec:
     epochs: int = 10
     batch_size: int = 16
     learning_rate: float = 0.01
-    threshold: float = 0.5
     seed: int = 0
     patience: int | None = None
 
@@ -42,8 +41,6 @@ class TrainSpec:
             raise ContractError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ContractError(f"threshold {self.threshold} outside (0, 1)")
 
 
 @dataclass
@@ -147,18 +144,6 @@ def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, 
                 if stale >= spec.patience:
                     break
     return model.params, losses
-
-
-def initial_loss(model, samples: list[Sample]) -> float:
-    """Mean per-sample MSE of the untrained model (diagnostic helper)."""
-    total = 0.0
-    with ad.no_grad():
-        for inputs, target in _batches(samples):
-            target = target.astype(np.float64)
-            pred = model.forward(inputs, teacher=target)
-            diff = pred.values - target
-            total += float((diff * diff).mean(axis=(-2, -1)).sum())
-    return total / len(samples)
 
 
 def _confusion(pred: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -299,7 +299,8 @@ class TransformerModel:
                 for block in blocks:
                     for which in "qkvo":
                         b.matrix(f"{layer}.{block}.w{which}", d, d)
-                        b.zeros(f"{layer}.{block}.b{which}", d)
+                        if which != "k":  # the softmax ignores a key bias
+                            b.zeros(f"{layer}.{block}.b{which}", d)
                 b.matrix(f"{layer}.ff.w1", d, cfg.d_ff)
                 b.zeros(f"{layer}.ff.b1", cfg.d_ff)
                 b.matrix(f"{layer}.ff.w2", cfg.d_ff, d)
@@ -350,8 +351,7 @@ class TransformerModel:
         return ad.multi_head_attention(
             q, k, v,
             wq=p[f"{prefix}.wq"], bq=p[f"{prefix}.bq"],
-            wk=p[f"{prefix}.wk"], bk=p[f"{prefix}.bk"],
-            wv=p[f"{prefix}.wv"], bv=p[f"{prefix}.bv"],
+            wk=p[f"{prefix}.wk"], wv=p[f"{prefix}.wv"], bv=p[f"{prefix}.bv"],
             wo=p[f"{prefix}.wo"], bo=p[f"{prefix}.bo"],
             heads=self.config.heads, causal=causal,
         )
@@ -426,7 +426,8 @@ class TransformerModel:
         """Autoregressive inference, feeding back thresholded predictions.
 
         All windows of a (..., T_in, 2V) stack advance in lockstep, one
-        output day per decoder pass.
+        output day per decoder pass; the head reads only the last decoded
+        position of each pass.
         """
         cfg = self.config
         with ad.no_grad():
@@ -435,9 +436,8 @@ class TransformerModel:
             fed_back = np.zeros((*lead, cfg.t_out, 2 * cfg.vocab_size))
             rows = []
             for step in range(1, cfg.t_out + 1):
-                decoder_input = self._decoder_input(fed_back, step)
-                out = self._head(self._decode(decoder_input, memory))
-                day = out.values[..., -1, :]
+                decoded = self._decode(self._decoder_input(fed_back, step), memory)
+                day = self._head(Tensor(decoded.values[..., -1, :])).values
                 rows.append(day)
                 if step < cfg.t_out:
                     fed_back[..., step - 1, :] = (day >= FEEDBACK_THRESHOLD).astype(np.float64)
@@ -459,7 +459,7 @@ def build_model(config: ModelConfig):
 
 
 CHECKPOINT_MAGIC = "otcforecast-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(path, model) -> None:

@@ -1,6 +1,7 @@
 """Engine tests: forward values against hand oracles, gradients against
 central finite differences, and the semantics of backward()."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,19 @@ class TestMatmul:
         b = rand((4, 2), 3)
         err = finite_diff_check(lambda: ad.sum_all(ad.matmul(a, b)), [a, b])
         assert err < 1e-6
+
+    def test_no_gradient_for_a_constant_input(self):
+        w, g = rand((4, 5), 4), np.random.default_rng(5).normal(size=(2, 3, 5))
+        grads = []
+        for requires_grad in (False, True):
+            x = rand((2, 3, 4), 6, grad=requires_grad)
+            ad.reset_tape()
+            ad.matmul(x, w)
+            (entry,) = ad._TAPE
+            grads.append(entry.vjp(g))
+        (skipped, dw), (dx, dw_reference) = grads
+        assert skipped is None and dx.shape == (2, 3, 4)
+        assert np.array_equal(dw, dw_reference)
 
 
 class TestElementwise:
@@ -182,6 +196,18 @@ class TestMseLoss:
         (grad,) = backward(ad.mse_loss(pred, Tensor([0.0, 0.0])), [pred])
         np.testing.assert_allclose(grad, [1.0, 0.0], atol=1e-12)
 
+    def test_no_gradient_for_a_constant_target(self):
+        pred = rand((3, 4), 7)
+        grads = []
+        for requires_grad in (False, True):
+            ad.reset_tape()
+            loss = ad.mse_loss(pred, rand((3, 4), 8, grad=requires_grad))
+            (entry,) = ad._TAPE
+            grads.append((entry.vjp(np.ones(())), backward(loss, [pred])[0]))
+        ((dpred, skipped), grad), ((dpred_reference, dtarget), grad_reference) = grads
+        assert skipped is None and dtarget.shape == (3, 4)
+        assert np.array_equal(dpred, dpred_reference) and np.array_equal(grad, grad_reference)
+
     def test_shape_error(self):
         with pytest.raises(ShapeMismatchError):
             ad.mse_loss(Tensor([1.0]), Tensor([1.0, 2.0]))
@@ -208,10 +234,7 @@ class TestSoftmaxAndAttention:
             rng = np.random.default_rng(seed)
             w = lambda: Tensor(rng.normal(scale=0.5, size=(d, d)), requires_grad=True)
         zeros = lambda: Tensor(np.zeros(d), requires_grad=True)
-        return dict(
-            wq=w(), bq=zeros(), wk=w(), bk=zeros(),
-            wv=w(), bv=zeros(), wo=w(), bo=zeros(),
-        )
+        return dict(wq=w(), bq=zeros(), wk=w(), wv=w(), bv=zeros(), wo=w(), bo=zeros())
 
     def test_single_position_returns_value_projection(self):
         d = 4
@@ -260,6 +283,66 @@ class TestSoftmaxAndAttention:
 
         err = finite_diff_check(f, [x, *params.values()])
         assert err < 1e-6
+
+
+def attention_with_key_bias(q, k, v, *, wq, bq, wk, bk, wv, bv, wo, bo, heads, causal):
+    """The attention op as it was when it held a key bias ``bk``, kept as
+    the reference that shows the bias changes nothing."""
+    def split_heads(x, keys=False):
+        *lead, t, d = x.shape
+        n = len(lead)
+        order = (n + 1, n + 2, n) if keys else (n + 1, n, n + 2)
+        return ad.transpose(ad.reshape(x, (*lead, t, heads, d // heads)), (*range(n), *order))
+
+    d_model = q.shape[-1]
+    qh = split_heads(ad.add_rowvec(ad.matmul(q, wq), bq))
+    kh = split_heads(ad.add_rowvec(ad.matmul(k, wk), bk), keys=True)
+    vh = split_heads(ad.add_rowvec(ad.matmul(v, wv), bv))
+    scores = ad.scale(ad.matmul(qh, kh), 1.0 / np.sqrt(d_model // heads))
+    context = ad.matmul(ad.softmax_rows(scores, causal=causal), vh)
+    *lead, _, t_q, _ = context.shape
+    n = len(lead)
+    merged = ad.reshape(ad.transpose(context, (*range(n), n + 1, n, n + 2)),
+                        (*lead, t_q, d_model))
+    return ad.add_rowvec(ad.matmul(merged, wo), bo)
+
+
+class TestKeyBias:
+    """Softmax ignores a per-query constant, so a key bias, which adds q·bk to
+    every score of query q, cannot change the attention output."""
+
+    def inputs(self, causal):
+        rng = np.random.default_rng(40)
+        params = {n: Tensor(rng.normal(scale=0.5, size=(4, 4) if n[0] == "w" else (4,)),
+                            requires_grad=True)
+                  for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")}
+        x = rand((2, 3, 4), 41)
+        keys = x if causal else rand((2, 5, 4), 42)
+        return params, x, keys
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_random_key_bias_changes_nothing(self, causal):
+        params, x, keys = self.inputs(causal)
+        bk = rand((4,), 43)
+        target = Tensor(np.random.default_rng(44).normal(size=(2, 3, 4)))
+        outputs = []
+        for attend in (ad.multi_head_attention, functools.partial(attention_with_key_bias, bk=bk)):
+            ad.reset_tape()
+            out = attend(x, keys, keys, heads=2, causal=causal, **params)
+            grads = backward(ad.mse_loss(out, target), [x, keys, *params.values()])
+            outputs.append((out.values, grads))
+        (out, grads), (reference, reference_grads) = outputs
+        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
+        for grad, reference_grad in zip(grads, reference_grads):
+            np.testing.assert_allclose(grad, reference_grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_zero_key_bias_is_bit_identical(self, causal):
+        params, x, keys = self.inputs(causal)
+        out = ad.multi_head_attention(x, keys, keys, heads=2, causal=causal, **params)
+        reference = attention_with_key_bias(x, keys, keys, bk=Tensor(np.zeros(4)), heads=2,
+                                            causal=causal, **params)
+        assert np.array_equal(out.values, reference.values)
 
 
 class TestStructuralOps:

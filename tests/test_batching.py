@@ -13,7 +13,7 @@ import otcforecast.autodiff as ad
 from otcforecast import harness
 from otcforecast.autodiff import Tensor, finite_diff_check
 from otcforecast.errors import ContractError, ShapeMismatchError
-from otcforecast.harness import evaluate, initial_loss, score_units
+from otcforecast.harness import evaluate, score_units
 from otcforecast.market import Sample
 from otcforecast.models import MODEL_KINDS, ModelConfig, build_model
 
@@ -131,7 +131,7 @@ class TestBatchedOps:
 
     def attention_params(self, seed):
         rng = np.random.default_rng(seed)
-        names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+        names = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
         return {n: Tensor(rng.normal(scale=0.5, size=(4, 4) if n[0] == "w" else (4,)),
                           requires_grad=True) for n in names}
 
@@ -232,10 +232,3 @@ class TestBatchedHarness:
         pooled = sum(expected.values()).tolist()
         assert [report.tp, report.fp, report.fn, report.tn] == pooled
         assert [rows[-1].tp, rows[-1].fp, rows[-1].fn, rows[-1].tn] == pooled
-
-    def test_chunked_initial_loss_is_mean_per_window_loss(self, monkeypatch):
-        model = perturbed_model("LSTM", seed=7)
-        samples = self.samples()
-        monkeypatch.setattr(harness, "EVAL_CHUNK", 3)
-        per_window = np.mean([initial_loss(model, [s]) for s in samples])
-        assert abs(initial_loss(model, samples) - per_window) < ATOL

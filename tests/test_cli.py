@@ -480,6 +480,46 @@ class TestPipeline:
         assert self.run("compare", "-c", str(cfg_path)) == 0
         assert loads == [out / "histories.bin"]
 
+    def test_eval_scores_each_unit_before_loading_the_next(self, tmp_path, monkeypatch):
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
+        for command in ("gen", "cluster", "train"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        events, tags = [], {}
+        load, evaluate = cli.load_checkpoint, harness.evaluate
+
+        def loaded(path, config):
+            model = load(path, config)
+            tags[id(model)] = path.name
+            events.append(("load", path.name))
+            return model
+
+        def scored(model, *args, **kwargs):
+            events.append(("score", tags[id(model)]))
+            return evaluate(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_checkpoint", loaded)
+        monkeypatch.setattr(harness, "evaluate", scored)
+        assert self.run("eval", "-c", str(cfg_path)) == 0
+        order = [tag for step, tag in events if step == "load"]
+        assert len(order) > 1
+        # a unit may be scored once per cluster label among its windows
+        merged = [e for i, e in enumerate(events) if i == 0 or e != events[i - 1]]
+        assert merged == [(step, tag) for tag in order for step in ("load", "score")]
+
+    def test_eval_with_a_missing_unit_checkpoint_writes_no_report(self, tmp_path, capsys):
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
+        for command in ("gen", "cluster", "train"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        last = sorted(out.glob("checkpoint_*.ckpt"))[-1]
+        last.unlink()
+        capsys.readouterr()
+        assert self.run("eval", "-c", str(cfg_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and last.name in err
+        assert not (out / "report.csv").exists()
+
     @pytest.mark.parametrize("command, train_fraction, split", [
         pytest.param("eval", "0.9", "test", id="eval"),
         pytest.param("compare", "0.9", "test", id="compare"),
@@ -665,7 +705,7 @@ class TestCheckpointConfig:
         _, _, vocab_size = market.load_histories(out / "histories.bin")
         config = parse_config(cfg_path).model_config(vocab_size)
         path = out / "checkpoint_single.ckpt"
-        manifest = {"magic": "otcforecast-checkpoint", "version": 3,
+        manifest = {"magic": "otcforecast-checkpoint", "version": 4,
                     "config": {**vars(config), "vocab_size": 20000}}
         path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n")
         assert path.stat().st_size < 256
@@ -717,7 +757,7 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "malformed manifest (version 1, expected 3)" in err
+        assert "malformed manifest (version 1, expected 4)" in err
 
     @pytest.mark.parametrize("kind, commands", [("LSTM", ("eval",)),
                                                 ("TransPPRZ", ("eval", "stats"))])
@@ -748,7 +788,30 @@ class TestCheckpointConfig:
             assert main([command, "-c", str(cfg_path)]) == 2, command
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "unreadable artifact" in err
-            assert "malformed manifest (version 2, expected 3)" in err
+            assert "malformed manifest (version 2, expected 4)" in err
+
+    def test_version_3_checkpoint_exits_2(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "cluster", "train"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        path = out / "checkpoint_single.ckpt"
+        header = path.read_bytes().split(b"\n", 1)[0]
+        # version 3 held a key bias after each attention block's wk
+        params = load_trained(cfg_path, out).params
+        parts = []
+        for name in params.names():
+            parts.append(params[name].values)
+            if name.endswith(".wk"):
+                parts.append(np.zeros(params[name].shape[1]))
+        old = b"".join(part.astype("<f8").tobytes() for part in parts)
+        manifest = {**json.loads(header), "version": 3}
+        path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + old)
+        capsys.readouterr()
+        for command in ("eval", "stats"):
+            assert main([command, "-c", str(cfg_path)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "unreadable artifact" in err
+            assert "malformed manifest (version 3, expected 4)" in err
 
 
 def truncate(path, cut):

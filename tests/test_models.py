@@ -18,6 +18,7 @@ from otcforecast.autodiff import Tensor
 from otcforecast.errors import ArtifactError, ConfigurationError, ContractError, ShapeMismatchError
 from otcforecast.models import (
     MODEL_KINDS,
+    TRANSFORMER_KINDS,
     ModelConfig,
     Parameters,
     _Builder,
@@ -428,6 +429,23 @@ class TestResidualSchemes:
         np.testing.assert_allclose(out.values, [[-1.0, 1.0]], atol=1e-5)
 
 
+def full_prefix_predict(model, input_days):
+    """Autoregressive inference that heads every decoded position of every
+    pass and reads the last, kept as the reference for ``predict``, which
+    heads the last position only."""
+    cfg = model.config
+    with ad.no_grad():
+        memory = model.encode(input_days)
+        fed_back = np.zeros((*memory.shape[:-2], cfg.t_out, 2 * cfg.vocab_size))
+        rows = []
+        for step in range(1, cfg.t_out + 1):
+            out = model._head(model._decode(model._decoder_input(fed_back, step), memory))
+            rows.append(out.values[..., -1, :])
+            if step < cfg.t_out:
+                fed_back[..., step - 1, :] = rows[-1] >= models.FEEDBACK_THRESHOLD
+    return np.stack(rows, axis=-2)
+
+
 class TestTransformer:
     def test_identity_at_init(self):
         for kind in ("TransRE", "TransPPRZ"):
@@ -522,6 +540,33 @@ class TestTransformer:
             assert np.abs(a - b).max() < 1e-12
             np.testing.assert_array_equal(pprz.predict(x), twin.predict(x))
 
+    def test_no_key_bias_and_171_tape_entries_at_c7_size(self):
+        for kind in TRANSFORMER_KINDS:
+            model = build_model(toy_config(kind))
+            assert not [name for name in model.params.names() if name.endswith(".bk")], kind
+        config = ModelConfig(kind="TransPPRZ", vocab_size=20, t_in=5, t_out=5, d_model=32,
+                             heads=4, n_layers=2, d_ff=64)
+        x = np.stack([random_day_matrix(5, 20, seed) for seed in range(8)])
+        teacher = np.stack([random_day_matrix(5, 20, seed) for seed in range(8, 16)])
+        ad.mse_loss(build_model(config).forward(x, teacher=teacher),
+                    Tensor(teacher.astype(np.float64)))
+        assert ad.tape_size() == 171
+
+    @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
+    def test_predict_matches_full_prefix_decoding(self, kind):
+        small = dict(vocab_size=8, t_in=3, t_out=4, d_model=4, heads=2, n_layers=2, d_ff=8)
+        c7 = dict(vocab_size=20, t_in=5, t_out=5, d_model=32, heads=4, n_layers=2, d_ff=64)
+        for sizes, lead in ((small, ()), (small, (3,)), (small, (2, 3)), (c7, (40,))):
+            model = build_model(ModelConfig(kind=kind, seed=21, **sizes))
+            rng = np.random.default_rng(22)
+            for t in model.params.tensors():
+                t.values += rng.normal(scale=0.3, size=t.shape)  # open the zero gates
+            v, t_in = sizes["vocab_size"], sizes["t_in"]
+            x = (rng.random((*lead, t_in, 2 * v)) < 0.3).astype(np.uint8)
+            # another BLAS may round a one-row head product differently
+            np.testing.assert_allclose(model.predict(x), full_prefix_predict(model, x),
+                                       rtol=0, atol=1e-12)
+
     def test_trace_collects_all_layers(self):
         model = build_model(toy_config("TransPPRZ", n_layers=2))
         trace = []
@@ -581,7 +626,7 @@ class TestCheckpoints:
         header, payload = path.read_bytes().split(b"\n", 1)
         manifest = json.loads(header)
         assert set(manifest) == {"magic", "version", "config"}
-        assert manifest["magic"] == "otcforecast-checkpoint" and manifest["version"] == 3
+        assert manifest["magic"] == "otcforecast-checkpoint" and manifest["version"] == 4
         assert manifest["config"] == {"kind": "TransRE", "vocab_size": 8, "t_in": 3, "t_out": 2,
                                       "d_model": 4, "heads": 4, "n_layers": 1, "d_ff": 8,
                                       "hidden": 4, "seed": 3}
@@ -590,7 +635,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("edit", [
         ("otcforecast-checkpoint", "otcforecast-histories", "malformed manifest"),
-        ('"version":3', '"version":2', "malformed manifest"),
+        ('"version":4', '"version":3', "malformed manifest"),
         ('"heads":2', '"heads":3', "trained with heads = 3, the config gives 2"),
         ('"kind":"TransRE"', '"kind":"MLP"',
          "trained with kind = 'MLP', the config gives 'TransRE'"),
@@ -709,10 +754,10 @@ LAYOUTS = {
          ("readout.w", (8, 16)), ("readout.b", (16,))],
     ),
     "TransFV": (
-        "d422b1c98f09a530b1cc8c739f7ca17bafca23c291b3d2c83cda13a4dfd9a06d",
+        "348f7bf7abb4695ec0ff4c45489f9e669755af6aa22340470e2847aeb4db245f",
         [("embed.w", (16, 4)), ("embed.b", (4,)), ("decoder.sos", (4,)),
          ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
-         ("encoder.l0.attn.wk", (4, 4)), ("encoder.l0.attn.bk", (4,)),
+         ("encoder.l0.attn.wk", (4, 4)),
          ("encoder.l0.attn.wv", (4, 4)), ("encoder.l0.attn.bv", (4,)),
          ("encoder.l0.attn.wo", (4, 4)), ("encoder.l0.attn.bo", (4,)),
          ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)), ("encoder.l0.ff.w2", (8, 4)),
@@ -720,11 +765,11 @@ LAYOUTS = {
          ("encoder.l0.norm1.beta", (4,)), ("encoder.l0.norm2.gamma", (4,)),
          ("encoder.l0.norm2.beta", (4,)), ("decoder.l0.self.wq", (4, 4)),
          ("decoder.l0.self.bq", (4,)), ("decoder.l0.self.wk", (4, 4)),
-         ("decoder.l0.self.bk", (4,)), ("decoder.l0.self.wv", (4, 4)),
+         ("decoder.l0.self.wv", (4, 4)),
          ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
          ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
          ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
-         ("decoder.l0.cross.bk", (4,)), ("decoder.l0.cross.wv", (4, 4)),
+         ("decoder.l0.cross.wv", (4, 4)),
          ("decoder.l0.cross.bv", (4,)), ("decoder.l0.cross.wo", (4, 4)),
          ("decoder.l0.cross.bo", (4,)), ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)),
          ("decoder.l0.ff.w2", (8, 4)), ("decoder.l0.ff.b2", (4,)),
@@ -734,10 +779,10 @@ LAYOUTS = {
          ("head.b", (16,))],
     ),
     "TransCTE": (
-        "55de7c7acd276a5dbfa650c3e783e3d65ff59a8672a171d2c6c34510191aaf2a",
+        "bfdf119a4b8a0badf05060c6f5b4660a433fac134f9604b4f172cf66052af3ee",
         [("cte.bonds", (8, 4)), ("cte.actions", (2, 4)), ("decoder.sos", (4,)),
          ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
-         ("encoder.l0.attn.wk", (4, 4)), ("encoder.l0.attn.bk", (4,)),
+         ("encoder.l0.attn.wk", (4, 4)),
          ("encoder.l0.attn.wv", (4, 4)), ("encoder.l0.attn.bv", (4,)),
          ("encoder.l0.attn.wo", (4, 4)), ("encoder.l0.attn.bo", (4,)),
          ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)), ("encoder.l0.ff.w2", (8, 4)),
@@ -745,11 +790,11 @@ LAYOUTS = {
          ("encoder.l0.norm1.beta", (4,)), ("encoder.l0.norm2.gamma", (4,)),
          ("encoder.l0.norm2.beta", (4,)), ("decoder.l0.self.wq", (4, 4)),
          ("decoder.l0.self.bq", (4,)), ("decoder.l0.self.wk", (4, 4)),
-         ("decoder.l0.self.bk", (4,)), ("decoder.l0.self.wv", (4, 4)),
+         ("decoder.l0.self.wv", (4, 4)),
          ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
          ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
          ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
-         ("decoder.l0.cross.bk", (4,)), ("decoder.l0.cross.wv", (4, 4)),
+         ("decoder.l0.cross.wv", (4, 4)),
          ("decoder.l0.cross.bv", (4,)), ("decoder.l0.cross.wo", (4, 4)),
          ("decoder.l0.cross.bo", (4,)), ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)),
          ("decoder.l0.ff.w2", (8, 4)), ("decoder.l0.ff.b2", (4,)),
@@ -759,40 +804,40 @@ LAYOUTS = {
          ("head.b", (16,))],
     ),
     "TransRE": (
-        "5bdadbb598b4fb2e39273b5bcccba2d57dc8b006dd7856f765d7043a77970648",
+        "2c7a07dba32ec34289857d18b1e6f2ecc2b9c511cffd861eea2e3692360e9973",
         [("embed.w", (16, 4)), ("embed.b", (4,)), ("decoder.sos", (4,)),
          ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
-         ("encoder.l0.attn.wk", (4, 4)), ("encoder.l0.attn.bk", (4,)),
+         ("encoder.l0.attn.wk", (4, 4)),
          ("encoder.l0.attn.wv", (4, 4)), ("encoder.l0.attn.bv", (4,)),
          ("encoder.l0.attn.wo", (4, 4)), ("encoder.l0.attn.bo", (4,)),
          ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)), ("encoder.l0.ff.w2", (8, 4)),
          ("encoder.l0.ff.b2", (4,)), ("encoder.l0.gate", ()), ("decoder.l0.self.wq", (4, 4)),
          ("decoder.l0.self.bq", (4,)), ("decoder.l0.self.wk", (4, 4)),
-         ("decoder.l0.self.bk", (4,)), ("decoder.l0.self.wv", (4, 4)),
+         ("decoder.l0.self.wv", (4, 4)),
          ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
          ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
          ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
-         ("decoder.l0.cross.bk", (4,)), ("decoder.l0.cross.wv", (4, 4)),
+         ("decoder.l0.cross.wv", (4, 4)),
          ("decoder.l0.cross.bv", (4,)), ("decoder.l0.cross.wo", (4, 4)),
          ("decoder.l0.cross.bo", (4,)), ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)),
          ("decoder.l0.ff.w2", (8, 4)), ("decoder.l0.ff.b2", (4,)), ("decoder.l0.gate", ()),
          ("head.w", (4, 16)), ("head.b", (16,))],
     ),
     "TransPPRZ": (
-        "b2866439a2850871d55367b2adb0b1ab98a7b59c4da741909f95dd70a32e9110",
+        "db6879ea9461338c564c51e75170c90dff03eee6cd999c32d3a6d3aecb1f4c7b",
         [("cte.bonds", (8, 4)), ("cte.actions", (2, 4)), ("decoder.sos", (4,)),
          ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
-         ("encoder.l0.attn.wk", (4, 4)), ("encoder.l0.attn.bk", (4,)),
+         ("encoder.l0.attn.wk", (4, 4)),
          ("encoder.l0.attn.wv", (4, 4)), ("encoder.l0.attn.bv", (4,)),
          ("encoder.l0.attn.wo", (4, 4)), ("encoder.l0.attn.bo", (4,)),
          ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)), ("encoder.l0.ff.w2", (8, 4)),
          ("encoder.l0.ff.b2", (4,)), ("encoder.l0.gate", (4,)), ("decoder.l0.self.wq", (4, 4)),
          ("decoder.l0.self.bq", (4,)), ("decoder.l0.self.wk", (4, 4)),
-         ("decoder.l0.self.bk", (4,)), ("decoder.l0.self.wv", (4, 4)),
+         ("decoder.l0.self.wv", (4, 4)),
          ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
          ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
          ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
-         ("decoder.l0.cross.bk", (4,)), ("decoder.l0.cross.wv", (4, 4)),
+         ("decoder.l0.cross.wv", (4, 4)),
          ("decoder.l0.cross.bv", (4,)), ("decoder.l0.cross.wo", (4, 4)),
          ("decoder.l0.cross.bo", (4,)), ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)),
          ("decoder.l0.ff.w2", (8, 4)), ("decoder.l0.ff.b2", (4,)), ("decoder.l0.gate", (4,)),
