@@ -134,6 +134,20 @@ def _require_equal_shapes(op: str, a: Tensor, b: Tensor) -> None:
         raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
+def _project(x: Array, w: Array) -> Array:
+    """(..., k) @ (k, m) as one (N, k) @ (k, m) product."""
+    k, m = w.shape
+    return (x.reshape(-1, k) @ w).reshape(*x.shape[:-1], m)
+
+
+def _project_vjp(x: Array, w: Array, g: Array, need_x: bool) -> tuple[Array | None, Array]:
+    """(dx, dw) of :func:`_project`; dx is None unless ``need_x``."""
+    k, m = w.shape
+    g2 = g.reshape(-1, m)
+    dx = (g2 @ w.T).reshape(x.shape) if need_x else None
+    return dx, x.reshape(-1, k).T @ g2
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """C = A @ B over the last two axes of A.
 
@@ -147,16 +161,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     if av.ndim < 1 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
         raise ShapeMismatchError(f"matmul: inner extents differ: {a.shape} x {b.shape}")
-    k, m = bv.shape[-2:]
     if bv.ndim == 2:
-        out = (av.reshape(-1, k) @ bv).reshape(*av.shape[:-1], m)
-
-        def vjp(g):
-            g2 = g.reshape(-1, m)
-            ga = (g2 @ bv.T).reshape(av.shape) if a.requires_grad else None
-            return ga, av.reshape(-1, k).T @ g2
-
-        return _record("matmul", (a, b), out, vjp)
+        return _record("matmul", (a, b), _project(av, bv),
+                       lambda g: _project_vjp(av, bv, g, a.requires_grad))
     if av.ndim != bv.ndim or av.shape[:-2] != bv.shape[:-2]:
         raise ShapeMismatchError(f"matmul: leading axes differ: {a.shape} x {b.shape}")
     return _record(
@@ -199,13 +206,6 @@ def sigmoid(a: Tensor) -> Tensor:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return _record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    return _record(
-        "sum_all", (a,), np.asarray(a.values.sum()),
-        lambda g: (np.full(a.values.shape, g.item()),),
-    )
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -279,29 +279,30 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _record("layer_norm", (x, gamma, beta), out, vjp)
 
 
+def _softmax(sv: Array, causal: bool) -> Array:
+    if causal:
+        rows, cols = sv.shape[-2:]
+        if rows != cols:
+            raise ShapeMismatchError(f"causal mask needs square scores, got {sv.shape}")
+        sv = np.where(np.triu(np.ones((rows, cols), dtype=bool), k=1), -np.inf, sv)
+    e = np.exp(sv - sv.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(y: Array, g: Array) -> Array:
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax_rows(s: Tensor, causal: bool = False) -> Tensor:
     """Softmax over the last axis of a (..., rows, cols) score stack.
 
     The causal mask forbids column j > row i, needs square trailing
     matrices, and is shared by every leading index.
     """
-    sv = s.values
-    if sv.ndim < 2:
+    if s.values.ndim < 2:
         raise ShapeMismatchError(f"softmax_rows: expected (..., rows, cols) scores, got {s.shape}")
-    if causal:
-        rows, cols = sv.shape[-2:]
-        if rows != cols:
-            raise ShapeMismatchError(f"softmax_rows: causal mask needs square scores, got {s.shape}")
-        sv = np.where(np.triu(np.ones((rows, cols), dtype=bool), k=1), -np.inf, sv)
-    shifted = sv - sv.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _record("softmax_rows", (s,), y, vjp)
+    y = _softmax(s.values, causal)
+    return _record("softmax_rows", (s,), y, lambda g: (_softmax_vjp(y, g),))
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -407,14 +408,6 @@ def scale_by(a: Tensor, s: Tensor) -> Tensor:
     )
 
 
-def _split_heads(x: Tensor, heads: int, keys: bool = False) -> Tensor:
-    """(..., T, d) -> (..., H, T, d_k), or (..., H, d_k, T) for ``keys``."""
-    *lead, t, d = x.shape
-    n = len(lead)
-    order = (n + 1, n + 2, n) if keys else (n + 1, n, n + 2)
-    return transpose(reshape(x, (*lead, t, heads, d // heads)), (*range(n), *order))
-
-
 def multi_head_attention(
     q: Tensor,
     k: Tensor,
@@ -430,7 +423,7 @@ def multi_head_attention(
     heads: int,
     causal: bool = False,
 ) -> Tensor:
-    """Projected multi-head scaled dot-product attention.
+    """Projected multi-head scaled dot-product attention, as one tape entry.
 
     Queries are (..., T_q, d) and keys/values (..., T_k, d) with the same
     leading axes.  Per head: softmax(Q'K'ᵀ / sqrt(d_k)) V' over head-split
@@ -439,20 +432,52 @@ def multi_head_attention(
     ``causal`` the query at position i may only attend to keys at
     positions <= i.  Keys have no bias: it would add q·bk to every score
     of a query, a constant that the softmax over that query's row ignores.
+
+    The backward is written by hand from the head-split Q'/K'/V' and the
+    softmax probabilities kept from the forward.  It runs every product,
+    copy and sum of the composite of ``matmul``, ``add_rowvec``,
+    ``reshape``, ``transpose``, ``scale`` and ``softmax_rows``, and lists
+    v, k, q first so x's gradient in self-attention accumulates in that
+    composite's reverse tape order: the result is bit-identical to it.
     """
-    d_model = q.shape[-1]
+    qs, ks = q.shape, k.shape
+    if len(qs) < 2 or ks != v.shape or len(ks) != len(qs) or ks[:-2] != qs[:-2] or ks[-1] != qs[-1]:
+        raise ShapeMismatchError(f"multi_head_attention: q {qs}, k {ks}, v {v.shape} do not fit")
+    *lead, t_q, d_model = qs
     if d_model % heads != 0:
         raise ConfigurationError(f"d_model={d_model} not divisible by heads={heads}")
-    d_k = d_model // heads
-    qh = _split_heads(add_rowvec(matmul(q, wq), bq), heads)
-    kh = _split_heads(matmul(k, wk), heads, keys=True)
-    vh = _split_heads(add_rowvec(matmul(v, wv), bv), heads)
-    scores = scale(matmul(qh, kh), 1.0 / math.sqrt(d_k))
-    context = matmul(softmax_rows(scores, causal=causal), vh)  # (..., H, T_q, d_k)
-    *lead, _, t_q, _ = context.shape
-    n = len(lead)
-    merged = reshape(transpose(context, (*range(n), n + 1, n, n + 2)), (*lead, t_q, d_model))
-    return add_rowvec(matmul(merged, wo), bo)
+    d_k, n = d_model // heads, len(lead)
+    # (..., T, H, d_k) -> (..., H, T, d_k), its own inverse; keys go to (..., H, d_k, T)
+    rows, cols = (*range(n), n + 1, n, n + 2), (*range(n), n + 1, n + 2, n)
+    c = 1.0 / math.sqrt(d_k)
+
+    def split(x, w, b, order):
+        p = _project(x.values, w.values)
+        p = p if b is None else p + b.values
+        return np.ascontiguousarray(np.transpose(p.reshape(*p.shape[:-1], heads, d_k), order))
+
+    qh, kh, vh = split(q, wq, bq, rows), split(k, wk, None, cols), split(v, wv, bv, rows)
+    probs = _softmax((qh @ kh) * c, causal)
+    merged = np.ascontiguousarray(np.transpose(probs @ vh, rows)).reshape(*lead, t_q, d_model)
+
+    def unsplit(x, w, b, dh, order):
+        dp = np.transpose(dh, tuple(np.argsort(order))).reshape(x.shape)
+        db = None if b is None else dp.reshape(-1, d_model).sum(axis=0)
+        return (*_project_vjp(x.values, w.values, dp, x.requires_grad), db)
+
+    def vjp(g):
+        dmerged, dwo = _project_vjp(merged, wo.values, g, True)
+        dctx = np.transpose(dmerged.reshape(*lead, t_q, heads, d_k), rows)
+        dprobs, dvh = dctx @ np.swapaxes(vh, -1, -2), np.swapaxes(probs, -1, -2) @ dctx
+        dscores = _softmax_vjp(probs, dprobs) * c
+        dqh, dkh = dscores @ np.swapaxes(kh, -1, -2), np.swapaxes(qh, -1, -2) @ dscores
+        dv, dwv, dbv = unsplit(v, wv, bv, dvh, rows)
+        dk, dwk, _ = unsplit(k, wk, None, dkh, cols)
+        dq, dwq, dbq = unsplit(q, wq, bq, dqh, rows)
+        return dv, dk, dq, dwo, g.reshape(-1, d_model).sum(axis=0), dwv, dbv, dwk, dwq, dbq
+
+    return _record("multi_head_attention", (v, k, q, wo, bo, wv, bv, wk, wq, bq),
+                   _project(merged, wo.values) + bo.values, vjp)
 
 
 # ---------------------------------------------------------------------------

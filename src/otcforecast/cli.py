@@ -41,7 +41,7 @@ from .harness import (
     write_layer_stats,
     write_reports,
 )
-from .models import MODEL_KINDS, TRANSFORMER_KINDS, load_checkpoint, save_checkpoint
+from .models import MODEL_KINDS, TRANSFORMER_KINDS, check_checkpoint, load_checkpoint, save_checkpoint
 from .seeding import derive_seed
 
 COMMANDS = ("gen", "cluster", "train", "eval", "compare", "stats")
@@ -156,9 +156,15 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
     return vocab_size, units, labels
 
 
-def _load_model(cfg: RunConfig, out: Path, vocab_size: int, tag: str):
-    return load_checkpoint(_require(_checkpoint_path(out, tag), "train"),
-                           cfg.model_config(vocab_size))
+def _unit_models(cfg: RunConfig, out: Path, vocab_size: int, units):
+    """(tag, model, unit_train, unit_test) per unit: every checkpoint is checked before the
+    first is loaded, and each is loaded once the one before it is consumed."""
+    config = cfg.model_config(vocab_size)
+    paths = [_require(_checkpoint_path(out, tag), "train") for tag, _, _ in units]
+    for path in paths:
+        check_checkpoint(path, config)
+    for (tag, unit_train, unit_test), path in zip(units, paths):
+        yield tag, load_checkpoint(path, config), unit_train, unit_test
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> None:
@@ -175,10 +181,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
     vocab_size, units, labels = _prepare(cfg, out, scoring=True)
-    # each unit's checkpoint is loaded once the unit before it is scored, so the
-    # unit models are never all held at once
-    models = ((tag, _load_model(cfg, out, vocab_size, tag), unit_test)
-              for tag, _, unit_test in units)
+    models = ((tag, m, test) for tag, m, _, test in _unit_models(cfg, out, vocab_size, units))
     rows = score_units(cfg.kind, cfg.granularity, models, cfg.threshold, cfg.eval_mode, labels)
     write_reports(out / REPORT_FILE, rows)
     print(f"wrote {out / REPORT_FILE}")
@@ -225,9 +228,8 @@ def cmd_stats(cfg: RunConfig, out: Path) -> None:
         )
     vocab_size, units, _ = _prepare(cfg, out)
     stats_list = [
-        layer_signal_stats(_load_model(cfg, out, vocab_size, tag),
-                           unit_train[: cfg.probe_samples], tag=tag)
-        for tag, unit_train, _ in units
+        layer_signal_stats(model, unit_train[: cfg.probe_samples], tag=tag)
+        for tag, model, unit_train, _ in _unit_models(cfg, out, vocab_size, units)
     ]
     write_layer_stats(out / STATS_FILE, stats_list)
     print(f"wrote {out / STATS_FILE}")

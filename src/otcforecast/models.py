@@ -18,8 +18,10 @@ vector that is tiled over the output window.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -473,21 +475,26 @@ def save_checkpoint(path, model) -> None:
         fh.write(model.params.flat.astype("<f8").tobytes())
 
 
-def load_checkpoint(path, config: ModelConfig):
-    """Load the model a checkpoint written by :func:`save_checkpoint`
-    holds, which must have been trained under ``config``.
+@functools.cache
+def _parameter_count(config: ModelConfig) -> int:
+    """Length of ``config``'s parameter vector, built once per config."""
+    return build_model(config).params.flat.size
+
+
+def check_checkpoint(path, config: ModelConfig) -> int:
+    """Check a :func:`save_checkpoint` file against the model ``config``
+    it must have been trained under; return its payload's byte offset.
 
     Raises ArtifactError, in this order, unless the manifest line is
     complete, parses and carries the magic, this format version and a
     model config with exactly ``config``'s fields; unless those fields
     equal ``config``'s (the message names the first that differs); and
     unless the payload holds exactly ``config``'s parameter count.  The
-    model is built only after the config check, so a manifest cannot
-    choose what is allocated.
+    payload is measured, not read.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
-        payload = fh.read()
+        payload_bytes = fh.seek(0, os.SEEK_END) - len(header)
     if not header.endswith(b"\n"):
         raise ArtifactError(f"{path}: truncated manifest line")
     given = asdict(config)
@@ -506,12 +513,18 @@ def load_checkpoint(path, config: ModelConfig):
         if stored[name] != value:
             raise ArtifactError(f"{path}: trained with {name} = {stored[name]!r}, "
                                 f"the config gives {value!r}")
+    expected = 8 * _parameter_count(config)
+    if payload_bytes < expected:
+        raise ArtifactError(f"{path}: truncated payload: {payload_bytes} of {expected} bytes")
+    if payload_bytes > expected:
+        raise ArtifactError(f"{path}: {payload_bytes - expected} trailing payload bytes")
+    return len(header)
+
+
+def load_checkpoint(path, config: ModelConfig):
+    """Load a checkpoint :func:`check_checkpoint` passes under ``config``;
+    the model is built after the check, so a manifest cannot size it."""
+    offset = check_checkpoint(path, config)
     model = build_model(config)
-    flat = model.params.flat
-    expected = 8 * flat.size
-    if len(payload) < expected:
-        raise ArtifactError(f"{path}: truncated payload: {len(payload)} of {expected} bytes")
-    if len(payload) > expected:
-        raise ArtifactError(f"{path}: {len(payload) - expected} trailing payload bytes")
-    flat[:] = np.frombuffer(payload, dtype="<f8")
+    model.params.flat[:] = np.fromfile(path, dtype="<f8", offset=offset)
     return model

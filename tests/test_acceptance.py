@@ -29,6 +29,8 @@ from otcforecast.models import (
     positional_encoding,
 )
 
+from helpers import sum_all
+
 TOY = dict(vocab_size=8, t_in=3, t_out=2, d_model=4, heads=2, n_layers=1,
            d_ff=8, hidden=4)
 
@@ -97,34 +99,34 @@ def test_c1_gradient_correctness():
 
     worst_ops = 0.0
     a, b = tensors((3, 4), (4, 2))
-    worst_ops = max(worst_ops, finite_diff_check(lambda: ad.sum_all(ad.matmul(a, b)), [a, b]))
+    worst_ops = max(worst_ops, finite_diff_check(lambda: sum_all(ad.matmul(a, b)), [a, b]))
 
     u, v = tensors((5,), (5,))
     for op in (ad.add, ad.mul):
         worst_ops = max(worst_ops, finite_diff_check(
-            lambda op=op: ad.sum_all(ad.mul(op(u, v), op(u, v))), [u, v]))
+            lambda op=op: sum_all(ad.mul(op(u, v), op(u, v))), [u, v]))
     worst_ops = max(worst_ops, finite_diff_check(
-        lambda: ad.sum_all(ad.mul(ad.tanh(u), ad.sigmoid(v))), [u, v]))
+        lambda: sum_all(ad.mul(ad.tanh(u), ad.sigmoid(v))), [u, v]))
     worst_ops = max(worst_ops, finite_diff_check(
-        lambda: ad.sum_all(ad.scale(ad.add_scalar(u, 0.3), -1.7)), [u]))
+        lambda: sum_all(ad.scale(ad.add_scalar(u, 0.3), -1.7)), [u]))
 
     table, = tensors((6, 4))
     worst_ops = max(worst_ops, finite_diff_check(
-        lambda: ad.sum_all(ad.mul(ad.embedding_bag(table, (0, 2, 5)),
-                                  ad.embedding_bag(table, (0, 2, 5)))), [table]))
+        lambda: sum_all(ad.mul(ad.embedding_bag(table, (0, 2, 5)),
+                               ad.embedding_bag(table, (0, 2, 5)))), [table]))
 
     x, gamma, beta = tensors((3, 5), (5,), (5,))
     worst_ops = max(worst_ops, finite_diff_check(
-        lambda: ad.sum_all(ad.mul(ad.layer_norm(x, gamma, beta),
-                                  ad.layer_norm(x, gamma, beta))), [x, gamma, beta]))
+        lambda: sum_all(ad.mul(ad.layer_norm(x, gamma, beta),
+                               ad.layer_norm(x, gamma, beta))), [x, gamma, beta]))
 
     pred, target = tensors((4, 3), (4, 3))
     worst_ops = max(worst_ops, finite_diff_check(lambda: ad.mse_loss(pred, target), [pred]))
 
     scores, = tensors((4, 4), scale=2.0)
     worst_ops = max(worst_ops, finite_diff_check(
-        lambda: ad.sum_all(ad.mul(ad.softmax_rows(scores, causal=True),
-                                  ad.softmax_rows(scores, causal=True))), [scores]))
+        lambda: sum_all(ad.mul(ad.softmax_rows(scores, causal=True),
+                               ad.softmax_rows(scores, causal=True))), [scores]))
 
     q, k, w = tensors((3, 4), (3, 4), (3, 4))
     attn = dict(zip(

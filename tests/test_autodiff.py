@@ -12,6 +12,8 @@ from otcforecast.autodiff import OptimizerState, Tensor, adam_step, backward, fi
 from otcforecast.errors import ConfigurationError, ContractError, ShapeMismatchError
 from otcforecast.models import ModelConfig, build_model
 
+from helpers import sum_all
+
 
 @pytest.fixture(autouse=True)
 def fresh_tape():
@@ -30,7 +32,7 @@ class TestFiniteDiffOracle:
 
     def test_linear_is_exact(self):
         w = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        err = finite_diff_check(lambda: ad.sum_all(w), [w])
+        err = finite_diff_check(lambda: sum_all(w), [w])
         assert err < 1e-10
 
     def test_quadratic_matches_hand_value(self):
@@ -40,7 +42,7 @@ class TestFiniteDiffOracle:
         eps = 1e-4
         numeric = ((3 + eps) ** 2 - (3 - eps) ** 2) / (2 * eps)
         assert abs(numeric - 6.0) < 1e-6
-        err = finite_diff_check(lambda: ad.sum_all(ad.mul(w, w)), [w], eps=eps)
+        err = finite_diff_check(lambda: sum_all(ad.mul(w, w)), [w], eps=eps)
         assert err < 1e-8
 
 
@@ -69,7 +71,7 @@ class TestMatmul:
     def test_gradient_against_finite_differences(self):
         a = rand((3, 4), 2)
         b = rand((4, 2), 3)
-        err = finite_diff_check(lambda: ad.sum_all(ad.matmul(a, b)), [a, b])
+        err = finite_diff_check(lambda: sum_all(ad.matmul(a, b)), [a, b])
         assert err < 1e-6
 
     def test_no_gradient_for_a_constant_input(self):
@@ -142,7 +144,7 @@ class TestEmbeddingBag:
 
     def test_backward_scatters_to_rows(self):
         table = rand((4, 3), 10)
-        (grad,) = backward(ad.sum_all(ad.embedding_bag(table, (1, 3))), [table])
+        (grad,) = backward(sum_all(ad.embedding_bag(table, (1, 3))), [table])
         expected = np.zeros((4, 3))
         expected[[1, 3]] = 1.0
         np.testing.assert_array_equal(grad, expected)
@@ -150,8 +152,8 @@ class TestEmbeddingBag:
     def test_gradient(self):
         table = rand((6, 4), 11)
         err = finite_diff_check(
-            lambda: ad.sum_all(ad.mul(ad.embedding_bag(table, (0, 2, 5)),
-                                      ad.embedding_bag(table, (0, 2, 5)))),
+            lambda: sum_all(ad.mul(ad.embedding_bag(table, (0, 2, 5)),
+                                   ad.embedding_bag(table, (0, 2, 5)))),
             [table],
         )
         assert err < 1e-6
@@ -176,8 +178,8 @@ class TestLayerNorm:
         gamma = rand((5,), 13)
         beta = rand((5,), 14)
         err = finite_diff_check(
-            lambda: ad.sum_all(ad.mul(ad.layer_norm(x, gamma, beta),
-                                      ad.layer_norm(x, gamma, beta))),
+            lambda: sum_all(ad.mul(ad.layer_norm(x, gamma, beta),
+                                   ad.layer_norm(x, gamma, beta))),
             [x, gamma, beta],
         )
         assert err < 1e-6
@@ -285,9 +287,11 @@ class TestSoftmaxAndAttention:
         assert err < 1e-6
 
 
-def attention_with_key_bias(q, k, v, *, wq, bq, wk, bk, wv, bv, wo, bo, heads, causal):
-    """The attention op as it was when it held a key bias ``bk``, kept as
-    the reference that shows the bias changes nothing."""
+def attention_with_key_bias(q, k, v, *, wq, bq, wk, bk=None, wv, bv, wo, bo, heads, causal):
+    """The attention op as a composite of tape primitives, kept as the
+    reference for the fused op: with a key bias ``bk`` it is the op as it
+    was before the bias went, and with ``bk=None`` it is the composite the
+    fused op reproduces bit for bit."""
     def split_heads(x, keys=False):
         *lead, t, d = x.shape
         n = len(lead)
@@ -296,7 +300,8 @@ def attention_with_key_bias(q, k, v, *, wq, bq, wk, bk, wv, bv, wo, bo, heads, c
 
     d_model = q.shape[-1]
     qh = split_heads(ad.add_rowvec(ad.matmul(q, wq), bq))
-    kh = split_heads(ad.add_rowvec(ad.matmul(k, wk), bk), keys=True)
+    keys = ad.matmul(k, wk)
+    kh = split_heads(keys if bk is None else ad.add_rowvec(keys, bk), keys=True)
     vh = split_heads(ad.add_rowvec(ad.matmul(v, wv), bv))
     scores = ad.scale(ad.matmul(qh, kh), 1.0 / np.sqrt(d_model // heads))
     context = ad.matmul(ad.softmax_rows(scores, causal=causal), vh)
@@ -345,6 +350,52 @@ class TestKeyBias:
         assert np.array_equal(out.values, reference.values)
 
 
+class TestFusedAttention:
+    """The one-entry attention op against the composite it replaced."""
+
+    def params(self, seed):
+        rng = np.random.default_rng(seed)
+        return {n: Tensor(rng.normal(scale=0.5, size=(4, 4) if n[0] == "w" else (4,)),
+                          requires_grad=True)
+                for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")}
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("cross", [False, True], ids=["causal_self", "cross"])
+    def test_outputs_and_gradients_match_the_composite_bit_for_bit(self, lead, cross):
+        params = self.params(50)
+        x = rand((*lead, 3, 4), 51)
+        # self-attention reads one tensor three times; cross-attention reads
+        # the memory as keys and values, over a different length
+        memory = rand((*lead, 5, 4), 52) if cross else x
+        target = Tensor(np.random.default_rng(53).normal(size=(*lead, 3, 4)))
+        results = []
+        for attend in (ad.multi_head_attention, attention_with_key_bias):
+            ad.reset_tape()
+            # the residual add makes x's gradient a sum over four contributions
+            out = ad.add(x, attend(x, memory, memory, heads=2, causal=not cross, **params))
+            wrt = [x, memory, *params.values()] if cross else [x, *params.values()]
+            results.append([out.values, *backward(ad.mse_loss(out, target), wrt)])
+        fused, composite = results
+        assert len(fused) == len(composite)
+        for got, expected in zip(fused, composite):
+            assert np.array_equal(got, expected)
+
+    def test_gradient_against_finite_differences(self):
+        params = self.params(54)
+        q, k, v = rand((2, 3, 4), 55), rand((2, 5, 4), 56), rand((2, 5, 4), 57)
+        target = Tensor(np.random.default_rng(58).normal(size=(2, 3, 4)))
+
+        def f():
+            return ad.mse_loss(ad.multi_head_attention(q, k, v, heads=2, **params), target)
+
+        assert finite_diff_check(f, [q, k, v, *params.values()]) < 1e-6
+
+    def test_one_call_records_one_entry(self):
+        x = rand((2, 3, 4), 59)
+        ad.multi_head_attention(x, x, x, heads=2, causal=True, **self.params(60))
+        assert [entry.name for entry in ad._TAPE] == ["multi_head_attention"]
+
+
 class TestStructuralOps:
     """Gradient checks for the slicing / stacking / gating primitives."""
 
@@ -364,39 +415,39 @@ class TestStructuralOps:
             vec = ad.reshape(rebuilt, (48,))
             stacked = ad.stack_rows([g, g])
             tiled = ad.tile_rows(ad.reshape(ad.stack_rows([g, g]), (6,)), 2)
-            extra = ad.add(ad.sum_all(stacked), ad.sum_all(tiled))
-            return ad.add(ad.sum_all(ad.mul(vec, vec)), extra)
+            extra = ad.add(sum_all(stacked), sum_all(tiled))
+            return ad.add(sum_all(ad.mul(vec, vec)), extra)
 
         err = finite_diff_check(f, [a, v, g, alpha, bias])
         assert err < 1e-6
 
     def test_tile_rows_backward_sums(self):
         v = Tensor([1.0, 2.0], requires_grad=True)
-        (grad,) = backward(ad.sum_all(ad.tile_rows(v, 3)), [v])
+        (grad,) = backward(sum_all(ad.tile_rows(v, 3)), [v])
         np.testing.assert_array_equal(grad, [3.0, 3.0])
 
     def test_sigmoid_gradient(self):
         x = rand((5,), 32)
-        err = finite_diff_check(lambda: ad.sum_all(ad.mul(ad.sigmoid(x), ad.sigmoid(x))), [x])
+        err = finite_diff_check(lambda: sum_all(ad.mul(ad.sigmoid(x), ad.sigmoid(x))), [x])
         assert err < 1e-6
 
 
 class TestBackwardSemantics:
     def test_linear_gradient_is_ones(self):
         w = Tensor([2.0, -1.0], requires_grad=True)
-        (grad,) = backward(ad.sum_all(w), [w])
+        (grad,) = backward(sum_all(w), [w])
         np.testing.assert_array_equal(grad, [1.0, 1.0])
 
     def test_quadratic_gradient(self):
         w = Tensor([3.0], requires_grad=True)
-        (grad,) = backward(ad.sum_all(ad.mul(w, w)), [w])
+        (grad,) = backward(sum_all(ad.mul(w, w)), [w])
         np.testing.assert_allclose(grad, [6.0], atol=1e-12)
 
     def test_gradients_follow_wrt_order(self):
         # d/da sum(a*b) = b and d/db = a, returned in the order asked for
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0, -4.0], requires_grad=True)
-        loss = ad.sum_all(ad.mul(a, b))
+        loss = sum_all(ad.mul(a, b))
         grad_b, grad_a = backward(loss, [b, a])
         np.testing.assert_array_equal(grad_a, b.values)
         np.testing.assert_array_equal(grad_b, a.values)
@@ -405,14 +456,14 @@ class TestBackwardSemantics:
     def test_unreached_leaf_gets_zeros(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         unused = rand((2, 3), 35)
-        grad_w, grad_unused = backward(ad.sum_all(ad.mul(w, w)), [w, unused])
+        grad_w, grad_unused = backward(sum_all(ad.mul(w, w)), [w, unused])
         np.testing.assert_array_equal(grad_w, [2.0, 4.0])
         assert grad_unused.shape == (2, 3) and not grad_unused.any()
 
     def test_intermediate_and_constant_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         hidden = ad.tanh(w)
-        loss = ad.sum_all(ad.mul(hidden, hidden))
+        loss = sum_all(ad.mul(hidden, hidden))
         for bad in (hidden, loss, Tensor([1.0, 2.0])):
             with pytest.raises(ContractError):
                 backward(loss, [w, bad])
@@ -424,7 +475,7 @@ class TestBackwardSemantics:
 
     def test_constant_loss_rejected(self):
         with pytest.raises(ContractError):
-            backward(ad.sum_all(Tensor([1.0, 2.0])), [])
+            backward(sum_all(Tensor([1.0, 2.0])), [])
 
     def test_no_grad_suppresses_recording(self):
         w = Tensor([1.0], requires_grad=True)
@@ -437,7 +488,7 @@ class TestBackwardSemantics:
         w = Tensor([1.0, 2.0], requires_grad=True)
         y = ad.tanh(w)
         z = ad.mul(y, y)
-        loss = ad.sum_all(z)
+        loss = sum_all(z)
         entries = tuple(ad._TAPE)
         assert [entry.name for entry in entries] == ["tanh", "mul", "sum_all"]
         assert [entry.output for entry in entries] == [y, z, loss]
@@ -453,7 +504,7 @@ class TestBackwardSemantics:
         # y = w*w feeds two consumers; dL/dw = 2*(dL/dy)*w with dL/dy = 2
         w = Tensor([2.0], requires_grad=True)
         y = ad.mul(w, w)
-        (grad,) = backward(ad.sum_all(ad.add(y, y)), [w])
+        (grad,) = backward(sum_all(ad.add(y, y)), [w])
         np.testing.assert_allclose(grad, [8.0], atol=1e-12)
 
     def test_finite_outputs_after_forward_backward(self):

@@ -17,6 +17,8 @@ from otcforecast.harness import evaluate, score_units
 from otcforecast.market import Sample
 from otcforecast.models import MODEL_KINDS, ModelConfig, build_model
 
+from helpers import sum_all
+
 ATOL = 1e-12
 GRAD_RTOL = 1e-9
 FD_BOUND = 1e-6
@@ -54,12 +56,12 @@ def windows(n, seed, density=0.3):
 class TestBatchedOps:
     def test_matmul_shared_weight(self):
         a, b = rand((2, 3, 4), 1), rand((4, 2), 2)
-        assert finite_diff_check(lambda: ad.sum_all(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
+        assert finite_diff_check(lambda: sum_all(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
                                  [a, b]) < FD_BOUND
 
     def test_matmul_stacked_operands(self):
         a, b = rand((2, 3, 4), 3), rand((2, 4, 5), 4)
-        assert finite_diff_check(lambda: ad.sum_all(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
+        assert finite_diff_check(lambda: sum_all(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
                                  [a, b]) < FD_BOUND
 
     def test_matmul_rows_match_unbatched_product(self):
@@ -75,34 +77,34 @@ class TestBatchedOps:
     def test_add_rowvec(self):
         x, b = rand((2, 3, 4), 9), rand((4,), 10)
         assert finite_diff_check(
-            lambda: ad.sum_all(ad.mul(ad.add_rowvec(x, b), ad.add_rowvec(x, b))), [x, b]
+            lambda: sum_all(ad.mul(ad.add_rowvec(x, b), ad.add_rowvec(x, b))), [x, b]
         ) < FD_BOUND
 
     def test_mul_rowvec(self):
         x, v = rand((2, 3, 4), 11), rand((4,), 12)
         assert finite_diff_check(
-            lambda: ad.sum_all(ad.mul(ad.mul_rowvec(x, v), ad.mul_rowvec(x, v))), [x, v]
+            lambda: sum_all(ad.mul(ad.mul_rowvec(x, v), ad.mul_rowvec(x, v))), [x, v]
         ) < FD_BOUND
 
     def test_scale_by(self):
         a, s = rand((2, 3, 4), 13), Tensor(np.asarray(0.7), requires_grad=True)
         assert finite_diff_check(
-            lambda: ad.sum_all(ad.mul(ad.scale_by(a, s), ad.scale_by(a, s))), [a, s]
+            lambda: sum_all(ad.mul(ad.scale_by(a, s), ad.scale_by(a, s))), [a, s]
         ) < FD_BOUND
 
     def test_layer_norm(self):
         x, gamma, beta = rand((2, 3, 5), 14), rand((5,), 15), rand((5,), 16)
         assert finite_diff_check(
-            lambda: ad.sum_all(ad.mul(ad.layer_norm(x, gamma, beta),
-                                      ad.layer_norm(x, gamma, beta))),
+            lambda: sum_all(ad.mul(ad.layer_norm(x, gamma, beta),
+                                   ad.layer_norm(x, gamma, beta))),
             [x, gamma, beta],
         ) < FD_BOUND
 
     def test_causal_softmax(self):
         s = rand((2, 3, 4, 4), 17, scale=2.0)
         assert finite_diff_check(
-            lambda: ad.sum_all(ad.mul(ad.softmax_rows(s, causal=True),
-                                      ad.softmax_rows(s, causal=True))), [s]
+            lambda: sum_all(ad.mul(ad.softmax_rows(s, causal=True),
+                                   ad.softmax_rows(s, causal=True))), [s]
         ) < FD_BOUND
         y = ad.softmax_rows(Tensor(s.values), causal=True).values
         assert np.array_equal(np.triu(y, k=1), np.zeros_like(y))
@@ -115,7 +117,7 @@ class TestBatchedOps:
             rows = ad.concat_rows([b, ad.mul(tiled, a)])  # (2, 4, 4)
             cols = ad.concat_cols([rows, ad.transpose(rows)])  # (2, 4, 8)
             moved = ad.transpose(cols, (1, 2, 0))  # (4, 8, 2)
-            return ad.sum_all(ad.mul(moved, moved))
+            return sum_all(ad.mul(moved, moved))
 
         assert finite_diff_check(f, [v, a, b]) < FD_BOUND
 
@@ -125,7 +127,7 @@ class TestBatchedOps:
 
         def f():
             left, right = ad.slice_cols(a, 0, 2), ad.slice_cols(a, 1, 5)
-            return ad.add(ad.sum_all(ad.mul(left, left)), ad.sum_all(ad.mul(right, right)))
+            return ad.add(sum_all(ad.mul(left, left)), sum_all(ad.mul(right, right)))
 
         assert finite_diff_check(f, [a]) < FD_BOUND
 
@@ -161,7 +163,7 @@ class TestBatchedOps:
     def test_backward_writes_only_leaves(self):
         w = rand((2, 3), 27)
         hidden = ad.tanh(w)
-        loss = ad.sum_all(ad.mul(hidden, hidden))
+        loss = sum_all(ad.mul(hidden, hidden))
         (grad,) = ad.backward(loss, [w])
         assert grad.shape == (2, 3) and np.abs(grad).sum() > 0
         with pytest.raises(ContractError):

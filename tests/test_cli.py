@@ -507,18 +507,39 @@ class TestPipeline:
         merged = [e for i, e in enumerate(events) if i == 0 or e != events[i - 1]]
         assert merged == [(step, tag) for tag in order for step in ("load", "score")]
 
-    def test_eval_with_a_missing_unit_checkpoint_writes_no_report(self, tmp_path, capsys):
+    def trained_without_the_last_checkpoint(self, tmp_path):
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
         for command in ("gen", "cluster", "train"):
             assert self.run(command, "-c", str(cfg_path)) == 0, command
         last = sorted(out.glob("checkpoint_*.ckpt"))[-1]
         last.unlink()
+        return cfg_path, out, last
+
+    def test_eval_with_a_missing_unit_checkpoint_writes_no_report(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        cfg_path, out, last = self.trained_without_the_last_checkpoint(tmp_path)
+        scored = []
+        evaluate = harness.evaluate
+        monkeypatch.setattr(harness, "evaluate",
+                            lambda *args, **kwargs: scored.append(1) or evaluate(*args, **kwargs))
         capsys.readouterr()
         assert self.run("eval", "-c", str(cfg_path)) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and last.name in err
         assert not (out / "report.csv").exists()
+        # every checkpoint is checked before the first unit is scored
+        assert scored == []
+
+    def test_stats_with_a_missing_unit_checkpoint_probes_no_unit(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        cfg_path, out, last = self.trained_without_the_last_checkpoint(tmp_path)
+        probed = []
+        monkeypatch.setattr(cli, "layer_signal_stats", lambda *args, **kwargs: probed.append(1))
+        capsys.readouterr()
+        assert self.run("stats", "-c", str(cfg_path)) == 2
+        assert last.name in capsys.readouterr().err
+        assert probed == [] and not (out / "layer_stats.csv").exists()
 
     @pytest.mark.parametrize("command, train_fraction, split", [
         pytest.param("eval", "0.9", "test", id="eval"),

@@ -31,6 +31,8 @@ from otcforecast.models import (
 )
 from otcforecast.seeding import rng_for
 
+from helpers import sum_all
+
 
 @pytest.fixture(autouse=True)
 def fresh_tape():
@@ -228,11 +230,11 @@ class TestRecurrentModels:
         blocks = per_gate_weights(model)
         readout = [model.params["readout.w"], model.params["readout.b"]]
         stacked_out = model.forward(days)
-        stacked = ad.backward(ad.sum_all(ad.mul(stacked_out, stacked_out)),
+        stacked = ad.backward(sum_all(ad.mul(stacked_out, stacked_out)),
                               model.params.tensors())
         ad.reset_tape()
         reference_out = per_gate_lstm(model, days, blocks)
-        reference = ad.backward(ad.sum_all(ad.mul(reference_out, reference_out)),
+        reference = ad.backward(sum_all(ad.mul(reference_out, reference_out)),
                                 list(blocks.values()) + readout)
         assert stacked_out.shape == (*lead, 2, 16)
         np.testing.assert_allclose(stacked_out.values, reference_out.values, rtol=0, atol=1e-12)
@@ -376,7 +378,7 @@ class TestCoTradingEmbedding:
             ad.reset_tape()
             out = encode(days)
             assert out.shape == (2, 3, 4)
-            grads.append([out.values] + ad.backward(ad.sum_all(ad.mul(out, out)), params))
+            grads.append([out.values] + ad.backward(sum_all(ad.mul(out, out)), params))
         for dense, loop in zip(*grads):
             np.testing.assert_allclose(dense, loop, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(grads[0][0][1, 2], np.zeros(4))
@@ -386,7 +388,7 @@ class TestCoTradingEmbedding:
         teacher = random_day_matrix(2, 8, 5)
         ad.reset_tape()
         out = self.model.forward(x, teacher=teacher)
-        (grad,) = ad.backward(ad.sum_all(out), [self.model.params["cte.bonds"]])
+        (grad,) = ad.backward(sum_all(out), [self.model.params["cte.bonds"]])
         # one shared table receives gradient from both sides of the model
         assert np.abs(grad).sum() > 0
 
@@ -540,7 +542,7 @@ class TestTransformer:
             assert np.abs(a - b).max() < 1e-12
             np.testing.assert_array_equal(pprz.predict(x), twin.predict(x))
 
-    def test_no_key_bias_and_171_tape_entries_at_c7_size(self):
+    def test_no_key_bias_and_63_tape_entries_at_c7_size(self):
         for kind in TRANSFORMER_KINDS:
             model = build_model(toy_config(kind))
             assert not [name for name in model.params.names() if name.endswith(".bk")], kind
@@ -550,7 +552,7 @@ class TestTransformer:
         teacher = np.stack([random_day_matrix(5, 20, seed) for seed in range(8, 16)])
         ad.mse_loss(build_model(config).forward(x, teacher=teacher),
                     Tensor(teacher.astype(np.float64)))
-        assert ad.tape_size() == 171
+        assert ad.tape_size() == 63
 
     @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
     def test_predict_matches_full_prefix_decoding(self, kind):
