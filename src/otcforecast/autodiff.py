@@ -198,13 +198,15 @@ def tanh(a: Tensor) -> Tensor:
     return _record("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.values
-    out = np.empty_like(x)
+def _sigmoid(x: Array) -> Array:
+    """1 / (1 + e^-x), from e^-|x| so that exp never overflows."""
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.where(pos, -x, x))  # e^-x where x >= 0, else e^x
+    return np.where(pos, 1.0, e) / (1.0 + e)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid(a.values)
     return _record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 
@@ -478,6 +480,55 @@ def multi_head_attention(
 
     return _record("multi_head_attention", (v, k, q, wo, bo, wv, bv, wk, wq, bq),
                    _project(merged, wo.values) + bo.values, vjp)
+
+
+def lstm(projected: Tensor, wh: Tensor) -> Tensor:
+    """An LSTM over axis -2 of a (..., T, 4H) input projection, as one tape entry.
+
+    ``wh`` is the (H, 4H) recurrent weight, gate blocks i, f, g, o.  From a
+    zero state, step t adds h @ wh to ``projected[..., t, :]``, then sets
+    c = σ(f)·c + σ(i)·tanh(g) and h = σ(o)·tanh(c); the final (..., H)
+    state is returned.  The backward is backpropagation through time,
+    written by hand from the gates and states kept from the forward.  It
+    runs every product and sum of the step loop of ``slice_cols``,
+    ``matmul``, ``add``, ``sigmoid``, ``tanh`` and ``mul`` in that loop's
+    reverse tape order, so the result is bit-identical to it.
+    """
+    xv, w = projected.values, wh.values
+    hidden = w.shape[0] if w.ndim == 2 else 0
+    if xv.ndim < 2 or w.shape != (hidden, 4 * hidden) or xv.shape[-1] != 4 * hidden:
+        raise ShapeMismatchError(f"lstm: projected {projected.shape} and wh {wh.shape} do not fit")
+    blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
+    h = c = np.zeros((*xv.shape[:-2], hidden))
+    kept = []  # per step: the h and c it read, its gate activations and tanh of its c
+    for t in range(xv.shape[-2]):
+        pre = xv[..., t, :] + _project(h, w)
+        act = _sigmoid(pre)  # once for all four blocks; g's is then overwritten
+        act[..., blocks[2]] = np.tanh(pre[..., blocks[2]])
+        i, f, g, o = (act[..., s] for s in blocks)
+        new_c = f * c + i * g
+        tanh_c = np.tanh(new_c)
+        kept.append((h, c, act, tanh_c))
+        h, c = o * tanh_c, new_c
+
+    def vjp(gh):
+        dx, dw, dh, carry = np.empty_like(xv), None, gh, None
+        for t in reversed(range(len(kept))):
+            h_prev, c_prev, act, tc = kept[t]
+            i, f, g, o = (act[..., s] for s in blocks)
+            dc = (dh * o) * (1.0 - tc * tc)
+            dc = dc if carry is None else carry + dc
+            carry = dc * f
+            dact = np.concatenate([dc * g, dc * c_prev, dc * i, dh * tc], axis=-1)
+            dpre = dact * act * (1.0 - act)
+            dpre[..., blocks[2]] = dact[..., blocks[2]] * (1.0 - g * g)
+            dx[..., t, :] = dpre
+            # the zero initial state is a constant: no gradient flows out of step 0
+            dh, dwt = _project_vjp(h_prev, w, dpre, t > 0)
+            dw = dwt if dw is None else dw + dwt
+        return dx, dw
+
+    return _record("lstm", (projected, wh), h, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,9 @@ class RecurrentModel:
     """LSTM / BiLSTM over the day vectors, read out from the final state(s).
 
     A direction holds ``wx`` (2V, 4H), ``wh`` (H, 4H) and ``b`` (4H), gate
-    blocks i, f, g, o: the stacked-gate layout of PyTorch's ``nn.LSTM``."""
+    blocks i, f, g, o: the stacked-gate layout of PyTorch's ``nn.LSTM``.
+    All T days are projected in one product; the recurrence is one
+    ``ad.lstm`` tape entry with a hand-written backward."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
@@ -243,21 +245,9 @@ class RecurrentModel:
     def _run_direction(self, data: np.ndarray, direction: str) -> Tensor:
         """Step over axis -2 of (..., T, 2V) inputs; returns the final (..., H) state."""
         p = self.params
-        hidden = self.config.hidden
-        *lead, steps, _ = data.shape
-        gates = 4 * hidden
         projected = ad.add_rowvec(ad.matmul(Tensor(data), p[f"lstm.{direction}.wx"]),
                                   p[f"lstm.{direction}.b"])
-        projected = ad.reshape(projected, (*lead, steps * gates))
-        h = c = Tensor(np.zeros((*lead, hidden)))
-        for step in range(steps):
-            pre = ad.add(ad.slice_cols(projected, step * gates, (step + 1) * gates),
-                         ad.matmul(h, p[f"lstm.{direction}.wh"]))
-            i, f, g, o = (ad.slice_cols(pre, k * hidden, (k + 1) * hidden) for k in range(4))
-            i, f, g, o = ad.sigmoid(i), ad.sigmoid(f), ad.tanh(g), ad.sigmoid(o)
-            c = ad.add(ad.mul(f, c), ad.mul(i, g))
-            h = ad.mul(o, ad.tanh(c))
-        return h
+        return ad.lstm(projected, p[f"lstm.{direction}.wh"])
 
     def forward(self, input_days: np.ndarray, teacher: np.ndarray | None = None) -> Tensor:
         cfg = self.config

@@ -137,6 +137,10 @@ def test_c1_gradient_correctness():
         lambda: ad.mse_loss(
             ad.multi_head_attention(q, k, w, heads=2, causal=True, **attn), target_mha),
         [q, k, w, *attn.values()]))
+
+    projected, wh = tensors((2, 3, 8), (2, 8))
+    worst_ops = max(worst_ops, finite_diff_check(
+        lambda: sum_all(ad.mul(ad.lstm(projected, wh), ad.lstm(projected, wh))), [projected, wh]))
     assert worst_ops < 1e-4
 
     worst_models = {}

@@ -396,6 +396,65 @@ class TestFusedAttention:
         assert [entry.name for entry in ad._TAPE] == ["multi_head_attention"]
 
 
+def lstm_step_loop(projected, wh):
+    """The LSTM recurrence as a composite of tape primitives, 16 entries a
+    step: the loop the fused op replaced, kept as its reference."""
+    hidden = wh.shape[0]
+    *lead, steps, gates = projected.shape
+    flat = ad.reshape(projected, (*lead, steps * gates))
+    h = c = Tensor(np.zeros((*lead, hidden)))
+    for step in range(steps):
+        pre = ad.add(ad.slice_cols(flat, step * gates, (step + 1) * gates), ad.matmul(h, wh))
+        i, f, g, o = (ad.slice_cols(pre, k * hidden, (k + 1) * hidden) for k in range(4))
+        i, f, g, o = ad.sigmoid(i), ad.sigmoid(f), ad.tanh(g), ad.sigmoid(o)
+        c = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h = ad.mul(o, ad.tanh(c))
+    return h
+
+
+class TestFusedLstm:
+    """The one-entry LSTM op against the step loop it replaced."""
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    @pytest.mark.parametrize("hidden", [1, 4])
+    def test_output_and_gradients_match_the_step_loop_bit_for_bit(self, lead, steps, hidden):
+        projected = rand((*lead, steps, 4 * hidden), 70, scale=1.5)
+        wh = rand((hidden, 4 * hidden), 71, scale=0.8)
+        target = Tensor(np.random.default_rng(72).normal(size=(*lead, hidden)))
+        results = []
+        for run in (ad.lstm, lstm_step_loop):
+            ad.reset_tape()
+            out = run(projected, wh)
+            # the tanh makes the incoming gradient differ from mse_loss's own
+            loss = ad.mse_loss(ad.tanh(out), target)
+            results.append([out.values, *backward(loss, [projected, wh])])
+        fused, composite = results
+        for got, expected in zip(fused, composite):
+            assert np.array_equal(got, expected)
+
+    def test_gradient_against_finite_differences(self):
+        projected, wh = rand((2, 3, 8), 73), rand((2, 8), 74, scale=0.8)
+        target = Tensor(np.random.default_rng(75).normal(size=(2, 2)))
+        err = finite_diff_check(lambda: ad.mse_loss(ad.lstm(projected, wh), target),
+                                [projected, wh])
+        assert err < 1e-6
+
+    def test_one_call_records_one_entry(self):
+        ad.lstm(rand((2, 5, 8), 76), rand((2, 8), 77))
+        assert [entry.name for entry in ad._TAPE] == ["lstm"]
+
+    @pytest.mark.parametrize("projected_shape, wh_shape", [
+        ((3, 12), (2, 8)),     # last axis is not 4H
+        ((3, 8), (2, 6)),      # wh is not (H, 4H)
+        ((3, 8), (8,)),        # wh is not a matrix
+        ((8,), (2, 8)),        # no time axis
+    ])
+    def test_shape_errors(self, projected_shape, wh_shape):
+        with pytest.raises(ShapeMismatchError):
+            ad.lstm(rand(projected_shape, 78), rand(wh_shape, 79))
+
+
 class TestStructuralOps:
     """Gradient checks for the slicing / stacking / gating primitives."""
 

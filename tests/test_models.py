@@ -251,19 +251,31 @@ class TestRecurrentModels:
                 np.testing.assert_allclose(grad, reference[name], rtol=0, atol=1e-12,
                                            err_msg=name)
 
-    @pytest.mark.parametrize("kind, per_step, once", [("LSTM", 1, 2), ("BiLSTM", 2, 3)])
-    def test_one_input_projection_per_window(self, monkeypatch, kind, per_step, once):
-        # per direction: one input projection, then one recurrent product a
-        # step; plus the readout
+    @pytest.mark.parametrize("kind, directions, matmuls", [("LSTM", 1, 2), ("BiLSTM", 2, 3)])
+    def test_one_input_projection_per_window(self, monkeypatch, kind, directions, matmuls):
+        # per direction: one input projection, then one lstm entry that runs
+        # the recurrent products itself; plus the readout
         shapes = []
         matmul = ad.matmul
         monkeypatch.setattr(ad, "matmul", lambda a, b: shapes.append(a.shape) or matmul(a, b))
         for t_in in (3, 6):
             model = build_model(toy_config(kind, t_in=t_in))
             shapes.clear()
+            ad.reset_tape()
             model.forward(random_day_matrix(2 * t_in, 8, 11).reshape(2, t_in, 16))
-            assert len(shapes) == per_step * t_in + once, shapes
-            assert shapes.count((2, t_in, 16)) == per_step
+            assert len(shapes) == matmuls, shapes
+            assert shapes.count((2, t_in, 16)) == directions
+            assert [entry.name for entry in ad._TAPE].count("lstm") == directions
+
+    @pytest.mark.parametrize("kind, entries", [("LSTM", 10), ("BiLSTM", 14)])
+    def test_tape_entries_per_batch_do_not_grow_with_t_in(self, kind, entries):
+        for t_in in (3, 5):
+            ad.reset_tape()
+            model = build_model(toy_config(kind, t_in=t_in))
+            x = random_day_matrix(4 * t_in, 8, 12).reshape(4, t_in, 16)
+            target = random_day_matrix(8, 8, 13).reshape(4, 2, 16).astype(np.float64)
+            ad.mse_loss(model.forward(x), Tensor(target))
+            assert ad.tape_size() == entries, t_in
 
 
 def per_gate_weights(model):
