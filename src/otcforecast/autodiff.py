@@ -13,6 +13,7 @@ shared read-only across runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -281,12 +282,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _record("layer_norm", (x, gamma, beta), out, vjp)
 
 
+@functools.cache
+def _causal_mask(rows: int, cols: int) -> Array:
+    """Read-only; True at the columns j > cols - rows + i that row i may not see."""
+    mask = np.triu(np.ones((rows, cols), dtype=bool), k=cols - rows + 1)
+    mask.flags.writeable = False
+    return mask
+
+
 def _softmax(sv: Array, causal: bool) -> Array:
     if causal:
         rows, cols = sv.shape[-2:]
-        if rows != cols:
-            raise ShapeMismatchError(f"causal mask needs square scores, got {sv.shape}")
-        sv = np.where(np.triu(np.ones((rows, cols), dtype=bool), k=1), -np.inf, sv)
+        if rows > cols:
+            raise ShapeMismatchError(f"causal mask needs rows <= cols, got scores {sv.shape}")
+        sv = np.where(_causal_mask(rows, cols), -np.inf, sv)
     e = np.exp(sv - sv.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -298,8 +307,9 @@ def _softmax_vjp(y: Array, g: Array) -> Array:
 def softmax_rows(s: Tensor, causal: bool = False) -> Tensor:
     """Softmax over the last axis of a (..., rows, cols) score stack.
 
-    The causal mask forbids column j > row i, needs square trailing
-    matrices, and is shared by every leading index.
+    The causal mask lets row i, one of the last ``rows`` of ``cols``
+    positions, see columns j <= cols - rows + i (square scores: j <= i),
+    and is shared by every leading index.
     """
     if s.values.ndim < 2:
         raise ShapeMismatchError(f"softmax_rows: expected (..., rows, cols) scores, got {s.shape}")
@@ -379,6 +389,20 @@ def _check_rowvec(op: str, x: Tensor, v: Tensor) -> int:
     return v.shape[0]
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a (k, m) w and an (m,) b as one tape entry, bit-identical
+    to ``add_rowvec(matmul(x, w), b)``; dx is skipped for a constant x."""
+    xv, wv = x.values, w.values
+    if wv.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != wv.shape[0] or b.shape != wv.shape[1:]:
+        raise ShapeMismatchError(f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit")
+
+    def vjp(g):
+        dx, dw = _project_vjp(xv, wv, g, x.requires_grad)
+        return dx, dw, g.reshape(-1, wv.shape[1]).sum(axis=0)
+
+    return _record("linear", (x, w, b), _project(xv, wv) + b.values, vjp)
+
+
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     """Add a 1-D vector to every last-axis slice of x (explicit bias broadcast)."""
     d = _check_rowvec("add_rowvec", x, b)
@@ -431,8 +455,8 @@ def multi_head_attention(
     leading axes.  Per head: softmax(Q'K'ᵀ / sqrt(d_k)) V' over head-split
     projections, merged across heads and output-projected.  All heads run
     in one batched product for the scores and one for the values.  With
-    ``causal`` the query at position i may only attend to keys at
-    positions <= i.  Keys have no bias: it would add q·bk to every score
+    ``causal`` the queries are the last T_q of T_k positions, and each
+    attends to keys at or before its own.  Keys have no bias: it would add q·bk to every score
     of a query, a constant that the softmax over that query's row ignores.
 
     The backward is written by hand from the head-split Q'/K'/V' and the
@@ -462,8 +486,8 @@ def multi_head_attention(
     probs = _softmax((qh @ kh) * c, causal)
     merged = np.ascontiguousarray(np.transpose(probs @ vh, rows)).reshape(*lead, t_q, d_model)
 
-    def unsplit(x, w, b, dh, order):
-        dp = np.transpose(dh, tuple(np.argsort(order))).reshape(x.shape)
+    def unsplit(x, w, b, dh):
+        dp = np.transpose(dh, rows).reshape(x.shape)
         db = None if b is None else dp.reshape(-1, d_model).sum(axis=0)
         return (*_project_vjp(x.values, w.values, dp, x.requires_grad), db)
 
@@ -473,9 +497,9 @@ def multi_head_attention(
         dprobs, dvh = dctx @ np.swapaxes(vh, -1, -2), np.swapaxes(probs, -1, -2) @ dctx
         dscores = _softmax_vjp(probs, dprobs) * c
         dqh, dkh = dscores @ np.swapaxes(kh, -1, -2), np.swapaxes(qh, -1, -2) @ dscores
-        dv, dwv, dbv = unsplit(v, wv, bv, dvh, rows)
-        dk, dwk, _ = unsplit(k, wk, None, dkh, cols)
-        dq, dwq, dbq = unsplit(q, wq, bq, dqh, rows)
+        dv, dwv, dbv = unsplit(v, wv, bv, dvh)
+        dk, dwk, _ = unsplit(k, wk, None, np.swapaxes(dkh, -1, -2))
+        dq, dwq, dbq = unsplit(q, wq, bq, dqh)
         return dv, dk, dq, dwo, g.reshape(-1, d_model).sum(axis=0), dwv, dbv, dwk, dwq, dbq
 
     return _record("multi_head_attention", (v, k, q, wo, bo, wv, bv, wk, wq, bq),

@@ -138,8 +138,10 @@ class _Builder:
         self.add(name, np.ones(n))
 
 
+@functools.cache
 def positional_encoding(length: int, d_model: int) -> np.ndarray:
-    """Sinusoidal position matrix: sin on even channels, cos on odd ones."""
+    """Sinusoidal position matrix: sin on even channels, cos on odd ones.
+    Built once per shape and read-only."""
     if d_model % 2 != 0:
         raise ConfigurationError(f"positional encoding needs even d_model, got {d_model}")
     positions = np.arange(length, dtype=np.float64)[:, None]
@@ -147,6 +149,7 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
     pe = np.zeros((length, d_model))
     pe[:, 0::2] = np.sin(positions * freqs)
     pe[:, 1::2] = np.cos(positions * freqs)
+    pe.flags.writeable = False
     return pe
 
 
@@ -207,9 +210,9 @@ class FCModel:
         else:
             x = Tensor(data.reshape(*data.shape[:-2], -1))
         p = self.params
-        h = ad.tanh(ad.add_rowvec(ad.matmul(x, p["fc.w1"]), p["fc.b1"]))
-        h = ad.tanh(ad.add_rowvec(ad.matmul(h, p["fc.w2"]), p["fc.b2"]))
-        day = _squash(ad.add_rowvec(ad.matmul(h, p["fc.w3"]), p["fc.b3"]))
+        h = ad.tanh(ad.linear(x, p["fc.w1"], p["fc.b1"]))
+        h = ad.tanh(ad.linear(h, p["fc.w2"], p["fc.b2"]))
+        day = _squash(ad.linear(h, p["fc.w3"], p["fc.b3"]))
         return ad.tile_rows(day, cfg.t_out)
 
     def predict(self, input_days: np.ndarray) -> np.ndarray:
@@ -245,8 +248,7 @@ class RecurrentModel:
     def _run_direction(self, data: np.ndarray, direction: str) -> Tensor:
         """Step over axis -2 of (..., T, 2V) inputs; returns the final (..., H) state."""
         p = self.params
-        projected = ad.add_rowvec(ad.matmul(Tensor(data), p[f"lstm.{direction}.wx"]),
-                                  p[f"lstm.{direction}.b"])
+        projected = ad.linear(Tensor(data), p[f"lstm.{direction}.wx"], p[f"lstm.{direction}.b"])
         return ad.lstm(projected, p[f"lstm.{direction}.wh"])
 
     def forward(self, input_days: np.ndarray, teacher: np.ndarray | None = None) -> Tensor:
@@ -256,7 +258,7 @@ class RecurrentModel:
         if cfg.kind == "BiLSTM":
             h = ad.concat_cols([h, self._run_direction(data[..., ::-1, :], "bwd")])
         p = self.params
-        day = _squash(ad.add_rowvec(ad.matmul(h, p["readout.w"]), p["readout.b"]))
+        day = _squash(ad.linear(h, p["readout.w"], p["readout.b"]))
         return ad.tile_rows(day, cfg.t_out)
 
     def predict(self, input_days: np.ndarray) -> np.ndarray:
@@ -315,12 +317,13 @@ class TransformerModel:
         p = self.params
         if self.embed_mode == "affine":
             data = np.asarray(days, dtype=np.float64)
-            return ad.add_rowvec(ad.matmul(Tensor(data), p["embed.w"]), p["embed.b"])
+            return ad.linear(Tensor(data), p["embed.w"], p["embed.b"])
         return cte_encode(days, p["cte.bonds"], p["cte.actions"])
 
-    def _add_positions(self, x: Tensor) -> Tensor:
-        """Add the sinusoidal encoding of axis -2 to every window of x."""
-        pe = positional_encoding(x.shape[-2], self.config.d_model)
+    def _add_positions(self, x: Tensor, start: int = 0) -> Tensor:
+        """Add the sinusoidal encodings of positions start, start + 1, ...
+        along axis -2 to every window of x."""
+        pe = positional_encoding(start + x.shape[-2], self.config.d_model)[start:]
         return ad.add(x, Tensor(np.broadcast_to(pe, x.shape)))
 
     def _residual(self, x: Tensor, fx: Tensor, layer: str, sublayer: int) -> Tensor:
@@ -350,8 +353,8 @@ class TransformerModel:
 
     def _feed_forward(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params
-        h = ad.tanh(ad.add_rowvec(ad.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-        return ad.add_rowvec(ad.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+        h = ad.tanh(ad.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+        return ad.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
     def encode(self, input_days: np.ndarray, trace: list | None = None) -> Tensor:
         cfg = self.config
@@ -365,12 +368,19 @@ class TransformerModel:
                 trace.append((f"enc{i}", x.values.copy()))
         return x
 
-    def _decode(self, decoder_input: Tensor, memory: Tensor, trace: list | None = None) -> Tensor:
+    def _decode(self, decoder_input: Tensor, memory: Tensor, cache: list | None = None,
+                trace: list | None = None) -> Tensor:
+        """Decode against the encoder memory.  With a ``cache`` (a slot per
+        layer), ``decoder_input`` holds only the newest positions, and each
+        layer self-attends over its slot, to which it appends its input."""
         cfg = self.config
         y = decoder_input
         for i in range(cfg.n_layers):
             layer = f"decoder.l{i}"
-            y = self._residual(y, self._attention(f"{layer}.self", y, y, y, causal=True), layer, 1)
+            keys = y
+            if cache is not None:
+                cache[i] = keys = ad.concat_rows([cache[i], y])
+            y = self._residual(y, self._attention(f"{layer}.self", y, keys, keys, causal=True), layer, 1)
             y = self._residual(y, self._attention(f"{layer}.cross", y, memory, memory, causal=False), layer, 2)
             y = self._residual(y, self._feed_forward(f"{layer}.ff", y), layer, 3)
             if trace is not None:
@@ -379,20 +389,19 @@ class TransformerModel:
 
     def _head(self, y: Tensor) -> Tensor:
         p = self.params
-        return _squash(ad.add_rowvec(ad.matmul(y, p["head.w"]), p["head.b"]))
+        return _squash(ad.linear(y, p["head.w"], p["head.b"]))
 
-    def _decoder_input(self, previous_days: np.ndarray, steps: int) -> Tensor:
-        """Stack the learned start vector with embeddings of earlier days.
-
-        ``previous_days`` is (..., T_out, 2V); the start vector is broadcast
-        over its leading axes.
+    def _decoder_input(self, previous_days: np.ndarray) -> Tensor:
+        """Stack the learned start vector with embeddings of the (..., n, 2V)
+        ``previous_days``, n >= 0, at positions 0 to n; the start vector is
+        broadcast over their leading axes.
         """
         lead = previous_days.shape[:-2]
         d = self.config.d_model
         sos = ad.tile_rows(self.params["decoder.sos"], math.prod(lead))
         rows = ad.reshape(sos, (*lead, 1, d))
-        if steps > 1:
-            rows = ad.concat_rows([rows, self.embed_days(previous_days[..., : steps - 1, :])])
+        if previous_days.shape[-2]:
+            rows = ad.concat_rows([rows, self.embed_days(previous_days)])
         return self._add_positions(rows)
 
     def forward(
@@ -411,28 +420,31 @@ class TransformerModel:
                 f"teacher shape {teacher.shape} does not match input shape {np.shape(input_days)}"
             )
         memory = self.encode(input_days, trace=trace)
-        decoder_input = self._decoder_input(teacher, cfg.t_out)
+        decoder_input = self._decoder_input(teacher[..., :-1, :])
         return self._head(self._decode(decoder_input, memory, trace=trace))
 
     def predict(self, input_days: np.ndarray) -> np.ndarray:
         """Autoregressive inference, feeding back thresholded predictions.
 
-        All windows of a (..., T_in, 2V) stack advance in lockstep, one
-        output day per decoder pass; the head reads only the last decoded
-        position of each pass.
+        All windows of a (..., T_in, 2V) stack advance in lockstep, and each
+        output day is decoded once (incremental decoding): a step embeds
+        only the day fed back by the step before, at its position, and
+        every decoder layer's self-attention reads the earlier positions'
+        layer inputs from a per-layer cache.
         """
         cfg = self.config
         with ad.no_grad():
             memory = self.encode(input_days)
             lead = memory.shape[:-2]
-            fed_back = np.zeros((*lead, cfg.t_out, 2 * cfg.vocab_size))
+            y = self._decoder_input(np.zeros((*lead, 0, 2 * cfg.vocab_size)))
+            cache = [Tensor(np.zeros((*lead, 0, cfg.d_model)))] * cfg.n_layers
             rows = []
             for step in range(1, cfg.t_out + 1):
-                decoded = self._decode(self._decoder_input(fed_back, step), memory)
-                day = self._head(Tensor(decoded.values[..., -1, :])).values
+                day = self._head(self._decode(y, memory, cache)).values[..., 0, :]
                 rows.append(day)
                 if step < cfg.t_out:
-                    fed_back[..., step - 1, :] = (day >= FEEDBACK_THRESHOLD).astype(np.float64)
+                    fed_back = (day >= FEEDBACK_THRESHOLD).astype(np.float64)[..., None, :]
+                    y = self._add_positions(self.embed_days(fed_back), step)
         return np.stack(rows, axis=-2)
 
 

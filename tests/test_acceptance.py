@@ -141,6 +141,10 @@ def test_c1_gradient_correctness():
     projected, wh = tensors((2, 3, 8), (2, 8))
     worst_ops = max(worst_ops, finite_diff_check(
         lambda: sum_all(ad.mul(ad.lstm(projected, wh), ad.lstm(projected, wh))), [projected, wh]))
+
+    xl, wl, bl = tensors((2, 3, 4), (4, 5), (5,))
+    worst_ops = max(worst_ops, finite_diff_check(
+        lambda: sum_all(ad.mul(ad.linear(xl, wl, bl), ad.linear(xl, wl, bl))), [xl, wl, bl]))
     assert worst_ops < 1e-4
 
     worst_models = {}

@@ -88,6 +88,43 @@ class TestMatmul:
         assert np.array_equal(dw, dw_reference)
 
 
+class TestLinear:
+    """The one-entry affine op against the ``add_rowvec(matmul(x, w), b)`` it fuses."""
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x", "constant_x"])
+    def test_outputs_and_gradients_match_the_composite_bit_for_bit(self, lead, x_grad):
+        x, w, b = rand((*lead, 5), 70, grad=x_grad), rand((5, 3), 71), rand((3,), 72)
+        target = Tensor(np.random.default_rng(73).normal(size=(*lead, 3)))
+        wrt = [x, w, b] if x_grad else [w, b]
+        results = []
+        for affine in (ad.linear, lambda x, w, b: ad.add_rowvec(ad.matmul(x, w), b)):
+            ad.reset_tape()
+            out = ad.tanh(affine(x, w, b))
+            results.append([out.values, *backward(ad.mse_loss(out, target), wrt)])
+        fused, composite = results
+        for got, expected in zip(fused, composite):
+            assert np.array_equal(got, expected)
+
+    def test_one_call_records_one_entry_and_skips_a_constant_input(self):
+        ad.linear(rand((2, 3, 4), 74, grad=False), rand((4, 5), 75), rand((5,), 76))
+        (entry,) = ad._TAPE
+        assert entry.name == "linear"
+        dx, dw, db = entry.vjp(np.ones((2, 3, 5)))
+        assert dx is None and dw.shape == (4, 5) and db.shape == (5,)
+
+    def test_gradient_against_finite_differences(self):
+        x, w, b = rand((2, 3, 4), 77), rand((4, 5), 78), rand((5,), 79)
+        assert finite_diff_check(lambda: sum_all(ad.tanh(ad.linear(x, w, b))), [x, w, b]) < 1e-6
+
+    @pytest.mark.parametrize("shapes", [((2, 4), (4, 5), (4,)), ((2, 4), (3, 5), (5,)),
+                                        ((2, 4), (4,), (4,)), ((2, 4), (4, 5), (1, 5))])
+    def test_shape_errors(self, shapes):
+        x, w, b = (rand(shape, seed) for seed, shape in enumerate(shapes))
+        with pytest.raises(ShapeMismatchError):
+            ad.linear(x, w, b)
+
+
 class TestElementwise:
     def test_mul_annihilator(self):
         out = ad.mul(Tensor([1.0, 2.0, 3.0]), Tensor([0.0, 0.0, 0.0]))
@@ -228,6 +265,39 @@ class TestSoftmaxAndAttention:
     def test_causal_mask_zeroes_future(self):
         y = ad.softmax_rows(rand((4, 4), 16, grad=False), causal=True).values
         assert np.array_equal(np.triu(y, k=1), np.zeros((4, 4)))
+
+    def test_suffix_rows_match_the_square_mask_bit_for_bit(self):
+        # r query rows are the last r of c positions: row i sees keys <= c - r + i
+        c = 5
+        s = rand((2, 3, c, c), 28, scale=3.0, grad=False)
+        square = ad.softmax_rows(s, causal=True).values
+        for r in range(1, c + 1):
+            suffix = ad.softmax_rows(Tensor(s.values[..., c - r:, :]), causal=True).values
+            assert np.array_equal(suffix, square[..., c - r:, :]), r
+        last = Tensor(s.values[..., -1:, :])  # one row masks nothing
+        assert np.array_equal(ad.softmax_rows(last, causal=True).values,
+                              ad.softmax_rows(last).values)
+        with pytest.raises(ShapeMismatchError):
+            ad.softmax_rows(rand((2, c + 1, c), 29, grad=False), causal=True)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_attention_on_suffix_queries_matches_square_causal(self, lead):
+        d, c = 4, 5
+        params = self._attention_params(d, 31)
+        x = rand((*lead, c, d), 32, grad=False)
+        square = ad.multi_head_attention(x, x, x, heads=2, causal=True, **params).values
+        for r in range(1, c + 1):
+            q = Tensor(x.values[..., c - r:, :])
+            out = ad.multi_head_attention(q, x, x, heads=2, causal=True, **params).values
+            if r > 1:
+                assert np.array_equal(out, square[..., c - r:, :]), r
+            else:
+                # numpy runs a one-row product as a BLAS matrix-vector
+                # product, which may sum in another order than the matrix one
+                np.testing.assert_allclose(out, square[..., -1:, :], rtol=0, atol=1e-14)
+        keys = Tensor(x.values[..., 1:, :])
+        with pytest.raises(ShapeMismatchError):
+            ad.multi_head_attention(x, keys, keys, heads=2, causal=True, **params)
 
     def _attention_params(self, d, seed, identity=False):
         if identity:

@@ -251,23 +251,23 @@ class TestRecurrentModels:
                 np.testing.assert_allclose(grad, reference[name], rtol=0, atol=1e-12,
                                            err_msg=name)
 
-    @pytest.mark.parametrize("kind, directions, matmuls", [("LSTM", 1, 2), ("BiLSTM", 2, 3)])
-    def test_one_input_projection_per_window(self, monkeypatch, kind, directions, matmuls):
+    @pytest.mark.parametrize("kind, directions, linears", [("LSTM", 1, 2), ("BiLSTM", 2, 3)])
+    def test_one_input_projection_per_window(self, monkeypatch, kind, directions, linears):
         # per direction: one input projection, then one lstm entry that runs
         # the recurrent products itself; plus the readout
         shapes = []
-        matmul = ad.matmul
-        monkeypatch.setattr(ad, "matmul", lambda a, b: shapes.append(a.shape) or matmul(a, b))
+        linear = ad.linear
+        monkeypatch.setattr(ad, "linear", lambda x, w, b: shapes.append(x.shape) or linear(x, w, b))
         for t_in in (3, 6):
             model = build_model(toy_config(kind, t_in=t_in))
             shapes.clear()
             ad.reset_tape()
             model.forward(random_day_matrix(2 * t_in, 8, 11).reshape(2, t_in, 16))
-            assert len(shapes) == matmuls, shapes
+            assert len(shapes) == linears, shapes
             assert shapes.count((2, t_in, 16)) == directions
             assert [entry.name for entry in ad._TAPE].count("lstm") == directions
 
-    @pytest.mark.parametrize("kind, entries", [("LSTM", 10), ("BiLSTM", 14)])
+    @pytest.mark.parametrize("kind, entries", [("LSTM", 8), ("BiLSTM", 11)])
     def test_tape_entries_per_batch_do_not_grow_with_t_in(self, kind, entries):
         for t_in in (3, 5):
             ad.reset_tape()
@@ -444,16 +444,21 @@ class TestResidualSchemes:
 
 
 def full_prefix_predict(model, input_days):
-    """Autoregressive inference that heads every decoded position of every
-    pass and reads the last, kept as the reference for ``predict``, which
-    heads the last position only."""
+    """Autoregressive inference that re-decodes the whole prefix (the start
+    vector and every day fed back so far) at every step and heads every
+    position, kept as the reference for ``predict``'s incremental decoding."""
     cfg = model.config
     with ad.no_grad():
         memory = model.encode(input_days)
-        fed_back = np.zeros((*memory.shape[:-2], cfg.t_out, 2 * cfg.vocab_size))
+        lead = memory.shape[:-2]
+        sos = np.broadcast_to(model.params["decoder.sos"].values, (*lead, 1, cfg.d_model))
+        fed_back = np.zeros((*lead, cfg.t_out - 1, 2 * cfg.vocab_size))
         rows = []
         for step in range(1, cfg.t_out + 1):
-            out = model._head(model._decode(model._decoder_input(fed_back, step), memory))
+            embedded = model.embed_days(fed_back[..., : step - 1, :]).values
+            prefix = np.concatenate([sos, embedded], axis=-2)
+            prefix = prefix + positional_encoding(step, cfg.d_model)
+            out = model._head(model._decode(Tensor(prefix), memory))
             rows.append(out.values[..., -1, :])
             if step < cfg.t_out:
                 fed_back[..., step - 1, :] = rows[-1] >= models.FEEDBACK_THRESHOLD
@@ -554,7 +559,7 @@ class TestTransformer:
             assert np.abs(a - b).max() < 1e-12
             np.testing.assert_array_equal(pprz.predict(x), twin.predict(x))
 
-    def test_no_key_bias_and_63_tape_entries_at_c7_size(self):
+    def test_no_key_bias_and_54_tape_entries_at_c7_size(self):
         for kind in TRANSFORMER_KINDS:
             model = build_model(toy_config(kind))
             assert not [name for name in model.params.names() if name.endswith(".bk")], kind
@@ -564,13 +569,16 @@ class TestTransformer:
         teacher = np.stack([random_day_matrix(5, 20, seed) for seed in range(8, 16)])
         ad.mse_loss(build_model(config).forward(x, teacher=teacher),
                     Tensor(teacher.astype(np.float64)))
-        assert ad.tape_size() == 63
+        assert ad.tape_size() == 54
 
     @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
     def test_predict_matches_full_prefix_decoding(self, kind):
         small = dict(vocab_size=8, t_in=3, t_out=4, d_model=4, heads=2, n_layers=2, d_ff=8)
         c7 = dict(vocab_size=20, t_in=5, t_out=5, d_model=32, heads=4, n_layers=2, d_ff=64)
-        for sizes, lead in ((small, ()), (small, (3,)), (small, (2, 3)), (c7, (40,))):
+        cases = [(small, ()), (small, (3,)), (small, (2, 3)), (c7, (40,)),
+                 ({**small, "t_out": 1}, (3,)), ({**small, "t_in": 2, "t_out": 6}, (3,)),
+                 ({**small, "n_layers": 1}, (3,)), ({**small, "n_layers": 3}, (2, 3))]
+        for sizes, lead in cases:
             model = build_model(ModelConfig(kind=kind, seed=21, **sizes))
             rng = np.random.default_rng(22)
             for t in model.params.tensors():
@@ -580,6 +588,20 @@ class TestTransformer:
             # another BLAS may round a one-row head product differently
             np.testing.assert_allclose(model.predict(x), full_prefix_predict(model, x),
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_layers, t_out", [(1, 1), (2, 4), (3, 5)])
+    def test_predict_decodes_one_position_per_step(self, monkeypatch, n_layers, t_out):
+        model = build_model(toy_config("TransPPRZ", n_layers=n_layers, t_out=t_out))
+        query_rows = []
+        attend = ad.multi_head_attention
+        monkeypatch.setattr(ad, "multi_head_attention",
+                            lambda q, *args, **kw: query_rows.append(q.shape[-2])
+                            or attend(q, *args, **kw))
+        model.predict(np.stack([random_day_matrix(3, 8, seed) for seed in range(5)]))
+        # the encoder's self-attention, then self- and cross-attention per
+        # decoder layer and step, each for the newest position only
+        assert query_rows[:n_layers] == [3] * n_layers
+        assert query_rows[n_layers:] == [1] * (2 * n_layers * t_out)
 
     def test_trace_collects_all_layers(self):
         model = build_model(toy_config("TransPPRZ", n_layers=2))
