@@ -25,6 +25,9 @@ from .errors import ConfigurationError, ContractError, ShapeMismatchError
 
 Array = np.ndarray
 
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Adam's usual defaults
+
 
 class Tensor:
     """A shaped float64 buffer; ``requires_grad`` marks it as differentiable."""
@@ -249,7 +252,7 @@ def embedding_bag(table: Tensor, indices) -> Tensor:
     return _record("embedding_bag", (table,), out, vjp)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each last-axis slice to zero mean / unit variance, then affine.
 
     Population variance, as in the usual formulation.  Any leading axes
@@ -263,7 +266,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xv = x.values.reshape(-1, d)
     mean = xv.mean(axis=1, keepdims=True)
     var = xv.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (xv - mean) * inv
     out = (xhat * gamma.values + beta.values).reshape(x.shape)
 
@@ -597,7 +600,10 @@ def finite_diff_check(
 
 @dataclass
 class OptimizerState:
-    """Adam hyperparameters, the step count and three flat buffers.
+    """Adam's learning rate, the step count and three flat buffers.
+
+    The betas and epsilon are fixed: ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPSILON``.
 
     The moments ``m`` and ``v`` and the ``scratch`` buffer each have the
     length of the parameter vector; the first :func:`adam_step` allocates
@@ -605,9 +611,6 @@ class OptimizerState:
     """
 
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: Array | None = None
     v: Array | None = None
@@ -633,7 +636,7 @@ def adam_step(values: Array, grad: Array, state: OptimizerState) -> None:
         raise ShapeMismatchError(
             f"adam_step: moments of shape {state.m.shape} for values {values.shape}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
     m, v, t = state.m, state.v, state.scratch
@@ -650,6 +653,6 @@ def adam_step(values: Array, grad: Array, state: OptimizerState) -> None:
     t *= state.learning_rate
     np.divide(v, bias2, out=grad)
     np.sqrt(grad, out=grad)
-    grad += state.epsilon
+    grad += ADAM_EPSILON
     t /= grad
     values -= t

@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import sys
+import warnings
 from pathlib import Path
 
 from . import market
@@ -112,7 +113,11 @@ def cmd_cluster(cfg: RunConfig, out: Path) -> None:
     assignment = kmeans_cluster(features, k=TIERS, seed=derive_seed(cfg.seed, "cluster"))
     assignment = order_clusters(assignment, features)
     save_assignment(out / CLUSTERS_FILE, assignment, _sha256(path))
-    print(f"wrote {out / CLUSTERS_FILE} ({len(assignment.labels)} dealers, k={TIERS})")
+    empty = [str(tier) for tier in range(TIERS) if tier not in assignment.labels.values()]
+    if empty:
+        warnings.warn(f"cluster: no dealer holds tier {', '.join(empty)} of 0-{TIERS - 1}")
+    print(f"wrote {out / CLUSTERS_FILE} ({len(assignment.labels)} dealers, "
+          f"{TIERS - len(empty)} populated tiers)")
 
 
 def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):

@@ -4,7 +4,8 @@ Features are computed strictly from the training interval (days before the
 split boundary).  Clustering is k-means with k-means++ seeding on
 z-normalized features, deterministic under a seed, with explicit repair of
 empty clusters.  Labels are then permuted so that label 0 is the least
-active tier and label k-1 the most active.
+active tier.  A label that no dealer holds is absent from the labels, so a
+caller finds empty tiers there.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .market import DealerHistory
 from .seeding import rng_for
 
 TIERS = 4  # activity tiers: the k the CLI clusters with, so clusters.csv labels are 0-3
+MAX_ITER = 100  # Lloyd iterations at most
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,6 @@ class DealerFeatures:
     active_day_fraction: float
     buy_ratio: float
     mean_trades_per_active_day: float
-    inactive: bool = False  # no trades at all inside the training interval
 
     def as_vector(self) -> np.ndarray:
         return np.array(
@@ -48,11 +49,7 @@ class DealerFeatures:
 @dataclass
 class ClusterAssignment:
     labels: dict[str, int]
-    centroids: np.ndarray  # k x n_features, in z-normalized space
-    k: int
-    empty_labels: tuple[int, ...] = ()
-    degenerate: bool = False
-    wcss_history: tuple[float, ...] = ()
+    wcss_history: tuple[float, ...] = ()  # within-cluster sum of squares per iteration
 
 
 def compute_dealer_features(
@@ -71,7 +68,7 @@ def compute_dealer_features(
         v = window.shape[1] // 2
         total = int(window.sum())
         if total == 0:
-            out[h.dealer_id] = DealerFeatures(h.dealer_id, 0, 0, 0.0, 0.0, 0.0, inactive=True)
+            out[h.dealer_id] = DealerFeatures(h.dealer_id, 0, 0, 0.0, 0.0, 0.0)
             continue
         buys = int(window[:, :v].sum())
         bond_hit = window[:, :v] | window[:, v:]
@@ -117,39 +114,30 @@ def kmeans_cluster(
     features: dict[str, DealerFeatures],
     k: int = 4,
     seed: int = 0,
-    max_iter: int = 100,
 ) -> ClusterAssignment:
     """Lloyd iterations from a k-means++ seeding, deterministic under seed.
 
-    Empty clusters are repaired by moving the farthest point of the largest
-    cluster; if even that is futile (zero spread) the assignment is flagged
-    degenerate.  Fewer dealers than k degrades to one singleton cluster per
-    dealer with the leftover labels flagged empty.
+    An empty cluster is repaired by moving the farthest point of the
+    largest cluster into it; when that point sits on its centroid (zero
+    spread) the cluster stays empty.  Fewer dealers than k gives one
+    singleton cluster per dealer.  Labels no dealer holds are absent from
+    the result's labels.
     """
+    if k < 1:
+        raise ContractError(f"kmeans_cluster needs k >= 1, got {k}")
     dealer_ids = list(features)
     n = len(dealer_ids)
     if n == 0:
         raise ContractError("kmeans_cluster needs at least one dealer")
-    raw = np.stack([features[d].as_vector() for d in dealer_ids])
-    z = _z_normalize(raw)
-
     if n < k:
-        labels = {d: i for i, d in enumerate(dealer_ids)}
-        centroids = np.zeros((k, z.shape[1]))
-        centroids[:n] = z
-        return ClusterAssignment(
-            labels=labels,
-            centroids=centroids,
-            k=k,
-            empty_labels=tuple(range(n, k)),
-        )
+        return ClusterAssignment({d: i for i, d in enumerate(dealer_ids)})
+    z = _z_normalize(np.stack([features[d].as_vector() for d in dealer_ids]))
 
     rng = rng_for(seed, "kmeans")
     centroids = _kmeanspp_init(z, k, rng)
     labels = np.full(n, -1, dtype=np.intp)
-    degenerate = False
     wcss_history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         dist2 = ((z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist2.argmin(axis=1)
 
@@ -160,10 +148,8 @@ def kmeans_cluster(
             biggest = int(counts.argmax())
             members = np.flatnonzero(new_labels == biggest)
             far = members[int(dist2[members, biggest].argmax())]
-            if dist2[far, biggest] == 0.0:
-                degenerate = True
-                continue
-            new_labels[far] = c
+            if dist2[far, biggest] > 0.0:
+                new_labels[far] = c
 
         for c in range(k):
             members = new_labels == c
@@ -176,13 +162,8 @@ def kmeans_cluster(
             break
         labels = new_labels
 
-    empty = tuple(c for c in range(k) if not (labels == c).any())
     return ClusterAssignment(
         labels={d: int(labels[i]) for i, d in enumerate(dealer_ids)},
-        centroids=centroids,
-        k=k,
-        empty_labels=empty,
-        degenerate=degenerate or bool(empty),
         wcss_history=tuple(wcss_history),
     )
 
@@ -190,10 +171,11 @@ def kmeans_cluster(
 def order_clusters(
     assignment: ClusterAssignment, features: dict[str, DealerFeatures]
 ) -> ClusterAssignment:
-    """Permute labels so mean total_trades is nondecreasing in the label.
+    """Renumber the populated labels 0, 1, ... so mean total_trades is
+    nondecreasing in the label.
 
     Ties break by mean distinct bonds, then by the original label, so the
-    ordering is stable and deterministic.  Empty labels sort last.
+    ordering is stable and deterministic.
     """
     sums: dict[int, list[float]] = {}
     for dealer, label in assignment.labels.items():
@@ -204,19 +186,11 @@ def order_clusters(
         entry[2] += 1.0
 
     def sort_key(label: int):
-        if label not in sums:
-            return (float("inf"), float("inf"), label)
         total, distinct, count = sums[label]
         return (total / count, distinct / count, label)
 
-    old_order = sorted(range(assignment.k), key=sort_key)
-    relabel = {old: new for new, old in enumerate(old_order)}
-    return replace(
-        assignment,
-        labels={d: relabel[c] for d, c in assignment.labels.items()},
-        centroids=assignment.centroids[old_order],
-        empty_labels=tuple(sorted(relabel[c] for c in assignment.empty_labels)),
-    )
+    relabel = {old: new for new, old in enumerate(sorted(sums, key=sort_key))}
+    return replace(assignment, labels={d: relabel[c] for d, c in assignment.labels.items()})
 
 
 def save_assignment(path, assignment: ClusterAssignment, histories_sha256: str) -> None:

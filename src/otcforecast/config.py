@@ -200,14 +200,7 @@ def parse_config(path: str | None = None) -> RunConfig:
 
 
 def _cross_validate(config: RunConfig) -> None:
-    for lo, hi in (
-        ("periodic_min_period", "periodic_max_period"),
-        ("periodic_min_bonds", "periodic_max_bonds"),
-        ("dense_min_bonds", "dense_max_bonds"),
-    ):
-        if getattr(config, lo) > getattr(config, hi):
-            raise ConfigurationError(
-                f"{lo} ({getattr(config, lo)}) exceeds {hi} ({getattr(config, hi)})")
+    config.market_spec()  # MarketSpec validates its ranges
     config.model_config(1)  # ModelConfig validates the model settings
 
 

@@ -73,6 +73,11 @@ class MarketSpec:
                 raise ContractError(f"rate {rate} outside [0, 1]")
         if self.dense_rate < 0:
             raise ContractError(f"dense_rate {self.dense_rate} must be nonnegative")
+        for name, floor in (("periodic_period_range", 1), ("periodic_bonds_range", 0),
+                            ("dense_bonds_range", 0)):
+            lo, hi = getattr(self, name)
+            if not floor <= lo <= hi:
+                raise ContractError(f"{name} ({lo}, {hi}) needs {floor} <= minimum <= maximum")
 
 
 @dataclass
@@ -425,14 +430,3 @@ def load_histories(path) -> tuple[list[DealerHistory], int, int]:
     if at != len(blob):
         raise ArtifactError(f"{path}: {len(blob) - at} trailing bytes after {count} dealers")
     return histories, days, vocab_size
-
-
-def write_histories_text(path, histories: list[DealerHistory], vocab_size: int) -> None:
-    """Debug dump: one line per set bit, as dealer, day, side, bond index."""
-    with open(path, "w") as fh:
-        for h in histories:
-            days, _ = h.day_vectors.shape
-            for day in range(days):
-                for col in np.flatnonzero(h.day_vectors[day]):
-                    side = BUY if col < vocab_size else SELL
-                    fh.write(f"{h.dealer_id},{day},{side},{col % vocab_size}\n")

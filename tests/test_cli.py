@@ -310,6 +310,32 @@ class TestPipeline:
         assert "no dealer with a record left after the filters" in err
         assert [p.name for p in out.iterdir()] == ["config.resolved.ini"]
 
+    @pytest.mark.parametrize("edit, message", [
+        (("periodic_min_period = 2", "periodic_min_period = 5"),
+         "periodic_period_range (5, 4) needs 1 <= minimum <= maximum"),
+        (("periodic_min_bonds = 1", "periodic_min_bonds = 4"),
+         "periodic_bonds_range (4, 3) needs 0 <= minimum <= maximum"),
+        (("dense_min_bonds = 3", "dense_min_bonds = 7"),
+         "dense_bonds_range (7, 6) needs 0 <= minimum <= maximum"),
+    ], ids=["period", "periodic-bonds", "dense-bonds"])
+    def test_inverted_range_exits_1(self, tmp_path, capsys, edit, message):
+        cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(*edit))
+        assert self.run("gen", "-c", str(cfg_path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"otcforecast: config error: {message}\n"
+        assert not out.exists()
+
+    def test_cluster_warns_about_empty_tiers(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(
+            "periodic_dealers = 3\nsparse_dealers = 2\ndense_dealers = 1",
+            "periodic_dealers = 1\nsparse_dealers = 0\ndense_dealers = 0"))
+        assert self.run("gen", "-c", str(cfg_path)) == 0
+        with pytest.warns(UserWarning) as caught:
+            assert self.run("cluster", "-c", str(cfg_path)) == 0
+        assert [str(w.message) for w in caught] == ["cluster: no dealer holds tier 1, 2, 3 of 0-3"]
+        assert capsys.readouterr().out.endswith("(1 dealers, 1 populated tiers)\n")
+        assert load_assignment(out / "clusters.csv")[1] == {"D0000": 0}
+
     def test_bad_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[window]\nt_inn = 3\n")

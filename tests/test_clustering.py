@@ -25,7 +25,6 @@ class TestDealerFeatures:
         hist = history_from_bits("D1", np.zeros((10, 6)))
         feats = compute_dealer_features([hist], 10)
         f = feats["D1"]
-        assert f.inactive
         assert f.as_vector().tolist() == [0, 0, 0, 0, 0]
 
     def test_hand_count(self):
@@ -51,7 +50,7 @@ class TestDealerFeatures:
         mat = np.zeros((10, 4), dtype=np.uint8)
         mat[8, 0] = 1  # after the boundary
         f = compute_dealer_features([history_from_bits("D1", mat)], 5)["D1"]
-        assert f.inactive
+        assert f.total_trades == 0
 
     def test_same_bond_buy_and_sell_counts_once_distinct(self):
         mat = np.zeros((4, 4), dtype=np.uint8)
@@ -121,12 +120,10 @@ class TestKMeans:
         ])
         assignment = kmeans_cluster(feats, k=4, seed=1)
         assert sorted(assignment.labels.values()) == [0, 1, 2, 3]
-        assert not assignment.degenerate
 
     def test_identical_features_degenerate(self):
         feats = synthetic_features([[5, 2, 0.2, 0.5, 1.0]] * 8)
         assignment = kmeans_cluster(feats, k=4, seed=2)
-        assert assignment.degenerate
         populated = {c for c in assignment.labels.values()}
         assert len(populated) == 1
 
@@ -147,7 +144,7 @@ class TestKMeans:
         a = kmeans_cluster(feats, k=3, seed=5)
         b = kmeans_cluster(feats, k=3, seed=5)
         assert a.labels == b.labels
-        np.testing.assert_array_equal(a.centroids, b.centroids)
+        assert a.wcss_history == b.wcss_history
 
     def test_partition_covers_all_dealers(self):
         feats = two_groups(seed=6)
@@ -174,22 +171,22 @@ class TestKMeans:
         feats = two_groups(n_per_group=1, seed=10)  # 2 dealers
         assignment = kmeans_cluster(feats, k=4, seed=11)
         assert sorted(assignment.labels.values()) == [0, 1]
-        assert assignment.empty_labels == (2, 3)
+        assert assignment.wcss_history == ()
 
     def test_two_duplicate_groups_with_excess_k(self):
         # only two distinct feature points but k=3: the third centroid can
-        # never hold members, repair is futile, and the flag must say so
+        # never hold members, repair is futile, and its label stays absent
         feats = synthetic_features(
             [[5, 2, 0.2, 0.5, 1.0]] * 5 + [[900, 40, 0.9, 0.5, 9.0]] * 5
         )
         assignment = kmeans_cluster(feats, k=3, seed=12)
         populated = set(assignment.labels.values())
         assert len(populated) == 2
-        assert assignment.degenerate
-        assert len(assignment.empty_labels) == 1
+        assert populated < {0, 1, 2}
 
     def test_no_silent_empty_clusters_across_seeds(self):
-        # property: after repair, empty clusters exist only with the flag set
+        # every input here has at least k distinct points, duplicates
+        # included, and repair leaves none of the k labels empty
         rng = np.random.default_rng(13)
         for trial in range(30):
             n = int(rng.integers(4, 25))
@@ -199,27 +196,28 @@ class TestKMeans:
             feats = synthetic_features(base)
             assignment = kmeans_cluster(feats, k=4, seed=trial)
             assert set(assignment.labels) == set(feats)
-            if assignment.empty_labels:
-                assert assignment.degenerate
+            assert set(assignment.labels.values()) == {0, 1, 2, 3}
 
     def test_empty_features_rejected(self):
         with pytest.raises(ContractError):
             kmeans_cluster({}, k=4, seed=0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ContractError, match=f"k >= 1, got {k}"):
+            kmeans_cluster(two_groups(), k=k, seed=0)
+
 
 class TestOrderClusters:
-    def _assignment(self, labels, k=2):
-        return ClusterAssignment(labels=labels, centroids=np.zeros((k, 5)), k=k)
-
     def test_already_ordered_unchanged(self):
         feats = synthetic_features([[5, 1, 0.1, 0.5, 1.0], [500, 20, 0.5, 0.5, 9.0]])
-        assignment = self._assignment({"D000": 0, "D001": 1})
+        assignment = ClusterAssignment({"D000": 0, "D001": 1})
         ordered = order_clusters(assignment, feats)
         assert ordered.labels == {"D000": 0, "D001": 1}
 
     def test_swap_when_means_inverted(self):
         feats = synthetic_features([[100, 9, 0.5, 0.5, 4.0], [5, 1, 0.1, 0.5, 1.0]])
-        assignment = self._assignment({"D000": 0, "D001": 1})
+        assignment = ClusterAssignment({"D000": 0, "D001": 1})
         ordered = order_clusters(assignment, feats)
         assert ordered.labels == {"D000": 1, "D001": 0}
 
@@ -228,11 +226,16 @@ class TestOrderClusters:
             [10, 9, 0.5, 0.5, 4.0],
             [10, 2, 0.1, 0.5, 1.0],
         ])
-        ordered = order_clusters(self._assignment({"D000": 0, "D001": 1}), feats)
+        ordered = order_clusters(ClusterAssignment({"D000": 0, "D001": 1}), feats)
         assert ordered.labels == {"D000": 1, "D001": 0}
         same = synthetic_features([[10, 5, 0.5, 0.5, 4.0], [10, 5, 0.1, 0.5, 1.0]])
-        ordered = order_clusters(self._assignment({"D000": 0, "D001": 1}), same)
+        ordered = order_clusters(ClusterAssignment({"D000": 0, "D001": 1}), same)
         assert ordered.labels == {"D000": 0, "D001": 1}
+
+    def test_populated_labels_renumbered_from_zero(self):
+        feats = synthetic_features([[500, 20, 0.5, 0.5, 9.0], [5, 1, 0.1, 0.5, 1.0]])
+        ordered = order_clusters(ClusterAssignment({"D000": 3, "D001": 1}), feats)
+        assert ordered.labels == {"D000": 1, "D001": 0}
 
     def test_ordering_contract_on_random_data(self):
         rng = np.random.default_rng(12)

@@ -1,6 +1,7 @@
 """Generator, cleaning, history, windowing, split, and file-format tests."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -24,7 +25,6 @@ from otcforecast.market import (
     split_boundary,
     split_train_test,
     windowize,
-    write_histories_text,
 )
 
 
@@ -110,6 +110,18 @@ class TestGenerator:
         for i in range(20, 25):
             recs = by_dealer[f"D{i:04d}"]
             assert 60 * 4.0 * 0.5 < len(recs) < 60 * 4.0 * 1.5
+
+    @pytest.mark.parametrize("field, bounds, floor", [
+        ("periodic_period_range", (0, 0), 1),
+        ("periodic_period_range", (5, 2), 1),
+        ("periodic_bonds_range", (4, 3), 0),
+        ("dense_bonds_range", (9, 1), 0),
+        ("dense_bonds_range", (-1, 2), 0),
+    ])
+    def test_invalid_ranges_rejected(self, field, bounds, floor):
+        message = f"{field} {bounds} needs {floor} <= minimum <= maximum"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            one_periodic_spec(**{field: bounds})
 
 
 class TestDeskScaleDefaults:
@@ -416,14 +428,6 @@ class TestFileFormats:
             path.write_bytes(corrupt)
             with pytest.raises(ArtifactError, match=reason):
                 load_histories(path)
-
-    def test_histories_text_dump(self, tmp_path):
-        hist = market.DealerHistory("D1", np.zeros((3, 4), dtype=np.uint8))
-        hist.day_vectors[1, 0] = 1  # buy of bond 0
-        hist.day_vectors[2, 3] = 1  # sell of bond 1
-        path = tmp_path / "hist.txt"
-        write_histories_text(path, [hist], 2)
-        assert path.read_text().splitlines() == ["D1,1,B,0", "D1,2,S,1"]
 
     def test_gen_byte_determinism(self, tmp_path):
         spec = one_periodic_spec(seed=7)
