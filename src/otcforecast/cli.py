@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import sys
 import warnings
@@ -91,10 +90,7 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
         )
     market.save_records(out / RECORDS_FILE, records)
     vocab = market.build_vocabulary(filtered)
-    with open(out / VOCAB_FILE, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for bond in vocab.bonds:
-            writer.writerow([bond, vocab.index[bond]])
+    market.write_rows(out / VOCAB_FILE, ((bond, vocab.index[bond]) for bond in vocab.bonds))
     histories = market.build_histories(filtered, vocab, spec.days)
     market.save_histories(out / HISTORIES_FILE, histories, spec.days, vocab.size)
     print(f"wrote {out / RECORDS_FILE} ({len(records)} records)")
@@ -176,11 +172,8 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
     vocab_size, units, _ = _prepare(cfg, out)
     for tag, model, losses, _ in train_units(cfg.model_config(vocab_size), units, cfg.train_spec()):
         save_checkpoint(_checkpoint_path(out, tag), model)
-        with open(out / f"loss_{tag}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss"])
-            for epoch, loss in enumerate(losses):
-                writer.writerow([epoch, repr(loss)])
+        market.write_rows(out / f"loss_{tag}.csv",
+                          [("epoch", "loss"), *((e, repr(loss)) for e, loss in enumerate(losses))])
         print(f"wrote {_checkpoint_path(out, tag)}")
 
 
@@ -198,7 +191,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> None:
     # every kind's config is built first, so a bad one fails before any training
     configs = [cfg.model_config(vocab_size, kind) for kind in MODEL_KINDS]
     all_rows = []
-    grid = []
+    grid = [("model", *CLUSTER_COLUMNS, "avg")]
     for config in configs:
         # each unit is scored as soon as it is trained, so the kind's unit models
         # are never all held at once
@@ -207,19 +200,10 @@ def cmd_compare(cfg: RunConfig, out: Path) -> None:
         rows = score_units(config.kind, cfg.granularity, trained, cfg.threshold,
                            cfg.eval_mode, labels)
         all_rows.extend(rows)
-        by_cluster = {row.cluster: row.f1 for row in rows}
-        grid.append(
-            [config.kind]
-            + [
-                repr(by_cluster[str(label)]) if str(label) in by_cluster else ""
-                for label in range(len(CLUSTER_COLUMNS))
-            ]
-            + [repr(by_cluster["all"])]
-        )
-    with open(out / COMPARE_FILE, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", *CLUSTER_COLUMNS, "avg"])
-        writer.writerows(grid)
+        f1 = {row.cluster: repr(row.f1) for row in rows}
+        tiers = (f1.get(str(label), "") for label in range(len(CLUSTER_COLUMNS)))
+        grid.append((config.kind, *tiers, f1["all"]))
+    market.write_rows(out / COMPARE_FILE, grid)
     write_reports(out / COMPARE_REPORT_FILE, all_rows)
     print(f"wrote {out / COMPARE_FILE}")
     print(f"wrote {out / COMPARE_REPORT_FILE}")

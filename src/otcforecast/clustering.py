@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArtifactError, ContractError
-from .market import DealerHistory
+from .market import DealerHistory, write_rows
 from .seeding import rng_for
 
 TIERS = 4  # activity tiers: the k the CLI clusters with, so clusters.csv labels are 0-3
@@ -197,11 +197,7 @@ def save_assignment(path, assignment: ClusterAssignment, histories_sha256: str) 
     """A ``histories_sha256,<hex>`` line naming the SHA-256 of the
     ``histories.bin`` bytes the tiers were computed from, then
     comma-separated lines of dealer_id, cluster_label (ascending dealer id)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["histories_sha256", histories_sha256])
-        for dealer in sorted(assignment.labels):
-            writer.writerow([dealer, assignment.labels[dealer]])
+    write_rows(path, [("histories_sha256", histories_sha256), *sorted(assignment.labels.items())])
 
 
 def load_assignment(path) -> tuple[str, dict[str, int]]:

@@ -107,45 +107,26 @@ class RunConfig:
     eval_mode: str = _setting("run", "per_day", _one_of(("per_day", "union")))
     probe_samples: int = _setting("run", 64, _AT_LEAST_1)
 
+    def _spec(self, cls, **explicit):
+        """A ``cls`` from ``explicit`` and the settings named like its other fields."""
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in explicit}
+        return cls(**shared, **explicit)
+
     def market_spec(self) -> MarketSpec:
-        return MarketSpec(
-            days=self.days,
-            bonds=self.bonds,
-            periodic_dealers=self.periodic_dealers,
-            sparse_dealers=self.sparse_dealers,
-            dense_dealers=self.dense_dealers,
+        return self._spec(
+            MarketSpec,
             periodic_period_range=(self.periodic_min_period, self.periodic_max_period),
             periodic_bonds_range=(self.periodic_min_bonds, self.periodic_max_bonds),
-            periodic_buy_prob=self.periodic_buy_prob,
-            sparse_rate=self.sparse_rate,
-            dense_rate=self.dense_rate,
             dense_bonds_range=(self.dense_min_bonds, self.dense_max_bonds),
-            cancellation_rate=self.cancellation_rate,
             seed=derive_seed(self.seed, "market"),
         )
 
     def model_config(self, vocab_size: int, kind: str | None = None) -> ModelConfig:
-        return ModelConfig(
-            kind=kind or self.kind,
-            vocab_size=vocab_size,
-            t_in=self.t_in,
-            t_out=self.t_out,
-            d_model=self.d_model,
-            heads=self.heads,
-            n_layers=self.n_layers,
-            d_ff=self.d_ff,
-            hidden=self.hidden,
-            seed=derive_seed(self.seed, "model"),
-        )
+        return self._spec(ModelConfig, kind=kind or self.kind, vocab_size=vocab_size,
+                          seed=derive_seed(self.seed, "model"))
 
     def train_spec(self) -> TrainSpec:
-        return TrainSpec(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=derive_seed(self.seed, "train"),
-            patience=self.patience,
-        )
+        return self._spec(TrainSpec, seed=derive_seed(self.seed, "train"))
 
 
 # section -> {key -> field}, both in declaration order

@@ -10,7 +10,6 @@ recall and F1 are micro-averaged from those pooled counts.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import OptimizerState, Tensor
 from .errors import ContractError, NumericError, ShapeMismatchError
-from .market import Sample
+from .market import Sample, write_rows
 from .models import TRANSFORMER_KINDS, ModelConfig, build_model
 from .seeding import rng_for
 
@@ -303,21 +302,15 @@ def score_units(
 
 def write_reports(path, rows: list[EvalReport]) -> None:
     """CSV table: model, granularity, cluster, tp, fp, fn, precision, recall, f1."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "granularity", "cluster", "tp", "fp", "fn", "precision", "recall", "f1"])
-        for r in rows:
-            writer.writerow(
-                [r.model_kind, r.granularity, r.cluster, r.tp, r.fp, r.fn,
-                 repr(r.precision), repr(r.recall), repr(r.f1)]
-            )
+    write_rows(path, [("model", "granularity", "cluster", "tp", "fp", "fn",
+                       "precision", "recall", "f1"),
+                      *((r.model_kind, r.granularity, r.cluster, r.tp, r.fp, r.fn,
+                         repr(r.precision), repr(r.recall), repr(r.f1)) for r in rows)])
 
 
 def write_layer_stats(path, stats_list: list[LayerStats]) -> None:
     """CSV table: unit, model, layer, mean, variance (one block per checkpoint tag)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "model", "layer", "mean", "variance"])
-        for stats in stats_list:
-            for layer, (mean, variance) in stats.stats.items():
-                writer.writerow([stats.tag, stats.model_kind, layer, repr(mean), repr(variance)])
+    write_rows(path, [("unit", "model", "layer", "mean", "variance"),
+                      *((stats.tag, stats.model_kind, layer, repr(mean), repr(variance))
+                        for stats in stats_list
+                        for layer, (mean, variance) in stats.stats.items())])

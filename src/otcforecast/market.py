@@ -330,22 +330,18 @@ def split_train_test(
 # ---------------------------------------------------------------------------
 
 
+def write_rows(path, rows) -> None:
+    """Write ``rows`` as a UTF-8 CSV table in the csv module's default
+    dialect: comma separated, ``\\r\\n`` line ends, minimal quoting, None
+    as an empty field.  Every CSV artifact is written here."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def save_records(path, records: list[TradeRecord]) -> None:
     """CSV, one record per line: day, dealer, bond, side, counterparty, status, ref."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for r in records:
-            writer.writerow(
-                [
-                    r.day_index,
-                    r.dealer_id,
-                    r.bond_id,
-                    r.side,
-                    r.counterparty,
-                    r.status,
-                    "" if r.ref_record is None else r.ref_record,
-                ]
-            )
+    write_rows(path, ((r.day_index, r.dealer_id, r.bond_id, r.side, r.counterparty, r.status,
+                       r.ref_record) for r in records))
 
 
 def _pack_bits(matrix: np.ndarray) -> bytes:

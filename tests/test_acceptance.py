@@ -29,7 +29,7 @@ from otcforecast.models import (
     positional_encoding,
 )
 
-from helpers import sum_all
+from helpers import initial_loss, random_day_matrix, sum_all
 
 TOY = dict(vocab_size=8, t_in=3, t_out=2, d_model=4, heads=2, n_layers=1,
            d_ff=8, hidden=4)
@@ -41,18 +41,6 @@ def report(number, detail):
 
 def toy_model(kind, seed=0):
     return build_model(ModelConfig(kind=kind, seed=seed, **TOY))
-
-
-def day_matrix(rows, vocab_size, seed, density=0.3):
-    rng = np.random.default_rng(seed)
-    return (rng.random((rows, 2 * vocab_size)) < density).astype(np.uint8)
-
-
-def initial_loss(model, sample):
-    """The untrained model's MSE on one window."""
-    with ad.no_grad():
-        pred = model.forward(sample.input_days, teacher=sample.target_days)
-    return float(((pred.values - sample.target_days) ** 2).mean())
 
 
 def periodic_market_spec(seed):
@@ -148,8 +136,8 @@ def test_c1_gradient_correctness():
     assert worst_ops < 1e-4
 
     worst_models = {}
-    x_in = day_matrix(3, 8, 1)
-    teacher = day_matrix(2, 8, 2)
+    x_in = random_day_matrix(3, 8, 1)
+    teacher = random_day_matrix(2, 8, 2)
     for kind in MODEL_KINDS:
         model = toy_model(kind, seed=3)
 
@@ -174,7 +162,7 @@ def test_c2_identity_at_init():
     worst = 0.0
     for kind in ("TransRE", "TransPPRZ"):
         model = toy_model(kind, seed=4)
-        x = day_matrix(3, 8, 5)
+        x = random_day_matrix(3, 8, 5)
         encoder_out = model.encode(x).values
         expected = model.embed_days(x).values + positional_encoding(3, 4)
         worst = max(worst, float(np.abs(encoder_out - expected).max()))
@@ -200,8 +188,8 @@ def test_c3_pprz_rezero_reduction(monkeypatch):
             else:
                 twin.params[name].values[...] = pprz.params[name].values
         for i in range(20):
-            x = day_matrix(3, 8, 1000 * round_ + i)
-            teacher = day_matrix(2, 8, 2000 * round_ + i)
+            x = random_day_matrix(3, 8, 1000 * round_ + i)
+            teacher = random_day_matrix(2, 8, 2000 * round_ + i)
             a = pprz.forward(x, teacher=teacher).values
             b = twin.forward(x, teacher=teacher).values
             worst = max(worst, float(np.abs(a - b).max()))
@@ -319,7 +307,7 @@ def test_c5_pipeline_determinism(tmp_path):
 
 def test_c6_overfit_sanity():
     started = time.time()
-    x = day_matrix(3, 8, 9)
+    x = random_day_matrix(3, 8, 9)
     day = (np.random.default_rng(10).random(16) < 0.3).astype(np.uint8)
     sample = Sample("D0", 0, x, np.stack([day, day]))
     epochs_needed = {}

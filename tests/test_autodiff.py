@@ -12,19 +12,7 @@ from otcforecast.autodiff import OptimizerState, Tensor, adam_step, backward, fi
 from otcforecast.errors import ConfigurationError, ContractError, ShapeMismatchError
 from otcforecast.models import ModelConfig, build_model
 
-from helpers import sum_all
-
-
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    ad.reset_tape()
-    yield
-    ad.reset_tape()
-
-
-def rand(shape, seed, scale=1.0, grad=True):
-    rng = np.random.default_rng(seed)
-    return Tensor(scale * rng.normal(size=shape), requires_grad=grad)
+from helpers import rand, sum_all
 
 
 class TestFiniteDiffOracle:

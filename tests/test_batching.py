@@ -17,22 +17,11 @@ from otcforecast.harness import evaluate, score_units
 from otcforecast.market import Sample
 from otcforecast.models import MODEL_KINDS, ModelConfig, build_model
 
-from helpers import sum_all
+from helpers import rand, sum_all
 
 ATOL = 1e-12
 GRAD_RTOL = 1e-9
 FD_BOUND = 1e-6
-
-
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    ad.reset_tape()
-    yield
-    ad.reset_tape()
-
-
-def rand(shape, seed, scale=1.0, grad=True):
-    return Tensor(scale * np.random.default_rng(seed).normal(size=shape), requires_grad=grad)
 
 
 def perturbed_model(kind, seed=0):

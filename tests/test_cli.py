@@ -1,7 +1,11 @@
 """Config parsing and end-to-end command-line pipeline tests."""
 
+import codecs
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -10,13 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import otcforecast
 from otcforecast import cli, harness, market
 from otcforecast.cli import main
 from otcforecast.clustering import load_assignment
 from otcforecast.config import PARSERS, RunConfig, parse_config, write_resolved
 from otcforecast.errors import ArtifactError, ConfigurationError
-from otcforecast.harness import score_units, train_units, training_units, write_reports
-from otcforecast.models import MODEL_KINDS, load_checkpoint
+from otcforecast.harness import TrainSpec, score_units, train_units, training_units, write_reports
+from otcforecast.market import MarketSpec
+from otcforecast.models import MODEL_KINDS, ModelConfig, load_checkpoint
+from otcforecast.seeding import derive_seed
 
 TINY_CONFIG = """\
 [market]
@@ -258,6 +265,46 @@ class TestParseConfig:
         assert keys(block) == keys((tmp_path / "resolved.ini").read_text())
 
 
+# the spec fields RunConfig sets itself; every other field copies the setting of its name
+EXPLICIT_SPEC_FIELDS = {
+    MarketSpec: {"periodic_period_range", "periodic_bonds_range", "dense_bonds_range", "seed"},
+    ModelConfig: {"kind", "vocab_size", "seed"},
+    TrainSpec: {"seed"},
+}
+
+
+class TestSpecsFromConfig:
+    def test_every_spec_field_is_a_setting_or_explicit(self):
+        settings = {key.name for key in fields(RunConfig)}
+        for spec, explicit in EXPLICIT_SPEC_FIELDS.items():
+            assert {f.name for f in fields(spec)} - explicit <= settings, spec.__name__
+
+    def test_non_default_settings_reach_their_specs(self, tmp_path):
+        sections: dict[str, list[str]] = {}
+        for key in fields(RunConfig):
+            sections.setdefault(key.metadata["section"], []).append(
+                f"{key.name} = {SETTING_VALUES[key.name][0]}")
+        path = tmp_path / "c.ini"
+        path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                                for name, lines in sections.items()))
+        cfg = parse_config(path)
+        specs = {MarketSpec: cfg.market_spec(), ModelConfig: cfg.model_config(11),
+                 TrainSpec: cfg.train_spec()}
+        defaults = {key.name: key.default for key in fields(RunConfig)}
+        for cls, spec in specs.items():
+            for name in {f.name for f in fields(cls)} - EXPLICIT_SPEC_FIELDS[cls]:
+                assert getattr(cfg, name) != defaults[name], name
+                assert getattr(spec, name) == getattr(cfg, name), name
+        ranges = specs[MarketSpec]
+        assert ranges.periodic_period_range == (cfg.periodic_min_period, cfg.periodic_max_period)
+        assert ranges.periodic_bonds_range == (cfg.periodic_min_bonds, cfg.periodic_max_bonds)
+        assert ranges.dense_bonds_range == (cfg.dense_min_bonds, cfg.dense_max_bonds)
+        assert (specs[ModelConfig].kind, specs[ModelConfig].vocab_size) == (cfg.kind, 11)
+        assert cfg.model_config(11, "TransRE").kind == "TransRE"
+        for cls, stream in ((MarketSpec, "market"), (ModelConfig, "model"), (TrainSpec, "train")):
+            assert specs[cls].seed == derive_seed(cfg.seed, stream), stream
+
+
 class TestPipeline:
     def run(self, *argv):
         return main(list(argv))
@@ -418,6 +465,34 @@ class TestPipeline:
             assert self.run(command, "-c", str(cfg_path)) == 0, command
         checkpoints = sorted(p.name for p in out.glob("checkpoint_cluster*.ckpt"))
         assert checkpoints, "expected per-cluster checkpoints"
+
+    def test_non_ascii_dealer_ids_under_an_ascii_locale(self, tmp_path):
+        """CSV artifacts are UTF-8 whatever the locale: cluster, train and eval run
+        as subprocesses under the C locale with UTF-8 mode off."""
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": str(Path(otcforecast.__file__).parents[1])}
+        probe = subprocess.run(
+            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+            env=env, capture_output=True, text=True, check=True)
+        if codecs.lookup(probe.stdout.strip()).name == "utf-8":
+            pytest.skip("the C locale still prefers UTF-8 here")
+        cfg_path, out = write_config(
+            tmp_path,
+            text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"),
+        )
+        assert self.run("gen", "-c", str(cfg_path)) == 0
+        histories, days, vocab_size = market.load_histories(out / "histories.bin")
+        renamed = [market.DealerHistory(h.dealer_id.replace("D", "Dé", 1), h.day_vectors)
+                   for h in histories]
+        market.save_histories(out / "histories.bin", renamed, days, vocab_size)
+        for command in ("cluster", "train", "eval"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "otcforecast.cli", command, "-c", str(cfg_path)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, (command, proc.stderr)
+        _, labels = load_assignment(out / "clusters.csv")
+        assert sorted(labels) == sorted(h.dealer_id for h in renamed)
+        assert all(dealer.startswith("Dé") for dealer in labels)
 
     def test_stats_names_each_rows_unit(self, tmp_path):
         cfg_path, out = write_config(

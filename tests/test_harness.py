@@ -26,6 +26,8 @@ from otcforecast.market import Sample
 from otcforecast.models import MODEL_KINDS, ModelConfig, Parameters, build_model
 from otcforecast.seeding import rng_for
 
+from helpers import initial_loss
+
 
 def toy_config(kind="TransRE", **overrides):
     base = dict(kind=kind, vocab_size=4, t_in=3, t_out=2,
@@ -42,13 +44,6 @@ def random_samples(n, vocab_size=4, t_in=3, t_out=2, seed=0, dealer="D1", densit
         t = (rng.random((t_out, 2 * vocab_size)) < density).astype(np.uint8)
         out.append(Sample(dealer, i, x, t))
     return out
-
-
-def initial_loss(model, sample):
-    """The untrained model's MSE on one window."""
-    with ad.no_grad():
-        pred = model.forward(sample.input_days, teacher=sample.target_days)
-    return float(((pred.values - sample.target_days) ** 2).mean())
 
 
 def per_tensor_adam(params, grads, moments, step, lr, b1=0.9, b2=0.999, eps=1e-8):

@@ -31,14 +31,7 @@ from otcforecast.models import (
 )
 from otcforecast.seeding import rng_for
 
-from helpers import sum_all
-
-
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    ad.reset_tape()
-    yield
-    ad.reset_tape()
+from helpers import random_day_matrix, sum_all
 
 
 def toy_config(kind, **overrides):
@@ -46,11 +39,6 @@ def toy_config(kind, **overrides):
                 d_model=4, heads=2, n_layers=1, d_ff=8, hidden=4, seed=0)
     base.update(overrides)
     return ModelConfig(**base)
-
-
-def random_day_matrix(rows, vocab_size, seed, density=0.3):
-    rng = np.random.default_rng(seed)
-    return (rng.random((rows, 2 * vocab_size)) < density).astype(np.uint8)
 
 
 class TestBuildContracts:
