@@ -559,43 +559,8 @@ def lstm(projected: Tensor, wh: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# gradient oracle and optimizer
+# optimizer
 # ---------------------------------------------------------------------------
-
-
-def finite_diff_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    eps: float = 1e-4,
-) -> float:
-    """Compare analytic gradients of f() against central finite differences.
-
-    ``f`` must rebuild its forward graph on every call and return a scalar
-    tensor.  Returns the max over all coordinates of
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    The default step balances truncation against cancellation noise for
-    loss values of order one; much smaller steps make tiny-gradient
-    coordinates noise-dominated in 64-bit arithmetic.
-    """
-    reset_tape()
-    analytic = backward(f(), params)
-    worst = 0.0
-    with no_grad():
-        for p, ga in zip(params, analytic):
-            flat = p.values.reshape(-1)
-            gflat = ga.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                f_plus = f().item()
-                flat[i] = orig - eps
-                f_minus = f().item()
-                flat[i] = orig
-                numeric = (f_plus - f_minus) / (2.0 * eps)
-                denom = max(1e-8, abs(gflat[i]) + abs(numeric))
-                worst = max(worst, abs(gflat[i] - numeric) / denom)
-    reset_tape()
-    return worst
 
 
 @dataclass

@@ -216,11 +216,11 @@ def cmd_stats(cfg: RunConfig, out: Path) -> None:
             f"(one of {', '.join(TRANSFORMER_KINDS)})"
         )
     vocab_size, units, _ = _prepare(cfg, out)
-    stats_list = [
-        layer_signal_stats(model, unit_train[: cfg.probe_samples], tag=tag)
+    stats_by_unit = {
+        tag: layer_signal_stats(model, unit_train[: cfg.probe_samples])
         for tag, model, unit_train, _ in _unit_models(cfg, out, vocab_size, units)
-    ]
-    write_layer_stats(out / STATS_FILE, stats_list)
+    }
+    write_layer_stats(out / STATS_FILE, cfg.kind, stats_by_unit)
     print(f"wrote {out / STATS_FILE}")
 
 
@@ -262,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:  # an artifact or output path that cannot be used
         print(f"otcforecast: unusable path: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as exc:  # a path the file-system encoding cannot hold
+        print(f"otcforecast: unusable path {exc.object!r}: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"otcforecast: numeric failure: {exc}", file=sys.stderr)

@@ -195,9 +195,8 @@ def _format_value(value: Any) -> str:
 
 def write_resolved(config: RunConfig, path) -> None:
     """Echo the fully resolved configuration in declaration order."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict({section: {name: _format_value(getattr(config, name)) for name in keys}
+                      for section, keys in _SECTIONS.items()})
     with open(path, "w", encoding="utf-8") as fh:
-        for section, keys in _SECTIONS.items():
-            fh.write(f"[{section}]\n")
-            for name in keys:
-                fh.write(f"{name} = {_format_value(getattr(config, name))}\n")
-            fh.write("\n")
+        parser.write(fh)

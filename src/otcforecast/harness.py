@@ -61,15 +61,6 @@ class EvalReport:
         return cls(model_kind, granularity, cluster, tp, fp, fn, tn, precision, recall, f1)
 
 
-@dataclass
-class LayerStats:
-    """Mean and population variance of each layer's post-residual output."""
-
-    model_kind: str
-    tag: str
-    stats: dict[str, tuple[float, float]]
-
-
 def micro_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     """Micro-averaged precision/recall/F1 with the zero-denominator-is-zero rule."""
     if min(tp, fp, fn) < 0:
@@ -181,8 +172,9 @@ def evaluate(model, test_samples: list[Sample], threshold: float,
     return EvalReport.from_counts(model.config.kind, "single", "all", *totals.tolist())
 
 
-def layer_signal_stats(model, probe_samples: list[Sample], tag: str = "") -> LayerStats:
-    """Per-layer mean/variance of post-residual activations on a probe batch.
+def layer_signal_stats(model, probe_samples: list[Sample]) -> dict[str, tuple[float, float]]:
+    """Per-layer mean and population variance of post-residual activations
+    on a probe batch, as ``{layer: (mean, variance)}`` in layer order.
 
     Runs stacked teacher-forced forwards so encoder and decoder layers see
     the same batch; statistics pool over samples, positions and channels.
@@ -203,7 +195,7 @@ def layer_signal_stats(model, probe_samples: list[Sample], tag: str = "") -> Lay
     for name in collected:
         pooled = np.concatenate(collected[name])
         stats[name] = (float(pooled.mean()), float(pooled.var()))
-    return LayerStats(model_kind=kind, tag=tag, stats=stats)
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +300,10 @@ def write_reports(path, rows: list[EvalReport]) -> None:
                          repr(r.precision), repr(r.recall), repr(r.f1)) for r in rows)])
 
 
-def write_layer_stats(path, stats_list: list[LayerStats]) -> None:
-    """CSV table: unit, model, layer, mean, variance (one block per checkpoint tag)."""
+def write_layer_stats(path, kind: str,
+                      stats_by_unit: dict[str, dict[str, tuple[float, float]]]) -> None:
+    """CSV table: unit, model, layer, mean, variance (one block per unit tag)."""
     write_rows(path, [("unit", "model", "layer", "mean", "variance"),
-                      *((stats.tag, stats.model_kind, layer, repr(mean), repr(variance))
-                        for stats in stats_list
-                        for layer, (mean, variance) in stats.stats.items())])
+                      *((tag, kind, layer, repr(mean), repr(variance))
+                        for tag, stats in stats_by_unit.items()
+                        for layer, (mean, variance) in stats.items())])

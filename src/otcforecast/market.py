@@ -354,10 +354,16 @@ def _unpack_bits(blob: bytes, shape: tuple[int, int]) -> np.ndarray:
     return bits.reshape(shape).astype(np.uint8)
 
 
+def _names_a_file(dealer_id: str) -> bool:
+    """Unit artifact file names hold the dealer id, so it holds no '/' and no NUL."""
+    return "/" not in dealer_id and "\0" not in dealer_id
+
+
 def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: int) -> None:
     """Binary layout: 16-byte header (magic, version, D, V), then per dealer
-    a length-prefixed id and the packed D x 2V bitmap.  No dealer, day or
-    bond, or a repeated id, raises ContractError before anything is written."""
+    a length-prefixed UTF-8 id and the packed D x 2V bitmap.  No dealer, day
+    or bond, a repeated id, or an id holding '/' or NUL raises ContractError
+    before anything is written."""
     if min(len(histories), days, vocab_size) < 1:
         raise ContractError(f"{len(histories)} dealers, {days} days and {vocab_size} bonds: "
                             "a histories file needs at least one of each")
@@ -366,6 +372,8 @@ def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: 
         if first_index.setdefault(h.dealer_id, i) != i:
             raise ContractError(f"dealer {i} repeats the id {h.dealer_id!r} "
                                 f"of dealer {first_index[h.dealer_id]}")
+        if not _names_a_file(h.dealer_id):
+            raise ContractError(f"dealer {i} id {h.dealer_id!r} holds '/' or NUL")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, days, vocab_size))
         fh.write(struct.pack("<I", len(histories)))
@@ -385,7 +393,8 @@ def load_histories(path) -> tuple[list[DealerHistory], int, int]:
 
     Raises ArtifactError unless the header, every length prefix, id and
     bitmap are complete, the file holds at least one dealer, day and bond,
-    no dealer id repeats and no byte follows the last dealer.
+    no dealer id repeats or holds '/' or NUL, and no byte follows the last
+    dealer.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -419,6 +428,8 @@ def load_histories(path) -> tuple[list[DealerHistory], int, int]:
         if dealer_id in first_index:
             raise ArtifactError(f"{path}: dealer {i} repeats the id {dealer_id!r} "
                                 f"of dealer {first_index[dealer_id]}")
+        if not _names_a_file(dealer_id):
+            raise ArtifactError(f"{path}: dealer {i} id {dealer_id!r} holds '/' or NUL")
         first_index[dealer_id] = i
         matrix = _unpack_bits(take(bitmap_bytes, f"the bitmap of dealer {dealer_id}"),
                               (days, 2 * vocab_size))

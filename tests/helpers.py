@@ -1,5 +1,7 @@
 """Helpers the test modules share."""
 
+from typing import Callable, Sequence
+
 import numpy as np
 
 import otcforecast.autodiff as ad
@@ -12,6 +14,41 @@ def sum_all(a: ad.Tensor) -> ad.Tensor:
         "sum_all", (a,), np.asarray(a.values.sum()),
         lambda g: (np.full(a.values.shape, g.item()),),
     )
+
+
+def finite_diff_check(
+    f: Callable[[], Tensor],
+    params: Sequence[Tensor],
+    eps: float = 1e-4,
+) -> float:
+    """Compare analytic gradients of f() against central finite differences.
+
+    ``f`` must rebuild its forward graph on every call and return a scalar
+    tensor.  Returns the max over all coordinates of
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    The default step balances truncation against cancellation noise for
+    loss values of order one; much smaller steps make tiny-gradient
+    coordinates noise-dominated in 64-bit arithmetic.
+    """
+    ad.reset_tape()
+    analytic = ad.backward(f(), params)
+    worst = 0.0
+    with ad.no_grad():
+        for p, ga in zip(params, analytic):
+            flat = p.values.reshape(-1)
+            gflat = ga.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                f_plus = f().item()
+                flat[i] = orig - eps
+                f_minus = f().item()
+                flat[i] = orig
+                numeric = (f_plus - f_minus) / (2.0 * eps)
+                denom = max(1e-8, abs(gflat[i]) + abs(numeric))
+                worst = max(worst, abs(gflat[i] - numeric) / denom)
+    ad.reset_tape()
+    return worst
 
 
 def rand(shape, seed, scale=1.0, grad=True):

@@ -13,7 +13,7 @@ import pytest
 
 import otcforecast.autodiff as ad
 from otcforecast import market, models
-from otcforecast.autodiff import Tensor, finite_diff_check
+from otcforecast.autodiff import Tensor
 from otcforecast.cli import main
 from otcforecast.harness import (
     TrainSpec,
@@ -29,7 +29,7 @@ from otcforecast.models import (
     positional_encoding,
 )
 
-from helpers import initial_loss, random_day_matrix, sum_all
+from helpers import finite_diff_check, initial_loss, random_day_matrix, sum_all
 
 TOY = dict(vocab_size=8, t_in=3, t_out=2, d_model=4, heads=2, n_layers=1,
            d_ff=8, hidden=4)

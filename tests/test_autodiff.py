@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import otcforecast.autodiff as ad
-from otcforecast.autodiff import OptimizerState, Tensor, adam_step, backward, finite_diff_check
+from otcforecast.autodiff import OptimizerState, Tensor, adam_step, backward
 from otcforecast.errors import ConfigurationError, ContractError, ShapeMismatchError
 from otcforecast.models import ModelConfig, build_model
 
-from helpers import rand, sum_all
+from helpers import finite_diff_check, rand, sum_all
 
 
 class TestFiniteDiffOracle:

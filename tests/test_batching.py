@@ -11,13 +11,13 @@ import pytest
 
 import otcforecast.autodiff as ad
 from otcforecast import harness
-from otcforecast.autodiff import Tensor, finite_diff_check
+from otcforecast.autodiff import Tensor
 from otcforecast.errors import ContractError, ShapeMismatchError
 from otcforecast.harness import evaluate, score_units
 from otcforecast.market import Sample
 from otcforecast.models import MODEL_KINDS, ModelConfig, build_model
 
-from helpers import rand, sum_all
+from helpers import finite_diff_check, rand, sum_all
 
 ATOL = 1e-12
 GRAD_RTOL = 1e-9

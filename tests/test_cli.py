@@ -173,11 +173,13 @@ class TestParseConfig:
             parse_config(path)
 
     def test_resolved_echo_round_trips(self, tmp_path):
-        src, _ = write_config(tmp_path)
-        cfg = parse_config(src)
-        echoed = tmp_path / "resolved.ini"
-        write_resolved(cfg, echoed)
-        assert parse_config(echoed) == cfg
+        # an indented continuation line makes a multi-line output_dir
+        for out in (tmp_path / "artifacts", "runs/a\n  b"):
+            src, _ = write_config(tmp_path, out=out)
+            cfg = parse_config(src)
+            echoed = tmp_path / "resolved.ini"
+            write_resolved(cfg, echoed)
+            assert parse_config(echoed) == cfg
 
     def test_patience_empty_means_none(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -493,6 +495,39 @@ class TestPipeline:
         _, labels = load_assignment(out / "clusters.csv")
         assert sorted(labels) == sorted(h.dealer_id for h in renamed)
         assert all(dealer.startswith("Dé") for dealer in labels)
+        # at individual granularity the unit file names hold the ids, which
+        # the ASCII file-system encoding cannot hold
+        cfg_path.write_text(cfg_path.read_text().replace("granularity = cluster",
+                                                         "granularity = individual"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "otcforecast.cli", "train", "-c", str(cfg_path)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1 and "unusable path" in proc.stderr
+        assert "checkpoint_dealer_D" in proc.stderr
+
+    @pytest.mark.parametrize("bad_id", ["Z/bad", "Z\0bad"], ids=["slash", "nul"])
+    def test_dealer_id_that_cannot_name_a_file_exits_2(self, tmp_path, capsys, bad_id):
+        cfg_path, out = write_config(
+            tmp_path,
+            text=TINY_CONFIG.replace("granularity = single", "granularity = individual"),
+        )
+        assert self.run("gen", "-c", str(cfg_path)) == 0
+        path = out / "histories.bin"
+        histories, _, _ = market.load_histories(path)
+        # the writer refuses such an id, so the last dealer's id is replaced by one of
+        # the same length that sorts last: at the parent every earlier unit trained first
+        last = histories[-1].dealer_id.encode()
+        blob = path.read_bytes()
+        assert len(last) == len(bad_id) and blob.count(last) == 1
+        path.write_bytes(blob.replace(last, bad_id.encode()))
+        capsys.readouterr()
+        for command in ("cluster", "train"):
+            assert self.run(command, "-c", str(cfg_path)) == 2, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "unreadable artifact" in err
+            assert f"dealer {len(histories) - 1} id" in err
+        assert not list(out.glob("checkpoint_*")) and not (out / "clusters.csv").exists()
 
     def test_stats_names_each_rows_unit(self, tmp_path):
         cfg_path, out = write_config(

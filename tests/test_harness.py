@@ -307,11 +307,11 @@ class TestLayerStats:
         model = build_model(toy_config("TransPPRZ", n_layers=2))
         samples = random_samples(3, seed=14)
         stats = layer_signal_stats(model, samples)
-        assert list(stats.stats) == ["enc0", "enc1", "dec0", "dec1"]
+        assert list(stats) == ["enc0", "enc1", "dec0", "dec1"]
         # zero gates: every encoder layer reproduces its input exactly,
         # so both encoder layers report identical moments
-        assert stats.stats["enc0"] == stats.stats["enc1"]
-        for mean, variance in stats.stats.values():
+        assert stats["enc0"] == stats["enc1"]
+        for mean, variance in stats.values():
             assert variance >= 0.0
 
     def test_population_moment_oracle(self):
@@ -326,7 +326,7 @@ class TestLayerStats:
                 return None
 
         stats = layer_signal_stats(TwoValueModel(), random_samples(1, seed=15))
-        mean, variance = stats.stats["enc0"]
+        mean, variance = stats["enc0"]
         assert mean == 0.0
         assert variance == 1.0
 
@@ -342,7 +342,7 @@ class TestLayerStats:
                 return None
 
         stats = layer_signal_stats(ConstModel(), random_samples(1, seed=16))
-        assert stats.stats["enc0"] == (4.5, 0.0)
+        assert stats["enc0"] == (4.5, 0.0)
 
     def test_non_transformer_rejected(self):
         with pytest.raises(ContractError):
@@ -454,10 +454,10 @@ class TestReportIO:
 
     def test_layer_stats_format(self, tmp_path):
         model = build_model(toy_config("TransPPRZ"))
-        stats = layer_signal_stats(model, random_samples(2, seed=21), tag="single")
+        stats = layer_signal_stats(model, random_samples(2, seed=21))
         path = tmp_path / "stats.csv"
-        write_layer_stats(path, [stats])
+        write_layer_stats(path, "TransPPRZ", {"single": stats})
         lines = path.read_text().splitlines()
         assert lines[0] == "unit,model,layer,mean,variance"
         assert [line.split(",")[:3] for line in lines[1:]] == [
-            ["single", "TransPPRZ", layer] for layer in stats.stats]
+            ["single", "TransPPRZ", layer] for layer in stats]

@@ -398,6 +398,23 @@ class TestFileFormats:
             save_histories(path, hists, 3, 2)
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad_id", ["a/b", "a\0b"], ids=["slash", "nul"])
+    def test_dealer_id_that_cannot_name_a_file_rejected(self, tmp_path, bad_id):
+        # at individual granularity unit file names hold the dealer id
+        hists = [market.DealerHistory(ident, np.zeros((3, 4), dtype=np.uint8))
+                 for ident in ("D0", bad_id)]
+        path = tmp_path / "hist.bin"
+        message = f"dealer 1 id {re.escape(repr(bad_id))} holds '/' or NUL"
+        with pytest.raises(ContractError, match=message):
+            save_histories(path, hists, 3, 2)
+        assert not path.exists()
+        # spliced by hand, because the writer refuses it: 3 x 4 bits take 2 bytes
+        records = b"".join(struct.pack("<H", len(ident)) + ident + bytes(2)
+                           for ident in (b"D0", bad_id.encode()))
+        path.write_bytes(struct.pack("<4sIII", b"OTCF", 1, 3, 2) + struct.pack("<I", 2) + records)
+        with pytest.raises(ArtifactError, match=message):
+            load_histories(path)
+
     @pytest.mark.parametrize("dealers, days, vocab_size", EMPTY_SIZES)
     def test_histories_without_dealer_day_or_bond_rejected(self, tmp_path, dealers, days,
                                                            vocab_size):
@@ -441,7 +458,8 @@ def histories_files(draw):
     """(histories, days, V) for a random valid histories.bin."""
     days = draw(st.integers(1, 6))
     vocab_size = draw(st.integers(1, 3))
-    ids = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True))
+    id_text = st.text(st.characters(blacklist_characters="/\0"), max_size=6)
+    ids = draw(st.lists(id_text, min_size=1, max_size=4, unique=True))
     bitmap = arrays(np.uint8, (days, 2 * vocab_size), elements=st.integers(0, 1))
     return [market.DealerHistory(ident, draw(bitmap)) for ident in ids], days, vocab_size
 

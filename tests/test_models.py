@@ -886,7 +886,7 @@ class TestParameterLayout:
 
 
 def test_readme_model_zoo_lists_every_kind_in_order():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     table = readme.split("## The model zoo", 1)[1].split("\n\n")[1]
     kinds = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
     assert tuple(kinds) == MODEL_KINDS
