@@ -44,7 +44,6 @@ from .harness import (
 from .models import MODEL_KINDS, TRANSFORMER_KINDS, check_checkpoint, load_checkpoint, save_checkpoint
 from .seeding import derive_seed
 
-COMMANDS = ("gen", "cluster", "train", "eval", "compare", "stats")
 CLUSTER_COLUMNS = ("least", "less", "more", "most")
 
 RECORDS_FILE = "records.csv"
@@ -239,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="otcforecast",
         description="Synthetic OTC dealer-behavior prediction pipeline",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument(
         "-c", "--config", default=None,
         help="config file (key = value with sections); omitted means all defaults",

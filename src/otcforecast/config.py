@@ -15,7 +15,7 @@ from dataclasses import Field, dataclass, field, fields
 from typing import Any, Callable
 
 from .errors import ConfigurationError
-from .harness import GRANULARITIES, TrainSpec
+from .harness import EVAL_MODES, GRANULARITIES, TrainSpec
 from .market import MarketSpec
 from .models import MODEL_KINDS, ModelConfig
 from .seeding import derive_seed
@@ -28,19 +28,11 @@ def _parse_finite(raw: str) -> float:
     return value
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("1", "true", "yes", "on"):
-        return True
-    if raw.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
 # a field's type annotation picks the parser of its stripped raw value
 PARSERS: dict[str, Callable[[str], Any]] = {
     "int": int,
     "float": _parse_finite,
-    "bool": _parse_bool,
+    "bool": lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
     "str": str,
     "int | None": lambda raw: int(raw) if raw else None,
 }
@@ -104,7 +96,7 @@ class RunConfig:
     seed: int = _setting("run", 0, ("an integer", None))
     granularity: str = _setting("run", "single", _one_of(GRANULARITIES))
     output_dir: str = _setting("run", "runs/default", ("a path", None))
-    eval_mode: str = _setting("run", "per_day", _one_of(("per_day", "union")))
+    eval_mode: str = _setting("run", "per_day", _one_of(EVAL_MODES))
     probe_samples: int = _setting("run", 64, _AT_LEAST_1)
 
     def _spec(self, cls, **explicit):
@@ -141,7 +133,7 @@ def _parse_value(section: str, key: Field, raw: str) -> Any:
     parse, check = PARSERS[key.type], key.metadata["check"]
     try:
         value = parse(raw.strip())
-    except ValueError as exc:
+    except (ValueError, KeyError) as exc:
         raise error from exc
     if check is not None and not check(value):
         raise error

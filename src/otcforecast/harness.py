@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from urllib.parse import quote
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .models import TRANSFORMER_KINDS, ModelConfig, build_model
 from .seeding import rng_for
 
 GRANULARITIES = ("individual", "cluster", "single")
+EVAL_MODES = ("per_day", "union")
 EVAL_CHUNK = 256  # windows per stacked forecast; bounds evaluation memory
 
 
@@ -40,11 +42,15 @@ class TrainSpec:
             raise ContractError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.learning_rate > 0:
+            raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.patience is not None and self.patience < 1:
+            raise ContractError(f"patience must be >= 1 or None, got {self.patience}")
 
 
 @dataclass
 class EvalReport:
-    model_kind: str
+    model: str
     granularity: str
     cluster: str
     tp: int
@@ -56,9 +62,9 @@ class EvalReport:
     f1: float
 
     @classmethod
-    def from_counts(cls, model_kind, granularity, cluster, tp, fp, fn, tn) -> "EvalReport":
+    def from_counts(cls, model, granularity, cluster, tp, fp, fn, tn) -> "EvalReport":
         precision, recall, f1 = micro_prf(tp, fp, fn)
-        return cls(model_kind, granularity, cluster, tp, fp, fn, tn, precision, recall, f1)
+        return cls(model, granularity, cluster, tp, fp, fn, tn, precision, recall, f1)
 
 
 def micro_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -156,7 +162,7 @@ def evaluate(model, test_samples: list[Sample], threshold: float,
     """
     if not test_samples:
         raise ContractError("evaluate() needs a nonempty test set")
-    if mode not in ("per_day", "union"):
+    if mode not in EVAL_MODES:
         raise ContractError(f"unknown evaluation mode {mode!r}")
     totals = np.zeros(4, dtype=np.int64)
     for inputs, target in _batches(test_samples):
@@ -218,16 +224,18 @@ def training_units(
     """Group both splits by the unit key: (unit tag, unit train, unit test).
 
     ``single`` is one unit, ``cluster`` one per cluster label and
-    ``individual`` one per dealer, in key order.  A unit exists only where
-    there are training samples; test samples of any other key are skipped
-    with a warning.
+    ``individual`` one per dealer, in key order.  A dealer's tag holds its
+    id percent-encoded (every byte but ASCII letters, digits and ``_.-~``),
+    so unit file names are ASCII and one-to-one with the ids.  A unit
+    exists only where there are training samples; test samples of any
+    other key are skipped with a warning.
     """
     if granularity == "single":
         key, tag = (lambda s: 0), (lambda k: "single")
     elif granularity == "cluster":
         key, tag = (lambda s: _cluster_label(labels, s.dealer_id)), "cluster{}".format
     elif granularity == "individual":
-        key, tag = (lambda s: s.dealer_id), "dealer_{}".format
+        key, tag = (lambda s: s.dealer_id), (lambda k: "dealer_" + quote(k, safe=""))
     else:
         raise ContractError(f"unknown granularity {granularity!r}")
     train_by: dict = {}
@@ -293,11 +301,8 @@ def score_units(
 
 
 def write_reports(path, rows: list[EvalReport]) -> None:
-    """CSV table: model, granularity, cluster, tp, fp, fn, precision, recall, f1."""
-    write_rows(path, [("model", "granularity", "cluster", "tp", "fp", "fn",
-                       "precision", "recall", "f1"),
-                      *((r.model_kind, r.granularity, r.cluster, r.tp, r.fp, r.fn,
-                         repr(r.precision), repr(r.recall), repr(r.f1)) for r in rows)])
+    """CSV table: one column per :class:`EvalReport` field, in field order."""
+    write_rows(path, [[f.name for f in fields(EvalReport)], *map(astuple, rows)])
 
 
 def write_layer_stats(path, kind: str,

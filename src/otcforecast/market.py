@@ -14,6 +14,7 @@ import csv
 import math
 import struct
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,7 +202,8 @@ def _resolve_status(records: list[TradeRecord]) -> list[TradeRecord]:
         if record.status == STATUS_CANCEL:
             dropped.add(i)
     return [
-        replace(r, status=STATUS_NORMAL, ref_record=None)
+        r if (r.status, r.ref_record) == (STATUS_NORMAL, None)
+        else replace(r, status=STATUS_NORMAL, ref_record=None)
         for i, r in enumerate(records)
         if i not in dropped
     ]
@@ -226,15 +228,11 @@ def apply_trade_filters(
     """
     resolved = _resolve_status(records)
 
-    dealer_counts: dict[str, int] = {}
-    for r in resolved:
-        dealer_counts[r.dealer_id] = dealer_counts.get(r.dealer_id, 0) + 1
+    dealer_counts = Counter(r.dealer_id for r in resolved)
     kept_dealers = _top_keys(dealer_counts, top_dealers)
     resolved = [r for r in resolved if r.dealer_id in kept_dealers]
 
-    bond_counts: dict[str, int] = {}
-    for r in resolved:
-        bond_counts[r.bond_id] = bond_counts.get(r.bond_id, 0) + 1
+    bond_counts = Counter(r.bond_id for r in resolved)
     ranked_bonds = _top_keys(bond_counts, top_bonds)
     if drop_top_bonds:
         kept_bonds = set(bond_counts) - ranked_bonds
@@ -354,26 +352,21 @@ def _unpack_bits(blob: bytes, shape: tuple[int, int]) -> np.ndarray:
     return bits.reshape(shape).astype(np.uint8)
 
 
-def _names_a_file(dealer_id: str) -> bool:
-    """Unit artifact file names hold the dealer id, so it holds no '/' and no NUL."""
-    return "/" not in dealer_id and "\0" not in dealer_id
-
-
 def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: int) -> None:
     """Binary layout: 16-byte header (magic, version, D, V), then per dealer
     a length-prefixed UTF-8 id and the packed D x 2V bitmap.  No dealer, day
-    or bond, a repeated id, or an id holding '/' or NUL raises ContractError
-    before anything is written."""
+    or bond, an empty id or a repeated id raises ContractError before
+    anything is written."""
     if min(len(histories), days, vocab_size) < 1:
         raise ContractError(f"{len(histories)} dealers, {days} days and {vocab_size} bonds: "
                             "a histories file needs at least one of each")
     first_index: dict[str, int] = {}
     for i, h in enumerate(histories):
+        if not h.dealer_id:
+            raise ContractError(f"dealer {i} has an empty id")
         if first_index.setdefault(h.dealer_id, i) != i:
             raise ContractError(f"dealer {i} repeats the id {h.dealer_id!r} "
                                 f"of dealer {first_index[h.dealer_id]}")
-        if not _names_a_file(h.dealer_id):
-            raise ContractError(f"dealer {i} id {h.dealer_id!r} holds '/' or NUL")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, days, vocab_size))
         fh.write(struct.pack("<I", len(histories)))
@@ -393,8 +386,7 @@ def load_histories(path) -> tuple[list[DealerHistory], int, int]:
 
     Raises ArtifactError unless the header, every length prefix, id and
     bitmap are complete, the file holds at least one dealer, day and bond,
-    no dealer id repeats or holds '/' or NUL, and no byte follows the last
-    dealer.
+    no dealer id is empty or repeats, and no byte follows the last dealer.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -425,11 +417,11 @@ def load_histories(path) -> tuple[list[DealerHistory], int, int]:
             dealer_id = take(id_len, f"the id of dealer {i}").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ArtifactError(f"{path}: dealer {i} id is not UTF-8") from exc
+        if not dealer_id:
+            raise ArtifactError(f"{path}: dealer {i} has an empty id")
         if dealer_id in first_index:
             raise ArtifactError(f"{path}: dealer {i} repeats the id {dealer_id!r} "
                                 f"of dealer {first_index[dealer_id]}")
-        if not _names_a_file(dealer_id):
-            raise ArtifactError(f"{path}: dealer {i} id {dealer_id!r} holds '/' or NUL")
         first_index[dealer_id] = i
         matrix = _unpack_bits(take(bitmap_bytes, f"the bitmap of dealer {dealer_id}"),
                               (days, 2 * vocab_size))

@@ -9,6 +9,7 @@ the backward pass stay separate calls, once per mini-batch, and one tiny
 ``compare`` under the probes checks the call shapes the probes wrap.
 """
 
+import csv
 import sys
 from collections import Counter
 from pathlib import Path
@@ -161,14 +162,14 @@ def test_probes_see_every_unit_and_every_scored_window_of_compare(instrument, tm
     _, labels = load_assignment(out / "clusters.csv")
     units = len(set(labels.values()))
     assert Counter(unit["kind"] for unit in probes.units) == {kind: units for kind in MODEL_KINDS}
-    # every test window is scored, once per kind
-    cfg = parse_config(str(ini))
-    histories, days, _ = market.load_histories(out / "histories.bin")
-    windowed = [s for h in histories
-                for s in market.windowize(h, cfg.t_in, cfg.t_out, cfg.stride)]
-    _, test = market.split_train_test(windowed, days, cfg.train_fraction)
-    assert test
+    # every scored window reaches the probes: a kind's "all" row counts
+    # t_out x 2V decision cells per scored window
+    cells = parse_config(str(ini)).t_out * 2 * market.load_histories(out / "histories.bin")[2]
+    with open(out / cli.COMPARE_REPORT_FILE, newline="") as fh:
+        scored = {row["model"]: sum(int(row[name]) for name in ("tp", "fp", "fn", "tn")) // cells
+                  for row in csv.DictReader(fh) if row["cluster"] == "all"}
+    assert all(scored.values())
     windows: Counter = Counter()
     for kind, entry in zip(evaluated_kinds, probes.evaluations, strict=True):
         windows[kind] += entry["windows"]
-    assert windows == {kind: len(test) for kind in MODEL_KINDS}
+    assert windows == scored

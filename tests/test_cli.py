@@ -1,13 +1,16 @@
 """Config parsing and end-to-end command-line pipeline tests."""
 
 import codecs
+import csv
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -72,6 +75,36 @@ granularity = single
 output_dir = {out}
 probe_samples = 8
 """
+
+
+def ascii_locale_runner():
+    """A function running one CLI command as a subprocess under the C locale
+    with UTF-8 mode off; skips the test where that locale still prefers UTF-8."""
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": str(Path(otcforecast.__file__).parents[1])}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env=env, capture_output=True, text=True, check=True)
+    if codecs.lookup(probe.stdout.strip()).name == "utf-8":
+        pytest.skip("the C locale still prefers UTF-8 here")
+
+    def run(command, cfg_path):
+        return subprocess.run(
+            [sys.executable, "-m", "otcforecast.cli", command, "-c", str(cfg_path)],
+            env=env, capture_output=True, text=True)
+
+    return run
+
+
+def rename_dealers(path, ids):
+    """Rewrite a histories.bin with its first ``len(ids)`` dealers renamed to ``ids``;
+    returns every dealer id of the file."""
+    histories, days, vocab_size = market.load_histories(path)
+    assert len(histories) >= len(ids)
+    for h, ident in zip(histories, ids):
+        h.dealer_id = ident
+    market.save_histories(path, histories, days, vocab_size)
+    return [h.dealer_id for h in histories]
 
 
 def write_config(tmp_path, text=None, **format_args):
@@ -469,65 +502,110 @@ class TestPipeline:
         assert checkpoints, "expected per-cluster checkpoints"
 
     def test_non_ascii_dealer_ids_under_an_ascii_locale(self, tmp_path):
-        """CSV artifacts are UTF-8 whatever the locale: cluster, train and eval run
-        as subprocesses under the C locale with UTF-8 mode off."""
-        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
-               "PYTHONPATH": str(Path(otcforecast.__file__).parents[1])}
-        probe = subprocess.run(
-            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
-            env=env, capture_output=True, text=True, check=True)
-        if codecs.lookup(probe.stdout.strip()).name == "utf-8":
-            pytest.skip("the C locale still prefers UTF-8 here")
+        """CSV artifacts are UTF-8 and unit file names ASCII whatever the locale:
+        the commands run as subprocesses under the C locale with UTF-8 mode off."""
+        run = ascii_locale_runner()
         cfg_path, out = write_config(
             tmp_path,
             text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"),
         )
         assert self.run("gen", "-c", str(cfg_path)) == 0
-        histories, days, vocab_size = market.load_histories(out / "histories.bin")
-        renamed = [market.DealerHistory(h.dealer_id.replace("D", "Dé", 1), h.day_vectors)
-                   for h in histories]
-        market.save_histories(out / "histories.bin", renamed, days, vocab_size)
+        histories, _, _ = market.load_histories(out / "histories.bin")
+        ids = rename_dealers(out / "histories.bin",
+                             [h.dealer_id.replace("D", "Dé", 1) for h in histories])
         for command in ("cluster", "train", "eval"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "otcforecast.cli", command, "-c", str(cfg_path)],
-                env=env, capture_output=True, text=True)
+            proc = run(command, cfg_path)
             assert proc.returncode == 0, (command, proc.stderr)
         _, labels = load_assignment(out / "clusters.csv")
-        assert sorted(labels) == sorted(h.dealer_id for h in renamed)
+        assert sorted(labels) == sorted(ids)
         assert all(dealer.startswith("Dé") for dealer in labels)
-        # at individual granularity the unit file names hold the ids, which
-        # the ASCII file-system encoding cannot hold
+        # at individual granularity the unit file names hold the ids percent-encoded
         cfg_path.write_text(cfg_path.read_text().replace("granularity = cluster",
                                                          "granularity = individual"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "otcforecast.cli", "train", "-c", str(cfg_path)],
-            env=env, capture_output=True, text=True)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.count("\n") == 1 and "unusable path" in proc.stderr
-        assert "checkpoint_dealer_D" in proc.stderr
+        for command in ("train", "eval", "stats"):
+            proc = run(command, cfg_path)
+            assert proc.returncode == 0, (command, proc.stderr)
+        assert (out / "checkpoint_dealer_D%C3%A90000.ckpt").exists()
+        assert all(name.isascii() for name in os.listdir(out))
 
-    @pytest.mark.parametrize("bad_id", ["Z/bad", "Z\0bad"], ids=["slash", "nul"])
-    def test_dealer_id_that_cannot_name_a_file_exits_2(self, tmp_path, capsys, bad_id):
+    def test_any_nonempty_dealer_id_at_individual_granularity(self, tmp_path):
+        run = ascii_locale_runner()
         cfg_path, out = write_config(
             tmp_path,
             text=TINY_CONFIG.replace("granularity = single", "granularity = individual"),
         )
         assert self.run("gen", "-c", str(cfg_path)) == 0
+        # "x%25y" is what a raw "x%y" would become, so the two names must differ
+        ids = rename_dealers(out / "histories.bin", ["a/b", "a\0b", "Dé1", "x%y", "x%25y"])
+        for command in ("cluster", "train", "eval", "stats"):
+            proc = run(command, cfg_path)
+            assert proc.returncode == 0, (command, proc.stderr)
+        assert all(name.isascii() for name in os.listdir(out))
+        tags = {"a/b": "a%2Fb", "a\0b": "a%00b", "Dé1": "D%C3%A91", "x%y": "x%25y",
+                "x%25y": "x%2525y", ids[-1]: ids[-1]}
+        assert sorted(p.name for p in out.glob("checkpoint_*.ckpt")) == sorted(
+            f"checkpoint_dealer_{tag}.ckpt" for tag in tags.values())
+        units = {line.split(",")[0] for line in (out / "layer_stats.csv").read_text().splitlines()}
+        assert units == {"unit"} | {f"dealer_{tag}" for tag in tags.values()}
+
+    @pytest.mark.parametrize("dealer_id", ["Z/bad", "Z\0bad"], ids=["slash", "nul"])
+    def test_dealer_id_with_slash_or_nul_trains(self, tmp_path, dealer_id):
+        cfg_path, out = write_config(
+            tmp_path,
+            text=TINY_CONFIG.replace("granularity = single", "granularity = individual"),
+        )
+        assert self.run("gen", "-c", str(cfg_path)) == 0
+        rename_dealers(out / "histories.bin", [dealer_id])
+        for command in ("cluster", "train"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        encoded = dealer_id.replace("/", "%2F").replace("\0", "%00")
+        assert (out / f"checkpoint_dealer_{encoded}.ckpt").is_file()
+        assert (out / f"loss_dealer_{encoded}.csv").is_file()
+        assert not [p for p in out.iterdir() if p.is_dir()]
+
+    def test_empty_dealer_id_exits_2_before_clustering(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path)
+        assert self.run("gen", "-c", str(cfg_path)) == 0
         path = out / "histories.bin"
         histories, _, _ = market.load_histories(path)
-        # the writer refuses such an id, so the last dealer's id is replaced by one of
-        # the same length that sorts last: at the parent every earlier unit trained first
+        # the writer refuses an empty id, so the last dealer's length-prefixed id
+        # is cut out by hand
         last = histories[-1].dealer_id.encode()
+        record = struct.pack("<H", len(last)) + last
         blob = path.read_bytes()
-        assert len(last) == len(bad_id) and blob.count(last) == 1
-        path.write_bytes(blob.replace(last, bad_id.encode()))
+        assert blob.count(record) == 1
+        path.write_bytes(blob.replace(record, struct.pack("<H", 0)))
         capsys.readouterr()
-        for command in ("cluster", "train"):
-            assert self.run(command, "-c", str(cfg_path)) == 2, command
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and "unreadable artifact" in err
-            assert f"dealer {len(histories) - 1} id" in err
-        assert not list(out.glob("checkpoint_*")) and not (out / "clusters.csv").exists()
+        assert self.run("cluster", "-c", str(cfg_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert f"dealer {len(histories) - 1} has an empty id" in err
+        assert not (out / "clusters.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["per_day", "union"])
+    def test_report_rows_count_every_decision_cell(self, tmp_path, mode):
+        cfg_path, out = write_config(
+            tmp_path,
+            text=TINY_CONFIG.replace("granularity = single", "granularity = cluster")
+                            .replace("[run]", f"[run]\neval_mode = {mode}"),
+        )
+        for command in ("gen", "cluster", "train", "eval"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        cfg = parse_config(cfg_path)
+        histories, days, vocab_size = market.load_histories(out / "histories.bin")
+        samples = [s for h in histories
+                   for s in market.windowize(h, cfg.t_in, cfg.t_out, cfg.stride)]
+        _, test = market.split_train_test(samples, days, cfg.train_fraction)
+        _, labels = load_assignment(out / "clusters.csv")
+        windows = Counter(str(labels[s.dealer_id]) for s in test)
+        windows["all"] = len(test)
+        cells = (cfg.t_out if mode == "per_day" else 1) * 2 * vocab_size
+        with open(out / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["cluster"] for row in rows] == sorted(windows)  # the labels, then "all"
+        for row in rows:
+            counts = sum(int(row[name]) for name in ("tp", "fp", "fn", "tn"))
+            assert counts == windows[row["cluster"]] * cells, row["cluster"]
 
     def test_stats_names_each_rows_unit(self, tmp_path):
         cfg_path, out = write_config(

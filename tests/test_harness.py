@@ -1,13 +1,16 @@
 """Training loop, metrics, layer statistics, and granularity experiment."""
 
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import otcforecast.autodiff as ad
 from otcforecast.autodiff import Tensor
-from otcforecast.errors import ContractError, NumericError
+from otcforecast.config import parse_config
+from otcforecast.errors import ConfigurationError, ContractError, NumericError
 from otcforecast.harness import (
     GRANULARITIES,
     EvalReport,
@@ -246,6 +249,18 @@ class TestTrain:
         with pytest.raises(ContractError):
             TrainSpec(batch_size=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -0.01),
+        ("patience", 0),
+    ])
+    def test_spec_refuses_what_the_config_refuses(self, tmp_path, field, value):
+        with pytest.raises(ContractError, match=f"{field} must be"):
+            TrainSpec(**{field: value})
+        path = tmp_path / "run.ini"
+        path.write_text(f"[train]\n{field} = {value}\n")
+        with pytest.raises(ConfigurationError, match=rf"\[train\] {field} must be"):
+            parse_config(path)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_flat_adam_matches_per_tensor_reference(self, kind):
         samples = random_samples(12, seed=21)
@@ -443,14 +458,20 @@ class TestReportIO:
         write_reports(path, rows)
         with open(path, newline="") as fh:
             header, *body = list(csv.reader(fh))
-        assert header == ["model", "granularity", "cluster", "tp", "fp", "fn",
+        assert header == ["model", "granularity", "cluster", "tp", "fp", "fn", "tn",
                           "precision", "recall", "f1"]
         assert body == [
-            [r.model_kind, r.granularity, r.cluster, str(r.tp), str(r.fp), str(r.fn),
+            [r.model, r.granularity, r.cluster, str(r.tp), str(r.fp), str(r.fn), str(r.tn),
              repr(r.precision), repr(r.recall), repr(r.f1)]
             for r in rows
         ]
-        assert float(body[0][8]) == rows[0].f1
+        assert float(body[0][9]) == rows[0].f1
+
+    def test_readme_report_columns_are_the_written_header(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        columns = re.search(r"^\* `report\.csv`: `([^`]*)`", readme, re.MULTILINE).group(1)
+        write_reports(tmp_path / "report.csv", [])
+        assert (tmp_path / "report.csv").read_bytes() == f"{columns}\r\n".encode()
 
     def test_layer_stats_format(self, tmp_path):
         model = build_model(toy_config("TransPPRZ"))
