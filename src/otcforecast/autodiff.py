@@ -152,6 +152,24 @@ def _project_vjp(x: Array, w: Array, g: Array, need_x: bool) -> tuple[Array | No
     return dx, x.reshape(-1, k).T @ g2
 
 
+def _check_linear(op: str, x: Array, w: Array, b: Array) -> None:
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeMismatchError(f"{op}: x {x.shape}, w {w.shape} and b {b.shape} do not fit")
+
+
+def _linear(x: Array, w: Array, b: Array) -> Array:
+    return _project(x, w) + b
+
+
+def _linear_vjp(x: Array, w: Array, g: Array, need_x: bool) -> tuple[Array | None, Array, Array]:
+    """(dx, dw, db) of :func:`_linear`; dx is None unless ``need_x``."""
+    return (*_project_vjp(x, w, g, need_x), g.reshape(-1, w.shape[1]).sum(axis=0))
+
+
+def _tanh_vjp(out: Array, g: Array) -> Array:
+    return g * (1.0 - out * out)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """C = A @ B over the last two axes of A.
 
@@ -199,7 +217,14 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.values)
-    return _record("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
+    return _record("tanh", (a,), out, lambda g: (_tanh_vjp(out, g),))
+
+
+def squash(z: Tensor) -> Tensor:
+    """(tanh(z) + 1) / 2, into [0, 1], as one tape entry, bit-identical to
+    ``scale(add_scalar(tanh(z), 1.0), 0.5)``."""
+    out = np.tanh(z.values)
+    return _record("squash", (z,), (out + 1.0) * 0.5, lambda g: (_tanh_vjp(out, g * 0.5),))
 
 
 def _sigmoid(x: Array) -> Array:
@@ -252,29 +277,24 @@ def embedding_bag(table: Tensor, indices) -> Tensor:
     return _record("embedding_bag", (table,), out, vjp)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize each last-axis slice to zero mean / unit variance, then affine.
-
-    Population variance, as in the usual formulation.  Any leading axes
-    are positions or batch entries; gamma and beta are shared across them.
-    """
+def _layer_norm(op: str, x: Array, gamma: Array, beta: Array):
+    """:func:`layer_norm` on arrays: its output and its vjp g -> (dx, dgamma, dbeta)."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeMismatchError(
-            f"layer_norm: gamma/beta must be shape ({d},), got {gamma.shape} and {beta.shape}"
+            f"{op}: gamma/beta must be shape ({d},), got {gamma.shape} and {beta.shape}"
         )
-    xv = x.values.reshape(-1, d)
+    xv = x.reshape(-1, d)
     mean = xv.mean(axis=1, keepdims=True)
     var = xv.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (xv - mean) * inv
-    out = (xhat * gamma.values + beta.values).reshape(x.shape)
 
     def vjp(g):
         g2 = g.reshape(-1, d)
         dgamma = (g2 * xhat).sum(axis=0)
         dbeta = g2.sum(axis=0)
-        dxhat = g2 * gamma.values
+        dxhat = g2 * gamma
         dx = inv * (
             dxhat
             - dxhat.mean(axis=1, keepdims=True)
@@ -282,6 +302,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         )
         return (dx.reshape(x.shape), dgamma, dbeta)
 
+    return (xhat * gamma + beta).reshape(x.shape), vjp
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize each last-axis slice to zero mean / unit variance, then affine.
+
+    Population variance, as in the usual formulation.  Any leading axes
+    are positions or batch entries; gamma and beta are shared across them.
+    """
+    out, vjp = _layer_norm("layer_norm", x.values, gamma.values, beta.values)
     return _record("layer_norm", (x, gamma, beta), out, vjp)
 
 
@@ -299,7 +329,12 @@ def _softmax(sv: Array, causal: bool) -> Array:
         if rows > cols:
             raise ShapeMismatchError(f"causal mask needs rows <= cols, got scores {sv.shape}")
         sv = np.where(_causal_mask(rows, cols), -np.inf, sv)
-    e = np.exp(sv - sv.max(axis=-1, keepdims=True))
+    # each row's max as a chain of column maxima: exact like max(axis=-1),
+    # and faster on the few columns attention has
+    top = sv[..., 0]
+    for j in range(1, sv.shape[-1]):
+        top = np.maximum(top, sv[..., j])
+    e = np.exp(sv - top[..., None])
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -396,14 +431,40 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a (k, m) w and an (m,) b as one tape entry, bit-identical
     to ``add_rowvec(matmul(x, w), b)``; dx is skipped for a constant x."""
     xv, wv = x.values, w.values
-    if wv.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != wv.shape[0] or b.shape != wv.shape[1:]:
-        raise ShapeMismatchError(f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit")
+    _check_linear("linear", xv, wv, b.values)
+    return _record("linear", (x, w, b), _linear(xv, wv, b.values),
+                   lambda g: _linear_vjp(xv, wv, g, x.requires_grad))
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(tanh(linear(x, w1, b1)), w2, b2) as one tape entry,
+    bit-identical to that composite; dx is skipped for a constant x."""
+    xv, w1v, w2v = x.values, w1.values, w2.values
+    _check_linear("feed_forward", xv, w1v, b1.values)
+    hidden = np.tanh(_linear(xv, w1v, b1.values))
+    _check_linear("feed_forward", hidden, w2v, b2.values)
 
     def vjp(g):
-        dx, dw = _project_vjp(xv, wv, g, x.requires_grad)
-        return dx, dw, g.reshape(-1, wv.shape[1]).sum(axis=0)
+        dh, dw2, db2 = _linear_vjp(hidden, w2v, g, True)
+        return (*_linear_vjp(xv, w1v, _tanh_vjp(hidden, dh), x.requires_grad), dw2, db2)
 
-    return _record("linear", (x, w, b), _project(xv, wv) + b.values, vjp)
+    return _record("feed_forward", (x, w1, b1, w2, b2), _linear(hidden, w2v, b2.values), vjp)
+
+
+def project_pair(a, wa: Tensor, b, wb: Tensor) -> Tensor:
+    """a @ wa + b @ wb for constant (..., k) and (..., m) arrays and 2-D
+    weights, as one tape entry, bit-identical to
+    ``add(matmul(Tensor(a), wa), matmul(Tensor(b), wb))``."""
+    av, bv = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    wav, wbv = wa.values, wb.values
+    if (wav.ndim != 2 or wbv.ndim != 2 or av.shape[:-1] != bv.shape[:-1]
+            or av.shape[-1:] != wav.shape[:1] or bv.shape[-1:] != wbv.shape[:1]
+            or wav.shape[1] != wbv.shape[1]):
+        raise ShapeMismatchError(
+            f"project_pair: a {av.shape} @ {wa.shape} and b {bv.shape} @ {wb.shape} do not fit")
+    return _record("project_pair", (wa, wb), _project(av, wav) + _project(bv, wbv),
+                   lambda g: (_project_vjp(av, wav, g, False)[1],
+                              _project_vjp(bv, wbv, g, False)[1]))
 
 
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
@@ -415,26 +476,89 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     )
 
 
+def _mul_rowvec_vjp(x: Array, v: Array, g: Array) -> tuple[Array, Array]:
+    return g * v, (g * x).reshape(-1, v.shape[0]).sum(axis=0)
+
+
 def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
     """Multiply every last-axis slice of x pointwise by a 1-D gate vector."""
-    d = _check_rowvec("mul_rowvec", x, v)
+    _check_rowvec("mul_rowvec", x, v)
     xv, vv = x.values, v.values
-    return _record(
-        "mul_rowvec", (x, v), xv * vv,
-        lambda g: (g * vv, (g * xv).reshape(-1, d).sum(axis=0)),
-    )
+    return _record("mul_rowvec", (x, v), xv * vv, lambda g: _mul_rowvec_vjp(xv, vv, g))
+
+
+def _check_scalar(op: str, s: Tensor) -> None:
+    if s.values.size != 1:
+        raise ShapeMismatchError(f"{op}: scalar operand has shape {s.shape}")
+
+
+def _scale_by_vjp(a: Array, s: Array, g: Array) -> tuple[Array, Array]:
+    return g * s, np.asarray((g * a).sum()).reshape(s.shape)
 
 
 def scale_by(a: Tensor, s: Tensor) -> Tensor:
     """Multiply a tensor of any shape by a trainable scalar (a 0-d or
     single-element tensor)."""
-    if s.values.size != 1:
-        raise ShapeMismatchError(f"scale_by: scalar operand has shape {s.shape}")
+    _check_scalar("scale_by", s)
     av, sv = a.values, s.values
-    return _record(
-        "scale_by", (a, s), av * sv,
-        lambda g: (g * sv, np.asarray((g * av).sum()).reshape(sv.shape)),
-    )
+    return _record("scale_by", (a, s), av * sv, lambda g: _scale_by_vjp(av, sv, g))
+
+
+# The three residual schemes of a Transformer sublayer: x is its input and
+# fx its output.  Each is one tape entry, bit-identical to the composite
+# it names, and gives x's gradient first, as that composite's add does.
+
+
+def residual_norm(x: Tensor, fx: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Post-norm: ``layer_norm(add(x, fx), gamma, beta)``."""
+    _require_equal_shapes("residual_norm", x, fx)
+    out, vjp = _layer_norm("residual_norm", x.values + fx.values, gamma.values, beta.values)
+
+    def residual_vjp(g):
+        dsum, dgamma, dbeta = vjp(g)
+        return dsum, dsum, dgamma, dbeta
+
+    return _record("residual_norm", (x, fx, gamma, beta), out, residual_vjp)
+
+
+def residual_scalar(x: Tensor, fx: Tensor, gate: Tensor) -> Tensor:
+    """A trainable scalar gate: ``add(x, scale_by(fx, gate))``."""
+    _require_equal_shapes("residual_scalar", x, fx)
+    _check_scalar("residual_scalar", gate)
+    fv, sv = fx.values, gate.values
+    return _record("residual_scalar", (x, fx, gate), x.values + fv * sv,
+                   lambda g: (g, *_scale_by_vjp(fv, sv, g)))
+
+
+def residual_vector(x: Tensor, fx: Tensor, gate: Tensor) -> Tensor:
+    """A trainable per-channel gate: ``add(x, mul_rowvec(fx, gate))``."""
+    _require_equal_shapes("residual_vector", x, fx)
+    _check_rowvec("residual_vector", fx, gate)
+    fv, vv = fx.values, gate.values
+    return _record("residual_vector", (x, fx, gate), x.values + fv * vv,
+                   lambda g: (g, *_mul_rowvec_vjp(fv, vv, g)))
+
+
+def _split_heads(x: Array, w: Array, b: Array | None, heads: int, keys: bool = False) -> Array:
+    """Project (..., T, d) rows by w (plus b) and split them into heads,
+    contiguous: (..., H, T, d_k), or (..., H, d_k, T) for keys."""
+    p = _project(x, w)
+    p = p if b is None else p + b
+    *lead, t, d = p.shape
+    n = len(lead)
+    order = (*range(n), n + 1, n + 2, n) if keys else (*range(n), n + 1, n, n + 2)
+    return np.ascontiguousarray(np.transpose(p.reshape(*lead, t, heads, d // heads), order))
+
+
+def _attend(qh: Array, kh: Array, vh: Array, causal: bool) -> tuple[Array, Array]:
+    """Scaled dot-product attention of head-split queries (..., H, T_q, d_k)
+    over keys (..., H, d_k, T_k) and values (..., H, T_k, d_k): the softmax
+    probabilities and the heads' outputs merged into (..., T_q, H·d_k)."""
+    *lead, heads, t_q, d_k = qh.shape
+    n = len(lead)
+    probs = _softmax((qh @ kh) * (1.0 / math.sqrt(d_k)), causal)
+    merged = np.ascontiguousarray(np.transpose(probs @ vh, (*range(n), n + 1, n, n + 2)))
+    return probs, merged.reshape(*lead, t_q, heads * d_k)
 
 
 def multi_head_attention(
@@ -461,6 +585,8 @@ def multi_head_attention(
     ``causal`` the queries are the last T_q of T_k positions, and each
     attends to keys at or before its own.  Keys have no bias: it would add q·bk to every score
     of a query, a constant that the softmax over that query's row ignores.
+    The forward is :func:`_split_heads` and :func:`_attend`, which
+    inference also calls on keys and values it has projected once.
 
     The backward is written by hand from the head-split Q'/K'/V' and the
     softmax probabilities kept from the forward.  It runs every product,
@@ -476,18 +602,13 @@ def multi_head_attention(
     if d_model % heads != 0:
         raise ConfigurationError(f"d_model={d_model} not divisible by heads={heads}")
     d_k, n = d_model // heads, len(lead)
-    # (..., T, H, d_k) -> (..., H, T, d_k), its own inverse; keys go to (..., H, d_k, T)
-    rows, cols = (*range(n), n + 1, n, n + 2), (*range(n), n + 1, n + 2, n)
+    # (..., T, H, d_k) <-> (..., H, T, d_k), its own inverse
+    rows = (*range(n), n + 1, n, n + 2)
     c = 1.0 / math.sqrt(d_k)
-
-    def split(x, w, b, order):
-        p = _project(x.values, w.values)
-        p = p if b is None else p + b.values
-        return np.ascontiguousarray(np.transpose(p.reshape(*p.shape[:-1], heads, d_k), order))
-
-    qh, kh, vh = split(q, wq, bq, rows), split(k, wk, None, cols), split(v, wv, bv, rows)
-    probs = _softmax((qh @ kh) * c, causal)
-    merged = np.ascontiguousarray(np.transpose(probs @ vh, rows)).reshape(*lead, t_q, d_model)
+    qh = _split_heads(q.values, wq.values, bq.values, heads)
+    kh = _split_heads(k.values, wk.values, None, heads, keys=True)
+    vh = _split_heads(v.values, wv.values, bv.values, heads)
+    probs, merged = _attend(qh, kh, vh, causal)
 
     def unsplit(x, w, b, dh):
         dp = np.transpose(dh, rows).reshape(x.shape)
@@ -495,7 +616,7 @@ def multi_head_attention(
         return (*_project_vjp(x.values, w.values, dp, x.requires_grad), db)
 
     def vjp(g):
-        dmerged, dwo = _project_vjp(merged, wo.values, g, True)
+        dmerged, dwo, dbo = _linear_vjp(merged, wo.values, g, True)
         dctx = np.transpose(dmerged.reshape(*lead, t_q, heads, d_k), rows)
         dprobs, dvh = dctx @ np.swapaxes(vh, -1, -2), np.swapaxes(probs, -1, -2) @ dctx
         dscores = _softmax_vjp(probs, dprobs) * c
@@ -503,10 +624,10 @@ def multi_head_attention(
         dv, dwv, dbv = unsplit(v, wv, bv, dvh)
         dk, dwk, _ = unsplit(k, wk, None, np.swapaxes(dkh, -1, -2))
         dq, dwq, dbq = unsplit(q, wq, bq, dqh)
-        return dv, dk, dq, dwo, g.reshape(-1, d_model).sum(axis=0), dwv, dbv, dwk, dwq, dbq
+        return dv, dk, dq, dwo, dbo, dwv, dbv, dwk, dwq, dbq
 
     return _record("multi_head_attention", (v, k, q, wo, bo, wv, bv, wk, wq, bq),
-                   _project(merged, wo.values) + bo.values, vjp)
+                   _linear(merged, wo.values, bo.values), vjp)
 
 
 def lstm(projected: Tensor, wh: Tensor) -> Tensor:

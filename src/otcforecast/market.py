@@ -355,27 +355,35 @@ def _unpack_bits(blob: bytes, shape: tuple[int, int]) -> np.ndarray:
 def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: int) -> None:
     """Binary layout: 16-byte header (magic, version, D, V), then per dealer
     a length-prefixed UTF-8 id and the packed D x 2V bitmap.  No dealer, day
-    or bond, an empty id or a repeated id raises ContractError before
-    anything is written."""
+    or bond, an empty, repeated or non-UTF-8 id, or one longer than 65,535
+    UTF-8 bytes raises ContractError, and a history of the wrong shape
+    ShapeMismatchError, before ``path`` is opened."""
     if min(len(histories), days, vocab_size) < 1:
         raise ContractError(f"{len(histories)} dealers, {days} days and {vocab_size} bonds: "
                             "a histories file needs at least one of each")
     first_index: dict[str, int] = {}
+    idents = []
     for i, h in enumerate(histories):
         if not h.dealer_id:
             raise ContractError(f"dealer {i} has an empty id")
         if first_index.setdefault(h.dealer_id, i) != i:
             raise ContractError(f"dealer {i} repeats the id {h.dealer_id!r} "
                                 f"of dealer {first_index[h.dealer_id]}")
+        if h.day_vectors.shape != (days, 2 * vocab_size):
+            raise ShapeMismatchError(
+                f"history {h.dealer_id!r}: shape {h.day_vectors.shape} != {(days, 2 * vocab_size)}"
+            )
+        try:
+            idents.append(h.dealer_id.encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            raise ContractError(f"dealer {i}: id {h.dealer_id!r} has no UTF-8 encoding") from exc
+        if len(idents[-1]) > 0xFFFF:
+            raise ContractError(f"dealer {i}: id takes {len(idents[-1])} UTF-8 bytes, "
+                                "more than the 65,535 a length prefix holds")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, days, vocab_size))
         fh.write(struct.pack("<I", len(histories)))
-        for h in histories:
-            if h.day_vectors.shape != (days, 2 * vocab_size):
-                raise ShapeMismatchError(
-                    f"history {h.dealer_id}: shape {h.day_vectors.shape} != {(days, 2 * vocab_size)}"
-                )
-            ident = h.dealer_id.encode("utf-8")
+        for h, ident in zip(histories, idents):
             fh.write(struct.pack("<H", len(ident)))
             fh.write(ident)
             fh.write(_pack_bits(h.day_vectors))

@@ -153,27 +153,19 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def _squash(z: Tensor) -> Tensor:
-    """Map activations into [0, 1] via (tanh(z) + 1) / 2."""
-    return ad.scale(ad.add_scalar(ad.tanh(z), 1.0), 0.5)
-
-
 def cte_encode(days: np.ndarray, bond_table: Tensor, action_table: Tensor) -> Tensor:
     """Co-trading embedding of (..., 2V) day vectors: per day, the sum over
     traded bonds of the bond vector plus the buy or sell action vector.
 
-    Computed as one dense product, (X_buy + X_sell) @ bonds +
-    [n_buy, n_sell] @ actions, on any leading shape; an empty day embeds
-    to zero.
+    Computed as one tape entry of two dense products, (X_buy + X_sell) @
+    bonds + [n_buy, n_sell] @ actions, on any leading shape; an empty day
+    embeds to zero.
     """
     v = bond_table.shape[0]
     days = np.asarray(days, dtype=np.float64)
     buys, sells = days[..., :v], days[..., v:]
     counts = np.stack([buys.sum(axis=-1), sells.sum(axis=-1)], axis=-1)
-    return ad.add(
-        ad.matmul(Tensor(buys + sells), bond_table),
-        ad.matmul(Tensor(counts), action_table),
-    )
+    return ad.project_pair(buys + sells, bond_table, counts, action_table)
 
 
 def _windows(days, rows: int, vocab_size: int, what: str = "input") -> np.ndarray:
@@ -212,7 +204,7 @@ class FCModel:
         p = self.params
         h = ad.tanh(ad.linear(x, p["fc.w1"], p["fc.b1"]))
         h = ad.tanh(ad.linear(h, p["fc.w2"], p["fc.b2"]))
-        day = _squash(ad.linear(h, p["fc.w3"], p["fc.b3"]))
+        day = ad.squash(ad.linear(h, p["fc.w3"], p["fc.b3"]))
         return ad.tile_rows(day, cfg.t_out)
 
     def predict(self, input_days: np.ndarray) -> np.ndarray:
@@ -258,7 +250,7 @@ class RecurrentModel:
         if cfg.kind == "BiLSTM":
             h = ad.concat_cols([h, self._run_direction(data[..., ::-1, :], "bwd")])
         p = self.params
-        day = _squash(ad.linear(h, p["readout.w"], p["readout.b"]))
+        day = ad.squash(ad.linear(h, p["readout.w"], p["readout.b"]))
         return ad.tile_rows(day, cfg.t_out)
 
     def predict(self, input_days: np.ndarray) -> np.ndarray:
@@ -335,26 +327,38 @@ class TransformerModel:
         """
         p = self.params
         if self.residual_mode == "norm":
-            return ad.layer_norm(ad.add(x, fx), p[f"{layer}.norm{sublayer}.gamma"],
-                                 p[f"{layer}.norm{sublayer}.beta"])
+            return ad.residual_norm(x, fx, p[f"{layer}.norm{sublayer}.gamma"],
+                                    p[f"{layer}.norm{sublayer}.beta"])
         if self.residual_mode == "scalar":
-            return ad.add(x, ad.scale_by(fx, p[f"{layer}.gate"]))
-        return ad.add(x, ad.mul_rowvec(fx, p[f"{layer}.gate"]))
+            return ad.residual_scalar(x, fx, p[f"{layer}.gate"])
+        return ad.residual_vector(x, fx, p[f"{layer}.gate"])
 
-    def _attention(self, prefix: str, q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
+    def _attention(self, prefix: str, q: Tensor, kv, causal: bool) -> Tensor:
+        """Attention of the rows q over kv: a (..., T_k, d) tensor of keys
+        and values, or at inference a :meth:`_project_kv` pair of them."""
         p = self.params
-        return ad.multi_head_attention(
-            q, k, v,
-            wq=p[f"{prefix}.wq"], bq=p[f"{prefix}.bq"],
-            wk=p[f"{prefix}.wk"], wv=p[f"{prefix}.wv"], bv=p[f"{prefix}.bv"],
-            wo=p[f"{prefix}.wo"], bo=p[f"{prefix}.bo"],
-            heads=self.config.heads, causal=causal,
-        )
+        if isinstance(kv, Tensor):
+            return ad.multi_head_attention(
+                q, kv, kv,
+                wq=p[f"{prefix}.wq"], bq=p[f"{prefix}.bq"],
+                wk=p[f"{prefix}.wk"], wv=p[f"{prefix}.wv"], bv=p[f"{prefix}.bv"],
+                wo=p[f"{prefix}.wo"], bo=p[f"{prefix}.bo"],
+                heads=self.config.heads, causal=causal,
+            )
+        qh = ad._split_heads(q.values, p[f"{prefix}.wq"].values, p[f"{prefix}.bq"].values,
+                             self.config.heads)
+        merged = ad._attend(qh, *kv, causal)[1]
+        return Tensor(ad._linear(merged, p[f"{prefix}.wo"].values, p[f"{prefix}.bo"].values))
+
+    def _project_kv(self, prefix: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The keys and values of (..., T, d) rows x, projected and head-split."""
+        p, heads = self.params, self.config.heads
+        return (ad._split_heads(x, p[f"{prefix}.wk"].values, None, heads, keys=True),
+                ad._split_heads(x, p[f"{prefix}.wv"].values, p[f"{prefix}.bv"].values, heads))
 
     def _feed_forward(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params
-        h = ad.tanh(ad.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-        return ad.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+        return ad.feed_forward(x, *(p[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
     def encode(self, input_days: np.ndarray, trace: list | None = None) -> Tensor:
         cfg = self.config
@@ -362,7 +366,7 @@ class TransformerModel:
         x = self._add_positions(self.embed_days(data))
         for i in range(cfg.n_layers):
             layer = f"encoder.l{i}"
-            x = self._residual(x, self._attention(f"{layer}.attn", x, x, x, causal=False), layer, 1)
+            x = self._residual(x, self._attention(f"{layer}.attn", x, x, causal=False), layer, 1)
             x = self._residual(x, self._feed_forward(f"{layer}.ff", x), layer, 2)
             if trace is not None:
                 trace.append((f"enc{i}", x.values.copy()))
@@ -370,18 +374,28 @@ class TransformerModel:
 
     def _decode(self, decoder_input: Tensor, memory: Tensor, cache: list | None = None,
                 trace: list | None = None) -> Tensor:
-        """Decode against the encoder memory.  With a ``cache`` (a slot per
-        layer), ``decoder_input`` holds only the newest positions, and each
-        layer self-attends over its slot, to which it appends its input."""
+        """Decode against the encoder memory.
+
+        At inference ``cache`` holds, per layer, the projected keys and
+        values of the positions decoded so far and of the memory (see
+        :meth:`predict`), and ``decoder_input`` only the newest positions:
+        each layer appends their keys and values to its self-attention
+        pair and reads the memory's from the cache, not from ``memory``.
+        """
         cfg = self.config
         y = decoder_input
         for i in range(cfg.n_layers):
             layer = f"decoder.l{i}"
-            keys = y
+            keys, memory_kv = y, memory
             if cache is not None:
-                cache[i] = keys = ad.concat_rows([cache[i], y])
-            y = self._residual(y, self._attention(f"{layer}.self", y, keys, keys, causal=True), layer, 1)
-            y = self._residual(y, self._attention(f"{layer}.cross", y, memory, memory, causal=False), layer, 2)
+                (old_k, old_v), memory_kv = cache[i]
+                new_k, new_v = self._project_kv(f"{layer}.self", y.values)
+                keys = (np.concatenate([old_k, new_k], axis=-1),
+                        np.concatenate([old_v, new_v], axis=-2))
+                cache[i] = keys, memory_kv
+            y = self._residual(y, self._attention(f"{layer}.self", y, keys, causal=True), layer, 1)
+            y = self._residual(y, self._attention(f"{layer}.cross", y, memory_kv, causal=False),
+                               layer, 2)
             y = self._residual(y, self._feed_forward(f"{layer}.ff", y), layer, 3)
             if trace is not None:
                 trace.append((f"dec{i}", y.values.copy()))
@@ -389,7 +403,7 @@ class TransformerModel:
 
     def _head(self, y: Tensor) -> Tensor:
         p = self.params
-        return _squash(ad.linear(y, p["head.w"], p["head.b"]))
+        return ad.squash(ad.linear(y, p["head.w"], p["head.b"]))
 
     def _decoder_input(self, previous_days: np.ndarray) -> Tensor:
         """Stack the learned start vector with embeddings of the (..., n, 2V)
@@ -428,16 +442,21 @@ class TransformerModel:
 
         All windows of a (..., T_in, 2V) stack advance in lockstep, and each
         output day is decoded once (incremental decoding): a step embeds
-        only the day fed back by the step before, at its position, and
-        every decoder layer's self-attention reads the earlier positions'
-        layer inputs from a per-layer cache.
+        only the day fed back by the step before, at its position.  Every
+        key and value is projected once: each decoder layer's cache holds
+        its cross-attention keys and values, projected from the memory
+        before the first step, and its self-attention keys and values, to
+        which each step appends one position's.
         """
         cfg = self.config
         with ad.no_grad():
             memory = self.encode(input_days)
             lead = memory.shape[:-2]
             y = self._decoder_input(np.zeros((*lead, 0, 2 * cfg.vocab_size)))
-            cache = [Tensor(np.zeros((*lead, 0, cfg.d_model)))] * cfg.n_layers
+            d_k = cfg.d_model // cfg.heads
+            none_yet = (np.zeros((*lead, cfg.heads, d_k, 0)), np.zeros((*lead, cfg.heads, 0, d_k)))
+            cache = [(none_yet, self._project_kv(f"decoder.l{i}.cross", memory.values))
+                     for i in range(cfg.n_layers)]
             rows = []
             for step in range(1, cfg.t_out + 1):
                 day = self._head(self._decode(y, memory, cache)).values[..., 0, :]

@@ -1,5 +1,6 @@
 """Helpers the test modules share."""
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -14,6 +15,55 @@ def sum_all(a: ad.Tensor) -> ad.Tensor:
         "sum_all", (a,), np.asarray(a.values.sum()),
         lambda g: (np.full(a.values.shape, g.item()),),
     )
+
+
+def squash_composite(z: ad.Tensor) -> ad.Tensor:
+    """(tanh(z) + 1) / 2 from three primitives: the reference for ``ad.squash``."""
+    return ad.scale(ad.add_scalar(ad.tanh(z), 1.0), 0.5)
+
+
+# each one-entry sublayer op and the composite it replaced, kept as its reference
+SUBLAYER_COMPOSITES = {
+    "residual_norm": lambda x, fx, gamma, beta: ad.layer_norm(ad.add(x, fx), gamma, beta),
+    "residual_scalar": lambda x, fx, gate: ad.add(x, ad.scale_by(fx, gate)),
+    "residual_vector": lambda x, fx, gate: ad.add(x, ad.mul_rowvec(fx, gate)),
+    "feed_forward": lambda x, w1, b1, w2, b2: ad.linear(ad.tanh(ad.linear(x, w1, b1)), w2, b2),
+    "squash": squash_composite,
+    "project_pair": lambda a, wa, b, wb: ad.add(ad.matmul(Tensor(a), wa), ad.matmul(Tensor(b), wb)),
+}
+
+
+def sublayer_case(name: str, lead: tuple = ()):
+    """(leaves, build) for the sublayer op ``name`` on (*lead, 3, 4) rows:
+    build(op) runs ``op``, the fused op or its composite, where a model
+    would, and returns its output and an MSE loss over it."""
+    x, w, b = rand((*lead, 3, 4), 81), rand((4, 4), 82, scale=0.5), rand((4,), 83)
+    target = Tensor(np.random.default_rng(84).normal(size=(*lead, 3, 4)))
+    params = {
+        "residual_norm": [rand((4,), 85), rand((4,), 86)],
+        "residual_scalar": [rand((), 87)],
+        "residual_vector": [rand((4,), 88)],
+        "feed_forward": [rand((4, 6), 89, scale=0.5), rand((6,), 90),
+                         rand((6, 4), 91, scale=0.5), rand((4,), 92)],
+        "squash": [],
+        "project_pair": [rand((4, 4), 93), rand((2, 4), 94)],
+    }[name]
+    days = random_day_matrix(math.prod(lead) * 3, 2, 95).reshape(*lead, 3, 4)
+    counts = np.stack([days[..., :2].sum(axis=-1), days[..., 2:].sum(axis=-1)], axis=-1)
+
+    def build(op):
+        fx = ad.linear(x, w, b)  # x reaches a residual directly and through fx
+        if name.startswith("residual"):
+            out = op(x, fx, *params)
+        elif name == "feed_forward":
+            out = op(fx, *params)
+        elif name == "squash":
+            out = op(fx)
+        else:
+            out = op(days, params[0], counts, params[1])
+        return out, ad.mse_loss(ad.add(fx, out) if name == "project_pair" else out, target)
+
+    return [x, w, b, *params], build
 
 
 def finite_diff_check(

@@ -12,7 +12,7 @@ from otcforecast.autodiff import OptimizerState, Tensor, adam_step, backward
 from otcforecast.errors import ConfigurationError, ContractError, ShapeMismatchError
 from otcforecast.models import ModelConfig, build_model
 
-from helpers import finite_diff_check, rand, sum_all
+from helpers import SUBLAYER_COMPOSITES, finite_diff_check, rand, sublayer_case, sum_all
 
 
 class TestFiniteDiffOracle:
@@ -448,10 +448,85 @@ class TestFusedAttention:
 
         assert finite_diff_check(f, [q, k, v, *params.values()]) < 1e-6
 
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_helpers_on_keys_and_values_projected_once_match_the_op(self, lead):
+        # inference projects the memory once and each decoded position's
+        # keys and values once, then attends with the op's own helpers
+        params = {n: t.values for n, t in self.params(61).items()}
+        x, memory = rand((*lead, 3, 4), 62, grad=False), rand((*lead, 5, 4), 63, grad=False)
+
+        def attend(q, kh, vh, causal):
+            qh = ad._split_heads(q, params["wq"], params["bq"], 2)
+            return ad._linear(ad._attend(qh, kh, vh, causal)[1], params["wo"], params["bo"])
+
+        def project_kv(rows):
+            return (ad._split_heads(rows, params["wk"], None, 2, keys=True),
+                    ad._split_heads(rows, params["wv"], params["bv"], 2))
+
+        tensors = self.params(61)
+        cross = ad.multi_head_attention(x, memory, memory, heads=2, **tensors).values
+        assert np.array_equal(attend(x.values, *project_kv(memory.values), False), cross)
+        square = ad.multi_head_attention(x, x, x, heads=2, causal=True, **tensors).values
+        kh, vh = project_kv(x.values[..., :0, :])
+        for t in range(3):
+            row = x.values[..., t:t + 1, :]
+            new_k, new_v = project_kv(row)
+            kh, vh = np.concatenate([kh, new_k], axis=-1), np.concatenate([vh, new_v], axis=-2)
+            # a one-row product may sum in another order than the matrix one
+            np.testing.assert_allclose(attend(row, kh, vh, True), square[..., t:t + 1, :],
+                                       rtol=0, atol=1e-14)
+
     def test_one_call_records_one_entry(self):
         x = rand((2, 3, 4), 59)
         ad.multi_head_attention(x, x, x, heads=2, causal=True, **self.params(60))
         assert [entry.name for entry in ad._TAPE] == ["multi_head_attention"]
+
+
+class TestSublayerOps:
+    """The one-entry sublayer ops against the composites they replaced."""
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("name", list(SUBLAYER_COMPOSITES))
+    def test_values_and_gradients_match_the_composite_bit_for_bit(self, name, lead):
+        leaves, build = sublayer_case(name, lead)
+        results = []
+        for op in (getattr(ad, name), SUBLAYER_COMPOSITES[name]):
+            ad.reset_tape()
+            out, loss = build(op)
+            results.append([out.values, *backward(loss, leaves)])
+        fused, composite = results
+        assert len(fused) == len(composite)
+        for got, expected in zip(fused, composite):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("name", list(SUBLAYER_COMPOSITES))
+    def test_one_call_records_one_entry(self, name):
+        leaves, build = sublayer_case(name)
+        ad.reset_tape()
+        build(getattr(ad, name))
+        assert [entry.name for entry in ad._TAPE].count(name) == 1
+
+    @pytest.mark.parametrize("name", list(SUBLAYER_COMPOSITES))
+    def test_gradient_against_finite_differences(self, name):
+        leaves, build = sublayer_case(name)
+        assert finite_diff_check(lambda: build(getattr(ad, name))[1], leaves) < 1e-6
+
+    @pytest.mark.parametrize("call", [
+        lambda: ad.residual_norm(rand((3, 4), 1), rand((3, 5), 2), rand((4,), 3), rand((4,), 4)),
+        lambda: ad.residual_norm(rand((3, 4), 1), rand((3, 4), 2), rand((5,), 3), rand((4,), 4)),
+        lambda: ad.residual_scalar(rand((3, 4), 1), rand((3, 4), 2), rand((2,), 3)),
+        lambda: ad.residual_vector(rand((3, 4), 1), rand((3, 4), 2), rand((3,), 3)),
+        lambda: ad.residual_vector(rand((3, 4), 1), rand((2, 4), 2), rand((4,), 3)),
+        lambda: ad.feed_forward(rand((3, 4), 1), rand((5, 6), 2), rand((6,), 3),
+                                rand((6, 4), 4), rand((4,), 5)),
+        lambda: ad.feed_forward(rand((3, 4), 1), rand((4, 6), 2), rand((6,), 3),
+                                rand((5, 4), 4), rand((4,), 5)),
+        lambda: ad.project_pair(np.ones((3, 4)), rand((4, 4), 1), np.ones((2, 2)), rand((2, 4), 2)),
+        lambda: ad.project_pair(np.ones((3, 4)), rand((4, 4), 1), np.ones((3, 2)), rand((2, 5), 2)),
+    ])
+    def test_shape_errors(self, call):
+        with pytest.raises(ShapeMismatchError):
+            call()
 
 
 def lstm_step_loop(projected, wh):

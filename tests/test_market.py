@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from otcforecast import market
-from otcforecast.errors import ArtifactError, ContractError
+from otcforecast.errors import ArtifactError, ContractError, ShapeMismatchError
 from otcforecast.market import (
     MarketSpec,
     TradeRecord,
@@ -397,6 +397,23 @@ class TestFileFormats:
         with pytest.raises(ContractError, match="dealer 2 repeats the id 'D0' of dealer 0"):
             save_histories(path, hists, 3, 2)
         assert not path.exists()
+
+    @pytest.mark.parametrize("dealer_id, error, message", [
+        ("D" * 70_000, ContractError, "70000 UTF-8 bytes"),
+        ("D\ud800", ContractError, "no UTF-8 encoding"),
+        (None, ShapeMismatchError, r"shape \(2, 4\) != \(3, 4\)"),
+    ], ids=["long_id", "lone_surrogate", "wrong_shape"])
+    def test_save_histories_checks_every_dealer_before_opening(self, tmp_path, dealer_id,
+                                                               error, message):
+        # the faulty dealer comes last, after a valid one
+        last = market.DealerHistory(dealer_id or "D1",
+                                    np.zeros((3 if dealer_id else 2, 4), dtype=np.uint8))
+        hists = [market.DealerHistory("D0", np.zeros((3, 4), dtype=np.uint8)), last]
+        path = tmp_path / "hist.bin"
+        path.write_bytes(b"kept")
+        with pytest.raises(error, match=message):
+            save_histories(path, hists, 3, 2)
+        assert path.read_bytes() == b"kept"
 
     @pytest.mark.parametrize("dealer_id", ["a/b", "a\0b"], ids=["slash", "nul"])
     def test_dealer_id_with_slash_or_nul_round_trips(self, tmp_path, dealer_id):

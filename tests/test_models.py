@@ -22,7 +22,6 @@ from otcforecast.models import (
     ModelConfig,
     Parameters,
     _Builder,
-    _squash,
     build_model,
     cte_encode,
     load_checkpoint,
@@ -31,7 +30,7 @@ from otcforecast.models import (
 )
 from otcforecast.seeding import rng_for
 
-from helpers import random_day_matrix, sum_all
+from helpers import random_day_matrix, squash_composite, sum_all
 
 
 def toy_config(kind, **overrides):
@@ -255,7 +254,7 @@ class TestRecurrentModels:
             assert shapes.count((2, t_in, 16)) == directions
             assert [entry.name for entry in ad._TAPE].count("lstm") == directions
 
-    @pytest.mark.parametrize("kind, entries", [("LSTM", 8), ("BiLSTM", 11)])
+    @pytest.mark.parametrize("kind, entries", [("LSTM", 6), ("BiLSTM", 9)])
     def test_tape_entries_per_batch_do_not_grow_with_t_in(self, kind, entries):
         for t_in in (3, 5):
             ad.reset_tape()
@@ -309,7 +308,7 @@ def per_gate_lstm(model, days, blocks):
         finals.append(h)
     h = ad.concat_cols(finals) if len(finals) > 1 else finals[0]
     p = model.params
-    day = _squash(ad.add_rowvec(ad.matmul(h, p["readout.w"]), p["readout.b"]))
+    day = squash_composite(ad.add_rowvec(ad.matmul(h, p["readout.w"]), p["readout.b"]))
     return ad.tile_rows(day, model.config.t_out)
 
 
@@ -547,17 +546,21 @@ class TestTransformer:
             assert np.abs(a - b).max() < 1e-12
             np.testing.assert_array_equal(pprz.predict(x), twin.predict(x))
 
-    def test_no_key_bias_and_54_tape_entries_at_c7_size(self):
+    def test_no_key_bias_and_30_tape_entries_at_c7_size(self):
+        x = np.stack([random_day_matrix(5, 20, seed) for seed in range(8)])
+        teacher = np.stack([random_day_matrix(5, 20, seed) for seed in range(8, 16)])
         for kind in TRANSFORMER_KINDS:
             model = build_model(toy_config(kind))
             assert not [name for name in model.params.names() if name.endswith(".bk")], kind
-        config = ModelConfig(kind="TransPPRZ", vocab_size=20, t_in=5, t_out=5, d_model=32,
-                             heads=4, n_layers=2, d_ff=64)
-        x = np.stack([random_day_matrix(5, 20, seed) for seed in range(8)])
-        teacher = np.stack([random_day_matrix(5, 20, seed) for seed in range(8, 16)])
-        ad.mse_loss(build_model(config).forward(x, teacher=teacher),
-                    Tensor(teacher.astype(np.float64)))
-        assert ad.tape_size() == 54
+            config = ModelConfig(kind=kind, vocab_size=20, t_in=5, t_out=5, d_model=32,
+                                 heads=4, n_layers=2, d_ff=64)
+            ad.reset_tape()
+            ad.mse_loss(build_model(config).forward(x, teacher=teacher),
+                        Tensor(teacher.astype(np.float64)))
+            # per layer one entry per attention, residual and feed-forward
+            # block: 8 in the encoder, 12 in the decoder; then 2 for the
+            # encoder input, 5 for the decoder input, 2 for the head, the loss
+            assert ad.tape_size() == 30, kind
 
     @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
     def test_predict_matches_full_prefix_decoding(self, kind):
@@ -578,18 +581,25 @@ class TestTransformer:
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_layers, t_out", [(1, 1), (2, 4), (3, 5)])
-    def test_predict_decodes_one_position_per_step(self, monkeypatch, n_layers, t_out):
+    def test_predict_projects_each_row_once(self, monkeypatch, n_layers, t_out):
         model = build_model(toy_config("TransPPRZ", n_layers=n_layers, t_out=t_out))
-        query_rows = []
-        attend = ad.multi_head_attention
-        monkeypatch.setattr(ad, "multi_head_attention",
-                            lambda q, *args, **kw: query_rows.append(q.shape[-2])
-                            or attend(q, *args, **kw))
-        model.predict(np.stack([random_day_matrix(3, 8, seed) for seed in range(5)]))
-        # the encoder's self-attention, then self- and cross-attention per
-        # decoder layer and step, each for the newest position only
-        assert query_rows[:n_layers] == [3] * n_layers
-        assert query_rows[n_layers:] == [1] * (2 * n_layers * t_out)
+        names = {id(model.params[name].values): name for name in model.params.names()}
+        projected = {}  # weight name -> rows projected by it, per call
+        split = ad._split_heads
+        monkeypatch.setattr(ad, "_split_heads", lambda x, w, *args, **kw: projected.setdefault(
+            names[id(w)], []).append(math.prod(x.shape[:-1])) or split(x, w, *args, **kw))
+        windows, t_in = 5, 3
+        model.predict(np.stack([random_day_matrix(t_in, 8, seed) for seed in range(windows)]))
+        assert len(projected) == 3 * 3 * n_layers  # q, k and v of every attention block
+        for i in range(n_layers):
+            for w in "qkv":
+                assert projected[f"encoder.l{i}.attn.w{w}"] == [windows * t_in]
+                # each step projects the newest position of every window
+                assert projected[f"decoder.l{i}.self.w{w}"] == [windows] * t_out
+            assert projected[f"decoder.l{i}.cross.wq"] == [windows] * t_out
+            # and the memory's keys and values are projected before the first step
+            for w in "kv":
+                assert projected[f"decoder.l{i}.cross.w{w}"] == [windows * t_in]
 
     def test_trace_collects_all_layers(self):
         model = build_model(toy_config("TransPPRZ", n_layers=2))
