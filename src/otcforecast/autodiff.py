@@ -476,35 +476,29 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def _mul_rowvec_vjp(x: Array, v: Array, g: Array) -> tuple[Array, Array]:
-    return g * v, (g * x).reshape(-1, v.shape[0]).sum(axis=0)
+def _gate_vjp(x: Array, gate: Array, g: Array) -> tuple[Array, Array]:
+    """(dx, dgate) of x * gate for a gate broadcast over x's trailing axes:
+    one value, or one per channel of x's last axis."""
+    return g * gate, (g * x).reshape(-1, gate.size).sum(axis=0).reshape(gate.shape)
 
 
 def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
     """Multiply every last-axis slice of x pointwise by a 1-D gate vector."""
     _check_rowvec("mul_rowvec", x, v)
     xv, vv = x.values, v.values
-    return _record("mul_rowvec", (x, v), xv * vv, lambda g: _mul_rowvec_vjp(xv, vv, g))
-
-
-def _check_scalar(op: str, s: Tensor) -> None:
-    if s.values.size != 1:
-        raise ShapeMismatchError(f"{op}: scalar operand has shape {s.shape}")
-
-
-def _scale_by_vjp(a: Array, s: Array, g: Array) -> tuple[Array, Array]:
-    return g * s, np.asarray((g * a).sum()).reshape(s.shape)
+    return _record("mul_rowvec", (x, v), xv * vv, lambda g: _gate_vjp(xv, vv, g))
 
 
 def scale_by(a: Tensor, s: Tensor) -> Tensor:
     """Multiply a tensor of any shape by a trainable scalar (a 0-d or
     single-element tensor)."""
-    _check_scalar("scale_by", s)
+    if s.values.size != 1:
+        raise ShapeMismatchError(f"scale_by: scalar operand has shape {s.shape}")
     av, sv = a.values, s.values
-    return _record("scale_by", (a, s), av * sv, lambda g: _scale_by_vjp(av, sv, g))
+    return _record("scale_by", (a, s), av * sv, lambda g: _gate_vjp(av, sv, g))
 
 
-# The three residual schemes of a Transformer sublayer: x is its input and
+# The two residual schemes of a Transformer sublayer: x is its input and
 # fx its output.  Each is one tape entry, bit-identical to the composite
 # it names, and gives x's gradient first, as that composite's add does.
 
@@ -521,22 +515,15 @@ def residual_norm(x: Tensor, fx: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _record("residual_norm", (x, fx, gamma, beta), out, residual_vjp)
 
 
-def residual_scalar(x: Tensor, fx: Tensor, gate: Tensor) -> Tensor:
-    """A trainable scalar gate: ``add(x, scale_by(fx, gate))``."""
-    _require_equal_shapes("residual_scalar", x, fx)
-    _check_scalar("residual_scalar", gate)
-    fv, sv = fx.values, gate.values
-    return _record("residual_scalar", (x, fx, gate), x.values + fv * sv,
-                   lambda g: (g, *_scale_by_vjp(fv, sv, g)))
-
-
-def residual_vector(x: Tensor, fx: Tensor, gate: Tensor) -> Tensor:
-    """A trainable per-channel gate: ``add(x, mul_rowvec(fx, gate))``."""
-    _require_equal_shapes("residual_vector", x, fx)
-    _check_rowvec("residual_vector", fx, gate)
-    fv, vv = fx.values, gate.values
-    return _record("residual_vector", (x, fx, gate), x.values + fv * vv,
-                   lambda g: (g, *_mul_rowvec_vjp(fv, vv, g)))
+def residual_gate(x: Tensor, fx: Tensor, gate: Tensor) -> Tensor:
+    """A trainable gate of shape () or (d,), one value or one per channel:
+    ``add(x, scale_by(fx, gate))`` or ``add(x, mul_rowvec(fx, gate))``."""
+    _require_equal_shapes("residual_gate", x, fx)
+    fv, gv = fx.values, gate.values
+    if gv.shape not in ((), fv.shape[-1:]):
+        raise ShapeMismatchError(f"residual_gate: gate {gate.shape} for rows {fx.shape}")
+    return _record("residual_gate", (x, fx, gate), x.values + fv * gv,
+                   lambda g: (g, *_gate_vjp(fv, gv, g)))
 
 
 def _split_heads(x: Array, w: Array, b: Array | None, heads: int, keys: bool = False) -> Array:

@@ -158,7 +158,7 @@ def evaluate(model, test_samples: list[Sample], threshold: float,
     ``per_day`` scores every output day; ``union`` collapses predictions
     and targets over the window by elementwise max before scoring.  The
     report pools the counts of every given window; :func:`score_units`
-    splits them by cluster.
+    splits them by cluster.  A non-finite forecast raises NumericError.
     """
     if not test_samples:
         raise ContractError("evaluate() needs a nonempty test set")
@@ -166,12 +166,15 @@ def evaluate(model, test_samples: list[Sample], threshold: float,
         raise ContractError(f"unknown evaluation mode {mode!r}")
     totals = np.zeros(4, dtype=np.int64)
     for inputs, target in _batches(test_samples):
-        probs = model.predict(inputs)
+        with np.errstate(all="ignore"):  # numpy's warnings give way to the check below
+            probs = model.predict(inputs)
         if probs.shape != target.shape:
             raise ShapeMismatchError(
                 f"predict returned shape {probs.shape} for inputs {inputs.shape}, "
                 f"targets {target.shape}"
             )
+        if not np.isfinite(probs).all():
+            raise NumericError(f"non-finite forecast from the {model.config.kind} model")
         if mode == "union":
             probs, target = probs.max(axis=-2), target.max(axis=-2)
         totals += _confusion(probs >= threshold, target)
@@ -184,6 +187,7 @@ def layer_signal_stats(model, probe_samples: list[Sample]) -> dict[str, tuple[fl
 
     Runs stacked teacher-forced forwards so encoder and decoder layers see
     the same batch; statistics pool over samples, positions and channels.
+    A non-finite statistic raises NumericError.
     """
     kind = model.config.kind
     if kind not in TRANSFORMER_KINDS:
@@ -191,16 +195,18 @@ def layer_signal_stats(model, probe_samples: list[Sample]) -> dict[str, tuple[fl
     if not probe_samples:
         raise ContractError("layer_signal_stats() needs a nonempty probe batch")
     collected: dict[str, list[np.ndarray]] = {}
-    with ad.no_grad():
+    stats = {}
+    with ad.no_grad(), np.errstate(all="ignore"):  # numpy's warnings give way to the check below
         for inputs, target in _batches(probe_samples):
             trace: list[tuple[str, np.ndarray]] = []
             model.forward(inputs, teacher=target, trace=trace)
             for name, values in trace:
                 collected.setdefault(name, []).append(values.reshape(-1))
-    stats = {}
-    for name in collected:
-        pooled = np.concatenate(collected[name])
-        stats[name] = (float(pooled.mean()), float(pooled.var()))
+        for name in collected:
+            pooled = np.concatenate(collected[name])
+            stats[name] = (float(pooled.mean()), float(pooled.var()))
+    if not np.isfinite(list(stats.values())).all():
+        raise NumericError(f"non-finite layer statistic of the {kind} model")
     return stats
 
 

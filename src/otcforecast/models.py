@@ -4,9 +4,10 @@ The Transformer variants differ along two axes.  Input representation:
 either an affine projection of the raw 2V multi-hot day vector, or a
 co-trading embedding (CTE) that sums one trainable vector per traded bond
 plus a buy/sell action vector, shared between encoder and decoder.
-Residual scheme: post-norm (LayerNorm), a trainable scalar gate initialized
-at zero, or a trainable per-channel gate vector initialized at zero.  One
-gate is shared by all sublayers of a layer.
+Residual scheme: post-norm (LayerNorm), or x + gate ⊙ fx with a trainable
+gate initialized at zero and shared by all sublayers of a layer.  TransRE's
+gate is one scalar (ReZero) and TransPPRZ's one value per channel; the
+scalar is the one-value case of the vector, and one op serves both.
 
 Every model maps a (..., T_in, 2V) stack of input windows to a
 (..., T_out, 2V) stack of predictions with entries in [0, 1] (outputs pass
@@ -31,7 +32,8 @@ from .autodiff import Tensor
 from .errors import ArtifactError, ConfigurationError, ContractError, ShapeMismatchError
 from .seeding import rng_for
 
-# (input embedding, residual scheme) per transformer kind
+# (input embedding, residual scheme) per transformer kind; scalar and vector
+# name the shape of the gate, () or (d_model,)
 _TRANSFORMER_MODES = {
     "TransFV": ("affine", "norm"),
     "TransCTE": ("cte", "norm"),
@@ -321,17 +323,15 @@ class TransformerModel:
     def _residual(self, x: Tensor, fx: Tensor, layer: str, sublayer: int) -> Tensor:
         """Combine a sublayer output with its input under the residual scheme.
 
-        norm:   layer_norm(x + fx) with the sublayer's own affine parameters
-        scalar: x + gate * fx       (the layer's trainable scalar, zero at init)
-        vector: x + gate ⊙ fx       (the layer's per-channel vector, zero at init)
+        norm: layer_norm(x + fx) with the sublayer's own affine parameters
+        gate: x + gate ⊙ fx with the layer's gate, zero at init: one value
+              (scalar) or one per channel (vector)
         """
         p = self.params
         if self.residual_mode == "norm":
             return ad.residual_norm(x, fx, p[f"{layer}.norm{sublayer}.gamma"],
                                     p[f"{layer}.norm{sublayer}.beta"])
-        if self.residual_mode == "scalar":
-            return ad.residual_scalar(x, fx, p[f"{layer}.gate"])
-        return ad.residual_vector(x, fx, p[f"{layer}.gate"])
+        return ad.residual_gate(x, fx, p[f"{layer}.gate"])
 
     def _attention(self, prefix: str, q: Tensor, kv, causal: bool) -> Tensor:
         """Attention of the rows q over kv: a (..., T_k, d) tensor of keys
@@ -483,6 +483,7 @@ def build_model(config: ModelConfig):
 
 CHECKPOINT_MAGIC = "otcforecast-checkpoint"
 CHECKPOINT_VERSION = 4
+MANIFEST_LIMIT = 1 << 16  # bytes read for the manifest line, newline included
 
 
 def save_checkpoint(path, model) -> None:
@@ -502,19 +503,21 @@ def _parameter_count(config: ModelConfig) -> int:
     return build_model(config).params.flat.size
 
 
-def check_checkpoint(path, config: ModelConfig) -> int:
+def check_checkpoint(path, config: ModelConfig) -> np.ndarray:
     """Check a :func:`save_checkpoint` file against the model ``config``
-    it must have been trained under; return its payload's byte offset.
+    it must have been trained under; return its parameter vector.
 
-    Raises ArtifactError, in this order, unless the manifest line is
-    complete, parses and carries the magic, this format version and a
-    model config with exactly ``config``'s fields; unless those fields
-    equal ``config``'s (the message names the first that differs); and
-    unless the payload holds exactly ``config``'s parameter count.  The
-    payload is measured, not read.
+    Raises ArtifactError, in this order, unless the manifest line ends
+    within its first ``MANIFEST_LIMIT`` bytes, parses and carries the
+    magic, this format version and a model config with exactly
+    ``config``'s fields; unless those fields equal ``config``'s (the
+    message names the first that differs); unless the payload holds
+    exactly ``config``'s parameter count; and unless every parameter
+    value is finite.  The payload is measured before it is read, so a
+    manifest cannot size what is read.
     """
     with open(path, "rb") as fh:
-        header = fh.readline()
+        header = fh.readline(MANIFEST_LIMIT)
         payload_bytes = fh.seek(0, os.SEEK_END) - len(header)
     if not header.endswith(b"\n"):
         raise ArtifactError(f"{path}: truncated manifest line")
@@ -539,13 +542,16 @@ def check_checkpoint(path, config: ModelConfig) -> int:
         raise ArtifactError(f"{path}: truncated payload: {payload_bytes} of {expected} bytes")
     if payload_bytes > expected:
         raise ArtifactError(f"{path}: {payload_bytes - expected} trailing payload bytes")
-    return len(header)
+    values = np.fromfile(path, dtype="<f8", offset=len(header))
+    if not np.isfinite(values).all():
+        raise ArtifactError(f"{path}: non-finite parameter value in the payload")
+    return values
 
 
 def load_checkpoint(path, config: ModelConfig):
     """Load a checkpoint :func:`check_checkpoint` passes under ``config``;
     the model is built after the check, so a manifest cannot size it."""
-    offset = check_checkpoint(path, config)
+    values = check_checkpoint(path, config)
     model = build_model(config)
-    model.params.flat[:] = np.fromfile(path, dtype="<f8", offset=offset)
+    model.params.flat[:] = values
     return model

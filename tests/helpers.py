@@ -22,27 +22,39 @@ def squash_composite(z: ad.Tensor) -> ad.Tensor:
     return ad.scale(ad.add_scalar(ad.tanh(z), 1.0), 0.5)
 
 
-# each one-entry sublayer op and the composite it replaced, kept as its reference
-SUBLAYER_COMPOSITES = {
-    "residual_norm": lambda x, fx, gamma, beta: ad.layer_norm(ad.add(x, fx), gamma, beta),
-    "residual_scalar": lambda x, fx, gate: ad.add(x, ad.scale_by(fx, gate)),
-    "residual_vector": lambda x, fx, gate: ad.add(x, ad.mul_rowvec(fx, gate)),
-    "feed_forward": lambda x, w1, b1, w2, b2: ad.linear(ad.tanh(ad.linear(x, w1, b1)), w2, b2),
-    "squash": squash_composite,
-    "project_pair": lambda a, wa, b, wb: ad.add(ad.matmul(Tensor(a), wa), ad.matmul(Tensor(b), wb)),
+# each one-entry sublayer op and the composite it replaced, kept as its
+# reference: case -> (op name, composite).  residual_gate has one case per
+# gate shape: one value (scalar) and one per channel (vector).
+SUBLAYER_CASES = {
+    "residual_norm": ("residual_norm",
+                      lambda x, fx, gamma, beta: ad.layer_norm(ad.add(x, fx), gamma, beta)),
+    "residual_gate_scalar": ("residual_gate",
+                             lambda x, fx, gate: ad.add(x, ad.scale_by(fx, gate))),
+    "residual_gate_vector": ("residual_gate",
+                             lambda x, fx, gate: ad.add(x, ad.mul_rowvec(fx, gate))),
+    "feed_forward": ("feed_forward", lambda x, w1, b1, w2, b2:
+                     ad.linear(ad.tanh(ad.linear(x, w1, b1)), w2, b2)),
+    "squash": ("squash", squash_composite),
+    "project_pair": ("project_pair", lambda a, wa, b, wb:
+                     ad.add(ad.matmul(Tensor(a), wa), ad.matmul(Tensor(b), wb))),
 }
 
 
+def sublayer_op(case: str):
+    """The one-entry op that the sublayer case ``case`` runs."""
+    return getattr(ad, SUBLAYER_CASES[case][0])
+
+
 def sublayer_case(name: str, lead: tuple = ()):
-    """(leaves, build) for the sublayer op ``name`` on (*lead, 3, 4) rows:
+    """(leaves, build) for the sublayer case ``name`` on (*lead, 3, 4) rows:
     build(op) runs ``op``, the fused op or its composite, where a model
     would, and returns its output and an MSE loss over it."""
     x, w, b = rand((*lead, 3, 4), 81), rand((4, 4), 82, scale=0.5), rand((4,), 83)
     target = Tensor(np.random.default_rng(84).normal(size=(*lead, 3, 4)))
     params = {
         "residual_norm": [rand((4,), 85), rand((4,), 86)],
-        "residual_scalar": [rand((), 87)],
-        "residual_vector": [rand((4,), 88)],
+        "residual_gate_scalar": [rand((), 87)],
+        "residual_gate_vector": [rand((4,), 88)],
         "feed_forward": [rand((4, 6), 89, scale=0.5), rand((6,), 90),
                          rand((6, 4), 91, scale=0.5), rand((4,), 92)],
         "squash": [],

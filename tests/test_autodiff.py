@@ -12,7 +12,8 @@ from otcforecast.autodiff import OptimizerState, Tensor, adam_step, backward
 from otcforecast.errors import ConfigurationError, ContractError, ShapeMismatchError
 from otcforecast.models import ModelConfig, build_model
 
-from helpers import SUBLAYER_COMPOSITES, finite_diff_check, rand, sublayer_case, sum_all
+from helpers import (SUBLAYER_CASES, finite_diff_check, rand, sublayer_case, sublayer_op,
+                     sum_all)
 
 
 class TestFiniteDiffOracle:
@@ -486,11 +487,11 @@ class TestSublayerOps:
     """The one-entry sublayer ops against the composites they replaced."""
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
-    @pytest.mark.parametrize("name", list(SUBLAYER_COMPOSITES))
-    def test_values_and_gradients_match_the_composite_bit_for_bit(self, name, lead):
-        leaves, build = sublayer_case(name, lead)
+    @pytest.mark.parametrize("case", list(SUBLAYER_CASES))
+    def test_values_and_gradients_match_the_composite_bit_for_bit(self, case, lead):
+        leaves, build = sublayer_case(case, lead)
         results = []
-        for op in (getattr(ad, name), SUBLAYER_COMPOSITES[name]):
+        for op in (sublayer_op(case), SUBLAYER_CASES[case][1]):
             ad.reset_tape()
             out, loss = build(op)
             results.append([out.values, *backward(loss, leaves)])
@@ -499,24 +500,24 @@ class TestSublayerOps:
         for got, expected in zip(fused, composite):
             assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("name", list(SUBLAYER_COMPOSITES))
-    def test_one_call_records_one_entry(self, name):
-        leaves, build = sublayer_case(name)
+    @pytest.mark.parametrize("case", list(SUBLAYER_CASES))
+    def test_one_call_records_one_entry(self, case):
+        leaves, build = sublayer_case(case)
         ad.reset_tape()
-        build(getattr(ad, name))
-        assert [entry.name for entry in ad._TAPE].count(name) == 1
+        build(sublayer_op(case))
+        assert [entry.name for entry in ad._TAPE].count(SUBLAYER_CASES[case][0]) == 1
 
-    @pytest.mark.parametrize("name", list(SUBLAYER_COMPOSITES))
-    def test_gradient_against_finite_differences(self, name):
-        leaves, build = sublayer_case(name)
-        assert finite_diff_check(lambda: build(getattr(ad, name))[1], leaves) < 1e-6
+    @pytest.mark.parametrize("case", list(SUBLAYER_CASES))
+    def test_gradient_against_finite_differences(self, case):
+        leaves, build = sublayer_case(case)
+        assert finite_diff_check(lambda: build(sublayer_op(case))[1], leaves) < 1e-6
 
     @pytest.mark.parametrize("call", [
         lambda: ad.residual_norm(rand((3, 4), 1), rand((3, 5), 2), rand((4,), 3), rand((4,), 4)),
         lambda: ad.residual_norm(rand((3, 4), 1), rand((3, 4), 2), rand((5,), 3), rand((4,), 4)),
-        lambda: ad.residual_scalar(rand((3, 4), 1), rand((3, 4), 2), rand((2,), 3)),
-        lambda: ad.residual_vector(rand((3, 4), 1), rand((3, 4), 2), rand((3,), 3)),
-        lambda: ad.residual_vector(rand((3, 4), 1), rand((2, 4), 2), rand((4,), 3)),
+        lambda: ad.residual_gate(rand((3, 4), 1), rand((3, 4), 2), rand((3,), 3)),
+        lambda: ad.residual_gate(rand((3, 4), 1), rand((3, 4), 2), rand((1,), 3)),
+        lambda: ad.residual_gate(rand((3, 4), 1), rand((2, 4), 2), rand((4,), 3)),
         lambda: ad.feed_forward(rand((3, 4), 1), rand((5, 6), 2), rand((6,), 3),
                                 rand((6, 4), 4), rand((4,), 5)),
         lambda: ad.feed_forward(rand((3, 4), 1), rand((4, 6), 2), rand((6,), 3),

@@ -17,7 +17,8 @@ from otcforecast.harness import evaluate, score_units
 from otcforecast.market import Sample
 from otcforecast.models import MODEL_KINDS, ModelConfig, build_model
 
-from helpers import SUBLAYER_COMPOSITES, finite_diff_check, rand, sublayer_case, sum_all
+from helpers import (SUBLAYER_CASES, finite_diff_check, rand, sublayer_case, sublayer_op,
+                     sum_all)
 
 ATOL = 1e-12
 GRAD_RTOL = 1e-9
@@ -89,10 +90,10 @@ class TestBatchedOps:
             [x, gamma, beta],
         ) < FD_BOUND
 
-    @pytest.mark.parametrize("name", list(SUBLAYER_COMPOSITES))
-    def test_sublayer_op(self, name):
-        leaves, build = sublayer_case(name, (2, 3))
-        assert finite_diff_check(lambda: build(getattr(ad, name))[1], leaves) < FD_BOUND
+    @pytest.mark.parametrize("case", list(SUBLAYER_CASES))
+    def test_sublayer_op(self, case):
+        leaves, build = sublayer_case(case, (2, 3))
+        assert finite_diff_check(lambda: build(sublayer_op(case))[1], leaves) < FD_BOUND
 
     def test_causal_softmax(self):
         s = rand((2, 3, 4, 4), 17, scale=2.0)

@@ -102,6 +102,14 @@ def test_tracer_and_probes_install_and_restore(instrument):
     assert [key for key, value in before.items() if after[key] is not value] == []
 
 
+def test_every_traced_op_is_its_own_function(instrument):
+    # Patcher rebinds by identity: an op bound under two names would be
+    # wrapped twice, and its spans would merge with the other name's
+    ops = [getattr(autodiff, name) for name in instrument.OPS]
+    assert len({id(op) for op in ops}) == len(ops)
+    assert [op.__name__ for op in ops] == list(instrument.OPS)
+
+
 TINY_MODEL = ModelConfig(kind="FCSum", vocab_size=4, t_in=3, t_out=2, hidden=4)
 
 

@@ -745,6 +745,24 @@ class TestPipeline:
         # every checkpoint is checked before the first unit is scored
         assert scored == []
 
+    def test_eval_with_a_non_finite_last_checkpoint_scores_no_unit(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
+        for command in ("gen", "cluster", "train"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        last = sorted(out.glob("checkpoint_*.ckpt"))[-1]
+        header, payload = last.read_bytes().split(b"\n", 1)
+        last.write_bytes(header + b"\n" + payload[:-8] + np.float64(np.nan).tobytes())
+        scored = []
+        evaluate = harness.evaluate
+        monkeypatch.setattr(harness, "evaluate",
+                            lambda *args, **kwargs: scored.append(1) or evaluate(*args, **kwargs))
+        capsys.readouterr()
+        assert self.run("eval", "-c", str(cfg_path)) == 2
+        assert f"{last}: non-finite parameter value" in capsys.readouterr().err
+        assert scored == [] and not (out / "report.csv").exists()
+
     def test_stats_with_a_missing_unit_checkpoint_probes_no_unit(self, tmp_path, capsys,
                                                                  monkeypatch):
         cfg_path, out, last = self.trained_without_the_last_checkpoint(tmp_path)
@@ -958,6 +976,47 @@ class TestCheckpointConfig:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "unreadable artifact" in err
             assert f"trained with vocab_size = 20000, the config gives {vocab_size}" in err
+
+    def trained_with_payload(self, tmp_path, kind, edit):
+        """Train ``kind``, then rewrite its checkpoint's payload as ``edit``
+        leaves the parameter vector; returns the config and checkpoint paths."""
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", f"kind = {kind}"))
+        for command in ("gen", "cluster", "train"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        path = out / "checkpoint_single.ckpt"
+        header, payload = path.read_bytes().split(b"\n", 1)
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        edit(values)
+        path.write_bytes(header + b"\n" + values.tobytes())
+        return cfg_path, path
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda values: values.fill(np.nan), id="nan-everywhere"),
+        pytest.param(lambda values: values.__setitem__(7, np.inf), id="one-inf"),
+    ])
+    def test_non_finite_checkpoint_exits_2(self, tmp_path, capsys, edit):
+        cfg_path, path = self.trained_with_payload(tmp_path, "TransRE", edit)
+        capsys.readouterr()
+        for command, written in (("eval", "report.csv"), ("stats", "layer_stats.csv")):
+            assert main([command, "-c", str(cfg_path)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "unreadable artifact" in err
+            assert f"{path}: non-finite parameter value" in err
+            assert not (path.parent / written).exists()
+
+    def test_overflowing_checkpoint_exits_3(self, tmp_path, capsys):
+        # finite parameters whose forecasts and layer statistics overflow
+        cfg_path, path = self.trained_with_payload(
+            tmp_path, "TransFV", lambda values: values.fill(1e300))
+        capsys.readouterr()
+        for command, written, what in (("eval", "report.csv", "forecast"),
+                                       ("stats", "layer_stats.csv", "layer statistic")):
+            assert main([command, "-c", str(cfg_path)]) == 3, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("otcforecast: numeric failure:")
+            assert f"non-finite {what}" in err
+            assert not (path.parent / written).exists()
 
     def rewrite_as_old_format(self, tmp_path, header_of):
         """Train, then replace the checkpoint's manifest line with

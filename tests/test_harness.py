@@ -121,6 +121,14 @@ class TestEvaluate:
         rep = evaluate(model, samples, 0.5)
         assert rep.recall == 0.0 and rep.f1 == 0.0
 
+    def test_overflowing_forecast_raises(self):
+        # finite parameters whose forecasts overflow to NaN, which would
+        # otherwise count as negatives
+        model = build_model(toy_config("TransFV"))
+        model.params.flat[:] = 1e300
+        with pytest.raises(NumericError, match="non-finite forecast from the TransFV model"):
+            evaluate(model, random_samples(3, seed=3), 0.5)
+
     def test_formula_case(self):
         # one sample, one output day: tp=2, fp=1, fn=1
         target = np.array([[1, 1, 1, 0, 0, 0, 0, 0]], dtype=np.uint8)
@@ -358,6 +366,26 @@ class TestLayerStats:
 
         stats = layer_signal_stats(ConstModel(), random_samples(1, seed=16))
         assert stats["enc0"] == (4.5, 0.0)
+
+    def test_overflowing_forward_raises(self):
+        model = build_model(toy_config("TransFV"))
+        model.params.flat[:] = 1e300
+        with pytest.raises(NumericError, match="non-finite layer statistic of the TransFV"):
+            layer_signal_stats(model, random_samples(3, seed=18))
+
+    def test_overflowing_variance_raises(self):
+        class HugeModel:
+            class _Config:
+                kind = "TransRE"
+
+            config = _Config()
+
+            def forward(self, input_days, teacher=None, trace=None):
+                trace.append(("enc0", np.array([-1e300, 1e300])))  # finite, variance is not
+                return None
+
+        with pytest.raises(NumericError, match="non-finite layer statistic"):
+            layer_signal_stats(HugeModel(), random_samples(1, seed=19))
 
     def test_non_transformer_rejected(self):
         with pytest.raises(ContractError):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +20,12 @@ from otcforecast.errors import ArtifactError, ConfigurationError, ContractError,
 from otcforecast.models import (
     MODEL_KINDS,
     TRANSFORMER_KINDS,
+    MANIFEST_LIMIT,
     ModelConfig,
     Parameters,
     _Builder,
     build_model,
+    check_checkpoint,
     cte_encode,
     load_checkpoint,
     positional_encoding,
@@ -415,7 +418,16 @@ class TestResidualSchemes:
         for c in (0.37, -1.2, 2.0):
             vec = residual("TransPPRZ", x, fx, gate=c)
             scal = residual("TransRE", x, fx, gate=c)
-            np.testing.assert_allclose(vec.values, scal.values, atol=1e-12)
+            assert np.array_equal(vec.values, scal.values)
+
+    @pytest.mark.parametrize("kind, shape", [("TransRE", ()), ("TransPPRZ", (4,))])
+    def test_both_gates_run_one_op(self, kind, shape):
+        x, fx = Tensor(np.ones((3, 4)), requires_grad=True), Tensor(np.ones((3, 4)))
+        ad.reset_tape()
+        residual(kind, x, fx)
+        model = build_model(toy_config(kind))
+        assert model.params["encoder.l0.gate"].shape == shape
+        assert [entry.name for entry in ad._TAPE] == ["residual_gate"]
 
     def test_pointwise_arithmetic_example(self):
         x = Tensor(np.array([[1.0, 2.0]]))
@@ -543,7 +555,7 @@ class TestTransformer:
             teacher = random_day_matrix(2, 8, 200 + trial)
             a = pprz.forward(x, teacher=teacher).values
             b = twin.forward(x, teacher=teacher).values
-            assert np.abs(a - b).max() < 1e-12
+            assert np.array_equal(a, b)
             np.testing.assert_array_equal(pprz.predict(x), twin.predict(x))
 
     def test_no_key_bias_and_30_tape_entries_at_c7_size(self):
@@ -688,6 +700,30 @@ class TestCheckpoints:
             load_checkpoint(path, model.config)
 
 
+    def test_manifest_read_is_bounded(self, tmp_path):
+        path = tmp_path / "fc.ckpt"
+        path.write_bytes(b"x" * (16 << 20))  # 16 MiB and no newline
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArtifactError, match="truncated manifest line"):
+                check_checkpoint(path, toy_config("FCSum"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_manifest_line_longer_than_the_limit_rejected(self, tmp_path):
+        path = tmp_path / "fc.ckpt"
+        model = self.trained("FCSum")
+        save_checkpoint(path, model)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        # JSON allows trailing spaces; the limit counts the newline
+        path.write_bytes(header.ljust(MANIFEST_LIMIT - 1) + b"\n" + payload)
+        assert check_checkpoint(path, model.config).tobytes() == model.params.flat.tobytes()
+        path.write_bytes(header.ljust(MANIFEST_LIMIT) + b"\n" + payload)
+        with pytest.raises(ArtifactError, match="truncated manifest line"):
+            check_checkpoint(path, model.config)
+
 # a function-scoped tmp_path is safe here: every example rewrites the same file
 CHECKPOINT_PROPERTY = settings(max_examples=24, deadline=None,
                                suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -695,12 +731,14 @@ CHECKPOINT_PROPERTY = settings(max_examples=24, deadline=None,
 
 @st.composite
 def checkpointed_models(draw):
-    """A toy model of a drawn kind whose flat vector is arbitrary f64 bit patterns."""
+    """A toy model of a drawn kind whose flat vector is arbitrary finite f64
+    bit patterns: a NaN or infinite pattern has its top exponent bit cleared."""
     model = build_model(toy_config(draw(st.sampled_from(MODEL_KINDS)),
                                    n_layers=draw(st.integers(1, 2))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="bits seed"))
-    model.params.flat[:] = rng.integers(0, 2**64, size=model.params.flat.size,
-                                        dtype=np.uint64).view(np.float64)
+    bits = rng.integers(0, 2**64, size=model.params.flat.size, dtype=np.uint64)
+    bits[(bits >> np.uint64(52)) & np.uint64(0x7FF) == 0x7FF] ^= np.uint64(1 << 62)
+    model.params.flat[:] = bits.view(np.float64)
     return model
 
 
@@ -722,6 +760,21 @@ class TestCheckpointProperties:
         blob = path.read_bytes()
         path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="offset")])
         with pytest.raises(ArtifactError, match="truncated"):
+            load_checkpoint(path, model.config)
+
+    @CHECKPOINT_PROPERTY
+    @given(checkpointed_models(), st.data())
+    def test_a_non_finite_value_anywhere_rejected(self, tmp_path, model, data):
+        flat = model.params.flat
+        index = data.draw(st.integers(0, flat.size - 1), label="index")
+        # any NaN payload and sign, or either infinity
+        mantissa = data.draw(st.integers(0, 2**52 - 1), label="mantissa")
+        sign = data.draw(st.integers(0, 1), label="sign")
+        flat.view(np.uint64)[index] = (sign << 63) | (0x7FF << 52) | mantissa
+        assert not np.isfinite(flat[index])
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        with pytest.raises(ArtifactError, match="non-finite parameter value"):
             load_checkpoint(path, model.config)
 
 
