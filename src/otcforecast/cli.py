@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import market
 from .clustering import (
+    TIER_NAMES,
     TIERS,
     compute_dealer_features,
     kmeans_cluster,
@@ -44,7 +45,7 @@ from .harness import (
 from .models import MODEL_KINDS, TRANSFORMER_KINDS, check_checkpoint, load_checkpoint, save_checkpoint
 from .seeding import derive_seed
 
-CLUSTER_COLUMNS = ("least", "less", "more", "most")
+CLUSTER_COLUMNS = TIER_NAMES  # compare_f1.csv's tier columns, in label order
 
 RECORDS_FILE = "records.csv"
 VOCAB_FILE = "vocab.csv"
@@ -105,7 +106,7 @@ def cmd_cluster(cfg: RunConfig, out: Path) -> None:
     histories, days, _ = market.load_histories(path)
     boundary = market.split_boundary(days, cfg.train_fraction)
     features = compute_dealer_features(histories, boundary)
-    assignment = kmeans_cluster(features, k=TIERS, seed=derive_seed(cfg.seed, "cluster"))
+    assignment = kmeans_cluster(features, seed=derive_seed(cfg.seed, "cluster"))
     assignment = order_clusters(assignment, features)
     save_assignment(out / CLUSTERS_FILE, assignment, _sha256(path))
     empty = [str(tier) for tier in range(TIERS) if tier not in assignment.labels.values()]
@@ -200,7 +201,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> None:
                            cfg.eval_mode, labels)
         all_rows.extend(rows)
         f1 = {row.cluster: repr(row.f1) for row in rows}
-        tiers = (f1.get(str(label), "") for label in range(len(CLUSTER_COLUMNS)))
+        tiers = (f1.get(str(label), "") for label in range(TIERS))
         grid.append((config.kind, *tiers, f1["all"]))
     market.write_rows(out / COMPARE_FILE, grid)
     write_reports(out / COMPARE_REPORT_FILE, all_rows)

@@ -1,4 +1,4 @@
-"""Activity features per dealer and their partition into four ordered tiers.
+"""Activity features per dealer and their partition into ordered activity tiers.
 
 Features are computed strictly from the training interval (days before the
 split boundary).  Clustering is k-means with k-means++ seeding on
@@ -20,30 +20,13 @@ from .errors import ArtifactError, ContractError
 from .market import DealerHistory, write_rows
 from .seeding import rng_for
 
-TIERS = 4  # activity tiers: the k the CLI clusters with, so clusters.csv labels are 0-3
+# the activity features of a dealer's vector, in vector order
+FEATURES = ("total_trades", "distinct_bonds", "active_day_fraction", "buy_ratio",
+            "mean_trades_per_active_day")
+# the activity tiers, least active first: clusters.csv labels are their indices
+TIER_NAMES = ("least", "less", "more", "most")
+TIERS = len(TIER_NAMES)
 MAX_ITER = 100  # Lloyd iterations at most
-
-
-@dataclass(frozen=True)
-class DealerFeatures:
-    dealer_id: str
-    total_trades: int
-    distinct_bonds: int
-    active_day_fraction: float
-    buy_ratio: float
-    mean_trades_per_active_day: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.total_trades,
-                self.distinct_bonds,
-                self.active_day_fraction,
-                self.buy_ratio,
-                self.mean_trades_per_active_day,
-            ],
-            dtype=np.float64,
-        )
 
 
 @dataclass
@@ -54,11 +37,13 @@ class ClusterAssignment:
 
 def compute_dealer_features(
     histories: list[DealerHistory], boundary: int
-) -> dict[str, DealerFeatures]:
-    """Per-dealer activity features over day indices [0, boundary)."""
+) -> dict[str, np.ndarray]:
+    """Per-dealer activity features over day indices [0, boundary): one
+    float64 vector per dealer, in :data:`FEATURES` order, all zero for a
+    dealer without a trade there."""
     if boundary < 0:
         raise ContractError(f"boundary {boundary} must be nonnegative")
-    out: dict[str, DealerFeatures] = {}
+    out: dict[str, np.ndarray] = {}
     for h in histories:
         if boundary > h.day_vectors.shape[0]:
             raise ContractError(
@@ -68,20 +53,15 @@ def compute_dealer_features(
         v = window.shape[1] // 2
         total = int(window.sum())
         if total == 0:
-            out[h.dealer_id] = DealerFeatures(h.dealer_id, 0, 0, 0.0, 0.0, 0.0)
+            out[h.dealer_id] = np.zeros(len(FEATURES))
             continue
         buys = int(window[:, :v].sum())
         bond_hit = window[:, :v] | window[:, v:]
         distinct = int((bond_hit.any(axis=0)).sum())
         active_days = int((window.any(axis=1)).sum())
-        out[h.dealer_id] = DealerFeatures(
-            dealer_id=h.dealer_id,
-            total_trades=total,
-            distinct_bonds=distinct,
-            active_day_fraction=active_days / boundary,
-            buy_ratio=buys / total,
-            mean_trades_per_active_day=total / active_days,
-        )
+        out[h.dealer_id] = np.array(
+            [total, distinct, active_days / boundary, buys / total, total / active_days],
+            dtype=np.float64)
     return out
 
 
@@ -111,8 +91,8 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 
 def kmeans_cluster(
-    features: dict[str, DealerFeatures],
-    k: int = 4,
+    features: dict[str, np.ndarray],
+    k: int = TIERS,
     seed: int = 0,
 ) -> ClusterAssignment:
     """Lloyd iterations from a k-means++ seeding, deterministic under seed.
@@ -131,7 +111,7 @@ def kmeans_cluster(
         raise ContractError("kmeans_cluster needs at least one dealer")
     if n < k:
         return ClusterAssignment({d: i for i, d in enumerate(dealer_ids)})
-    z = _z_normalize(np.stack([features[d].as_vector() for d in dealer_ids]))
+    z = _z_normalize(np.stack(list(features.values())))
 
     rng = rng_for(seed, "kmeans")
     centroids = _kmeanspp_init(z, k, rng)
@@ -169,7 +149,7 @@ def kmeans_cluster(
 
 
 def order_clusters(
-    assignment: ClusterAssignment, features: dict[str, DealerFeatures]
+    assignment: ClusterAssignment, features: dict[str, np.ndarray]
 ) -> ClusterAssignment:
     """Renumber the populated labels 0, 1, ... so mean total_trades is
     nondecreasing in the label.
@@ -177,19 +157,15 @@ def order_clusters(
     Ties break by mean distinct bonds, then by the original label, so the
     ordering is stable and deterministic.
     """
-    sums: dict[int, list[float]] = {}
+    members: dict[int, list[np.ndarray]] = {}
     for dealer, label in assignment.labels.items():
-        f = features[dealer]
-        entry = sums.setdefault(label, [0.0, 0.0, 0.0])
-        entry[0] += f.total_trades
-        entry[1] += f.distinct_bonds
-        entry[2] += 1.0
+        members.setdefault(label, []).append(features[dealer][:2])  # total_trades, distinct_bonds
 
     def sort_key(label: int):
-        total, distinct, count = sums[label]
-        return (total / count, distinct / count, label)
+        total, distinct = np.mean(members[label], axis=0)
+        return (total, distinct, label)
 
-    relabel = {old: new for new, old in enumerate(sorted(sums, key=sort_key))}
+    relabel = {old: new for new, old in enumerate(sorted(members, key=sort_key))}
     return replace(assignment, labels={d: relabel[c] for d, c in assignment.labels.items()})
 
 

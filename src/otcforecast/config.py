@@ -95,7 +95,8 @@ class RunConfig:
                                     ("an integer >= 1 or empty", lambda v: v is None or v >= 1))
     seed: int = _setting("run", 0, ("an integer", None))
     granularity: str = _setting("run", "single", _one_of(GRANULARITIES))
-    output_dir: str = _setting("run", "runs/default", ("a path", None))
+    output_dir: str = _setting("run", "runs/default",
+                               ("a path without a NUL character", lambda v: "\0" not in v))
     eval_mode: str = _setting("run", "per_day", _one_of(EVAL_MODES))
     probe_samples: int = _setting("run", 64, _AT_LEAST_1)
 

@@ -9,6 +9,57 @@ import otcforecast.autodiff as ad
 from otcforecast.autodiff import Tensor
 
 
+# a market, model and run small enough for a whole CLI pipeline in a second;
+# format it with the output directory as ``out``
+TINY_CONFIG = """\
+[market]
+days = 30
+bonds = 6
+periodic_dealers = 3
+sparse_dealers = 2
+dense_dealers = 1
+periodic_min_period = 2
+periodic_max_period = 4
+periodic_min_bonds = 1
+periodic_max_bonds = 3
+dense_rate = 2.0
+dense_min_bonds = 3
+dense_max_bonds = 6
+cancellation_rate = 0.05
+
+[filters]
+top_dealers = 6
+top_bonds = 6
+
+[window]
+t_in = 3
+t_out = 2
+stride = 2
+
+[split]
+train_fraction = 0.8
+
+[model]
+kind = TransPPRZ
+d_model = 8
+heads = 2
+n_layers = 1
+d_ff = 8
+hidden = 8
+
+[train]
+epochs = 1
+batch_size = 8
+learning_rate = 0.005
+
+[run]
+seed = 3
+granularity = single
+output_dir = {out}
+probe_samples = 8
+"""
+
+
 def sum_all(a: ad.Tensor) -> ad.Tensor:
     """The sum of every element, as a scalar tensor that backward can start from."""
     return ad._record(

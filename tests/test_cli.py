@@ -28,53 +28,7 @@ from otcforecast.market import MarketSpec
 from otcforecast.models import MODEL_KINDS, ModelConfig, load_checkpoint
 from otcforecast.seeding import derive_seed
 
-TINY_CONFIG = """\
-[market]
-days = 30
-bonds = 6
-periodic_dealers = 3
-sparse_dealers = 2
-dense_dealers = 1
-periodic_min_period = 2
-periodic_max_period = 4
-periodic_min_bonds = 1
-periodic_max_bonds = 3
-dense_rate = 2.0
-dense_min_bonds = 3
-dense_max_bonds = 6
-cancellation_rate = 0.05
-
-[filters]
-top_dealers = 6
-top_bonds = 6
-
-[window]
-t_in = 3
-t_out = 2
-stride = 2
-
-[split]
-train_fraction = 0.8
-
-[model]
-kind = TransPPRZ
-d_model = 8
-heads = 2
-n_layers = 1
-d_ff = 8
-hidden = 8
-
-[train]
-epochs = 1
-batch_size = 8
-learning_rate = 0.005
-
-[run]
-seed = 3
-granularity = single
-output_dir = {out}
-probe_samples = 8
-"""
+from helpers import TINY_CONFIG
 
 
 def ascii_locale_runner():
@@ -114,8 +68,7 @@ def write_config(tmp_path, text=None, **format_args):
     return path, out
 
 
-# a non-default valid and an invalid raw value per RunConfig field; a path
-# has no invalid value
+# a non-default valid and an invalid raw value per RunConfig field
 SETTING_VALUES = {
     "days": ("30", "0"),
     "bonds": ("7", "-1"),
@@ -152,7 +105,7 @@ SETTING_VALUES = {
     "patience": ("3", "0"),
     "seed": ("-7", "1.5"),
     "granularity": ("cluster", "global"),
-    "output_dir": ("runs/other", None),
+    "output_dir": ("runs/other", "out\0x"),
     "eval_mode": ("union", "max"),
     "probe_samples": ("8", "0"),
 }
@@ -278,11 +231,10 @@ class TestParseConfig:
         assert getattr(cfg, key.name) != key.default
         write_resolved(cfg, tmp_path / "resolved.ini")
         assert parse_config(tmp_path / "resolved.ini") == cfg
-        if invalid is not None:
-            path.write_text(f"[{section}]\n{key.name} = {invalid}\n")
-            with pytest.raises(ConfigurationError) as err:
-                parse_config(path)
-            assert str(err.value) == f"[{section}] {key.name} must be {constraint}, got {invalid!r}"
+        path.write_text(f"[{section}]\n{key.name} = {invalid}\n")
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        assert str(err.value) == f"[{section}] {key.name} must be {constraint}, got {invalid!r}"
 
     def test_readme_configuration_block_is_the_defaults(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -439,6 +391,14 @@ class TestPipeline:
         assert self.run("gen", "-c", str(cfg_path)) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(out) in err
+
+    def test_output_dir_with_a_nul_exits_1_before_writing(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, out="out\0x")
+        assert self.run("gen", "-c", str(cfg_path)) == 1
+        err = capsys.readouterr().err
+        assert err == ("otcforecast: config error: [run] output_dir must be a path without "
+                       "a NUL character, got 'out\\x00x'\n")
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_histories_that_is_a_directory_exits_2(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from otcforecast.clustering import (
+    FEATURES,
     ClusterAssignment,
-    DealerFeatures,
     compute_dealer_features,
     kmeans_cluster,
     load_assignment,
@@ -20,12 +23,55 @@ def history_from_bits(dealer_id, bits):
     return DealerHistory(dealer_id, np.asarray(bits, dtype=np.uint8))
 
 
+def named(vector):
+    """A feature vector as {feature name: value}."""
+    return dict(zip(FEATURES, vector.tolist(), strict=True))
+
+
+def recount(bits, boundary):
+    """The features of one bitmap, recounted cell by cell over days [0, boundary)."""
+    v = bits.shape[1] // 2
+    cells = [(day, col) for day in range(boundary) for col in range(2 * v) if bits[day, col]]
+    trades = len(cells)
+    if trades == 0:
+        return dict.fromkeys(FEATURES, 0.0)
+    active_days = len({day for day, _ in cells})
+    return {
+        "total_trades": trades,
+        "distinct_bonds": len({col % v for _, col in cells}),
+        "active_day_fraction": active_days / boundary,
+        "buy_ratio": sum(col < v for _, col in cells) / trades,
+        "mean_trades_per_active_day": trades / active_days,
+    }
+
+
+@st.composite
+def bitmaps_and_boundary(draw):
+    """(bitmaps of one calendar, the last all zero, and a boundary within it)."""
+    days, vocab_size = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    bitmap = arrays(np.uint8, (days, 2 * vocab_size), elements=st.integers(0, 1))
+    bitmaps = draw(st.lists(bitmap, min_size=1, max_size=4))
+    return [*bitmaps, np.zeros((days, 2 * vocab_size), np.uint8)], draw(st.integers(0, days))
+
+
 class TestDealerFeatures:
+    @settings(max_examples=60, deadline=None)
+    @given(bitmaps_and_boundary())
+    def test_features_equal_a_cell_recount(self, drawn):
+        bitmaps, boundary = drawn
+        histories = [history_from_bits(f"D{i}", bits) for i, bits in enumerate(bitmaps)]
+        for b in sorted({0, boundary}):
+            feats = compute_dealer_features(histories, b)
+            assert list(feats) == [h.dealer_id for h in histories]
+            for h in histories:
+                vector = feats[h.dealer_id]
+                assert vector.dtype == np.float64 and vector.shape == (len(FEATURES),)
+                assert named(vector) == recount(h.day_vectors, b)
+
     def test_all_zero_history_flagged(self):
         hist = history_from_bits("D1", np.zeros((10, 6)))
         feats = compute_dealer_features([hist], 10)
-        f = feats["D1"]
-        assert f.as_vector().tolist() == [0, 0, 0, 0, 0]
+        assert feats["D1"].tolist() == [0.0] * len(FEATURES)
 
     def test_hand_count(self):
         # two bonds bought once each on one day of a 10-day interval
@@ -33,42 +79,38 @@ class TestDealerFeatures:
         mat[4, 0] = 1
         mat[4, 2] = 1
         feats = compute_dealer_features([history_from_bits("D1", mat)], 10)
-        f = feats["D1"]
-        assert f.total_trades == 2
-        assert f.distinct_bonds == 2
-        assert f.active_day_fraction == pytest.approx(0.1)
-        assert f.mean_trades_per_active_day == pytest.approx(2.0)
+        f = named(feats["D1"])
+        assert f["total_trades"] == 2
+        assert f["distinct_bonds"] == 2
+        assert f["active_day_fraction"] == pytest.approx(0.1)
+        assert f["mean_trades_per_active_day"] == pytest.approx(2.0)
 
     def test_buys_only_ratio_one(self):
         mat = np.zeros((5, 4), dtype=np.uint8)
         mat[0, 0] = 1
         mat[3, 1] = 1
-        f = compute_dealer_features([history_from_bits("D1", mat)], 5)["D1"]
-        assert f.buy_ratio == 1.0
+        f = named(compute_dealer_features([history_from_bits("D1", mat)], 5)["D1"])
+        assert f["buy_ratio"] == 1.0
 
     def test_features_ignore_days_past_boundary(self):
         mat = np.zeros((10, 4), dtype=np.uint8)
         mat[8, 0] = 1  # after the boundary
-        f = compute_dealer_features([history_from_bits("D1", mat)], 5)["D1"]
-        assert f.total_trades == 0
+        f = named(compute_dealer_features([history_from_bits("D1", mat)], 5)["D1"])
+        assert f["total_trades"] == 0
 
     def test_same_bond_buy_and_sell_counts_once_distinct(self):
         mat = np.zeros((4, 4), dtype=np.uint8)
         mat[0, 0] = 1
         mat[1, 2] = 1  # sell of bond 0
-        f = compute_dealer_features([history_from_bits("D1", mat)], 4)["D1"]
-        assert f.distinct_bonds == 1
-        assert f.total_trades == 2
+        f = named(compute_dealer_features([history_from_bits("D1", mat)], 4)["D1"])
+        assert f["distinct_bonds"] == 1
+        assert f["total_trades"] == 2
 
 
 def synthetic_features(vectors):
-    feats = {}
-    for i, vec in enumerate(vectors):
-        total, distinct, adf, ratio, mean = vec
-        feats[f"D{i:03d}"] = DealerFeatures(
-            f"D{i:03d}", int(total), int(distinct), float(adf), float(ratio), float(mean)
-        )
-    return feats
+    """Feature vectors of dealers D000, D001, ..., with the two counts truncated to integers."""
+    return {f"D{i:03d}": np.array([int(vec[0]), int(vec[1]), *vec[2:]], dtype=np.float64)
+            for i, vec in enumerate(vectors)}
 
 
 def two_groups(n_per_group=10, seed=0):
@@ -130,7 +172,7 @@ class TestKMeans:
     def test_two_tight_groups_match_bruteforce_optimum(self):
         feats = two_groups()
         assignment = kmeans_cluster(feats, k=2, seed=3)
-        x = z_normalize(np.stack([f.as_vector() for f in feats.values()]))
+        x = z_normalize(np.stack(list(feats.values())))
         best_membership, best_sse = brute_force_best_two_clusters(x)
         got = np.array([assignment.labels[d] for d in feats])
         same = np.array_equal(got.astype(bool), best_membership)
@@ -251,7 +293,7 @@ class TestOrderClusters:
         ordered = order_clusters(kmeans_cluster(feats, k=4, seed=13), feats)
         means = {}
         for dealer, label in ordered.labels.items():
-            means.setdefault(label, []).append(feats[dealer].total_trades)
+            means.setdefault(label, []).append(named(feats[dealer])["total_trades"])
         labels = sorted(means)
         averages = [np.mean(means[c]) for c in labels]
         assert all(b >= a for a, b in zip(averages, averages[1:]))
