@@ -220,11 +220,17 @@ def tanh(a: Tensor) -> Tensor:
     return _record("tanh", (a,), out, lambda g: (_tanh_vjp(out, g),))
 
 
+def _squash(z: Array) -> tuple[Array, Array]:
+    """:func:`squash` on arrays: tanh(z), which its vjp reads, and the output."""
+    out = np.tanh(z)
+    return out, (out + 1.0) * 0.5
+
+
 def squash(z: Tensor) -> Tensor:
     """(tanh(z) + 1) / 2, into [0, 1], as one tape entry, bit-identical to
     ``scale(add_scalar(tanh(z), 1.0), 0.5)``."""
-    out = np.tanh(z.values)
-    return _record("squash", (z,), (out + 1.0) * 0.5, lambda g: (_tanh_vjp(out, g * 0.5),))
+    out, squashed = _squash(z.values)
+    return _record("squash", (z,), squashed, lambda g: (_tanh_vjp(out, g * 0.5),))
 
 
 def _sigmoid(x: Array) -> Array:
@@ -436,19 +442,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                    lambda g: _linear_vjp(xv, wv, g, x.requires_grad))
 
 
+def _feed_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> tuple[Array, Array]:
+    """:func:`feed_forward` on arrays: the hidden rows, which its vjp reads, and the output."""
+    hidden = np.tanh(_linear(x, w1, b1))
+    return hidden, _linear(hidden, w2, b2)
+
+
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """linear(tanh(linear(x, w1, b1)), w2, b2) as one tape entry,
     bit-identical to that composite; dx is skipped for a constant x."""
     xv, w1v, w2v = x.values, w1.values, w2.values
     _check_linear("feed_forward", xv, w1v, b1.values)
-    hidden = np.tanh(_linear(xv, w1v, b1.values))
-    _check_linear("feed_forward", hidden, w2v, b2.values)
+    _check_linear("feed_forward", b1.values, w2v, b2.values)  # b1 has the hidden width
+    hidden, out = _feed_forward(xv, w1v, b1.values, w2v, b2.values)
 
     def vjp(g):
         dh, dw2, db2 = _linear_vjp(hidden, w2v, g, True)
         return (*_linear_vjp(xv, w1v, _tanh_vjp(hidden, dh), x.requires_grad), dw2, db2)
 
-    return _record("feed_forward", (x, w1, b1, w2, b2), _linear(hidden, w2v, b2.values), vjp)
+    return _record("feed_forward", (x, w1, b1, w2, b2), out, vjp)
+
+
+def _project_pair(a: Array, wa: Array, b: Array, wb: Array) -> Array:
+    return _project(a, wa) + _project(b, wb)
 
 
 def project_pair(a, wa: Tensor, b, wb: Tensor) -> Tensor:
@@ -462,7 +478,7 @@ def project_pair(a, wa: Tensor, b, wb: Tensor) -> Tensor:
             or wav.shape[1] != wbv.shape[1]):
         raise ShapeMismatchError(
             f"project_pair: a {av.shape} @ {wa.shape} and b {bv.shape} @ {wb.shape} do not fit")
-    return _record("project_pair", (wa, wb), _project(av, wav) + _project(bv, wbv),
+    return _record("project_pair", (wa, wb), _project_pair(av, wav, bv, wbv),
                    lambda g: (_project_vjp(av, wav, g, False)[1],
                               _project_vjp(bv, wbv, g, False)[1]))
 
@@ -515,6 +531,10 @@ def residual_norm(x: Tensor, fx: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _record("residual_norm", (x, fx, gamma, beta), out, residual_vjp)
 
 
+def _gate(x: Array, fx: Array, gate: Array) -> Array:
+    return x + fx * gate
+
+
 def residual_gate(x: Tensor, fx: Tensor, gate: Tensor) -> Tensor:
     """A trainable gate of shape () or (d,), one value or one per channel:
     ``add(x, scale_by(fx, gate))`` or ``add(x, mul_rowvec(fx, gate))``."""
@@ -522,15 +542,13 @@ def residual_gate(x: Tensor, fx: Tensor, gate: Tensor) -> Tensor:
     fv, gv = fx.values, gate.values
     if gv.shape not in ((), fv.shape[-1:]):
         raise ShapeMismatchError(f"residual_gate: gate {gate.shape} for rows {fx.shape}")
-    return _record("residual_gate", (x, fx, gate), x.values + fv * gv,
+    return _record("residual_gate", (x, fx, gate), _gate(x.values, fv, gv),
                    lambda g: (g, *_gate_vjp(fv, gv, g)))
 
 
-def _split_heads(x: Array, w: Array, b: Array | None, heads: int, keys: bool = False) -> Array:
-    """Project (..., T, d) rows by w (plus b) and split them into heads,
-    contiguous: (..., H, T, d_k), or (..., H, d_k, T) for keys."""
-    p = _project(x, w)
-    p = p if b is None else p + b
+def _split_heads(p: Array, heads: int, keys: bool = False) -> Array:
+    """Split (..., T, d) projected rows into heads, contiguous:
+    (..., H, T, d_k), or (..., H, d_k, T) for keys."""
     *lead, t, d = p.shape
     n = len(lead)
     order = (*range(n), n + 1, n + 2, n) if keys else (*range(n), n + 1, n, n + 2)
@@ -572,8 +590,8 @@ def multi_head_attention(
     ``causal`` the queries are the last T_q of T_k positions, and each
     attends to keys at or before its own.  Keys have no bias: it would add q·bk to every score
     of a query, a constant that the softmax over that query's row ignores.
-    The forward is :func:`_split_heads` and :func:`_attend`, which
-    inference also calls on keys and values it has projected once.
+    The forward is :func:`_linear`, :func:`_split_heads` and
+    :func:`_attend`, which inference also calls on arrays.
 
     The backward is written by hand from the head-split Q'/K'/V' and the
     softmax probabilities kept from the forward.  It runs every product,
@@ -592,9 +610,9 @@ def multi_head_attention(
     # (..., T, H, d_k) <-> (..., H, T, d_k), its own inverse
     rows = (*range(n), n + 1, n, n + 2)
     c = 1.0 / math.sqrt(d_k)
-    qh = _split_heads(q.values, wq.values, bq.values, heads)
-    kh = _split_heads(k.values, wk.values, None, heads, keys=True)
-    vh = _split_heads(v.values, wv.values, bv.values, heads)
+    qh = _split_heads(_linear(q.values, wq.values, bq.values), heads)
+    kh = _split_heads(_project(k.values, wk.values), heads, keys=True)
+    vh = _split_heads(_linear(v.values, wv.values, bv.values), heads)
     probs, merged = _attend(qh, kh, vh, causal)
 
     def unsplit(x, w, b, dh):

@@ -15,6 +15,12 @@ through (tanh + 1) / 2).  The leading axes are a batch: one forward pass
 serves a whole mini-batch, and a single (T_in, 2V) window is the case with
 no leading axis.  The FC and recurrent baselines predict a single day
 vector that is tiled over the output window.
+
+Transformer training records one tape entry per sublayer op.  Its
+inference runs the same rules on plain arrays, through the ops' forward
+helpers: the weights are looked up once per ``predict`` call, and each
+self-attention block's q, k and v weights are fused into one (d, 3d)
+matrix, so that a decode step makes one product for its newest row.
 """
 
 from __future__ import annotations
@@ -163,11 +169,15 @@ def cte_encode(days: np.ndarray, bond_table: Tensor, action_table: Tensor) -> Te
     bonds + [n_buy, n_sell] @ actions, on any leading shape; an empty day
     embeds to zero.
     """
-    v = bond_table.shape[0]
+    traded, counts = _cte_inputs(days, bond_table.shape[0])
+    return ad.project_pair(traded, bond_table, counts, action_table)
+
+
+def _cte_inputs(days, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., V) traded bonds and (..., 2) buy and sell counts of (..., 2V) days."""
     days = np.asarray(days, dtype=np.float64)
     buys, sells = days[..., :v], days[..., v:]
-    counts = np.stack([buys.sum(axis=-1), sells.sum(axis=-1)], axis=-1)
-    return ad.project_pair(buys + sells, bond_table, counts, action_table)
+    return buys + sells, np.stack([buys.sum(axis=-1), sells.sum(axis=-1)], axis=-1)
 
 
 def _windows(days, rows: int, vocab_size: int, what: str = "input") -> np.ndarray:
@@ -314,10 +324,9 @@ class TransformerModel:
             return ad.linear(Tensor(data), p["embed.w"], p["embed.b"])
         return cte_encode(days, p["cte.bonds"], p["cte.actions"])
 
-    def _add_positions(self, x: Tensor, start: int = 0) -> Tensor:
-        """Add the sinusoidal encodings of positions start, start + 1, ...
-        along axis -2 to every window of x."""
-        pe = positional_encoding(start + x.shape[-2], self.config.d_model)[start:]
+    def _add_positions(self, x: Tensor) -> Tensor:
+        """Add the sinusoidal encoding of each position along axis -2 to every window of x."""
+        pe = positional_encoding(x.shape[-2], self.config.d_model)
         return ad.add(x, Tensor(np.broadcast_to(pe, x.shape)))
 
     def _residual(self, x: Tensor, fx: Tensor, layer: str, sublayer: int) -> Tensor:
@@ -333,28 +342,16 @@ class TransformerModel:
                                     p[f"{layer}.norm{sublayer}.beta"])
         return ad.residual_gate(x, fx, p[f"{layer}.gate"])
 
-    def _attention(self, prefix: str, q: Tensor, kv, causal: bool) -> Tensor:
-        """Attention of the rows q over kv: a (..., T_k, d) tensor of keys
-        and values, or at inference a :meth:`_project_kv` pair of them."""
+    def _attention(self, prefix: str, q: Tensor, kv: Tensor, causal: bool) -> Tensor:
+        """Attention of the rows q over the (..., T_k, d) keys and values kv."""
         p = self.params
-        if isinstance(kv, Tensor):
-            return ad.multi_head_attention(
-                q, kv, kv,
-                wq=p[f"{prefix}.wq"], bq=p[f"{prefix}.bq"],
-                wk=p[f"{prefix}.wk"], wv=p[f"{prefix}.wv"], bv=p[f"{prefix}.bv"],
-                wo=p[f"{prefix}.wo"], bo=p[f"{prefix}.bo"],
-                heads=self.config.heads, causal=causal,
-            )
-        qh = ad._split_heads(q.values, p[f"{prefix}.wq"].values, p[f"{prefix}.bq"].values,
-                             self.config.heads)
-        merged = ad._attend(qh, *kv, causal)[1]
-        return Tensor(ad._linear(merged, p[f"{prefix}.wo"].values, p[f"{prefix}.bo"].values))
-
-    def _project_kv(self, prefix: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The keys and values of (..., T, d) rows x, projected and head-split."""
-        p, heads = self.params, self.config.heads
-        return (ad._split_heads(x, p[f"{prefix}.wk"].values, None, heads, keys=True),
-                ad._split_heads(x, p[f"{prefix}.wv"].values, p[f"{prefix}.bv"].values, heads))
+        return ad.multi_head_attention(
+            q, kv, kv,
+            wq=p[f"{prefix}.wq"], bq=p[f"{prefix}.bq"],
+            wk=p[f"{prefix}.wk"], wv=p[f"{prefix}.wv"], bv=p[f"{prefix}.bv"],
+            wo=p[f"{prefix}.wo"], bo=p[f"{prefix}.bo"],
+            heads=self.config.heads, causal=causal,
+        )
 
     def _feed_forward(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params
@@ -372,29 +369,14 @@ class TransformerModel:
                 trace.append((f"enc{i}", x.values.copy()))
         return x
 
-    def _decode(self, decoder_input: Tensor, memory: Tensor, cache: list | None = None,
-                trace: list | None = None) -> Tensor:
-        """Decode against the encoder memory.
-
-        At inference ``cache`` holds, per layer, the projected keys and
-        values of the positions decoded so far and of the memory (see
-        :meth:`predict`), and ``decoder_input`` only the newest positions:
-        each layer appends their keys and values to its self-attention
-        pair and reads the memory's from the cache, not from ``memory``.
-        """
+    def _decode(self, decoder_input: Tensor, memory: Tensor, trace: list | None = None) -> Tensor:
+        """Decode every position of ``decoder_input`` against the encoder memory."""
         cfg = self.config
         y = decoder_input
         for i in range(cfg.n_layers):
             layer = f"decoder.l{i}"
-            keys, memory_kv = y, memory
-            if cache is not None:
-                (old_k, old_v), memory_kv = cache[i]
-                new_k, new_v = self._project_kv(f"{layer}.self", y.values)
-                keys = (np.concatenate([old_k, new_k], axis=-1),
-                        np.concatenate([old_v, new_v], axis=-2))
-                cache[i] = keys, memory_kv
-            y = self._residual(y, self._attention(f"{layer}.self", y, keys, causal=True), layer, 1)
-            y = self._residual(y, self._attention(f"{layer}.cross", y, memory_kv, causal=False),
+            y = self._residual(y, self._attention(f"{layer}.self", y, y, causal=True), layer, 1)
+            y = self._residual(y, self._attention(f"{layer}.cross", y, memory, causal=False),
                                layer, 2)
             y = self._residual(y, self._feed_forward(f"{layer}.ff", y), layer, 3)
             if trace is not None:
@@ -437,34 +419,97 @@ class TransformerModel:
         decoder_input = self._decoder_input(teacher[..., :-1, :])
         return self._head(self._decode(decoder_input, memory, trace=trace))
 
+    # ---- inference on plain arrays --------------------------------------
+
+    def _plan(self) -> tuple:
+        """:meth:`predict`'s weights, looked up once per call.  Self-attention
+        blocks are ((wq|wk|wv, bq, bv), (wo, bo)), with one fused (d, 3d)
+        weight; cross-attention blocks are ((wq, bq), (wo, bo), (wk, wv, bv))."""
+        values = {name: t.values for name, t in zip(self.params.names(), self.params.tensors())}
+
+        def weights(prefix, names):
+            return [values[f"{prefix}.{name}"] for name in names.split()]
+
+        embedding = weights(*(("embed", "w b") if self.embed_mode == "affine"
+                              else ("cte", "bonds actions")))
+
+        def embed(days):  # embed_days on arrays
+            if self.embed_mode == "affine":
+                return ad._linear(days, *embedding)
+            traded, counts = _cte_inputs(days, self.config.vocab_size)
+            return ad._project_pair(traded, embedding[0], counts, embedding[1])
+
+        def residual(layer, j):  # _residual on arrays
+            if self.residual_mode != "norm":
+                return functools.partial(ad._gate, gate=values[f"{layer}.gate"])
+            gamma, beta = weights(layer, f"norm{j}.gamma norm{j}.beta")
+            return lambda x, fx: ad._layer_norm("residual_norm", x + fx, gamma, beta)[0]
+
+        def layer(name, blocks):
+            attention = []
+            for block in blocks:
+                wq, wk, wv, bq, bv, wo, bo = weights(f"{name}.{block}", "wq wk wv bq bv wo bo")
+                attention.append(((wq, bq), (wo, bo), (wk, wv, bv)) if block == "cross" else
+                                 ((np.concatenate([wq, wk, wv], axis=1), bq, bv), (wo, bo)))
+            return (*attention, weights(f"{name}.ff", "w1 b1 w2 b2"),
+                    [residual(name, j) for j in range(1, len(blocks) + 2)])
+
+        n = range(self.config.n_layers)
+        return (embed, [layer(f"encoder.l{i}", ("attn",)) for i in n],
+                [layer(f"decoder.l{i}", ("self", "cross")) for i in n],
+                [values[name] for name in ("decoder.sos", "head.w", "head.b")])
+
     def predict(self, input_days: np.ndarray) -> np.ndarray:
         """Autoregressive inference, feeding back thresholded predictions.
 
-        All windows of a (..., T_in, 2V) stack advance in lockstep, and each
-        output day is decoded once (incremental decoding): a step embeds
-        only the day fed back by the step before, at its position.  Every
-        key and value is projected once: each decoder layer's cache holds
-        its cross-attention keys and values, projected from the memory
-        before the first step, and its self-attention keys and values, to
-        which each step appends one position's.
-        """
+        All windows of a (..., T_in, 2V) stack advance in lockstep, on plain
+        arrays through the ops' forward helpers, recording nothing.  The
+        memory's keys and values are projected once; a step decodes only the
+        newest position, whose one query row sees every cached one unmasked."""
         cfg = self.config
-        with ad.no_grad():
-            memory = self.encode(input_days)
-            lead = memory.shape[:-2]
-            y = self._decoder_input(np.zeros((*lead, 0, 2 * cfg.vocab_size)))
-            d_k = cfg.d_model // cfg.heads
-            none_yet = (np.zeros((*lead, cfg.heads, d_k, 0)), np.zeros((*lead, cfg.heads, 0, d_k)))
-            cache = [(none_yet, self._project_kv(f"decoder.l{i}.cross", memory.values))
-                     for i in range(cfg.n_layers)]
-            rows = []
-            for step in range(1, cfg.t_out + 1):
-                day = self._head(self._decode(y, memory, cache)).values[..., 0, :]
-                rows.append(day)
-                if step < cfg.t_out:
-                    fed_back = (day >= FEEDBACK_THRESHOLD).astype(np.float64)[..., None, :]
-                    y = self._add_positions(self.embed_days(fed_back), step)
+        d, heads = cfg.d_model, cfg.heads
+        embed, encoder, decoder, (sos, head_w, head_b) = self._plan()
+        x = embed(_windows(input_days, cfg.t_in, cfg.vocab_size)) + positional_encoding(cfg.t_in, d)
+        for (qkv, out), ff, (r1, r2) in encoder:
+            x = r1(x, _attend(*_fused_heads(x, *qkv, heads), *out))
+            x = r2(x, ad._feed_forward(x, *ff)[1])
+        lead = x.shape[:-2]
+        # per decoder layer: the memory's keys and values, then those decoded so far
+        caches = [[ad._split_heads(ad._project(x, wk), heads, keys=True),
+                   ad._split_heads(ad._linear(x, wv, bv), heads),
+                   np.zeros((*lead, heads, d // heads, 0)), np.zeros((*lead, heads, 0, d // heads))]
+                  for _, (_, _, (wk, wv, bv)), _, _ in decoder]
+        del x, encoder  # decoding reads neither: free them before its caches grow
+        y = np.broadcast_to(sos + positional_encoding(1, d), (*lead, 1, d))
+        rows = []
+        for step in range(1, cfg.t_out + 1):
+            for ((qkv, out), (cross_q, cross_out, _), ff, rules), cache in zip(decoder, caches):
+                qh, kh, vh = _fused_heads(y, *qkv, heads)
+                cache[2] = np.concatenate([cache[2], kh], axis=-1)
+                cache[3] = np.concatenate([cache[3], vh], axis=-2)
+                y = rules[0](y, _attend(qh, cache[2], cache[3], *out))
+                qh = ad._split_heads(ad._linear(y, *cross_q), heads)
+                y = rules[1](y, _attend(qh, cache[0], cache[1], *cross_out))
+                y = rules[2](y, ad._feed_forward(y, *ff)[1])
+            rows.append(ad._squash(ad._linear(y, head_w, head_b))[1][..., 0, :])
+            if step < cfg.t_out:
+                fed_back = (rows[-1] >= FEEDBACK_THRESHOLD).astype(np.float64)[..., None, :]
+                y = embed(fed_back) + positional_encoding(step + 1, d)[step:]
         return np.stack(rows, axis=-2)
+
+
+def _fused_heads(x: np.ndarray, wqkv: np.ndarray, bq: np.ndarray, bv: np.ndarray, heads: int):
+    """Head-split queries, keys and values of rows x from one product by wq|wk|wv."""
+    d = x.shape[-1]
+    qkv = ad._project(x, wqkv)
+    return (ad._split_heads(qkv[..., :d] + bq, heads),
+            ad._split_heads(qkv[..., d:2 * d], heads, keys=True),
+            ad._split_heads(qkv[..., 2 * d:] + bv, heads))
+
+
+def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, wo: np.ndarray, bo: np.ndarray):
+    """Unmasked attention of head-split queries, merged and output-projected."""
+    return ad._linear(ad._attend(qh, kh, vh, False)[1], wo, bo)
 
 
 def build_model(config: ModelConfig):

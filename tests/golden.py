@@ -7,8 +7,8 @@ checked to move none (``test_golden.py``).
 Pinned for each of the eight model kinds at the size of acceptance
 criterion 7 (C7 market, d_model 32), trained 2 epochs over 96 seeded
 windows: the per-epoch losses, the SHA-256 and 8 seeded projections of the
-final ``Parameters.flat``, the confusion counts of 40 forecast windows and
-8 seeded projections of their forecast probabilities.  Pinned for a
+final ``Parameters.flat``, the confusion counts of 40 forecast windows, and
+the SHA-256 and 8 seeded projections of their forecast probabilities.  Pinned for a
 ``gen -> cluster -> compare`` of ``helpers.TINY_CONFIG`` at each
 granularity: the SHA-256 of ``clusters.csv``, ``compare_f1.csv`` and
 ``compare_report.csv``.
@@ -105,6 +105,7 @@ def kind_results(kind: str, vocab_size: int, train_windows, forecast_windows) ->
         "params_sha256": _sha256(params.flat.astype("<f8").tobytes()),
         "params_projections": projections(params.flat, 1),
         "counts": [report.tp, report.fp, report.fn, report.tn],
+        "forecast_sha256": _sha256(probs.astype("<f8").tobytes()),
         "forecast_projections": projections(probs, 2),
     }
 

@@ -451,31 +451,32 @@ class TestFusedAttention:
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
     def test_helpers_on_keys_and_values_projected_once_match_the_op(self, lead):
-        # inference projects the memory once and each decoded position's
-        # keys and values once, then attends with the op's own helpers
+        # inference projects the memory's keys and values once, and each
+        # decoded row's query, key and value with one product by wq|wk|wv;
+        # a one-row query then attends unmasked with the op's own helpers
         params = {n: t.values for n, t in self.params(61).items()}
         x, memory = rand((*lead, 3, 4), 62, grad=False), rand((*lead, 5, 4), 63, grad=False)
 
-        def attend(q, kh, vh, causal):
-            qh = ad._split_heads(q, params["wq"], params["bq"], 2)
-            return ad._linear(ad._attend(qh, kh, vh, causal)[1], params["wo"], params["bo"])
-
-        def project_kv(rows):
-            return (ad._split_heads(rows, params["wk"], None, 2, keys=True),
-                    ad._split_heads(rows, params["wv"], params["bv"], 2))
+        def attend(qh, kh, vh):
+            return ad._linear(ad._attend(qh, kh, vh, False)[1], params["wo"], params["bo"])
 
         tensors = self.params(61)
         cross = ad.multi_head_attention(x, memory, memory, heads=2, **tensors).values
-        assert np.array_equal(attend(x.values, *project_kv(memory.values), False), cross)
+        qh = ad._split_heads(ad._linear(x.values, params["wq"], params["bq"]), 2)
+        kh = ad._split_heads(ad._project(memory.values, params["wk"]), 2, keys=True)
+        vh = ad._split_heads(ad._linear(memory.values, params["wv"], params["bv"]), 2)
+        assert np.array_equal(attend(qh, kh, vh), cross)
         square = ad.multi_head_attention(x, x, x, heads=2, causal=True, **tensors).values
-        kh, vh = project_kv(x.values[..., :0, :])
+        wqkv = np.concatenate([params["wq"], params["wk"], params["wv"]], axis=1)
+        keys, values = [], []
         for t in range(3):
-            row = x.values[..., t:t + 1, :]
-            new_k, new_v = project_kv(row)
-            kh, vh = np.concatenate([kh, new_k], axis=-1), np.concatenate([vh, new_v], axis=-2)
+            qkv = ad._project(x.values[..., t:t + 1, :], wqkv)
+            keys.append(ad._split_heads(qkv[..., 4:8], 2, keys=True))
+            values.append(ad._split_heads(qkv[..., 8:] + params["bv"], 2))
+            out = attend(ad._split_heads(qkv[..., :4] + params["bq"], 2),
+                         np.concatenate(keys, axis=-1), np.concatenate(values, axis=-2))
             # a one-row product may sum in another order than the matrix one
-            np.testing.assert_allclose(attend(row, kh, vh, True), square[..., t:t + 1, :],
-                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(out, square[..., t:t + 1, :], rtol=0, atol=1e-14)
 
     def test_one_call_records_one_entry(self):
         x = rand((2, 3, 4), 59)

@@ -47,8 +47,9 @@ def test_digests_match(runs):
                if fresh["environment"][key] != value]
     if differs:
         pytest.skip("SHA-256s not compared: this run has " + " and ".join(differs))
-    moved = [f"{kind} params_sha256" for kind, want in pinned["kinds"].items()
-             if fresh["kinds"][kind]["params_sha256"] != want["params_sha256"]]
+    moved = [f"{kind} {key}" for kind, want in pinned["kinds"].items()
+             for key in ("params_sha256", "forecast_sha256")
+             if fresh["kinds"][kind][key] != want[key]]
     moved += [f"{granularity} {name}" for granularity, want in pinned["compare"].items()
               for name, digest in want.items() if fresh["compare"][granularity][name] != digest]
     assert not moved, "moved: " + ", ".join(moved)

@@ -595,23 +595,41 @@ class TestTransformer:
     @pytest.mark.parametrize("n_layers, t_out", [(1, 1), (2, 4), (3, 5)])
     def test_predict_projects_each_row_once(self, monkeypatch, n_layers, t_out):
         model = build_model(toy_config("TransPPRZ", n_layers=n_layers, t_out=t_out))
-        names = {id(model.params[name].values): name for name in model.params.names()}
-        projected = {}  # weight name -> rows projected by it, per call
-        split = ad._split_heads
-        monkeypatch.setattr(ad, "_split_heads", lambda x, w, *args, **kw: projected.setdefault(
-            names[id(w)], []).append(math.prod(x.shape[:-1])) or split(x, w, *args, **kw))
+        p = model.params
+        names = {id(p[name].values): name for name in p.names()}
+        fused = {f"{layer}.wqkv": np.concatenate([p[f"{layer}.w{w}"].values for w in "qkv"], axis=1)
+                 for i in range(n_layers) for layer in (f"encoder.l{i}.attn", f"decoder.l{i}.self")}
+
+        def name_of(w):
+            return names.get(id(w)) or next(n for n, f in fused.items() if np.array_equal(w, f))
+
+        projected = {}  # weight name -> rows of each product by it
+        project = ad._project
+        monkeypatch.setattr(ad, "_project", lambda x, w: projected.setdefault(
+            name_of(w), []).append(math.prod(x.shape[:-1])) or project(x, w))
         windows, t_in = 5, 3
         model.predict(np.stack([random_day_matrix(t_in, 8, seed) for seed in range(windows)]))
-        assert len(projected) == 3 * 3 * n_layers  # q, k and v of every attention block
+        attention = {name for name in projected if re.search(r"\.w(q|k|v|qkv)$", name)}
+        assert len(attention) == 5 * n_layers
         for i in range(n_layers):
-            for w in "qkv":
-                assert projected[f"encoder.l{i}.attn.w{w}"] == [windows * t_in]
-                # each step projects the newest position of every window
-                assert projected[f"decoder.l{i}.self.w{w}"] == [windows] * t_out
-            assert projected[f"decoder.l{i}.cross.wq"] == [windows] * t_out
-            # and the memory's keys and values are projected before the first step
+            assert projected[f"encoder.l{i}.attn.wqkv"] == [windows * t_in]
+            # the memory's keys and values are projected before the first step
             for w in "kv":
                 assert projected[f"decoder.l{i}.cross.w{w}"] == [windows * t_in]
+            # then each step projects the newest position of every window once
+            assert projected[f"decoder.l{i}.self.wqkv"] == [windows] * t_out
+            assert projected[f"decoder.l{i}.cross.wq"] == [windows] * t_out
+
+    @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
+    def test_predict_builds_no_tensor_and_records_nothing(self, monkeypatch, kind):
+        model = build_model(toy_config(kind, n_layers=2))
+        assert all(t.requires_grad for t in model.params.tensors())
+        built = []
+        init = Tensor.__init__
+        monkeypatch.setattr(Tensor, "__init__", lambda t, *args, **kw: built.append(1) or init(t, *args, **kw))
+        ad.reset_tape()
+        model.predict(np.stack([random_day_matrix(3, 8, seed) for seed in range(4)]))
+        assert ad.tape_size() == 0 and not built
 
     def test_trace_collects_all_layers(self):
         model = build_model(toy_config("TransPPRZ", n_layers=2))
