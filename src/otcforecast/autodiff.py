@@ -163,7 +163,7 @@ def _linear(x: Array, w: Array, b: Array) -> Array:
 
 def _linear_vjp(x: Array, w: Array, g: Array, need_x: bool) -> tuple[Array | None, Array, Array]:
     """(dx, dw, db) of :func:`_linear`; dx is None unless ``need_x``."""
-    return (*_project_vjp(x, w, g, need_x), g.reshape(-1, w.shape[1]).sum(axis=0))
+    return (*_project_vjp(x, w, g, need_x), np.add.reduce(g.reshape(-1, w.shape[1]), axis=0))
 
 
 def _tanh_vjp(out: Array, g: Array) -> Array:
@@ -190,7 +190,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(f"matmul: leading axes differ: {a.shape} x {b.shape}")
     return _record(
         "matmul", (a, b), av @ bv,
-        lambda g: (g @ np.swapaxes(bv, -1, -2), np.swapaxes(av, -1, -2) @ g),
+        lambda g: (g @ bv.swapaxes(-1, -2), av.swapaxes(-1, -2) @ g),
     )
 
 
@@ -251,7 +251,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.values - target.values
     n = diff.size
     return _record(
-        "mse_loss", (pred, target), np.asarray((diff * diff).mean()),
+        "mse_loss", (pred, target), np.asarray(np.add.reduce(diff * diff, axis=None) / n),
         lambda g: (g.item() * 2.0 * diff / n,
                    g.item() * (-2.0) * diff / n if target.requires_grad else None),
     )
@@ -273,7 +273,7 @@ def embedding_bag(table: Tensor, indices) -> Tensor:
     if not idx:
         return Tensor(np.zeros(dim))
     idx_arr = np.asarray(idx, dtype=np.intp)
-    out = table.values[idx_arr].sum(axis=0)
+    out = np.add.reduce(table.values[idx_arr], axis=0)
 
     def vjp(g):
         dt = np.zeros_like(table.values)
@@ -291,20 +291,21 @@ def _layer_norm(op: str, x: Array, gamma: Array, beta: Array):
             f"{op}: gamma/beta must be shape ({d},), got {gamma.shape} and {beta.shape}"
         )
     xv = x.reshape(-1, d)
-    mean = xv.mean(axis=1, keepdims=True)
-    var = xv.var(axis=1, keepdims=True)
+    # np.mean's and np.var's reductions without their Python wrappers, centering once
+    centered = xv - np.add.reduce(xv, axis=1, keepdims=True) / d
+    var = np.add.reduce(centered * centered, axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (xv - mean) * inv
+    xhat = centered * inv
 
     def vjp(g):
         g2 = g.reshape(-1, d)
-        dgamma = (g2 * xhat).sum(axis=0)
-        dbeta = g2.sum(axis=0)
+        dgamma = np.add.reduce(g2 * xhat, axis=0)
+        dbeta = np.add.reduce(g2, axis=0)
         dxhat = g2 * gamma
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - np.add.reduce(dxhat, axis=1, keepdims=True) / d
+            - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / d)
         )
         return (dx.reshape(x.shape), dgamma, dbeta)
 
@@ -341,11 +342,11 @@ def _softmax(sv: Array, causal: bool) -> Array:
     for j in range(1, sv.shape[-1]):
         top = np.maximum(top, sv[..., j])
     e = np.exp(sv - top[..., None])
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _softmax_vjp(y: Array, g: Array) -> Array:
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
 
 
 def softmax_rows(s: Tensor, causal: bool = False) -> Tensor:
@@ -367,12 +368,8 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
         if a.values.ndim < 2:
             raise ShapeMismatchError(f"transpose: expected at least 2-D, got {a.shape}")
         axes = (*range(a.values.ndim - 2), a.values.ndim - 1, a.values.ndim - 2)
-    axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    return _record(
-        "transpose", (a,), np.transpose(a.values, axes),
-        lambda g: (np.transpose(g, inverse),),
-    )
+    return _record("transpose", (a,), a.values.transpose(axes), lambda g: (g.transpose(inverse),))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -410,7 +407,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
 def stack_rows(vecs: Sequence[Tensor]) -> Tensor:
     """Stack 1-D vectors of equal length into a (len(vecs), d) matrix."""
-    out = np.stack([v.values for v in vecs], axis=0)
+    out = np.array([v.values for v in vecs])
     return _record(
         "stack_rows", tuple(vecs), out,
         lambda g: tuple(g[i] for i in range(len(vecs))),
@@ -423,8 +420,8 @@ def tile_rows(v: Tensor, n: int) -> Tensor:
     vv = v.values
     if vv.ndim < 1:
         raise ShapeMismatchError(f"tile_rows: expected at least 1-D, got {v.shape}")
-    out = np.broadcast_to(vv[..., None, :], (*vv.shape[:-1], n, vv.shape[-1]))
-    return _record("tile_rows", (v,), out, lambda g: (g.sum(axis=-2),))
+    return _record("tile_rows", (v,), vv[..., None, :].repeat(n, axis=-2),
+                   lambda g: (np.add.reduce(g, axis=-2),))
 
 
 def _check_rowvec(op: str, x: Tensor, v: Tensor) -> int:
@@ -488,14 +485,14 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     d = _check_rowvec("add_rowvec", x, b)
     return _record(
         "add_rowvec", (x, b), x.values + b.values,
-        lambda g: (g, g.reshape(-1, d).sum(axis=0)),
+        lambda g: (g, np.add.reduce(g.reshape(-1, d), axis=0)),
     )
 
 
 def _gate_vjp(x: Array, gate: Array, g: Array) -> tuple[Array, Array]:
     """(dx, dgate) of x * gate for a gate broadcast over x's trailing axes:
     one value, or one per channel of x's last axis."""
-    return g * gate, (g * x).reshape(-1, gate.size).sum(axis=0).reshape(gate.shape)
+    return g * gate, np.add.reduce((g * x).reshape(-1, gate.size), axis=0).reshape(gate.shape)
 
 
 def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
@@ -552,7 +549,7 @@ def _split_heads(p: Array, heads: int, keys: bool = False) -> Array:
     *lead, t, d = p.shape
     n = len(lead)
     order = (*range(n), n + 1, n + 2, n) if keys else (*range(n), n + 1, n, n + 2)
-    return np.ascontiguousarray(np.transpose(p.reshape(*lead, t, heads, d // heads), order))
+    return np.ascontiguousarray(p.reshape(*lead, t, heads, d // heads).transpose(order))
 
 
 def _attend(qh: Array, kh: Array, vh: Array, causal: bool) -> tuple[Array, Array]:
@@ -562,7 +559,7 @@ def _attend(qh: Array, kh: Array, vh: Array, causal: bool) -> tuple[Array, Array
     *lead, heads, t_q, d_k = qh.shape
     n = len(lead)
     probs = _softmax((qh @ kh) * (1.0 / math.sqrt(d_k)), causal)
-    merged = np.ascontiguousarray(np.transpose(probs @ vh, (*range(n), n + 1, n, n + 2)))
+    merged = np.ascontiguousarray((probs @ vh).transpose(*range(n), n + 1, n, n + 2))
     return probs, merged.reshape(*lead, t_q, heads * d_k)
 
 
@@ -616,18 +613,18 @@ def multi_head_attention(
     probs, merged = _attend(qh, kh, vh, causal)
 
     def unsplit(x, w, b, dh):
-        dp = np.transpose(dh, rows).reshape(x.shape)
-        db = None if b is None else dp.reshape(-1, d_model).sum(axis=0)
+        dp = dh.transpose(rows).reshape(x.shape)
+        db = None if b is None else np.add.reduce(dp.reshape(-1, d_model), axis=0)
         return (*_project_vjp(x.values, w.values, dp, x.requires_grad), db)
 
     def vjp(g):
         dmerged, dwo, dbo = _linear_vjp(merged, wo.values, g, True)
-        dctx = np.transpose(dmerged.reshape(*lead, t_q, heads, d_k), rows)
-        dprobs, dvh = dctx @ np.swapaxes(vh, -1, -2), np.swapaxes(probs, -1, -2) @ dctx
+        dctx = dmerged.reshape(*lead, t_q, heads, d_k).transpose(rows)
+        dprobs, dvh = dctx @ vh.swapaxes(-1, -2), probs.swapaxes(-1, -2) @ dctx
         dscores = _softmax_vjp(probs, dprobs) * c
-        dqh, dkh = dscores @ np.swapaxes(kh, -1, -2), np.swapaxes(qh, -1, -2) @ dscores
+        dqh, dkh = dscores @ kh.swapaxes(-1, -2), qh.swapaxes(-1, -2) @ dscores
         dv, dwv, dbv = unsplit(v, wv, bv, dvh)
-        dk, dwk, _ = unsplit(k, wk, None, np.swapaxes(dkh, -1, -2))
+        dk, dwk, _ = unsplit(k, wk, None, dkh.swapaxes(-1, -2))
         dq, dwq, dbq = unsplit(q, wq, bq, dqh)
         return dv, dk, dq, dwo, dbo, dwv, dbv, dwk, dwq, dbq
 

@@ -87,7 +87,7 @@ def _batches(samples: list[Sample], size: int = EVAL_CHUNK, order=None):
         order = range(len(samples))
     for lo in range(0, len(samples), size):
         batch = [samples[int(i)] for i in order[lo:lo + size]]
-        yield np.stack([s.input_days for s in batch]), np.stack([s.target_days for s in batch])
+        yield np.array([s.input_days for s in batch]), np.array([s.target_days for s in batch])
 
 
 def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, list[float]]:

@@ -176,8 +176,8 @@ def cte_encode(days: np.ndarray, bond_table: Tensor, action_table: Tensor) -> Te
 def _cte_inputs(days, v: int) -> tuple[np.ndarray, np.ndarray]:
     """The (..., V) traded bonds and (..., 2) buy and sell counts of (..., 2V) days."""
     days = np.asarray(days, dtype=np.float64)
-    buys, sells = days[..., :v], days[..., v:]
-    return buys + sells, np.stack([buys.sum(axis=-1), sells.sum(axis=-1)], axis=-1)
+    counts = np.add.reduce(days.reshape(*days.shape[:-1], 2, v), axis=-1)
+    return days[..., :v] + days[..., v:], counts
 
 
 def _windows(days, rows: int, vocab_size: int, what: str = "input") -> np.ndarray:
@@ -210,7 +210,7 @@ class FCModel:
         cfg = self.config
         data = _windows(input_days, cfg.t_in, cfg.vocab_size)
         if cfg.kind == "FCSum":
-            x = Tensor(data.sum(axis=-2))
+            x = Tensor(np.add.reduce(data, axis=-2))
         else:
             x = Tensor(data.reshape(*data.shape[:-2], -1))
         p = self.params
@@ -327,7 +327,7 @@ class TransformerModel:
     def _add_positions(self, x: Tensor) -> Tensor:
         """Add the sinusoidal encoding of each position along axis -2 to every window of x."""
         pe = positional_encoding(x.shape[-2], self.config.d_model)
-        return ad.add(x, Tensor(np.broadcast_to(pe, x.shape)))
+        return ad.add(x, Tensor(pe[None].repeat(math.prod(x.shape[:-2]), axis=0).reshape(x.shape)))
 
     def _residual(self, x: Tensor, fx: Tensor, layer: str, sublayer: int) -> Tensor:
         """Combine a sublayer output with its input under the residual scheme.
@@ -480,7 +480,8 @@ class TransformerModel:
                    np.zeros((*lead, heads, d // heads, 0)), np.zeros((*lead, heads, 0, d // heads))]
                   for _, (_, _, (wk, wv, bv)), _, _ in decoder]
         del x, encoder  # decoding reads neither: free them before its caches grow
-        y = np.broadcast_to(sos + positional_encoding(1, d), (*lead, 1, d))
+        pe = positional_encoding(cfg.t_out, d)
+        y = (sos + pe[:1]).repeat(math.prod(lead), axis=0).reshape(*lead, 1, d)
         rows = []
         for step in range(1, cfg.t_out + 1):
             for ((qkv, out), (cross_q, cross_out, _), ff, rules), cache in zip(decoder, caches):
@@ -491,11 +492,10 @@ class TransformerModel:
                 qh = ad._split_heads(ad._linear(y, *cross_q), heads)
                 y = rules[1](y, _attend(qh, cache[0], cache[1], *cross_out))
                 y = rules[2](y, ad._feed_forward(y, *ff)[1])
-            rows.append(ad._squash(ad._linear(y, head_w, head_b))[1][..., 0, :])
+            rows.append(ad._squash(ad._linear(y, head_w, head_b))[1])
             if step < cfg.t_out:
-                fed_back = (rows[-1] >= FEEDBACK_THRESHOLD).astype(np.float64)[..., None, :]
-                y = embed(fed_back) + positional_encoding(step + 1, d)[step:]
-        return np.stack(rows, axis=-2)
+                y = embed((rows[-1] >= FEEDBACK_THRESHOLD).astype(np.float64)) + pe[step:step + 1]
+        return np.concatenate(rows, axis=-2)
 
 
 def _fused_heads(x: np.ndarray, wqkv: np.ndarray, bq: np.ndarray, bv: np.ndarray, heads: int):

@@ -91,6 +91,64 @@ SUBLAYER_CASES = {
 }
 
 
+# References for the hot helpers that call ufunc reductions and ndarray
+# methods directly: the same formulas through np.mean, np.var, ndarray.sum
+# and np.stack, which must give the same bytes.
+
+
+def layer_norm_reference(x, gamma, beta):
+    """``ad._layer_norm``'s output and vjp with ``.mean`` and ``.var``."""
+    d = x.shape[-1]
+    xv = x.reshape(-1, d)
+    mean = xv.mean(axis=1, keepdims=True)
+    var = xv.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + ad.LAYER_NORM_EPS)
+    xhat = (xv - mean) * inv
+
+    def vjp(g):
+        g2 = g.reshape(-1, d)
+        dgamma = (g2 * xhat).sum(axis=0)
+        dbeta = g2.sum(axis=0)
+        dxhat = g2 * gamma
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+        )
+        return (dx.reshape(x.shape), dgamma, dbeta)
+
+    return (xhat * gamma + beta).reshape(x.shape), vjp
+
+
+def softmax_reference(sv, causal):
+    """``ad._softmax`` with ``.sum`` for the row totals."""
+    if causal:
+        sv = np.where(ad._causal_mask(*sv.shape[-2:]), -np.inf, sv)
+    top = sv[..., 0]
+    for j in range(1, sv.shape[-1]):
+        top = np.maximum(top, sv[..., j])
+    e = np.exp(sv - top[..., None])
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_vjp_reference(y, g):
+    """``ad._softmax_vjp`` with ``.sum``."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def mse_reference(pred, target):
+    """``ad.mse_loss``'s value with ``.mean()``."""
+    diff = pred - target
+    return np.asarray((diff * diff).mean())
+
+
+def cte_inputs_reference(days, v):
+    """``models._cte_inputs`` as two sums and an ``np.stack``."""
+    days = np.asarray(days, dtype=np.float64)
+    buys, sells = days[..., :v], days[..., v:]
+    return buys + sells, np.stack([buys.sum(axis=-1), sells.sum(axis=-1)], axis=-1)
+
+
 def sublayer_op(case: str):
     """The one-entry op that the sublayer case ``case`` runs."""
     return getattr(ad, SUBLAYER_CASES[case][0])

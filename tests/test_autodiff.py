@@ -6,14 +6,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import otcforecast.autodiff as ad
 from otcforecast.autodiff import OptimizerState, Tensor, adam_step, backward
 from otcforecast.errors import ConfigurationError, ContractError, ShapeMismatchError
-from otcforecast.models import ModelConfig, build_model
+from otcforecast.models import ModelConfig, _cte_inputs, build_model
 
-from helpers import (SUBLAYER_CASES, finite_diff_check, rand, sublayer_case, sublayer_op,
-                     sum_all)
+from helpers import (SUBLAYER_CASES, cte_inputs_reference, finite_diff_check,
+                     layer_norm_reference, mse_reference, rand, softmax_reference,
+                     softmax_vjp_reference, sublayer_case, sublayer_op, sum_all)
 
 
 class TestFiniteDiffOracle:
@@ -779,3 +782,69 @@ class TestAdam:
             tracemalloc.stop()
         assert values.size > 40_000
         assert peak < values.nbytes
+
+
+HOT_PATH_PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def hot_operands(draw):
+    """(seed, shape, scale): 1 to 3 leading axes, a last axis of 2 to 64 and
+    a scale from 1e-3 to 1e3 for the values drawn under the seed."""
+    lead = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3), label="lead")
+    width = draw(st.integers(2, 64), label="width")
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0), label="log10 scale")
+    return draw(st.integers(0, 2**32 - 1), label="seed"), (*lead, width), scale
+
+
+class TestHotPathHelpers:
+    """The helpers that reduce with np.add.reduce give the bytes of the
+    np.mean, np.var, ndarray.sum and np.stack formulas they replaced, beyond
+    the sizes and binary days the golden file pins."""
+
+    @HOT_PATH_PROPERTY
+    @given(hot_operands())
+    def test_layer_norm_and_its_vjp_match_mean_and_var(self, operands):
+        seed, shape, scale = operands
+        rng = np.random.default_rng(seed)
+        # a shared offset makes the centering cancel digits
+        x = scale * (rng.normal(size=shape) + rng.normal(scale=10.0))
+        gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        g = scale * rng.normal(size=shape)
+        out, vjp = ad._layer_norm("layer_norm", x, gamma, beta)
+        reference, reference_vjp = layer_norm_reference(x, gamma, beta)
+        assert np.array_equal(out, reference)
+        for got, want in zip(vjp(g), reference_vjp(g), strict=True):
+            assert np.array_equal(got, want)
+
+    @HOT_PATH_PROPERTY
+    @given(hot_operands(), st.booleans())
+    def test_softmax_and_its_vjp_match_sum(self, operands, causal):
+        seed, shape, scale = operands
+        rng = np.random.default_rng(seed)
+        scores = scale * rng.normal(size=shape)
+        causal = causal and shape[-2] <= shape[-1]
+        y = ad._softmax(scores, causal)
+        assert np.array_equal(y, softmax_reference(scores, causal))
+        g = scale * rng.normal(size=shape)
+        assert np.array_equal(ad._softmax_vjp(y, g), softmax_vjp_reference(y, g))
+
+    @HOT_PATH_PROPERTY
+    @given(hot_operands())
+    def test_mse_loss_matches_mean(self, operands):
+        seed, shape, scale = operands
+        rng = np.random.default_rng(seed)
+        pred, target = scale * rng.normal(size=shape), scale * rng.normal(size=shape)
+        loss = ad.mse_loss(Tensor(pred), Tensor(target)).values
+        assert np.array_equal(loss, mse_reference(pred, target))
+
+    @HOT_PATH_PROPERTY
+    @given(hot_operands())
+    def test_cte_inputs_match_two_sums_and_a_stack(self, operands):
+        # real-valued days, so the one reduction is exact beyond integer counts
+        seed, (*lead, width), scale = operands
+        rng = np.random.default_rng(seed)
+        v = width // 2
+        days = scale * rng.normal(size=(*lead, 2 * v))
+        for got, want in zip(_cte_inputs(days, v), cte_inputs_reference(days, v), strict=True):
+            assert np.array_equal(got, want)
