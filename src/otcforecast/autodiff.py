@@ -14,6 +14,7 @@ shared read-only across runs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -389,10 +390,11 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def _concat(name: str, parts: Sequence[Tensor], axis: int) -> Tensor:
-    sizes = [p.shape[axis] for p in parts]
+    """Concatenate along axis -1 or -2; the vjp slices each part's view of the gradient."""
     out = np.concatenate([p.values for p in parts], axis=axis)
-    bounds = np.cumsum(sizes)[:-1]
-    return _record(name, tuple(parts), out, lambda g: tuple(np.split(g, bounds, axis=axis)))
+    stops = list(itertools.accumulate(p.shape[axis] for p in parts))
+    cuts = [(..., slice(a, b), *(slice(None),) * (-1 - axis)) for a, b in zip([0, *stops], stops)]
+    return _record(name, tuple(parts), out, lambda g: tuple(g[cut] for cut in cuts))
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:

@@ -16,11 +16,17 @@ serves a whole mini-batch, and a single (T_in, 2V) window is the case with
 no leading axis.  The FC and recurrent baselines predict a single day
 vector that is tiled over the output window.
 
-Transformer training records one tape entry per sublayer op.  Its
-inference runs the same rules on plain arrays, through the ops' forward
-helpers: the weights are looked up once per ``predict`` call, and each
-self-attention block's q, k and v weights are fused into one (d, 3d)
-matrix, so that a decode step makes one product for its newest row.
+A Transformer looks each parameter up once, when it is built, into
+per-layer tables of its tensors: attention blocks keyed by
+``multi_head_attention``'s weight keywords, the feed-forward's four
+tensors, and per sublayer its (gamma, beta) or its layer's shared (gate,).
+Training records one tape entry per sublayer op on those tensors.
+Inference reads their ``values``, views of ``params.flat``, once per
+``predict`` call and runs the same rules on them through the ops' forward
+helpers.  Each call also concatenates a self-attention block's wq|wk|wv
+into one (d, 3d) matrix, so that a decode step makes one product for its
+newest row; a copy kept across calls would go stale, as training and
+checkpoint loads write in place.
 """
 
 from __future__ import annotations
@@ -278,7 +284,13 @@ class TransformerModel:
             raise ConfigurationError(f"{config.kind!r} is not a transformer kind")
         self.config = config
         self.embed_mode, self.residual_mode = _TRANSFORMER_MODES[config.kind]
-        self.params = self._build()
+        self.params = p = self._build()
+        self._embedding = ((p["embed.w"], p["embed.b"]) if self.embed_mode == "affine"
+                           else (p["cte.bonds"], p["cte.actions"]))
+        self._sos, self._readout = p["decoder.sos"], (p["head.w"], p["head.b"])
+        n = range(config.n_layers)
+        self._encoder = [self._layer(f"encoder.l{i}", ("attn",)) for i in n]
+        self._decoder = [self._layer(f"decoder.l{i}", ("self", "cross")) for i in n]
 
     def _build(self) -> Parameters:
         cfg = self.config
@@ -314,78 +326,67 @@ class TransformerModel:
         b.zeros("head.b", width)
         return Parameters(b.arrays)
 
+    def _layer(self, name: str, blocks: tuple[str, ...]) -> tuple:
+        """Layer ``name``'s table: (attention blocks, feed-forward, residual rules)."""
+        p = self.params
+        attention = tuple({w: p[f"{name}.{block}.{w}"] for w in "wq bq wk wv bv wo bo".split()}
+                          for block in blocks)
+        ff = tuple(p[f"{name}.ff.{w}"] for w in ("w1", "b1", "w2", "b2"))
+        if self.residual_mode != "norm":
+            return attention, ff, ((p[f"{name}.gate"],),) * (len(blocks) + 1)
+        return attention, ff, tuple((p[f"{name}.norm{j}.gamma"], p[f"{name}.norm{j}.beta"])
+                                    for j in range(1, len(blocks) + 2))
+
     # ---- forward pieces -------------------------------------------------
 
     def embed_days(self, days: np.ndarray) -> Tensor:
         """Shared input embedding of (..., 2V) encoder and decoder day vectors."""
-        p = self.params
         if self.embed_mode == "affine":
             data = np.asarray(days, dtype=np.float64)
-            return ad.linear(Tensor(data), p["embed.w"], p["embed.b"])
-        return cte_encode(days, p["cte.bonds"], p["cte.actions"])
+            return ad.linear(Tensor(data), *self._embedding)
+        return cte_encode(days, *self._embedding)
 
     def _add_positions(self, x: Tensor) -> Tensor:
         """Add the sinusoidal encoding of each position along axis -2 to every window of x."""
         pe = positional_encoding(x.shape[-2], self.config.d_model)
         return ad.add(x, Tensor(pe[None].repeat(math.prod(x.shape[:-2]), axis=0).reshape(x.shape)))
 
-    def _residual(self, x: Tensor, fx: Tensor, layer: str, sublayer: int) -> Tensor:
+    def _residual(self, x: Tensor, fx: Tensor, rule: tuple) -> Tensor:
         """Combine a sublayer output with its input under the residual scheme.
 
-        norm: layer_norm(x + fx) with the sublayer's own affine parameters
-        gate: x + gate ⊙ fx with the layer's gate, zero at init: one value
-              (scalar) or one per channel (vector)
+        norm: layer_norm(x + fx) with the sublayer's own rule (gamma, beta)
+        gate: x + gate ⊙ fx with the layer's rule (gate,), zero at init: one
+              value (scalar) or one per channel (vector)
         """
-        p = self.params
         if self.residual_mode == "norm":
-            return ad.residual_norm(x, fx, p[f"{layer}.norm{sublayer}.gamma"],
-                                    p[f"{layer}.norm{sublayer}.beta"])
-        return ad.residual_gate(x, fx, p[f"{layer}.gate"])
-
-    def _attention(self, prefix: str, q: Tensor, kv: Tensor, causal: bool) -> Tensor:
-        """Attention of the rows q over the (..., T_k, d) keys and values kv."""
-        p = self.params
-        return ad.multi_head_attention(
-            q, kv, kv,
-            wq=p[f"{prefix}.wq"], bq=p[f"{prefix}.bq"],
-            wk=p[f"{prefix}.wk"], wv=p[f"{prefix}.wv"], bv=p[f"{prefix}.bv"],
-            wo=p[f"{prefix}.wo"], bo=p[f"{prefix}.bo"],
-            heads=self.config.heads, causal=causal,
-        )
-
-    def _feed_forward(self, prefix: str, x: Tensor) -> Tensor:
-        p = self.params
-        return ad.feed_forward(x, *(p[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
+            return ad.residual_norm(x, fx, *rule)
+        return ad.residual_gate(x, fx, *rule)
 
     def encode(self, input_days: np.ndarray, trace: list | None = None) -> Tensor:
         cfg = self.config
         data = _windows(input_days, cfg.t_in, cfg.vocab_size)
         x = self._add_positions(self.embed_days(data))
-        for i in range(cfg.n_layers):
-            layer = f"encoder.l{i}"
-            x = self._residual(x, self._attention(f"{layer}.attn", x, x, causal=False), layer, 1)
-            x = self._residual(x, self._feed_forward(f"{layer}.ff", x), layer, 2)
+        for i, ((attn,), ff, (r1, r2)) in enumerate(self._encoder):
+            x = self._residual(x, ad.multi_head_attention(x, x, x, heads=cfg.heads, **attn), r1)
+            x = self._residual(x, ad.feed_forward(x, *ff), r2)
             if trace is not None:
                 trace.append((f"enc{i}", x.values.copy()))
         return x
 
     def _decode(self, decoder_input: Tensor, memory: Tensor, trace: list | None = None) -> Tensor:
         """Decode every position of ``decoder_input`` against the encoder memory."""
-        cfg = self.config
+        attention = functools.partial(ad.multi_head_attention, heads=self.config.heads)
         y = decoder_input
-        for i in range(cfg.n_layers):
-            layer = f"decoder.l{i}"
-            y = self._residual(y, self._attention(f"{layer}.self", y, y, causal=True), layer, 1)
-            y = self._residual(y, self._attention(f"{layer}.cross", y, memory, causal=False),
-                               layer, 2)
-            y = self._residual(y, self._feed_forward(f"{layer}.ff", y), layer, 3)
+        for i, ((own, cross), ff, (r1, r2, r3)) in enumerate(self._decoder):
+            y = self._residual(y, attention(y, y, y, causal=True, **own), r1)
+            y = self._residual(y, attention(y, memory, memory, **cross), r2)
+            y = self._residual(y, ad.feed_forward(y, *ff), r3)
             if trace is not None:
                 trace.append((f"dec{i}", y.values.copy()))
         return y
 
     def _head(self, y: Tensor) -> Tensor:
-        p = self.params
-        return ad.squash(ad.linear(y, p["head.w"], p["head.b"]))
+        return ad.squash(ad.linear(y, *self._readout))
 
     def _decoder_input(self, previous_days: np.ndarray) -> Tensor:
         """Stack the learned start vector with embeddings of the (..., n, 2V)
@@ -394,7 +395,7 @@ class TransformerModel:
         """
         lead = previous_days.shape[:-2]
         d = self.config.d_model
-        sos = ad.tile_rows(self.params["decoder.sos"], math.prod(lead))
+        sos = ad.tile_rows(self._sos, math.prod(lead))
         rows = ad.reshape(sos, (*lead, 1, d))
         if previous_days.shape[-2]:
             rows = ad.concat_rows([rows, self.embed_days(previous_days)])
@@ -421,43 +422,18 @@ class TransformerModel:
 
     # ---- inference on plain arrays --------------------------------------
 
-    def _plan(self) -> tuple:
-        """:meth:`predict`'s weights, looked up once per call.  Self-attention
-        blocks are ((wq|wk|wv, bq, bv), (wo, bo)), with one fused (d, 3d)
-        weight; cross-attention blocks are ((wq, bq), (wo, bo), (wk, wv, bv))."""
-        values = {name: t.values for name, t in zip(self.params.names(), self.params.tensors())}
+    def _embed_values(self, days: np.ndarray, weights: list) -> np.ndarray:
+        """:meth:`embed_days` on arrays, with the embedding's ``weights`` values."""
+        if self.embed_mode == "affine":
+            return ad._linear(days, *weights)
+        traded, counts = _cte_inputs(days, self.config.vocab_size)
+        return ad._project_pair(traded, weights[0], counts, weights[1])
 
-        def weights(prefix, names):
-            return [values[f"{prefix}.{name}"] for name in names.split()]
-
-        embedding = weights(*(("embed", "w b") if self.embed_mode == "affine"
-                              else ("cte", "bonds actions")))
-
-        def embed(days):  # embed_days on arrays
-            if self.embed_mode == "affine":
-                return ad._linear(days, *embedding)
-            traded, counts = _cte_inputs(days, self.config.vocab_size)
-            return ad._project_pair(traded, embedding[0], counts, embedding[1])
-
-        def residual(layer, j):  # _residual on arrays
-            if self.residual_mode != "norm":
-                return functools.partial(ad._gate, gate=values[f"{layer}.gate"])
-            gamma, beta = weights(layer, f"norm{j}.gamma norm{j}.beta")
-            return lambda x, fx: ad._layer_norm("residual_norm", x + fx, gamma, beta)[0]
-
-        def layer(name, blocks):
-            attention = []
-            for block in blocks:
-                wq, wk, wv, bq, bv, wo, bo = weights(f"{name}.{block}", "wq wk wv bq bv wo bo")
-                attention.append(((wq, bq), (wo, bo), (wk, wv, bv)) if block == "cross" else
-                                 ((np.concatenate([wq, wk, wv], axis=1), bq, bv), (wo, bo)))
-            return (*attention, weights(f"{name}.ff", "w1 b1 w2 b2"),
-                    [residual(name, j) for j in range(1, len(blocks) + 2)])
-
-        n = range(self.config.n_layers)
-        return (embed, [layer(f"encoder.l{i}", ("attn",)) for i in n],
-                [layer(f"decoder.l{i}", ("self", "cross")) for i in n],
-                [values[name] for name in ("decoder.sos", "head.w", "head.b")])
+    def _residual_values(self, x: np.ndarray, fx: np.ndarray, rule: list) -> np.ndarray:
+        """:meth:`_residual` on arrays, with the rule's values."""
+        if self.residual_mode == "norm":
+            return ad._layer_norm("residual_norm", x + fx, *rule)[0]
+        return ad._gate(x, fx, *rule)
 
     def predict(self, input_days: np.ndarray) -> np.ndarray:
         """Autoregressive inference, feeding back thresholded predictions.
@@ -468,34 +444,53 @@ class TransformerModel:
         newest position, whose one query row sees every cached one unmasked."""
         cfg = self.config
         d, heads = cfg.d_model, cfg.heads
-        embed, encoder, decoder, (sos, head_w, head_b) = self._plan()
+        embed = functools.partial(self._embed_values, weights=[t.values for t in self._embedding])
+        residual = self._residual_values
         x = embed(_windows(input_days, cfg.t_in, cfg.vocab_size)) + positional_encoding(cfg.t_in, d)
-        for (qkv, out), ff, (r1, r2) in encoder:
-            x = r1(x, _attend(*_fused_heads(x, *qkv, heads), *out))
-            x = r2(x, ad._feed_forward(x, *ff)[1])
+        for (attn,), ff, (r1, r2) in map(_layer_values, self._encoder):
+            x = residual(x, _attend(*_fused_heads(x, *_fuse_qkv(attn), heads), attn), r1)
+            x = residual(x, ad._feed_forward(x, *ff)[1], r2)
         lead = x.shape[:-2]
+        decoder = [_layer_values(layer) for layer in self._decoder]
+        fused = [_fuse_qkv(own) for (own, _), _, _ in decoder]
         # per decoder layer: the memory's keys and values, then those decoded so far
-        caches = [[ad._split_heads(ad._project(x, wk), heads, keys=True),
-                   ad._split_heads(ad._linear(x, wv, bv), heads),
+        caches = [[ad._split_heads(ad._project(x, cross["wk"]), heads, keys=True),
+                   ad._split_heads(ad._linear(x, cross["wv"], cross["bv"]), heads),
                    np.zeros((*lead, heads, d // heads, 0)), np.zeros((*lead, heads, 0, d // heads))]
-                  for _, (_, _, (wk, wv, bv)), _, _ in decoder]
-        del x, encoder  # decoding reads neither: free them before its caches grow
+                  for (_, cross), _, _ in decoder]
+        del x  # decoding does not read it: free it before the caches grow
+        readout = [t.values for t in self._readout]
         pe = positional_encoding(cfg.t_out, d)
-        y = (sos + pe[:1]).repeat(math.prod(lead), axis=0).reshape(*lead, 1, d)
+        y = (self._sos.values + pe[:1]).repeat(math.prod(lead), axis=0).reshape(*lead, 1, d)
         rows = []
         for step in range(1, cfg.t_out + 1):
-            for ((qkv, out), (cross_q, cross_out, _), ff, rules), cache in zip(decoder, caches):
+            for ((own, cross), ff, (r1, r2, r3)), qkv, cache in zip(decoder, fused, caches):
                 qh, kh, vh = _fused_heads(y, *qkv, heads)
                 cache[2] = np.concatenate([cache[2], kh], axis=-1)
                 cache[3] = np.concatenate([cache[3], vh], axis=-2)
-                y = rules[0](y, _attend(qh, cache[2], cache[3], *out))
-                qh = ad._split_heads(ad._linear(y, *cross_q), heads)
-                y = rules[1](y, _attend(qh, cache[0], cache[1], *cross_out))
-                y = rules[2](y, ad._feed_forward(y, *ff)[1])
-            rows.append(ad._squash(ad._linear(y, head_w, head_b))[1])
+                y = residual(y, _attend(qh, cache[2], cache[3], own), r1)
+                qh = ad._split_heads(ad._linear(y, cross["wq"], cross["bq"]), heads)
+                y = residual(y, _attend(qh, cache[0], cache[1], cross), r2)
+                y = residual(y, ad._feed_forward(y, *ff)[1], r3)
+            rows.append(ad._squash(ad._linear(y, *readout))[1])
             if step < cfg.t_out:
                 y = embed((rows[-1] >= FEEDBACK_THRESHOLD).astype(np.float64)) + pe[step:step + 1]
         return np.concatenate(rows, axis=-2)
+
+
+def _layer_values(layer: tuple) -> tuple:
+    """A layer table with each tensor replaced by its values, views of
+    ``params.flat``: read once per ``predict`` call, never kept across calls."""
+    attention, ff, rules = layer
+    return ([{w: t.values for w, t in block.items()} for block in attention],
+            [t.values for t in ff], [[t.values for t in rule] for rule in rules])
+
+
+def _fuse_qkv(block: dict) -> tuple:
+    """A self-attention block's (wq|wk|wv, bq, bv) with one (d, 3d) weight,
+    concatenated anew per ``predict`` call: a copy would go stale."""
+    return (np.concatenate([block["wq"], block["wk"], block["wv"]], axis=1),
+            block["bq"], block["bv"])
 
 
 def _fused_heads(x: np.ndarray, wqkv: np.ndarray, bq: np.ndarray, bv: np.ndarray, heads: int):
@@ -507,9 +502,10 @@ def _fused_heads(x: np.ndarray, wqkv: np.ndarray, bq: np.ndarray, bv: np.ndarray
             ad._split_heads(qkv[..., 2 * d:] + bv, heads))
 
 
-def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, wo: np.ndarray, bo: np.ndarray):
-    """Unmasked attention of head-split queries, merged and output-projected."""
-    return ad._linear(ad._attend(qh, kh, vh, False)[1], wo, bo)
+def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, block: dict):
+    """Unmasked attention of head-split queries, merged and output-projected
+    by the block's wo and bo."""
+    return ad._linear(ad._attend(qh, kh, vh, False)[1], block["wo"], block["bo"])
 
 
 def build_model(config: ModelConfig):

@@ -618,6 +618,17 @@ class TestStructuralOps:
         err = finite_diff_check(f, [a, v, g, alpha, bias])
         assert err < 1e-6
 
+    @pytest.mark.parametrize("op, axis", [(ad.concat_rows, -2), (ad.concat_cols, -1)])
+    def test_concat_backward_hands_each_part_its_slice(self, op, axis):
+        sizes = (1, 3, 2)
+        parts = [rand((2, 4, 4)[:axis] + (n,) + (4,) * (-1 - axis), 33 + n) for n in sizes]
+        out = op(parts)
+        g = np.random.default_rng(36).normal(size=out.shape)
+        grads = backward(sum_all(ad.mul(out, Tensor(g))), parts)
+        for grad, part, expected in zip(grads, parts, np.split(g, [1, 4], axis=axis)):
+            assert grad.shape == part.shape
+            np.testing.assert_array_equal(grad, expected)
+
     def test_tile_rows_backward_sums(self):
         v = Tensor([1.0, 2.0], requires_grad=True)
         (grad,) = backward(sum_all(ad.tile_rows(v, 3)), [v])

@@ -17,7 +17,8 @@ import otcforecast
 
 PACKAGE = Path(otcforecast.__file__).parent
 HOT_MODULES = ("autodiff.py", "models.py")
-NUMPY_HELPERS = {"mean", "var", "std", "sum", "transpose", "swapaxes", "stack", "broadcast_to"}
+NUMPY_HELPERS = {"mean", "var", "std", "sum", "transpose", "swapaxes", "stack", "broadcast_to",
+                 "split"}
 HELPER_METHODS = {"mean", "var", "sum"}
 
 
@@ -46,7 +47,7 @@ def test_no_numpy_helper_on_the_hot_path(module):
     ("np.mean(x)", "np.mean"), ("np.var(x)", "np.var"), ("np.std(x)", "np.std"),
     ("np.sum(x, axis=0)", "np.sum"), ("np.transpose(x, (1, 0))", "np.transpose"),
     ("np.swapaxes(x, -1, -2)", "np.swapaxes"), ("np.stack([x, x])", "np.stack"),
-    ("np.broadcast_to(x, (2, 3))", "np.broadcast_to"),
+    ("np.broadcast_to(x, (2, 3))", "np.broadcast_to"), ("np.split(g, [1], axis=-2)", "np.split"),
 ])
 def test_each_helper_call_is_named_with_its_line(call, reported):
     assert helper_calls(f"import numpy as np\n{call}\n", "hot.py") == [f"hot.py:2: {reported}"]

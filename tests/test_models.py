@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -401,7 +402,8 @@ def residual(kind, x, fx, **values):
     model = build_model(toy_config(kind, d_model=x.shape[-1], heads=1))
     for name, value in values.items():
         model.params[f"encoder.l0.{name}"].values[...] = value
-    return model._residual(x, fx, "encoder.l0", 1)
+    (_, _, (rule, _)), *_ = model._encoder
+    return model._residual(x, fx, rule)
 
 
 class TestResidualSchemes:
@@ -462,6 +464,53 @@ def full_prefix_predict(model, input_days):
             if step < cfg.t_out:
                 fed_back[..., step - 1, :] = rows[-1] >= models.FEEDBACK_THRESHOLD
     return np.stack(rows, axis=-2)
+
+
+TABLES = ("_embedding", "_sos", "_readout", "_encoder", "_decoder")
+
+
+def table_references(model) -> Counter:
+    """How often the model's layer tables hold each tensor, by ``id``.  A
+    table shared by several slots (a layer's one gate rule) counts once."""
+    seen, found = set(), Counter()
+
+    def walk(node):
+        if isinstance(node, Tensor):
+            found[id(node)] += 1
+        elif id(node) not in seen:
+            seen.add(id(node))
+            for child in node.values() if isinstance(node, dict) else node:
+                walk(child)
+
+    for name in TABLES:
+        walk(getattr(model, name))
+    return found
+
+
+class TestLayerTables:
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
+    def test_tables_hold_every_parameter_exactly_once(self, kind, n_layers):
+        model = build_model(toy_config(kind, n_layers=n_layers))
+        expected = Counter(id(t) for t in model.params.tensors())
+        assert len(expected) == len(model.params.names())
+        assert table_references(model) == expected
+
+    @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
+    def test_parameters_are_read_live(self, kind):
+        # a copy of any weight kept from an earlier call would miss the write
+        model, other = (build_model(toy_config(kind, n_layers=2, seed=s)) for s in (1, 2))
+        # off the zero gates, so that every weight reaches the output
+        other.params.flat += np.random.default_rng(43).normal(scale=0.2, size=other.params.flat.size)
+        x, teacher = random_day_matrix(3, 8, 41), random_day_matrix(2, 8, 42)
+        before = model.predict(x)
+        model.forward(x, teacher=teacher)
+        expected = other.predict(x)
+        assert not np.array_equal(before, expected)
+        model.params.flat[:] = other.params.flat
+        np.testing.assert_array_equal(model.predict(x), expected)
+        np.testing.assert_array_equal(model.forward(x, teacher=teacher).values,
+                                      other.forward(x, teacher=teacher).values)
 
 
 class TestTransformer:
