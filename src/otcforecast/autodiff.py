@@ -324,19 +324,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 @functools.cache
-def _causal_mask(rows: int, cols: int) -> Array:
-    """Read-only; True at the columns j > cols - rows + i that row i may not see."""
-    mask = np.triu(np.ones((rows, cols), dtype=bool), k=cols - rows + 1)
+def _causal_mask(n: int) -> Array:
+    """Read-only (n, n); True at the columns j > i that row i may not see."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
     mask.flags.writeable = False
     return mask
 
 
 def _softmax(sv: Array, causal: bool) -> Array:
     if causal:
-        rows, cols = sv.shape[-2:]
-        if rows > cols:
-            raise ShapeMismatchError(f"causal mask needs rows <= cols, got scores {sv.shape}")
-        sv = np.where(_causal_mask(rows, cols), -np.inf, sv)
+        if sv.shape[-2] != sv.shape[-1]:
+            raise ShapeMismatchError(f"causal mask needs square scores, got {sv.shape}")
+        sv = np.where(_causal_mask(sv.shape[-1]), -np.inf, sv)
     # each row's max as a chain of column maxima: exact like max(axis=-1),
     # and faster on the few columns attention has
     top = sv[..., 0]
@@ -353,8 +352,7 @@ def _softmax_vjp(y: Array, g: Array) -> Array:
 def softmax_rows(s: Tensor, causal: bool = False) -> Tensor:
     """Softmax over the last axis of a (..., rows, cols) score stack.
 
-    The causal mask lets row i, one of the last ``rows`` of ``cols``
-    positions, see columns j <= cols - rows + i (square scores: j <= i),
+    The causal mask needs square scores, lets row i see columns j <= i,
     and is shared by every leading index.
     """
     if s.values.ndim < 2:
@@ -586,9 +584,9 @@ def multi_head_attention(
     leading axes.  Per head: softmax(Q'K'ᵀ / sqrt(d_k)) V' over head-split
     projections, merged across heads and output-projected.  All heads run
     in one batched product for the scores and one for the values.  With
-    ``causal`` the queries are the last T_q of T_k positions, and each
-    attends to keys at or before its own.  Keys have no bias: it would add q·bk to every score
-    of a query, a constant that the softmax over that query's row ignores.
+    ``causal`` (T_q = T_k) each query attends to keys at or before its own.
+    Keys have no bias: it would add q·bk to every score of a query, a
+    constant that the softmax over that query's row ignores.
     The forward is :func:`_linear`, :func:`_split_heads` and
     :func:`_attend`, which inference also calls on arrays.
 

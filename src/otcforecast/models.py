@@ -167,20 +167,11 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def cte_encode(days: np.ndarray, bond_table: Tensor, action_table: Tensor) -> Tensor:
-    """Co-trading embedding of (..., 2V) day vectors: per day, the sum over
-    traded bonds of the bond vector plus the buy or sell action vector.
-
-    Computed as one tape entry of two dense products, (X_buy + X_sell) @
-    bonds + [n_buy, n_sell] @ actions, on any leading shape; an empty day
-    embeds to zero.
-    """
-    traded, counts = _cte_inputs(days, bond_table.shape[0])
-    return ad.project_pair(traded, bond_table, counts, action_table)
-
-
 def _cte_inputs(days, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (..., V) traded bonds and (..., 2) buy and sell counts of (..., 2V) days."""
+    """The (..., V) traded bonds and (..., 2) buy and sell counts of (..., 2V)
+    days, whose co-trading embedding (per day, the sum over traded bonds of
+    the bond vector plus the buy or sell action vector) is (X_buy + X_sell)
+    @ bonds + [n_buy, n_sell] @ actions; an empty day embeds to zero."""
     days = np.asarray(days, dtype=np.float64)
     counts = np.add.reduce(days.reshape(*days.shape[:-1], 2, v), axis=-1)
     return days[..., :v] + days[..., v:], counts
@@ -344,7 +335,8 @@ class TransformerModel:
         if self.embed_mode == "affine":
             data = np.asarray(days, dtype=np.float64)
             return ad.linear(Tensor(data), *self._embedding)
-        return cte_encode(days, *self._embedding)
+        traded, counts = _cte_inputs(days, self.config.vocab_size)
+        return ad.project_pair(traded, self._embedding[0], counts, self._embedding[1])
 
     def _add_positions(self, x: Tensor) -> Tensor:
         """Add the sinusoidal encoding of each position along axis -2 to every window of x."""
@@ -385,9 +377,6 @@ class TransformerModel:
                 trace.append((f"dec{i}", y.values.copy()))
         return y
 
-    def _head(self, y: Tensor) -> Tensor:
-        return ad.squash(ad.linear(y, *self._readout))
-
     def _decoder_input(self, previous_days: np.ndarray) -> Tensor:
         """Stack the learned start vector with embeddings of the (..., n, 2V)
         ``previous_days``, n >= 0, at positions 0 to n; the start vector is
@@ -417,8 +406,8 @@ class TransformerModel:
                 f"teacher shape {teacher.shape} does not match input shape {np.shape(input_days)}"
             )
         memory = self.encode(input_days, trace=trace)
-        decoder_input = self._decoder_input(teacher[..., :-1, :])
-        return self._head(self._decode(decoder_input, memory, trace=trace))
+        y = self._decode(self._decoder_input(teacher[..., :-1, :]), memory, trace=trace)
+        return ad.squash(ad.linear(y, *self._readout))
 
     # ---- inference on plain arrays --------------------------------------
 
@@ -448,7 +437,8 @@ class TransformerModel:
         residual = self._residual_values
         x = embed(_windows(input_days, cfg.t_in, cfg.vocab_size)) + positional_encoding(cfg.t_in, d)
         for (attn,), ff, (r1, r2) in map(_layer_values, self._encoder):
-            x = residual(x, _attend(*_fused_heads(x, *_fuse_qkv(attn), heads), attn), r1)
+            qh, kh, vh = _fused_heads(x, *_fuse_qkv(attn), heads)
+            x = residual(x, _attend_projected(qh, kh, vh, attn), r1)
             x = residual(x, ad._feed_forward(x, *ff)[1], r2)
         lead = x.shape[:-2]
         decoder = [_layer_values(layer) for layer in self._decoder]
@@ -468,9 +458,9 @@ class TransformerModel:
                 qh, kh, vh = _fused_heads(y, *qkv, heads)
                 cache[2] = np.concatenate([cache[2], kh], axis=-1)
                 cache[3] = np.concatenate([cache[3], vh], axis=-2)
-                y = residual(y, _attend(qh, cache[2], cache[3], own), r1)
+                y = residual(y, _attend_projected(qh, cache[2], cache[3], own), r1)
                 qh = ad._split_heads(ad._linear(y, cross["wq"], cross["bq"]), heads)
-                y = residual(y, _attend(qh, cache[0], cache[1], cross), r2)
+                y = residual(y, _attend_projected(qh, cache[0], cache[1], cross), r2)
                 y = residual(y, ad._feed_forward(y, *ff)[1], r3)
             rows.append(ad._squash(ad._linear(y, *readout))[1])
             if step < cfg.t_out:
@@ -502,7 +492,7 @@ def _fused_heads(x: np.ndarray, wqkv: np.ndarray, bq: np.ndarray, bv: np.ndarray
             ad._split_heads(qkv[..., 2 * d:] + bv, heads))
 
 
-def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, block: dict):
+def _attend_projected(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, block: dict):
     """Unmasked attention of head-split queries, merged and output-projected
     by the block's wo and bo."""
     return ad._linear(ad._attend(qh, kh, vh, False)[1], block["wo"], block["bo"])

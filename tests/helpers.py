@@ -123,7 +123,7 @@ def layer_norm_reference(x, gamma, beta):
 def softmax_reference(sv, causal):
     """``ad._softmax`` with ``.sum`` for the row totals."""
     if causal:
-        sv = np.where(ad._causal_mask(*sv.shape[-2:]), -np.inf, sv)
+        sv = np.where(ad._causal_mask(sv.shape[-1]), -np.inf, sv)
     top = sv[..., 0]
     for j in range(1, sv.shape[-1]):
         top = np.maximum(top, sv[..., j])

@@ -523,24 +523,34 @@ class TestPipeline:
         assert (out / f"loss_dealer_{encoded}.csv").is_file()
         assert not [p for p in out.iterdir() if p.is_dir()]
 
-    def test_empty_dealer_id_exits_2_before_clustering(self, tmp_path, capsys):
+    def cluster_with_last_dealer_id(self, tmp_path, capsys, ident):
+        """Run ``cluster`` on histories whose last dealer id is the raw
+        ``ident``; returns that dealer's index and the error output."""
         cfg_path, out = write_config(tmp_path)
         assert self.run("gen", "-c", str(cfg_path)) == 0
         path = out / "histories.bin"
         histories, _, _ = market.load_histories(path)
-        # the writer refuses an empty id, so the last dealer's length-prefixed id
-        # is cut out by hand
+        # the writer refuses an empty or non-UTF-8 id, so the last dealer's
+        # length-prefixed id is replaced by hand
         last = histories[-1].dealer_id.encode()
         record = struct.pack("<H", len(last)) + last
         blob = path.read_bytes()
         assert blob.count(record) == 1
-        path.write_bytes(blob.replace(record, struct.pack("<H", 0)))
+        path.write_bytes(blob.replace(record, struct.pack("<H", len(ident)) + ident))
         capsys.readouterr()
         assert self.run("cluster", "-c", str(cfg_path)) == 2
+        assert not (out / "clusters.csv").exists()
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"dealer {len(histories) - 1} has an empty id" in err
-        assert not (out / "clusters.csv").exists()
+        return len(histories) - 1, err
+
+    def test_empty_dealer_id_exits_2_before_clustering(self, tmp_path, capsys):
+        last, err = self.cluster_with_last_dealer_id(tmp_path, capsys, b"")
+        assert f"dealer {last} has an empty id" in err
+
+    def test_non_utf8_dealer_id_exits_2_before_clustering(self, tmp_path, capsys):
+        last, err = self.cluster_with_last_dealer_id(tmp_path, capsys, b"D\xff")
+        assert f"dealer {last} id is not UTF-8" in err
 
     @pytest.mark.parametrize("mode", ["per_day", "union"])
     def test_report_rows_count_every_decision_cell(self, tmp_path, mode):

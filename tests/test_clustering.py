@@ -92,6 +92,15 @@ class TestDealerFeatures:
         f = named(compute_dealer_features([history_from_bits("D1", mat)], 5)["D1"])
         assert f["buy_ratio"] == 1.0
 
+    @pytest.mark.parametrize("boundary, message", [
+        (-1, "boundary -1 must be nonnegative"),
+        (6, "boundary 6 exceeds calendar of 5 days"),
+    ])
+    def test_boundary_outside_the_calendar_rejected(self, boundary, message):
+        hist = history_from_bits("D1", np.zeros((5, 4)))
+        with pytest.raises(ContractError, match=message):
+            compute_dealer_features([hist], boundary)
+
     def test_features_ignore_days_past_boundary(self):
         mat = np.zeros((10, 4), dtype=np.uint8)
         mat[8, 0] = 1  # after the boundary

@@ -10,7 +10,7 @@ import pytest
 import otcforecast.autodiff as ad
 from otcforecast.autodiff import Tensor
 from otcforecast.config import parse_config
-from otcforecast.errors import ConfigurationError, ContractError, NumericError
+from otcforecast.errors import ConfigurationError, ContractError, NumericError, ShapeMismatchError
 from otcforecast.harness import (
     GRANULARITIES,
     EvalReport,
@@ -190,6 +190,16 @@ class TestEvaluate:
     def test_empty_test_set_rejected(self):
         with pytest.raises(ContractError):
             evaluate(FixedModel(np.zeros((2, 8))), [], 0.5)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ContractError, match="unknown evaluation mode 'max'"):
+            evaluate(FixedModel(np.zeros((2, 8))), random_samples(1, seed=6), 0.5, mode="max")
+
+    def test_forecast_of_the_wrong_shape_rejected(self):
+        # three output days where the targets have two
+        with pytest.raises(ShapeMismatchError,
+                           match=r"predict returned shape \(2, 3, 8\) .* targets \(2, 2, 8\)"):
+            evaluate(FixedModel(np.zeros((3, 8))), random_samples(2, seed=7), 0.5)
 
 
 class TestScoreUnits:
@@ -392,6 +402,10 @@ class TestLayerStats:
             layer_signal_stats(build_model(toy_config("FCSum")),
                                random_samples(1, seed=17))
 
+    def test_empty_probe_batch_rejected(self):
+        with pytest.raises(ContractError, match="needs a nonempty probe batch"):
+            layer_signal_stats(build_model(toy_config()), [])
+
 
 def market_samples(dealers, per_dealer=4, seed=0):
     samples = []
@@ -474,6 +488,11 @@ class TestGranularityExperiment:
         train_s = market_samples(["DA"], seed=80)
         with pytest.raises(ContractError, match="DA missing from cluster assignment"):
             training_units("cluster", train_s, train_s, {})
+
+    def test_unknown_granularity_rejected(self):
+        train_s = market_samples(["DA"], seed=85)
+        with pytest.raises(ContractError, match="unknown granularity 'dealer'"):
+            training_units("dealer", train_s, train_s, {"DA": 0})
 
 
 class TestReportIO:

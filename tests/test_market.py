@@ -123,6 +123,19 @@ class TestGenerator:
         with pytest.raises(ContractError, match=re.escape(message)):
             one_periodic_spec(**{field: bounds})
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"days": 0}, "needs days >= 1 and bonds >= 0"),
+        ({"bonds": -1}, "needs days >= 1 and bonds >= 0"),
+        ({"sparse_dealers": -1}, "archetype counts must be nonnegative"),
+        ({"periodic_buy_prob": 1.5}, "rate 1.5 outside [0, 1]"),
+        ({"sparse_rate": -0.1}, "rate -0.1 outside [0, 1]"),
+        ({"cancellation_rate": 2.0}, "rate 2.0 outside [0, 1]"),
+        ({"dense_rate": -1.0}, "dense_rate -1.0 must be nonnegative"),
+    ])
+    def test_invalid_sizes_and_rates_rejected(self, overrides, message):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            one_periodic_spec(**overrides)
+
 
 class TestDeskScaleDefaults:
     def test_archetype_counts_within_declared_bounds(self):
@@ -253,6 +266,12 @@ class TestHistories:
         with pytest.raises(IndexError, match="B9"):
             build_histories([TradeRecord(0, "D1", "B9", "B", "C")], vocab, 5)
 
+    @pytest.mark.parametrize("day", [-1, 5])
+    def test_day_outside_calendar_raises(self, day):
+        vocab = build_vocabulary([TradeRecord(0, "D1", "B1", "B", "C")])
+        with pytest.raises(IndexError, match=f"day_index {day} outside calendar of 5 days"):
+            build_histories([TradeRecord(day, "D1", "B1", "B", "C")], vocab, 5)
+
     def test_cell_sum_equals_distinct_tuples(self):
         spec = MarketSpec(days=25, bonds=15, periodic_dealers=3, sparse_dealers=3,
                           dense_dealers=2, dense_rate=3.0, dense_bonds_range=(4, 10),
@@ -345,6 +364,15 @@ EMPTY_SIZES = [
 ]
 
 
+def splice_dealers(path, *ids):
+    """Write a histories file of 3 days, 2 bonds and one empty dealer per raw
+    id by hand, since the writer refuses an empty or non-UTF-8 id: 3 x 4
+    bits take 2 bytes."""
+    records = b"".join(struct.pack("<H", len(ident)) + ident + bytes(2) for ident in ids)
+    path.write_bytes(struct.pack("<4sIII", b"OTCF", 1, 3, 2) + struct.pack("<I", len(ids))
+                     + records)
+
+
 class TestFileFormats:
     def test_histories_round_trip(self, tmp_path):
         spec = MarketSpec(days=15, bonds=8, periodic_dealers=2, sparse_dealers=1,
@@ -433,11 +461,14 @@ class TestFileFormats:
         with pytest.raises(ContractError, match="dealer 1 has an empty id"):
             save_histories(path, hists, 3, 2)
         assert not path.exists()
-        # spliced by hand, because the writer refuses it: 3 x 4 bits take 2 bytes
-        records = b"".join(struct.pack("<H", len(ident)) + ident + bytes(2)
-                           for ident in (b"D0", b""))
-        path.write_bytes(struct.pack("<4sIII", b"OTCF", 1, 3, 2) + struct.pack("<I", 2) + records)
+        splice_dealers(path, b"D0", b"")
         with pytest.raises(ArtifactError, match="dealer 1 has an empty id"):
+            load_histories(path)
+
+    def test_non_utf8_dealer_id_rejected(self, tmp_path):
+        path = tmp_path / "hist.bin"
+        splice_dealers(path, b"D0", b"D\xff")
+        with pytest.raises(ArtifactError, match="dealer 1 id is not UTF-8"):
             load_histories(path)
 
     @pytest.mark.parametrize("dealers, days, vocab_size", EMPTY_SIZES)

@@ -27,7 +27,6 @@ from otcforecast.models import (
     _Builder,
     build_model,
     check_checkpoint,
-    cte_encode,
     load_checkpoint,
     positional_encoding,
     save_checkpoint,
@@ -87,6 +86,16 @@ class TestBuildContracts:
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigurationError):
             toy_config("TransFV", d_model=6, heads=4)
+
+    @pytest.mark.parametrize("field", ["vocab_size", "t_in", "t_out", "d_model", "heads",
+                                       "n_layers", "d_ff", "hidden"])
+    def test_field_below_one_rejected(self, field):
+        with pytest.raises(ConfigurationError, match=f"{field} must be >= 1, got 0"):
+            toy_config("LSTM", **{field: 0})
+
+    def test_transformer_of_a_non_transformer_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="'FCSum' is not a transformer kind"):
+            models.TransformerModel(toy_config("FCSum"))
 
 
 class TestPositionalEncoding:
@@ -318,7 +327,7 @@ def per_gate_lstm(model, days, blocks):
 
 def embedding_bag_cte(days, bond_table, action_table):
     """Reference co-trading embedding: the per-day embedding_bag loop that
-    the dense cte_encode product replaced, on a (..., 2V) stack of days."""
+    the dense embed_days product replaced, on a (..., 2V) stack of days."""
     v = bond_table.shape[0]
     days = np.asarray(days)
     rows = []
@@ -345,7 +354,7 @@ class TestCoTradingEmbedding:
         self.actions = self.action_table.values
 
     def encode(self, day):
-        return cte_encode(day, self.bond_table, self.action_table)
+        return self.model.embed_days(day)
 
     def test_empty_day_is_zero(self):
         out = self.encode(np.zeros(16, dtype=np.uint8))
@@ -364,11 +373,6 @@ class TestCoTradingEmbedding:
         out = self.encode(day)
         expected = 2.0 * self.bonds[1] + self.actions[0] + self.actions[1]
         np.testing.assert_allclose(out.values, expected, atol=1e-15)
-
-    def test_free_function_matches_model_path(self):
-        days = random_day_matrix(3, 8, 21)
-        np.testing.assert_array_equal(self.encode(days).values,
-                                      self.model.embed_days(days).values)
 
     def test_dense_product_matches_embedding_bag_loop(self):
         # a (2, 3) stack of days with an empty day in it; float64 sums of a
@@ -459,7 +463,7 @@ def full_prefix_predict(model, input_days):
             embedded = model.embed_days(fed_back[..., : step - 1, :]).values
             prefix = np.concatenate([sos, embedded], axis=-2)
             prefix = prefix + positional_encoding(step, cfg.d_model)
-            out = model._head(model._decode(Tensor(prefix), memory))
+            out = ad.squash(ad.linear(model._decode(Tensor(prefix), memory), *model._readout))
             rows.append(out.values[..., -1, :])
             if step < cfg.t_out:
                 fed_back[..., step - 1, :] = rows[-1] >= models.FEEDBACK_THRESHOLD
@@ -538,6 +542,13 @@ class TestTransformer:
         model = build_model(toy_config("TransFV"))
         with pytest.raises(ContractError):
             model.forward(random_day_matrix(3, 8, 12))
+
+    def test_teacher_of_other_windows_rejected(self):
+        model = build_model(toy_config("TransFV"))
+        x = random_day_matrix(6, 8, 12).reshape(2, 3, 16)
+        teacher = random_day_matrix(6, 8, 13).reshape(3, 2, 16)
+        with pytest.raises(ShapeMismatchError, match=r"teacher shape \(3, 2, 16\) does not match"):
+            model.forward(x, teacher=teacher)
 
     def test_causality_exact(self):
         # perturbing teacher day t may only affect predictions at days > t
