@@ -23,10 +23,7 @@ tensors, and per sublayer its (gamma, beta) or its layer's shared (gate,).
 Training records one tape entry per sublayer op on those tensors.
 Inference reads their ``values``, views of ``params.flat``, once per
 ``predict`` call and runs the same rules on them through the ops' forward
-helpers.  Each call also concatenates a self-attention block's wq|wk|wv
-into one (d, 3d) matrix, so that a decode step makes one product for its
-newest row; a copy kept across calls would go stale, as training and
-checkpoint loads write in place.
+helpers.
 """
 
 from __future__ import annotations
@@ -437,12 +434,11 @@ class TransformerModel:
         residual = self._residual_values
         x = embed(_windows(input_days, cfg.t_in, cfg.vocab_size)) + positional_encoding(cfg.t_in, d)
         for (attn,), ff, (r1, r2) in map(_layer_values, self._encoder):
-            qh, kh, vh = _fused_heads(x, *_fuse_qkv(attn), heads)
+            qh, kh, vh = _heads(x, attn, heads)
             x = residual(x, _attend_projected(qh, kh, vh, attn), r1)
             x = residual(x, ad._feed_forward(x, *ff)[1], r2)
         lead = x.shape[:-2]
         decoder = [_layer_values(layer) for layer in self._decoder]
-        fused = [_fuse_qkv(own) for (own, _), _, _ in decoder]
         # per decoder layer: the memory's keys and values, then those decoded so far
         caches = [[ad._split_heads(ad._project(x, cross["wk"]), heads, keys=True),
                    ad._split_heads(ad._linear(x, cross["wv"], cross["bv"]), heads),
@@ -454,8 +450,8 @@ class TransformerModel:
         y = (self._sos.values + pe[:1]).repeat(math.prod(lead), axis=0).reshape(*lead, 1, d)
         rows = []
         for step in range(1, cfg.t_out + 1):
-            for ((own, cross), ff, (r1, r2, r3)), qkv, cache in zip(decoder, fused, caches):
-                qh, kh, vh = _fused_heads(y, *qkv, heads)
+            for ((own, cross), ff, (r1, r2, r3)), cache in zip(decoder, caches):
+                qh, kh, vh = _heads(y, own, heads)
                 cache[2] = np.concatenate([cache[2], kh], axis=-1)
                 cache[3] = np.concatenate([cache[3], vh], axis=-2)
                 y = residual(y, _attend_projected(qh, cache[2], cache[3], own), r1)
@@ -476,20 +472,12 @@ def _layer_values(layer: tuple) -> tuple:
             [t.values for t in ff], [[t.values for t in rule] for rule in rules])
 
 
-def _fuse_qkv(block: dict) -> tuple:
-    """A self-attention block's (wq|wk|wv, bq, bv) with one (d, 3d) weight,
-    concatenated anew per ``predict`` call: a copy would go stale."""
-    return (np.concatenate([block["wq"], block["wk"], block["wv"]], axis=1),
-            block["bq"], block["bv"])
-
-
-def _fused_heads(x: np.ndarray, wqkv: np.ndarray, bq: np.ndarray, bv: np.ndarray, heads: int):
-    """Head-split queries, keys and values of rows x from one product by wq|wk|wv."""
-    d = x.shape[-1]
-    qkv = ad._project(x, wqkv)
-    return (ad._split_heads(qkv[..., :d] + bq, heads),
-            ad._split_heads(qkv[..., d:2 * d], heads, keys=True),
-            ad._split_heads(qkv[..., 2 * d:] + bv, heads))
+def _heads(x: np.ndarray, block: dict, heads: int):
+    """Head-split queries, keys and values of rows x, projected by the
+    block's weights with the products ``multi_head_attention`` makes."""
+    return (ad._split_heads(ad._linear(x, block["wq"], block["bq"]), heads),
+            ad._split_heads(ad._project(x, block["wk"]), heads, keys=True),
+            ad._split_heads(ad._linear(x, block["wv"], block["bv"]), heads))
 
 
 def _attend_projected(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, block: dict):

@@ -444,7 +444,7 @@ class TestFusedAttention:
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
     def test_helpers_on_keys_and_values_projected_once_match_the_op(self, lead):
         # inference projects the memory's keys and values once, and each
-        # decoded row's query, key and value with one product by wq|wk|wv;
+        # decoded row's query, key and value with the op's three products;
         # a one-row query then attends unmasked with the op's own helpers
         params = {n: t.values for n, t in self.params(61).items()}
         x, memory = rand((*lead, 3, 4), 62, grad=False), rand((*lead, 5, 4), 63, grad=False)
@@ -459,13 +459,12 @@ class TestFusedAttention:
         vh = ad._split_heads(ad._linear(memory.values, params["wv"], params["bv"]), 2)
         assert np.array_equal(attend(qh, kh, vh), cross)
         square = ad.multi_head_attention(x, x, x, heads=2, causal=True, **tensors).values
-        wqkv = np.concatenate([params["wq"], params["wk"], params["wv"]], axis=1)
         keys, values = [], []
         for t in range(3):
-            qkv = ad._project(x.values[..., t:t + 1, :], wqkv)
-            keys.append(ad._split_heads(qkv[..., 4:8], 2, keys=True))
-            values.append(ad._split_heads(qkv[..., 8:] + params["bv"], 2))
-            out = attend(ad._split_heads(qkv[..., :4] + params["bq"], 2),
+            row = x.values[..., t:t + 1, :]
+            keys.append(ad._split_heads(ad._project(row, params["wk"]), 2, keys=True))
+            values.append(ad._split_heads(ad._linear(row, params["wv"], params["bv"]), 2))
+            out = attend(ad._split_heads(ad._linear(row, params["wq"], params["bq"]), 2),
                          np.concatenate(keys, axis=-1), np.concatenate(values, axis=-2))
             # a one-row product may sum in another order than the matrix one
             np.testing.assert_allclose(out, square[..., t:t + 1, :], rtol=0, atol=1e-14)
