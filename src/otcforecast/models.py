@@ -16,8 +16,10 @@ serves a whole mini-batch, and a single (T_in, 2V) window is the case with
 no leading axis.  The FC and recurrent baselines predict a single day
 vector that is tiled over the output window.
 
-A Transformer looks each parameter up once, when it is built, into
-per-layer tables of its tensors: attention blocks keyed by
+Each parameter is named once, where it is drawn: the builder hands back
+its tensor, and every model keeps the tensors it draws in small tuples and
+tables, in the order the forward pass reads them.  A Transformer's
+per-layer tables hold the attention blocks keyed by
 ``multi_head_attention``'s weight keywords, the feed-forward's four
 tensors, and per sublayer its (gamma, beta) or its layer's shared (gate,).
 Training records one tape entry per sublayer op on those tensors.
@@ -88,17 +90,18 @@ class ModelConfig:
 class Parameters:
     """Ordered, uniquely named trainable tensors packed into one vector.
 
-    The constructor copies the arrays, in insertion (:meth:`names`) order,
-    into :attr:`flat`, one contiguous float64 vector, and each tensor's
-    ``values`` is a view of it.  A snapshot is ``flat.copy()`` and a
-    restore is ``flat[:] = snapshot``.
+    The constructor copies the tensors' values, in insertion (:meth:`names`)
+    order, into :attr:`flat`, one contiguous float64 vector, and rebinds
+    each tensor's ``values`` to its view of it; the tensors themselves are
+    kept, so ``params[name]`` is the tensor the caller passed.  A snapshot
+    is ``flat.copy()`` and a restore is ``flat[:] = snapshot``.
     """
 
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        self._tensors = {name: Tensor(values, requires_grad=True) for name, values in arrays.items()}
-        self.flat = np.empty(sum(t.values.size for t in self._tensors.values()))
+    def __init__(self, tensors: dict[str, Tensor]):
+        self._tensors = dict(tensors)
+        self.flat = np.empty(sum(t.values.size for t in tensors.values()))
         offset = 0
-        for t in self._tensors.values():
+        for t in tensors.values():
             view = self.flat[offset:offset + t.values.size].reshape(t.values.shape)
             view[...] = t.values
             t.values = view
@@ -115,38 +118,40 @@ class Parameters:
 
 
 class _Builder:
-    """Draws parameter initializations in a fixed order from one generator."""
+    """Draws parameter initializations in a fixed order from one generator;
+    each call names one parameter and returns its tensor, for the model to keep."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.arrays: dict[str, np.ndarray] = {}
+        self.tensors: dict[str, Tensor] = {}
 
-    def add(self, name: str, values: np.ndarray) -> None:
-        if name in self.arrays:
+    def add(self, name: str, values: np.ndarray) -> Tensor:
+        if name in self.tensors:
             raise ContractError(f"duplicate parameter name {name!r}")
-        self.arrays[name] = values
+        self.tensors[name] = tensor = Tensor(values, requires_grad=True)
+        return tensor
 
     def draw(self, rows: int, cols: int) -> np.ndarray:
         bound = 1.0 / math.sqrt(rows)
         return self.rng.uniform(-bound, bound, size=(rows, cols))
 
-    def matrix(self, name: str, rows: int, cols: int) -> None:
-        self.add(name, self.draw(rows, cols))
+    def matrix(self, name: str, rows: int, cols: int) -> Tensor:
+        return self.add(name, self.draw(rows, cols))
 
-    def table(self, name: str, rows: int, cols: int) -> None:
+    def table(self, name: str, rows: int, cols: int) -> Tensor:
         # lookup tables scale with the embedding width, not the row count
         bound = 1.0 / math.sqrt(cols)
-        self.add(name, self.rng.uniform(-bound, bound, size=(rows, cols)))
+        return self.add(name, self.rng.uniform(-bound, bound, size=(rows, cols)))
 
-    def vector(self, name: str, n: int) -> None:
+    def vector(self, name: str, n: int) -> Tensor:
         bound = 1.0 / math.sqrt(n)
-        self.add(name, self.rng.uniform(-bound, bound, size=n))
+        return self.add(name, self.rng.uniform(-bound, bound, size=n))
 
-    def zeros(self, name: str, shape=()) -> None:
-        self.add(name, np.zeros(shape))
+    def zeros(self, name: str, shape=()) -> Tensor:
+        return self.add(name, np.zeros(shape))
 
-    def ones(self, name: str, n: int) -> None:
-        self.add(name, np.ones(n))
+    def ones(self, name: str, n: int) -> Tensor:
+        return self.add(name, np.ones(n))
 
 
 @functools.cache
@@ -191,14 +196,12 @@ class FCModel:
         self.config = config
         width = 2 * config.vocab_size
         in_width = width if config.kind == "FCSum" else config.t_in * width
+        hidden = config.hidden
         b = _Builder(rng_for(config.seed, "init", config.kind))
-        b.matrix("fc.w1", in_width, config.hidden)
-        b.zeros("fc.b1", config.hidden)
-        b.matrix("fc.w2", config.hidden, config.hidden)
-        b.zeros("fc.b2", config.hidden)
-        b.matrix("fc.w3", config.hidden, width)
-        b.zeros("fc.b3", width)
-        self.params = Parameters(b.arrays)
+        self._layers = ((b.matrix("fc.w1", in_width, hidden), b.zeros("fc.b1", hidden)),
+                        (b.matrix("fc.w2", hidden, hidden), b.zeros("fc.b2", hidden)),
+                        (b.matrix("fc.w3", hidden, width), b.zeros("fc.b3", width)))
+        self.params = Parameters(b.tensors)
 
     def forward(self, input_days: np.ndarray, teacher: np.ndarray | None = None) -> Tensor:
         cfg = self.config
@@ -207,10 +210,10 @@ class FCModel:
             x = Tensor(np.add.reduce(data, axis=-2))
         else:
             x = Tensor(data.reshape(*data.shape[:-2], -1))
-        p = self.params
-        h = ad.tanh(ad.linear(x, p["fc.w1"], p["fc.b1"]))
-        h = ad.tanh(ad.linear(h, p["fc.w2"], p["fc.b2"]))
-        day = ad.squash(ad.linear(h, p["fc.w3"], p["fc.b3"]))
+        first, second, head = self._layers
+        h = ad.tanh(ad.linear(x, *first))
+        h = ad.tanh(ad.linear(h, *second))
+        day = ad.squash(ad.linear(h, *head))
         return ad.tile_rows(day, cfg.t_out)
 
     def predict(self, input_days: np.ndarray) -> np.ndarray:
@@ -221,7 +224,7 @@ class FCModel:
 class RecurrentModel:
     """LSTM / BiLSTM over the day vectors, read out from the final state(s).
 
-    A direction holds ``wx`` (2V, 4H), ``wh`` (H, 4H) and ``b`` (4H), gate
+    A direction holds (``wx`` (2V, 4H), ``wh`` (H, 4H), ``b`` (4H)), gate
     blocks i, f, g, o: the stacked-gate layout of PyTorch's ``nn.LSTM``.
     All T days are projected in one product; the recurrence is one
     ``ad.lstm`` tape entry with a hand-written backward."""
@@ -231,32 +234,25 @@ class RecurrentModel:
         width = 2 * config.vocab_size
         hidden = config.hidden
         b = _Builder(rng_for(config.seed, "init", config.kind))
-        directions = ("fwd", "bwd") if config.kind == "BiLSTM" else ("fwd",)
-        for direction in directions:
+        self._directions = []
+        for direction in ("fwd", "bwd") if config.kind == "BiLSTM" else ("fwd",):
             # gate by gate, the input block then the recurrent one
             wx, wh = zip(*[(b.draw(width, hidden), b.draw(hidden, hidden)) for _ in "ifgo"])
-            b.add(f"lstm.{direction}.wx", np.concatenate(wx, axis=1))
-            b.add(f"lstm.{direction}.wh", np.concatenate(wh, axis=1))
-            b.zeros(f"lstm.{direction}.b", 4 * hidden)
-        readout_width = hidden * len(directions)
-        b.matrix("readout.w", readout_width, width)
-        b.zeros("readout.b", width)
-        self.params = Parameters(b.arrays)
-
-    def _run_direction(self, data: np.ndarray, direction: str) -> Tensor:
-        """Step over axis -2 of (..., T, 2V) inputs; returns the final (..., H) state."""
-        p = self.params
-        projected = ad.linear(Tensor(data), p[f"lstm.{direction}.wx"], p[f"lstm.{direction}.b"])
-        return ad.lstm(projected, p[f"lstm.{direction}.wh"])
+            self._directions.append((b.add(f"lstm.{direction}.wx", np.concatenate(wx, axis=1)),
+                                     b.add(f"lstm.{direction}.wh", np.concatenate(wh, axis=1)),
+                                     b.zeros(f"lstm.{direction}.b", 4 * hidden)))
+        readout_width = hidden * len(self._directions)
+        self._readout = (b.matrix("readout.w", readout_width, width), b.zeros("readout.b", width))
+        self.params = Parameters(b.tensors)
 
     def forward(self, input_days: np.ndarray, teacher: np.ndarray | None = None) -> Tensor:
         cfg = self.config
         data = _windows(input_days, cfg.t_in, cfg.vocab_size)
-        h = self._run_direction(data, "fwd")
-        if cfg.kind == "BiLSTM":
-            h = ad.concat_cols([h, self._run_direction(data[..., ::-1, :], "bwd")])
-        p = self.params
-        day = ad.squash(ad.linear(h, p["readout.w"], p["readout.b"]))
+        # each direction steps over its days, forwards or reversed, to its final (..., H) state
+        states = [ad.lstm(ad.linear(Tensor(days), wx, bias), wh)
+                  for days, (wx, wh, bias) in zip((data, data[..., ::-1, :]), self._directions)]
+        h = ad.concat_cols(states) if cfg.kind == "BiLSTM" else states[0]
+        day = ad.squash(ad.linear(h, *self._readout))
         return ad.tile_rows(day, cfg.t_out)
 
     def predict(self, input_days: np.ndarray) -> np.ndarray:
@@ -272,58 +268,41 @@ class TransformerModel:
             raise ConfigurationError(f"{config.kind!r} is not a transformer kind")
         self.config = config
         self.embed_mode, self.residual_mode = _TRANSFORMER_MODES[config.kind]
-        self.params = p = self._build()
-        self._embedding = ((p["embed.w"], p["embed.b"]) if self.embed_mode == "affine"
-                           else (p["cte.bonds"], p["cte.actions"]))
-        self._sos, self._readout = p["decoder.sos"], (p["head.w"], p["head.b"])
-        n = range(config.n_layers)
-        self._encoder = [self._layer(f"encoder.l{i}", ("attn",)) for i in n]
-        self._decoder = [self._layer(f"decoder.l{i}", ("self", "cross")) for i in n]
-
-    def _build(self) -> Parameters:
-        cfg = self.config
-        d, width = cfg.d_model, 2 * cfg.vocab_size
-        b = _Builder(rng_for(cfg.seed, "init", cfg.kind))
+        d, width = config.d_model, 2 * config.vocab_size
+        b = _Builder(rng_for(config.seed, "init", config.kind))
         if self.embed_mode == "affine":
-            b.matrix("embed.w", width, d)
-            b.zeros("embed.b", d)
+            self._embedding = (b.matrix("embed.w", width, d), b.zeros("embed.b", d))
         else:
-            b.table("cte.bonds", cfg.vocab_size, d)
-            b.table("cte.actions", 2, d)
-        b.vector("decoder.sos", d)
-        for stack, blocks in (("encoder", ("attn",)), ("decoder", ("self", "cross"))):
-            for i in range(cfg.n_layers):
-                layer = f"{stack}.l{i}"
-                for block in blocks:
-                    for which in "qkvo":
-                        b.matrix(f"{layer}.{block}.w{which}", d, d)
-                        if which != "k":  # the softmax ignores a key bias
-                            b.zeros(f"{layer}.{block}.b{which}", d)
-                b.matrix(f"{layer}.ff.w1", d, cfg.d_ff)
-                b.zeros(f"{layer}.ff.b1", cfg.d_ff)
-                b.matrix(f"{layer}.ff.w2", cfg.d_ff, d)
-                b.zeros(f"{layer}.ff.b2", d)
-                # one norm per sublayer (the blocks, then ff), or one gate per layer
-                if self.residual_mode == "norm":
-                    for j in range(1, len(blocks) + 2):
-                        b.ones(f"{layer}.norm{j}.gamma", d)
-                        b.zeros(f"{layer}.norm{j}.beta", d)
-                else:
-                    b.zeros(f"{layer}.gate", () if self.residual_mode == "scalar" else d)
-        b.matrix("head.w", d, width)
-        b.zeros("head.b", width)
-        return Parameters(b.arrays)
+            self._embedding = (b.table("cte.bonds", config.vocab_size, d),
+                               b.table("cte.actions", 2, d))
+        self._sos = b.vector("decoder.sos", d)
+        # every encoder layer, then every decoder layer: the checkpoint's layout
+        n = range(config.n_layers)
+        self._encoder = [self._layer(b, f"encoder.l{i}", ("attn",)) for i in n]
+        self._decoder = [self._layer(b, f"decoder.l{i}", ("self", "cross")) for i in n]
+        self._readout = (b.matrix("head.w", d, width), b.zeros("head.b", width))
+        self.params = Parameters(b.tensors)
 
-    def _layer(self, name: str, blocks: tuple[str, ...]) -> tuple:
-        """Layer ``name``'s table: (attention blocks, feed-forward, residual rules)."""
-        p = self.params
-        attention = tuple({w: p[f"{name}.{block}.{w}"] for w in "wq bq wk wv bv wo bo".split()}
-                          for block in blocks)
-        ff = tuple(p[f"{name}.ff.{w}"] for w in ("w1", "b1", "w2", "b2"))
+    def _layer(self, b: _Builder, name: str, blocks: tuple[str, ...]) -> tuple:
+        """Draw layer ``name``; return its (attention blocks, feed-forward, residual rules)."""
+        d, d_ff = self.config.d_model, self.config.d_ff
+        attention = []
+        for block in blocks:
+            weights = {}
+            for which in "qkvo":
+                weights[f"w{which}"] = b.matrix(f"{name}.{block}.w{which}", d, d)
+                if which != "k":  # the softmax ignores a key bias
+                    weights[f"b{which}"] = b.zeros(f"{name}.{block}.b{which}", d)
+            attention.append(weights)
+        ff = (b.matrix(f"{name}.ff.w1", d, d_ff), b.zeros(f"{name}.ff.b1", d_ff),
+              b.matrix(f"{name}.ff.w2", d_ff, d), b.zeros(f"{name}.ff.b2", d))
+        # one norm per sublayer (the blocks, then ff), or one gate per layer
         if self.residual_mode != "norm":
-            return attention, ff, ((p[f"{name}.gate"],),) * (len(blocks) + 1)
-        return attention, ff, tuple((p[f"{name}.norm{j}.gamma"], p[f"{name}.norm{j}.beta"])
-                                    for j in range(1, len(blocks) + 2))
+            gate = b.zeros(f"{name}.gate", () if self.residual_mode == "scalar" else d)
+            return tuple(attention), ff, ((gate,),) * (len(blocks) + 1)
+        return tuple(attention), ff, tuple((b.ones(f"{name}.norm{j}.gamma", d),
+                                            b.zeros(f"{name}.norm{j}.beta", d))
+                                           for j in range(1, len(blocks) + 2))
 
     # ---- forward pieces -------------------------------------------------
 

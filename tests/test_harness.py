@@ -322,7 +322,7 @@ class TestTrain:
             config = _Config()
 
             def __init__(self):
-                self.params = Parameters({"w": np.asarray(1e-308)})
+                self.params = Parameters({"w": Tensor(np.asarray(1e-308), requires_grad=True)})
 
             def forward(self, input_days, teacher=None):
                 big = Tensor(np.full(np.shape(teacher), 1e308))

@@ -470,37 +470,34 @@ def full_prefix_predict(model, input_days):
     return np.stack(rows, axis=-2)
 
 
-TABLES = ("_embedding", "_sos", "_readout", "_encoder", "_decoder")
-
-
 def table_references(model) -> Counter:
-    """How often the model's layer tables hold each tensor, by ``id``.  A
-    table shared by several slots (a layer's one gate rule) counts once."""
+    """How often the tensors, tuples, lists and dicts a model holds outside
+    ``params`` hold each tensor, by ``id``.  A table shared by several slots
+    (a layer's one gate rule) counts once."""
     seen, found = set(), Counter()
 
     def walk(node):
         if isinstance(node, Tensor):
             found[id(node)] += 1
-        elif id(node) not in seen:
+        elif isinstance(node, (tuple, list, dict)) and id(node) not in seen:
             seen.add(id(node))
             for child in node.values() if isinstance(node, dict) else node:
                 walk(child)
 
-    for name in TABLES:
-        walk(getattr(model, name))
+    walk({name: value for name, value in vars(model).items() if name != "params"})
     return found
 
 
 class TestLayerTables:
     @pytest.mark.parametrize("n_layers", [1, 2])
-    @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_tables_hold_every_parameter_exactly_once(self, kind, n_layers):
         model = build_model(toy_config(kind, n_layers=n_layers))
         expected = Counter(id(t) for t in model.params.tensors())
         assert len(expected) == len(model.params.names())
         assert table_references(model) == expected
 
-    @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_parameters_are_read_live(self, kind):
         # a copy of any weight kept from an earlier call would miss the write
         model, other = (build_model(toy_config(kind, n_layers=2, seed=s)) for s in (1, 2))
@@ -858,11 +855,15 @@ class TestCheckpointProperties:
 class TestFlatParameters:
     def test_flat_views_every_tensor_in_names_order(self):
         arrays = {"w": np.arange(6.0).reshape(2, 3), "gate": np.asarray(7.0), "b": np.ones(4)}
-        params = Parameters(arrays)
+        tensors = {name: Tensor(values, requires_grad=True) for name, values in arrays.items()}
+        params = Parameters(tensors)
         assert params.names() == ["w", "gate", "b"]
         np.testing.assert_array_equal(
             params.flat, np.concatenate([a.reshape(-1) for a in arrays.values()]))
-        arrays["w"][0, 0] = -1.0  # the constructor copied the arrays
+        for name, tensor in tensors.items():
+            # the very tensor passed in, its values now a view of flat
+            assert params[name] is tensor and np.shares_memory(tensor.values, params.flat), name
+        arrays["w"][0, 0] = -1.0  # the constructor copied the values
         assert params["w"].values[0, 0] == 0.0
         for kind in MODEL_KINDS:
             params = build_model(toy_config(kind)).params
@@ -1010,14 +1011,96 @@ LAYOUTS = {
 }
 
 
+# the same at n_layers=2 for one norm kind and one gate kind: each stack's
+# layers are drawn in order, the encoder's before the decoder's
+TWO_LAYER_LAYOUTS = {
+    "TransFV": (
+        "144a4f8cd89b1445d9253f229e83506a9e83e1c49cd9dbda11272271fad9d467",
+        [("embed.w", (16, 4)), ("embed.b", (4,)), ("decoder.sos", (4,)),
+         ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
+         ("encoder.l0.attn.wk", (4, 4)), ("encoder.l0.attn.wv", (4, 4)),
+         ("encoder.l0.attn.bv", (4,)), ("encoder.l0.attn.wo", (4, 4)),
+         ("encoder.l0.attn.bo", (4,)), ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)),
+         ("encoder.l0.ff.w2", (8, 4)), ("encoder.l0.ff.b2", (4,)),
+         ("encoder.l0.norm1.gamma", (4,)), ("encoder.l0.norm1.beta", (4,)),
+         ("encoder.l0.norm2.gamma", (4,)), ("encoder.l0.norm2.beta", (4,)),
+         ("encoder.l1.attn.wq", (4, 4)), ("encoder.l1.attn.bq", (4,)),
+         ("encoder.l1.attn.wk", (4, 4)), ("encoder.l1.attn.wv", (4, 4)),
+         ("encoder.l1.attn.bv", (4,)), ("encoder.l1.attn.wo", (4, 4)),
+         ("encoder.l1.attn.bo", (4,)), ("encoder.l1.ff.w1", (4, 8)), ("encoder.l1.ff.b1", (8,)),
+         ("encoder.l1.ff.w2", (8, 4)), ("encoder.l1.ff.b2", (4,)),
+         ("encoder.l1.norm1.gamma", (4,)), ("encoder.l1.norm1.beta", (4,)),
+         ("encoder.l1.norm2.gamma", (4,)), ("encoder.l1.norm2.beta", (4,)),
+         ("decoder.l0.self.wq", (4, 4)), ("decoder.l0.self.bq", (4,)),
+         ("decoder.l0.self.wk", (4, 4)), ("decoder.l0.self.wv", (4, 4)),
+         ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
+         ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
+         ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
+         ("decoder.l0.cross.wv", (4, 4)), ("decoder.l0.cross.bv", (4,)),
+         ("decoder.l0.cross.wo", (4, 4)), ("decoder.l0.cross.bo", (4,)),
+         ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)), ("decoder.l0.ff.w2", (8, 4)),
+         ("decoder.l0.ff.b2", (4,)), ("decoder.l0.norm1.gamma", (4,)),
+         ("decoder.l0.norm1.beta", (4,)), ("decoder.l0.norm2.gamma", (4,)),
+         ("decoder.l0.norm2.beta", (4,)), ("decoder.l0.norm3.gamma", (4,)),
+         ("decoder.l0.norm3.beta", (4,)), ("decoder.l1.self.wq", (4, 4)),
+         ("decoder.l1.self.bq", (4,)), ("decoder.l1.self.wk", (4, 4)),
+         ("decoder.l1.self.wv", (4, 4)), ("decoder.l1.self.bv", (4,)),
+         ("decoder.l1.self.wo", (4, 4)), ("decoder.l1.self.bo", (4,)),
+         ("decoder.l1.cross.wq", (4, 4)), ("decoder.l1.cross.bq", (4,)),
+         ("decoder.l1.cross.wk", (4, 4)), ("decoder.l1.cross.wv", (4, 4)),
+         ("decoder.l1.cross.bv", (4,)), ("decoder.l1.cross.wo", (4, 4)),
+         ("decoder.l1.cross.bo", (4,)), ("decoder.l1.ff.w1", (4, 8)),
+         ("decoder.l1.ff.b1", (8,)), ("decoder.l1.ff.w2", (8, 4)), ("decoder.l1.ff.b2", (4,)),
+         ("decoder.l1.norm1.gamma", (4,)), ("decoder.l1.norm1.beta", (4,)),
+         ("decoder.l1.norm2.gamma", (4,)), ("decoder.l1.norm2.beta", (4,)),
+         ("decoder.l1.norm3.gamma", (4,)), ("decoder.l1.norm3.beta", (4,)), ("head.w", (4, 16)),
+         ("head.b", (16,))],
+    ),
+    "TransPPRZ": (
+        "b2e9041ee61925e20d4d93eece0797ae1aeab67f0146f5a17a4fbdb66bbd9828",
+        [("cte.bonds", (8, 4)), ("cte.actions", (2, 4)), ("decoder.sos", (4,)),
+         ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
+         ("encoder.l0.attn.wk", (4, 4)), ("encoder.l0.attn.wv", (4, 4)),
+         ("encoder.l0.attn.bv", (4,)), ("encoder.l0.attn.wo", (4, 4)),
+         ("encoder.l0.attn.bo", (4,)), ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)),
+         ("encoder.l0.ff.w2", (8, 4)), ("encoder.l0.ff.b2", (4,)), ("encoder.l0.gate", (4,)),
+         ("encoder.l1.attn.wq", (4, 4)), ("encoder.l1.attn.bq", (4,)),
+         ("encoder.l1.attn.wk", (4, 4)), ("encoder.l1.attn.wv", (4, 4)),
+         ("encoder.l1.attn.bv", (4,)), ("encoder.l1.attn.wo", (4, 4)),
+         ("encoder.l1.attn.bo", (4,)), ("encoder.l1.ff.w1", (4, 8)), ("encoder.l1.ff.b1", (8,)),
+         ("encoder.l1.ff.w2", (8, 4)), ("encoder.l1.ff.b2", (4,)), ("encoder.l1.gate", (4,)),
+         ("decoder.l0.self.wq", (4, 4)), ("decoder.l0.self.bq", (4,)),
+         ("decoder.l0.self.wk", (4, 4)), ("decoder.l0.self.wv", (4, 4)),
+         ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
+         ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
+         ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
+         ("decoder.l0.cross.wv", (4, 4)), ("decoder.l0.cross.bv", (4,)),
+         ("decoder.l0.cross.wo", (4, 4)), ("decoder.l0.cross.bo", (4,)),
+         ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)), ("decoder.l0.ff.w2", (8, 4)),
+         ("decoder.l0.ff.b2", (4,)), ("decoder.l0.gate", (4,)), ("decoder.l1.self.wq", (4, 4)),
+         ("decoder.l1.self.bq", (4,)), ("decoder.l1.self.wk", (4, 4)),
+         ("decoder.l1.self.wv", (4, 4)), ("decoder.l1.self.bv", (4,)),
+         ("decoder.l1.self.wo", (4, 4)), ("decoder.l1.self.bo", (4,)),
+         ("decoder.l1.cross.wq", (4, 4)), ("decoder.l1.cross.bq", (4,)),
+         ("decoder.l1.cross.wk", (4, 4)), ("decoder.l1.cross.wv", (4, 4)),
+         ("decoder.l1.cross.bv", (4,)), ("decoder.l1.cross.wo", (4, 4)),
+         ("decoder.l1.cross.bo", (4,)), ("decoder.l1.ff.w1", (4, 8)),
+         ("decoder.l1.ff.b1", (8,)), ("decoder.l1.ff.w2", (8, 4)), ("decoder.l1.ff.b2", (4,)),
+         ("decoder.l1.gate", (4,)), ("head.w", (4, 16)), ("head.b", (16,))],
+    ),
+}
+
+
 class TestParameterLayout:
     """A checkpoint stores ``flat`` in ``names()`` order and nothing else, so
     the names, shapes, order and initial draws are pinned per kind."""
 
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_names_shapes_and_initial_values_are_pinned(self, kind):
-        params = build_model(toy_config(kind)).params
-        digest, layout = LAYOUTS[kind]
+    @pytest.mark.parametrize("kind, n_layers", [
+        *(pytest.param(kind, 1, id=kind) for kind in MODEL_KINDS),
+        *(pytest.param(kind, 2, id=f"{kind}-n_layers=2") for kind in TWO_LAYER_LAYOUTS)])
+    def test_names_shapes_and_initial_values_are_pinned(self, kind, n_layers):
+        params = build_model(toy_config(kind, n_layers=n_layers)).params
+        digest, layout = (LAYOUTS if n_layers == 1 else TWO_LAYER_LAYOUTS)[kind]
         assert [(name, params[name].shape) for name in params.names()] == layout
         assert hashlib.sha256(params.flat.tobytes()).hexdigest() == digest
 
