@@ -424,6 +424,22 @@ def tile_rows(v: Tensor, n: int) -> Tensor:
                    lambda g: (np.add.reduce(g, axis=-2),))
 
 
+def _positioned(x: Array, pe: Array, start: Array) -> Array:
+    """:func:`positioned` with a start row, on arrays; a product by one copies it exactly."""
+    return np.concatenate([np.ones((*x.shape[:-2], 1, 1)) * start, x], axis=-2) + pe
+
+
+def positioned(x: Tensor, pe: Array, start: Tensor | None = None) -> Tensor:
+    """A (..., T, d) stack x after the (d,) ``start`` row, if given, plus rows ``pe``: one tape
+    entry, bit-identical to ``add(concat_rows([reshape(tile_rows(start, n), ...), x]), pe)``."""
+    if x.values.ndim < 2 or pe.shape != (x.shape[-2] + (start is not None), x.shape[-1]):
+        raise ShapeMismatchError(f"positioned: positions {pe.shape} for rows {x.shape}")
+    if start is None:
+        return _record("positioned", (x,), x.values + pe, lambda g: (g,))
+    return _record("positioned", (x, start), _positioned(x.values, pe, start.values), lambda g: (
+        g[..., 1:, :], np.add.reduce(g[..., 0, :].reshape(-1, pe.shape[1]), axis=0)))
+
+
 def _check_rowvec(op: str, x: Tensor, v: Tensor) -> int:
     if v.values.ndim != 1 or x.values.ndim < 1 or x.shape[-1] != v.shape[0]:
         raise ShapeMismatchError(f"{op}: incompatible shapes {x.shape} and {v.shape}")

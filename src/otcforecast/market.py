@@ -31,6 +31,8 @@ STATUS_CORRECTION = "R"
 _HEADER = struct.Struct("<4sIII")
 _MAGIC = b"OTCF"
 _FORMAT_VERSION = 1
+# the largest mean numpy's Generator.poisson accepts
+_POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,9 @@ class MarketSpec:
         for rate in (self.periodic_buy_prob, self.sparse_rate, self.cancellation_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ContractError(f"rate {rate} outside [0, 1]")
-        if self.dense_rate < 0:
-            raise ContractError(f"dense_rate {self.dense_rate} must be nonnegative")
+        if not 0 <= self.dense_rate <= _POISSON_MAX:
+            raise ContractError(f"dense_rate {self.dense_rate} must be nonnegative and at most "
+                                f"numpy's Poisson limit {_POISSON_MAX!r}")
         for name, floor in (("periodic_period_range", 1), ("periodic_bonds_range", 0),
                             ("dense_bonds_range", 0)):
             lo, hi = getattr(self, name)

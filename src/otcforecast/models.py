@@ -22,10 +22,10 @@ tables, in the order the forward pass reads them.  A Transformer's
 per-layer tables hold the attention blocks keyed by
 ``multi_head_attention``'s weight keywords, the feed-forward's four
 tensors, and per sublayer its (gamma, beta) or its layer's shared (gate,).
-Training records one tape entry per sublayer op on those tensors.
-Inference reads their ``values``, views of ``params.flat``, once per
-``predict`` call and runs the same rules on them through the ops' forward
-helpers.
+Training records one tape entry per input sequence (``positioned``) and
+per sublayer op.  Inference reads the tensors' ``values``, views of
+``params.flat``, once per ``predict`` call and runs the same rules on them
+through the ops' forward helpers.
 """
 
 from __future__ import annotations
@@ -314,11 +314,6 @@ class TransformerModel:
         traded, counts = _cte_inputs(days, self.config.vocab_size)
         return ad.project_pair(traded, self._embedding[0], counts, self._embedding[1])
 
-    def _add_positions(self, x: Tensor) -> Tensor:
-        """Add the sinusoidal encoding of each position along axis -2 to every window of x."""
-        pe = positional_encoding(x.shape[-2], self.config.d_model)
-        return ad.add(x, Tensor(pe[None].repeat(math.prod(x.shape[:-2]), axis=0).reshape(x.shape)))
-
     def _residual(self, x: Tensor, fx: Tensor, rule: tuple) -> Tensor:
         """Combine a sublayer output with its input under the residual scheme.
 
@@ -333,7 +328,7 @@ class TransformerModel:
     def encode(self, input_days: np.ndarray, trace: list | None = None) -> Tensor:
         cfg = self.config
         data = _windows(input_days, cfg.t_in, cfg.vocab_size)
-        x = self._add_positions(self.embed_days(data))
+        x = ad.positioned(self.embed_days(data), positional_encoding(cfg.t_in, cfg.d_model))
         for i, ((attn,), ff, (r1, r2)) in enumerate(self._encoder):
             x = self._residual(x, ad.multi_head_attention(x, x, x, heads=cfg.heads, **attn), r1)
             x = self._residual(x, ad.feed_forward(x, *ff), r2)
@@ -353,19 +348,6 @@ class TransformerModel:
                 trace.append((f"dec{i}", y.values.copy()))
         return y
 
-    def _decoder_input(self, previous_days: np.ndarray) -> Tensor:
-        """Stack the learned start vector with embeddings of the (..., n, 2V)
-        ``previous_days``, n >= 0, at positions 0 to n; the start vector is
-        broadcast over their leading axes.
-        """
-        lead = previous_days.shape[:-2]
-        d = self.config.d_model
-        sos = ad.tile_rows(self._sos, math.prod(lead))
-        rows = ad.reshape(sos, (*lead, 1, d))
-        if previous_days.shape[-2]:
-            rows = ad.concat_rows([rows, self.embed_days(previous_days)])
-        return self._add_positions(rows)
-
     def forward(
         self,
         input_days: np.ndarray,
@@ -382,7 +364,9 @@ class TransformerModel:
                 f"teacher shape {teacher.shape} does not match input shape {np.shape(input_days)}"
             )
         memory = self.encode(input_days, trace=trace)
-        y = self._decode(self._decoder_input(teacher[..., :-1, :]), memory, trace=trace)
+        y = ad.positioned(self.embed_days(teacher[..., :-1, :]),
+                          positional_encoding(cfg.t_out, cfg.d_model), self._sos)
+        y = self._decode(y, memory, trace=trace)
         return ad.squash(ad.linear(y, *self._readout))
 
     # ---- inference on plain arrays --------------------------------------
@@ -426,7 +410,7 @@ class TransformerModel:
         del x  # decoding does not read it: free it before the caches grow
         readout = [t.values for t in self._readout]
         pe = positional_encoding(cfg.t_out, d)
-        y = (self._sos.values + pe[:1]).repeat(math.prod(lead), axis=0).reshape(*lead, 1, d)
+        y = ad._positioned(np.zeros((*lead, 0, d)), pe[:1], self._sos.values)
         rows = []
         for step in range(1, cfg.t_out + 1):
             for ((own, cross), ff, (r1, r2, r3)), cache in zip(decoder, caches):

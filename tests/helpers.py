@@ -73,6 +73,16 @@ def squash_composite(z: ad.Tensor) -> ad.Tensor:
     return ad.scale(ad.add_scalar(ad.tanh(z), 1.0), 0.5)
 
 
+def positioned_composite(x: ad.Tensor, pe, start: ad.Tensor | None = None) -> ad.Tensor:
+    """The start row and the position rows from ``tile_rows``, ``reshape``,
+    ``concat_rows`` and ``add``: the composite ``ad.positioned`` replaced,
+    kept as its reference."""
+    if start is not None:
+        lead, d = x.shape[:-2], x.shape[-1]
+        x = ad.concat_rows([ad.reshape(ad.tile_rows(start, math.prod(lead)), (*lead, 1, d)), x])
+    return ad.add(x, Tensor(pe[None].repeat(math.prod(x.shape[:-2]), axis=0).reshape(x.shape)))
+
+
 # each one-entry sublayer op and the composite it replaced, kept as its
 # reference: case -> (op name, composite).  residual_gate has one case per
 # gate shape: one value (scalar) and one per channel (vector).

@@ -133,6 +133,12 @@ def test_c1_gradient_correctness():
     xl, wl, bl = tensors((2, 3, 4), (4, 5), (5,))
     worst_ops = max(worst_ops, finite_diff_check(
         lambda: sum_all(ad.mul(ad.linear(xl, wl, bl), ad.linear(xl, wl, bl))), [xl, wl, bl]))
+
+    rows, start = tensors((2, 3, 4), (4,))
+    worst_ops = max(worst_ops, finite_diff_check(
+        lambda: sum_all(ad.mul(ad.positioned(rows, positional_encoding(4, 4), start),
+                               ad.positioned(rows, positional_encoding(4, 4), start))),
+        [rows, start]))
     assert worst_ops < 1e-4
 
     worst_models = {}

@@ -15,8 +15,9 @@ from otcforecast.errors import ConfigurationError, ContractError, ShapeMismatchE
 from otcforecast.models import ModelConfig, _cte_inputs, build_model
 
 from helpers import (SUBLAYER_CASES, cte_inputs_reference, finite_diff_check,
-                     layer_norm_reference, mse_reference, rand, softmax_reference,
-                     softmax_vjp_reference, sublayer_case, sublayer_op, sum_all)
+                     layer_norm_reference, mse_reference, positioned_composite, rand,
+                     softmax_reference, softmax_vjp_reference, sublayer_case, sublayer_op,
+                     sum_all)
 
 
 class TestFiniteDiffOracle:
@@ -520,6 +521,69 @@ class TestSublayerOps:
     def test_shape_errors(self, call):
         with pytest.raises(ShapeMismatchError):
             call()
+
+
+# (rows, start): encoder rows, decoder rows after the start row, and the
+# start row alone, as the decoder of a one-day forecast gets it
+POSITIONED_CASES = [(4, False), (4, True), (0, True)]
+POSITIONED_IDS = ["rows", "start_and_rows", "start_only"]
+
+
+def positioned_case(lead, rows, start):
+    """(x, pe, start, target) for ``ad.positioned`` on (*lead, rows, 4) rows x."""
+    x = rand((*lead, rows, 4), 60)
+    pe = np.random.default_rng(61).normal(size=(rows + start, 4))
+    target = Tensor(np.random.default_rng(62).normal(size=(*lead, rows + start, 4)))
+    return x, pe, rand((4,), 63) if start else None, target
+
+
+class TestPositioned:
+    """The one-entry input-sequence op against the ``tile_rows``, ``reshape``,
+    ``concat_rows`` and ``add`` composite it replaced."""
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("rows, start", POSITIONED_CASES, ids=POSITIONED_IDS)
+    def test_output_and_gradients_match_the_composite_bit_for_bit(self, lead, rows, start):
+        x, pe, sos, target = positioned_case(lead, rows, start)
+        w, b = rand((4, 4), 64), rand((4,), 65)
+        leaves = [x, w, b] + ([sos] if start else [])
+        results = []
+        for op in (ad.positioned, positioned_composite):
+            ad.reset_tape()
+            # x arrives through an op, as the embedded days do
+            out = ad.tanh(op(ad.linear(x, w, b), pe, sos))
+            results.append([out.values, *backward(ad.mse_loss(out, target), leaves)])
+        fused, composite = results
+        assert len(fused) == len(composite) == len(leaves) + 1
+        for got, expected in zip(fused, composite):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("rows, start", POSITIONED_CASES, ids=POSITIONED_IDS)
+    def test_one_call_records_one_entry(self, rows, start):
+        x, pe, sos, _ = positioned_case((2,), rows, start)
+        ad.reset_tape()
+        ad.positioned(x, pe, sos)
+        assert [entry.name for entry in ad._TAPE] == ["positioned"]
+
+    @pytest.mark.parametrize("rows, start", POSITIONED_CASES, ids=POSITIONED_IDS)
+    def test_gradient_against_finite_differences(self, rows, start):
+        x, pe, sos, target = positioned_case((2,), rows, start)
+        leaves = [x] + ([sos] if start else [])
+        err = finite_diff_check(lambda: ad.mse_loss(ad.tanh(ad.positioned(x, pe, sos)), target),
+                                leaves)
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("x_shape, pe_shape, start", [
+        ((2, 3, 4), (4, 4), False),     # a position too many
+        ((2, 3, 4), (3, 4), True),      # no position for the start row
+        ((2, 3, 4), (1, 4), False),     # one row that numpy would broadcast
+        ((2, 3, 4), (3, 5), False),     # another width
+        ((2, 3, 4), (2, 3, 4), False),  # a stack of positions
+        ((4,), (1, 4), False),          # no row axis
+    ])
+    def test_positions_that_do_not_fit_the_rows_rejected(self, x_shape, pe_shape, start):
+        with pytest.raises(ShapeMismatchError):
+            ad.positioned(rand(x_shape, 66), np.zeros(pe_shape), rand((4,), 67) if start else None)
 
 
 def lstm_step_loop(projected, wh):

@@ -220,6 +220,17 @@ class TestParseConfig:
         assert err.count("\n") == 1 and "[market] dense_rate must be a float >= 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw", ["9.223372006484772e18", "1e19"])
+    def test_rate_past_the_poisson_limit_exits_1_before_gen(self, tmp_path, capsys, raw):
+        # numpy's Generator.poisson refuses a mean above 2**63 - 10 * sqrt(2**63)
+        cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(
+            "dense_rate = 2.0", f"dense_rate = {raw}"))
+        assert main(["gen", "-c", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"otcforecast: config error: dense_rate {float(raw)!r} must be nonnegative "
+                       "and at most numpy's Poisson limit 9.223372006484771e+18\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", fields(RunConfig), ids=lambda key: key.name)
     def test_every_setting_round_trips_and_names_its_constraint(self, tmp_path, key):
         section, constraint = key.metadata.get("section"), key.metadata.get("constraint")

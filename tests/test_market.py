@@ -131,6 +131,7 @@ class TestGenerator:
         ({"sparse_rate": -0.1}, "rate -0.1 outside [0, 1]"),
         ({"cancellation_rate": 2.0}, "rate 2.0 outside [0, 1]"),
         ({"dense_rate": -1.0}, "dense_rate -1.0 must be nonnegative"),
+        ({"dense_rate": 1e19}, "dense_rate 1e+19 must be nonnegative and at most numpy's Poisson"),
     ])
     def test_invalid_sizes_and_rates_rejected(self, overrides, message):
         with pytest.raises(ContractError, match=re.escape(message)):

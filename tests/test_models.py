@@ -33,7 +33,8 @@ from otcforecast.models import (
 )
 from otcforecast.seeding import rng_for
 
-from helpers import random_day_matrix, squash_composite, sum_all
+from helpers import (finite_diff_check, positioned_composite, random_day_matrix,
+                     squash_composite, sum_all)
 
 
 def toy_config(kind, **overrides):
@@ -615,7 +616,7 @@ class TestTransformer:
             assert np.array_equal(a, b)
             np.testing.assert_array_equal(pprz.predict(x), twin.predict(x))
 
-    def test_no_key_bias_and_30_tape_entries_at_c7_size(self):
+    def test_no_key_bias_and_27_tape_entries_at_c7_size(self):
         x = np.stack([random_day_matrix(5, 20, seed) for seed in range(8)])
         teacher = np.stack([random_day_matrix(5, 20, seed) for seed in range(8, 16)])
         for kind in TRANSFORMER_KINDS:
@@ -627,9 +628,47 @@ class TestTransformer:
             ad.mse_loss(build_model(config).forward(x, teacher=teacher),
                         Tensor(teacher.astype(np.float64)))
             # per layer one entry per attention, residual and feed-forward
-            # block: 8 in the encoder, 12 in the decoder; then 2 for the
-            # encoder input, 5 for the decoder input, 2 for the head, the loss
-            assert ad.tape_size() == 30, kind
+            # block: 8 in the encoder, 12 in the decoder; then 2 for each
+            # input sequence (its embedding and its positioned rows), 2 for
+            # the head, the loss
+            assert ad.tape_size() == 27, kind
+
+    @pytest.mark.parametrize("t_out", [1, 3])
+    @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
+    def test_training_matches_composite_input_sequences_bit_for_bit(self, monkeypatch, kind,
+                                                                     t_out):
+        # at t_out 1 the decoder's input is the start row alone
+        model = build_model(toy_config(kind, t_out=t_out, n_layers=2, seed=23))
+        flat = model.params.flat
+        flat += np.random.default_rng(24).normal(scale=0.3, size=flat.size)  # open the gates
+        x = np.stack([random_day_matrix(3, 8, seed) for seed in range(4)])
+        teacher = np.stack([random_day_matrix(t_out, 8, seed) for seed in range(4, 8)])
+        results = []
+        for positioned in (ad.positioned, positioned_composite):
+            monkeypatch.setattr(ad, "positioned", positioned)
+            ad.reset_tape()
+            out = model.forward(x, teacher=teacher)
+            loss = ad.mse_loss(out, Tensor(teacher.astype(np.float64)))
+            results.append([out.values, *ad.backward(loss, model.params.tensors())])
+        fused, composite = results
+        for got, expected in zip(fused, composite):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
+    def test_one_day_training_gradient_against_finite_differences(self, kind):
+        model = build_model(toy_config(kind, t_out=1, seed=25))
+        flat = model.params.flat
+        flat += np.random.default_rng(26).normal(scale=0.3, size=flat.size)  # open the gates
+        x, teacher = random_day_matrix(3, 8, 27), random_day_matrix(1, 8, 28)
+
+        def loss():
+            out = model.forward(x, teacher=teacher)
+            return ad.mse_loss(out, Tensor(teacher.astype(np.float64)))
+
+        assert finite_diff_check(loss, model.params.tensors()) < 1e-4
+        ad.reset_tape()
+        (sos,) = ad.backward(loss(), [model.params["decoder.sos"]])
+        assert np.abs(sos).max() > 0
 
     @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
     def test_predict_matches_full_prefix_decoding(self, kind):
