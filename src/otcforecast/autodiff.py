@@ -235,10 +235,10 @@ def squash(z: Tensor) -> Tensor:
 
 
 def _sigmoid(x: Array) -> Array:
-    """1 / (1 + e^-x), from e^-|x| so that exp never overflows."""
-    pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))  # e^-x where x >= 0, else e^x
-    return np.where(pos, 1.0, e) / (1.0 + e)
+    """1 / (1 + e^-x) from e = e^-|x|, so exp never overflows.  As 0 <= e <= 1,
+    maximum(e, x >= 0) is exactly the numerator (1 if x >= 0, else e); NaN stays NaN."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:

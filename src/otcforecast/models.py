@@ -255,9 +255,7 @@ class RecurrentModel:
         day = ad.squash(ad.linear(h, *self._readout))
         return ad.tile_rows(day, cfg.t_out)
 
-    def predict(self, input_days: np.ndarray) -> np.ndarray:
-        with ad.no_grad():
-            return self.forward(input_days).values
+    predict = FCModel.predict  # its own binding, so wrapping one class's predict spares the other
 
 
 class TransformerModel:

@@ -102,8 +102,9 @@ SUBLAYER_CASES = {
 
 
 # References for the hot helpers that call ufunc reductions and ndarray
-# methods directly: the same formulas through np.mean, np.var, ndarray.sum
-# and np.stack, which must give the same bytes.
+# methods directly, or compute without masks: the same formulas through
+# np.mean, np.var, ndarray.sum, np.stack and np.where, which must give the
+# same bytes.
 
 
 def layer_norm_reference(x, gamma, beta):
@@ -144,6 +145,13 @@ def softmax_reference(sv, causal):
 def softmax_vjp_reference(y, g):
     """``ad._softmax_vjp`` with ``.sum``."""
     return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def sigmoid_reference(x):
+    """``ad._sigmoid`` with its numerator and exp argument selected by masks."""
+    pos = x >= 0
+    e = np.exp(np.where(pos, -x, x))  # e^-x where x >= 0, else e^x
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 def mse_reference(pred, target):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import otcforecast.autodiff as ad
 from otcforecast.autodiff import OptimizerState, Tensor, adam_step, backward
@@ -16,8 +17,8 @@ from otcforecast.models import ModelConfig, _cte_inputs, build_model
 
 from helpers import (SUBLAYER_CASES, cte_inputs_reference, finite_diff_check,
                      layer_norm_reference, mse_reference, positioned_composite, rand,
-                     softmax_reference, softmax_vjp_reference, sublayer_case, sublayer_op,
-                     sum_all)
+                     sigmoid_reference, softmax_reference, softmax_vjp_reference,
+                     sublayer_case, sublayer_op, sum_all)
 
 
 class TestFiniteDiffOracle:
@@ -867,8 +868,9 @@ def hot_operands(draw):
 
 class TestHotPathHelpers:
     """The helpers that reduce with np.add.reduce give the bytes of the
-    np.mean, np.var, ndarray.sum and np.stack formulas they replaced, beyond
-    the sizes and binary days the golden file pins."""
+    np.mean, np.var, ndarray.sum and np.stack formulas they replaced, and the
+    branch-free sigmoid those of its np.where form, beyond the sizes and
+    binary days the golden file pins."""
 
     @HOT_PATH_PROPERTY
     @given(hot_operands())
@@ -897,6 +899,29 @@ class TestHotPathHelpers:
         assert np.array_equal(y, softmax_reference(scores, causal))
         g = scale * rng.normal(size=shape)
         assert np.array_equal(ad._softmax_vjp(y, g), softmax_vjp_reference(y, g))
+
+    @staticmethod
+    def assert_sigmoid_matches_masks(x):
+        got, want = np.asarray(ad._sigmoid(x)), np.asarray(sigmoid_reference(x))
+        assert got.dtype == want.dtype == np.float64
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
+
+    @HOT_PATH_PROPERTY
+    @given(hnp.arrays(np.float64, st.sampled_from([(), (3,), (2, 4, 3)]), elements=st.floats()))
+    def test_sigmoid_matches_masked_form(self, x):
+        # st.floats draws ±0, ±inf, NaN, subnormals and magnitudes up to 1.8e308
+        self.assert_sigmoid_matches_masks(x)
+
+    def test_sigmoid_matches_masked_form_at_the_edges(self):
+        tiny, big = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
+        edges = [0.0, tiny, np.finfo(np.float64).smallest_normal, 1e-300, 36.7,
+                 709.0, 709.8, 710.0, 745.0, 745.2, 746.0, 1e308, big, np.inf]
+        x = np.array(edges + [-v for v in edges] + [np.nan, -np.nan])
+        self.assert_sigmoid_matches_masks(x)
+        for v in x:
+            self.assert_sigmoid_matches_masks(np.float64(v))
 
     @HOT_PATH_PROPERTY
     @given(hot_operands())

@@ -279,6 +279,17 @@ class TestRecurrentModels:
             assert ad.tape_size() == entries, t_in
 
 
+@pytest.mark.parametrize("kind", ["FCSum", "LSTM", "BiLSTM"])
+def test_predict_is_forward_with_nothing_recorded(kind):
+    model = build_model(toy_config(kind))
+    x = np.stack([random_day_matrix(3, 8, seed) for seed in range(4)])
+    predicted = model.predict(x)
+    assert ad.tape_size() == 0
+    forward = model.forward(x).values
+    assert ad.tape_size() > 0
+    assert np.array_equal(predicted.view(np.uint64), forward.view(np.uint64))
+
+
 def per_gate_weights(model):
     """Split each stacked LSTM tensor into its i, f, g, o gate blocks, as
     fresh leaves named '<dir>.wx_<gate>', '<dir>.wh_<gate>', '<dir>.b_<gate>'."""
