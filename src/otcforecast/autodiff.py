@@ -252,7 +252,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.values - target.values
     n = diff.size
     return _record(
-        "mse_loss", (pred, target), np.asarray(np.add.reduce(diff * diff, axis=None) / n),
+        "mse_loss", (pred, target), np.add.reduce(diff * diff, axis=None) / n,
         lambda g: (g.item() * 2.0 * diff / n,
                    g.item() * (-2.0) * diff / n if target.requires_grad else None),
     )

@@ -352,7 +352,7 @@ def _pack_bits(matrix: np.ndarray) -> bytes:
 def _unpack_bits(blob: bytes, shape: tuple[int, int]) -> np.ndarray:
     n = shape[0] * shape[1]
     bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8), count=n)
-    return bits.reshape(shape).astype(np.uint8)
+    return bits.reshape(shape)
 
 
 def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: int) -> None:

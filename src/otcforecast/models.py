@@ -14,7 +14,8 @@ Every model maps a (..., T_in, 2V) stack of input windows to a
 through (tanh + 1) / 2).  The leading axes are a batch: one forward pass
 serves a whole mini-batch, and a single (T_in, 2V) window is the case with
 no leading axis.  The FC and recurrent baselines predict a single day
-vector that is tiled over the output window.
+vector that is tiled over the output window.  Day vectors become float64
+once, where they enter: in ``_windows``, or in the op ``embed_days`` calls.
 
 Each parameter is named once, where it is drawn: the builder hands back
 its tensor, and every model keeps the tensors it draws in small tuples and
@@ -171,12 +172,11 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
 
 def _cte_inputs(days, v: int) -> tuple[np.ndarray, np.ndarray]:
     """The (..., V) traded bonds and (..., 2) buy and sell counts of (..., 2V)
-    days, whose co-trading embedding (per day, the sum over traded bonds of
-    the bond vector plus the buy or sell action vector) is (X_buy + X_sell)
-    @ bonds + [n_buy, n_sell] @ actions; an empty day embeds to zero."""
-    days = np.asarray(days, dtype=np.float64)
+    days, in the counts' dtype (bool days sum as integers).  The co-trading
+    embedding, per day a sum of bond plus action vectors over traded bonds
+    (zero if none), is (X_buy + X_sell) @ bonds + [n_buy, n_sell] @ actions."""
     counts = np.add.reduce(days.reshape(*days.shape[:-1], 2, v), axis=-1)
-    return days[..., :v] + days[..., v:], counts
+    return np.add(days[..., :v], days[..., v:], dtype=counts.dtype), counts
 
 
 def _windows(days, rows: int, vocab_size: int, what: str = "input") -> np.ndarray:
@@ -307,8 +307,7 @@ class TransformerModel:
     def embed_days(self, days: np.ndarray) -> Tensor:
         """Shared input embedding of (..., 2V) encoder and decoder day vectors."""
         if self.embed_mode == "affine":
-            data = np.asarray(days, dtype=np.float64)
-            return ad.linear(Tensor(data), *self._embedding)
+            return ad.linear(Tensor(days), *self._embedding)
         traded, counts = _cte_inputs(days, self.config.vocab_size)
         return ad.project_pair(traded, self._embedding[0], counts, self._embedding[1])
 

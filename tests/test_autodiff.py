@@ -930,6 +930,7 @@ class TestHotPathHelpers:
         rng = np.random.default_rng(seed)
         pred, target = scale * rng.normal(size=shape), scale * rng.normal(size=shape)
         loss = ad.mse_loss(Tensor(pred), Tensor(target)).values
+        assert loss.shape == () and loss.dtype == np.float64
         assert np.array_equal(loss, mse_reference(pred, target))
 
     @HOT_PATH_PROPERTY

@@ -387,6 +387,7 @@ class TestFileFormats:
         assert (days, v) == (spec.days, vocab.size)
         assert [h.dealer_id for h in loaded] == [h.dealer_id for h in histories]
         for a, b in zip(loaded, histories):
+            assert a.day_vectors.dtype == np.uint8
             np.testing.assert_array_equal(a.day_vectors, b.day_vectors)
         assert path.read_bytes()[:4] == b"OTCF"
 

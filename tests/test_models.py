@@ -535,6 +535,19 @@ class TestTransformer:
             expected = model.embed_days(x).values + positional_encoding(3, 4)
             assert np.abs(encoder_out.values - expected).max() < 1e-12
 
+    @pytest.mark.parametrize("kind", ["TransFV", "TransPPRZ"])
+    def test_embedding_reads_uint8_bool_and_float64_days_alike(self, kind):
+        # an empty day, and a bond bought and sold on one day: a bool sum
+        # of the two sides would count that bond once
+        model = build_model(toy_config(kind))
+        days = random_day_matrix(6, 8, 23, density=0.4).reshape(2, 3, 16)
+        days[0, 1] = 0
+        days[1, 2, [1, 8 + 1]] = 1
+        embedded = [model.embed_days(days.astype(dtype)).values
+                    for dtype in (np.uint8, bool, np.float64)]
+        assert np.array_equal(embedded[0], embedded[1])
+        assert np.array_equal(embedded[0], embedded[2])
+
     def test_output_shape_and_range(self):
         for kind in ("TransFV", "TransCTE", "TransRE", "TransPPRZ"):
             model = build_model(toy_config(kind))
