@@ -36,9 +36,7 @@ class Tensor:
     __slots__ = ("values", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = np.asarray(values, dtype=np.float64)
-        # ascontiguousarray would silently promote 0-d scalars to shape (1,)
-        self.values = arr.copy() if arr.ndim == 0 else np.ascontiguousarray(arr)
+        self.values = np.asarray(values, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
 
     @property

@@ -181,7 +181,7 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
     vocab_size, units, labels = _prepare(cfg, out, scoring=True)
     models = ((tag, m, test) for tag, m, _, test in _unit_models(cfg, out, vocab_size, units))
     rows = score_units(cfg.kind, cfg.granularity, models, cfg.threshold, cfg.eval_mode, labels)
-    write_reports(out / REPORT_FILE, rows)
+    write_reports(out / REPORT_FILE, cfg.granularity, rows)
     print(f"wrote {out / REPORT_FILE}")
 
 
@@ -200,11 +200,11 @@ def cmd_compare(cfg: RunConfig, out: Path) -> None:
         rows = score_units(config.kind, cfg.granularity, trained, cfg.threshold,
                            cfg.eval_mode, labels)
         all_rows.extend(rows)
-        f1 = {row.cluster: repr(row.f1) for row in rows}
+        f1 = {cluster: repr(report.f1) for cluster, report in rows}
         tiers = (f1.get(str(label), "") for label in range(TIERS))
         grid.append((config.kind, *tiers, f1["all"]))
     market.write_rows(out / COMPARE_FILE, grid)
-    write_reports(out / COMPARE_REPORT_FILE, all_rows)
+    write_reports(out / COMPARE_REPORT_FILE, cfg.granularity, all_rows)
     print(f"wrote {out / COMPARE_FILE}")
     print(f"wrote {out / COMPARE_REPORT_FILE}")
 

@@ -50,9 +50,9 @@ class TrainSpec:
 
 @dataclass
 class EvalReport:
+    """One model's pooled confusion counts and their micro-averaged scores."""
+
     model: str
-    granularity: str
-    cluster: str
     tp: int
     fp: int
     fn: int
@@ -62,9 +62,8 @@ class EvalReport:
     f1: float
 
     @classmethod
-    def from_counts(cls, model, granularity, cluster, tp, fp, fn, tn) -> "EvalReport":
-        precision, recall, f1 = micro_prf(tp, fp, fn)
-        return cls(model, granularity, cluster, tp, fp, fn, tn, precision, recall, f1)
+    def from_counts(cls, model, tp, fp, fn, tn) -> "EvalReport":
+        return cls(model, tp, fp, fn, tn, *micro_prf(tp, fp, fn))
 
 
 def micro_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -178,7 +177,7 @@ def evaluate(model, test_samples: list[Sample], threshold: float,
         if mode == "union":
             probs, target = probs.max(axis=-2), target.max(axis=-2)
         totals += _confusion(probs >= threshold, target)
-    return EvalReport.from_counts(model.config.kind, "single", "all", *totals.tolist())
+    return EvalReport.from_counts(model.config.kind, *totals.tolist())
 
 
 def layer_signal_stats(model, probe_samples: list[Sample]) -> dict[str, tuple[float, float]]:
@@ -273,12 +272,12 @@ def score_units(
     threshold: float,
     mode: str,
     labels: dict[str, int],
-) -> list[EvalReport]:
+) -> list[tuple[str, EvalReport]]:
     """Evaluate each (tag, model, unit test) unit and pool counts per cluster.
 
     Each unit's test windows are scored once per cluster label among them.
-    Returns one row per cluster label, in label order, then the pooled
-    "all" row.  Units without test samples are skipped with a warning.
+    Returns (cluster, report) rows per label, in label order, then the
+    pooled "all" row.  Units without test samples are skipped with a warning.
     """
     counts: dict[int, np.ndarray] = {}
     for tag, model, unit_test in units:
@@ -293,11 +292,11 @@ def score_units(
             counts.setdefault(label, np.zeros(4, dtype=np.int64))
             counts[label] += (report.tp, report.fp, report.fn, report.tn)
     rows = [
-        EvalReport.from_counts(kind, granularity, str(label), *counts[label].tolist())
+        (str(label), EvalReport.from_counts(kind, *counts[label].tolist()))
         for label in sorted(counts)
     ]
     pooled = sum(counts.values(), np.zeros(4, dtype=np.int64))
-    rows.append(EvalReport.from_counts(kind, granularity, "all", *pooled.tolist()))
+    rows.append(("all", EvalReport.from_counts(kind, *pooled.tolist())))
     return rows
 
 
@@ -306,9 +305,11 @@ def score_units(
 # ---------------------------------------------------------------------------
 
 
-def write_reports(path, rows: list[EvalReport]) -> None:
-    """CSV table: one column per :class:`EvalReport` field, in field order."""
-    write_rows(path, [[f.name for f in fields(EvalReport)], *map(astuple, rows)])
+def write_reports(path, granularity: str, rows: list[tuple[str, EvalReport]]) -> None:
+    """CSV table: a report per row, its unit's ``granularity`` and ``cluster`` after ``model``."""
+    model, *measured = (f.name for f in fields(EvalReport))
+    write_rows(path, [(model, "granularity", "cluster", *measured),
+                      *((r.model, granularity, cluster, *astuple(r)[1:]) for cluster, r in rows)])
 
 
 def write_layer_stats(path, kind: str,

@@ -12,10 +12,10 @@ scalar is the one-value case of the vector, and one op serves both.
 Every model maps a (..., T_in, 2V) stack of input windows to a
 (..., T_out, 2V) stack of predictions with entries in [0, 1] (outputs pass
 through (tanh + 1) / 2).  The leading axes are a batch: one forward pass
-serves a whole mini-batch, and a single (T_in, 2V) window is the case with
-no leading axis.  The FC and recurrent baselines predict a single day
-vector that is tiled over the output window.  Day vectors become float64
-once, where they enter: in ``_windows``, or in the op ``embed_days`` calls.
+serves a whole mini-batch, and a single (T_in, 2V) window has no leading
+axis.  The FC and recurrent baselines predict one day vector, tiled over the
+output window.  Day vectors become float64 once, where they enter: in
+``_windows``, in the ops ``embed_days`` calls, and in ``predict``'s feedback.
 
 Each parameter is named once, where it is drawn: the builder hands back
 its tensor, and every model keeps the tensors it draws in small tuples and

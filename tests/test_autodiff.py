@@ -21,6 +21,22 @@ from helpers import (SUBLAYER_CASES, cte_inputs_reference, finite_diff_check,
                      sublayer_case, sublayer_op, sum_all)
 
 
+class TestTensor:
+    @pytest.mark.parametrize("values", [
+        np.arange(6.0).reshape(2, 3),
+        np.float64(2.5),
+        np.array(3.0),
+        np.arange(6, dtype=np.uint8).reshape(3, 2),
+        np.arange(6.0)[::-1],
+        [[1, 2], [3, 4]],
+    ], ids=["float64", "numpy-scalar", "0-d", "uint8", "reversed-view", "list"])
+    def test_values_are_contiguous_float64_of_the_input_shape(self, values):
+        t = Tensor(values)
+        assert t.values.dtype == np.float64 and t.values.flags.c_contiguous
+        assert t.shape == np.shape(values)
+        np.testing.assert_array_equal(t.values, values)
+
+
 class TestFiniteDiffOracle:
     """Validate the gradient oracle itself before using it everywhere else."""
 

@@ -223,9 +223,10 @@ class TestBatchedHarness:
             one = evaluate(model, [s], 0.5, mode=mode)
             counts = expected.setdefault(labels[s.dealer_id], np.zeros(4, dtype=np.int64))
             counts += (one.tp, one.fp, one.fn, one.tn)
-        assert [row.cluster for row in rows] == ["0", "2", "all"]
-        for row, label in zip(rows, (0, 2)):
+        assert [cluster for cluster, _ in rows] == ["0", "2", "all"]
+        for (_, row), label in zip(rows, (0, 2)):
             assert [row.tp, row.fp, row.fn, row.tn] == expected[label].tolist()
         pooled = sum(expected.values()).tolist()
         assert [report.tp, report.fp, report.fn, report.tn] == pooled
-        assert [rows[-1].tp, rows[-1].fp, rows[-1].fn, rows[-1].tn] == pooled
+        all_row = rows[-1][1]
+        assert [all_row.tp, all_row.fp, all_row.fn, all_row.tn] == pooled

@@ -643,7 +643,7 @@ class TestPipeline:
                            in train_units(config, units, cfg.train_spec())]
                 rows += score_units(kind, "cluster", trained, cfg.threshold, cfg.eval_mode,
                                     labels)
-        write_reports(tmp_path / "library.csv", rows)
+        write_reports(tmp_path / "library.csv", "cluster", rows)
         assert (tmp_path / "library.csv").read_bytes() == (out / "compare_report.csv").read_bytes()
         assert [str(w.message) for w in cli_warnings] == [str(w.message) for w in lib_warnings]
 

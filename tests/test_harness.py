@@ -1,6 +1,7 @@
 """Training loop, metrics, layer statistics, and granularity experiment."""
 
 import csv
+import dataclasses
 import re
 from pathlib import Path
 
@@ -115,6 +116,11 @@ class TestEvaluate:
             totals += [rep.precision, rep.recall, rep.f1]
         np.testing.assert_allclose(totals, 5.0)
 
+    def test_report_holds_only_what_evaluate_measures(self):
+        rep = evaluate(FixedModel(np.zeros((2, 8))), random_samples(2, seed=8), 0.5)
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "model", "tp", "fp", "fn", "tn", "precision", "recall", "f1"]
+
     def test_all_negative_predictor(self):
         samples = random_samples(3, seed=2, density=0.5)
         model = FixedModel(np.zeros((2, 8)))
@@ -210,15 +216,15 @@ class TestScoreUnits:
         model = FixedModel(rng.random((2, 8)))
         labels = {"DA": 0, "DB": 1}
         rows = score_units("stub", "single", [("single", model, b + a)], 0.5, "per_day", labels)
-        assert [(r.granularity, r.cluster) for r in rows] == [
-            ("single", "0"), ("single", "1"), ("single", "all")]
+        assert [cluster for cluster, _ in rows] == ["0", "1", "all"]
 
         def counts(r):
             return [r.tp, r.fp, r.fn, r.tn]
 
-        assert counts(rows[0]) == counts(evaluate(model, a, 0.5))
-        assert counts(rows[1]) == counts(evaluate(model, b, 0.5))
-        assert counts(rows[2]) == (np.array(counts(rows[0])) + counts(rows[1])).tolist()
+        (_, r0), (_, r1), (_, pooled) = rows
+        assert counts(r0) == counts(evaluate(model, a, 0.5))
+        assert counts(r1) == counts(evaluate(model, b, 0.5))
+        assert counts(pooled) == (np.array(counts(r0)) + counts(r1)).tolist()
 
     def test_unlabelled_dealer_rejected(self):
         samples = random_samples(1, seed=99, dealer="DX")
@@ -431,8 +437,8 @@ class TestGranularityExperiment:
         f1s = {}
         for granularity in GRANULARITIES:
             rows = run_experiment(granularity, train_s, test_s, {"D1": 0})
-            assert [r.cluster for r in rows] == ["0", "all"]
-            f1s[granularity] = rows[-1].f1
+            assert [cluster for cluster, _ in rows] == ["0", "all"]
+            f1s[granularity] = rows[-1][1].f1
         assert len(set(f1s.values())) == 1
 
     def test_cluster_granularity_trains_one_model_per_cluster(self):
@@ -462,8 +468,8 @@ class TestGranularityExperiment:
         for granularity in GRANULARITIES:
             rows = run_experiment(granularity, train_s, test_s, labels)
             # one row per cluster, then the "all" row
-            assert [r.cluster for r in rows] == ["0", "1", "all"]
-            assert {r.granularity for r in rows} == {granularity}
+            assert [cluster for cluster, _ in rows] == ["0", "1", "all"]
+            assert {report.model for _, report in rows} == {"TransRE"}
 
     def test_dealer_without_training_samples_warns(self):
         labels = {"DA": 0, "DB": 0}
@@ -471,7 +477,7 @@ class TestGranularityExperiment:
         test_s = market_samples(labels, per_dealer=1, seed=70)
         with pytest.warns(UserWarning, match="DB"):
             rows = run_experiment("individual", train_s, test_s, labels)
-        assert [r.cluster for r in rows] == ["0", "all"]
+        assert [cluster for cluster, _ in rows] == ["0", "all"]
 
     def test_unit_without_test_samples_warns_and_is_not_scored(self):
         model = FixedModel(np.zeros((2, 8)))
@@ -480,9 +486,9 @@ class TestGranularityExperiment:
                 ("cluster0", model, random_samples(2, seed=75, dealer="DA")),
                 ("cluster1", model, []),
             ], 0.5, "per_day", {"DA": 0, "DB": 1})
-        assert [r.cluster for r in rows] == ["0", "all"]
-        assert (rows[0].tp, rows[0].fp, rows[0].fn, rows[0].tn) == (
-            rows[1].tp, rows[1].fp, rows[1].fn, rows[1].tn)
+        assert [cluster for cluster, _ in rows] == ["0", "all"]
+        (_, one), (_, pooled) = rows
+        assert (one.tp, one.fp, one.fn, one.tn) == (pooled.tp, pooled.fp, pooled.fn, pooled.tn)
 
     def test_missing_assignment_rejected(self):
         train_s = market_samples(["DA"], seed=80)
@@ -498,26 +504,26 @@ class TestGranularityExperiment:
 class TestReportIO:
     def test_report_round_trip(self, tmp_path):
         rows = [
-            EvalReport.from_counts("TransRE", "single", "0", 3, 1, 2, 10),
-            EvalReport.from_counts("TransRE", "single", "all", 5, 2, 3, 20),
+            ("0", EvalReport.from_counts("TransRE", 3, 1, 2, 10)),
+            ("all", EvalReport.from_counts("TransRE", 5, 2, 3, 20)),
         ]
         path = tmp_path / "report.csv"
-        write_reports(path, rows)
+        write_reports(path, "cluster", rows)
         with open(path, newline="") as fh:
             header, *body = list(csv.reader(fh))
         assert header == ["model", "granularity", "cluster", "tp", "fp", "fn", "tn",
                           "precision", "recall", "f1"]
         assert body == [
-            [r.model, r.granularity, r.cluster, str(r.tp), str(r.fp), str(r.fn), str(r.tn),
+            [r.model, "cluster", cluster, str(r.tp), str(r.fp), str(r.fn), str(r.tn),
              repr(r.precision), repr(r.recall), repr(r.f1)]
-            for r in rows
+            for cluster, r in rows
         ]
-        assert float(body[0][9]) == rows[0].f1
+        assert float(body[0][9]) == rows[0][1].f1
 
     def test_readme_report_columns_are_the_written_header(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         columns = re.search(r"^\* `report\.csv`: `([^`]*)`", readme, re.MULTILINE).group(1)
-        write_reports(tmp_path / "report.csv", [])
+        write_reports(tmp_path / "report.csv", "single", [])
         assert (tmp_path / "report.csv").read_bytes() == f"{columns}\r\n".encode()
 
     def test_layer_stats_format(self, tmp_path):
