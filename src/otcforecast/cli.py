@@ -39,6 +39,7 @@ from .harness import (
     score_units,
     train_units,
     training_units,
+    write_days,
     write_layer_stats,
     write_reports,
 )
@@ -54,6 +55,7 @@ CLUSTERS_FILE = "clusters.csv"
 REPORT_FILE = "report.csv"
 COMPARE_FILE = "compare_f1.csv"
 COMPARE_REPORT_FILE = "compare_report.csv"
+COMPARE_DAYS_FILE = "compare_days.csv"
 STATS_FILE = "layer_stats.csv"
 RESOLVED_CONFIG_FILE = "config.resolved.ini"
 
@@ -186,7 +188,7 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_compare(cfg: RunConfig, out: Path) -> None:
-    """Train every model kind and tabulate per-cluster F1 plus a pooled avg."""
+    """Train every model kind; tabulate per-cluster F1 plus a pooled avg, and counts per day."""
     vocab_size, units, labels = _prepare(cfg, out, scoring=True)
     # every kind's config is built first, so a bad one fails before any training
     configs = [cfg.model_config(vocab_size, kind) for kind in MODEL_KINDS]
@@ -205,8 +207,10 @@ def cmd_compare(cfg: RunConfig, out: Path) -> None:
         grid.append((config.kind, *tiers, f1["all"]))
     market.write_rows(out / COMPARE_FILE, grid)
     write_reports(out / COMPARE_REPORT_FILE, cfg.granularity, all_rows)
-    print(f"wrote {out / COMPARE_FILE}")
-    print(f"wrote {out / COMPARE_REPORT_FILE}")
+    write_days(out / COMPARE_DAYS_FILE, cfg.eval_mode,
+               [report for cluster, report in all_rows if cluster == "all"])
+    for name in (COMPARE_FILE, COMPARE_REPORT_FILE, COMPARE_DAYS_FILE):
+        print(f"wrote {out / name}")
 
 
 def cmd_stats(cfg: RunConfig, out: Path) -> None:

@@ -3,16 +3,16 @@
 Training is mini-batch Adam on the mean-squared error over all T_out x 2V
 output cells, with a seeded shuffle per epoch; each mini-batch is one
 stacked forward and backward pass.  Evaluation forecasts stacked chunks of
-windows in lockstep, thresholds the predicted probabilities and pools
-confusion counts over every (sample, day, bond, side) decision; precision,
-recall and F1 are micro-averaged from those pooled counts.
+windows in lockstep, thresholds the predicted probabilities and counts the
+(bond, side) decisions' confusion per window and output day; every report
+sums those counts and micro-averages precision, recall and F1 from the sums.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from urllib.parse import quote
 
 import numpy as np
@@ -48,22 +48,23 @@ class TrainSpec:
             raise ContractError(f"patience must be >= 1 or None, got {self.patience}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EvalReport:
-    """One model's pooled confusion counts and their micro-averaged scores."""
+    """One model's int64 confusion counts, (windows, days, 4) with the last axis
+    tp, fp, fn, tn and t_out days (1 in ``union`` mode); the four counts and
+    micro-averaged scores below pool every window and day."""
 
     model: str
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    precision: float
-    recall: float
-    f1: float
+    counts: np.ndarray
 
-    @classmethod
-    def from_counts(cls, model, tp, fp, fn, tn) -> "EvalReport":
-        return cls(model, tp, fp, fn, tn, *micro_prf(tp, fp, fn))
+    @property
+    def pooled(self) -> list[int]:
+        """tp, fp, fn, tn summed over every window and day, as Python ints."""
+        return self.counts.reshape(-1, 4).sum(axis=0).tolist()
+
+    tp, fp, fn, tn = (property(lambda self, i=i: self.pooled[i]) for i in range(4))
+    precision, recall, f1 = (property(lambda self, i=i: micro_prf(*self.pooled[:3])[i])
+                             for i in range(3))
 
 
 def micro_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -76,7 +77,7 @@ def micro_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _batches(samples: list[Sample], size: int = EVAL_CHUNK, order=None):
+def _batches(samples: list[Sample], size: int, order=None):
     """Yield stacked (inputs, targets) of ``size`` windows at a time.
 
     Windows are taken in ``order`` (a sequence of indices) when given,
@@ -142,29 +143,32 @@ def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, 
 
 
 def _confusion(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Pooled (tp, fp, fn, tn) counts over every cell of two decision arrays."""
+    """(tp, fp, fn, tn) counts per window and day of two (windows, days, cells)
+    decision arrays, stacked on a last axis."""
     t = target.astype(bool)
-    tp = np.count_nonzero(pred & t)
-    fp = np.count_nonzero(pred) - tp
-    fn = np.count_nonzero(t) - tp
-    return np.array([tp, fp, fn, t.size - tp - fp - fn], dtype=np.int64)
+    tp = np.count_nonzero(pred & t, axis=-1)
+    fp = np.count_nonzero(pred, axis=-1) - tp
+    fn = np.count_nonzero(t, axis=-1) - tp
+    return np.stack([tp, fp, fn, t.shape[-1] - tp - fp - fn], axis=-1, dtype=np.int64)
 
 
 def evaluate(model, test_samples: list[Sample], threshold: float,
              mode: str = "per_day") -> EvalReport:
-    """Threshold predictions and micro-average over all decision cells.
+    """Threshold the forecasts of ``test_samples`` and count every decision
+    cell per window and output day.
 
     ``per_day`` scores every output day; ``union`` collapses predictions
-    and targets over the window by elementwise max before scoring.  The
-    report pools the counts of every given window; :func:`score_units`
-    splits them by cluster.  A non-finite forecast raises NumericError.
+    and targets over the window by elementwise max before scoring, as one
+    day.  The report's counts keep the windows in the given order, so any
+    grouping of them sums its rows; :func:`score_units` splits them by
+    cluster.  A non-finite forecast raises NumericError.
     """
     if not test_samples:
         raise ContractError("evaluate() needs a nonempty test set")
     if mode not in EVAL_MODES:
         raise ContractError(f"unknown evaluation mode {mode!r}")
-    totals = np.zeros(4, dtype=np.int64)
-    for inputs, target in _batches(test_samples):
+    counts = []
+    for inputs, target in _batches(test_samples, EVAL_CHUNK):
         with np.errstate(all="ignore"):  # numpy's warnings give way to the check below
             probs = model.predict(inputs)
         if probs.shape != target.shape:
@@ -175,9 +179,9 @@ def evaluate(model, test_samples: list[Sample], threshold: float,
         if not np.isfinite(probs).all():
             raise NumericError(f"non-finite forecast from the {model.config.kind} model")
         if mode == "union":
-            probs, target = probs.max(axis=-2), target.max(axis=-2)
-        totals += _confusion(probs >= threshold, target)
-    return EvalReport.from_counts(model.config.kind, *totals.tolist())
+            probs, target = probs.max(axis=-2, keepdims=True), target.max(axis=-2, keepdims=True)
+        counts.append(_confusion(probs >= threshold, target))
+    return EvalReport(model.config.kind, np.concatenate(counts))
 
 
 def layer_signal_stats(model, probe_samples: list[Sample]) -> dict[str, tuple[float, float]]:
@@ -196,7 +200,7 @@ def layer_signal_stats(model, probe_samples: list[Sample]) -> dict[str, tuple[fl
     collected: dict[str, list[np.ndarray]] = {}
     stats = {}
     with ad.no_grad(), np.errstate(all="ignore"):  # numpy's warnings give way to the check below
-        for inputs, target in _batches(probe_samples):
+        for inputs, target in _batches(probe_samples, EVAL_CHUNK):
             trace: list[tuple[str, np.ndarray]] = []
             model.forward(inputs, teacher=target, trace=trace)
             for name, values in trace:
@@ -273,13 +277,15 @@ def score_units(
     mode: str,
     labels: dict[str, int],
 ) -> list[tuple[str, EvalReport]]:
-    """Evaluate each (tag, model, unit test) unit and pool counts per cluster.
+    """Evaluate each (tag, model, unit test) unit and gather its counts per cluster.
 
     Each unit's test windows are scored once per cluster label among them.
-    Returns (cluster, report) rows per label, in label order, then the
-    pooled "all" row.  Units without test samples are skipped with a warning.
+    Returns (cluster, report) rows per label, in label order, each holding
+    the per-window counts of its label's windows in unit order, then the
+    "all" row, which holds every row's windows.  Units without test samples
+    are skipped with a warning.
     """
-    counts: dict[int, np.ndarray] = {}
+    counts: dict[int, list[np.ndarray]] = {}
     for tag, model, unit_test in units:
         if not unit_test:
             warnings.warn(f"{granularity}: unit {tag} has no test samples; skipped")
@@ -288,15 +294,12 @@ def score_units(
         for s in unit_test:
             by_label.setdefault(_cluster_label(labels, s.dealer_id), []).append(s)
         for label in sorted(by_label):
-            report = evaluate(model, by_label[label], threshold, mode=mode)
-            counts.setdefault(label, np.zeros(4, dtype=np.int64))
-            counts[label] += (report.tp, report.fp, report.fn, report.tn)
-    rows = [
-        (str(label), EvalReport.from_counts(kind, *counts[label].tolist()))
-        for label in sorted(counts)
-    ]
-    pooled = sum(counts.values(), np.zeros(4, dtype=np.int64))
-    rows.append(("all", EvalReport.from_counts(kind, *pooled.tolist())))
+            counts.setdefault(label, []).append(
+                evaluate(model, by_label[label], threshold, mode=mode).counts)
+    rows = [(str(label), EvalReport(kind, np.concatenate(counts[label])))
+            for label in sorted(counts)]
+    every = [report.counts for _, report in rows] or [np.zeros((0, 0, 4), dtype=np.int64)]
+    rows.append(("all", EvalReport(kind, np.concatenate(every))))
     return rows
 
 
@@ -305,11 +308,24 @@ def score_units(
 # ---------------------------------------------------------------------------
 
 
+def _write_scored(path, keys: tuple[str, ...], rows) -> None:
+    """CSV table of (``model``, *``keys``, counts) rows: their tp, fp, fn, tn and
+    micro-averaged precision, recall and F1 after ``model`` and the ``keys`` columns."""
+    write_rows(path, [("model", *keys, "tp", "fp", "fn", "tn", "precision", "recall", "f1"),
+                      *((*key, *counts, *micro_prf(*counts[:3])) for *key, counts in rows)])
+
+
 def write_reports(path, granularity: str, rows: list[tuple[str, EvalReport]]) -> None:
     """CSV table: a report per row, its unit's ``granularity`` and ``cluster`` after ``model``."""
-    model, *measured = (f.name for f in fields(EvalReport))
-    write_rows(path, [(model, "granularity", "cluster", *measured),
-                      *((r.model, granularity, cluster, *astuple(r)[1:]) for cluster, r in rows)])
+    _write_scored(path, ("granularity", "cluster"),
+                  ((r.model, granularity, cluster, r.pooled) for cluster, r in rows))
+
+
+def write_days(path, mode: str, reports: list[EvalReport]) -> None:
+    """CSV table: each report's counts summed per output day 1.., or in one ``union`` row."""
+    _write_scored(path, ("day",), ((r.model, "union" if mode == "union" else day, counts)
+                                   for r in reports
+                                   for day, counts in enumerate(r.counts.sum(axis=0).tolist(), 1)))
 
 
 def write_layer_stats(path, kind: str,

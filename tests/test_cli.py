@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import fnmatch
 import json
 import os
 import re
@@ -23,7 +24,15 @@ from otcforecast.cli import main
 from otcforecast.clustering import load_assignment
 from otcforecast.config import PARSERS, RunConfig, parse_config, write_resolved
 from otcforecast.errors import ArtifactError, ConfigurationError
-from otcforecast.harness import TrainSpec, score_units, train_units, training_units, write_reports
+from otcforecast.harness import (
+    TrainSpec,
+    micro_prf,
+    score_units,
+    train_units,
+    training_units,
+    write_days,
+    write_reports,
+)
 from otcforecast.market import MarketSpec
 from otcforecast.models import MODEL_KINDS, ModelConfig, load_checkpoint
 from otcforecast.seeding import derive_seed
@@ -318,6 +327,22 @@ class TestPipeline:
         report = (out / "report.csv").read_text().splitlines()
         assert report[0].startswith("model,granularity,cluster")
         assert any(line.endswith("") and ",all," in line for line in report[1:])
+
+    def test_readme_cli_table_names_what_each_command_writes(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = {command: re.findall(r"`([^`]+)`", writes) for command, writes in
+                 re.findall(r"^\| `(\w+)`\s*\|[^|]*\|([^|]*)\|$", readme, re.MULTILINE)}
+        assert list(table) == list(cli._DISPATCH)
+        cfg_path, out = write_config(tmp_path)
+        for command, files in table.items():
+            for path in out.glob("*"):  # so that any file the command writes is newer
+                os.utime(path, ns=(0, 0))
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+            written = {p.name for p in out.glob("*") if p.stat().st_mtime_ns != 0}
+            globs = [name.replace("<unit>", "*") for name in files]
+            listed = {name for glob in globs for name in fnmatch.filter(written, glob)}
+            assert written == {"config.resolved.ini", *listed}, command
+            assert all(fnmatch.filter(written, glob) for glob in globs), command
 
     def test_eval_before_train_exits_2(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
@@ -615,6 +640,33 @@ class TestPipeline:
         assert kinds == ["FCSum", "FCConcat", "LSTM", "BiLSTM",
                          "TransFV", "TransCTE", "TransRE", "TransPPRZ"]
 
+    @pytest.mark.parametrize("granularity, mode", [
+        ("single", "per_day"), ("cluster", "per_day"), ("individual", "per_day"),
+        ("single", "union")])
+    def test_compare_days_add_up_to_each_kinds_all_row(self, tmp_path, granularity, mode):
+        cfg_path, out = write_config(
+            tmp_path,
+            text=TINY_CONFIG.replace("granularity = single", f"granularity = {granularity}")
+                            .replace("[run]", f"[run]\neval_mode = {mode}"),
+        )
+        for command in ("gen", "cluster", "compare"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        with open(out / "compare_report.csv", newline="") as fh:
+            pooled = {row["model"]: row for row in csv.DictReader(fh) if row["cluster"] == "all"}
+        with open(out / "compare_days.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["model", "day", "tp", "fp", "fn", "tn", "precision", "recall", "f1"]
+        t_out = parse_config(cfg_path).t_out
+        days = ["union"] if mode == "union" else [str(day) for day in range(1, t_out + 1)]
+        assert [row[:2] for row in rows] == [[kind, day] for kind in MODEL_KINDS for day in days]
+        for kind in MODEL_KINDS:
+            mine = [list(map(int, row[2:6])) for row in rows if row[0] == kind]
+            assert np.sum(mine, axis=0).tolist() == [
+                int(pooled[kind][name]) for name in ("tp", "fp", "fn", "tn")], kind
+            assert len({sum(counts) for counts in mine}) == 1  # every day: scored windows x 2V
+        for row in rows:
+            assert row[6:] == [repr(score) for score in micro_prf(*map(int, row[2:5]))]
+
     @pytest.mark.parametrize("train_fraction", ["0.8"])
     def test_compare_matches_library_driver(self, tmp_path, train_fraction):
         cfg_path, out = write_config(
@@ -645,6 +697,8 @@ class TestPipeline:
                                     labels)
         write_reports(tmp_path / "library.csv", "cluster", rows)
         assert (tmp_path / "library.csv").read_bytes() == (out / "compare_report.csv").read_bytes()
+        write_days(tmp_path / "days.csv", cfg.eval_mode, [r for c, r in rows if c == "all"])
+        assert (tmp_path / "days.csv").read_bytes() == (out / "compare_days.csv").read_bytes()
         assert [str(w.message) for w in cli_warnings] == [str(w.message) for w in lib_warnings]
 
     def test_compare_forms_units_once(self, tmp_path, monkeypatch):

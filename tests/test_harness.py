@@ -7,10 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import otcforecast.autodiff as ad
 from otcforecast.autodiff import Tensor
 from otcforecast.config import parse_config
+from otcforecast import harness
 from otcforecast.errors import ConfigurationError, ContractError, NumericError, ShapeMismatchError
 from otcforecast.harness import (
     GRANULARITIES,
@@ -118,8 +122,50 @@ class TestEvaluate:
 
     def test_report_holds_only_what_evaluate_measures(self):
         rep = evaluate(FixedModel(np.zeros((2, 8))), random_samples(2, seed=8), 0.5)
-        assert [f.name for f in dataclasses.fields(rep)] == [
-            "model", "tp", "fp", "fn", "tn", "precision", "recall", "f1"]
+        assert [f.name for f in dataclasses.fields(rep)] == ["model", "counts"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_counts_recount_every_window_and_day(self, data):
+        n = data.draw(st.integers(1, 9), label="windows")
+        t_out = data.draw(st.integers(1, 3), label="t_out")
+        width = 2 * data.draw(st.integers(1, 4), label="V")
+        target = data.draw(hnp.arrays(np.uint8, (n, t_out, width), elements=st.integers(0, 1)))
+        probs = data.draw(hnp.arrays(np.float64, (t_out, width), elements=st.floats(0, 1)))
+        threshold = data.draw(st.floats(0.05, 0.95), label="threshold")
+        mode = data.draw(st.sampled_from(["per_day", "union"]), label="mode")
+        dealers = data.draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n))
+        samples = [Sample(d, i, np.zeros((3, width), np.uint8), target[i])
+                   for i, d in enumerate(dealers)]
+        model = FixedModel(probs)
+        chunk = data.draw(st.integers(1, 4), label="chunk")
+        stacks = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "EVAL_CHUNK", chunk)
+            patch.setattr(model, "predict",
+                          lambda x: stacks.append(len(x)) or FixedModel.predict(model, x))
+            rep = evaluate(model, samples, threshold, mode=mode)
+            assert stacks == [min(chunk, n - lo) for lo in range(0, n, chunk)]
+            by_dealer = {d: evaluate(model, [s for s in samples if s.dealer_id == d],
+                                     threshold, mode=mode).pooled for d in set(dealers)}
+        pred = probs >= threshold
+        if mode == "union":
+            pred, target = pred.any(axis=0, keepdims=True), target.max(axis=1, keepdims=True)
+        assert rep.counts.dtype == np.int64 and rep.counts.shape == (n, len(pred), 4)
+        for w in range(n):
+            for day in range(len(pred)):
+                cells = list(zip(pred[day], target[w, day]))
+                recount = [cells.count((True, 1)), cells.count((True, 0)),
+                           cells.count((False, 1)), cells.count((False, 0))]
+                assert rep.counts[w, day].tolist() == recount, (w, day)
+        rows = rep.counts.reshape(n, -1)
+        for dealer, pooled in by_dealer.items():
+            mine = [i for i, d in enumerate(dealers) if d == dealer]
+            assert rows[mine].reshape(-1, 4).sum(axis=0).tolist() == pooled, dealer
+        pooled = rep.counts.sum(axis=(0, 1)).tolist()
+        assert [rep.tp, rep.fp, rep.fn, rep.tn] == pooled
+        assert all(type(count) is int for count in (rep.tp, rep.fp, rep.fn, rep.tn))
+        assert (rep.precision, rep.recall, rep.f1) == micro_prf(*pooled[:3])
 
     def test_all_negative_predictor(self):
         samples = random_samples(3, seed=2, density=0.5)
@@ -490,6 +536,13 @@ class TestGranularityExperiment:
         (_, one), (_, pooled) = rows
         assert (one.tp, one.fp, one.fn, one.tn) == (pooled.tp, pooled.fp, pooled.fn, pooled.tn)
 
+    def test_no_unit_with_test_samples_leaves_an_empty_all_row(self):
+        with pytest.warns(UserWarning, match="single has no test samples"):
+            rows = score_units("stub", "single", [("single", FixedModel(np.zeros((2, 8))), [])],
+                               0.5, "per_day", {})
+        [(cluster, report)] = rows
+        assert (cluster, report.pooled, report.f1) == ("all", [0, 0, 0, 0], 0.0)
+
     def test_missing_assignment_rejected(self):
         train_s = market_samples(["DA"], seed=80)
         with pytest.raises(ContractError, match="DA missing from cluster assignment"):
@@ -504,8 +557,8 @@ class TestGranularityExperiment:
 class TestReportIO:
     def test_report_round_trip(self, tmp_path):
         rows = [
-            ("0", EvalReport.from_counts("TransRE", 3, 1, 2, 10)),
-            ("all", EvalReport.from_counts("TransRE", 5, 2, 3, 20)),
+            ("0", EvalReport("TransRE", np.array([[[3, 1, 2, 10]]]))),
+            ("all", EvalReport("TransRE", np.array([[[3, 1, 2, 10]], [[2, 1, 1, 10]]]))),
         ]
         path = tmp_path / "report.csv"
         write_reports(path, "cluster", rows)
