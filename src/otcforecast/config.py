@@ -64,8 +64,8 @@ class RunConfig:
     dense_dealers: int = _setting("market", MarketSpec.dense_dealers, _AT_LEAST_0)
     periodic_min_period: int = _setting("market", MarketSpec.periodic_period_range[0], _AT_LEAST_1)
     periodic_max_period: int = _setting("market", MarketSpec.periodic_period_range[1], _AT_LEAST_1)
-    periodic_min_bonds: int = _setting("market", MarketSpec.periodic_bonds_range[0], _AT_LEAST_1)
-    periodic_max_bonds: int = _setting("market", MarketSpec.periodic_bonds_range[1], _AT_LEAST_1)
+    periodic_min_bonds: int = _setting("market", MarketSpec.periodic_bonds_range[0], _AT_LEAST_0)
+    periodic_max_bonds: int = _setting("market", MarketSpec.periodic_bonds_range[1], _AT_LEAST_0)
     periodic_buy_prob: float = _setting("market", MarketSpec.periodic_buy_prob, _RATE)
     sparse_rate: float = _setting("market", MarketSpec.sparse_rate, _RATE)
     dense_rate: float = _setting("market", MarketSpec.dense_rate,

@@ -279,23 +279,22 @@ def score_units(
 ) -> list[tuple[str, EvalReport]]:
     """Evaluate each (tag, model, unit test) unit and gather its counts per cluster.
 
-    Each unit's test windows are scored once per cluster label among them.
-    Returns (cluster, report) rows per label, in label order, each holding
-    the per-window counts of its label's windows in unit order, then the
-    "all" row, which holds every row's windows.  Units without test samples
-    are skipped with a warning.
+    Each unit's test windows are scored by one :func:`evaluate` call, in unit
+    order, whose per-window counts are then split by each window's cluster
+    label.  Returns (cluster, report) rows per label, in label order, each
+    holding the counts of its label's windows in unit order, then the "all"
+    row, which holds every row's windows.  Units without test samples are
+    skipped with a warning.
     """
     counts: dict[int, list[np.ndarray]] = {}
     for tag, model, unit_test in units:
         if not unit_test:
             warnings.warn(f"{granularity}: unit {tag} has no test samples; skipped")
             continue
-        by_label: dict[int, list[Sample]] = {}
-        for s in unit_test:
-            by_label.setdefault(_cluster_label(labels, s.dealer_id), []).append(s)
-        for label in sorted(by_label):
-            counts.setdefault(label, []).append(
-                evaluate(model, by_label[label], threshold, mode=mode).counts)
+        unit_labels = np.array([_cluster_label(labels, s.dealer_id) for s in unit_test])
+        unit_counts = evaluate(model, unit_test, threshold, mode=mode).counts
+        for label in sorted(set(unit_labels.tolist())):
+            counts.setdefault(label, []).append(unit_counts[unit_labels == label])
     rows = [(str(label), EvalReport(kind, np.concatenate(counts[label])))
             for label in sorted(counts)]
     every = [report.counts for _, report in rows] or [np.zeros((0, 0, 4), dtype=np.int64)]

@@ -266,6 +266,12 @@ class TransformerModel:
             raise ConfigurationError(f"{config.kind!r} is not a transformer kind")
         self.config = config
         self.embed_mode, self.residual_mode = _TRANSFORMER_MODES[config.kind]
+        # a sublayer's residual as a training op and on arrays: layer_norm(x + fx)
+        # with the sublayer's rule (gamma, beta), or x + gate ⊙ fx with the layer's
+        # rule (gate,), zero at init: one value (scalar) or one per channel (vector)
+        self._residual, self._residual_values = (
+            (ad.residual_norm, _post_norm) if self.residual_mode == "norm"
+            else (ad.residual_gate, ad._gate))
         d, width = config.d_model, 2 * config.vocab_size
         b = _Builder(rng_for(config.seed, "init", config.kind))
         if self.embed_mode == "affine":
@@ -311,24 +317,13 @@ class TransformerModel:
         traded, counts = _cte_inputs(days, self.config.vocab_size)
         return ad.project_pair(traded, self._embedding[0], counts, self._embedding[1])
 
-    def _residual(self, x: Tensor, fx: Tensor, rule: tuple) -> Tensor:
-        """Combine a sublayer output with its input under the residual scheme.
-
-        norm: layer_norm(x + fx) with the sublayer's own rule (gamma, beta)
-        gate: x + gate ⊙ fx with the layer's rule (gate,), zero at init: one
-              value (scalar) or one per channel (vector)
-        """
-        if self.residual_mode == "norm":
-            return ad.residual_norm(x, fx, *rule)
-        return ad.residual_gate(x, fx, *rule)
-
     def encode(self, input_days: np.ndarray, trace: list | None = None) -> Tensor:
         cfg = self.config
         data = _windows(input_days, cfg.t_in, cfg.vocab_size)
         x = ad.positioned(self.embed_days(data), positional_encoding(cfg.t_in, cfg.d_model))
         for i, ((attn,), ff, (r1, r2)) in enumerate(self._encoder):
-            x = self._residual(x, ad.multi_head_attention(x, x, x, heads=cfg.heads, **attn), r1)
-            x = self._residual(x, ad.feed_forward(x, *ff), r2)
+            x = self._residual(x, ad.multi_head_attention(x, x, x, heads=cfg.heads, **attn), *r1)
+            x = self._residual(x, ad.feed_forward(x, *ff), *r2)
             if trace is not None:
                 trace.append((f"enc{i}", x.values.copy()))
         return x
@@ -338,9 +333,9 @@ class TransformerModel:
         attention = functools.partial(ad.multi_head_attention, heads=self.config.heads)
         y = decoder_input
         for i, ((own, cross), ff, (r1, r2, r3)) in enumerate(self._decoder):
-            y = self._residual(y, attention(y, y, y, causal=True, **own), r1)
-            y = self._residual(y, attention(y, memory, memory, **cross), r2)
-            y = self._residual(y, ad.feed_forward(y, *ff), r3)
+            y = self._residual(y, attention(y, y, y, causal=True, **own), *r1)
+            y = self._residual(y, attention(y, memory, memory, **cross), *r2)
+            y = self._residual(y, ad.feed_forward(y, *ff), *r3)
             if trace is not None:
                 trace.append((f"dec{i}", y.values.copy()))
         return y
@@ -375,12 +370,6 @@ class TransformerModel:
         traded, counts = _cte_inputs(days, self.config.vocab_size)
         return ad._project_pair(traded, weights[0], counts, weights[1])
 
-    def _residual_values(self, x: np.ndarray, fx: np.ndarray, rule: list) -> np.ndarray:
-        """:meth:`_residual` on arrays, with the rule's values."""
-        if self.residual_mode == "norm":
-            return ad._layer_norm("residual_norm", x + fx, *rule)[0]
-        return ad._gate(x, fx, *rule)
-
     def predict(self, input_days: np.ndarray) -> np.ndarray:
         """Autoregressive inference, feeding back thresholded predictions.
 
@@ -395,8 +384,8 @@ class TransformerModel:
         x = embed(_windows(input_days, cfg.t_in, cfg.vocab_size)) + positional_encoding(cfg.t_in, d)
         for (attn,), ff, (r1, r2) in map(_layer_values, self._encoder):
             qh, kh, vh = _heads(x, attn, heads)
-            x = residual(x, _attend_projected(qh, kh, vh, attn), r1)
-            x = residual(x, ad._feed_forward(x, *ff)[1], r2)
+            x = residual(x, _attend_projected(qh, kh, vh, attn), *r1)
+            x = residual(x, ad._feed_forward(x, *ff)[1], *r2)
         lead = x.shape[:-2]
         decoder = [_layer_values(layer) for layer in self._decoder]
         # per decoder layer: the memory's keys and values, then those decoded so far
@@ -414,14 +403,19 @@ class TransformerModel:
                 qh, kh, vh = _heads(y, own, heads)
                 cache[2] = np.concatenate([cache[2], kh], axis=-1)
                 cache[3] = np.concatenate([cache[3], vh], axis=-2)
-                y = residual(y, _attend_projected(qh, cache[2], cache[3], own), r1)
+                y = residual(y, _attend_projected(qh, cache[2], cache[3], own), *r1)
                 qh = ad._split_heads(ad._linear(y, cross["wq"], cross["bq"]), heads)
-                y = residual(y, _attend_projected(qh, cache[0], cache[1], cross), r2)
-                y = residual(y, ad._feed_forward(y, *ff)[1], r3)
+                y = residual(y, _attend_projected(qh, cache[0], cache[1], cross), *r2)
+                y = residual(y, ad._feed_forward(y, *ff)[1], *r3)
             rows.append(ad._squash(ad._linear(y, *readout))[1])
             if step < cfg.t_out:
                 y = embed((rows[-1] >= FEEDBACK_THRESHOLD).astype(np.float64)) + pe[step:step + 1]
         return np.concatenate(rows, axis=-2)
+
+
+def _post_norm(x: np.ndarray, fx: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """:func:`autodiff.residual_norm` on arrays."""
+    return ad._layer_norm("residual_norm", x + fx, gamma, beta)[0]
 
 
 def _layer_values(layer: tuple) -> tuple:

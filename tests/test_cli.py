@@ -3,12 +3,14 @@
 import codecs
 import csv
 import fnmatch
+import importlib
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 import warnings
 from collections import Counter
@@ -23,7 +25,7 @@ from otcforecast import cli, harness, market
 from otcforecast.cli import main
 from otcforecast.clustering import load_assignment
 from otcforecast.config import PARSERS, RunConfig, parse_config, write_resolved
-from otcforecast.errors import ArtifactError, ConfigurationError
+from otcforecast.errors import ArtifactError, ConfigurationError, ContractError
 from otcforecast.harness import (
     TrainSpec,
     micro_prf,
@@ -86,7 +88,7 @@ SETTING_VALUES = {
     "dense_dealers": ("1", "x"),
     "periodic_min_period": ("3", "0"),
     "periodic_max_period": ("9", "0"),
-    "periodic_min_bonds": ("1", "0"),
+    "periodic_min_bonds": ("1", "-1"),
     "periodic_max_bonds": ("8", ""),
     "periodic_buy_prob": ("0.25", "1.5"),
     "sparse_rate": ("0.0", "-0.1"),
@@ -117,6 +119,13 @@ SETTING_VALUES = {
     "output_dir": ("runs/other", "out\0x"),
     "eval_mode": ("union", "max"),
     "probe_samples": ("8", "0"),
+}
+
+# the least value MarketSpec takes for each [market] count key
+MARKET_COUNT_FLOORS = {
+    "days": 1, "bonds": 0, "periodic_dealers": 0, "sparse_dealers": 0, "dense_dealers": 0,
+    "periodic_min_period": 1, "periodic_max_period": 1, "periodic_min_bonds": 0,
+    "periodic_max_bonds": 0, "dense_min_bonds": 0, "dense_max_bonds": 0,
 }
 
 
@@ -255,6 +264,33 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError) as err:
             parse_config(path)
         assert str(err.value) == f"[{section}] {key.name} must be {constraint}, got {invalid!r}"
+
+    @pytest.mark.parametrize("key, floor", MARKET_COUNT_FLOORS.items())
+    def test_market_counts_take_the_spec_floor(self, tmp_path, key, floor):
+        assert MARKET_COUNT_FLOORS.keys() == {k.name for k in fields(RunConfig)
+                                              if k.metadata["section"] == "market"
+                                              and k.type == "int"}
+        path = tmp_path / "c.ini"
+        for value in (floor, floor - 1):
+            values = {key: value}
+            for end, other in (("_min_", "_max_"), ("_max_", "_min_")):
+                if end in key:  # the range's other end at the floor: only this key decides
+                    values[key.replace(end, other)] = floor
+            try:
+                RunConfig(**values).market_spec()
+            except ContractError:
+                spec_accepts = False
+            else:
+                spec_accepts = True
+            assert spec_accepts == (value == floor)
+            path.write_text("[market]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+            if spec_accepts:
+                assert getattr(parse_config(path), key) == value
+            else:
+                with pytest.raises(ConfigurationError) as err:
+                    parse_config(path)
+                assert str(err.value) == (f"[market] {key} must be an integer >= {floor}, "
+                                          f"got '{value}'")
 
     def test_readme_configuration_block_is_the_defaults(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -446,6 +482,16 @@ class TestPipeline:
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             self.run("frobnicate")
+        assert exc.value.code == 1
+
+    def test_console_script_is_the_cli_main(self):
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["otcforecast"]
+        module, attr = target.split(":")
+        entry = getattr(importlib.import_module(module), attr)
+        assert entry is cli.main
+        with pytest.raises(SystemExit) as exc:
+            entry(["frobnicate"])
         assert exc.value.code == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -17,6 +17,7 @@ from otcforecast.config import parse_config
 from otcforecast import harness
 from otcforecast.errors import ConfigurationError, ContractError, NumericError, ShapeMismatchError
 from otcforecast.harness import (
+    EVAL_MODES,
     GRANULARITIES,
     EvalReport,
     TrainSpec,
@@ -271,6 +272,48 @@ class TestScoreUnits:
         assert counts(r0) == counts(evaluate(model, a, 0.5))
         assert counts(r1) == counts(evaluate(model, b, 0.5))
         assert counts(pooled) == (np.array(counts(r0)) + counts(r1)).tolist()
+
+    @pytest.mark.parametrize("mode", EVAL_MODES)
+    def test_one_evaluate_call_per_unit_split_by_cluster(self, monkeypatch, mode):
+        dealers = ("DA", "DB", "DC")
+        labels = {"DA": 1, "DB": 0, "DC": 1}
+        test_s = [random_samples(1, seed=110 + i, dealer=dealers[i % 3])[0] for i in range(9)]
+        [(tag, _, unit_test)] = training_units("single", test_s, test_s, labels)
+        assert unit_test == test_s  # both labels interleave in unit order
+
+        class EchoModel(FixedModel):
+            """Forecasts each window's first T_out input days."""
+
+            def predict(self, input_days):
+                chunks.append(input_days)
+                return input_days[..., :2, :].astype(np.float64)
+
+        evaluated, chunks = [], []
+
+        def recorded(model, samples, *args, **kwargs):
+            evaluated.append(list(samples))
+            return evaluate(model, samples, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "EVAL_CHUNK", 2)
+        monkeypatch.setattr(harness, "evaluate", recorded)
+        rows = score_units("stub", "single", [(tag, EchoModel(None), unit_test)], 0.5, mode,
+                           labels)
+        assert evaluated == [unit_test]
+        assert [len(c) for c in chunks] == [2, 2, 2, 2, 1]
+        assert np.array_equal(np.concatenate(chunks), [s.input_days for s in unit_test])
+        assert [cluster for cluster, _ in rows] == ["0", "1", "all"]
+        for cluster, report in rows[:-1]:
+            mine = [s for s in unit_test if labels[s.dealer_id] == int(cluster)]
+            recount = []
+            for s in mine:
+                pred, target = s.input_days[:2] >= 0.5, s.target_days.astype(bool)
+                if mode == "union":
+                    pred, target = pred.any(axis=0, keepdims=True), target.any(axis=0, keepdims=True)
+                recount.append([[np.sum(p & t), np.sum(p & ~t), np.sum(~p & t), np.sum(~p & ~t)]
+                                for p, t in zip(pred, target)])
+            assert report.counts.tolist() == recount, cluster
+        assert np.array_equal(rows[-1][1].counts,
+                              np.concatenate([report.counts for _, report in rows[:-1]]))
 
     def test_unlabelled_dealer_rejected(self):
         samples = random_samples(1, seed=99, dealer="DX")

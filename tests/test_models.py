@@ -419,7 +419,7 @@ def residual(kind, x, fx, **values):
     for name, value in values.items():
         model.params[f"encoder.l0.{name}"].values[...] = value
     (_, _, (rule, _)), *_ = model._encoder
-    return model._residual(x, fx, rule)
+    return model._residual(x, fx, *rule)
 
 
 class TestResidualSchemes:
