@@ -190,7 +190,8 @@ def _windows(days, rows: int, vocab_size: int, what: str = "input") -> np.ndarra
 
 
 class FCModel:
-    """Three affine layers with tanh; the head output is tiled over T_out."""
+    """Three affine layers with tanh; the head output is tiled over T_out.
+    The first two layers are one ``feed_forward`` entry."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
@@ -198,9 +199,9 @@ class FCModel:
         in_width = width if config.kind == "FCSum" else config.t_in * width
         hidden = config.hidden
         b = _Builder(rng_for(config.seed, "init", config.kind))
-        self._layers = ((b.matrix("fc.w1", in_width, hidden), b.zeros("fc.b1", hidden)),
-                        (b.matrix("fc.w2", hidden, hidden), b.zeros("fc.b2", hidden)),
-                        (b.matrix("fc.w3", hidden, width), b.zeros("fc.b3", width)))
+        self._hidden = (b.matrix("fc.w1", in_width, hidden), b.zeros("fc.b1", hidden),
+                        b.matrix("fc.w2", hidden, hidden), b.zeros("fc.b2", hidden))
+        self._readout = (b.matrix("fc.w3", hidden, width), b.zeros("fc.b3", width))
         self.params = Parameters(b.tensors)
 
     def forward(self, input_days: np.ndarray, teacher: np.ndarray | None = None) -> Tensor:
@@ -210,10 +211,8 @@ class FCModel:
             x = Tensor(np.add.reduce(data, axis=-2))
         else:
             x = Tensor(data.reshape(*data.shape[:-2], -1))
-        first, second, head = self._layers
-        h = ad.tanh(ad.linear(x, *first))
-        h = ad.tanh(ad.linear(h, *second))
-        day = ad.squash(ad.linear(h, *head))
+        h = ad.tanh(ad.feed_forward(x, *self._hidden))
+        day = ad.squash(ad.linear(h, *self._readout))
         return ad.tile_rows(day, cfg.t_out)
 
     def predict(self, input_days: np.ndarray) -> np.ndarray:
@@ -325,7 +324,7 @@ class TransformerModel:
             x = self._residual(x, ad.multi_head_attention(x, x, x, heads=cfg.heads, **attn), *r1)
             x = self._residual(x, ad.feed_forward(x, *ff), *r2)
             if trace is not None:
-                trace.append((f"enc{i}", x.values.copy()))
+                trace.append((f"enc{i}", x.values))
         return x
 
     def _decode(self, decoder_input: Tensor, memory: Tensor, trace: list | None = None) -> Tensor:
@@ -337,7 +336,7 @@ class TransformerModel:
             y = self._residual(y, attention(y, memory, memory, **cross), *r2)
             y = self._residual(y, ad.feed_forward(y, *ff), *r3)
             if trace is not None:
-                trace.append((f"dec{i}", y.values.copy()))
+                trace.append((f"dec{i}", y.values))
         return y
 
     def forward(

@@ -154,6 +154,30 @@ class TestFCModels:
         with pytest.raises(ShapeMismatchError):
             model.forward(np.zeros((4, 16)))
 
+    @pytest.mark.parametrize("kind", ["FCSum", "FCConcat"])
+    def test_hidden_block_matches_the_linear_tanh_chain_bit_for_bit(self, kind):
+        model = build_model(toy_config(kind, seed=3))
+        flat = model.params.flat
+        flat[:] = np.random.default_rng(4).normal(scale=0.5, size=flat.size)
+        days = random_day_matrix(4 * 3, 8, 5).reshape(4, 3, 16)
+        target = Tensor(random_day_matrix(8, 8, 6).reshape(4, 2, 16).astype(np.float64))
+        tensors = model.params.tensors()
+        out = model.forward(days)
+        grads = ad.backward(ad.mse_loss(out, target), tensors)
+        assert [entry.name for entry in ad._TAPE] == [
+            "feed_forward", "tanh", "linear", "squash", "tile_rows", "mse_loss"]
+        ad.reset_tape()
+        # the three layers as separate linear and tanh entries, on the model's own tensors
+        (w1, b1, w2, b2), (w3, b3) = model._hidden, model._readout
+        data = days.astype(np.float64)
+        x = Tensor(np.add.reduce(data, axis=-2) if kind == "FCSum" else data.reshape(4, -1))
+        h = ad.tanh(ad.linear(ad.tanh(ad.linear(x, w1, b1)), w2, b2))
+        reference = ad.tile_rows(ad.squash(ad.linear(h, w3, b3)), 2)
+        reference_grads = ad.backward(ad.mse_loss(reference, target), tensors)
+        assert np.array_equal(out.values.view(np.uint64), reference.values.view(np.uint64))
+        for name, grad, expected in zip(model.params.names(), grads, reference_grads):
+            assert np.array_equal(grad.view(np.uint64), expected.view(np.uint64)), name
+
 
 class TestRecurrentModels:
     def test_zero_recurrence_fixed_point(self):
@@ -268,18 +292,19 @@ class TestRecurrentModels:
             assert shapes.count((2, t_in, 16)) == directions
             assert [entry.name for entry in ad._TAPE].count("lstm") == directions
 
-    @pytest.mark.parametrize("kind, entries", [("LSTM", 6), ("BiLSTM", 9)])
-    def test_tape_entries_per_batch_do_not_grow_with_t_in(self, kind, entries):
-        for t_in in (3, 5):
-            ad.reset_tape()
-            model = build_model(toy_config(kind, t_in=t_in))
-            x = random_day_matrix(4 * t_in, 8, 12).reshape(4, t_in, 16)
-            target = random_day_matrix(8, 8, 13).reshape(4, 2, 16).astype(np.float64)
-            ad.mse_loss(model.forward(x), Tensor(target))
-            assert ad.tape_size() == entries, t_in
+
+@pytest.mark.parametrize("kind, entries", [("FCSum", 6), ("FCConcat", 6), ("LSTM", 6), ("BiLSTM", 9)])
+def test_tape_entries_per_batch_do_not_grow_with_t_in(kind, entries):
+    for t_in in (3, 5):
+        ad.reset_tape()
+        model = build_model(toy_config(kind, t_in=t_in))
+        x = random_day_matrix(4 * t_in, 8, 12).reshape(4, t_in, 16)
+        target = random_day_matrix(8, 8, 13).reshape(4, 2, 16).astype(np.float64)
+        ad.mse_loss(model.forward(x), Tensor(target))
+        assert ad.tape_size() == entries, t_in
 
 
-@pytest.mark.parametrize("kind", ["FCSum", "LSTM", "BiLSTM"])
+@pytest.mark.parametrize("kind", ["FCSum", "FCConcat", "LSTM", "BiLSTM"])
 def test_predict_is_forward_with_nothing_recorded(kind):
     model = build_model(toy_config(kind))
     x = np.stack([random_day_matrix(3, 8, seed) for seed in range(4)])
