@@ -1,4 +1,4 @@
-"""Command-line pipeline: gen -> cluster -> train -> eval / compare / stats.
+"""Command-line pipeline: gen -> cluster -> train -> eval / compare.
 
 Every command reads one config file, writes its artifacts under the
 configured output directory next to an echo of the resolved config, and is
@@ -58,6 +58,8 @@ COMPARE_REPORT_FILE = "compare_report.csv"
 COMPARE_DAYS_FILE = "compare_days.csv"
 STATS_FILE = "layer_stats.csv"
 RESOLVED_CONFIG_FILE = "config.resolved.ini"
+
+PROBE_WINDOWS = 64  # a Transformer unit's first training windows its layer statistics probe
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,29 +162,36 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
 
 
 def _unit_models(cfg: RunConfig, out: Path, vocab_size: int, units):
-    """(tag, model, unit_train, unit_test) per unit: every checkpoint is checked before the
+    """(tag, model, unit_test) per unit: every checkpoint is checked before the
     first is loaded, and each is loaded once the one before it is consumed."""
     config = cfg.model_config(vocab_size)
     paths = [_require(_checkpoint_path(out, tag), "train") for tag, _, _ in units]
     for path in paths:
         check_checkpoint(path, config)
-    for (tag, unit_train, unit_test), path in zip(units, paths):
-        yield tag, load_checkpoint(path, config), unit_train, unit_test
+    for (tag, _, unit_test), path in zip(units, paths):
+        yield tag, load_checkpoint(path, config), unit_test
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> None:
     vocab_size, units, _ = _prepare(cfg, out)
-    for tag, model, losses, _ in train_units(cfg.model_config(vocab_size), units, cfg.train_spec()):
+    stats_by_unit = {}
+    trained = train_units(cfg.model_config(vocab_size), units, cfg.train_spec())
+    for (tag, model, losses, _), (_, unit_train, _) in zip(trained, units):
         save_checkpoint(_checkpoint_path(out, tag), model)
         market.write_rows(out / f"loss_{tag}.csv",
                           [("epoch", "loss"), *((e, repr(loss)) for e, loss in enumerate(losses))])
         print(f"wrote {_checkpoint_path(out, tag)}")
+        if cfg.kind in TRANSFORMER_KINDS:
+            stats_by_unit[tag] = layer_signal_stats(model, unit_train[:PROBE_WINDOWS])
+    if stats_by_unit:
+        write_layer_stats(out / STATS_FILE, cfg.kind, stats_by_unit)
+        print(f"wrote {out / STATS_FILE}")
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
     vocab_size, units, labels = _prepare(cfg, out, scoring=True)
-    models = ((tag, m, test) for tag, m, _, test in _unit_models(cfg, out, vocab_size, units))
-    rows = score_units(cfg.kind, cfg.granularity, models, cfg.threshold, cfg.eval_mode, labels)
+    rows = score_units(cfg.kind, cfg.granularity, _unit_models(cfg, out, vocab_size, units),
+                       cfg.threshold, cfg.eval_mode, labels)
     write_reports(out / REPORT_FILE, cfg.granularity, rows)
     print(f"wrote {out / REPORT_FILE}")
 
@@ -213,28 +222,12 @@ def cmd_compare(cfg: RunConfig, out: Path) -> None:
         print(f"wrote {out / name}")
 
 
-def cmd_stats(cfg: RunConfig, out: Path) -> None:
-    if cfg.kind not in TRANSFORMER_KINDS:
-        raise ConfigurationError(
-            f"stats needs a transformer kind, got {cfg.kind} "
-            f"(one of {', '.join(TRANSFORMER_KINDS)})"
-        )
-    vocab_size, units, _ = _prepare(cfg, out)
-    stats_by_unit = {
-        tag: layer_signal_stats(model, unit_train[: cfg.probe_samples])
-        for tag, model, unit_train, _ in _unit_models(cfg, out, vocab_size, units)
-    }
-    write_layer_stats(out / STATS_FILE, cfg.kind, stats_by_unit)
-    print(f"wrote {out / STATS_FILE}")
-
-
 _DISPATCH = {
     "gen": cmd_gen,
     "cluster": cmd_cluster,
     "train": cmd_train,
     "eval": cmd_eval,
     "compare": cmd_compare,
-    "stats": cmd_stats,
 }
 
 

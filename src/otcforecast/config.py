@@ -98,7 +98,6 @@ class RunConfig:
     output_dir: str = _setting("run", "runs/default",
                                ("a path without a NUL character", lambda v: "\0" not in v))
     eval_mode: str = _setting("run", "per_day", _one_of(EVAL_MODES))
-    probe_samples: int = _setting("run", 64, _AT_LEAST_1)
 
     def _spec(self, cls, **explicit):
         """A ``cls`` from ``explicit`` and the settings named like its other fields."""

@@ -95,7 +95,8 @@ class Parameters:
     order, into :attr:`flat`, one contiguous float64 vector, and rebinds
     each tensor's ``values`` to its view of it; the tensors themselves are
     kept, so ``params[name]`` is the tensor the caller passed.  A snapshot
-    is ``flat.copy()`` and a restore is ``flat[:] = snapshot``.
+    is ``flat.copy()`` and a restore is ``flat[:] = snapshot``.  A pickled or
+    deep-copied one repacks its copied tensors into its own ``flat``.
     """
 
     def __init__(self, tensors: dict[str, Tensor]):
@@ -107,6 +108,9 @@ class Parameters:
             view[...] = t.values
             t.values = view
             offset += view.size
+
+    def __reduce__(self):
+        return Parameters, (self._tensors,)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]

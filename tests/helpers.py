@@ -56,7 +56,6 @@ learning_rate = 0.005
 seed = 3
 granularity = single
 output_dir = {out}
-probe_samples = 8
 """
 
 

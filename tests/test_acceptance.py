@@ -391,7 +391,6 @@ learning_rate = 0.003
 [run]
 seed = 0
 output_dir = {out}
-probe_samples = 32
 """
 
 
@@ -401,7 +400,7 @@ def test_c8_covariate_shift_diagnostic(tmp_path):
         out = tmp_path / kind
         cfg = tmp_path / f"{kind}.ini"
         cfg.write_text(STATS_CONFIG.format(kind=kind, out=out))
-        for command in ("gen", "cluster", "train", "stats"):
+        for command in ("gen", "cluster", "train"):
             assert main([command, "-c", str(cfg)]) == 0, (kind, command)
         lines = (out / "layer_stats.csv").read_text().splitlines()
         assert lines[0] == "unit,model,layer,mean,variance"
@@ -415,8 +414,8 @@ def test_c8_covariate_shift_diagnostic(tmp_path):
     for re_row, pprz_row in zip(tables["TransRE"], tables["TransPPRZ"]):
         print(f"  {re_row[1]:6s} {float(re_row[2]):10.4f} {float(re_row[3]):10.4f} "
               f"{float(pprz_row[2]):10.4f} {float(pprz_row[3]):10.4f}")
-    report(8, "stats emitted per-layer mean/variance tables for the TransRE "
-              "and TransPPRZ checkpoints")
+    report(8, "train emitted per-layer mean/variance tables for the TransRE "
+              "and TransPPRZ units")
 
 
 def test_c9_windowing_and_split_arithmetic():

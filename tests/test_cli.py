@@ -118,7 +118,6 @@ SETTING_VALUES = {
     "granularity": ("cluster", "global"),
     "output_dir": ("runs/other", "out\0x"),
     "eval_mode": ("union", "max"),
-    "probe_samples": ("8", "0"),
 }
 
 # the least value MarketSpec takes for each [market] count key
@@ -354,7 +353,7 @@ class TestPipeline:
 
     def test_full_pipeline(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "cluster", "train", "eval", "stats"):
+        for command in ("gen", "cluster", "train", "eval"):
             assert self.run(command, "-c", str(cfg_path)) == 0, command
         for artifact in ("records.csv", "vocab.csv", "histories.bin", "clusters.csv",
                          "checkpoint_single.ckpt", "loss_single.csv", "report.csv",
@@ -505,13 +504,36 @@ class TestPipeline:
         assert self.run("train", "-c", str(cfg_path)) == 3
         assert "numeric failure" in capsys.readouterr().err
 
-    def test_stats_requires_transformer_kind(self, tmp_path, capsys):
+    def test_fc_train_probes_no_layer_stats(self, tmp_path, monkeypatch):
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = FCSum")
         )
-        assert self.run("gen", "-c", str(cfg_path)) == 0
-        assert self.run("stats", "-c", str(cfg_path)) == 1
-        assert "transformer" in capsys.readouterr().err
+        probed = []
+        monkeypatch.setattr(cli, "layer_signal_stats", lambda *args, **kwargs: probed.append(1))
+        for command in ("gen", "cluster", "train"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        assert (out / "checkpoint_single.ckpt").exists()
+        assert probed == [] and not (out / "layer_stats.csv").exists()
+
+    def test_train_with_a_non_finite_layer_statistic_exits_3(self, tmp_path, capsys,
+                                                              monkeypatch):
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = TransFV"))
+        layer_signal_stats = cli.layer_signal_stats
+
+        def overflowing(model, samples):  # finite parameters whose statistics overflow
+            model.params.flat[:] = 1e300
+            return layer_signal_stats(model, samples)
+
+        monkeypatch.setattr(cli, "layer_signal_stats", overflowing)
+        for command in ("gen", "cluster"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        capsys.readouterr()
+        assert self.run("train", "-c", str(cfg_path)) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("otcforecast: numeric failure:")
+        assert "non-finite layer statistic" in err
+        assert not (out / "layer_stats.csv").exists()
 
     def test_union_eval_mode(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
@@ -564,7 +586,7 @@ class TestPipeline:
         # at individual granularity the unit file names hold the ids percent-encoded
         cfg_path.write_text(cfg_path.read_text().replace("granularity = cluster",
                                                          "granularity = individual"))
-        for command in ("train", "eval", "stats"):
+        for command in ("train", "eval"):
             proc = run(command, cfg_path)
             assert proc.returncode == 0, (command, proc.stderr)
         assert (out / "checkpoint_dealer_D%C3%A90000.ckpt").exists()
@@ -579,7 +601,7 @@ class TestPipeline:
         assert self.run("gen", "-c", str(cfg_path)) == 0
         # "x%25y" is what a raw "x%y" would become, so the two names must differ
         ids = rename_dealers(out / "histories.bin", ["a/b", "a\0b", "Dé1", "x%y", "x%25y"])
-        for command in ("cluster", "train", "eval", "stats"):
+        for command in ("cluster", "train", "eval"):
             proc = run(command, cfg_path)
             assert proc.returncode == 0, (command, proc.stderr)
         assert all(name.isascii() for name in os.listdir(out))
@@ -659,12 +681,12 @@ class TestPipeline:
             counts = sum(int(row[name]) for name in ("tp", "fp", "fn", "tn"))
             assert counts == windows[row["cluster"]] * cells, row["cluster"]
 
-    def test_stats_names_each_rows_unit(self, tmp_path):
+    def test_train_writes_each_units_layer_stats(self, tmp_path):
         cfg_path, out = write_config(
             tmp_path,
             text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"),
         )
-        for command in ("gen", "cluster", "train", "stats"):
+        for command in ("gen", "cluster", "train"):
             assert self.run(command, "-c", str(cfg_path)) == 0, command
         tags = sorted(p.name[len("checkpoint_"):-len(".ckpt")]
                       for p in out.glob("checkpoint_*.ckpt"))
@@ -674,6 +696,18 @@ class TestPipeline:
         rows = [line.split(",") for line in lines[1:]]
         assert [(r[0], r[2]) for r in rows] == [(tag, layer) for tag in tags
                                                 for layer in ("enc0", "dec0")]
+        # each unit's statistics are those of its saved checkpoint on its first
+        # PROBE_WINDOWS training windows
+        cfg = parse_config(cfg_path)
+        vocab_size, units, _ = cli._prepare(cfg, out)
+        config = cfg.model_config(vocab_size)
+        expected = []
+        for tag, unit_train, _ in units:
+            model = load_checkpoint(out / f"checkpoint_{tag}.ckpt", config)
+            stats = harness.layer_signal_stats(model, unit_train[:cli.PROBE_WINDOWS])
+            expected += [(tag, "TransPPRZ", layer, mean.hex(), variance.hex())
+                         for layer, (mean, variance) in stats.items()]
+        assert [(*r[:3], float(r[3]).hex(), float(r[4]).hex()) for r in rows] == expected
 
     def test_compare_grid_shape(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
@@ -844,21 +878,11 @@ class TestPipeline:
         assert f"{last}: non-finite parameter value" in capsys.readouterr().err
         assert scored == [] and not (out / "report.csv").exists()
 
-    def test_stats_with_a_missing_unit_checkpoint_probes_no_unit(self, tmp_path, capsys,
-                                                                 monkeypatch):
-        cfg_path, out, last = self.trained_without_the_last_checkpoint(tmp_path)
-        probed = []
-        monkeypatch.setattr(cli, "layer_signal_stats", lambda *args, **kwargs: probed.append(1))
-        capsys.readouterr()
-        assert self.run("stats", "-c", str(cfg_path)) == 2
-        assert last.name in capsys.readouterr().err
-        assert probed == [] and not (out / "layer_stats.csv").exists()
-
     @pytest.mark.parametrize("command, train_fraction, split", [
         pytest.param("eval", "0.9", "test", id="eval"),
         pytest.param("compare", "0.9", "test", id="compare"),
         *(pytest.param(command, "0.1", "training", id=f"{command}-no-training-window")
-          for command in ("train", "eval", "compare", "stats")),
+          for command in ("train", "eval", "compare")),
     ])
     def test_empty_test_split_exits_1_before_training(self, tmp_path, capsys, command,
                                                       train_fraction, split):
@@ -1024,11 +1048,10 @@ class TestCheckpointConfig:
             assert main([command, "-c", str(cfg_path)]) == 0, command
         cfg_path, _ = write_config(tmp_path, text=trained)
         capsys.readouterr()
-        for command in ("eval", "stats"):
-            assert main([command, "-c", str(cfg_path)]) == 2, command
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and "unreadable artifact" in err
-            assert "checkpoint_single.ckpt" in err and "heads = 4" in err and "2" in err
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert "checkpoint_single.ckpt" in err and "heads = 4" in err and "2" in err
 
     def test_manifest_config_cannot_drive_memory_use(self, tmp_path, capsys):
         # a short manifest asking for a large vocabulary, with no payload
@@ -1052,11 +1075,10 @@ class TestCheckpointConfig:
             tracemalloc.stop()
         assert peak < 1 << 20
         capsys.readouterr()
-        for command in ("eval", "stats"):
-            assert main([command, "-c", str(cfg_path)]) == 2, command
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and "unreadable artifact" in err
-            assert f"trained with vocab_size = 20000, the config gives {vocab_size}" in err
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert f"trained with vocab_size = 20000, the config gives {vocab_size}" in err
 
     def trained_with_payload(self, tmp_path, kind, edit):
         """Train ``kind``, then rewrite its checkpoint's payload as ``edit``
@@ -1079,25 +1101,22 @@ class TestCheckpointConfig:
     def test_non_finite_checkpoint_exits_2(self, tmp_path, capsys, edit):
         cfg_path, path = self.trained_with_payload(tmp_path, "TransRE", edit)
         capsys.readouterr()
-        for command, written in (("eval", "report.csv"), ("stats", "layer_stats.csv")):
-            assert main([command, "-c", str(cfg_path)]) == 2, command
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and "unreadable artifact" in err
-            assert f"{path}: non-finite parameter value" in err
-            assert not (path.parent / written).exists()
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert f"{path}: non-finite parameter value" in err
+        assert not (path.parent / "report.csv").exists()
 
     def test_overflowing_checkpoint_exits_3(self, tmp_path, capsys):
-        # finite parameters whose forecasts and layer statistics overflow
+        # finite parameters whose forecasts overflow
         cfg_path, path = self.trained_with_payload(
             tmp_path, "TransFV", lambda values: values.fill(1e300))
         capsys.readouterr()
-        for command, written, what in (("eval", "report.csv", "forecast"),
-                                       ("stats", "layer_stats.csv", "layer statistic")):
-            assert main([command, "-c", str(cfg_path)]) == 3, command
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and err.startswith("otcforecast: numeric failure:")
-            assert f"non-finite {what}" in err
-            assert not (path.parent / written).exists()
+        assert main(["eval", "-c", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("otcforecast: numeric failure:")
+        assert "non-finite forecast" in err
+        assert not (path.parent / "report.csv").exists()
 
     def rewrite_as_old_format(self, tmp_path, header_of):
         """Train, then replace the checkpoint's manifest line with
@@ -1135,7 +1154,7 @@ class TestCheckpointConfig:
         assert "malformed manifest (version 1, expected 4)" in err
 
     @pytest.mark.parametrize("kind, commands", [("LSTM", ("eval",)),
-                                                ("TransPPRZ", ("eval", "stats"))])
+                                                ("TransPPRZ", ("eval",))])
     def test_version_2_checkpoint_exits_2(self, tmp_path, capsys, kind, commands):
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", f"kind = {kind}"))
@@ -1182,11 +1201,10 @@ class TestCheckpointConfig:
         manifest = {**json.loads(header), "version": 3}
         path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + old)
         capsys.readouterr()
-        for command in ("eval", "stats"):
-            assert main([command, "-c", str(cfg_path)]) == 2, command
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and "unreadable artifact" in err
-            assert "malformed manifest (version 3, expected 4)" in err
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert "malformed manifest (version 3, expected 4)" in err
 
 
 def truncate(path, cut):

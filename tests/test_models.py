@@ -1,9 +1,11 @@
 """Model-zoo contracts: construction, embeddings, residual schemes,
 causality, and checkpoint round-trips."""
 
+import copy
 import hashlib
 import json
 import math
+import pickle
 import re
 import tracemalloc
 from collections import Counter
@@ -18,6 +20,8 @@ import otcforecast.autodiff as ad
 from otcforecast import models
 from otcforecast.autodiff import Tensor
 from otcforecast.errors import ArtifactError, ConfigurationError, ContractError, ShapeMismatchError
+from otcforecast.harness import TrainSpec, train
+from otcforecast.market import Sample
 from otcforecast.models import (
     MODEL_KINDS,
     TRANSFORMER_KINDS,
@@ -974,6 +978,28 @@ class TestFlatParameters:
         assert gate.shape == () and np.shares_memory(gate, flat)
         flat[:] = 7.0
         assert params["encoder.l0.gate"].item() == 7.0
+
+    @pytest.mark.parametrize("copy_model", [
+        pytest.param(lambda model: pickle.loads(pickle.dumps(model)), id="pickle"),
+        pytest.param(copy.deepcopy, id="deepcopy"),
+    ])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_a_copied_model_trains_apart_from_its_original(self, kind, copy_model):
+        model = build_model(toy_config(kind))
+        model.params.flat[:] = np.random.default_rng(5).normal(scale=0.5,
+                                                               size=model.params.flat.size)
+        copied = copy_model(model)
+        params = copied.params
+        assert params.flat.tobytes() == model.params.flat.tobytes()
+        for name, tensor in zip(params.names(), params.tensors()):
+            assert np.shares_memory(tensor.values, params.flat), name
+        days = random_day_matrix(5 * 8, 8, seed=6).reshape(8, 5, 16)
+        samples = [Sample("D1", i, x[:3], x[3:]) for i, x in enumerate(days)]
+        inputs = np.stack([s.input_days for s in samples])
+        before, copied_before = model.predict(inputs), copied.predict(inputs)
+        train(copied, samples, TrainSpec(epochs=2, batch_size=4, learning_rate=0.05))
+        assert not np.array_equal(copied.predict(inputs), copied_before)
+        assert np.array_equal(model.predict(inputs), before)
 
     def test_duplicate_name_rejected_at_build(self):
         b = _Builder(np.random.default_rng(0))
