@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 import warnings
 from pathlib import Path
@@ -35,15 +36,16 @@ from .errors import (
     ShapeMismatchError,
 )
 from .harness import (
+    epochs,
     layer_signal_stats,
     score_units,
     train_units,
     training_units,
     write_days,
-    write_layer_stats,
     write_reports,
 )
-from .models import MODEL_KINDS, TRANSFORMER_KINDS, check_checkpoint, load_checkpoint, save_checkpoint
+from .models import (MODEL_KINDS, TRANSFORMER_KINDS, build_model, check_checkpoint,
+                     load_checkpoint, save_checkpoint)
 from .seeding import derive_seed
 
 CLUSTER_COLUMNS = TIER_NAMES  # compare_f1.csv's tier columns, in label order
@@ -56,7 +58,6 @@ REPORT_FILE = "report.csv"
 COMPARE_FILE = "compare_f1.csv"
 COMPARE_REPORT_FILE = "compare_report.csv"
 COMPARE_DAYS_FILE = "compare_days.csv"
-STATS_FILE = "layer_stats.csv"
 RESOLVED_CONFIG_FILE = "config.resolved.ini"
 
 PROBE_WINDOWS = 64  # a Transformer unit's first training windows its layer statistics probe
@@ -172,20 +173,30 @@ def _unit_models(cfg: RunConfig, out: Path, vocab_size: int, units):
         yield tag, load_checkpoint(path, config), unit_test
 
 
+def _log_line(model, epoch: int, loss: float | None, probe) -> str:
+    """One train_log line: the kind, epoch and loss, a Transformer's layer
+    statistics on ``probe`` and a gated kind's gates as [min, mean, max]."""
+    line = {"model": model.config.kind, "epoch": epoch, "loss": loss}
+    if model.config.kind in TRANSFORMER_KINDS:
+        line["layers"] = layer_signal_stats(model, probe)
+    gates = {n.removesuffix(".gate"): model.params[n].values
+             for n in model.params.names() if n.endswith(".gate")}
+    if gates:
+        line["gates"] = {layer: [g.min(), g.mean(), g.max()] for layer, g in gates.items()}
+    return json.dumps(line, allow_nan=False) + "\n"
+
+
 def cmd_train(cfg: RunConfig, out: Path) -> None:
     vocab_size, units, _ = _prepare(cfg, out)
-    stats_by_unit = {}
-    trained = train_units(cfg.model_config(vocab_size), units, cfg.train_spec())
-    for (tag, model, losses, _), (_, unit_train, _) in zip(trained, units):
+    config = cfg.model_config(vocab_size)
+    for tag, unit_train, _ in units:
+        model, probe = build_model(config), unit_train[:PROBE_WINDOWS]
+        with open(out / f"train_log_{tag}.jsonl", "w", encoding="utf-8", buffering=1) as log:
+            log.write(_log_line(model, 0, None, probe))  # the model as built
+            for epoch, loss in enumerate(epochs(model, unit_train, cfg.train_spec()), 1):
+                log.write(_log_line(model, epoch, loss, probe))
         save_checkpoint(_checkpoint_path(out, tag), model)
-        market.write_rows(out / f"loss_{tag}.csv",
-                          [("epoch", "loss"), *((e, repr(loss)) for e, loss in enumerate(losses))])
         print(f"wrote {_checkpoint_path(out, tag)}")
-        if cfg.kind in TRANSFORMER_KINDS:
-            stats_by_unit[tag] = layer_signal_stats(model, unit_train[:PROBE_WINDOWS])
-    if stats_by_unit:
-        write_layer_stats(out / STATS_FILE, cfg.kind, stats_by_unit)
-        print(f"wrote {out / STATS_FILE}")
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:

@@ -90,8 +90,8 @@ def _batches(samples: list[Sample], size: int, order=None):
         yield np.array([s.input_days for s in batch]), np.array([s.target_days for s in batch])
 
 
-def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, list[float]]:
-    """Mini-batch Adam training; returns the model's params and per-epoch loss.
+def epochs(model, train_samples: list[Sample], spec: TrainSpec):
+    """Mini-batch Adam training; yields each epoch's loss after its last Adam step.
 
     Each mini-batch is one stacked forward and backward pass on the mean
     squared error over all of its cells, which is the mean of the
@@ -103,12 +103,11 @@ def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, 
     Adam updates the packed parameter vector from one flat gradient.
     """
     if not train_samples:
-        raise ContractError("train() needs a nonempty training set")
+        raise ContractError("training needs a nonempty training set")
     params = model.params.tensors()
     values = model.params.flat
     grad = np.empty_like(values)
     state = OptimizerState(learning_rate=spec.learning_rate)
-    losses: list[float] = []
     best = math.inf
     stale = 0
     n = len(train_samples)
@@ -130,7 +129,7 @@ def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, 
             epoch_loss += batch_loss
         ad.reset_tape()
         epoch_loss /= n
-        losses.append(epoch_loss)
+        yield epoch_loss
         if spec.patience is not None:
             if epoch_loss < best * (1.0 - 1e-3):
                 best = epoch_loss
@@ -139,7 +138,11 @@ def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, 
                 stale += 1
                 if stale >= spec.patience:
                     break
-    return model.params, losses
+
+
+def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, list[float]]:
+    """Run :func:`epochs` to the end; returns the model's params and per-epoch loss."""
+    return model.params, list(epochs(model, train_samples, spec))
 
 
 def _confusion(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -188,8 +191,8 @@ def layer_signal_stats(model, probe_samples: list[Sample]) -> dict[str, tuple[fl
     """Per-layer mean and population variance of post-residual activations
     on a probe batch, as ``{layer: (mean, variance)}`` in layer order.
 
-    Runs stacked teacher-forced forwards so encoder and decoder layers see
-    the same batch; statistics pool over samples, positions and channels.
+    Runs one stacked teacher-forced forward so encoder and decoder layers
+    see the same batch; statistics pool over samples, positions and channels.
     A non-finite statistic raises NumericError.
     """
     kind = model.config.kind
@@ -197,17 +200,11 @@ def layer_signal_stats(model, probe_samples: list[Sample]) -> dict[str, tuple[fl
         raise ContractError(f"layer stats need a transformer kind, got {kind}")
     if not probe_samples:
         raise ContractError("layer_signal_stats() needs a nonempty probe batch")
-    collected: dict[str, list[np.ndarray]] = {}
-    stats = {}
     with ad.no_grad(), np.errstate(all="ignore"):  # numpy's warnings give way to the check below
-        for inputs, target in _batches(probe_samples, EVAL_CHUNK):
-            trace: list[tuple[str, np.ndarray]] = []
-            model.forward(inputs, teacher=target, trace=trace)
-            for name, values in trace:
-                collected.setdefault(name, []).append(values.reshape(-1))
-        for name in collected:
-            pooled = np.concatenate(collected[name])
-            stats[name] = (float(pooled.mean()), float(pooled.var()))
+        inputs, target = next(_batches(probe_samples, len(probe_samples)))
+        trace: list[tuple[str, np.ndarray]] = []
+        model.forward(inputs, teacher=target, trace=trace)
+        stats = {name: (float(values.mean()), float(values.var())) for name, values in trace}
     if not np.isfinite(list(stats.values())).all():
         raise NumericError(f"non-finite layer statistic of the {kind} model")
     return stats
@@ -325,12 +322,3 @@ def write_days(path, mode: str, reports: list[EvalReport]) -> None:
     _write_scored(path, ("day",), ((r.model, "union" if mode == "union" else day, counts)
                                    for r in reports
                                    for day, counts in enumerate(r.counts.sum(axis=0).tolist(), 1)))
-
-
-def write_layer_stats(path, kind: str,
-                      stats_by_unit: dict[str, dict[str, tuple[float, float]]]) -> None:
-    """CSV table: unit, model, layer, mean, variance (one block per unit tag)."""
-    write_rows(path, [("unit", "model", "layer", "mean", "variance"),
-                      *((tag, kind, layer, repr(mean), repr(variance))
-                        for tag, stats in stats_by_unit.items()
-                        for layer, (mean, variance) in stats.items())])

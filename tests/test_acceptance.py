@@ -6,6 +6,7 @@ synthetic data, so everything here is property-based except criterion 7,
 which is a soft behavioral bound on patterned synthetic dealers.
 """
 
+import json
 import time
 
 import numpy as np
@@ -395,26 +396,34 @@ output_dir = {out}
 
 
 def test_c8_covariate_shift_diagnostic(tmp_path):
-    tables = {}
+    logs = {}
     for kind in ("TransRE", "TransPPRZ"):
         out = tmp_path / kind
         cfg = tmp_path / f"{kind}.ini"
         cfg.write_text(STATS_CONFIG.format(kind=kind, out=out))
         for command in ("gen", "cluster", "train"):
             assert main([command, "-c", str(cfg)]) == 0, (kind, command)
-        lines = (out / "layer_stats.csv").read_text().splitlines()
-        assert lines[0] == "unit,model,layer,mean,variance"
-        rows = [line.split(",")[1:] for line in lines[1:]]
-        assert [r[1] for r in rows] == ["enc0", "enc1", "dec0", "dec1"]
-        assert all(float(r[3]) >= 0.0 for r in rows)
-        tables[kind] = rows
+        text = (out / "train_log_single.jsonl").read_text()
+        lines = [json.loads(line) for line in text.splitlines()]
+        assert [line["epoch"] for line in lines] == list(range(7))
+        layers = lines[-1]["layers"]
+        assert list(layers) == ["enc0", "enc1", "dec0", "dec1"]
+        assert all(variance >= 0.0 for _, variance in layers.values())
+        logs[kind] = lines
+    re_layers, pprz_layers = (logs[kind][-1]["layers"] for kind in ("TransRE", "TransPPRZ"))
     print("\n[criterion 8] per-layer signal statistics after training "
           "(diagnostic, reported not asserted):")
     print(f"  {'layer':6s} {'RE mean':>10s} {'RE var':>10s} {'PPRZ mean':>10s} {'PPRZ var':>10s}")
-    for re_row, pprz_row in zip(tables["TransRE"], tables["TransPPRZ"]):
-        print(f"  {re_row[1]:6s} {float(re_row[2]):10.4f} {float(re_row[3]):10.4f} "
-              f"{float(pprz_row[2]):10.4f} {float(pprz_row[3]):10.4f}")
-    report(8, "train emitted per-layer mean/variance tables for the TransRE "
+    for layer in re_layers:
+        print(f"  {layer:6s} {re_layers[layer][0]:10.4f} {re_layers[layer][1]:10.4f} "
+              f"{pprz_layers[layer][0]:10.4f} {pprz_layers[layer][1]:10.4f}")
+    print("[criterion 8] mean gate per epoch, 0 (as built) to 6 "
+          "(diagnostic, reported not asserted):")
+    for kind, lines in logs.items():
+        for layer in lines[0]["gates"]:
+            means = " ".join(f"{line['gates'][layer][1]:7.4f}" for line in lines)
+            print(f"  {kind:9s} {layer:10s} {means}")
+    report(8, "train logged per-epoch layer statistics and gates for the TransRE "
               "and TransPPRZ units")
 
 

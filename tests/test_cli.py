@@ -36,7 +36,7 @@ from otcforecast.harness import (
     write_reports,
 )
 from otcforecast.market import MarketSpec
-from otcforecast.models import MODEL_KINDS, ModelConfig, load_checkpoint
+from otcforecast.models import MODEL_KINDS, ModelConfig, build_model, load_checkpoint
 from otcforecast.seeding import derive_seed
 
 from helpers import TINY_CONFIG
@@ -356,8 +356,8 @@ class TestPipeline:
         for command in ("gen", "cluster", "train", "eval"):
             assert self.run(command, "-c", str(cfg_path)) == 0, command
         for artifact in ("records.csv", "vocab.csv", "histories.bin", "clusters.csv",
-                         "checkpoint_single.ckpt", "loss_single.csv", "report.csv",
-                         "layer_stats.csv", "config.resolved.ini"):
+                         "checkpoint_single.ckpt", "train_log_single.jsonl", "report.csv",
+                         "config.resolved.ini"):
             assert (out / artifact).exists(), artifact
         report = (out / "report.csv").read_text().splitlines()
         assert report[0].startswith("model,granularity,cluster")
@@ -513,16 +513,21 @@ class TestPipeline:
         for command in ("gen", "cluster", "train"):
             assert self.run(command, "-c", str(cfg_path)) == 0, command
         assert (out / "checkpoint_single.ckpt").exists()
-        assert probed == [] and not (out / "layer_stats.csv").exists()
+        assert probed == []
+        lines = (out / "train_log_single.jsonl").read_text().splitlines()
+        assert [list(json.loads(line)) for line in lines] == [["model", "epoch", "loss"]] * 2
 
     def test_train_with_a_non_finite_layer_statistic_exits_3(self, tmp_path, capsys,
                                                               monkeypatch):
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = TransFV"))
         layer_signal_stats = cli.layer_signal_stats
+        calls = []
 
-        def overflowing(model, samples):  # finite parameters whose statistics overflow
-            model.params.flat[:] = 1e300
+        def overflowing(model, samples):
+            calls.append(model)
+            if len(calls) > 1:  # after epoch 1: finite parameters whose statistics overflow
+                model.params.flat[:] = 1e300
             return layer_signal_stats(model, samples)
 
         monkeypatch.setattr(cli, "layer_signal_stats", overflowing)
@@ -533,7 +538,11 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("otcforecast: numeric failure:")
         assert "non-finite layer statistic" in err
-        assert not (out / "layer_stats.csv").exists()
+        # the statistics are taken while training: the unit saves no checkpoint,
+        # and its log holds the lines before the failure, the model as built
+        assert len(calls) == 2 and not list(out.glob("checkpoint_*"))
+        lines = (out / "train_log_single.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in lines] == [0]
 
     def test_union_eval_mode(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
@@ -609,8 +618,8 @@ class TestPipeline:
                 "x%25y": "x%2525y", ids[-1]: ids[-1]}
         assert sorted(p.name for p in out.glob("checkpoint_*.ckpt")) == sorted(
             f"checkpoint_dealer_{tag}.ckpt" for tag in tags.values())
-        units = {line.split(",")[0] for line in (out / "layer_stats.csv").read_text().splitlines()}
-        assert units == {"unit"} | {f"dealer_{tag}" for tag in tags.values()}
+        assert sorted(p.name for p in out.glob("train_log_*.jsonl")) == sorted(
+            f"train_log_dealer_{tag}.jsonl" for tag in tags.values())
 
     @pytest.mark.parametrize("dealer_id", ["Z/bad", "Z\0bad"], ids=["slash", "nul"])
     def test_dealer_id_with_slash_or_nul_trains(self, tmp_path, dealer_id):
@@ -624,7 +633,7 @@ class TestPipeline:
             assert self.run(command, "-c", str(cfg_path)) == 0, command
         encoded = dealer_id.replace("/", "%2F").replace("\0", "%00")
         assert (out / f"checkpoint_dealer_{encoded}.ckpt").is_file()
-        assert (out / f"loss_dealer_{encoded}.csv").is_file()
+        assert (out / f"train_log_dealer_{encoded}.jsonl").is_file()
         assert not [p for p in out.iterdir() if p.is_dir()]
 
     def cluster_with_last_dealer_id(self, tmp_path, capsys, ident):
@@ -681,33 +690,55 @@ class TestPipeline:
             counts = sum(int(row[name]) for name in ("tp", "fp", "fn", "tn"))
             assert counts == windows[row["cluster"]] * cells, row["cluster"]
 
-    def test_train_writes_each_units_layer_stats(self, tmp_path):
+    @pytest.mark.parametrize("epochs", [0, 2])
+    @pytest.mark.parametrize("kind", ["TransPPRZ", "TransRE"])
+    def test_train_logs_each_units_epochs(self, tmp_path, kind, epochs):
         cfg_path, out = write_config(
             tmp_path,
-            text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"),
+            text=TINY_CONFIG.replace("granularity = single", "granularity = cluster")
+                            .replace("kind = TransPPRZ", f"kind = {kind}")
+                            .replace("epochs = 1", f"epochs = {epochs}"),
         )
         for command in ("gen", "cluster", "train"):
             assert self.run(command, "-c", str(cfg_path)) == 0, command
-        tags = sorted(p.name[len("checkpoint_"):-len(".ckpt")]
-                      for p in out.glob("checkpoint_*.ckpt"))
-        assert len(tags) > 1
-        lines = (out / "layer_stats.csv").read_text().splitlines()
-        assert lines[0] == "unit,model,layer,mean,variance"
-        rows = [line.split(",") for line in lines[1:]]
-        assert [(r[0], r[2]) for r in rows] == [(tag, layer) for tag in tags
-                                                for layer in ("enc0", "dec0")]
-        # each unit's statistics are those of its saved checkpoint on its first
-        # PROBE_WINDOWS training windows
         cfg = parse_config(cfg_path)
         vocab_size, units, _ = cli._prepare(cfg, out)
         config = cfg.model_config(vocab_size)
-        expected = []
+        assert len(units) > 1
+        assert sorted(p.name for p in out.glob("train_log_*.jsonl")) == sorted(
+            f"train_log_{tag}.jsonl" for tag, _, _ in units)
+
+        def hexed(table):
+            return {name: [float(v).hex() for v in values] for name, values in table.items()}
+
         for tag, unit_train, _ in units:
+            text = (out / f"train_log_{tag}.jsonl").read_text()
+            lines = [json.loads(line) for line in text.splitlines()]
+            _, losses = harness.train(build_model(config), unit_train, cfg.train_spec())
+            assert [line["epoch"] for line in lines] == list(range(epochs + 1))
+            assert [line["loss"] for line in lines] == [None, *losses]
+            assert all(line["model"] == kind for line in lines)
+            # the last line holds the saved checkpoint's statistics, on its first
+            # PROBE_WINDOWS training windows, and its gates; line 0 the zero-init gates
             model = load_checkpoint(out / f"checkpoint_{tag}.ckpt", config)
             stats = harness.layer_signal_stats(model, unit_train[:cli.PROBE_WINDOWS])
-            expected += [(tag, "TransPPRZ", layer, mean.hex(), variance.hex())
-                         for layer, (mean, variance) in stats.items()]
-        assert [(*r[:3], float(r[3]).hex(), float(r[4]).hex()) for r in rows] == expected
+            assert hexed(lines[-1]["layers"]) == hexed(stats)
+            gates = {name.removesuffix(".gate"): model.params[name].values
+                     for name in model.params.names() if name.endswith(".gate")}
+            assert list(gates) == ["encoder.l0", "decoder.l0"]
+            assert hexed(lines[0]["gates"]) == {layer: [(0.0).hex()] * 3 for layer in gates}
+            assert hexed(lines[-1]["gates"]) == hexed(
+                {layer: [g.min(), g.mean(), g.max()] for layer, g in gates.items()})
+
+    def test_readme_train_log_keys_are_the_written_keys(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        keys = re.search(r"^\* `train_log_<unit>\.jsonl`: `([^`]*)`", readme, re.MULTILINE).group(1)
+        cfg_path, out = write_config(tmp_path)  # a TransPPRZ unit, trained one epoch
+        for command in ("gen", "train"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        lines = (out / "train_log_single.jsonl").read_text().splitlines()
+        assert len(lines) == 2
+        assert all(list(json.loads(line)) == keys.split(",") for line in lines)
 
     def test_compare_grid_shape(self, tmp_path):
         cfg_path, out = write_config(tmp_path)

@@ -21,6 +21,7 @@ from otcforecast.harness import (
     GRANULARITIES,
     EvalReport,
     TrainSpec,
+    epochs,
     evaluate,
     layer_signal_stats,
     micro_prf,
@@ -28,7 +29,6 @@ from otcforecast.harness import (
     train,
     train_units,
     training_units,
-    write_layer_stats,
     write_reports,
 )
 from otcforecast.market import Sample
@@ -358,6 +358,34 @@ class TestTrain:
                           TrainSpec(epochs=400, batch_size=1, patience=5))
         assert len(losses) < 400
 
+    @pytest.mark.parametrize("kind", ["FCSum", "LSTM", "TransPPRZ"])
+    def test_each_epoch_yields_after_its_last_step(self, kind):
+        # two mini-batches per epoch: a yield before the second step would
+        # show the parameters one step short
+        samples = random_samples(6, seed=23)
+        spec = TrainSpec(epochs=3, batch_size=4, learning_rate=0.01, seed=24)
+        model = build_model(toy_config(kind))
+        yielded = 0
+        for k, loss in enumerate(epochs(model, samples, spec), 1):
+            fresh = build_model(toy_config(kind))
+            _, losses = train(fresh, samples, dataclasses.replace(spec, epochs=k))
+            assert model.params.flat.tobytes() == fresh.params.flat.tobytes(), k
+            assert loss == losses[-1]
+            yielded = k
+        assert yielded == 3
+
+    @pytest.mark.parametrize("kind", ["FCSum", "LSTM", "TransPPRZ"])
+    @pytest.mark.parametrize("spec", [
+        TrainSpec(epochs=3, batch_size=4, learning_rate=0.01, seed=25),
+        TrainSpec(epochs=50, batch_size=6, learning_rate=0.3, seed=26, patience=1),
+    ], ids=["three_epochs", "patience"])
+    def test_epochs_yields_what_train_returns(self, kind, spec):
+        samples = random_samples(6, seed=27)
+        yielded = list(epochs(build_model(toy_config(kind)), samples, spec))
+        _, losses = train(build_model(toy_config(kind)), samples, spec)
+        assert yielded == losses
+        assert len(losses) == 3 if spec.patience is None else 1 < len(losses) < spec.epochs
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(ContractError):
             TrainSpec(batch_size=0)
@@ -621,13 +649,3 @@ class TestReportIO:
         columns = re.search(r"^\* `report\.csv`: `([^`]*)`", readme, re.MULTILINE).group(1)
         write_reports(tmp_path / "report.csv", "single", [])
         assert (tmp_path / "report.csv").read_bytes() == f"{columns}\r\n".encode()
-
-    def test_layer_stats_format(self, tmp_path):
-        model = build_model(toy_config("TransPPRZ"))
-        stats = layer_signal_stats(model, random_samples(2, seed=21))
-        path = tmp_path / "stats.csv"
-        write_layer_stats(path, "TransPPRZ", {"single": stats})
-        lines = path.read_text().splitlines()
-        assert lines[0] == "unit,model,layer,mean,variance"
-        assert [line.split(",")[:3] for line in lines[1:]] == [
-            ["single", "TransPPRZ", layer] for layer in stats]
