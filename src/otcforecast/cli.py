@@ -1,4 +1,7 @@
-"""Command-line pipeline: gen -> cluster -> train -> eval / compare.
+"""Command-line pipeline: gen -> train -> eval / compare.
+
+The activity tiers are derived from the histories wherever a command needs
+them; ``cluster`` writes them out for inspection, and no command reads them.
 
 Every command reads one config file, writes its artifacts under the
 configured output directory next to an echo of the resolved config, and is
@@ -22,7 +25,6 @@ from .clustering import (
     TIERS,
     compute_dealer_features,
     kmeans_cluster,
-    load_assignment,
     order_clusters,
     save_assignment,
 )
@@ -102,18 +104,19 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
     print(f"wrote {out / HISTORIES_FILE} ({len(histories)} dealers, {vocab.size} bonds)")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _tiers(cfg: RunConfig, histories, days: int):
+    """The activity tiers of ``histories``: k-means over each dealer's
+    features on the training days, labels ordered least active first."""
+    features = compute_dealer_features(histories, market.split_boundary(days, cfg.train_fraction))
+    assignment = kmeans_cluster(features, seed=derive_seed(cfg.seed, "cluster"))
+    return order_clusters(assignment, features)
 
 
 def cmd_cluster(cfg: RunConfig, out: Path) -> None:
     path = _require(out / HISTORIES_FILE, "gen")
     histories, days, _ = market.load_histories(path)
-    boundary = market.split_boundary(days, cfg.train_fraction)
-    features = compute_dealer_features(histories, boundary)
-    assignment = kmeans_cluster(features, seed=derive_seed(cfg.seed, "cluster"))
-    assignment = order_clusters(assignment, features)
-    save_assignment(out / CLUSTERS_FILE, assignment, _sha256(path))
+    assignment = _tiers(cfg, histories, days)
+    save_assignment(out / CLUSTERS_FILE, assignment, hashlib.sha256(path.read_bytes()).hexdigest())
     empty = [str(tier) for tier in range(TIERS) if tier not in assignment.labels.values()]
     if empty:
         warnings.warn(f"cluster: no dealer holds tier {', '.join(empty)} of 0-{TIERS - 1}")
@@ -122,20 +125,15 @@ def cmd_cluster(cfg: RunConfig, out: Path) -> None:
 
 
 def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
-    """Load the histories, window and split them, read the labels, and
+    """Load the histories, window and split them, derive the tiers, and
     group both splits into the run granularity's units.
 
-    Labels are read when the granularity needs them or the command is
-    ``scoring`` (per-cluster rows); otherwise they are empty and
-    clusters.csv is optional.  Loaded labels must come from these
-    histories (their SHA-256 matches) and cover every dealer.  Every
-    command needs at least one training window, and a scoring command at
-    least one test window, checked before any training.
+    Every command needs at least one training window, and a ``scoring``
+    command at least one test window, checked before any training.
     Returns (vocab size, units, labels), the units as
     :func:`training_units` forms them.
     """
-    histories_path = _require(out / HISTORIES_FILE, "gen")
-    histories, days, vocab_size = market.load_histories(histories_path)
+    histories, days, vocab_size = market.load_histories(_require(out / HISTORIES_FILE, "gen"))
     samples = [
         s
         for h in histories
@@ -148,16 +146,7 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
         raise ConfigurationError(f"the temporal split leaves no training window {split}")
     if scoring and not test_samples:
         raise ConfigurationError(f"the temporal split leaves no test window {split}")
-    labels = {}
-    if scoring or cfg.granularity != "single":
-        path = _require(out / CLUSTERS_FILE, "cluster")
-        source, labels = load_assignment(path)
-        if source != _sha256(histories_path):
-            raise ArtifactError(f"{path}: made from other histories than {histories_path} "
-                                f"(rerun `otcforecast cluster`)")
-        for h in histories:
-            if h.dealer_id not in labels:
-                raise ArtifactError(f"{path}: no label for dealer {h.dealer_id}")
+    labels = _tiers(cfg, histories, days).labels
     units = training_units(cfg.granularity, train_samples, test_samples, labels)
     return vocab_size, units, labels
 
@@ -190,6 +179,8 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
     vocab_size, units, _ = _prepare(cfg, out)
     config = cfg.model_config(vocab_size)
     for tag, unit_train, _ in units:
+        # a unit that fails must not leave an older checkpoint next to its new log
+        _checkpoint_path(out, tag).unlink(missing_ok=True)
         model, probe = build_model(config), unit_train[:PROBE_WINDOWS]
         with open(out / f"train_log_{tag}.jsonl", "w", encoding="utf-8", buffering=1) as log:
             log.write(_log_line(model, 0, None, probe))  # the model as built

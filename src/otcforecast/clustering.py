@@ -10,13 +10,11 @@ caller finds empty tiers there.
 
 from __future__ import annotations
 
-import csv
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArtifactError, ContractError
+from .errors import ContractError
 from .market import DealerHistory, write_rows
 from .seeding import rng_for
 
@@ -175,33 +173,3 @@ def save_assignment(path, assignment: ClusterAssignment, histories_sha256: str) 
     comma-separated lines of dealer_id, cluster_label (ascending dealer id)."""
     write_rows(path, [("histories_sha256", histories_sha256), *sorted(assignment.labels.items())])
 
-
-def load_assignment(path) -> tuple[str, dict[str, int]]:
-    """Read the lines of :func:`save_assignment` back as the histories'
-    SHA-256 and dealer -> label.
-
-    Raises ArtifactError unless the first line is ``histories_sha256``
-    with 64 lowercase hex digits, and on a later line that is not
-    ``dealer,label`` with a label in 0..TIERS-1, or that repeats a dealer.
-    """
-    labels: dict[str, int] = {}
-    tiers = [str(label) for label in range(TIERS)]
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = csv.reader(fh)
-            first = next(rows, [])
-            if (len(first) != 2 or first[0] != "histories_sha256"
-                    or not re.fullmatch("[0-9a-f]{64}", first[1])):
-                raise ArtifactError(
-                    f"{path}: line 1 is not histories_sha256,<64 hex digits>: {first!r}")
-            for line, row in enumerate(rows, start=2):
-                if len(row) != 2 or not row[0] or row[1] not in tiers:
-                    raise ArtifactError(
-                        f"{path}: line {line} is not dealer,label with a label in "
-                        f"0-{TIERS - 1}: {row!r}")
-                if row[0] in labels:
-                    raise ArtifactError(f"{path}: line {line} repeats dealer {row[0]}")
-                labels[row[0]] = int(row[1])
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise ArtifactError(f"{path}: {exc}") from exc
-    return first[1], labels

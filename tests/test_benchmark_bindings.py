@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from otcforecast import autodiff, cli, harness, market
-from otcforecast.clustering import load_assignment
 from otcforecast.config import parse_config
 from otcforecast.harness import TrainSpec
 from otcforecast.market import Sample
@@ -167,8 +166,8 @@ def test_probes_see_every_unit_and_every_scored_window_of_compare(instrument, tm
         assert cli.main(["compare", "-c", str(ini)]) == 0
     finally:
         patcher.restore()
-    _, labels = load_assignment(out / "clusters.csv")
-    units = len(set(labels.values()))
+    histories, days, _ = market.load_histories(out / "histories.bin")
+    units = len(set(cli._tiers(parse_config(str(ini)), histories, days).labels.values()))
     assert Counter(unit["kind"] for unit in probes.units) == {kind: units for kind in MODEL_KINDS}
     # every scored window reaches the probes: a kind's "all" row counts
     # t_out x 2V decision cells per scored window

@@ -23,7 +23,6 @@ import pytest
 import otcforecast
 from otcforecast import cli, harness, market
 from otcforecast.cli import main
-from otcforecast.clustering import load_assignment
 from otcforecast.config import PARSERS, RunConfig, parse_config, write_resolved
 from otcforecast.errors import ArtifactError, ConfigurationError, ContractError
 from otcforecast.harness import (
@@ -70,6 +69,12 @@ def rename_dealers(path, ids):
         h.dealer_id = ident
     market.save_histories(path, histories, days, vocab_size)
     return [h.dealer_id for h in histories]
+
+
+def tiers(cfg_path, out):
+    """dealer -> tier label as the commands derive them from ``out``'s histories."""
+    histories, days, _ = market.load_histories(out / "histories.bin")
+    return cli._tiers(parse_config(cfg_path), histories, days).labels
 
 
 def write_config(tmp_path, text=None, **format_args):
@@ -359,9 +364,10 @@ class TestPipeline:
                          "checkpoint_single.ckpt", "train_log_single.jsonl", "report.csv",
                          "config.resolved.ini"):
             assert (out / artifact).exists(), artifact
-        report = (out / "report.csv").read_text().splitlines()
-        assert report[0].startswith("model,granularity,cluster")
-        assert any(line.endswith("") and ",all," in line for line in report[1:])
+        with open(out / "report.csv", newline="") as fh:
+            pooled = [row for row in csv.DictReader(fh) if row["cluster"] == "all"]
+        assert len(pooled) == 1 and pooled[0]["granularity"] == "single"
+        assert 0.0 <= float(pooled[0]["f1"]) <= 1.0
 
     def test_readme_cli_table_names_what_each_command_writes(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -439,7 +445,7 @@ class TestPipeline:
             assert self.run("cluster", "-c", str(cfg_path)) == 0
         assert [str(w.message) for w in caught] == ["cluster: no dealer holds tier 1, 2, 3 of 0-3"]
         assert capsys.readouterr().out.endswith("(1 dealers, 1 populated tiers)\n")
-        assert load_assignment(out / "clusters.csv")[1] == {"D0000": 0}
+        assert (out / "clusters.csv").read_text().splitlines()[1:] == ["D0000,0"]
 
     def test_bad_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -517,10 +523,13 @@ class TestPipeline:
         lines = (out / "train_log_single.jsonl").read_text().splitlines()
         assert [list(json.loads(line)) for line in lines] == [["model", "epoch", "loss"]] * 2
 
+    @pytest.mark.parametrize("trained_before", [False, True], ids=["fresh", "retrained"])
     def test_train_with_a_non_finite_layer_statistic_exits_3(self, tmp_path, capsys,
-                                                              monkeypatch):
+                                                              monkeypatch, trained_before):
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = TransFV"))
+        for command in ("gen", "train") if trained_before else ("gen",):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
         layer_signal_stats = cli.layer_signal_stats
         calls = []
 
@@ -531,18 +540,21 @@ class TestPipeline:
             return layer_signal_stats(model, samples)
 
         monkeypatch.setattr(cli, "layer_signal_stats", overflowing)
-        for command in ("gen", "cluster"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
         capsys.readouterr()
         assert self.run("train", "-c", str(cfg_path)) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("otcforecast: numeric failure:")
         assert "non-finite layer statistic" in err
-        # the statistics are taken while training: the unit saves no checkpoint,
-        # and its log holds the lines before the failure, the model as built
+        # the statistics are taken while training: the unit has no checkpoint,
+        # not even one an earlier train saved, and its log holds the lines
+        # before the failure, the model as built
         assert len(calls) == 2 and not list(out.glob("checkpoint_*"))
         lines = (out / "train_log_single.jsonl").read_text().splitlines()
         assert [json.loads(line)["epoch"] for line in lines] == [0]
+        assert self.run("eval", "-c", str(cfg_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "missing artifact" in err
+        assert "checkpoint_single.ckpt" in err
 
     def test_union_eval_mode(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
@@ -589,9 +601,9 @@ class TestPipeline:
         for command in ("cluster", "train", "eval"):
             proc = run(command, cfg_path)
             assert proc.returncode == 0, (command, proc.stderr)
-        _, labels = load_assignment(out / "clusters.csv")
-        assert sorted(labels) == sorted(ids)
-        assert all(dealer.startswith("Dé") for dealer in labels)
+        rows = (out / "clusters.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert sorted(row.split(",")[0] for row in rows) == sorted(ids)
+        assert all(row.startswith("Dé") for row in rows)
         # at individual granularity the unit file names hold the ids percent-encoded
         cfg_path.write_text(cfg_path.read_text().replace("granularity = cluster",
                                                          "granularity = individual"))
@@ -679,7 +691,7 @@ class TestPipeline:
         samples = [s for h in histories
                    for s in market.windowize(h, cfg.t_in, cfg.t_out, cfg.stride)]
         _, test = market.split_train_test(samples, days, cfg.train_fraction)
-        _, labels = load_assignment(out / "clusters.csv")
+        labels = tiers(cfg_path, out)
         windows = Counter(str(labels[s.dealer_id]) for s in test)
         windows["all"] = len(test)
         cells = (cfg.t_out if mode == "per_day" else 1) * 2 * vocab_size
@@ -795,7 +807,7 @@ class TestPipeline:
         samples = [s for h in histories
                    for s in market.windowize(h, cfg.t_in, cfg.t_out, cfg.stride)]
         train_s, test_s = market.split_train_test(samples, days, cfg.train_fraction)
-        _, labels = load_assignment(out / "clusters.csv")
+        labels = tiers(cfg_path, out)
         with warnings.catch_warnings(record=True) as lib_warnings:
             warnings.simplefilter("always")
             units = training_units("cluster", train_s, test_s, labels)
@@ -990,76 +1002,79 @@ class TestPipeline:
         assert trained == []
 
 
+COMPARE_OUTPUTS = ("compare_f1.csv", "compare_report.csv", "compare_days.csv")
+
+
 class TestClustersFile:
-    def pipeline(self, tmp_path):
-        cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "cluster"):
+    """No command but `cluster` touches clusters.csv: `train`, `eval` and
+    `compare` derive the tiers from the histories they load."""
+
+    def run(self, cfg_path, *commands, outputs=COMPARE_OUTPUTS):
+        """Run ``commands`` in order; returns the bytes of ``outputs``."""
+        for command in commands:
             assert main([command, "-c", str(cfg_path)]) == 0, command
-        return cfg_path, out / "clusters.csv"
+        out = Path(parse_config(cfg_path).output_dir)
+        return {name: (out / name).read_bytes() for name in outputs}
 
-    def test_every_truncation_is_an_artifact_error(self, tmp_path):
-        cfg_path, path = self.pipeline(tmp_path)
-        cfg = parse_config(cfg_path)
-        blob = path.read_bytes()
-        _, full = load_assignment(path)
-        # csv's line terminator; a fingerprint row, then six dealer rows
-        assert blob.endswith(b"\r\n") and blob.count(b"\r\n") == 7
-        # every shorter file but those cut inside the final "\r\n", which
-        # keep all seven rows whole
-        for keep in range(len(blob) - 2):
-            path.write_bytes(blob[:keep])
-            with pytest.raises(ArtifactError, match="clusters.csv"):
-                cli._prepare(cfg, path.parent, scoring=True)
-        for keep in (len(blob) - 2, len(blob) - 1):
-            path.write_bytes(blob[:keep])
-            assert cli._prepare(cfg, path.parent, scoring=True)[2] == full
+    def config(self, directory, text):
+        directory.mkdir(exist_ok=True)
+        return write_config(directory, text=text)
 
-    @pytest.mark.parametrize("cut", [0, 3, 8, 13, 30, 80, 88, 0.5])
-    def test_truncated_file_exits_2(self, tmp_path, capsys, cut):
-        cfg_path, path = self.pipeline(tmp_path)
-        truncate(path, cut)
-        capsys.readouterr()
-        assert main(["compare", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err and path.name in err
-        assert not (path.parent / "compare_f1.csv").exists()
+    @pytest.mark.parametrize("granularity", ["single", "cluster", "individual"])
+    def test_no_command_needs_cluster(self, tmp_path, granularity):
+        text = TINY_CONFIG.replace("granularity = single", f"granularity = {granularity}")
+        with_cluster, _ = self.config(tmp_path / "with", text)
+        without, out = self.config(tmp_path / "without", text)
+        assert self.run(without, "gen", "compare") == self.run(with_cluster, "gen", "cluster",
+                                                               "compare")
+        assert self.run(without, "train", "eval", outputs=["report.csv"]) == self.run(
+            with_cluster, "train", "eval", outputs=["report.csv"])
+        assert not (out / "clusters.csv").exists()
 
-    @pytest.mark.parametrize("edit", ["label 7", "repeat", "extra column"])
-    def test_bad_row_exits_2(self, tmp_path, capsys, edit):
-        cfg_path, path = self.pipeline(tmp_path)
-        source, first, *rest = path.read_text().splitlines(keepends=True)
-        dealer = first.split(",")[0]
-        bad = {"label 7": f"{dealer},7\n", "repeat": first + first,
-               "extra column": f"{dealer},0,1\n"}[edit]
-        path.write_text(source + bad + "".join(rest))
-        capsys.readouterr()
-        assert main(["compare", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err and dealer in err
+    @pytest.mark.parametrize("edit", [
+        *(pytest.param(lambda path, cut=cut: truncate(path, cut), id=f"cut-{cut}")
+          for cut in (0, 8, 30, 88, 0.5)),
+        pytest.param(lambda path: path.write_bytes(b"\xff\x00 not a csv\r\n"), id="garbage"),
+        pytest.param(lambda path: path.write_text(path.read_text().replace(",0\n", ",7\n")),
+                     id="label-7"),
+        pytest.param(lambda path: path.unlink(), id="deleted"),
+        pytest.param(lambda path: path.unlink() or path.mkdir(), id="directory"),
+    ])
+    def test_a_broken_clusters_file_changes_no_output(self, tmp_path, edit):
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
+        before = self.run(cfg_path, "gen", "cluster", "compare")
+        edit(out / "clusters.csv")
+        assert self.run(cfg_path, "compare") == before
 
-
-    def test_file_of_other_histories_exits_2(self, tmp_path, capsys):
-        # dealer ids D0000... repeat across markets, so the old labels
-        # cover every dealer of the new, smaller market
+    def test_compare_after_a_new_gen_scores_the_new_tiers(self, tmp_path):
+        # the same dealer ids in an eight-dealer market, then in a six-dealer one
         eight = TINY_CONFIG.replace("periodic_dealers = 3", "periodic_dealers = 5") \
                            .replace("top_dealers = 6", "top_dealers = 8")
-        cfg_path, out = write_config(tmp_path, text=eight)
-        for command in ("gen", "cluster"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
-        cfg_path, _ = write_config(tmp_path, text=TINY_CONFIG.replace("seed = 3", "seed = 4"))
-        assert main(["gen", "-c", str(cfg_path)]) == 0
-        histories, _, _ = market.load_histories(out / "histories.bin")
-        listed = {line.split(",")[0] for line in (out / "clusters.csv").read_text().splitlines()}
-        assert len(histories) == 6 and {f"D000{i}" for i in range(8)} <= listed
-        assert {h.dealer_id for h in histories} <= listed
-        capsys.readouterr()
-        assert main(["compare", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "clusters.csv" in err and "histories.bin" in err
-        assert not (out / "compare_f1.csv").exists()
-        assert main(["cluster", "-c", str(cfg_path)]) == 0
-        assert main(["compare", "-c", str(cfg_path)]) == 0
+        cfg_path, out = self.config(tmp_path / "stale", eight)
+        self.run(cfg_path, "gen", "cluster", outputs=())
+        stale = (out / "clusters.csv").read_bytes()
+        cfg_path, out = self.config(tmp_path / "stale", TINY_CONFIG)
+        fresh_path, fresh_out = self.config(tmp_path / "fresh", TINY_CONFIG)
+        assert self.run(cfg_path, "gen", "compare") == self.run(fresh_path, "gen", "cluster",
+                                                                "compare")
+        assert (out / "clusters.csv").read_bytes() == stale != (
+            fresh_out / "clusters.csv").read_bytes()
+
+    @pytest.mark.parametrize("granularity", ["single", "cluster", "individual"])
+    def test_compare_uses_the_tiers_of_its_own_split(self, tmp_path, granularity):
+        # this market's tiers over the first 24 days differ from those over the first 15
+        text = TINY_CONFIG.replace("seed = 3", "seed = 4") \
+                          .replace("granularity = single", f"granularity = {granularity}")
+        at = {fraction: text.replace("train_fraction = 0.8", f"train_fraction = {fraction}")
+              for fraction in ("0.8", "0.5")}
+        earlier, out = self.config(tmp_path / "earlier", at["0.8"])
+        self.run(earlier, "gen", "cluster", outputs=())
+        stale = (out / "clusters.csv").read_bytes()
+        later, _ = self.config(tmp_path / "earlier", at["0.5"])
+        fresh, fresh_out = self.config(tmp_path / "fresh", at["0.5"])
+        assert self.run(later, "compare") == self.run(fresh, "gen", "cluster", "compare")
+        assert stale != (fresh_out / "clusters.csv").read_bytes()
 
 
 def load_trained(cfg_path, out):
