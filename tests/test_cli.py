@@ -3,6 +3,7 @@
 import codecs
 import csv
 import fnmatch
+import hashlib
 import importlib
 import json
 import os
@@ -14,7 +15,7 @@ import tomllib
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -1075,6 +1076,94 @@ class TestClustersFile:
         fresh, fresh_out = self.config(tmp_path / "fresh", at["0.5"])
         assert self.run(later, "compare") == self.run(fresh, "gen", "cluster", "compare")
         assert stale != (fresh_out / "clusters.csv").read_bytes()
+
+    def test_a_broken_clusters_file_changes_no_checkpoint_or_report(self, tmp_path):
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
+        self.run(cfg_path, "gen", "cluster", "train", outputs=())
+        outputs = sorted(path.name for path in out.glob("checkpoint_*.ckpt")) + ["report.csv"]
+        assert len(outputs) > 2
+        before = self.run(cfg_path, "eval", outputs=outputs)
+        (out / "clusters.csv").write_bytes(b"\xff\x00 not a csv\r\n")
+        assert self.run(cfg_path, "train", "eval", outputs=outputs) == before
+
+    @pytest.mark.parametrize("fraction", ["0.5", "0.8"])
+    def test_cluster_writes_the_tiers_the_commands_derive(self, tmp_path, fraction):
+        text = TINY_CONFIG.replace("seed = 3", "seed = 4") \
+                          .replace("train_fraction = 0.8", f"train_fraction = {fraction}")
+        cfg_path, out = write_config(tmp_path, text=text)
+        self.run(cfg_path, "gen", "cluster", outputs=())
+        source = hashlib.sha256((out / "histories.bin").read_bytes()).hexdigest()
+        rows = [("histories_sha256", source), *sorted(tiers(cfg_path, out).items())]
+        assert (out / "clusters.csv").read_bytes() == "".join(
+            f"{a},{b}\r\n" for a, b in rows).encode()
+
+
+TIER_DAYS = 40
+
+
+def graded_histories(seed, dealers=16, vocab_size=5):
+    """Dealers D00, D01, ... whose every cell of every day holds a trade
+    with a probability rising from 1% for D00 to 60% for the last."""
+    rng = np.random.default_rng(seed)
+    return [market.DealerHistory(f"D{i:02d}",
+                                 (rng.random((TIER_DAYS, 2 * vocab_size)) < rate).astype(np.uint8))
+            for i, rate in enumerate(np.geomspace(0.01, 0.6, dealers))]
+
+
+class TestTiers:
+    """`cli._tiers` is a function of the histories' training days, the
+    train fraction and the seed alone."""
+
+    def labels(self, histories, cfg=RunConfig(), **settings):
+        return cli._tiers(replace(cfg, **settings), histories, TIER_DAYS).labels
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
+    def test_the_test_days_move_no_dealer(self, fraction):
+        before = self.labels(graded_histories(0), train_fraction=fraction)
+        histories = graded_histories(0)
+        boundary = market.split_boundary(TIER_DAYS, fraction)
+        rng = np.random.default_rng(1)
+        for h in histories:
+            h.day_vectors[boundary:] = rng.random(h.day_vectors[boundary:].shape) < 0.5
+        assert self.labels(histories, train_fraction=fraction) == before
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
+    def test_a_busy_training_calendar_puts_the_quietest_dealer_on_top(self, fraction):
+        histories = graded_histories(0)
+        before = self.labels(histories, train_fraction=fraction)
+        assert before["D00"] < max(before.values())
+        histories[0].day_vectors[:market.split_boundary(TIER_DAYS, fraction)] = 1
+        after = self.labels(histories, train_fraction=fraction)
+        assert after["D00"] == max(after.values())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiers_run_least_active_first(self, seed):
+        histories = graded_histories(seed)
+        labels = self.labels(histories, seed=seed)
+        assert set(labels) == {h.dealer_id for h in histories}
+        assert sorted(set(labels.values())) == list(range(cli.TIERS))
+        boundary = market.split_boundary(TIER_DAYS, RunConfig().train_fraction)
+        trades = {h.dealer_id: int(h.day_vectors[:boundary].sum()) for h in histories}
+        means = [np.mean([trades[d] for d, label in labels.items() if label == tier])
+                 for tier in range(cli.TIERS)]
+        assert means == sorted(means)
+
+    def test_no_other_setting_moves_a_dealer(self, tmp_path):
+        sections: dict[str, list[str]] = {}
+        for key in fields(RunConfig):
+            if key.name not in ("train_fraction", "seed"):
+                sections.setdefault(key.metadata["section"], []).append(
+                    f"{key.name} = {SETTING_VALUES[key.name][0]}")
+        path = tmp_path / "c.ini"
+        path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                                for name, lines in sections.items()))
+        cfg = parse_config(path)
+        assert cfg.train_fraction == RunConfig().train_fraction and cfg.seed == RunConfig().seed
+        assert all(getattr(cfg, key.name) != key.default for key in fields(RunConfig)
+                   if key.name not in ("train_fraction", "seed"))
+        for seed in range(3):
+            assert self.labels(graded_histories(seed), cfg) == self.labels(graded_histories(seed))
 
 
 def load_trained(cfg_path, out):
