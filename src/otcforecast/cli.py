@@ -41,7 +41,7 @@ from .harness import (
     epochs,
     layer_signal_stats,
     score_units,
-    train_units,
+    train,
     training_units,
     write_days,
     write_reports,
@@ -152,14 +152,23 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
 
 
 def _unit_models(cfg: RunConfig, out: Path, vocab_size: int, units):
-    """(tag, model, unit_test) per unit: every checkpoint is checked before the
-    first is loaded, and each is loaded once the one before it is consumed."""
+    """The units' trained models: every checkpoint is checked before the first
+    is loaded, and each is loaded once the one before it is consumed."""
     config = cfg.model_config(vocab_size)
     paths = [_require(_checkpoint_path(out, tag), "train") for tag, _, _ in units]
     for path in paths:
         check_checkpoint(path, config)
-    for (tag, _, unit_test), path in zip(units, paths):
-        yield tag, load_checkpoint(path, config), unit_test
+    return (load_checkpoint(path, config) for path in paths)
+
+
+def _fitted_models(config, units, spec):
+    """A fresh model per unit, each fitted to the unit's training windows as it
+    is consumed, so the units' models are never all held at once."""
+    for _, unit_train, _ in units:
+        model = build_model(config)
+        # one harness.train call per unit for perfbench's probe: why cmd_train's loop is not reused
+        train(model, unit_train, spec)
+        yield model
 
 
 def _log_line(model, epoch: int, loss: float | None, probe) -> str:
@@ -192,7 +201,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
     vocab_size, units, labels = _prepare(cfg, out, scoring=True)
-    rows = score_units(cfg.kind, cfg.granularity, _unit_models(cfg, out, vocab_size, units),
+    rows = score_units(cfg.kind, units, _unit_models(cfg, out, vocab_size, units),
                        cfg.threshold, cfg.eval_mode, labels)
     write_reports(out / REPORT_FILE, cfg.granularity, rows)
     print(f"wrote {out / REPORT_FILE}")
@@ -206,12 +215,8 @@ def cmd_compare(cfg: RunConfig, out: Path) -> None:
     all_rows = []
     grid = [("model", *CLUSTER_COLUMNS, "avg")]
     for config in configs:
-        # each unit is scored as soon as it is trained, so the kind's unit models
-        # are never all held at once
-        trained = ((tag, model, unit_test)
-                   for tag, model, _, unit_test in train_units(config, units, cfg.train_spec()))
-        rows = score_units(config.kind, cfg.granularity, trained, cfg.threshold,
-                           cfg.eval_mode, labels)
+        rows = score_units(config.kind, units, _fitted_models(config, units, cfg.train_spec()),
+                           cfg.threshold, cfg.eval_mode, labels)
         all_rows.extend(rows)
         f1 = {cluster: repr(report.f1) for cluster, report in rows}
         tiers = (f1.get(str(label), "") for label in range(TIERS))

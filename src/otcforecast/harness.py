@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import OptimizerState, Tensor
 from .errors import ContractError, NumericError, ShapeMismatchError
 from .market import Sample, write_rows
-from .models import TRANSFORMER_KINDS, ModelConfig, build_model
+from .models import TRANSFORMER_KINDS
 from .seeding import rng_for
 
 GRANULARITIES = ("individual", "cluster", "single")
@@ -211,7 +211,7 @@ def layer_signal_stats(model, probe_samples: list[Sample]) -> dict[str, tuple[fl
 
 
 # ---------------------------------------------------------------------------
-# experiment driver: training_units -> train_units -> score_units
+# experiment driver: training_units -> score_units
 # ---------------------------------------------------------------------------
 
 
@@ -254,27 +254,17 @@ def training_units(
     return [(tag(k), train_by[k], test_by.get(k, [])) for k in sorted(train_by)]
 
 
-def train_units(config: ModelConfig, units, spec: TrainSpec):
-    """Train a fresh model per (tag, unit train, unit test) unit.
-
-    Yields (tag, model, per-epoch losses, unit test) as each unit finishes.
-    Every unit model starts from the same seeded initialization.
-    """
-    for tag, unit_train, unit_test in units:
-        model = build_model(config)
-        _, losses = train(model, unit_train, spec)
-        yield tag, model, losses, unit_test
-
-
 def score_units(
     kind: str,
-    granularity: str,
     units,
+    models,
     threshold: float,
     mode: str,
     labels: dict[str, int],
 ) -> list[tuple[str, EvalReport]]:
-    """Evaluate each (tag, model, unit test) unit and gather its counts per cluster.
+    """Evaluate each (tag, unit train, unit test) unit with its model, taken in
+    step from ``models`` (exactly one per unit, drawn for every unit), and
+    gather its counts per cluster.
 
     Each unit's test windows are scored by one :func:`evaluate` call, in unit
     order, whose per-window counts are then split by each window's cluster
@@ -284,9 +274,9 @@ def score_units(
     skipped with a warning.
     """
     counts: dict[int, list[np.ndarray]] = {}
-    for tag, model, unit_test in units:
+    for (tag, _, unit_test), model in zip(units, models, strict=True):
         if not unit_test:
-            warnings.warn(f"{granularity}: unit {tag} has no test samples; skipped")
+            warnings.warn(f"unit {tag} has no test samples; skipped")
             continue
         unit_labels = np.array([_cluster_label(labels, s.dealer_id) for s in unit_test])
         unit_counts = evaluate(model, unit_test, threshold, mode=mode).counts

@@ -72,10 +72,13 @@ class ModelConfig:
     d_ff: int = 128
     hidden: int = 64
     seed: int = 0
+    train_fraction: float = 0.9  # the split a checkpoint trained on; builds nothing
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigurationError(f"unknown model kind {self.kind!r}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigurationError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         for name in ("vocab_size", "t_in", "t_out", "d_model", "heads", "n_layers", "d_ff", "hidden"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -328,7 +331,7 @@ class TransformerModel:
             x = self._residual(x, ad.multi_head_attention(x, x, x, heads=cfg.heads, **attn), *r1)
             x = self._residual(x, ad.feed_forward(x, *ff), *r2)
             if trace is not None:
-                trace.append((f"enc{i}", x.values))
+                trace.append((f"encoder.l{i}", x.values))
         return x
 
     def _decode(self, decoder_input: Tensor, memory: Tensor, trace: list | None = None) -> Tensor:
@@ -340,7 +343,7 @@ class TransformerModel:
             y = self._residual(y, attention(y, memory, memory, **cross), *r2)
             y = self._residual(y, ad.feed_forward(y, *ff), *r3)
             if trace is not None:
-                trace.append((f"dec{i}", y.values))
+                trace.append((f"decoder.l{i}", y.values))
         return y
 
     def forward(
@@ -458,7 +461,7 @@ def build_model(config: ModelConfig):
 
 
 CHECKPOINT_MAGIC = "otcforecast-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 MANIFEST_LIMIT = 1 << 16  # bytes read for the manifest line, newline included
 
 

@@ -407,7 +407,7 @@ def test_c8_covariate_shift_diagnostic(tmp_path):
         lines = [json.loads(line) for line in text.splitlines()]
         assert [line["epoch"] for line in lines] == list(range(7))
         layers = lines[-1]["layers"]
-        assert list(layers) == ["enc0", "enc1", "dec0", "dec1"]
+        assert list(layers) == ["encoder.l0", "encoder.l1", "decoder.l0", "decoder.l1"]
         assert all(variance >= 0.0 for _, variance in layers.values())
         logs[kind] = lines
     re_layers, pprz_layers = (logs[kind][-1]["layers"] for kind in ("TransRE", "TransPPRZ"))

@@ -217,7 +217,7 @@ class TestBatchedHarness:
         labels = {"D0": 2, "D1": 0, "D2": 2}
         monkeypatch.setattr(harness, "EVAL_CHUNK", 3)
         report = evaluate(model, samples, 0.5, mode=mode)
-        rows = score_units("TransCTE", "single", [("single", model, samples)], 0.5, mode, labels)
+        rows = score_units("TransCTE", [("single", [], samples)], [model], 0.5, mode, labels)
         expected = {}
         for s in samples:
             one = evaluate(model, [s], 0.5, mode=mode)

@@ -30,7 +30,7 @@ from otcforecast.harness import (
     TrainSpec,
     micro_prf,
     score_units,
-    train_units,
+    train,
     training_units,
     write_days,
     write_reports,
@@ -814,11 +814,10 @@ class TestPipeline:
             units = training_units("cluster", train_s, test_s, labels)
             rows = []
             for kind in MODEL_KINDS:
-                config = cfg.model_config(vocab_size, kind)
-                trained = [(tag, model, unit_test) for tag, model, _, unit_test
-                           in train_units(config, units, cfg.train_spec())]
-                rows += score_units(kind, "cluster", trained, cfg.threshold, cfg.eval_mode,
-                                    labels)
+                models = [build_model(cfg.model_config(vocab_size, kind)) for _ in units]
+                for model, (_, unit_train, _) in zip(models, units):
+                    train(model, unit_train, cfg.train_spec())
+                rows += score_units(kind, units, models, cfg.threshold, cfg.eval_mode, labels)
         write_reports(tmp_path / "library.csv", "cluster", rows)
         assert (tmp_path / "library.csv").read_bytes() == (out / "compare_report.csv").read_bytes()
         write_days(tmp_path / "days.csv", cfg.eval_mode, [r for c, r in rows if c == "all"])
@@ -1188,6 +1187,21 @@ class TestCheckpointConfig:
         assert err.count("\n") == 1 and "unreadable artifact" in err
         assert "checkpoint_single.ckpt" in err and "heads = 4" in err and "2" in err
 
+    def test_checkpoint_under_other_train_fraction_exits_2(self, tmp_path, capsys):
+        # at 0.5 the test split would hold windows the checkpoint trained on at 0.8
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "train"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        cfg_path, _ = write_config(
+            tmp_path, text=TINY_CONFIG.replace("train_fraction = 0.8", "train_fraction = 0.5"))
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert ("checkpoint_single.ckpt: trained with train_fraction = 0.8, "
+                "the config gives 0.5") in err
+        assert not (out / "report.csv").exists()
+
     def test_manifest_config_cannot_drive_memory_use(self, tmp_path, capsys):
         # a short manifest asking for a large vocabulary, with no payload
         cfg_path, out = write_config(
@@ -1197,7 +1211,7 @@ class TestCheckpointConfig:
         _, _, vocab_size = market.load_histories(out / "histories.bin")
         config = parse_config(cfg_path).model_config(vocab_size)
         path = out / "checkpoint_single.ckpt"
-        manifest = {"magic": "otcforecast-checkpoint", "version": 4,
+        manifest = {"magic": "otcforecast-checkpoint", "version": 5,
                     "config": {**vars(config), "vocab_size": 20000}}
         path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n")
         assert path.stat().st_size < 256
@@ -1286,7 +1300,7 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "malformed manifest (version 1, expected 4)" in err
+        assert "malformed manifest (version 1, expected 5)" in err
 
     @pytest.mark.parametrize("kind, commands", [("LSTM", ("eval",)),
                                                 ("TransPPRZ", ("eval",))])
@@ -1317,7 +1331,7 @@ class TestCheckpointConfig:
             assert main([command, "-c", str(cfg_path)]) == 2, command
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "unreadable artifact" in err
-            assert "malformed manifest (version 2, expected 4)" in err
+            assert "malformed manifest (version 2, expected 5)" in err
 
     def test_version_3_checkpoint_exits_2(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
@@ -1339,7 +1353,24 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "malformed manifest (version 3, expected 4)" in err
+        assert "malformed manifest (version 3, expected 5)" in err
+
+    def test_version_4_checkpoint_exits_2(self, tmp_path, capsys):
+        # version 4 did not record the train_fraction a checkpoint trained under
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "train"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        path = out / "checkpoint_single.ckpt"
+        header, payload = path.read_bytes().split(b"\n", 1)
+        manifest = json.loads(header)
+        del manifest["config"]["train_fraction"]
+        manifest["version"] = 4
+        path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + payload)
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert "malformed manifest (version 4, expected 5)" in err
 
 
 def truncate(path, cut):

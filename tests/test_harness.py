@@ -27,7 +27,6 @@ from otcforecast.harness import (
     micro_prf,
     score_units,
     train,
-    train_units,
     training_units,
     write_reports,
 )
@@ -262,7 +261,7 @@ class TestScoreUnits:
         b = random_samples(2, seed=7, dealer="DB")
         model = FixedModel(rng.random((2, 8)))
         labels = {"DA": 0, "DB": 1}
-        rows = score_units("stub", "single", [("single", model, b + a)], 0.5, "per_day", labels)
+        rows = score_units("stub", [("single", [], b + a)], [model], 0.5, "per_day", labels)
         assert [cluster for cluster, _ in rows] == ["0", "1", "all"]
 
         def counts(r):
@@ -296,8 +295,7 @@ class TestScoreUnits:
 
         monkeypatch.setattr(harness, "EVAL_CHUNK", 2)
         monkeypatch.setattr(harness, "evaluate", recorded)
-        rows = score_units("stub", "single", [(tag, EchoModel(None), unit_test)], 0.5, mode,
-                           labels)
+        rows = score_units("stub", [(tag, [], unit_test)], [EchoModel(None)], 0.5, mode, labels)
         assert evaluated == [unit_test]
         assert [len(c) for c in chunks] == [2, 2, 2, 2, 1]
         assert np.array_equal(np.concatenate(chunks), [s.input_days for s in unit_test])
@@ -315,10 +313,26 @@ class TestScoreUnits:
         assert np.array_equal(rows[-1][1].counts,
                               np.concatenate([report.counts for _, report in rows[:-1]]))
 
+    def test_each_unit_is_scored_by_its_own_model(self):
+        labels = {"DA": 0, "DB": 1}
+        units = [("dealer_DA", [], random_samples(3, seed=120, dealer="DA")),
+                 ("dealer_DB", [], random_samples(2, seed=121, dealer="DB"))]
+        every, none = FixedModel(np.ones((2, 8))), FixedModel(np.zeros((2, 8)))
+        rows = score_units("stub", units, [every, none], 0.5, "per_day", labels)
+        assert [cluster for cluster, _ in rows] == ["0", "1", "all"]
+        for (_, report), (_, _, unit_test), model in zip(rows, units, (every, none)):
+            assert np.array_equal(report.counts, evaluate(model, unit_test, 0.5).counts)
+        # DA's windows forecast every cell and DB's none, so the two never mix
+        (_, da), (_, db), _ = rows
+        assert da.fn == da.tn == 0 and da.tp > 0
+        assert db.tp == db.fp == 0 and db.fn > 0
+        with pytest.raises(ValueError, match="shorter"):
+            score_units("stub", units, [every], 0.5, "per_day", labels)
+
     def test_unlabelled_dealer_rejected(self):
         samples = random_samples(1, seed=99, dealer="DX")
         with pytest.raises(ContractError, match="DX"):
-            score_units("stub", "single", [("single", FixedModel(np.zeros((2, 8))), samples)],
+            score_units("stub", [("single", [], samples)], [FixedModel(np.zeros((2, 8)))],
                         0.5, "per_day", {"DA": 0})
 
 
@@ -463,10 +477,10 @@ class TestLayerStats:
         model = build_model(toy_config("TransPPRZ", n_layers=2))
         samples = random_samples(3, seed=14)
         stats = layer_signal_stats(model, samples)
-        assert list(stats) == ["enc0", "enc1", "dec0", "dec1"]
+        assert list(stats) == ["encoder.l0", "encoder.l1", "decoder.l0", "decoder.l1"]
         # zero gates: every encoder layer reproduces its input exactly,
         # so both encoder layers report identical moments
-        assert stats["enc0"] == stats["enc1"]
+        assert stats["encoder.l0"] == stats["encoder.l1"]
         for mean, variance in stats.values():
             assert variance >= 0.0
 
@@ -538,12 +552,13 @@ def market_samples(dealers, per_dealer=4, seed=0):
 
 
 def run_experiment(granularity, train_s, test_s, labels):
-    """training_units -> train_units -> score_units, as the CLI composes them."""
+    """training_units -> a model trained per unit -> score_units, as ``compare`` runs them."""
     spec = TrainSpec(epochs=2, batch_size=4, learning_rate=0.01, seed=1)
     units = training_units(granularity, train_s, test_s, labels)
-    trained = [(tag, model, unit_test)
-               for tag, model, _, unit_test in train_units(toy_config(), units, spec)]
-    return score_units("TransRE", granularity, trained, 0.5, "per_day", labels)
+    models = [build_model(toy_config()) for _ in units]
+    for model, (_, unit_train, _) in zip(models, units):
+        train(model, unit_train, spec)
+    return score_units("TransRE", units, models, 0.5, "per_day", labels)
 
 
 class TestGranularityExperiment:
@@ -599,17 +614,17 @@ class TestGranularityExperiment:
     def test_unit_without_test_samples_warns_and_is_not_scored(self):
         model = FixedModel(np.zeros((2, 8)))
         with pytest.warns(UserWarning, match="cluster1 has no test samples"):
-            rows = score_units("stub", "cluster", [
-                ("cluster0", model, random_samples(2, seed=75, dealer="DA")),
-                ("cluster1", model, []),
-            ], 0.5, "per_day", {"DA": 0, "DB": 1})
+            rows = score_units("stub", [
+                ("cluster0", [], random_samples(2, seed=75, dealer="DA")),
+                ("cluster1", [], []),
+            ], [model, model], 0.5, "per_day", {"DA": 0, "DB": 1})
         assert [cluster for cluster, _ in rows] == ["0", "all"]
         (_, one), (_, pooled) = rows
         assert (one.tp, one.fp, one.fn, one.tn) == (pooled.tp, pooled.fp, pooled.fn, pooled.tn)
 
     def test_no_unit_with_test_samples_leaves_an_empty_all_row(self):
         with pytest.warns(UserWarning, match="single has no test samples"):
-            rows = score_units("stub", "single", [("single", FixedModel(np.zeros((2, 8))), [])],
+            rows = score_units("stub", [("single", [], [])], [FixedModel(np.zeros((2, 8)))],
                                0.5, "per_day", {})
         [(cluster, report)] = rows
         assert (cluster, report.pooled, report.f1) == ("all", [0, 0, 0, 0], 0.0)

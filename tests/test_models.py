@@ -784,7 +784,8 @@ class TestTransformer:
         trace = []
         model.forward(random_day_matrix(3, 8, 19),
                       teacher=random_day_matrix(2, 8, 20), trace=trace)
-        assert [name for name, _ in trace] == ["enc0", "enc1", "dec0", "dec1"]
+        assert [name for name, _ in trace] == ["encoder.l0", "encoder.l1",
+                                               "decoder.l0", "decoder.l1"]
 
 
 class TestCheckpoints:
@@ -838,21 +839,23 @@ class TestCheckpoints:
         header, payload = path.read_bytes().split(b"\n", 1)
         manifest = json.loads(header)
         assert set(manifest) == {"magic", "version", "config"}
-        assert manifest["magic"] == "otcforecast-checkpoint" and manifest["version"] == 4
+        assert manifest["magic"] == "otcforecast-checkpoint" and manifest["version"] == 5
         assert manifest["config"] == {"kind": "TransRE", "vocab_size": 8, "t_in": 3, "t_out": 2,
                                       "d_model": 4, "heads": 4, "n_layers": 1, "d_ff": 8,
-                                      "hidden": 4, "seed": 3}
+                                      "hidden": 4, "seed": 3, "train_fraction": 0.9}
         # the payload is the packed vector, in names() order
         assert payload == model.params.flat.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("edit", [
         ("otcforecast-checkpoint", "otcforecast-histories", "malformed manifest"),
-        ('"version":4', '"version":3', "malformed manifest"),
+        ('"version":5', '"version":4', "malformed manifest"),
         ('"heads":2', '"heads":3', "trained with heads = 3, the config gives 2"),
         ('"kind":"TransRE"', '"kind":"MLP"',
          "trained with kind = 'MLP', the config gives 'TransRE'"),
         ('"hidden":4,', '', "malformed manifest"),
         ('"config":{', '"config":{"dropout":1,', "malformed manifest"),
+        ('"train_fraction":0.9', '"train_fraction":0.8',
+         "trained with train_fraction = 0.8, the config gives 0.9"),
     ])
     def test_bad_magic_version_or_config_rejected(self, tmp_path, edit):
         path = tmp_path / "re.ckpt"
