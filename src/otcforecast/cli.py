@@ -84,6 +84,11 @@ def _checkpoint_path(out: Path, tag: str) -> Path:
     return out / f"checkpoint_{tag}.ckpt"
 
 
+def _histories_sha256(out: Path) -> str:
+    """The SHA-256 of ``histories.bin``: clusters.csv names it, a checkpoint pins it."""
+    return hashlib.sha256(_require(out / HISTORIES_FILE, "gen").read_bytes()).hexdigest()
+
+
 def cmd_gen(cfg: RunConfig, out: Path) -> None:
     spec = cfg.market_spec()
     records = market.generate_synthetic_market(spec)
@@ -113,10 +118,9 @@ def _tiers(cfg: RunConfig, histories, days: int):
 
 
 def cmd_cluster(cfg: RunConfig, out: Path) -> None:
-    path = _require(out / HISTORIES_FILE, "gen")
-    histories, days, _ = market.load_histories(path)
+    histories, days, _ = market.load_histories(_require(out / HISTORIES_FILE, "gen"))
     assignment = _tiers(cfg, histories, days)
-    save_assignment(out / CLUSTERS_FILE, assignment, hashlib.sha256(path.read_bytes()).hexdigest())
+    save_assignment(out / CLUSTERS_FILE, assignment, _histories_sha256(out))
     empty = [str(tier) for tier in range(TIERS) if tier not in assignment.labels.values()]
     if empty:
         warnings.warn(f"cluster: no dealer holds tier {', '.join(empty)} of 0-{TIERS - 1}")
@@ -155,10 +159,11 @@ def _unit_models(cfg: RunConfig, out: Path, vocab_size: int, units):
     """The units' trained models: every checkpoint is checked before the first
     is loaded, and each is loaded once the one before it is consumed."""
     config = cfg.model_config(vocab_size)
+    trained_on = {"histories_sha256": _histories_sha256(out), "train_fraction": cfg.train_fraction}
     paths = [_require(_checkpoint_path(out, tag), "train") for tag, _, _ in units]
     for path in paths:
-        check_checkpoint(path, config)
-    return (load_checkpoint(path, config) for path in paths)
+        check_checkpoint(path, config, trained_on)
+    return (load_checkpoint(path, config, trained_on) for path in paths)
 
 
 def _fitted_models(config, units, spec):
@@ -187,6 +192,7 @@ def _log_line(model, epoch: int, loss: float | None, probe) -> str:
 def cmd_train(cfg: RunConfig, out: Path) -> None:
     vocab_size, units, _ = _prepare(cfg, out)
     config = cfg.model_config(vocab_size)
+    trained_on = {"histories_sha256": _histories_sha256(out), "train_fraction": cfg.train_fraction}
     for tag, unit_train, _ in units:
         # a unit that fails must not leave an older checkpoint next to its new log
         _checkpoint_path(out, tag).unlink(missing_ok=True)
@@ -195,7 +201,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
             log.write(_log_line(model, 0, None, probe))  # the model as built
             for epoch, loss in enumerate(epochs(model, unit_train, cfg.train_spec()), 1):
                 log.write(_log_line(model, epoch, loss, probe))
-        save_checkpoint(_checkpoint_path(out, tag), model)
+        save_checkpoint(_checkpoint_path(out, tag), model, trained_on)
         print(f"wrote {_checkpoint_path(out, tag)}")
 
 

@@ -79,7 +79,7 @@ class RunConfig:
     t_in: int = _setting("window", 5, _AT_LEAST_1)
     t_out: int = _setting("window", 5, _AT_LEAST_1)
     stride: int = _setting("window", 1, _AT_LEAST_1)
-    train_fraction: float = _setting("split", ModelConfig.train_fraction, _OPEN_RATE)
+    train_fraction: float = _setting("split", 0.9, _OPEN_RATE)
     kind: str = _setting("model", "TransPPRZ", _one_of(MODEL_KINDS))
     d_model: int = _setting("model", ModelConfig.d_model, _AT_LEAST_1)
     heads: int = _setting("model", ModelConfig.heads, _AT_LEAST_1)

@@ -72,13 +72,10 @@ class ModelConfig:
     d_ff: int = 128
     hidden: int = 64
     seed: int = 0
-    train_fraction: float = 0.9  # the split a checkpoint trained on; builds nothing
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigurationError(f"unknown model kind {self.kind!r}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigurationError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         for name in ("vocab_size", "t_in", "t_out", "d_model", "heads", "n_layers", "d_ff", "hidden"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -461,17 +458,21 @@ def build_model(config: ModelConfig):
 
 
 CHECKPOINT_MAGIC = "otcforecast-checkpoint"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 MANIFEST_LIMIT = 1 << 16  # bytes read for the manifest line, newline included
 
 
-def save_checkpoint(path, model) -> None:
-    """Manifest line (magic, version and the model config) + the model's
-    packed parameter vector as little-endian f64."""
-    header = {"magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
-              "config": asdict(model.config)}
+def _manifest(config: ModelConfig, trained_on: dict) -> dict:
+    """Magic, version, every ``config`` field, then the ``trained_on`` fields."""
+    return {"magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
+            **asdict(config), **trained_on}
+
+
+def save_checkpoint(path, model, trained_on: dict) -> None:
+    """:func:`_manifest`'s record as one JSON line + the model's packed
+    parameter vector as little-endian f64."""
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
+        fh.write(json.dumps(_manifest(model.config, trained_on), separators=(",", ":")).encode())
         fh.write(b"\n")
         fh.write(model.params.flat.astype("<f8").tobytes())
 
@@ -482,40 +483,37 @@ def _parameter_count(config: ModelConfig) -> int:
     return build_model(config).params.flat.size
 
 
-def check_checkpoint(path, config: ModelConfig) -> np.ndarray:
-    """Check a :func:`save_checkpoint` file against the model ``config``
-    it must have been trained under; return its parameter vector.
+def check_checkpoint(path, config: ModelConfig, trained_on: dict) -> np.ndarray:
+    """Check a :func:`save_checkpoint` file against the model ``config`` and
+    ``trained_on`` record it must have been saved with; return its
+    parameter vector.
 
     Raises ArtifactError, in this order, unless the manifest line ends
-    within its first ``MANIFEST_LIMIT`` bytes, parses and carries the
-    magic, this format version and a model config with exactly
-    ``config``'s fields; unless those fields equal ``config``'s (the
-    message names the first that differs); unless the payload holds
-    exactly ``config``'s parameter count; and unless every parameter
-    value is finite.  The payload is measured before it is read, so a
-    manifest cannot size what is read.
+    within its first ``MANIFEST_LIMIT`` bytes and parses as a JSON object;
+    unless it holds every field of :func:`_manifest`'s record with the same
+    value (the message names the first that differs, with both values) and
+    no other; unless the payload holds exactly ``config``'s parameter
+    count; and unless every parameter value is finite.  The payload is
+    measured before it is read, so a manifest cannot size what is read.
     """
     with open(path, "rb") as fh:
         header = fh.readline(MANIFEST_LIMIT)
         payload_bytes = fh.seek(0, os.SEEK_END) - len(header)
     if not header.endswith(b"\n"):
         raise ArtifactError(f"{path}: truncated manifest line")
-    given = asdict(config)
     try:
-        manifest = json.loads(header.decode("utf-8"))
-        if manifest["magic"] != CHECKPOINT_MAGIC:
-            raise ValueError(f"magic {manifest['magic']!r}, expected {CHECKPOINT_MAGIC!r}")
-        if manifest["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"version {manifest['version']!r}, expected {CHECKPOINT_VERSION}")
-        stored = manifest["config"]
-        if not isinstance(stored, dict) or stored.keys() != given.keys():
-            raise ValueError(f"model config {stored}, expected the fields {', '.join(given)}")
-    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+        stored = json.loads(header.decode("utf-8"))
+        if not isinstance(stored, dict):
+            raise ValueError(f"a JSON {type(stored).__name__}, not an object")
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError among them
         raise ArtifactError(f"{path}: malformed manifest ({exc})") from exc
-    for name, value in given.items():
-        if stored[name] != value:
-            raise ArtifactError(f"{path}: trained with {name} = {stored[name]!r}, "
-                                f"the config gives {value!r}")
+    record = _manifest(config, trained_on)
+    for name, value in record.items():
+        if stored.get(name) != value:
+            raise ArtifactError(f"{path}: {name} = {stored.get(name)!r}, expected {value!r}")
+    unknown = [name for name in stored if name not in record]
+    if unknown:
+        raise ArtifactError(f"{path}: unknown manifest field {unknown[0]!r}")
     expected = 8 * _parameter_count(config)
     if payload_bytes < expected:
         raise ArtifactError(f"{path}: truncated payload: {payload_bytes} of {expected} bytes")
@@ -527,10 +525,10 @@ def check_checkpoint(path, config: ModelConfig) -> np.ndarray:
     return values
 
 
-def load_checkpoint(path, config: ModelConfig):
-    """Load a checkpoint :func:`check_checkpoint` passes under ``config``;
-    the model is built after the check, so a manifest cannot size it."""
-    values = check_checkpoint(path, config)
+def load_checkpoint(path, config: ModelConfig, trained_on: dict):
+    """Load a checkpoint :func:`check_checkpoint` passes under ``config`` and
+    ``trained_on``; the model is built after the check, so a manifest cannot size it."""
+    values = check_checkpoint(path, config, trained_on)
     model = build_model(config)
     model.params.flat[:] = values
     return model

@@ -733,7 +733,7 @@ class TestPipeline:
             assert all(line["model"] == kind for line in lines)
             # the last line holds the saved checkpoint's statistics, on its first
             # PROBE_WINDOWS training windows, and its gates; line 0 the zero-init gates
-            model = load_checkpoint(out / f"checkpoint_{tag}.ckpt", config)
+            model = load_checkpoint(out / f"checkpoint_{tag}.ckpt", config, trained_on(cfg, out))
             stats = harness.layer_signal_stats(model, unit_train[:cli.PROBE_WINDOWS])
             assert hexed(lines[-1]["layers"]) == hexed(stats)
             gates = {name.removesuffix(".gate"): model.params[name].values
@@ -860,8 +860,8 @@ class TestPipeline:
         events, tags = [], {}
         load, evaluate = cli.load_checkpoint, harness.evaluate
 
-        def loaded(path, config):
-            model = load(path, config)
+        def loaded(path, config, record):
+            model = load(path, config, record)
             tags[id(model)] = path.name
             events.append(("load", path.name))
             return model
@@ -1165,11 +1165,19 @@ class TestTiers:
             assert self.labels(graded_histories(seed), cfg) == self.labels(graded_histories(seed))
 
 
+def trained_on(cfg, out):
+    """What a checkpoint of ``cfg`` records it was fitted to besides its model
+    config: the digest of ``out``'s histories and the split."""
+    digest = hashlib.sha256((out / "histories.bin").read_bytes()).hexdigest()
+    return {"histories_sha256": digest, "train_fraction": cfg.train_fraction}
+
+
 def load_trained(cfg_path, out):
     """The checkpoint `train` wrote at single granularity, under its run config."""
     _, _, vocab_size = market.load_histories(out / "histories.bin")
-    return load_checkpoint(out / "checkpoint_single.ckpt",
-                           parse_config(cfg_path).model_config(vocab_size))
+    cfg = parse_config(cfg_path)
+    return load_checkpoint(out / "checkpoint_single.ckpt", cfg.model_config(vocab_size),
+                           trained_on(cfg, out))
 
 
 class TestCheckpointConfig:
@@ -1198,9 +1206,34 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert ("checkpoint_single.ckpt: trained with train_fraction = 0.8, "
-                "the config gives 0.5") in err
+        assert "checkpoint_single.ckpt: train_fraction = 0.8, expected 0.5" in err
         assert not (out / "report.csv").exists()
+
+    def test_checkpoint_of_other_histories_exits_2(self, tmp_path, capsys):
+        # another market of the same bonds: the model config cannot tell the
+        # histories apart, so only the digest the checkpoint pins does
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "cluster", "train"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        path = out / "checkpoint_single.ckpt"
+        trained = trained_on(parse_config(cfg_path), out)["histories_sha256"]
+        cfg_path, _ = write_config(
+            tmp_path, text=TINY_CONFIG.replace("dense_rate = 2.0", "dense_rate = 3.0")
+                                      .replace("periodic_max_bonds = 3", "periodic_max_bonds = 2"))
+        assert main(["gen", "-c", str(cfg_path)]) == 0
+        assert market.load_histories(out / "histories.bin")[2] == 6
+        current = trained_on(parse_config(cfg_path), out)["histories_sha256"]
+        assert current != trained
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert f"{path}: histories_sha256 = '{trained}', expected '{current}'" in err
+        assert not (out / "report.csv").exists()
+        # clusters.csv names the digest the checkpoint pins
+        first = (out / "clusters.csv").read_text(encoding="utf-8").splitlines()[0]
+        manifest = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert first == f"histories_sha256,{trained}" and manifest["histories_sha256"] == trained
 
     def test_manifest_config_cannot_drive_memory_use(self, tmp_path, capsys):
         # a short manifest asking for a large vocabulary, with no payload
@@ -1209,16 +1242,17 @@ class TestCheckpointConfig:
         for command in ("gen", "cluster"):
             assert main([command, "-c", str(cfg_path)]) == 0, command
         _, _, vocab_size = market.load_histories(out / "histories.bin")
-        config = parse_config(cfg_path).model_config(vocab_size)
+        cfg = parse_config(cfg_path)
+        config = cfg.model_config(vocab_size)
         path = out / "checkpoint_single.ckpt"
-        manifest = {"magic": "otcforecast-checkpoint", "version": 5,
-                    "config": {**vars(config), "vocab_size": 20000}}
+        manifest = {"magic": "otcforecast-checkpoint", "version": 6,
+                    **vars(config), "vocab_size": 20000, **trained_on(cfg, out)}
         path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n")
-        assert path.stat().st_size < 256
+        assert path.stat().st_size < 384
         tracemalloc.start()
         try:
-            with pytest.raises(ArtifactError, match="trained with vocab_size = 20000"):
-                load_checkpoint(path, config)
+            with pytest.raises(ArtifactError, match="vocab_size = 20000, expected"):
+                load_checkpoint(path, config, trained_on(cfg, out))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1227,7 +1261,7 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"trained with vocab_size = 20000, the config gives {vocab_size}" in err
+        assert f"vocab_size = 20000, expected {vocab_size}" in err
 
     def trained_with_payload(self, tmp_path, kind, edit):
         """Train ``kind``, then rewrite its checkpoint's payload as ``edit``
@@ -1291,7 +1325,8 @@ class TestCheckpointConfig:
         capsys.readouterr()
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "malformed manifest" in err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert "magic = None, expected 'otcforecast-checkpoint'" in err
 
     def test_version_1_checkpoint_exits_2(self, tmp_path, capsys):
         cfg_path = self.rewrite_as_old_format(
@@ -1300,7 +1335,7 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "malformed manifest (version 1, expected 5)" in err
+        assert "version = 1, expected 6" in err
 
     @pytest.mark.parametrize("kind, commands", [("LSTM", ("eval",)),
                                                 ("TransPPRZ", ("eval",))])
@@ -1331,7 +1366,7 @@ class TestCheckpointConfig:
             assert main([command, "-c", str(cfg_path)]) == 2, command
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "unreadable artifact" in err
-            assert "malformed manifest (version 2, expected 5)" in err
+            assert "version = 2, expected 6" in err
 
     def test_version_3_checkpoint_exits_2(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
@@ -1353,24 +1388,29 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "malformed manifest (version 3, expected 5)" in err
+        assert "version = 3, expected 6" in err
 
-    def test_version_4_checkpoint_exits_2(self, tmp_path, capsys):
-        # version 4 did not record the train_fraction a checkpoint trained under
+    @pytest.mark.parametrize("version", [4, 5])
+    def test_version_4_checkpoint_exits_2(self, tmp_path, capsys, version):
+        # versions 4 and 5 nested the model config under "config"; version 4
+        # did not record the train_fraction a checkpoint trained under, and
+        # neither recorded the histories
         cfg_path, out = write_config(tmp_path)
         for command in ("gen", "train"):
             assert main([command, "-c", str(cfg_path)]) == 0, command
         path = out / "checkpoint_single.ckpt"
         header, payload = path.read_bytes().split(b"\n", 1)
         manifest = json.loads(header)
-        del manifest["config"]["train_fraction"]
-        manifest["version"] = 4
-        path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + payload)
+        config = {key.name: manifest[key.name] for key in fields(ModelConfig)}
+        if version == 5:
+            config["train_fraction"] = manifest["train_fraction"]
+        old = {"magic": manifest["magic"], "version": version, "config": config}
+        path.write_bytes(json.dumps(old, separators=(",", ":")).encode() + b"\n" + payload)
         capsys.readouterr()
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "malformed manifest (version 4, expected 5)" in err
+        assert f"version = {version}, expected 6" in err
 
 
 def truncate(path, cut):

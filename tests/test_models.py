@@ -788,6 +788,10 @@ class TestTransformer:
                                                "decoder.l0", "decoder.l1"]
 
 
+# what a checkpoint records it was fitted to besides its model config
+TRAINED_ON = {"histories_sha256": "ab" * 32, "train_fraction": 0.9}
+
+
 class TestCheckpoints:
     def trained(self, kind, **overrides):
         """A model whose parameters differ from a fresh build of its config."""
@@ -799,8 +803,8 @@ class TestCheckpoints:
         for kind in ("FCSum", "BiLSTM", "TransPPRZ"):
             model = self.trained(kind)
             path = tmp_path / f"{kind}.ckpt"
-            save_checkpoint(path, model)
-            loaded = load_checkpoint(path, model.config)
+            save_checkpoint(path, model, TRAINED_ON)
+            loaded = load_checkpoint(path, model.config, TRAINED_ON)
             assert type(loaded) is type(model)
             assert loaded.config == model.config
             assert loaded.params.names() == model.params.names()
@@ -811,62 +815,67 @@ class TestCheckpoints:
     def test_truncated_at_every_offset_rejected(self, tmp_path):
         path = tmp_path / "fc.ckpt"
         model = self.trained("FCSum")
-        save_checkpoint(path, model)
+        save_checkpoint(path, model, TRAINED_ON)
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
             with pytest.raises(ArtifactError, match="truncated"):
-                load_checkpoint(path, model.config)
+                load_checkpoint(path, model.config, TRAINED_ON)
 
     def test_malformed_manifest_and_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "fc.ckpt"
         model = self.trained("FCSum")
-        save_checkpoint(path, model)
+        save_checkpoint(path, model, TRAINED_ON)
         blob = path.read_bytes()
         header, payload = blob.split(b"\n", 1)
         extra = np.float64(1.5).astype("<f8").tobytes()
         for corrupt, reason in ((blob + extra, "8 trailing"), (blob + b"\0", "1 trailing"),
                                 (b"{" + blob, "malformed"),
-                                (b'{"entries":3}\n' + payload, "malformed")):
+                                (b"\xff" + blob, "malformed manifest .*utf-8"),
+                                (b"[3]\n" + payload, "malformed manifest .*JSON list"),
+                                (b'{"entries":3}\n' + payload, "magic = None")):
             path.write_bytes(corrupt)
             with pytest.raises(ArtifactError, match=reason):
-                load_checkpoint(path, model.config)
+                load_checkpoint(path, model.config, TRAINED_ON)
 
     def test_manifest_carries_magic_version_and_config(self, tmp_path):
         path = tmp_path / "re.ckpt"
         model = self.trained("TransRE", heads=4, seed=3)
-        save_checkpoint(path, model)
+        save_checkpoint(path, model, TRAINED_ON)
         header, payload = path.read_bytes().split(b"\n", 1)
         manifest = json.loads(header)
-        assert set(manifest) == {"magic", "version", "config"}
-        assert manifest["magic"] == "otcforecast-checkpoint" and manifest["version"] == 5
-        assert manifest["config"] == {"kind": "TransRE", "vocab_size": 8, "t_in": 3, "t_out": 2,
-                                      "d_model": 4, "heads": 4, "n_layers": 1, "d_ff": 8,
-                                      "hidden": 4, "seed": 3, "train_fraction": 0.9}
+        assert list(manifest) == ["magic", "version", "kind", "vocab_size", "t_in", "t_out",
+                                  "d_model", "heads", "n_layers", "d_ff", "hidden", "seed",
+                                  "histories_sha256", "train_fraction"]
+        assert manifest == {"magic": "otcforecast-checkpoint", "version": 6, "kind": "TransRE",
+                            "vocab_size": 8, "t_in": 3, "t_out": 2, "d_model": 4, "heads": 4,
+                            "n_layers": 1, "d_ff": 8, "hidden": 4, "seed": 3, **TRAINED_ON}
         # the payload is the packed vector, in names() order
         assert payload == model.params.flat.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("edit", [
-        ("otcforecast-checkpoint", "otcforecast-histories", "malformed manifest"),
-        ('"version":5', '"version":4', "malformed manifest"),
-        ('"heads":2', '"heads":3', "trained with heads = 3, the config gives 2"),
-        ('"kind":"TransRE"', '"kind":"MLP"',
-         "trained with kind = 'MLP', the config gives 'TransRE'"),
-        ('"hidden":4,', '', "malformed manifest"),
-        ('"config":{', '"config":{"dropout":1,', "malformed manifest"),
-        ('"train_fraction":0.9', '"train_fraction":0.8',
-         "trained with train_fraction = 0.8, the config gives 0.9"),
+        ("otcforecast-checkpoint", "otcforecast-histories",
+         "magic = 'otcforecast-histories', expected 'otcforecast-checkpoint'"),
+        ('"version":6', '"version":5', "version = 5, expected 6"),
+        ('"heads":2', '"heads":3', "heads = 3, expected 2"),
+        ('"kind":"TransRE"', '"kind":"MLP"', "kind = 'MLP', expected 'TransRE'"),
+        ('"hidden":4,', '', "hidden = None, expected 4"),
+        ('"version":6,', '"version":6,"dropout":1,', "unknown manifest field 'dropout'"),
+        ('"train_fraction":0.9', '"train_fraction":0.8', "train_fraction = 0.8, expected 0.9"),
+        ('"histories_sha256":"abab', '"histories_sha256":"cdab',
+         f"histories_sha256 = 'cd{'ab' * 31}', expected '{'ab' * 32}'"),
+        ('}', ',"entries":[]}', "unknown manifest field 'entries'"),
     ])
     def test_bad_magic_version_or_config_rejected(self, tmp_path, edit):
         path = tmp_path / "re.ckpt"
         model = self.trained("TransRE")
-        save_checkpoint(path, model)
+        save_checkpoint(path, model, TRAINED_ON)
         header, payload = path.read_bytes().split(b"\n", 1)
         old, new, reason = edit
         assert old.encode() in header
         path.write_bytes(header.replace(old.encode(), new.encode(), 1) + b"\n" + payload)
         with pytest.raises(ArtifactError, match=re.escape(reason)):
-            load_checkpoint(path, model.config)
+            load_checkpoint(path, model.config, TRAINED_ON)
 
 
     def test_manifest_read_is_bounded(self, tmp_path):
@@ -875,7 +884,7 @@ class TestCheckpoints:
         tracemalloc.start()
         try:
             with pytest.raises(ArtifactError, match="truncated manifest line"):
-                check_checkpoint(path, toy_config("FCSum"))
+                check_checkpoint(path, toy_config("FCSum"), TRAINED_ON)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -884,14 +893,15 @@ class TestCheckpoints:
     def test_manifest_line_longer_than_the_limit_rejected(self, tmp_path):
         path = tmp_path / "fc.ckpt"
         model = self.trained("FCSum")
-        save_checkpoint(path, model)
+        save_checkpoint(path, model, TRAINED_ON)
         header, payload = path.read_bytes().split(b"\n", 1)
         # JSON allows trailing spaces; the limit counts the newline
         path.write_bytes(header.ljust(MANIFEST_LIMIT - 1) + b"\n" + payload)
-        assert check_checkpoint(path, model.config).tobytes() == model.params.flat.tobytes()
+        values = check_checkpoint(path, model.config, TRAINED_ON)
+        assert values.tobytes() == model.params.flat.tobytes()
         path.write_bytes(header.ljust(MANIFEST_LIMIT) + b"\n" + payload)
         with pytest.raises(ArtifactError, match="truncated manifest line"):
-            check_checkpoint(path, model.config)
+            check_checkpoint(path, model.config, TRAINED_ON)
 
 # a function-scoped tmp_path is safe here: every example rewrites the same file
 CHECKPOINT_PROPERTY = settings(max_examples=24, deadline=None,
@@ -916,8 +926,8 @@ class TestCheckpointProperties:
     @given(checkpointed_models())
     def test_round_trip_is_bit_exact(self, tmp_path, model):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model)
-        loaded = load_checkpoint(path, model.config)
+        save_checkpoint(path, model, TRAINED_ON)
+        loaded = load_checkpoint(path, model.config, TRAINED_ON)
         assert loaded.config == model.config
         assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
 
@@ -925,11 +935,11 @@ class TestCheckpointProperties:
     @given(checkpointed_models(), st.data())
     def test_truncation_at_any_offset_rejected(self, tmp_path, model, data):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model)
+        save_checkpoint(path, model, TRAINED_ON)
         blob = path.read_bytes()
         path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="offset")])
         with pytest.raises(ArtifactError, match="truncated"):
-            load_checkpoint(path, model.config)
+            load_checkpoint(path, model.config, TRAINED_ON)
 
     @CHECKPOINT_PROPERTY
     @given(checkpointed_models(), st.data())
@@ -942,9 +952,9 @@ class TestCheckpointProperties:
         flat.view(np.uint64)[index] = (sign << 63) | (0x7FF << 52) | mantissa
         assert not np.isfinite(flat[index])
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model)
+        save_checkpoint(path, model, TRAINED_ON)
         with pytest.raises(ArtifactError, match="non-finite parameter value"):
-            load_checkpoint(path, model.config)
+            load_checkpoint(path, model.config, TRAINED_ON)
 
 
 class TestFlatParameters:
