@@ -41,9 +41,11 @@ from .harness import (
     epochs,
     layer_signal_stats,
     score_units,
+    tier_rows,
     train,
     training_units,
     write_days,
+    write_dealers,
     write_reports,
 )
 from .models import (MODEL_KINDS, TRANSFORMER_KINDS, build_model, check_checkpoint,
@@ -57,9 +59,11 @@ VOCAB_FILE = "vocab.csv"
 HISTORIES_FILE = "histories.bin"
 CLUSTERS_FILE = "clusters.csv"
 REPORT_FILE = "report.csv"
+REPORT_DEALERS_FILE = "report_dealers.csv"
 COMPARE_FILE = "compare_f1.csv"
 COMPARE_REPORT_FILE = "compare_report.csv"
 COMPARE_DAYS_FILE = "compare_days.csv"
+COMPARE_DEALERS_FILE = "compare_dealers.csv"
 RESOLVED_CONFIG_FILE = "config.resolved.ini"
 
 PROBE_WINDOWS = 64  # a Transformer unit's first training windows its layer statistics probe
@@ -87,6 +91,12 @@ def _checkpoint_path(out: Path, tag: str) -> Path:
 def _histories_sha256(out: Path) -> str:
     """The SHA-256 of ``histories.bin``: clusters.csv names it, a checkpoint pins it."""
     return hashlib.sha256(_require(out / HISTORIES_FILE, "gen").read_bytes()).hexdigest()
+
+
+def _trained_on(cfg: RunConfig, out: Path) -> dict:
+    """What a checkpoint pins besides its model config: histories, split and TrainSpec."""
+    return {"histories_sha256": _histories_sha256(out), "train_fraction": cfg.train_fraction,
+            **{f"train_{name}": value for name, value in vars(cfg.train_spec()).items()}}
 
 
 def cmd_gen(cfg: RunConfig, out: Path) -> None:
@@ -159,7 +169,7 @@ def _unit_models(cfg: RunConfig, out: Path, vocab_size: int, units):
     """The units' trained models: every checkpoint is checked before the first
     is loaded, and each is loaded once the one before it is consumed."""
     config = cfg.model_config(vocab_size)
-    trained_on = {"histories_sha256": _histories_sha256(out), "train_fraction": cfg.train_fraction}
+    trained_on = _trained_on(cfg, out)
     paths = [_require(_checkpoint_path(out, tag), "train") for tag, _, _ in units]
     for path in paths:
         check_checkpoint(path, config, trained_on)
@@ -192,7 +202,7 @@ def _log_line(model, epoch: int, loss: float | None, probe) -> str:
 def cmd_train(cfg: RunConfig, out: Path) -> None:
     vocab_size, units, _ = _prepare(cfg, out)
     config = cfg.model_config(vocab_size)
-    trained_on = {"histories_sha256": _histories_sha256(out), "train_fraction": cfg.train_fraction}
+    trained_on = _trained_on(cfg, out)
     for tag, unit_train, _ in units:
         # a unit that fails must not leave an older checkpoint next to its new log
         _checkpoint_path(out, tag).unlink(missing_ok=True)
@@ -207,23 +217,26 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
     vocab_size, units, labels = _prepare(cfg, out, scoring=True)
-    rows = score_units(cfg.kind, units, _unit_models(cfg, out, vocab_size, units),
-                       cfg.threshold, cfg.eval_mode, labels)
-    write_reports(out / REPORT_FILE, cfg.granularity, rows)
-    print(f"wrote {out / REPORT_FILE}")
+    table = score_units(cfg.kind, units, _unit_models(cfg, out, vocab_size, units),
+                        cfg.threshold, cfg.eval_mode, labels)
+    write_reports(out / REPORT_FILE, cfg.granularity, tier_rows(cfg.kind, table))
+    write_dealers(out / REPORT_DEALERS_FILE, table)
+    print(f"wrote {out / REPORT_FILE} and {out / REPORT_DEALERS_FILE}")
 
 
 def cmd_compare(cfg: RunConfig, out: Path) -> None:
-    """Train every model kind; tabulate per-cluster F1 plus a pooled avg, and counts per day."""
+    """Train every model kind; tabulate per-cluster F1, a pooled avg, counts per day and dealer."""
     vocab_size, units, labels = _prepare(cfg, out, scoring=True)
     # every kind's config is built first, so a bad one fails before any training
     configs = [cfg.model_config(vocab_size, kind) for kind in MODEL_KINDS]
-    all_rows = []
+    all_rows, dealers = [], []
     grid = [("model", *CLUSTER_COLUMNS, "avg")]
     for config in configs:
-        rows = score_units(config.kind, units, _fitted_models(config, units, cfg.train_spec()),
-                           cfg.threshold, cfg.eval_mode, labels)
+        table = score_units(config.kind, units, _fitted_models(config, units, cfg.train_spec()),
+                            cfg.threshold, cfg.eval_mode, labels)
+        rows = tier_rows(config.kind, table)
         all_rows.extend(rows)
+        dealers.extend(table)
         f1 = {cluster: repr(report.f1) for cluster, report in rows}
         tiers = (f1.get(str(label), "") for label in range(TIERS))
         grid.append((config.kind, *tiers, f1["all"]))
@@ -231,7 +244,8 @@ def cmd_compare(cfg: RunConfig, out: Path) -> None:
     write_reports(out / COMPARE_REPORT_FILE, cfg.granularity, all_rows)
     write_days(out / COMPARE_DAYS_FILE, cfg.eval_mode,
                [report for cluster, report in all_rows if cluster == "all"])
-    for name in (COMPARE_FILE, COMPARE_REPORT_FILE, COMPARE_DAYS_FILE):
+    write_dealers(out / COMPARE_DEALERS_FILE, dealers)
+    for name in (COMPARE_FILE, COMPARE_REPORT_FILE, COMPARE_DAYS_FILE, COMPARE_DEALERS_FILE):
         print(f"wrote {out / name}")
 
 

@@ -50,9 +50,9 @@ class TrainSpec:
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """One model's int64 confusion counts, (windows, days, 4) with the last axis
-    tp, fp, fn, tn and t_out days (1 in ``union`` mode); the four counts and
-    micro-averaged scores below pool every window and day."""
+    """One model's int64 confusion counts, (windows or dealers, days, 4) or one
+    dealer's (days, 4), with the last axis tp, fp, fn, tn and t_out days (1 in
+    ``union`` mode); the four counts and micro-averaged scores below pool them all."""
 
     model: str
     counts: np.ndarray
@@ -163,8 +163,8 @@ def evaluate(model, test_samples: list[Sample], threshold: float,
     ``per_day`` scores every output day; ``union`` collapses predictions
     and targets over the window by elementwise max before scoring, as one
     day.  The report's counts keep the windows in the given order, so any
-    grouping of them sums its rows; :func:`score_units` splits them by
-    cluster.  A non-finite forecast raises NumericError.
+    grouping of them sums its rows; :func:`score_units` sums them per
+    dealer.  A non-finite forecast raises NumericError.
     """
     if not test_samples:
         raise ContractError("evaluate() needs a nonempty test set")
@@ -261,32 +261,34 @@ def score_units(
     threshold: float,
     mode: str,
     labels: dict[str, int],
-) -> list[tuple[str, EvalReport]]:
+) -> list[tuple[str, int, EvalReport]]:
     """Evaluate each (tag, unit train, unit test) unit with its model, taken in
-    step from ``models`` (exactly one per unit, drawn for every unit), and
-    gather its counts per cluster.
-
-    Each unit's test windows are scored by one :func:`evaluate` call, in unit
-    order, whose per-window counts are then split by each window's cluster
-    label.  Returns (cluster, report) rows per label, in label order, each
-    holding the counts of its label's windows in unit order, then the "all"
-    row, which holds every row's windows.  Units without test samples are
-    skipped with a warning.
-    """
-    counts: dict[int, list[np.ndarray]] = {}
+    step from ``models`` (exactly one per unit, drawn for every unit), by one
+    :func:`evaluate` call in unit order, and sum each dealer's windows (one
+    contiguous run of the unit) with one ``np.add.reduceat``.  Returns the dealer
+    table, (dealer, tier, report of its (days, 4) counts) in ascending id; units
+    without test samples are skipped with a warning."""
+    table = []
     for (tag, _, unit_test), model in zip(units, models, strict=True):
         if not unit_test:
             warnings.warn(f"unit {tag} has no test samples; skipped")
             continue
-        unit_labels = np.array([_cluster_label(labels, s.dealer_id) for s in unit_test])
-        unit_counts = evaluate(model, unit_test, threshold, mode=mode).counts
-        for label in sorted(set(unit_labels.tolist())):
-            counts.setdefault(label, []).append(unit_counts[unit_labels == label])
-    rows = [(str(label), EvalReport(kind, np.concatenate(counts[label])))
-            for label in sorted(counts)]
-    every = [report.counts for _, report in rows] or [np.zeros((0, 0, 4), dtype=np.int64)]
-    rows.append(("all", EvalReport(kind, np.concatenate(every))))
-    return rows
+        ids = [s.dealer_id for s in unit_test]
+        starts = [i for i, dealer in enumerate(ids) if i == 0 or dealer != ids[i - 1]]
+        dealers = [(ids[i], _cluster_label(labels, ids[i])) for i in starts]
+        if len(starts) != len(set(ids)):
+            raise ContractError(f"unit {tag}: a dealer's test windows are not one contiguous run")
+        sums = np.add.reduceat(evaluate(model, unit_test, threshold, mode=mode).counts, starts)
+        table += [(*dealer, EvalReport(kind, c)) for dealer, c in zip(dealers, sums)]
+    return sorted(table, key=lambda row: row[0])
+
+
+def tier_rows(kind: str, table) -> list[tuple[str, EvalReport]]:
+    """A (tier, report) row per tier in order, then "all", each stacking its dealers' counts."""
+    keys = [*sorted({tier for _, tier, _ in table}), "all"]
+    stacks = ([r.counts for _, tier, r in table if key in (tier, "all")] for key in keys)
+    return [(str(key), EvalReport(kind, np.array(stack or np.zeros((0, 0, 4)), dtype=np.int64)))
+            for key, stack in zip(keys, stacks)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +307,11 @@ def write_reports(path, granularity: str, rows: list[tuple[str, EvalReport]]) ->
     """CSV table: a report per row, its unit's ``granularity`` and ``cluster`` after ``model``."""
     _write_scored(path, ("granularity", "cluster"),
                   ((r.model, granularity, cluster, r.pooled) for cluster, r in rows))
+
+
+def write_dealers(path, table) -> None:
+    """CSV table: a dealer ``table``'s rows, each dealer's id and tier after ``model``."""
+    _write_scored(path, ("dealer", "tier"), ((r.model, d, tier, r.pooled) for d, tier, r in table))
 
 
 def write_days(path, mode: str, reports: list[EvalReport]) -> None:

@@ -458,7 +458,7 @@ def build_model(config: ModelConfig):
 
 
 CHECKPOINT_MAGIC = "otcforecast-checkpoint"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 MANIFEST_LIMIT = 1 << 16  # bytes read for the manifest line, newline included
 
 

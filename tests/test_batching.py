@@ -13,7 +13,7 @@ import otcforecast.autodiff as ad
 from otcforecast import harness
 from otcforecast.autodiff import Tensor
 from otcforecast.errors import ContractError, ShapeMismatchError
-from otcforecast.harness import evaluate, score_units
+from otcforecast.harness import evaluate, score_units, tier_rows
 from otcforecast.market import Sample
 from otcforecast.models import MODEL_KINDS, ModelConfig, build_model
 
@@ -208,7 +208,7 @@ class TestBatchedModels:
 class TestBatchedHarness:
     def samples(self):
         x, t = windows(7, 6, density=0.4)
-        return [Sample(f"D{i % 3}", i, x[i], t[i]) for i in range(7)]
+        return [Sample(f"D{i // 3}", i, x[i], t[i]) for i in range(7)]
 
     @pytest.mark.parametrize("mode", ["per_day", "union"])
     def test_chunked_evaluate_counts_equal_per_window_sums(self, monkeypatch, mode):
@@ -217,7 +217,8 @@ class TestBatchedHarness:
         labels = {"D0": 2, "D1": 0, "D2": 2}
         monkeypatch.setattr(harness, "EVAL_CHUNK", 3)
         report = evaluate(model, samples, 0.5, mode=mode)
-        rows = score_units("TransCTE", [("single", [], samples)], [model], 0.5, mode, labels)
+        table = score_units("TransCTE", [("single", [], samples)], [model], 0.5, mode, labels)
+        rows = tier_rows("TransCTE", table)
         expected = {}
         for s in samples:
             one = evaluate(model, [s], 0.5, mode=mode)

@@ -27,12 +27,16 @@ from otcforecast.cli import main
 from otcforecast.config import PARSERS, RunConfig, parse_config, write_resolved
 from otcforecast.errors import ArtifactError, ConfigurationError, ContractError
 from otcforecast.harness import (
+    EVAL_MODES,
+    GRANULARITIES,
     TrainSpec,
     micro_prf,
     score_units,
+    tier_rows,
     train,
     training_units,
     write_days,
+    write_dealers,
     write_reports,
 )
 from otcforecast.market import MarketSpec
@@ -791,6 +795,65 @@ class TestPipeline:
         for row in rows:
             assert row[6:] == [repr(score) for score in micro_prf(*map(int, row[2:5]))]
 
+    @pytest.mark.parametrize("mode", EVAL_MODES)
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_tier_all_and_day_rows_are_sums_of_the_dealer_table(self, tmp_path, monkeypatch,
+                                                                granularity, mode):
+        cfg_path, out = write_config(
+            tmp_path,
+            text=TINY_CONFIG.replace("granularity = single", f"granularity = {granularity}")
+                            .replace("[run]", f"[run]\neval_mode = {mode}"),
+        )
+        tables, scoring = [], cli.score_units
+        monkeypatch.setattr(cli, "score_units", lambda *args: tables.append(scoring(*args))
+                            or tables[-1])
+        for command in ("gen", "train", "eval", "compare"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        labels, counts = tiers(cfg_path, out), ("tp", "fp", "fn", "tn")
+
+        def read(name):
+            with open(out / name, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        for kinds, dealer_file, report_file in (
+                ([parse_config(cfg_path).kind], "report_dealers.csv", "report.csv"),
+                (MODEL_KINDS, "compare_dealers.csv", "compare_report.csv")):
+            dealers = read(dealer_file)
+            # every dealer once per model, in ascending id, with its derived tier
+            assert [(row["model"], row["dealer"], row["tier"]) for row in dealers] == [
+                (kind, dealer, str(labels[dealer])) for kind in kinds for dealer in sorted(labels)]
+            expected = []
+            for kind in kinds:
+                mine = [row for row in dealers if row["model"] == kind]
+                for key in [*sorted({row["tier"] for row in mine}), "all"]:
+                    expected.append([kind, key, *(sum(int(row[name]) for row in mine
+                                                      if key in (row["tier"], "all"))
+                                                  for name in counts)])
+            assert [[row["model"], row["cluster"], *(int(row[name]) for name in counts)]
+                    for row in read(report_file)] == expected, report_file
+            for row in dealers:
+                assert [float(row[name]) for name in ("precision", "recall", "f1")] == list(
+                    micro_prf(*(int(row[name]) for name in counts[:3])))
+        # the tables that score_units returned are the ones written, and each day
+        # row of compare_days.csv sums one model's dealer counts of that day
+        eval_table, *compare_tables = tables
+        assert [table[0][2].model for table in tables] == [parse_config(cfg_path).kind,
+                                                           *MODEL_KINDS]
+        for written, scored in (("report_dealers.csv", [eval_table]),
+                                ("compare_dealers.csv", compare_tables)):
+            assert [[row["model"], row["dealer"], int(row["tier"]),
+                     *(int(row[name]) for name in counts)] for row in read(written)] == [
+                [report.model, dealer, tier, *report.pooled]
+                for table in scored for dealer, tier, report in table], written
+        days = ["union"] if mode == "union" else ["1", "2"]
+        expected = []
+        for kind, table in zip(MODEL_KINDS, compare_tables):
+            per_day = np.sum([report.counts for _, _, report in table], axis=0)
+            expected += [[kind, day, *day_counts.tolist()]
+                         for day, day_counts in zip(days, per_day, strict=True)]
+        assert [[row["model"], row["day"], *(int(row[name]) for name in counts)]
+                for row in read("compare_days.csv")] == expected
+
     @pytest.mark.parametrize("train_fraction", ["0.8"])
     def test_compare_matches_library_driver(self, tmp_path, train_fraction):
         cfg_path, out = write_config(
@@ -812,14 +875,18 @@ class TestPipeline:
         with warnings.catch_warnings(record=True) as lib_warnings:
             warnings.simplefilter("always")
             units = training_units("cluster", train_s, test_s, labels)
-            rows = []
+            rows, dealers = [], []
             for kind in MODEL_KINDS:
                 models = [build_model(cfg.model_config(vocab_size, kind)) for _ in units]
                 for model, (_, unit_train, _) in zip(models, units):
                     train(model, unit_train, cfg.train_spec())
-                rows += score_units(kind, units, models, cfg.threshold, cfg.eval_mode, labels)
+                table = score_units(kind, units, models, cfg.threshold, cfg.eval_mode, labels)
+                rows += tier_rows(kind, table)
+                dealers += table
         write_reports(tmp_path / "library.csv", "cluster", rows)
         assert (tmp_path / "library.csv").read_bytes() == (out / "compare_report.csv").read_bytes()
+        write_dealers(tmp_path / "dealers.csv", dealers)
+        assert (tmp_path / "dealers.csv").read_bytes() == (out / "compare_dealers.csv").read_bytes()
         write_days(tmp_path / "days.csv", cfg.eval_mode, [r for c, r in rows if c == "all"])
         assert (tmp_path / "days.csv").read_bytes() == (out / "compare_days.csv").read_bytes()
         assert [str(w.message) for w in cli_warnings] == [str(w.message) for w in lib_warnings]
@@ -1167,9 +1234,13 @@ class TestTiers:
 
 def trained_on(cfg, out):
     """What a checkpoint of ``cfg`` records it was fitted to besides its model
-    config: the digest of ``out``'s histories and the split."""
+    config: the digest of ``out``'s histories, the split and the training settings."""
     digest = hashlib.sha256((out / "histories.bin").read_bytes()).hexdigest()
-    return {"histories_sha256": digest, "train_fraction": cfg.train_fraction}
+    spec = cfg.train_spec()
+    return {"histories_sha256": digest, "train_fraction": cfg.train_fraction,
+            "train_epochs": spec.epochs, "train_batch_size": spec.batch_size,
+            "train_learning_rate": spec.learning_rate, "train_seed": spec.seed,
+            "train_patience": spec.patience}
 
 
 def load_trained(cfg_path, out):
@@ -1209,6 +1280,28 @@ class TestCheckpointConfig:
         assert "checkpoint_single.ckpt: train_fraction = 0.8, expected 0.5" in err
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("setting, value, message", [
+        # a 1-epoch checkpoint must not be scored as the 3-epoch model the config names
+        ("epochs = 1", "epochs = 3", "train_epochs = 1, expected 3"),
+        ("batch_size = 8", "batch_size = 4", "train_batch_size = 8, expected 4"),
+        ("learning_rate = 0.005", "learning_rate = 0.5",
+         "train_learning_rate = 0.005, expected 0.5"),
+        ("[train]", "[train]\npatience = 2", "train_patience = None, expected 2"),
+    ], ids=["epochs", "batch_size", "learning_rate", "patience"])
+    def test_checkpoint_under_other_training_settings_exits_2(self, tmp_path, capsys,
+                                                              setting, value, message):
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "train"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        assert TINY_CONFIG.count(setting) == 1
+        cfg_path, _ = write_config(tmp_path, text=TINY_CONFIG.replace(setting, value))
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert f"checkpoint_single.ckpt: {message}" in err
+        assert not (out / "report.csv").exists() and not (out / "report_dealers.csv").exists()
+
     def test_checkpoint_of_other_histories_exits_2(self, tmp_path, capsys):
         # another market of the same bonds: the model config cannot tell the
         # histories apart, so only the digest the checkpoint pins does
@@ -1245,10 +1338,10 @@ class TestCheckpointConfig:
         cfg = parse_config(cfg_path)
         config = cfg.model_config(vocab_size)
         path = out / "checkpoint_single.ckpt"
-        manifest = {"magic": "otcforecast-checkpoint", "version": 6,
+        manifest = {"magic": "otcforecast-checkpoint", "version": 7,
                     **vars(config), "vocab_size": 20000, **trained_on(cfg, out)}
         path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n")
-        assert path.stat().st_size < 384
+        assert path.stat().st_size < 512
         tracemalloc.start()
         try:
             with pytest.raises(ArtifactError, match="vocab_size = 20000, expected"):
@@ -1335,7 +1428,7 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "version = 1, expected 6" in err
+        assert "version = 1, expected 7" in err
 
     @pytest.mark.parametrize("kind, commands", [("LSTM", ("eval",)),
                                                 ("TransPPRZ", ("eval",))])
@@ -1366,7 +1459,7 @@ class TestCheckpointConfig:
             assert main([command, "-c", str(cfg_path)]) == 2, command
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "unreadable artifact" in err
-            assert "version = 2, expected 6" in err
+            assert "version = 2, expected 7" in err
 
     def test_version_3_checkpoint_exits_2(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
@@ -1388,7 +1481,7 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "version = 3, expected 6" in err
+        assert "version = 3, expected 7" in err
 
     @pytest.mark.parametrize("version", [4, 5])
     def test_version_4_checkpoint_exits_2(self, tmp_path, capsys, version):
@@ -1410,7 +1503,24 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"version = {version}, expected 6" in err
+        assert f"version = {version}, expected 7" in err
+
+    def test_version_6_checkpoint_exits_2(self, tmp_path, capsys):
+        # version 6 did not record the training settings
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "train"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        path = out / "checkpoint_single.ckpt"
+        header, payload = path.read_bytes().split(b"\n", 1)
+        manifest = json.loads(header)
+        old = {**{key: value for key, value in manifest.items() if not key.startswith("train_")},
+               "train_fraction": manifest["train_fraction"], "version": 6}
+        path.write_bytes(json.dumps(old, separators=(",", ":")).encode() + b"\n" + payload)
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert "version = 6, expected 7" in err
 
 
 def truncate(path, cut):

@@ -26,6 +26,7 @@ from otcforecast.harness import (
     layer_signal_stats,
     micro_prf,
     score_units,
+    tier_rows,
     train,
     training_units,
     write_reports,
@@ -261,7 +262,8 @@ class TestScoreUnits:
         b = random_samples(2, seed=7, dealer="DB")
         model = FixedModel(rng.random((2, 8)))
         labels = {"DA": 0, "DB": 1}
-        rows = score_units("stub", [("single", [], b + a)], [model], 0.5, "per_day", labels)
+        rows = tier_rows("stub", score_units("stub", [("single", [], b + a)], [model], 0.5,
+                                             "per_day", labels))
         assert [cluster for cluster, _ in rows] == ["0", "1", "all"]
 
         def counts(r):
@@ -273,12 +275,12 @@ class TestScoreUnits:
         assert counts(pooled) == (np.array(counts(r0)) + counts(r1)).tolist()
 
     @pytest.mark.parametrize("mode", EVAL_MODES)
-    def test_one_evaluate_call_per_unit_split_by_cluster(self, monkeypatch, mode):
-        dealers = ("DA", "DB", "DC")
+    def test_one_evaluate_call_per_unit_summed_per_dealer(self, monkeypatch, mode):
+        dealers = ("DB", "DA", "DC")
         labels = {"DA": 1, "DB": 0, "DC": 1}
-        test_s = [random_samples(1, seed=110 + i, dealer=dealers[i % 3])[0] for i in range(9)]
+        test_s = [random_samples(1, seed=110 + i, dealer=dealers[i // 3])[0] for i in range(9)]
         [(tag, _, unit_test)] = training_units("single", test_s, test_s, labels)
-        assert unit_test == test_s  # both labels interleave in unit order
+        assert unit_test == test_s  # one run per dealer, not in id order; the tiers interleave
 
         class EchoModel(FixedModel):
             """Forecasts each window's first T_out input days."""
@@ -295,39 +297,49 @@ class TestScoreUnits:
 
         monkeypatch.setattr(harness, "EVAL_CHUNK", 2)
         monkeypatch.setattr(harness, "evaluate", recorded)
-        rows = score_units("stub", [(tag, [], unit_test)], [EchoModel(None)], 0.5, mode, labels)
+        table = score_units("stub", [(tag, [], unit_test)], [EchoModel(None)], 0.5, mode, labels)
         assert evaluated == [unit_test]
         assert [len(c) for c in chunks] == [2, 2, 2, 2, 1]
         assert np.array_equal(np.concatenate(chunks), [s.input_days for s in unit_test])
-        assert [cluster for cluster, _ in rows] == ["0", "1", "all"]
-        for cluster, report in rows[:-1]:
-            mine = [s for s in unit_test if labels[s.dealer_id] == int(cluster)]
-            recount = []
-            for s in mine:
+        assert [(dealer, tier) for dealer, tier, _ in table] == [("DA", 1), ("DB", 0), ("DC", 1)]
+        for dealer, _, report in table:
+            recount = np.zeros((2 if mode == "per_day" else 1, 4), dtype=np.int64)
+            for s in (s for s in unit_test if s.dealer_id == dealer):
                 pred, target = s.input_days[:2] >= 0.5, s.target_days.astype(bool)
                 if mode == "union":
                     pred, target = pred.any(axis=0, keepdims=True), target.any(axis=0, keepdims=True)
-                recount.append([[np.sum(p & t), np.sum(p & ~t), np.sum(~p & t), np.sum(~p & ~t)]
-                                for p, t in zip(pred, target)])
-            assert report.counts.tolist() == recount, cluster
-        assert np.array_equal(rows[-1][1].counts,
-                              np.concatenate([report.counts for _, report in rows[:-1]]))
+                recount += [[np.sum(p & t), np.sum(p & ~t), np.sum(~p & t), np.sum(~p & ~t)]
+                            for p, t in zip(pred, target)]
+            assert report.model == "stub" and report.counts.dtype == np.int64
+            assert report.counts.tolist() == recount.tolist(), dealer
 
     def test_each_unit_is_scored_by_its_own_model(self):
         labels = {"DA": 0, "DB": 1}
         units = [("dealer_DA", [], random_samples(3, seed=120, dealer="DA")),
                  ("dealer_DB", [], random_samples(2, seed=121, dealer="DB"))]
         every, none = FixedModel(np.ones((2, 8))), FixedModel(np.zeros((2, 8)))
-        rows = score_units("stub", units, [every, none], 0.5, "per_day", labels)
-        assert [cluster for cluster, _ in rows] == ["0", "1", "all"]
-        for (_, report), (_, _, unit_test), model in zip(rows, units, (every, none)):
-            assert np.array_equal(report.counts, evaluate(model, unit_test, 0.5).counts)
+        table = score_units("stub", units, [every, none], 0.5, "per_day", labels)
+        assert [(dealer, tier) for dealer, tier, _ in table] == [("DA", 0), ("DB", 1)]
+        for (_, _, report), (_, _, unit_test), model in zip(table, units, (every, none)):
+            assert np.array_equal(report.counts,
+                                  evaluate(model, unit_test, 0.5).counts.sum(axis=0))
         # DA's windows forecast every cell and DB's none, so the two never mix
-        (_, da), (_, db), _ = rows
+        (_, _, da), (_, _, db) = table
         assert da.fn == da.tn == 0 and da.tp > 0
         assert db.tp == db.fp == 0 and db.fn > 0
         with pytest.raises(ValueError, match="shorter"):
             score_units("stub", units, [every], 0.5, "per_day", labels)
+
+    @pytest.mark.parametrize("order", [("DA", "DB", "DA"), ("DA", "DB", "DB", "DA")])
+    def test_interleaved_dealers_rejected_before_scoring(self, monkeypatch, order):
+        # one np.add.reduceat per unit sums each dealer's windows only when
+        # they are one run; two runs of one dealer would become two rows
+        unit_test = [random_samples(1, seed=130 + i, dealer=d)[0] for i, d in enumerate(order)]
+        monkeypatch.setattr(harness, "evaluate", lambda *args, **kwargs: pytest.fail("scored"))
+        with pytest.raises(ContractError, match="unit single: a dealer's test windows are not "
+                                                "one contiguous run"):
+            score_units("stub", [("single", [], unit_test)], [FixedModel(np.zeros((2, 8)))],
+                        0.5, "per_day", {"DA": 0, "DB": 1})
 
     def test_unlabelled_dealer_rejected(self):
         samples = random_samples(1, seed=99, dealer="DX")
@@ -558,7 +570,7 @@ def run_experiment(granularity, train_s, test_s, labels):
     models = [build_model(toy_config()) for _ in units]
     for model, (_, unit_train, _) in zip(models, units):
         train(model, unit_train, spec)
-    return score_units("TransRE", units, models, 0.5, "per_day", labels)
+    return tier_rows("TransRE", score_units("TransRE", units, models, 0.5, "per_day", labels))
 
 
 class TestGranularityExperiment:
@@ -614,20 +626,23 @@ class TestGranularityExperiment:
     def test_unit_without_test_samples_warns_and_is_not_scored(self):
         model = FixedModel(np.zeros((2, 8)))
         with pytest.warns(UserWarning, match="cluster1 has no test samples"):
-            rows = score_units("stub", [
+            rows = tier_rows("stub", score_units("stub", [
                 ("cluster0", [], random_samples(2, seed=75, dealer="DA")),
                 ("cluster1", [], []),
-            ], [model, model], 0.5, "per_day", {"DA": 0, "DB": 1})
+            ], [model, model], 0.5, "per_day", {"DA": 0, "DB": 1}))
         assert [cluster for cluster, _ in rows] == ["0", "all"]
         (_, one), (_, pooled) = rows
         assert (one.tp, one.fp, one.fn, one.tn) == (pooled.tp, pooled.fp, pooled.fn, pooled.tn)
 
     def test_no_unit_with_test_samples_leaves_an_empty_all_row(self):
         with pytest.warns(UserWarning, match="single has no test samples"):
-            rows = score_units("stub", [("single", [], [])], [FixedModel(np.zeros((2, 8)))],
-                               0.5, "per_day", {})
-        [(cluster, report)] = rows
-        assert (cluster, report.pooled, report.f1) == ("all", [0, 0, 0, 0], 0.0)
+            table = score_units("stub", [("single", [], [])], [FixedModel(np.zeros((2, 8)))],
+                                0.5, "per_day", {})
+        assert table == []
+        [(cluster, report)] = tier_rows("stub", table)
+        assert (cluster, report.model, report.pooled) == ("all", "stub", [0, 0, 0, 0])
+        assert report.f1 == 0.0
+        assert report.counts.dtype == np.int64 and report.counts.shape == (0, 0, 4)
 
     def test_missing_assignment_rejected(self):
         train_s = market_samples(["DA"], seed=80)
