@@ -13,7 +13,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import warnings
@@ -88,17 +87,6 @@ def _checkpoint_path(out: Path, tag: str) -> Path:
     return out / f"checkpoint_{tag}.ckpt"
 
 
-def _histories_sha256(out: Path) -> str:
-    """The SHA-256 of ``histories.bin``: clusters.csv names it, a checkpoint pins it."""
-    return hashlib.sha256(_require(out / HISTORIES_FILE, "gen").read_bytes()).hexdigest()
-
-
-def _trained_on(cfg: RunConfig, out: Path) -> dict:
-    """What a checkpoint pins besides its model config: histories, split and TrainSpec."""
-    return {"histories_sha256": _histories_sha256(out), "train_fraction": cfg.train_fraction,
-            **{f"train_{name}": value for name, value in vars(cfg.train_spec()).items()}}
-
-
 def cmd_gen(cfg: RunConfig, out: Path) -> None:
     spec = cfg.market_spec()
     records = market.generate_synthetic_market(spec)
@@ -128,9 +116,9 @@ def _tiers(cfg: RunConfig, histories, days: int):
 
 
 def cmd_cluster(cfg: RunConfig, out: Path) -> None:
-    histories, days, _ = market.load_histories(_require(out / HISTORIES_FILE, "gen"))
+    histories, days, _, digest = market.load_histories(_require(out / HISTORIES_FILE, "gen"))
     assignment = _tiers(cfg, histories, days)
-    save_assignment(out / CLUSTERS_FILE, assignment, _histories_sha256(out))
+    save_assignment(out / CLUSTERS_FILE, assignment, digest)
     empty = [str(tier) for tier in range(TIERS) if tier not in assignment.labels.values()]
     if empty:
         warnings.warn(f"cluster: no dealer holds tier {', '.join(empty)} of 0-{TIERS - 1}")
@@ -144,10 +132,12 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
 
     Every command needs at least one training window, and a ``scoring``
     command at least one test window, checked before any training.
-    Returns (vocab size, units, labels), the units as
-    :func:`training_units` forms them.
+    Returns (vocab size, units, labels, trained_on): the units as
+    :func:`training_units` forms them, and what a checkpoint pins besides its
+    model config: the loaded histories' digest, the split and the TrainSpec.
     """
-    histories, days, vocab_size = market.load_histories(_require(out / HISTORIES_FILE, "gen"))
+    histories, days, vocab_size, digest = market.load_histories(
+        _require(out / HISTORIES_FILE, "gen"))
     samples = [
         s
         for h in histories
@@ -162,14 +152,14 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
         raise ConfigurationError(f"the temporal split leaves no test window {split}")
     labels = _tiers(cfg, histories, days).labels
     units = training_units(cfg.granularity, train_samples, test_samples, labels)
-    return vocab_size, units, labels
+    trained_on = {"histories_sha256": digest, "train_fraction": cfg.train_fraction,
+                  **{f"train_{name}": value for name, value in vars(cfg.train_spec()).items()}}
+    return vocab_size, units, labels, trained_on
 
 
-def _unit_models(cfg: RunConfig, out: Path, vocab_size: int, units):
+def _unit_models(out: Path, config, trained_on: dict, units):
     """The units' trained models: every checkpoint is checked before the first
     is loaded, and each is loaded once the one before it is consumed."""
-    config = cfg.model_config(vocab_size)
-    trained_on = _trained_on(cfg, out)
     paths = [_require(_checkpoint_path(out, tag), "train") for tag, _, _ in units]
     for path in paths:
         check_checkpoint(path, config, trained_on)
@@ -200,9 +190,8 @@ def _log_line(model, epoch: int, loss: float | None, probe) -> str:
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> None:
-    vocab_size, units, _ = _prepare(cfg, out)
+    vocab_size, units, _, trained_on = _prepare(cfg, out)
     config = cfg.model_config(vocab_size)
-    trained_on = _trained_on(cfg, out)
     for tag, unit_train, _ in units:
         # a unit that fails must not leave an older checkpoint next to its new log
         _checkpoint_path(out, tag).unlink(missing_ok=True)
@@ -216,9 +205,9 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
-    vocab_size, units, labels = _prepare(cfg, out, scoring=True)
-    table = score_units(cfg.kind, units, _unit_models(cfg, out, vocab_size, units),
-                        cfg.threshold, cfg.eval_mode, labels)
+    vocab_size, units, labels, trained_on = _prepare(cfg, out, scoring=True)
+    models = _unit_models(out, cfg.model_config(vocab_size), trained_on, units)
+    table = score_units(cfg.kind, units, models, cfg.threshold, cfg.eval_mode, labels)
     write_reports(out / REPORT_FILE, cfg.granularity, tier_rows(cfg.kind, table))
     write_dealers(out / REPORT_DEALERS_FILE, table)
     print(f"wrote {out / REPORT_FILE} and {out / REPORT_DEALERS_FILE}")
@@ -226,7 +215,7 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
 
 def cmd_compare(cfg: RunConfig, out: Path) -> None:
     """Train every model kind; tabulate per-cluster F1, a pooled avg, counts per day and dealer."""
-    vocab_size, units, labels = _prepare(cfg, out, scoring=True)
+    vocab_size, units, labels, _ = _prepare(cfg, out, scoring=True)
     # every kind's config is built first, so a bad one fails before any training
     configs = [cfg.model_config(vocab_size, kind) for kind in MODEL_KINDS]
     all_rows, dealers = [], []

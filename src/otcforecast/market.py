@@ -11,6 +11,7 @@ daily multi-hot vectors of length 2V: buys in [0, V), sells in [V, 2V).
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import struct
 import warnings
@@ -392,8 +393,9 @@ def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: 
             fh.write(_pack_bits(h.day_vectors))
 
 
-def load_histories(path) -> tuple[list[DealerHistory], int, int]:
-    """Read a histories.bin file written by :func:`save_histories`.
+def load_histories(path) -> tuple[list[DealerHistory], int, int, str]:
+    """Read a histories.bin file written by :func:`save_histories`: its
+    histories, days, vocabulary size and the SHA-256 of the bytes parsed.
 
     Raises ArtifactError unless the header, every length prefix, id and
     bitmap are complete, the file holds at least one dealer, day and bond,
@@ -439,4 +441,4 @@ def load_histories(path) -> tuple[list[DealerHistory], int, int]:
         histories.append(DealerHistory(dealer_id, matrix))
     if at != len(blob):
         raise ArtifactError(f"{path}: {len(blob) - at} trailing bytes after {count} dealers")
-    return histories, days, vocab_size
+    return histories, days, vocab_size, hashlib.sha256(blob).hexdigest()

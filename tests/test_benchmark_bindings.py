@@ -166,7 +166,7 @@ def test_probes_see_every_unit_and_every_scored_window_of_compare(instrument, tm
         assert cli.main(["compare", "-c", str(ini)]) == 0
     finally:
         patcher.restore()
-    histories, days, _ = market.load_histories(out / "histories.bin")
+    histories, days, _, _ = market.load_histories(out / "histories.bin")
     units = len(set(cli._tiers(parse_config(str(ini)), histories, days).labels.values()))
     assert Counter(unit["kind"] for unit in probes.units) == {kind: units for kind in MODEL_KINDS}
     # every scored window reaches the probes: a kind's "all" row counts

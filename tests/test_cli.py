@@ -1,10 +1,12 @@
 """Config parsing and end-to-end command-line pipeline tests."""
 
+import builtins
 import codecs
 import csv
 import fnmatch
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
@@ -68,7 +70,7 @@ def ascii_locale_runner():
 def rename_dealers(path, ids):
     """Rewrite a histories.bin with its first ``len(ids)`` dealers renamed to ``ids``;
     returns every dealer id of the file."""
-    histories, days, vocab_size = market.load_histories(path)
+    histories, days, vocab_size, _ = market.load_histories(path)
     assert len(histories) >= len(ids)
     for h, ident in zip(histories, ids):
         h.dealer_id = ident
@@ -78,7 +80,7 @@ def rename_dealers(path, ids):
 
 def tiers(cfg_path, out):
     """dealer -> tier label as the commands derive them from ``out``'s histories."""
-    histories, days, _ = market.load_histories(out / "histories.bin")
+    histories, days, _, _ = market.load_histories(out / "histories.bin")
     return cli._tiers(parse_config(cfg_path), histories, days).labels
 
 
@@ -374,6 +376,21 @@ class TestPipeline:
         assert len(pooled) == 1 and pooled[0]["granularity"] == "single"
         assert 0.0 <= float(pooled[0]["f1"]) <= 1.0
 
+    def test_mini_config_parses_and_generates(self, tmp_path):
+        """configs/mini.ini, whose compare is the README's one-minute reproduction,
+        parses and generates its market; its gen runs into ``tmp_path``."""
+        path = Path(__file__).resolve().parents[1] / "configs" / "mini.ini"
+        cfg = parse_config(path)
+        assert (cfg.output_dir, cfg.granularity, cfg.days) == ("runs/mini", "cluster", 249)
+        cfg_path, out = tmp_path / "mini.ini", tmp_path / "mini"
+        cfg_path.write_text(path.read_text(encoding="utf-8").replace(
+            "output_dir = runs/mini", f"output_dir = {out}"), encoding="utf-8")
+        assert parse_config(cfg_path) == replace(cfg, output_dir=str(out))
+        assert self.run("gen", "-c", str(cfg_path)) == 0
+        histories, days, vocab_size, _ = market.load_histories(out / "histories.bin")
+        assert days == 249 and vocab_size <= cfg.bonds
+        assert len(histories) == cfg.periodic_dealers + cfg.sparse_dealers + cfg.dense_dealers
+
     def test_readme_cli_table_names_what_each_command_writes(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         table = {command: re.findall(r"`([^`]+)`", writes) for command, writes in
@@ -600,7 +617,7 @@ class TestPipeline:
             text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"),
         )
         assert self.run("gen", "-c", str(cfg_path)) == 0
-        histories, _, _ = market.load_histories(out / "histories.bin")
+        histories, _, _, _ = market.load_histories(out / "histories.bin")
         ids = rename_dealers(out / "histories.bin",
                              [h.dealer_id.replace("D", "Dé", 1) for h in histories])
         for command in ("cluster", "train", "eval"):
@@ -659,7 +676,7 @@ class TestPipeline:
         cfg_path, out = write_config(tmp_path)
         assert self.run("gen", "-c", str(cfg_path)) == 0
         path = out / "histories.bin"
-        histories, _, _ = market.load_histories(path)
+        histories, _, _, _ = market.load_histories(path)
         # the writer refuses an empty or non-UTF-8 id, so the last dealer's
         # length-prefixed id is replaced by hand
         last = histories[-1].dealer_id.encode()
@@ -692,7 +709,7 @@ class TestPipeline:
         for command in ("gen", "cluster", "train", "eval"):
             assert self.run(command, "-c", str(cfg_path)) == 0, command
         cfg = parse_config(cfg_path)
-        histories, days, vocab_size = market.load_histories(out / "histories.bin")
+        histories, days, vocab_size, _ = market.load_histories(out / "histories.bin")
         samples = [s for h in histories
                    for s in market.windowize(h, cfg.t_in, cfg.t_out, cfg.stride)]
         _, test = market.split_train_test(samples, days, cfg.train_fraction)
@@ -719,7 +736,7 @@ class TestPipeline:
         for command in ("gen", "cluster", "train"):
             assert self.run(command, "-c", str(cfg_path)) == 0, command
         cfg = parse_config(cfg_path)
-        vocab_size, units, _ = cli._prepare(cfg, out)
+        vocab_size, units, _, _ = cli._prepare(cfg, out)
         config = cfg.model_config(vocab_size)
         assert len(units) > 1
         assert sorted(p.name for p in out.glob("train_log_*.jsonl")) == sorted(
@@ -867,7 +884,7 @@ class TestPipeline:
             warnings.simplefilter("always")
             assert self.run("compare", "-c", str(cfg_path)) == 0
         cfg = parse_config(cfg_path)
-        histories, days, vocab_size = market.load_histories(out / "histories.bin")
+        histories, days, vocab_size, _ = market.load_histories(out / "histories.bin")
         samples = [s for h in histories
                    for s in market.windowize(h, cfg.t_in, cfg.t_out, cfg.stride)]
         train_s, test_s = market.split_train_test(samples, days, cfg.train_fraction)
@@ -908,16 +925,25 @@ class TestPipeline:
         assert self.run("compare", "-c", str(cfg_path)) == 0
         assert calls == ["cluster"]
 
-    def test_compare_reads_histories_once(self, tmp_path, monkeypatch):
-        cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "cluster"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
-        loads = []
-        load_histories = market.load_histories
-        monkeypatch.setattr(market, "load_histories",
-                            lambda path: loads.append(path) or load_histories(path))
-        assert self.run("compare", "-c", str(cfg_path)) == 0
-        assert loads == [out / "histories.bin"]
+    @pytest.mark.parametrize("command", ["cluster", "train", "eval", "compare"])
+    def test_each_command_reads_histories_once(self, tmp_path, monkeypatch, command):
+        """Every open of histories.bin is counted, whatever reads it: the digest
+        a checkpoint pins is of the bytes the command parsed."""
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
+        for before in ("gen", "train") if command == "eval" else ("gen",):
+            assert self.run(before, "-c", str(cfg_path)) == 0, before
+        path, opens, real_open = out / "histories.bin", [], io.open
+
+        def counted(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == path:
+                opens.append(file)
+            return real_open(file, *args, **kwargs)
+
+        for module in (builtins, io):  # pathlib's read_bytes opens through io.open
+            monkeypatch.setattr(module, "open", counted)
+        assert self.run(command, "-c", str(cfg_path)) == 0
+        assert len(opens) == 1
 
     def test_eval_scores_each_unit_before_loading_the_next(self, tmp_path, monkeypatch):
         cfg_path, out = write_config(
@@ -1245,7 +1271,7 @@ def trained_on(cfg, out):
 
 def load_trained(cfg_path, out):
     """The checkpoint `train` wrote at single granularity, under its run config."""
-    _, _, vocab_size = market.load_histories(out / "histories.bin")
+    _, _, vocab_size, _ = market.load_histories(out / "histories.bin")
     cfg = parse_config(cfg_path)
     return load_checkpoint(out / "checkpoint_single.ckpt", cfg.model_config(vocab_size),
                            trained_on(cfg, out))
@@ -1334,7 +1360,7 @@ class TestCheckpointConfig:
             tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = TransFV"))
         for command in ("gen", "cluster"):
             assert main([command, "-c", str(cfg_path)]) == 0, command
-        _, _, vocab_size = market.load_histories(out / "histories.bin")
+        _, _, vocab_size, _ = market.load_histories(out / "histories.bin")
         cfg = parse_config(cfg_path)
         config = cfg.model_config(vocab_size)
         path = out / "checkpoint_single.ckpt"

@@ -1,5 +1,6 @@
 """Generator, cleaning, history, windowing, split, and file-format tests."""
 
+import hashlib
 import math
 import re
 import struct
@@ -383,7 +384,7 @@ class TestFileFormats:
         histories = build_histories(records, vocab, spec.days)
         path = tmp_path / "hist.bin"
         save_histories(path, histories, spec.days, vocab.size)
-        loaded, days, v = load_histories(path)
+        loaded, days, v, _ = load_histories(path)
         assert (days, v) == (spec.days, vocab.size)
         assert [h.dealer_id for h in loaded] == [h.dealer_id for h in histories]
         for a, b in zip(loaded, histories):
@@ -452,7 +453,7 @@ class TestFileFormats:
                  for ident in ("D0", dealer_id)]
         path = tmp_path / "hist.bin"
         save_histories(path, hists, 3, 2)
-        loaded, _, _ = load_histories(path)
+        loaded, _, _, _ = load_histories(path)
         assert [h.dealer_id for h in loaded] == ["D0", dealer_id]
         np.testing.assert_array_equal(loaded[1].day_vectors, hists[1].day_vectors)
 
@@ -533,8 +534,9 @@ class TestHistoriesProperties:
         histories, days, vocab_size = drawn
         path = tmp_path / "hist.bin"
         save_histories(path, histories, days, vocab_size)
-        loaded, loaded_days, loaded_v = load_histories(path)
+        loaded, loaded_days, loaded_v, digest = load_histories(path)
         assert (loaded_days, loaded_v) == (days, vocab_size)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         assert [h.dealer_id for h in loaded] == [h.dealer_id for h in histories]
         for a, b in zip(loaded, histories):
             assert a.day_vectors.dtype == np.uint8
