@@ -167,10 +167,12 @@ def _unit_models(out: Path, config, trained_on: dict, units):
 
 
 def _fitted_models(config, units, spec):
-    """A fresh model per unit, each fitted to the unit's training windows as it
-    is consumed, so the units' models are never all held at once."""
+    """One model of the kind, refitted from its initial parameters to each unit's
+    training windows as the unit is consumed: score each fit before drawing the next."""
+    model = build_model(config)
+    initial = model.params.flat.copy()
     for _, unit_train, _ in units:
-        model = build_model(config)
+        model.params.flat[:] = initial
         # one harness.train call per unit for perfbench's probe: why cmd_train's loop is not reused
         train(model, unit_train, spec)
         yield model

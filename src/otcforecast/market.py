@@ -16,7 +16,8 @@ import math
 import struct
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +37,9 @@ _FORMAT_VERSION = 1
 _POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
-class TradeRecord:
-    """One reported transaction from the reporting dealer's perspective."""
+class TradeRecord(NamedTuple):
+    """One reported transaction from the reporting dealer's perspective; its
+    fields, in order, are the columns of ``records.csv``."""
 
     day_index: int
     dealer_id: str
@@ -184,7 +185,7 @@ def generate_synthetic_market(spec: MarketSpec) -> list[TradeRecord]:
             position = len(out)
             out.append(record)
             if spec.cancellation_rate > 0 and rng.random() < spec.cancellation_rate:
-                out.append(replace(record, status=STATUS_CANCEL, ref_record=position))
+                out.append(record._replace(status=STATUS_CANCEL, ref_record=position))
     return out
 
 
@@ -207,7 +208,7 @@ def _resolve_status(records: list[TradeRecord]) -> list[TradeRecord]:
             dropped.add(i)
     return [
         r if (r.status, r.ref_record) == (STATUS_NORMAL, None)
-        else replace(r, status=STATUS_NORMAL, ref_record=None)
+        else r._replace(status=STATUS_NORMAL, ref_record=None)
         for i, r in enumerate(records)
         if i not in dropped
     ]
@@ -341,9 +342,8 @@ def write_rows(path, rows) -> None:
 
 
 def save_records(path, records: list[TradeRecord]) -> None:
-    """CSV, one record per line: day, dealer, bond, side, counterparty, status, ref."""
-    write_rows(path, ((r.day_index, r.dealer_id, r.bond_id, r.side, r.counterparty, r.status,
-                       r.ref_record) for r in records))
+    """CSV, one record per line, its fields in :class:`TradeRecord`'s order."""
+    write_rows(path, records)
 
 
 def _pack_bits(matrix: np.ndarray) -> bytes:

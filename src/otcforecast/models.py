@@ -136,21 +136,12 @@ class _Builder:
         self.tensors[name] = tensor = Tensor(values, requires_grad=True)
         return tensor
 
-    def draw(self, rows: int, cols: int) -> np.ndarray:
-        bound = 1.0 / math.sqrt(rows)
-        return self.rng.uniform(-bound, bound, size=(rows, cols))
+    def draw(self, shape, fan_in: int) -> np.ndarray:
+        bound = 1.0 / math.sqrt(fan_in)
+        return self.rng.uniform(-bound, bound, size=shape)
 
     def matrix(self, name: str, rows: int, cols: int) -> Tensor:
-        return self.add(name, self.draw(rows, cols))
-
-    def table(self, name: str, rows: int, cols: int) -> Tensor:
-        # lookup tables scale with the embedding width, not the row count
-        bound = 1.0 / math.sqrt(cols)
-        return self.add(name, self.rng.uniform(-bound, bound, size=(rows, cols)))
-
-    def vector(self, name: str, n: int) -> Tensor:
-        bound = 1.0 / math.sqrt(n)
-        return self.add(name, self.rng.uniform(-bound, bound, size=n))
+        return self.add(name, self.draw((rows, cols), rows))
 
     def zeros(self, name: str, shape=()) -> Tensor:
         return self.add(name, np.zeros(shape))
@@ -240,7 +231,8 @@ class RecurrentModel:
         self._directions = []
         for direction in ("fwd", "bwd") if config.kind == "BiLSTM" else ("fwd",):
             # gate by gate, the input block then the recurrent one
-            wx, wh = zip(*[(b.draw(width, hidden), b.draw(hidden, hidden)) for _ in "ifgo"])
+            wx, wh = zip(*[(b.draw((width, hidden), width), b.draw((hidden, hidden), hidden))
+                           for _ in "ifgo"])
             self._directions.append((b.add(f"lstm.{direction}.wx", np.concatenate(wx, axis=1)),
                                      b.add(f"lstm.{direction}.wh", np.concatenate(wh, axis=1)),
                                      b.zeros(f"lstm.{direction}.b", 4 * hidden)))
@@ -280,9 +272,10 @@ class TransformerModel:
         if self.embed_mode == "affine":
             self._embedding = (b.matrix("embed.w", width, d), b.zeros("embed.b", d))
         else:
-            self._embedding = (b.table("cte.bonds", config.vocab_size, d),
-                               b.table("cte.actions", 2, d))
-        self._sos = b.vector("decoder.sos", d)
+            # lookup tables scale with the embedding width, not the row count
+            self._embedding = (b.add("cte.bonds", b.draw((config.vocab_size, d), d)),
+                               b.add("cte.actions", b.draw((2, d), d)))
+        self._sos = b.add("decoder.sos", b.draw(d, d))
         # every encoder layer, then every decoder layer: the checkpoint's layout
         n = range(config.n_layers)
         self._encoder = [self._layer(b, f"encoder.l{i}", ("attn",)) for i in n]

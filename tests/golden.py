@@ -11,14 +11,17 @@ final ``Parameters.flat``, the confusion counts of 40 forecast windows, and
 the SHA-256 and 8 seeded projections of their forecast probabilities.  Pinned for a
 ``gen -> cluster -> compare`` of ``helpers.TINY_CONFIG`` at each
 granularity: the SHA-256 of ``clusters.csv``, ``compare_f1.csv`` and
-``compare_report.csv``.
+``compare_report.csv``.  Pinned for a ``gen`` of ``helpers.TINY_CONFIG`` at
+each of three seeds: the SHA-256 of ``records.csv``, ``vocab.csv`` and
+``histories.bin``.
 
 A projection is the exactly rounded dot product (``math.fsum``) of the
 values with a seeded standard-normal vector, so it does not depend on the
 BLAS.  The trained values do: OpenBLAS picks its kernels by CPU at run time
 (its *core*), and kernels of two cores may round apart.  So the file names
 the numpy version and the runtime OpenBLAS core it was written under, and
-the SHA-256s are compared only under both.
+the SHA-256s are compared only under both, but for ``gen``'s: no BLAS
+product enters them, so they are compared under the numpy version alone.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ TRAIN_WINDOWS = 96
 FORECAST_WINDOWS = 40
 TRAIN_SPEC = TrainSpec(epochs=2, batch_size=8, learning_rate=0.003, seed=0)
 COMPARE_FILES = (cli.CLUSTERS_FILE, cli.COMPARE_FILE, cli.COMPARE_REPORT_FILE)
+GEN_FILES = (cli.RECORDS_FILE, cli.VOCAB_FILE, cli.HISTORIES_FILE)
+GEN_SEEDS = (0, 1, 2)
 
 
 def blas_core() -> str | None:
@@ -110,19 +115,29 @@ def kind_results(kind: str, vocab_size: int, train_windows, forecast_windows) ->
     }
 
 
-def compare_digests(granularity: str) -> dict:
-    """SHA-256 per file of a tiny gen -> cluster -> compare at ``granularity``."""
+def digests(text: str, commands: tuple[str, ...], names: tuple[str, ...]) -> dict:
+    """SHA-256 per file of ``names`` after ``commands`` run on the config ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp, "out")
         config = Path(tmp, "run.ini")
-        text = TINY_CONFIG.replace("granularity = single", f"granularity = {granularity}")
         config.write_text(text.format(out=out), encoding="utf-8")
         with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("ignore", UserWarning)  # units without test windows
-            for command in ("gen", "cluster", "compare"):
+            for command in commands:
                 if cli.main([command, "-c", str(config)]) != 0:
-                    raise RuntimeError(f"otcforecast {command} failed at {granularity}")
-        return {name: _sha256((out / name).read_bytes()) for name in COMPARE_FILES}
+                    raise RuntimeError(f"otcforecast {command} failed on\n{text}")
+        return {name: _sha256((out / name).read_bytes()) for name in names}
+
+
+def compare_digests(granularity: str) -> dict:
+    """SHA-256 per file of a tiny gen -> cluster -> compare at ``granularity``."""
+    text = TINY_CONFIG.replace("granularity = single", f"granularity = {granularity}")
+    return digests(text, ("gen", "cluster", "compare"), COMPARE_FILES)
+
+
+def gen_digests(seed: int) -> dict:
+    """SHA-256 per file of a tiny gen at run ``seed``."""
+    return digests(TINY_CONFIG.replace("seed = 3", f"seed = {seed}"), ("gen",), GEN_FILES)
 
 
 def compute() -> dict:
@@ -133,6 +148,7 @@ def compute() -> dict:
                   for kind in MODEL_KINDS},
         "compare": {granularity: compare_digests(granularity)
                     for granularity in ("single", "cluster", "individual")},
+        "gen": {str(seed): gen_digests(seed) for seed in GEN_SEEDS},
     }
 
 

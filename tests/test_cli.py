@@ -925,6 +925,35 @@ class TestPipeline:
         assert self.run("compare", "-c", str(cfg_path)) == 0
         assert calls == ["cluster"]
 
+    def test_compare_builds_each_kind_once_and_trains_every_unit_from_its_start(
+            self, tmp_path, monkeypatch):
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
+        for command in ("gen", "cluster"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        built, trained = {}, []
+        build, fit = cli.build_model, cli.train
+
+        def counted_build(config):
+            model = build(config)
+            assert config.kind not in built, f"{config.kind} built twice"
+            built[config.kind] = model.params.flat.tobytes()
+            return model
+
+        def checked_fit(model, samples, spec):
+            kind = model.config.kind
+            assert model.params.flat.tobytes() == built[kind], f"{kind} unit {len(trained)}"
+            trained.append(kind)
+            return fit(model, samples, spec)
+
+        monkeypatch.setattr(cli, "build_model", counted_build)
+        monkeypatch.setattr(cli, "train", checked_fit)
+        assert self.run("compare", "-c", str(cfg_path)) == 0
+        assert list(built) == list(MODEL_KINDS)
+        units = len(set(tiers(cfg_path, out).values()))
+        assert units > 1
+        assert trained == [kind for kind in MODEL_KINDS for _ in range(units)]
+
     @pytest.mark.parametrize("command", ["cluster", "train", "eval", "compare"])
     def test_each_command_reads_histories_once(self, tmp_path, monkeypatch, command):
         """Every open of histories.bin is counted, whatever reads it: the digest

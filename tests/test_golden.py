@@ -2,7 +2,8 @@
 
 Counts must match exactly, losses and projections to a relative 1e-9, and
 the SHA-256s exactly where the numpy version and the runtime OpenBLAS core
-are those the file was written under.
+are those the file was written under; ``gen``'s, which no BLAS product
+enters, wherever the numpy version is.
 """
 
 import math
@@ -24,6 +25,9 @@ def test_golden_file_covers_every_kind_and_granularity(runs):
     fresh, pinned = runs
     assert list(pinned["kinds"]) == list(fresh["kinds"])
     assert list(pinned["compare"]) == list(fresh["compare"])
+    assert list(pinned["gen"]) == list(fresh["gen"])
+    # each seed draws its own market
+    assert len({digests["records.csv"] for digests in fresh["gen"].values()}) == len(fresh["gen"])
 
 
 def test_counts_losses_and_projections_match(runs):
@@ -52,4 +56,15 @@ def test_digests_match(runs):
              if fresh["kinds"][kind][key] != want[key]]
     moved += [f"{granularity} {name}" for granularity, want in pinned["compare"].items()
               for name, digest in want.items() if fresh["compare"][granularity][name] != digest]
+    assert not moved, "moved: " + ", ".join(moved)
+
+
+def test_gen_digests_match(runs):
+    fresh, pinned = runs
+    if fresh["environment"]["numpy"] != pinned["environment"]["numpy"]:
+        pytest.skip(f"gen SHA-256s not compared: this run has numpy "
+                    f"{fresh['environment']['numpy']} (golden.json has "
+                    f"{pinned['environment']['numpy']})")
+    moved = [f"seed {seed} {name}" for seed, want in pinned["gen"].items()
+             for name, digest in want.items() if fresh["gen"][seed][name] != digest]
     assert not moved, "moved: " + ", ".join(moved)
