@@ -3,9 +3,9 @@
 The generator emits TRACE-shaped records for three dealer archetypes:
 periodic dealers re-trade a fixed bond set every p days, sparse dealers
 trade rarely and erratically, dense dealers trade heavily over a wide set.
-Cleaning removes cancellations (and their referents) and applies
-corrections, then keeps the most active dealers and bonds.  Histories are
-daily multi-hot vectors of length 2V: buys in [0, V), sells in [V, 2V).
+Cleaning removes cancellations with the records they void, then keeps the
+most active dealers and bonds.  Histories are daily multi-hot vectors of
+length 2V: buys in [0, V), sells in [V, 2V).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import csv
 import hashlib
 import math
 import struct
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,7 +27,6 @@ BUY = "B"
 SELL = "S"
 STATUS_NORMAL = "N"
 STATUS_CANCEL = "X"
-STATUS_CORRECTION = "R"
 
 _HEADER = struct.Struct("<4sIII")
 _MAGIC = b"OTCF"
@@ -46,8 +44,8 @@ class TradeRecord(NamedTuple):
     bond_id: str
     side: str  # B | S
     counterparty: str  # D (dealer) | C (client)
-    status: str = STATUS_NORMAL  # N | X (cancellation) | R (correction)
-    ref_record: int | None = None  # list position of the record X/R targets
+    status: str = STATUS_NORMAL  # N | X (cancellation)
+    ref_record: int | None = None  # list position of the earlier record an X voids
 
 
 @dataclass(frozen=True)
@@ -189,29 +187,19 @@ def generate_synthetic_market(spec: MarketSpec) -> list[TradeRecord]:
     return out
 
 
-def _resolve_status(records: list[TradeRecord]) -> list[TradeRecord]:
-    """Drop cancellations with their referents; let corrections replace theirs."""
-    dropped: set[int] = set()
+def _drop_cancelled(records: list[TradeRecord]) -> list[TradeRecord]:
+    """Keep the N records in order, less each one an X record names; an X
+    naming no earlier record, or any other status, raises ContractError."""
+    voided: set[int] = set()
     for i, record in enumerate(records):
         if record.status == STATUS_NORMAL:
             continue
         ref = record.ref_record
-        if ref is None or not 0 <= ref < len(records) or ref == i:
-            warnings.warn(
-                f"record {i}: dangling ref_record {ref!r}; dropping the flagged record",
-                stacklevel=3,
-            )
-            dropped.add(i)
-            continue
-        dropped.add(ref)
-        if record.status == STATUS_CANCEL:
-            dropped.add(i)
-    return [
-        r if (r.status, r.ref_record) == (STATUS_NORMAL, None)
-        else r._replace(status=STATUS_NORMAL, ref_record=None)
-        for i, r in enumerate(records)
-        if i not in dropped
-    ]
+        if record.status != STATUS_CANCEL or ref is None or not 0 <= ref < i:
+            raise ContractError(f"record {i}: status {record.status!r}, ref_record {ref!r}: a "
+                                "record is N, or an X naming an earlier record's position")
+        voided.update((i, ref))
+    return [r for i, r in enumerate(records) if i not in voided]
 
 
 def _top_keys(counts: dict[str, int], keep: int) -> set[str]:
@@ -225,13 +213,14 @@ def apply_trade_filters(
     top_bonds: int,
     drop_top_bonds: bool = False,
 ) -> tuple[list[TradeRecord], set[str], set[str]]:
-    """Clean status flags, then keep only the most active dealers and bonds.
+    """Drop cancellations with the records they void, then keep only the
+    most active dealers and bonds.
 
     Ranking is by surviving record count, ties broken by ascending id.  With
     ``drop_top_bonds`` the ``top_bonds`` most active bonds are removed
     instead of retained (the inverted reading of bond filtering).
     """
-    resolved = _resolve_status(records)
+    resolved = _drop_cancelled(records)
 
     dealer_counts = Counter(r.dealer_id for r in resolved)
     kept_dealers = _top_keys(dealer_counts, top_dealers)

@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,23 +171,19 @@ class TestFilters:
         out, dealers, bonds = apply_trade_filters(records, 10, 10)
         assert out == []
 
-    def test_correction_replaces_referent(self):
+    @pytest.mark.parametrize(
+        "status, ref",
+        [("R", 0), ("X", None), ("X", 1), ("X", 2), ("X", 3), ("X", 99), ("X", -1)],
+        ids=["correction", "none", "own", "later", "end", "far", "negative"],
+    )
+    def test_only_a_cancellation_of_an_earlier_record_accepted(self, status, ref):
         records = [
             TradeRecord(0, "D1", "B1", "B", "C"),
-            TradeRecord(2, "D1", "B1", "S", "D", "R", 0),
+            TradeRecord(1, "D1", "B1", "B", "C", status, ref),
+            TradeRecord(2, "D1", "B1", "B", "C"),
         ]
-        out, _, _ = apply_trade_filters(records, 10, 10)
-        assert len(out) == 1
-        assert out[0].day_index == 2 and out[0].side == "S" and out[0].status == "N"
-
-    def test_dangling_ref_warns_and_drops_flag_only(self):
-        records = [
-            TradeRecord(0, "D1", "B1", "B", "C"),
-            TradeRecord(1, "D1", "B1", "B", "C", "X", 99),
-        ]
-        with pytest.warns(UserWarning, match="dangling"):
-            out, _, _ = apply_trade_filters(records, 10, 10)
-        assert len(out) == 1 and out[0].day_index == 0
+        with pytest.raises(ContractError, match=f"record 1: status '{status}', ref_record {ref!r}:"):
+            apply_trade_filters(records, 10, 10)
 
     def test_dealer_ranking(self):
         records = []
@@ -505,6 +502,15 @@ class TestFileFormats:
             with pytest.raises(ArtifactError, match=reason):
                 load_histories(path)
 
+    def test_readme_records_columns_are_the_record_fields(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        columns = re.search(r"^\* `records\.csv`: `([^`]*)`", readme, re.MULTILINE).group(1)
+        parsed = [re.fullmatch(r"(\w+)(?:\(([^)]*)\))?", column).groups()
+                  for column in columns.split(",")]
+        assert tuple(name for name, _ in parsed) == TradeRecord._fields
+        statuses = {getattr(market, name) for name in dir(market) if name.startswith("STATUS_")}
+        assert set(dict(parsed)["status"].split("|")) == statuses
+
     def test_gen_byte_determinism(self, tmp_path):
         spec = one_periodic_spec(seed=7)
         for name in ("a.csv", "b.csv"):
@@ -552,3 +558,36 @@ class TestHistoriesProperties:
         path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="offset")])
         with pytest.raises(ArtifactError, match="truncated"):
             load_histories(path)
+
+
+@st.composite
+def records_with_cancellations(draw):
+    """Normal records, each cancellation naming an earlier normal one."""
+    records, normal = [], []
+    for _ in range(draw(st.integers(0, 24))):
+        if normal and draw(st.booleans()):
+            ref = draw(st.sampled_from(normal))
+            records.append(records[ref]._replace(status="X", ref_record=ref))
+        else:
+            normal.append(len(records))
+            records.append(TradeRecord(draw(st.integers(0, 9)), draw(st.sampled_from(["D1", "D2"])),
+                                       draw(st.sampled_from(["B1", "B2"])),
+                                       draw(st.sampled_from("BS")), draw(st.sampled_from("DC"))))
+    return records
+
+
+def kept_by_brute_force(records):
+    """Every normal record that no cancellation names, in order."""
+    kept = []
+    for i, record in enumerate(records):
+        if record.status == "N" and all(other.ref_record != i for other in records):
+            kept.append(record)
+    return kept
+
+
+class TestCleaningProperties:
+    @PROPERTY
+    @given(records_with_cancellations())
+    def test_cleaning_is_the_brute_force_loop(self, records):
+        out, _, _ = apply_trade_filters(records, len(records), len(records))
+        assert out == kept_by_brute_force(records)
