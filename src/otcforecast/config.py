@@ -96,7 +96,8 @@ class RunConfig:
     seed: int = _setting("run", 0, ("an integer", None))
     granularity: str = _setting("run", "single", _one_of(GRANULARITIES))
     output_dir: str = _setting("run", "runs/default",
-                               ("a path without a NUL character", lambda v: "\0" not in v))
+                               ("a non-empty path without a NUL character",
+                                lambda v: v != "" and "\0" not in v))
     eval_mode: str = _setting("run", "per_day", _one_of(EVAL_MODES))
 
     def _spec(self, cls, **explicit):

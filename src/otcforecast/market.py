@@ -3,9 +3,11 @@
 The generator emits TRACE-shaped records for three dealer archetypes:
 periodic dealers re-trade a fixed bond set every p days, sparse dealers
 trade rarely and erratically, dense dealers trade heavily over a wide set.
-Cleaning removes cancellations with the records they void, then keeps the
-most active dealers and bonds.  Histories are daily multi-hot vectors of
-length 2V: buys in [0, V), sells in [V, 2V).
+An archetype decides a trade's day, bond and side; the generator then draws
+its counterparty (a fair coin) and whether a cancellation follows.  Cleaning
+drops cancellations with the records they void, then keeps the most active
+dealers and bonds.  Histories are daily multi-hot vectors of length 2V:
+buys in [0, V), sells in [V, 2V).
 """
 
 from __future__ import annotations
@@ -123,11 +125,7 @@ def _dealer_ids(spec: MarketSpec) -> list[tuple[str, str]]:
     return [(f"D{i:04d}", kind) for i, kind in enumerate(kinds)]
 
 
-def _bond_id(i: int) -> str:
-    return f"B{i:04d}"
-
-
-def _periodic_trades(spec, dealer_id, rng):
+def _periodic_trades(spec, rng):
     lo, hi = spec.periodic_period_range
     period = int(rng.integers(lo, hi + 1))
     blo, bhi = spec.periodic_bonds_range
@@ -136,20 +134,16 @@ def _periodic_trades(spec, dealer_id, rng):
     sides = {b: (BUY if rng.random() < spec.periodic_buy_prob else SELL) for b in chosen}
     for day in range(0, spec.days, period):
         for b in chosen:
-            counterparty = "D" if rng.random() < 0.5 else "C"
-            yield TradeRecord(day, dealer_id, _bond_id(b), sides[b], counterparty)
+            yield day, b, sides[b]
 
 
-def _sparse_trades(spec, dealer_id, rng):
+def _sparse_trades(spec, rng):
     for day in range(spec.days):
         if rng.random() < spec.sparse_rate and spec.bonds > 0:
-            bond = int(rng.integers(spec.bonds))
-            side = BUY if rng.random() < 0.5 else SELL
-            counterparty = "D" if rng.random() < 0.5 else "C"
-            yield TradeRecord(day, dealer_id, _bond_id(bond), side, counterparty)
+            yield day, int(rng.integers(spec.bonds)), BUY if rng.random() < 0.5 else SELL
 
 
-def _dense_trades(spec, dealer_id, rng):
+def _dense_trades(spec, rng):
     lo, hi = spec.dense_bonds_range
     width = min(int(rng.integers(lo, hi + 1)), spec.bonds)
     if width == 0:
@@ -157,10 +151,7 @@ def _dense_trades(spec, dealer_id, rng):
     universe = rng.choice(spec.bonds, size=width, replace=False)
     for day in range(spec.days):
         for _ in range(int(rng.poisson(spec.dense_rate))):
-            bond = int(universe[int(rng.integers(width))])
-            side = BUY if rng.random() < 0.5 else SELL
-            counterparty = "D" if rng.random() < 0.5 else "C"
-            yield TradeRecord(day, dealer_id, _bond_id(bond), side, counterparty)
+            yield day, int(universe[int(rng.integers(width))]), BUY if rng.random() < 0.5 else SELL
 
 
 _ARCHETYPES = {
@@ -173,17 +164,20 @@ _ARCHETYPES = {
 def generate_synthetic_market(spec: MarketSpec) -> list[TradeRecord]:
     """Emit the full record list for a market spec, deterministic under seed.
 
-    Records are ordered dealer-major, day-minor; a cancellation immediately
-    follows the record it voids and references it by list position.
+    Per trade, the dealer's archetype draws the day, bond and side from the
+    dealer's own stream; then this loop draws the counterparty and, when
+    ``cancellation_rate > 0``, whether a cancellation follows.  Records are
+    ordered dealer-major, day-minor; a cancellation immediately follows the
+    record it voids and references it by list position.
     """
     out: list[TradeRecord] = []
     for dealer_id, kind in _dealer_ids(spec):
         rng = rng_for(spec.seed, "dealer", dealer_id)
-        for record in _ARCHETYPES[kind](spec, dealer_id, rng):
-            position = len(out)
-            out.append(record)
+        for day, bond, side in _ARCHETYPES[kind](spec, rng):
+            out.append(TradeRecord(day, dealer_id, f"B{bond:04d}", side,
+                                   "D" if rng.random() < 0.5 else "C"))
             if spec.cancellation_rate > 0 and rng.random() < spec.cancellation_rate:
-                out.append(record._replace(status=STATUS_CANCEL, ref_record=position))
+                out.append(out[-1]._replace(status=STATUS_CANCEL, ref_record=len(out) - 1))
     return out
 
 

@@ -491,12 +491,17 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(out) in err
 
-    def test_output_dir_with_a_nul_exits_1_before_writing(self, tmp_path, capsys):
-        cfg_path, _ = write_config(tmp_path, out="out\0x")
-        assert self.run("gen", "-c", str(cfg_path)) == 1
-        err = capsys.readouterr().err
-        assert err == ("otcforecast: config error: [run] output_dir must be a path without "
-                       "a NUL character, got 'out\\x00x'\n")
+    # an empty output_dir would be Path(""), the working directory
+    @pytest.mark.parametrize("out", ["out\0x", ""], ids=["nul", "empty"])
+    def test_output_dir_with_a_nul_exits_1_before_writing(self, tmp_path, monkeypatch, capsys,
+                                                           out):
+        cfg_path, _ = write_config(tmp_path, out=out)
+        monkeypatch.chdir(tmp_path)
+        for command in ("gen", "cluster", "train", "eval", "compare"):
+            assert self.run(command, "-c", str(cfg_path)) == 1, command
+            assert capsys.readouterr().err == (
+                "otcforecast: config error: [run] output_dir must be a non-empty path without "
+                f"a NUL character, got {out!r}\n")
         assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_histories_that_is_a_directory_exits_2(self, tmp_path, capsys):

@@ -15,8 +15,12 @@ from hypothesis.extra.numpy import arrays
 from otcforecast import market
 from otcforecast.errors import ArtifactError, ContractError, ShapeMismatchError
 from otcforecast.market import (
+    BUY,
+    SELL,
+    STATUS_CANCEL,
     MarketSpec,
     TradeRecord,
+    _dealer_ids,
     apply_trade_filters,
     build_histories,
     build_vocabulary,
@@ -28,6 +32,7 @@ from otcforecast.market import (
     split_train_test,
     windowize,
 )
+from otcforecast.seeding import rng_for
 
 
 def one_periodic_spec(**overrides):
@@ -72,6 +77,8 @@ class TestGenerator:
             target = records[r.ref_record]
             assert target.status == "N"
             assert (target.dealer_id, target.bond_id) == (r.dealer_id, r.bond_id)
+            assert r.ref_record == i - 1
+            assert r._replace(status="N", ref_record=None) == target
 
     def test_desk_scale_archetype_counting_oracle(self):
         spec = MarketSpec(
@@ -591,3 +598,98 @@ class TestCleaningProperties:
     def test_cleaning_is_the_brute_force_loop(self, records):
         out, _, _ = apply_trade_filters(records, len(records), len(records))
         assert out == kept_by_brute_force(records)
+
+
+# The generator as it was when each archetype built its own records and drew
+# their counterparties, kept verbatim as the reference the generator must match.
+def _bond_id(i: int) -> str:
+    return f"B{i:04d}"
+
+
+def _periodic_trades(spec, dealer_id, rng):
+    lo, hi = spec.periodic_period_range
+    period = int(rng.integers(lo, hi + 1))
+    blo, bhi = spec.periodic_bonds_range
+    n_bonds = min(int(rng.integers(blo, bhi + 1)), spec.bonds)
+    chosen = sorted(rng.choice(spec.bonds, size=n_bonds, replace=False).tolist())
+    sides = {b: (BUY if rng.random() < spec.periodic_buy_prob else SELL) for b in chosen}
+    for day in range(0, spec.days, period):
+        for b in chosen:
+            counterparty = "D" if rng.random() < 0.5 else "C"
+            yield TradeRecord(day, dealer_id, _bond_id(b), sides[b], counterparty)
+
+
+def _sparse_trades(spec, dealer_id, rng):
+    for day in range(spec.days):
+        if rng.random() < spec.sparse_rate and spec.bonds > 0:
+            bond = int(rng.integers(spec.bonds))
+            side = BUY if rng.random() < 0.5 else SELL
+            counterparty = "D" if rng.random() < 0.5 else "C"
+            yield TradeRecord(day, dealer_id, _bond_id(bond), side, counterparty)
+
+
+def _dense_trades(spec, dealer_id, rng):
+    lo, hi = spec.dense_bonds_range
+    width = min(int(rng.integers(lo, hi + 1)), spec.bonds)
+    if width == 0:
+        return
+    universe = rng.choice(spec.bonds, size=width, replace=False)
+    for day in range(spec.days):
+        for _ in range(int(rng.poisson(spec.dense_rate))):
+            bond = int(universe[int(rng.integers(width))])
+            side = BUY if rng.random() < 0.5 else SELL
+            counterparty = "D" if rng.random() < 0.5 else "C"
+            yield TradeRecord(day, dealer_id, _bond_id(bond), side, counterparty)
+
+
+_ARCHETYPES = {
+    "periodic": _periodic_trades,
+    "sparse": _sparse_trades,
+    "dense": _dense_trades,
+}
+
+
+def reference_market(spec):
+    out = []
+    for dealer_id, kind in _dealer_ids(spec):
+        rng = rng_for(spec.seed, "dealer", dealer_id)
+        for record in _ARCHETYPES[kind](spec, dealer_id, rng):
+            position = len(out)
+            out.append(record)
+            if spec.cancellation_rate > 0 and rng.random() < spec.cancellation_rate:
+                out.append(record._replace(status=STATUS_CANCEL, ref_record=position))
+    return out
+
+
+def records_or_error(generate, spec):
+    try:
+        return generate(spec)
+    except Exception as exc:
+        return type(exc)
+
+
+@st.composite
+def small_market_specs(draw):
+    """Any small valid MarketSpec; every rate may be exactly 0 or 1."""
+    rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    count = st.integers(0, 3)
+
+    def span(floor):
+        return st.lists(st.integers(floor, 14), min_size=2, max_size=2).map(sorted).map(tuple)
+
+    return MarketSpec(
+        days=draw(st.integers(1, 40)), bonds=draw(st.integers(0, 12)),
+        periodic_dealers=draw(count), sparse_dealers=draw(count), dense_dealers=draw(count),
+        periodic_period_range=draw(span(1)), periodic_bonds_range=draw(span(0)),
+        periodic_buy_prob=draw(rate), sparse_rate=draw(rate),
+        dense_rate=draw(st.just(0.0) | st.floats(0.0, 10.0)),
+        dense_bonds_range=draw(span(0)), cancellation_rate=draw(rate), seed=draw(st.integers()),
+    )
+
+
+class TestGeneratorProperties:
+    @PROPERTY
+    @given(small_market_specs())
+    def test_generator_is_the_reference_loop(self, spec):
+        assert (records_or_error(generate_synthetic_market, spec)
+                == records_or_error(reference_market, spec))
