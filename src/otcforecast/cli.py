@@ -56,6 +56,8 @@ CLUSTER_COLUMNS = TIER_NAMES  # compare_f1.csv's tier columns, in label order
 RECORDS_FILE = "records.csv"
 VOCAB_FILE = "vocab.csv"
 HISTORIES_FILE = "histories.bin"
+DEALERS_FILE = "dealers.csv"
+DEALERS_HEADER = ("dealer_id", "archetype", "period", "buys", "sells", "universe_width")
 CLUSTERS_FILE = "clusters.csv"
 REPORT_FILE = "report.csv"
 REPORT_DEALERS_FILE = "report_dealers.csv"
@@ -87,6 +89,15 @@ def _checkpoint_path(out: Path, tag: str) -> Path:
     return out / f"checkpoint_{tag}.ckpt"
 
 
+def _plan_row(plan: market.Plan) -> tuple:
+    """``plan`` as a dealers.csv row: None, an empty cell, where its archetype has no value."""
+    ids = [None, None] if plan.basket is None else [
+        " ".join(market.BOND_ID.format(b) for b, s in plan.basket if s == side)
+        for side in (market.BUY, market.SELL)]
+    return (plan.dealer_id, plan.archetype, plan.period, *ids,
+            None if plan.universe is None else len(plan.universe))
+
+
 def cmd_gen(cfg: RunConfig, out: Path) -> None:
     spec = cfg.market_spec()
     records = market.generate_synthetic_market(spec)
@@ -102,7 +113,9 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
     vocab = market.build_vocabulary(filtered)
     market.write_rows(out / VOCAB_FILE, ((bond, vocab.index[bond]) for bond in vocab.bonds))
     histories = market.build_histories(filtered, vocab, spec.days)
-    market.save_histories(out / HISTORIES_FILE, histories, spec.days, vocab.size)
+    digest = market.save_histories(out / HISTORIES_FILE, histories, spec.days, vocab.size)
+    market.write_rows(out / DEALERS_FILE, [("histories_sha256", digest), DEALERS_HEADER,
+                                           *map(_plan_row, market.dealer_plans(spec))])
     print(f"wrote {out / RECORDS_FILE} ({len(records)} records)")
     print(f"wrote {out / HISTORIES_FILE} ({len(histories)} dealers, {vocab.size} bonds)")
 

@@ -3,11 +3,11 @@
 The generator emits TRACE-shaped records for three dealer archetypes:
 periodic dealers re-trade a fixed bond set every p days, sparse dealers
 trade rarely and erratically, dense dealers trade heavily over a wide set.
-An archetype decides a trade's day, bond and side; the generator then draws
-its counterparty (a fair coin) and whether a cancellation follows.  Cleaning
-drops cancellations with the records they void, then keeps the most active
-dealers and bonds.  Histories are daily multi-hot vectors of length 2V:
-buys in [0, V), sells in [V, 2V).
+Each archetype first draws a dealer's plan, then walks its trades' days,
+bonds and sides; the generator draws each trade's counterparty (a fair coin)
+and whether a cancellation follows.  Cleaning drops cancellations with the
+records they void, then keeps the most active dealers and bonds.  Histories
+are daily multi-hot vectors of length 2V: buys in [0, V), sells in [V, 2V).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ BUY = "B"
 SELL = "S"
 STATUS_NORMAL = "N"
 STATUS_CANCEL = "X"
+BOND_ID = "B{:04d}"  # the bond_id of the generator's bond index
 
 _HEADER = struct.Struct("<4sIII")
 _MAGIC = b"OTCF"
@@ -125,56 +126,82 @@ def _dealer_ids(spec: MarketSpec) -> list[tuple[str, str]]:
     return [(f"D{i:04d}", kind) for i, kind in enumerate(kinds)]
 
 
-def _periodic_trades(spec, rng):
+class Plan(NamedTuple):
+    """What a dealer's archetype fixes before its first trade; None where it has no such value."""
+
+    dealer_id: str
+    archetype: str  # periodic | sparse | dense
+    period: int | None = None  # periodic: days between trading days
+    basket: tuple[tuple[int, str], ...] | None = None  # periodic: (bond, side), ascending bond
+    universe: tuple[int, ...] | None = None  # dense: the bonds it trades, in drawn order
+
+
+def _periodic_plan(spec, rng):
     lo, hi = spec.periodic_period_range
     period = int(rng.integers(lo, hi + 1))
     blo, bhi = spec.periodic_bonds_range
     n_bonds = min(int(rng.integers(blo, bhi + 1)), spec.bonds)
     chosen = sorted(rng.choice(spec.bonds, size=n_bonds, replace=False).tolist())
-    sides = {b: (BUY if rng.random() < spec.periodic_buy_prob else SELL) for b in chosen}
-    for day in range(0, spec.days, period):
-        for b in chosen:
-            yield day, b, sides[b]
+    return {"period": period, "basket": tuple(
+        (b, BUY if rng.random() < spec.periodic_buy_prob else SELL) for b in chosen)}
 
 
-def _sparse_trades(spec, rng):
+def _periodic_trades(spec, plan, rng):
+    for day in range(0, spec.days, plan.period):
+        yield from ((day, b, side) for b, side in plan.basket)
+
+
+def _sparse_trades(spec, plan, rng):
     for day in range(spec.days):
         if rng.random() < spec.sparse_rate and spec.bonds > 0:
             yield day, int(rng.integers(spec.bonds)), BUY if rng.random() < 0.5 else SELL
 
 
-def _dense_trades(spec, rng):
+def _dense_plan(spec, rng):
     lo, hi = spec.dense_bonds_range
     width = min(int(rng.integers(lo, hi + 1)), spec.bonds)
-    if width == 0:
-        return
-    universe = rng.choice(spec.bonds, size=width, replace=False)
-    for day in range(spec.days):
+    return {"universe": tuple(rng.choice(spec.bonds, size=width, replace=False).tolist())}
+
+
+def _dense_trades(spec, plan, rng):
+    for day in range(spec.days if plan.universe else 0):
         for _ in range(int(rng.poisson(spec.dense_rate))):
-            yield day, int(universe[int(rng.integers(width))]), BUY if rng.random() < 0.5 else SELL
+            bond = plan.universe[int(rng.integers(len(plan.universe)))]
+            yield day, bond, BUY if rng.random() < 0.5 else SELL
 
 
 _ARCHETYPES = {
-    "periodic": _periodic_trades,
-    "sparse": _sparse_trades,
-    "dense": _dense_trades,
+    "periodic": (_periodic_plan, _periodic_trades),
+    "sparse": (lambda spec, rng: {}, _sparse_trades),
+    "dense": (_dense_plan, _dense_trades),
 }
+
+
+def _planned_streams(spec: MarketSpec):
+    """Each dealer's plan and its stream, advanced past the plan's draws."""
+    for dealer_id, kind in _dealer_ids(spec):
+        rng = rng_for(spec.seed, "dealer", dealer_id)
+        yield Plan(dealer_id, kind, **_ARCHETYPES[kind][0](spec, rng)), rng
+
+
+def dealer_plans(spec: MarketSpec) -> list[Plan]:
+    """Every dealer's plan in generator order, drawn from the head of its stream alone."""
+    return [plan for plan, _ in _planned_streams(spec)]
 
 
 def generate_synthetic_market(spec: MarketSpec) -> list[TradeRecord]:
     """Emit the full record list for a market spec, deterministic under seed.
 
-    Per trade, the dealer's archetype draws the day, bond and side from the
-    dealer's own stream; then this loop draws the counterparty and, when
-    ``cancellation_rate > 0``, whether a cancellation follows.  Records are
-    ordered dealer-major, day-minor; a cancellation immediately follows the
-    record it voids and references it by list position.
+    Per trade, the archetype's walk of the dealer's plan draws the day, bond
+    and side from the dealer's stream; then this loop draws the counterparty
+    and, when ``cancellation_rate > 0``, whether a cancellation follows.
+    Records are ordered dealer-major, day-minor; a cancellation immediately
+    follows the record it voids and references it by list position.
     """
     out: list[TradeRecord] = []
-    for dealer_id, kind in _dealer_ids(spec):
-        rng = rng_for(spec.seed, "dealer", dealer_id)
-        for day, bond, side in _ARCHETYPES[kind](spec, rng):
-            out.append(TradeRecord(day, dealer_id, f"B{bond:04d}", side,
+    for plan, rng in _planned_streams(spec):
+        for day, bond, side in _ARCHETYPES[plan.archetype][1](spec, plan, rng):
+            out.append(TradeRecord(day, plan.dealer_id, BOND_ID.format(bond), side,
                                    "D" if rng.random() < 0.5 else "C"))
             if spec.cancellation_rate > 0 and rng.random() < spec.cancellation_rate:
                 out.append(out[-1]._replace(status=STATUS_CANCEL, ref_record=len(out) - 1))
@@ -339,12 +366,12 @@ def _unpack_bits(blob: bytes, shape: tuple[int, int]) -> np.ndarray:
     return bits.reshape(shape)
 
 
-def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: int) -> None:
-    """Binary layout: 16-byte header (magic, version, D, V), then per dealer
-    a length-prefixed UTF-8 id and the packed D x 2V bitmap.  No dealer, day
-    or bond, an empty, repeated or non-UTF-8 id, or one longer than 65,535
-    UTF-8 bytes raises ContractError, and a history of the wrong shape
-    ShapeMismatchError, before ``path`` is opened."""
+def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: int) -> str:
+    """Write ``histories`` and return the SHA-256 of the bytes written: a 16-byte
+    header (magic, version, D, V), then per dealer a length-prefixed UTF-8 id and the
+    packed D x 2V bitmap.  No dealer, day or bond, an empty, repeated or non-UTF-8 id,
+    or one longer than 65,535 UTF-8 bytes raises ContractError, and a history of the
+    wrong shape ShapeMismatchError, before ``path`` is opened."""
     if min(len(histories), days, vocab_size) < 1:
         raise ContractError(f"{len(histories)} dealers, {days} days and {vocab_size} bonds: "
                             "a histories file needs at least one of each")
@@ -367,13 +394,13 @@ def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: 
         if len(idents[-1]) > 0xFFFF:
             raise ContractError(f"dealer {i}: id takes {len(idents[-1])} UTF-8 bytes, "
                                 "more than the 65,535 a length prefix holds")
+    blob = b"".join([_HEADER.pack(_MAGIC, _FORMAT_VERSION, days, vocab_size),
+                     struct.pack("<I", len(histories)),
+                     *(struct.pack("<H", len(ident)) + ident + _pack_bits(h.day_vectors)
+                       for h, ident in zip(histories, idents))])
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, days, vocab_size))
-        fh.write(struct.pack("<I", len(histories)))
-        for h, ident in zip(histories, idents):
-            fh.write(struct.pack("<H", len(ident)))
-            fh.write(ident)
-            fh.write(_pack_bits(h.day_vectors))
+        fh.write(blob)
+    return hashlib.sha256(blob).hexdigest()
 
 
 def load_histories(path) -> tuple[list[DealerHistory], int, int, str]:

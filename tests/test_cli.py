@@ -430,6 +430,30 @@ class TestPipeline:
         assert (out / "records.csv").read_bytes() == first
         assert (out / "histories.bin").read_bytes() == first_hist
 
+    def test_dealers_file_holds_every_generated_dealers_plan(self, tmp_path):
+        cfg_path, out = write_config(tmp_path)
+        assert self.run("gen", "-c", str(cfg_path)) == 0
+        with open(out / "dealers.csv", newline="", encoding="utf-8") as fh:
+            first, header, *rows = csv.reader(fh)
+        digest = hashlib.sha256((out / "histories.bin").read_bytes()).hexdigest()
+        assert first == ["histories_sha256", digest]
+        assert header == ["dealer_id", "archetype", "period", "buys", "sells", "universe_width"]
+        spec = parse_config(cfg_path).market_spec()
+        assert [tuple(row[:2]) for row in rows] == market._dealer_ids(spec)
+        assert len(rows) == 6 and {row[1] for row in rows} == {"periodic", "sparse", "dense"}
+        traded = {}
+        with open(out / "records.csv", newline="", encoding="utf-8") as fh:
+            for _, dealer, bond, side, *_ in csv.reader(fh):
+                traded.setdefault(dealer, set()).add((bond, side))
+        for dealer, archetype, period, buys, sells, width in rows:
+            assert bool(period) == bool(buys or sells) == (archetype == "periodic")
+            assert bool(width) == (archetype == "dense")
+            if archetype == "periodic":  # every basket bond trades on day 0
+                assert traded[dealer] == ({(b, "B") for b in buys.split()}
+                                          | {(b, "S") for b in sells.split()})
+            if archetype == "dense":
+                assert len({bond for bond, _ in traded[dealer]}) <= int(width)
+
     @pytest.mark.parametrize("edit", [
         ("\nbonds = 6\n", "\nbonds = 0\n"),
         ("periodic_dealers = 3\nsparse_dealers = 2\ndense_dealers = 1",

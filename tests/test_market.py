@@ -387,8 +387,9 @@ class TestFileFormats:
         vocab = build_vocabulary(records)
         histories = build_histories(records, vocab, spec.days)
         path = tmp_path / "hist.bin"
-        save_histories(path, histories, spec.days, vocab.size)
-        loaded, days, v, _ = load_histories(path)
+        written = save_histories(path, histories, spec.days, vocab.size)
+        loaded, days, v, digest = load_histories(path)
+        assert written == digest
         assert (days, v) == (spec.days, vocab.size)
         assert [h.dealer_id for h in loaded] == [h.dealer_id for h in histories]
         for a, b in zip(loaded, histories):
@@ -693,3 +694,30 @@ class TestGeneratorProperties:
     def test_generator_is_the_reference_loop(self, spec):
         assert (records_or_error(generate_synthetic_market, spec)
                 == records_or_error(reference_market, spec))
+
+
+class TestPlanProperties:
+    @PROPERTY
+    @given(small_market_specs())
+    def test_plans_are_what_the_generator_walked(self, spec):
+        walked = {}
+        for r in generate_synthetic_market(spec):
+            if r.status == "N":
+                walked.setdefault(r.dealer_id, []).append((r.day_index, r.bond_id, r.side))
+        plans = market.dealer_plans(spec)
+        assert [(p.dealer_id, p.archetype) for p in plans] == _dealer_ids(spec)
+        for plan in plans:
+            trades = walked.get(plan.dealer_id, [])
+            if plan.archetype == "periodic":
+                bonds = [b for b, _ in plan.basket]
+                assert bonds == sorted(set(bonds))
+                assert trades == [(day, _bond_id(b), side)
+                                  for day in range(0, spec.days, plan.period)
+                                  for b, side in plan.basket]
+            elif plan.archetype == "dense":
+                lo, hi = spec.dense_bonds_range
+                width = int(rng_for(spec.seed, "dealer", plan.dealer_id).integers(lo, hi + 1))
+                assert len(set(plan.universe)) == len(plan.universe) == min(width, spec.bonds)
+                assert {bond for _, bond, _ in trades} <= set(map(_bond_id, plan.universe))
+            else:
+                assert plan == market.Plan(plan.dealer_id, "sparse")
