@@ -47,8 +47,7 @@ from .harness import (
     write_dealers,
     write_reports,
 )
-from .models import (MODEL_KINDS, TRANSFORMER_KINDS, build_model, check_checkpoint,
-                     load_checkpoint, save_checkpoint)
+from .models import MODEL_KINDS, TRANSFORMER_KINDS, build_model, check_checkpoint, save_checkpoint
 from .seeding import derive_seed
 
 CLUSTER_COLUMNS = TIER_NAMES  # compare_f1.csv's tier columns, in label order
@@ -171,12 +170,15 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
 
 
 def _unit_models(out: Path, config, trained_on: dict, units):
-    """The units' trained models: every checkpoint is checked before the first
-    is loaded, and each is loaded once the one before it is consumed."""
+    """One model of the kind, loaded with each unit's checkpoint as the unit is
+    consumed: every checkpoint is checked before the first is loaded."""
+    model = build_model(config)
     paths = [_require(_checkpoint_path(out, tag), "train") for tag, _, _ in units]
     for path in paths:
-        check_checkpoint(path, config, trained_on)
-    return (load_checkpoint(path, config, trained_on) for path in paths)
+        check_checkpoint(path, model, trained_on)
+    for path in paths:
+        model.params.flat[:] = check_checkpoint(path, model, trained_on)
+        yield model
 
 
 def _fitted_models(config, units, spec):
@@ -206,11 +208,13 @@ def _log_line(model, epoch: int, loss: float | None, probe) -> str:
 
 def cmd_train(cfg: RunConfig, out: Path) -> None:
     vocab_size, units, _, trained_on = _prepare(cfg, out)
-    config = cfg.model_config(vocab_size)
+    model = build_model(cfg.model_config(vocab_size))
+    initial = model.params.flat.copy()
     for tag, unit_train, _ in units:
         # a unit that fails must not leave an older checkpoint next to its new log
         _checkpoint_path(out, tag).unlink(missing_ok=True)
-        model, probe = build_model(config), unit_train[:PROBE_WINDOWS]
+        model.params.flat[:] = initial
+        probe = unit_train[:PROBE_WINDOWS]
         with open(out / f"train_log_{tag}.jsonl", "w", encoding="utf-8", buffering=1) as log:
             log.write(_log_line(model, 0, None, probe))  # the model as built
             for epoch, loss in enumerate(epochs(model, unit_train, cfg.train_spec()), 1):

@@ -470,24 +470,19 @@ def save_checkpoint(path, model, trained_on: dict) -> None:
         fh.write(model.params.flat.astype("<f8").tobytes())
 
 
-@functools.cache
-def _parameter_count(config: ModelConfig) -> int:
-    """Length of ``config``'s parameter vector, built once per config."""
-    return build_model(config).params.flat.size
-
-
-def check_checkpoint(path, config: ModelConfig, trained_on: dict) -> np.ndarray:
-    """Check a :func:`save_checkpoint` file against the model ``config`` and
+def check_checkpoint(path, model, trained_on: dict) -> np.ndarray:
+    """Check a :func:`save_checkpoint` file against ``model``'s config and the
     ``trained_on`` record it must have been saved with; return its
-    parameter vector.
+    parameter vector, for ``model.params.flat``.
 
     Raises ArtifactError, in this order, unless the manifest line ends
     within its first ``MANIFEST_LIMIT`` bytes and parses as a JSON object;
     unless it holds every field of :func:`_manifest`'s record with the same
     value (the message names the first that differs, with both values) and
-    no other; unless the payload holds exactly ``config``'s parameter
+    no other; unless the payload holds exactly ``model``'s parameter
     count; and unless every parameter value is finite.  The payload is
-    measured before it is read, so a manifest cannot size what is read.
+    measured before it is read, and the run config built ``model``, so a
+    manifest cannot size what is read.
     """
     with open(path, "rb") as fh:
         header = fh.readline(MANIFEST_LIMIT)
@@ -500,14 +495,14 @@ def check_checkpoint(path, config: ModelConfig, trained_on: dict) -> np.ndarray:
             raise ValueError(f"a JSON {type(stored).__name__}, not an object")
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError among them
         raise ArtifactError(f"{path}: malformed manifest ({exc})") from exc
-    record = _manifest(config, trained_on)
+    record = _manifest(model.config, trained_on)
     for name, value in record.items():
         if stored.get(name) != value:
             raise ArtifactError(f"{path}: {name} = {stored.get(name)!r}, expected {value!r}")
     unknown = [name for name in stored if name not in record]
     if unknown:
         raise ArtifactError(f"{path}: unknown manifest field {unknown[0]!r}")
-    expected = 8 * _parameter_count(config)
+    expected = 8 * model.params.flat.size
     if payload_bytes < expected:
         raise ArtifactError(f"{path}: truncated payload: {payload_bytes} of {expected} bytes")
     if payload_bytes > expected:
@@ -517,11 +512,3 @@ def check_checkpoint(path, config: ModelConfig, trained_on: dict) -> np.ndarray:
         raise ArtifactError(f"{path}: non-finite parameter value in the payload")
     return values
 
-
-def load_checkpoint(path, config: ModelConfig, trained_on: dict):
-    """Load a checkpoint :func:`check_checkpoint` passes under ``config`` and
-    ``trained_on``; the model is built after the check, so a manifest cannot size it."""
-    values = check_checkpoint(path, config, trained_on)
-    model = build_model(config)
-    model.params.flat[:] = values
-    return model

@@ -42,7 +42,8 @@ from otcforecast.harness import (
     write_reports,
 )
 from otcforecast.market import MarketSpec
-from otcforecast.models import MODEL_KINDS, ModelConfig, build_model, load_checkpoint
+from otcforecast.models import (MODEL_KINDS, ModelConfig, build_model, check_checkpoint,
+                                save_checkpoint)
 from otcforecast.seeding import derive_seed
 
 from helpers import TINY_CONFIG
@@ -783,7 +784,7 @@ class TestPipeline:
             assert all(line["model"] == kind for line in lines)
             # the last line holds the saved checkpoint's statistics, on its first
             # PROBE_WINDOWS training windows, and its gates; line 0 the zero-init gates
-            model = load_checkpoint(out / f"checkpoint_{tag}.ckpt", config, trained_on(cfg, out))
+            model = load_trained(cfg_path, out, tag)
             stats = harness.layer_signal_stats(model, unit_train[:cli.PROBE_WINDOWS])
             assert hexed(lines[-1]["layers"]) == hexed(stats)
             gates = {name.removesuffix(".gate"): model.params[name].values
@@ -983,6 +984,32 @@ class TestPipeline:
         assert units > 1
         assert trained == [kind for kind in MODEL_KINDS for _ in range(units)]
 
+    def test_train_and_eval_build_one_model_for_every_unit(self, tmp_path, monkeypatch):
+        cfg_path, out = write_config(
+            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
+        assert self.run("gen", "-c", str(cfg_path)) == 0
+        build = cli.build_model
+        for command in ("train", "eval"):
+            built = []
+
+            def counted_build(config):
+                built.append(config)
+                return build(config)
+
+            monkeypatch.setattr(cli, "build_model", counted_build)
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+            assert len(built) == 1, command
+        # each unit trained from the initial parameters: its checkpoint is a fresh build's
+        cfg = parse_config(cfg_path)
+        vocab_size, units, _, _ = cli._prepare(cfg, out)
+        assert len(units) == 6
+        for tag, unit_train, _ in units:
+            model = build(cfg.model_config(vocab_size))
+            harness.train(model, unit_train, cfg.train_spec())
+            save_checkpoint(tmp_path / "fresh.ckpt", model, trained_on(cfg, out))
+            trained = out / f"checkpoint_{tag}.ckpt"
+            assert trained.read_bytes() == (tmp_path / "fresh.ckpt").read_bytes(), tag
+
     @pytest.mark.parametrize("command", ["cluster", "train", "eval", "compare"])
     def test_each_command_reads_histories_once(self, tmp_path, monkeypatch, command):
         """Every open of histories.bin is counted, whatever reads it: the digest
@@ -1008,27 +1035,31 @@ class TestPipeline:
             tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
         for command in ("gen", "cluster", "train"):
             assert self.run(command, "-c", str(cfg_path)) == 0, command
-        events, tags = [], {}
-        load, evaluate = cli.load_checkpoint, harness.evaluate
+        events, last = [], []
+        check, evaluate = cli.check_checkpoint, harness.evaluate
 
-        def loaded(path, config, record):
-            model = load(path, config, record)
-            tags[id(model)] = path.name
-            events.append(("load", path.name))
-            return model
+        def checked(path, model, record):
+            values = check(path, model, record)
+            events.append(("check", path.name))
+            last[:] = [path]
+            return values
 
         def scored(model, *args, **kwargs):
-            events.append(("score", tags[id(model)]))
+            # the one model holds the payload of the checkpoint checked last
+            assert model.params.flat.tobytes() == last[0].read_bytes().split(b"\n", 1)[1]
+            events.append(("score", last[0].name))
             return evaluate(model, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "load_checkpoint", loaded)
+        monkeypatch.setattr(cli, "check_checkpoint", checked)
         monkeypatch.setattr(harness, "evaluate", scored)
         assert self.run("eval", "-c", str(cfg_path)) == 0
-        order = [tag for step, tag in events if step == "load"]
-        assert len(order) > 1
-        # a unit may be scored once per cluster label among its windows
-        merged = [e for i, e in enumerate(events) if i == 0 or e != events[i - 1]]
-        assert merged == [(step, tag) for tag in order for step in ("load", "score")]
+        paths = sorted(p.name for p in out.glob("checkpoint_*.ckpt"))
+        assert len(paths) > 1
+        # every checkpoint is checked before the first unit is scored
+        order = [tag for step, tag in events[:len(paths)] if step == "check"]
+        assert sorted(order) == paths
+        # then each unit is loaded, through its second check, and scored before the next
+        assert events[len(paths):] == [(step, tag) for tag in order for step in ("check", "score")]
 
     def trained_without_the_last_checkpoint(self, tmp_path):
         cfg_path, out = write_config(
@@ -1327,12 +1358,14 @@ def trained_on(cfg, out):
             "train_patience": spec.patience}
 
 
-def load_trained(cfg_path, out):
-    """The checkpoint `train` wrote at single granularity, under its run config."""
+def load_trained(cfg_path, out, tag="single"):
+    """A fresh build of the run config's model, filled from unit ``tag``'s checkpoint."""
     _, _, vocab_size, _ = market.load_histories(out / "histories.bin")
     cfg = parse_config(cfg_path)
-    return load_checkpoint(out / "checkpoint_single.ckpt", cfg.model_config(vocab_size),
-                           trained_on(cfg, out))
+    model = build_model(cfg.model_config(vocab_size))
+    path = out / f"checkpoint_{tag}.ckpt"
+    model.params.flat[:] = check_checkpoint(path, model, trained_on(cfg, out))
+    return model
 
 
 class TestCheckpointConfig:
@@ -1426,10 +1459,11 @@ class TestCheckpointConfig:
                     **vars(config), "vocab_size": 20000, **trained_on(cfg, out)}
         path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n")
         assert path.stat().st_size < 512
+        model = build_model(config)
         tracemalloc.start()
         try:
             with pytest.raises(ArtifactError, match="vocab_size = 20000, expected"):
-                load_checkpoint(path, config, trained_on(cfg, out))
+                check_checkpoint(path, model, trained_on(cfg, out))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -31,7 +31,6 @@ from otcforecast.models import (
     _Builder,
     build_model,
     check_checkpoint,
-    load_checkpoint,
     positional_encoding,
     save_checkpoint,
 )
@@ -794,6 +793,13 @@ TRAINED_ON = {"histories_sha256": "ab" * 32, "train_fraction": 0.9, "train_epoch
               "train_patience": None}
 
 
+def loaded(path, config):
+    """A fresh build of ``config`` whose parameters are filled from the checkpoint at ``path``."""
+    model = build_model(config)
+    model.params.flat[:] = check_checkpoint(path, model, TRAINED_ON)
+    return model
+
+
 class TestCheckpoints:
     def trained(self, kind, **overrides):
         """A model whose parameters differ from a fresh build of its config."""
@@ -806,13 +812,13 @@ class TestCheckpoints:
             model = self.trained(kind)
             path = tmp_path / f"{kind}.ckpt"
             save_checkpoint(path, model, TRAINED_ON)
-            loaded = load_checkpoint(path, model.config, TRAINED_ON)
-            assert type(loaded) is type(model)
-            assert loaded.config == model.config
-            assert loaded.params.names() == model.params.names()
-            assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+            copy = loaded(path, model.config)
+            assert type(copy) is type(model)
+            assert copy.config == model.config
+            assert copy.params.names() == model.params.names()
+            assert copy.params.flat.tobytes() == model.params.flat.tobytes()
             x = random_day_matrix(3, 8, 24)
-            np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
+            np.testing.assert_array_equal(copy.predict(x), model.predict(x))
 
     def test_truncated_at_every_offset_rejected(self, tmp_path):
         path = tmp_path / "fc.ckpt"
@@ -822,7 +828,7 @@ class TestCheckpoints:
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
             with pytest.raises(ArtifactError, match="truncated"):
-                load_checkpoint(path, model.config, TRAINED_ON)
+                check_checkpoint(path, model, TRAINED_ON)
 
     def test_malformed_manifest_and_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "fc.ckpt"
@@ -838,7 +844,7 @@ class TestCheckpoints:
                                 (b'{"entries":3}\n' + payload, "magic = None")):
             path.write_bytes(corrupt)
             with pytest.raises(ArtifactError, match=reason):
-                load_checkpoint(path, model.config, TRAINED_ON)
+                check_checkpoint(path, model, TRAINED_ON)
 
     def test_manifest_carries_magic_version_and_config(self, tmp_path):
         path = tmp_path / "re.ckpt"
@@ -881,16 +887,17 @@ class TestCheckpoints:
         assert old.encode() in header
         path.write_bytes(header.replace(old.encode(), new.encode(), 1) + b"\n" + payload)
         with pytest.raises(ArtifactError, match=re.escape(reason)):
-            load_checkpoint(path, model.config, TRAINED_ON)
+            check_checkpoint(path, model, TRAINED_ON)
 
 
     def test_manifest_read_is_bounded(self, tmp_path):
         path = tmp_path / "fc.ckpt"
         path.write_bytes(b"x" * (16 << 20))  # 16 MiB and no newline
+        model = build_model(toy_config("FCSum"))
         tracemalloc.start()
         try:
             with pytest.raises(ArtifactError, match="truncated manifest line"):
-                check_checkpoint(path, toy_config("FCSum"), TRAINED_ON)
+                check_checkpoint(path, model, TRAINED_ON)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -903,11 +910,11 @@ class TestCheckpoints:
         header, payload = path.read_bytes().split(b"\n", 1)
         # JSON allows trailing spaces; the limit counts the newline
         path.write_bytes(header.ljust(MANIFEST_LIMIT - 1) + b"\n" + payload)
-        values = check_checkpoint(path, model.config, TRAINED_ON)
+        values = check_checkpoint(path, model, TRAINED_ON)
         assert values.tobytes() == model.params.flat.tobytes()
         path.write_bytes(header.ljust(MANIFEST_LIMIT) + b"\n" + payload)
         with pytest.raises(ArtifactError, match="truncated manifest line"):
-            check_checkpoint(path, model.config, TRAINED_ON)
+            check_checkpoint(path, model, TRAINED_ON)
 
 # a function-scoped tmp_path is safe here: every example rewrites the same file
 CHECKPOINT_PROPERTY = settings(max_examples=24, deadline=None,
@@ -933,9 +940,9 @@ class TestCheckpointProperties:
     def test_round_trip_is_bit_exact(self, tmp_path, model):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, TRAINED_ON)
-        loaded = load_checkpoint(path, model.config, TRAINED_ON)
-        assert loaded.config == model.config
-        assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+        copy = loaded(path, model.config)
+        assert copy.config == model.config
+        assert copy.params.flat.tobytes() == model.params.flat.tobytes()
 
     @CHECKPOINT_PROPERTY
     @given(checkpointed_models(), st.data())
@@ -945,7 +952,7 @@ class TestCheckpointProperties:
         blob = path.read_bytes()
         path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="offset")])
         with pytest.raises(ArtifactError, match="truncated"):
-            load_checkpoint(path, model.config, TRAINED_ON)
+            check_checkpoint(path, model, TRAINED_ON)
 
     @CHECKPOINT_PROPERTY
     @given(checkpointed_models(), st.data())
@@ -960,7 +967,7 @@ class TestCheckpointProperties:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, TRAINED_ON)
         with pytest.raises(ArtifactError, match="non-finite parameter value"):
-            load_checkpoint(path, model.config, TRAINED_ON)
+            check_checkpoint(path, model, TRAINED_ON)
 
 
 class TestFlatParameters:
