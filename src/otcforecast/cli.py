@@ -146,7 +146,8 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
     command at least one test window, checked before any training.
     Returns (vocab size, units, labels, trained_on): the units as
     :func:`training_units` forms them, and what a checkpoint pins besides its
-    model config: the loaded histories' digest, the split and the TrainSpec.
+    model config: the loaded histories' digest, the split, the stride that
+    chose the windows, and the TrainSpec.
     """
     histories, days, vocab_size, digest = market.load_histories(
         _require(out / HISTORIES_FILE, "gen"))
@@ -165,6 +166,7 @@ def _prepare(cfg: RunConfig, out: Path, scoring: bool = False):
     labels = _tiers(cfg, histories, days).labels
     units = training_units(cfg.granularity, train_samples, test_samples, labels)
     trained_on = {"histories_sha256": digest, "train_fraction": cfg.train_fraction,
+                  "stride": cfg.stride,
                   **{f"train_{name}": value for name, value in vars(cfg.train_spec()).items()}}
     return vocab_size, units, labels, trained_on
 

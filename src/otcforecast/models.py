@@ -451,7 +451,7 @@ def build_model(config: ModelConfig):
 
 
 CHECKPOINT_MAGIC = "otcforecast-checkpoint"
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 MANIFEST_LIMIT = 1 << 16  # bytes read for the manifest line, newline included
 
 

@@ -1353,7 +1353,7 @@ def trained_on(cfg, out):
     digest = hashlib.sha256((out / "histories.bin").read_bytes()).hexdigest()
     spec = cfg.train_spec()
     return {"histories_sha256": digest, "train_fraction": cfg.train_fraction,
-            "train_epochs": spec.epochs, "train_batch_size": spec.batch_size,
+            "stride": cfg.stride, "train_epochs": spec.epochs, "train_batch_size": spec.batch_size,
             "train_learning_rate": spec.learning_rate, "train_seed": spec.seed,
             "train_patience": spec.patience}
 
@@ -1396,6 +1396,19 @@ class TestCheckpointConfig:
         assert err.count("\n") == 1 and "unreadable artifact" in err
         assert "checkpoint_single.ckpt: train_fraction = 0.8, expected 0.5" in err
         assert not (out / "report.csv").exists()
+
+    def test_checkpoint_under_other_stride_exits_2(self, tmp_path, capsys):
+        # at stride 1 eval would score twice the windows the checkpoint's split held
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "train"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        cfg_path, _ = write_config(tmp_path, text=TINY_CONFIG.replace("stride = 2", "stride = 1"))
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert "checkpoint_single.ckpt: stride = 2, expected 1" in err
+        assert not (out / "report.csv").exists() and not (out / "report_dealers.csv").exists()
 
     @pytest.mark.parametrize("setting, value, message", [
         # a 1-epoch checkpoint must not be scored as the 3-epoch model the config names
@@ -1455,7 +1468,7 @@ class TestCheckpointConfig:
         cfg = parse_config(cfg_path)
         config = cfg.model_config(vocab_size)
         path = out / "checkpoint_single.ckpt"
-        manifest = {"magic": "otcforecast-checkpoint", "version": 7,
+        manifest = {"magic": "otcforecast-checkpoint", "version": 8,
                     **vars(config), "vocab_size": 20000, **trained_on(cfg, out)}
         path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n")
         assert path.stat().st_size < 512
@@ -1546,7 +1559,7 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "version = 1, expected 7" in err
+        assert "version = 1, expected 8" in err
 
     @pytest.mark.parametrize("kind, commands", [("LSTM", ("eval",)),
                                                 ("TransPPRZ", ("eval",))])
@@ -1577,7 +1590,7 @@ class TestCheckpointConfig:
             assert main([command, "-c", str(cfg_path)]) == 2, command
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "unreadable artifact" in err
-            assert "version = 2, expected 7" in err
+            assert "version = 2, expected 8" in err
 
     def test_version_3_checkpoint_exits_2(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
@@ -1599,7 +1612,7 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "version = 3, expected 7" in err
+        assert "version = 3, expected 8" in err
 
     @pytest.mark.parametrize("version", [4, 5])
     def test_version_4_checkpoint_exits_2(self, tmp_path, capsys, version):
@@ -1621,7 +1634,7 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"version = {version}, expected 7" in err
+        assert f"version = {version}, expected 8" in err
 
     def test_version_6_checkpoint_exits_2(self, tmp_path, capsys):
         # version 6 did not record the training settings
@@ -1638,7 +1651,7 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "version = 6, expected 7" in err
+        assert "version = 6, expected 8" in err
 
 
 def truncate(path, cut):

@@ -788,7 +788,7 @@ class TestTransformer:
 
 
 # what a checkpoint records it was fitted to besides its model config
-TRAINED_ON = {"histories_sha256": "ab" * 32, "train_fraction": 0.9, "train_epochs": 2,
+TRAINED_ON = {"histories_sha256": "ab" * 32, "train_fraction": 0.9, "stride": 1, "train_epochs": 2,
               "train_batch_size": 4, "train_learning_rate": 0.01, "train_seed": 5,
               "train_patience": None}
 
@@ -854,10 +854,10 @@ class TestCheckpoints:
         manifest = json.loads(header)
         assert list(manifest) == ["magic", "version", "kind", "vocab_size", "t_in", "t_out",
                                   "d_model", "heads", "n_layers", "d_ff", "hidden", "seed",
-                                  "histories_sha256", "train_fraction", "train_epochs",
+                                  "histories_sha256", "train_fraction", "stride", "train_epochs",
                                   "train_batch_size", "train_learning_rate", "train_seed",
                                   "train_patience"]
-        assert manifest == {"magic": "otcforecast-checkpoint", "version": 7, "kind": "TransRE",
+        assert manifest == {"magic": "otcforecast-checkpoint", "version": 8, "kind": "TransRE",
                             "vocab_size": 8, "t_in": 3, "t_out": 2, "d_model": 4, "heads": 4,
                             "n_layers": 1, "d_ff": 8, "hidden": 4, "seed": 3, **TRAINED_ON}
         # the payload is the packed vector, in names() order
@@ -866,11 +866,11 @@ class TestCheckpoints:
     @pytest.mark.parametrize("edit", [
         ("otcforecast-checkpoint", "otcforecast-histories",
          "magic = 'otcforecast-histories', expected 'otcforecast-checkpoint'"),
-        ('"version":7', '"version":6', "version = 6, expected 7"),
+        ('"version":8', '"version":7', "version = 7, expected 8"),
         ('"heads":2', '"heads":3', "heads = 3, expected 2"),
         ('"kind":"TransRE"', '"kind":"MLP"', "kind = 'MLP', expected 'TransRE'"),
         ('"hidden":4,', '', "hidden = None, expected 4"),
-        ('"version":7,', '"version":7,"dropout":1,', "unknown manifest field 'dropout'"),
+        ('"version":8,', '"version":8,"dropout":1,', "unknown manifest field 'dropout'"),
         ('"train_fraction":0.9', '"train_fraction":0.8', "train_fraction = 0.8, expected 0.9"),
         ('"histories_sha256":"abab', '"histories_sha256":"cdab',
          f"histories_sha256 = 'cd{'ab' * 31}', expected '{'ab' * 32}'"),
