@@ -70,13 +70,13 @@ class MarketSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.days < 1 or self.bonds < 0:
-            raise ContractError("MarketSpec needs days >= 1 and bonds >= 0")
-        if min(self.periodic_dealers, self.sparse_dealers, self.dense_dealers) < 0:
-            raise ContractError("archetype counts must be nonnegative")
-        for rate in (self.periodic_buy_prob, self.sparse_rate, self.cancellation_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ContractError(f"rate {rate} outside [0, 1]")
+        for name, floor in (("days", 1), ("bonds", 0), ("periodic_dealers", 0),
+                            ("sparse_dealers", 0), ("dense_dealers", 0)):
+            if getattr(self, name) < floor:
+                raise ContractError(f"{name} {getattr(self, name)} must be >= {floor}")
+        for name in ("periodic_buy_prob", "sparse_rate", "cancellation_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ContractError(f"{name} {getattr(self, name)} outside [0, 1]")
         if not 0 <= self.dense_rate <= _POISSON_MAX:
             raise ContractError(f"dense_rate {self.dense_rate} must be nonnegative and at most "
                                 f"numpy's Poisson limit {_POISSON_MAX!r}")

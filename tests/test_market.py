@@ -133,12 +133,12 @@ class TestGenerator:
             one_periodic_spec(**{field: bounds})
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"days": 0}, "needs days >= 1 and bonds >= 0"),
-        ({"bonds": -1}, "needs days >= 1 and bonds >= 0"),
-        ({"sparse_dealers": -1}, "archetype counts must be nonnegative"),
-        ({"periodic_buy_prob": 1.5}, "rate 1.5 outside [0, 1]"),
-        ({"sparse_rate": -0.1}, "rate -0.1 outside [0, 1]"),
-        ({"cancellation_rate": 2.0}, "rate 2.0 outside [0, 1]"),
+        ({"days": 0}, "days 0 must be >= 1"),
+        ({"bonds": -1}, "bonds -1 must be >= 0"),
+        ({"sparse_dealers": -1}, "sparse_dealers -1 must be >= 0"),
+        ({"periodic_buy_prob": 1.5}, "periodic_buy_prob 1.5 outside [0, 1]"),
+        ({"sparse_rate": -0.1}, "sparse_rate -0.1 outside [0, 1]"),
+        ({"cancellation_rate": 2.0}, "cancellation_rate 2.0 outside [0, 1]"),
         ({"dense_rate": -1.0}, "dense_rate -1.0 must be nonnegative"),
         ({"dense_rate": 1e19}, "dense_rate 1e+19 must be nonnegative and at most numpy's Poisson"),
     ])
