@@ -511,4 +511,3 @@ def check_checkpoint(path, model, trained_on: dict) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ArtifactError(f"{path}: non-finite parameter value in the payload")
     return values
-

@@ -1398,7 +1398,7 @@ class TestCheckpointConfig:
         assert not (out / "report.csv").exists()
 
     def test_checkpoint_under_other_stride_exits_2(self, tmp_path, capsys):
-        # at stride 1 eval would score twice the windows the checkpoint's split held
+        # at stride 1 the split holds windows that a stride-2 checkpoint never saw
         cfg_path, out = write_config(tmp_path)
         for command in ("gen", "train"):
             assert main([command, "-c", str(cfg_path)]) == 0, command
