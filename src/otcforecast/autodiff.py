@@ -95,23 +95,41 @@ def _record(name, inputs, out_values, vjp) -> Tensor:
     return out
 
 
-def backward(loss: Tensor, wrt: Sequence[Tensor]) -> list[Array]:
+def backward(loss: Tensor, wrt: Sequence[Tensor], out: Array | None = None) -> list[Array]:
     """Return d(loss)/d(leaf) for every leaf tensor in ``wrt``, in order.
 
     A leaf is a tensor that requires gradients and that no tape entry
     produced (parameters, typically); anything else in ``wrt`` is
-    rejected.  A leaf the loss does not reach gets zeros.  The tape is
-    left in place, and the returned arrays may share memory with each
-    other, so treat them as read-only.
+    rejected.  Each leaf's gradient is summed straight into its slice of
+    one flat float64 vector that lays the leaves out in ``wrt`` order, as
+    ``Parameters.flat`` does for ``params.tensors()``.  That vector is
+    ``out`` when given (1-D, float64, C-contiguous, of the leaves' total
+    size), else a fresh one.  A leaf the loss does not reach gets zeros,
+    and a leaf listed twice gets its whole gradient in both slices.  The
+    tape is left in place, and the returned arrays are the leaves' views
+    of that one vector, in ``wrt`` order.
     """
     if loss.values.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("loss does not belong to a recorded graph")
+    size = sum(t.values.size for t in wrt)
+    if out is None:
+        out = np.empty(size)
+    elif out.shape != (size,) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ContractError(f"backward() needs out as a C-contiguous float64 vector of {size}, "
+                            f"got {out.dtype} of shape {out.shape}")
     produced = {id(entry.output) for entry in _TAPE}
+    views: list[Array] = []
+    leaves: dict[int, Array] = {}  # each leaf's first view, which the walk sums into
+    offset = 0
     for t in wrt:
         if not t.requires_grad or id(t) in produced:
             raise ContractError(f"backward() differentiates leaf tensors only, got {t!r}")
+        views.append(out[offset:offset + t.values.size].reshape(t.shape))
+        leaves.setdefault(id(t), views[-1])
+        offset += t.values.size
+    reached: set[int] = set()
     flowing: dict[int, Array] = {id(loss): np.ones_like(loss.values)}
     for entry in reversed(_TAPE):
         # every consumer of an output is recorded after it, so its gradient is complete here
@@ -122,9 +140,21 @@ def backward(loss: Tensor, wrt: Sequence[Tensor]) -> list[Array]:
             if contribution is None or not tensor.requires_grad:
                 continue
             key = id(tensor)
-            current = flowing.get(key)
-            flowing[key] = contribution if current is None else current + contribution
-    return [flowing[id(t)] if id(t) in flowing else np.zeros_like(t.values) for t in wrt]
+            if key in reached:
+                leaves[key] += contribution
+            elif key in leaves:
+                np.copyto(leaves[key], contribution)
+                reached.add(key)
+            else:
+                current = flowing.get(key)
+                flowing[key] = contribution if current is None else current + contribution
+    for key, grad in leaves.items():
+        if key not in reached:
+            grad.fill(0.0)
+    for t, grad in zip(wrt, views):
+        if grad is not leaves[id(t)]:
+            np.copyto(grad, leaves[id(t)])
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +739,8 @@ class OptimizerState:
 
     The moments ``m`` and ``v`` and the ``scratch`` buffer each have the
     length of the parameter vector; the first :func:`adam_step` allocates
-    them.
+    them, and with :func:`backward` summing into a caller's ``out`` no later
+    training step allocates a parameter-sized float64 array.
     """
 
     learning_rate: float = 0.01
@@ -723,10 +754,12 @@ def adam_step(values: Array, grad: Array, state: OptimizerState) -> None:
     """One bias-corrected Adam update of a flat parameter vector, in place.
 
     ``values`` and ``grad`` are 1-D float64 vectors of one length, such as
-    ``Parameters.flat`` and the gradients concatenated in the same order.
-    ``grad`` serves as a second scratch buffer once the moments are
-    updated, so it no longer holds the gradient when the call returns.
-    No parameter-sized array is allocated after the first step.
+    ``Parameters.flat`` and the ``out`` that :func:`backward` summed the
+    gradient into in the same order.  ``grad`` serves as a second scratch
+    buffer once the moments are updated, so it no longer holds the
+    gradient when the call returns.  No parameter-sized array is allocated
+    after the first step, so with ``backward(..., out=grad)`` a whole
+    training step after the first allocates none.
     """
     if values.ndim != 1 or grad.shape != values.shape:
         raise ShapeMismatchError(

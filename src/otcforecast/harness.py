@@ -100,7 +100,10 @@ def epochs(model, train_samples: list[Sample], spec: TrainSpec):
     aborts with NumericError before the optimizer step, so the parameters
     stay finite.  Optional early stop when the epoch loss has not improved
     by at least 0.1% (relative) for ``patience`` consecutive epochs.
-    Adam updates the packed parameter vector from one flat gradient.
+    :func:`~otcforecast.autodiff.backward` sums the gradient straight into
+    one preallocated flat vector, from which Adam updates the packed
+    parameter vector; the tape is released as soon as backward returns.
+    No step after the first allocates a parameter-sized float64 array.
     """
     if not train_samples:
         raise ContractError("training needs a nonempty training set")
@@ -122,12 +125,12 @@ def epochs(model, train_samples: list[Sample], spec: TrainSpec):
             batch_loss = loss.item() * len(inputs)
             if not math.isfinite(batch_loss):
                 raise NumericError(f"non-finite loss in epoch {epoch}")
-            np.concatenate([g.reshape(-1) for g in ad.backward(loss, params)], out=grad)
+            ad.backward(loss, params, out=grad)
+            ad.reset_tape()  # frees the step's activations before the check and Adam
             if not np.isfinite(grad).all():
                 raise NumericError(f"non-finite gradient in epoch {epoch}")
             ad.adam_step(values, grad, state)
             epoch_loss += batch_loss
-        ad.reset_tape()
         epoch_loss /= n
         yield epoch_loss
         if spec.patience is not None:

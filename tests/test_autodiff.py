@@ -13,11 +13,11 @@ from hypothesis.extra import numpy as hnp
 import otcforecast.autodiff as ad
 from otcforecast.autodiff import OptimizerState, Tensor, adam_step, backward
 from otcforecast.errors import ConfigurationError, ContractError, ShapeMismatchError
-from otcforecast.models import ModelConfig, _cte_inputs, build_model
+from otcforecast.models import MODEL_KINDS, ModelConfig, _cte_inputs, build_model
 
 from helpers import (SUBLAYER_CASES, cte_inputs_reference, finite_diff_check,
                      layer_norm_reference, mse_reference, positioned_composite, rand,
-                     sigmoid_reference, softmax_reference, softmax_vjp_reference,
+                     random_day_matrix, sigmoid_reference, softmax_reference, softmax_vjp_reference,
                      sublayer_case, sublayer_op, sum_all)
 
 
@@ -802,6 +802,84 @@ class TestBackwardSemantics:
                 assert np.isfinite(t.values).all()
             for grad in backward(loss, [a, b]):
                 assert np.isfinite(grad).all()
+
+
+def backward_reference(loss, wrt):
+    """Each leaf's gradient from a walk that keeps one array per tensor and sums
+    its contributions as ``current + contribution``, in reverse tape order."""
+    flowing = {id(loss): np.ones_like(loss.values)}
+    for entry in reversed(ad._TAPE):
+        out_grad = flowing.pop(id(entry.output), None)
+        if out_grad is None:
+            continue
+        for tensor, contribution in zip(entry.inputs, entry.vjp(out_grad)):
+            if contribution is not None and tensor.requires_grad:
+                current = flowing.get(id(tensor))
+                flowing[id(tensor)] = contribution if current is None else current + contribution
+    return [flowing.get(id(t), np.zeros_like(t.values)) for t in wrt]
+
+
+class TestBackwardOut:
+    """backward(..., out=...) sums each leaf's gradient into its slice of one
+    vector, in wrt order, and returns the leaves' views of it."""
+
+    @staticmethod
+    def flat(grads):
+        return np.concatenate([g.reshape(-1) for g in grads]).tobytes()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_out_holds_the_bytes_of_the_per_leaf_gradients(self, kind):
+        model = build_model(ModelConfig(kind, vocab_size=4, t_in=3, t_out=2, d_model=8,
+                                        heads=2, n_layers=1, d_ff=8, hidden=4))
+        inputs = np.stack([random_day_matrix(3, 4, seed) for seed in (1, 2)])
+        target = np.stack([random_day_matrix(2, 4, seed) for seed in (3, 4)]).astype(np.float64)
+        loss = ad.mse_loss(model.forward(inputs, teacher=target), Tensor(target))
+        params = model.params.tensors()
+        out = np.full(model.params.flat.size, np.nan)
+        grads = backward(loss, params, out=out)
+        assert [g.shape for g in grads] == [p.shape for p in params]
+        assert all(np.shares_memory(g, out) for g in grads)
+        assert out.tobytes() == self.flat(backward(loss, params))
+        assert out.tobytes() == self.flat(backward_reference(loss, params))
+
+    def test_an_unreached_leaf_reads_zeros_over_nan(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        out = np.full(8, np.nan)
+        backward(sum_all(ad.mul(w, w)), [w, rand((2, 3), 35)], out=out)
+        np.testing.assert_array_equal(out, [2.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("out", [
+        np.zeros(3), np.zeros(5), np.zeros(4, dtype=np.float32), np.zeros((2, 2)),
+        np.zeros(8)[::2],
+    ], ids=["short", "long", "float32", "2-D", "strided"])
+    def test_a_bad_out_is_refused_before_any_vjp_runs(self, out):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, -4.0], requires_grad=True)
+        calls = []
+
+        def vjp(g):
+            calls.append(g)
+            return g * b.values, g * w.values
+
+        loss = ad._record("dot", (w, b), np.asarray(w.values @ b.values), vjp)
+        with pytest.raises(ContractError, match="out as a C-contiguous float64 vector of 4"):
+            backward(loss, [w, b], out=out)
+        assert calls == []
+        good = np.empty(4)
+        backward(loss, [w, b], out=good)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(good, [3.0, -4.0, 1.0, 2.0])
+
+    def test_a_leaf_listed_twice_gets_its_whole_gradient_in_both_slices(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        y = ad.mul(w, w)
+        loss = sum_all(ad.add(y, ad.tanh(w)))
+        wrt = [w, rand((3,), 37), w]
+        out = np.full(7, np.nan)
+        first, unused, again = backward(loss, wrt, out=out)
+        assert not np.shares_memory(first, again) and not unused.any()
+        np.testing.assert_array_equal(first, again)
+        assert out.tobytes() == self.flat(backward_reference(loss, wrt))
 
 
 class TestAdam:

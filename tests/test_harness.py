@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -487,6 +488,45 @@ class TestTrain:
         # training updates the packed vector in place
         np.testing.assert_array_equal(
             flat, np.concatenate([t.values.reshape(-1) for t in params]))
+
+    def test_steps_after_the_first_allocate_less_than_one_vector(self, monkeypatch):
+        # at batch 1 the C7 TransPPRZ's 44,104 parameters dwarf a step's
+        # activations; numpy reports its buffers to tracemalloc, so a
+        # parameter-sized gradient held anywhere in the step, such as one
+        # array per leaf beside the flat vector, peaks at values.nbytes
+        c7 = ModelConfig("TransPPRZ", vocab_size=20, t_in=5, t_out=5, d_model=32, d_ff=64)
+        model = build_model(c7)
+        adam_step, peaks = ad.adam_step, []
+
+        def traced(values, grad, state):
+            adam_step(values, grad, state)
+            if state.step == 2:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            elif state.step == 1:
+                tracemalloc.start()
+
+        monkeypatch.setattr(ad, "adam_step", traced)
+        try:
+            train(model, random_samples(3, vocab_size=20, t_in=5, t_out=5, seed=23),
+                  TrainSpec(epochs=1, batch_size=1))
+        finally:
+            tracemalloc.stop()
+        assert model.params.flat.size > 40_000
+        assert len(peaks) == 1 and peaks[0] < model.params.flat.nbytes
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_the_tape_is_empty_whenever_adam_runs(self, monkeypatch, kind):
+        adam_step, tapes = ad.adam_step, []
+
+        def counted(values, grad, state):
+            tapes.append(ad.tape_size())
+            adam_step(values, grad, state)
+
+        monkeypatch.setattr(ad, "adam_step", counted)
+        train(build_model(toy_config(kind)), random_samples(5, seed=24),
+              TrainSpec(epochs=2, batch_size=2))
+        assert tapes == [0] * 6
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_gradient_aborts_before_the_step(self):
