@@ -198,10 +198,11 @@ def generate_synthetic_market(spec: MarketSpec) -> list[TradeRecord]:
     Records are ordered dealer-major, day-minor; a cancellation immediately
     follows the record it voids and references it by list position.
     """
+    bond_ids = [BOND_ID.format(b) for b in range(spec.bonds)]
     out: list[TradeRecord] = []
     for plan, rng in _planned_streams(spec):
         for day, bond, side in _ARCHETYPES[plan.archetype][1](spec, plan, rng):
-            out.append(TradeRecord(day, plan.dealer_id, BOND_ID.format(bond), side,
+            out.append(TradeRecord(day, plan.dealer_id, bond_ids[bond], side,
                                    "D" if rng.random() < 0.5 else "C"))
             if spec.cancellation_rate > 0 and rng.random() < spec.cancellation_rate:
                 out.append(out[-1]._replace(status=STATUS_CANCEL, ref_record=len(out) - 1))
@@ -293,9 +294,9 @@ def windowize(
 ) -> list[Sample]:
     """Slide an input/output window over one history.
 
-    Yields floor((D - t_in - t_out) / stride) + 1 samples when that span is
-    nonnegative, else none.  Each sample's days are read-only views of
-    the history's ``day_vectors``, not copies.
+    Returns floor((D - t_in - t_out) / stride) + 1 samples when that span
+    is nonnegative, else an empty list.  Each sample's days are read-only
+    views of the history's ``day_vectors``, not copies.
     """
     if t_in < 1 or t_out < 1 or stride < 1:
         raise ContractError("windowize needs t_in, t_out, stride >= 1")
