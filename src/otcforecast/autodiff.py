@@ -100,36 +100,29 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], out: Array | None = None) -> l
 
     A leaf is a tensor that requires gradients and that no tape entry
     produced (parameters, typically); anything else in ``wrt`` is
-    rejected.  Each leaf's gradient is summed straight into its slice of
-    one flat float64 vector that lays the leaves out in ``wrt`` order, as
-    ``Parameters.flat`` does for ``params.tensors()``.  That vector is
-    ``out`` when given (1-D, float64, C-contiguous, of the leaves' total
-    size), else a fresh one.  A leaf the loss does not reach gets zeros,
-    and a leaf listed twice gets its whole gradient in both slices.  The
-    tape is left in place, and the returned arrays are the leaves' views
-    of that one vector, in ``wrt`` order.
+    rejected.  The gradients are summed straight into one flat float64
+    vector, ``out`` when given (1-D, C-contiguous, of the leaves' total
+    size), and returned as its views in ``wrt`` order, ``Parameters.flat``'s
+    layout for ``params.tensors()``.  A leaf the loss does not reach gets
+    zeros, one listed twice its gradient twice.  The tape is left in place.
     """
     if loss.values.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("loss does not belong to a recorded graph")
     size = sum(t.values.size for t in wrt)
-    if out is None:
-        out = np.empty(size)
-    elif out.shape != (size,) or out.dtype != np.float64 or not out.flags.c_contiguous:
+    out = np.empty(size) if out is None else out
+    if out.shape != (size,) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ContractError(f"backward() needs out as a C-contiguous float64 vector of {size}, "
                             f"got {out.dtype} of shape {out.shape}")
     produced = {id(entry.output) for entry in _TAPE}
-    views: list[Array] = []
-    leaves: dict[int, Array] = {}  # each leaf's first view, which the walk sums into
-    offset = 0
     for t in wrt:
         if not t.requires_grad or id(t) in produced:
             raise ContractError(f"backward() differentiates leaf tensors only, got {t!r}")
-        views.append(out[offset:offset + t.values.size].reshape(t.shape))
-        leaves.setdefault(id(t), views[-1])
-        offset += t.values.size
-    reached: set[int] = set()
+    ends = itertools.accumulate(t.values.size for t in wrt)
+    views = [out[end - t.values.size:end].reshape(t.shape) for t, end in zip(wrt, ends)]
+    leaves = {id(t): view for t, view in zip(wrt, views)}  # a repeated leaf sums into its last
+    unreached = dict(leaves)
     flowing: dict[int, Array] = {id(loss): np.ones_like(loss.values)}
     for entry in reversed(_TAPE):
         # every consumer of an output is recorded after it, so its gradient is complete here
@@ -140,20 +133,16 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], out: Array | None = None) -> l
             if contribution is None or not tensor.requires_grad:
                 continue
             key = id(tensor)
-            if key in reached:
-                leaves[key] += contribution
+            if key in unreached:
+                np.copyto(unreached.pop(key), contribution)
             elif key in leaves:
-                np.copyto(leaves[key], contribution)
-                reached.add(key)
+                leaves[key] += contribution  # rounds as current + contribution did
             else:
                 current = flowing.get(key)
                 flowing[key] = contribution if current is None else current + contribution
-    for key, grad in leaves.items():
-        if key not in reached:
-            grad.fill(0.0)
-    for t, grad in zip(wrt, views):
-        if grad is not leaves[id(t)]:
-            np.copyto(grad, leaves[id(t)])
+    for t, grad in zip(wrt, views):  # zeros for an unreached leaf, a copy for a repeated one
+        if id(t) in unreached or grad is not leaves[id(t)]:
+            np.copyto(grad, 0.0 if id(t) in unreached else leaves[id(t)])
     return views
 
 
@@ -739,8 +728,7 @@ class OptimizerState:
 
     The moments ``m`` and ``v`` and the ``scratch`` buffer each have the
     length of the parameter vector; the first :func:`adam_step` allocates
-    them, and with :func:`backward` summing into a caller's ``out`` no later
-    training step allocates a parameter-sized float64 array.
+    them, and with :func:`backward`'s ``out`` no later training step does.
     """
 
     learning_rate: float = 0.01
@@ -754,12 +742,10 @@ def adam_step(values: Array, grad: Array, state: OptimizerState) -> None:
     """One bias-corrected Adam update of a flat parameter vector, in place.
 
     ``values`` and ``grad`` are 1-D float64 vectors of one length, such as
-    ``Parameters.flat`` and the ``out`` that :func:`backward` summed the
-    gradient into in the same order.  ``grad`` serves as a second scratch
-    buffer once the moments are updated, so it no longer holds the
-    gradient when the call returns.  No parameter-sized array is allocated
-    after the first step, so with ``backward(..., out=grad)`` a whole
-    training step after the first allocates none.
+    ``Parameters.flat`` and the ``out`` :func:`backward` summed the gradient into.
+    ``grad`` serves as a second scratch buffer once the moments are
+    updated, so it no longer holds the gradient when the call returns.
+    No training step after the first allocates a parameter-sized array.
     """
     if values.ndim != 1 or grad.shape != values.shape:
         raise ShapeMismatchError(

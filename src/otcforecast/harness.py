@@ -100,10 +100,7 @@ def epochs(model, train_samples: list[Sample], spec: TrainSpec):
     aborts with NumericError before the optimizer step, so the parameters
     stay finite.  Optional early stop when the epoch loss has not improved
     by at least 0.1% (relative) for ``patience`` consecutive epochs.
-    :func:`~otcforecast.autodiff.backward` sums the gradient straight into
-    one preallocated flat vector, from which Adam updates the packed
-    parameter vector; the tape is released as soon as backward returns.
-    No step after the first allocates a parameter-sized float64 array.
+    Backward sums into the flat gradient Adam reads; later steps allocate nothing parameter-sized.
     """
     if not train_samples:
         raise ContractError("training needs a nonempty training set")
