@@ -136,7 +136,7 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], out: Array | None = None) -> l
             if key in unreached:
                 np.copyto(unreached.pop(key), contribution)
             elif key in leaves:
-                leaves[key] += contribution  # rounds as current + contribution did
+                leaves[key] += contribution  # in place, rounding as current + contribution
             else:
                 current = flowing.get(key)
                 flowing[key] = contribution if current is None else current + contribution
