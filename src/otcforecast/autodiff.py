@@ -110,17 +110,16 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], out: Array | None = None) -> l
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("loss does not belong to a recorded graph")
-    size = sum(t.values.size for t in wrt)
-    out = np.empty(size) if out is None else out
-    if out.shape != (size,) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ContractError(f"backward() needs out as a C-contiguous float64 vector of {size}, "
+    ends = list(itertools.accumulate((t.values.size for t in wrt), initial=0))
+    out = np.empty(ends[-1]) if out is None else out
+    if out.shape != (ends[-1],) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ContractError(f"backward() needs out as a C-contiguous float64 vector of {ends[-1]}, "
                             f"got {out.dtype} of shape {out.shape}")
     produced = {id(entry.output) for entry in _TAPE}
     for t in wrt:
         if not t.requires_grad or id(t) in produced:
             raise ContractError(f"backward() differentiates leaf tensors only, got {t!r}")
-    ends = itertools.accumulate(t.values.size for t in wrt)
-    views = [out[end - t.values.size:end].reshape(t.shape) for t, end in zip(wrt, ends)]
+    views = [out[a:b].reshape(t.shape) for t, a, b in zip(wrt, ends, ends[1:])]
     leaves = {id(t): view for t, view in zip(wrt, views)}  # a repeated leaf sums into its last
     unreached = dict(leaves)
     flowing: dict[int, Array] = {id(loss): np.ones_like(loss.values)}
@@ -134,15 +133,16 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], out: Array | None = None) -> l
                 continue
             key = id(tensor)
             if key in unreached:
-                np.copyto(unreached.pop(key), contribution)
+                unreached.pop(key)[...] = contribution
             elif key in leaves:
                 leaves[key] += contribution  # in place, rounding as current + contribution
             else:
                 current = flowing.get(key)
                 flowing[key] = contribution if current is None else current + contribution
-    for t, grad in zip(wrt, views):  # zeros for an unreached leaf, a copy for a repeated one
-        if id(t) in unreached or grad is not leaves[id(t)]:
-            np.copyto(grad, 0.0 if id(t) in unreached else leaves[id(t)])
+    if unreached or len(leaves) < len(views):  # zero the unreached, copy the repeated
+        for t, grad in zip(wrt, views):
+            if id(t) in unreached or grad is not leaves[id(t)]:
+                grad[...] = 0.0 if id(t) in unreached else leaves[id(t)]
     return views
 
 
