@@ -745,7 +745,7 @@ def adam_step(values: Array, grad: Array, state: OptimizerState) -> None:
     ``Parameters.flat`` and the ``out`` :func:`backward` summed the gradient into.
     ``grad`` serves as a second scratch buffer once the moments are
     updated, so it no longer holds the gradient when the call returns.
-    No training step after the first allocates a parameter-sized array.
+    No training step after the first allocates a float64 array of that length.
     """
     if values.ndim != 1 or grad.shape != values.shape:
         raise ShapeMismatchError(

@@ -100,7 +100,7 @@ def epochs(model, train_samples: list[Sample], spec: TrainSpec):
     aborts with NumericError before the optimizer step, so the parameters
     stay finite.  Optional early stop when the epoch loss has not improved
     by at least 0.1% (relative) for ``patience`` consecutive epochs.
-    Backward sums into the flat gradient Adam reads; later steps allocate nothing parameter-sized.
+    Backward sums into the one flat gradient Adam reads, so later steps allocate no float64 vector.
     """
     if not train_samples:
         raise ContractError("training needs a nonempty training set")
