@@ -100,8 +100,7 @@ def epochs(model, train_samples: list[Sample], spec: TrainSpec):
     aborts with NumericError before the optimizer step, so the parameters
     stay finite.  Optional early stop when the epoch loss has not improved
     by at least 0.1% (relative) for ``patience`` consecutive epochs.
-    Backward sums into the flat gradient Adam reads; no later step allocates a float64 vector
-    that long.
+    Backward fills the flat gradient Adam reads; no later step allocates a float64 vector that long.
     """
     if not train_samples:
         raise ContractError("training needs a nonempty training set")
