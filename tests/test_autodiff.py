@@ -17,8 +17,8 @@ from otcforecast.models import MODEL_KINDS, ModelConfig, _cte_inputs, build_mode
 
 from helpers import (SUBLAYER_CASES, cte_inputs_reference, finite_diff_check,
                      layer_norm_reference, mse_reference, positioned_composite, rand,
-                     random_day_matrix, sigmoid_reference, softmax_reference, softmax_vjp_reference,
-                     sublayer_case, sublayer_op, sum_all)
+                     random_day_matrix, sigmoid_reference, softmax_reference,
+                     softmax_vjp_reference, sublayer_case, sublayer_op, sum_all)
 
 
 class TestTensor:

@@ -493,7 +493,7 @@ class TestTrain:
         # at batch 1 the C7 TransPPRZ's 44,104 parameters dwarf a step's
         # activations; numpy reports its buffers to tracemalloc, so a
         # parameter-sized gradient held anywhere in the step, such as one
-        # array per leaf beside the flat vector, peaks at values.nbytes
+        # array per leaf beside the flat vector, peaks at params.flat.nbytes
         c7 = ModelConfig("TransPPRZ", vocab_size=20, t_in=5, t_out=5, d_model=32, d_ff=64)
         model = build_model(c7)
         adam_step, peaks = ad.adam_step, []
