@@ -95,32 +95,31 @@ def _record(name, inputs, out_values, vjp) -> Tensor:
     return out
 
 
-def backward(loss: Tensor, wrt: Sequence[Tensor], out: Array | None = None) -> list[Array]:
+def backward(loss: Tensor, wrt: Sequence[Tensor], out: list[Array] | None = None) -> list[Array]:
     """Return d(loss)/d(leaf) for every leaf tensor in ``wrt``, in order.
 
     A leaf is a tensor that requires gradients and that no tape entry
-    produced (parameters, typically); anything else in ``wrt`` is
-    rejected.  The gradients are summed straight into one flat float64
-    vector, ``out`` when given (1-D, C-contiguous, of the leaves' total
-    size), and returned as its views in ``wrt`` order, ``Parameters.flat``'s
-    layout for ``params.tensors()``.  A leaf the loss does not reach gets
-    zeros, one listed twice its gradient twice.  The tape is left in place.
+    produced (parameters, typically); anything else in ``wrt``, and a leaf
+    listed twice, is rejected before the walk.  Each gradient is written into
+    its float64 array of ``out``, of its leaf's shape (``params.views(vector)``
+    for ``params.tensors()``), or into a fresh one; the arrays are returned.
+    A leaf the loss does not reach gets zeros.  The tape is left in place.
     """
     if loss.values.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("loss does not belong to a recorded graph")
-    ends = list(itertools.accumulate((t.values.size for t in wrt), initial=0))
-    out = np.empty(ends[-1]) if out is None else out
-    if out.shape != (ends[-1],) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ContractError(f"backward() needs out as a C-contiguous float64 vector of {ends[-1]}, "
-                            f"got {out.dtype} of shape {out.shape}")
+    out = [np.empty(t.shape) for t in wrt] if out is None else out
     produced = {id(entry.output) for entry in _TAPE}
     for t in wrt:
         if not t.requires_grad or id(t) in produced:
             raise ContractError(f"backward() differentiates leaf tensors only, got {t!r}")
-    views = [out[a:b].reshape(t.shape) for t, a, b in zip(wrt, ends, ends[1:])]
-    leaves = {id(t): view for t, view in zip(wrt, views)}  # a repeated leaf sums into its last
+    if ([g.shape for g in out] != [t.values.shape for t in wrt]
+            or {g.dtype for g in out} - {np.dtype(np.float64)}):
+        raise ContractError(f"backward() needs {len(wrt)} float64 out arrays of the leaves' shapes")
+    leaves = {id(t): grad for t, grad in zip(wrt, out)}
+    if len(leaves) < len(wrt):
+        raise ContractError("backward() needs each leaf once, got one listed twice")
     unreached = dict(leaves)
     flowing: dict[int, Array] = {id(loss): np.ones_like(loss.values)}
     for entry in reversed(_TAPE):
@@ -139,11 +138,9 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], out: Array | None = None) -> l
             else:
                 current = flowing.get(key)
                 flowing[key] = contribution if current is None else current + contribution
-    if unreached or len(leaves) < len(views):  # zero the unreached, copy the repeated
-        for t, grad in zip(wrt, views):
-            if id(t) in unreached or grad is not leaves[id(t)]:
-                grad[...] = 0.0 if id(t) in unreached else leaves[id(t)]
-    return views
+    for grad in unreached.values():
+        grad[...] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +725,7 @@ class OptimizerState:
 
     The moments ``m`` and ``v`` and the ``scratch`` buffer each have the
     length of the parameter vector; the first :func:`adam_step` allocates
-    them, and with :func:`backward`'s ``out`` no later training step does.
+    them, and as :func:`backward` fills views of one gradient, no later step does.
     """
 
     learning_rate: float = 0.01
@@ -742,7 +739,7 @@ def adam_step(values: Array, grad: Array, state: OptimizerState) -> None:
     """One bias-corrected Adam update of a flat parameter vector, in place.
 
     ``values`` and ``grad`` are 1-D float64 vectors of one length, such as
-    ``Parameters.flat`` and the ``out`` :func:`backward` summed the gradient into.
+    ``Parameters.flat`` and the vector whose ``params.views`` :func:`backward` fills.
     ``grad`` serves as a second scratch buffer once the moments are
     updated, so it no longer holds the gradient when the call returns.
     No training step after the first allocates a float64 array of that length.

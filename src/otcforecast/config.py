@@ -2,9 +2,10 @@
 
 Every setting is declared once, as a :class:`RunConfig` field that carries
 its section, default, constraint text and check; its type annotation picks
-the parser.  Unknown sections or keys are rejected so typos fail loudly;
-missing keys fall back to the defaults.  The fully resolved configuration
-is echoed next to every artifact a command produces.
+the parser.  Unknown sections or keys, and a named file with no section,
+are rejected so mistakes fail loudly; missing keys fall back to the
+defaults.  The fully resolved configuration is echoed next to every
+artifact a command produces.
 """
 
 from __future__ import annotations
@@ -150,17 +151,16 @@ def parse_config(path: str | None = None) -> RunConfig:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-        parser = configparser.ConfigParser(
-            delimiters=("=", ":"),
-            inline_comment_prefixes=("#", ";"),
-            interpolation=None,
-        )
+        parser = configparser.ConfigParser(delimiters=("=", ":"), interpolation=None,
+                                           inline_comment_prefixes=("#", ";"))
         try:
             parser.read_string(text, source=str(path))
         except configparser.Error as exc:
             raise ConfigurationError(f"malformed config file {path}: {exc}") from exc
         if parser.defaults():
             raise ConfigurationError("unknown section [DEFAULT]")
+        if not parser.sections():
+            raise ConfigurationError(f"config file {path} has no section")
         for section in parser.sections():
             if section not in _SECTIONS:
                 raise ConfigurationError(f"unknown section [{section}]")

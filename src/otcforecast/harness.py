@@ -100,13 +100,13 @@ def epochs(model, train_samples: list[Sample], spec: TrainSpec):
     aborts with NumericError before the optimizer step, so the parameters
     stay finite.  Optional early stop when the epoch loss has not improved
     by at least 0.1% (relative) for ``patience`` consecutive epochs.
-    Backward fills the flat gradient Adam reads; no later step allocates a float64 vector that long.
+    Backward fills ``params.views`` of one gradient, built once; no later step allocates one.
     """
     if not train_samples:
         raise ContractError("training needs a nonempty training set")
     params = model.params.tensors()
-    values = model.params.flat
-    grad = np.empty_like(values)
+    grad = np.empty_like(model.params.flat)
+    grads = model.params.views(grad)
     state = OptimizerState(learning_rate=spec.learning_rate)
     best = math.inf
     stale = 0
@@ -122,11 +122,11 @@ def epochs(model, train_samples: list[Sample], spec: TrainSpec):
             batch_loss = loss.item() * len(inputs)
             if not math.isfinite(batch_loss):
                 raise NumericError(f"non-finite loss in epoch {epoch}")
-            ad.backward(loss, params, out=grad)
+            ad.backward(loss, params, out=grads)
             ad.reset_tape()  # frees the step's activations before the check and Adam
             if not np.isfinite(grad).all():
                 raise NumericError(f"non-finite gradient in epoch {epoch}")
-            ad.adam_step(values, grad, state)
+            ad.adam_step(model.params.flat, grad, state)
             epoch_loss += batch_loss
         epoch_loss /= n
         yield epoch_loss

@@ -93,21 +93,24 @@ class Parameters:
 
     The constructor copies the tensors' values, in insertion (:meth:`names`)
     order, into :attr:`flat`, one contiguous float64 vector, and rebinds
-    each tensor's ``values`` to its view of it; the tensors themselves are
-    kept, so ``params[name]`` is the tensor the caller passed.  A snapshot
-    is ``flat.copy()`` and a restore is ``flat[:] = snapshot``.  A pickled or
-    deep-copied one repacks its copied tensors into its own ``flat``.
+    each tensor's ``values`` to its :meth:`views` of it; the tensors
+    themselves are kept, so ``params[name]`` is the tensor the caller passed.
+    A snapshot is ``flat.copy()`` and a restore is ``flat[:] = snapshot``.  A
+    pickled or deep-copied one repacks its copied tensors into its own ``flat``.
     """
 
     def __init__(self, tensors: dict[str, Tensor]):
         self._tensors = dict(tensors)
-        self.flat = np.empty(sum(t.values.size for t in tensors.values()))
-        offset = 0
-        for t in tensors.values():
-            view = self.flat[offset:offset + t.values.size].reshape(t.values.shape)
-            view[...] = t.values
+        self.flat = np.concatenate([np.empty(0), *(t.values.reshape(-1) for t in self.tensors())])
+        for t, view in zip(self.tensors(), self.views(self.flat)):
             t.values = view
-            offset += view.size
+
+    def views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Each tensor's view of a vector laid out like :attr:`flat`, in :meth:`names` order."""
+        if vector.shape != self.flat.shape or not vector.flags.c_contiguous:
+            raise ContractError(f"views() needs a C-contiguous vector of {self.flat.size}")
+        ends = np.cumsum([0, *(t.values.size for t in self.tensors())]).tolist()
+        return [vector[a:b].reshape(t.shape) for t, a, b in zip(self.tensors(), ends, ends[1:])]
 
     def __reduce__(self):
         return Parameters, (self._tensors,)

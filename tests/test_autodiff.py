@@ -399,11 +399,12 @@ class TestKeyBias:
         params, x, keys = self.inputs(causal)
         bk = rand((4,), 43)
         target = Tensor(np.random.default_rng(44).normal(size=(2, 3, 4)))
+        leaves = [x, *([] if keys is x else [keys]), *params.values()]  # each leaf once
         outputs = []
         for attend in (ad.multi_head_attention, functools.partial(attention_with_key_bias, bk=bk)):
             ad.reset_tape()
             out = attend(x, keys, keys, heads=2, causal=causal, **params)
-            grads = backward(ad.mse_loss(out, target), [x, keys, *params.values()])
+            grads = backward(ad.mse_loss(out, target), leaves)
             outputs.append((out.values, grads))
         (out, grads), (reference, reference_grads) = outputs
         np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
@@ -820,12 +821,8 @@ def backward_reference(loss, wrt):
 
 
 class TestBackwardOut:
-    """backward(..., out=...) sums each leaf's gradient into its slice of one
-    vector, in wrt order, and returns the leaves' views of it."""
-
-    @staticmethod
-    def flat(grads):
-        return np.concatenate([g.reshape(-1) for g in grads]).tobytes()
+    """backward(..., out=...) writes each leaf's gradient into that leaf's array
+    of out, such as ``params.views`` of one vector, and returns those arrays."""
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_out_holds_the_bytes_of_the_per_leaf_gradients(self, kind):
@@ -835,24 +832,25 @@ class TestBackwardOut:
         target = np.stack([random_day_matrix(2, 4, seed) for seed in (3, 4)]).astype(np.float64)
         loss = ad.mse_loss(model.forward(inputs, teacher=target), Tensor(target))
         params = model.params.tensors()
-        out = np.full(model.params.flat.size, np.nan)
-        grads = backward(loss, params, out=out)
-        assert [g.shape for g in grads] == [p.shape for p in params]
-        assert all(np.shares_memory(g, out) for g in grads)
-        assert out.tobytes() == self.flat(backward(loss, params))
-        assert out.tobytes() == self.flat(backward_reference(loss, params))
+        vector = np.full(model.params.flat.size, np.nan)
+        out = model.params.views(vector)
+        assert backward(loss, params, out=out) is out
+        reference = backward_reference(loss, params)
+        assert vector.tobytes() == np.concatenate([g.reshape(-1) for g in reference]).tobytes()
+        fresh = backward(loss, params)
+        assert [g.shape for g in fresh] == [p.shape for p in params]
+        assert [g.tobytes() for g in fresh] == [g.tobytes() for g in reference]
 
     def test_an_unreached_leaf_reads_zeros_over_nan(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
-        out = np.full(8, np.nan)
+        out = [np.full(2, np.nan), np.full((2, 3), np.nan)]
         backward(sum_all(ad.mul(w, w)), [w, rand((2, 3), 35)], out=out)
-        np.testing.assert_array_equal(out, [2.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(out[0], [2.0, 4.0])
+        np.testing.assert_array_equal(out[1], np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("out", [
-        np.zeros(3), np.zeros(5), np.zeros(4, dtype=np.float32), np.zeros((2, 2)),
-        np.zeros(8)[::2],
-    ], ids=["short", "long", "float32", "2-D", "strided"])
-    def test_a_bad_out_is_refused_before_any_vjp_runs(self, out):
+    @staticmethod
+    def probe():
+        """Two leaves and a loss whose one vjp records each call."""
         w = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0, -4.0], requires_grad=True)
         calls = []
@@ -861,25 +859,28 @@ class TestBackwardOut:
             calls.append(g)
             return g * b.values, g * w.values
 
-        loss = ad._record("dot", (w, b), np.asarray(w.values @ b.values), vjp)
-        with pytest.raises(ContractError, match="out as a C-contiguous float64 vector of 4"):
+        return w, b, ad._record("dot", (w, b), np.asarray(w.values @ b.values), vjp), calls
+
+    @pytest.mark.parametrize("out", [
+        [np.zeros(2)], [np.zeros(2)] * 3, [np.zeros(2), np.zeros(2, dtype=np.float32)],
+        [np.zeros(2), np.zeros((1, 2))],
+    ], ids=["short", "long", "float32", "2-D"])
+    def test_a_bad_out_is_refused_before_any_vjp_runs(self, out):
+        w, b, loss, calls = self.probe()
+        with pytest.raises(ContractError, match="needs 2 float64 out arrays of the leaves' shapes"):
             backward(loss, [w, b], out=out)
         assert calls == []
-        good = np.empty(4)
+        good = [np.full(4, np.nan)[::2], np.empty(2)]  # any layout of the right shape will do
         backward(loss, [w, b], out=good)
         assert len(calls) == 1
-        np.testing.assert_array_equal(good, [3.0, -4.0, 1.0, 2.0])
+        np.testing.assert_array_equal(np.concatenate(good), [3.0, -4.0, 1.0, 2.0])
 
-    def test_a_leaf_listed_twice_gets_its_whole_gradient_in_both_slices(self):
-        w = Tensor([1.0, 2.0], requires_grad=True)
-        y = ad.mul(w, w)
-        loss = sum_all(ad.add(y, ad.tanh(w)))
-        wrt = [w, rand((3,), 37), w]
-        out = np.full(7, np.nan)
-        first, unused, again = backward(loss, wrt, out=out)
-        assert not np.shares_memory(first, again) and not unused.any()
-        np.testing.assert_array_equal(first, again)
-        assert out.tobytes() == self.flat(backward_reference(loss, wrt))
+    def test_a_leaf_listed_twice_is_refused_before_any_vjp_runs(self):
+        w, b, loss, calls = self.probe()
+        for out in (None, [np.zeros(2)] * 3):
+            with pytest.raises(ContractError, match="needs each leaf once, got one listed twice"):
+                backward(loss, [w, b, w], out=out)
+        assert calls == []
 
 
 class TestAdam:

@@ -150,9 +150,20 @@ class TestParseConfig:
         assert cfg.threshold == 0.5
         assert cfg.kind == "TransPPRZ"
 
-    def test_empty_file_is_all_defaults(self, tmp_path):
-        path = tmp_path / "empty.ini"
-        path.write_text("")
+    @pytest.mark.parametrize("text", ["", "# a comment\n; another\n\n"],
+                             ids=["empty", "comments-only"])
+    def test_a_file_without_a_section_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                        text):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        message = f"config file {path} has no section"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            parse_config(path)
+        monkeypatch.chdir(tmp_path)  # where the default output_dir would go
+        assert main(["gen", "-c", str(path)]) == 1
+        assert capsys.readouterr().err == f"otcforecast: config error: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == ["c.ini"]
+        path.write_text(text + "[run]\n")  # one section, even an empty one, means the defaults
         assert parse_config(path) == parse_config(None)
 
     def test_colon_delimiter_and_nonstandard_t_in(self, tmp_path):

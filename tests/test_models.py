@@ -988,7 +988,7 @@ class TestFlatParameters:
             flat = params.flat
             assert flat.dtype == np.float64 and flat.ndim == 1
             offset = 0
-            # harness.train gathers gradients in tensors() order into flat's layout
+            # harness.epochs' gradient views, params.views(grad), share this layout
             for name, tensor in zip(params.names(), params.tensors()):
                 values = tensor.values
                 assert tensor is params[name] and np.shares_memory(values, flat), name
@@ -1026,6 +1026,36 @@ class TestFlatParameters:
         train(copied, samples, TrainSpec(epochs=2, batch_size=4, learning_rate=0.05))
         assert not np.array_equal(copied.predict(inputs), copied_before)
         assert np.array_equal(model.predict(inputs), before)
+
+    @pytest.mark.parametrize("copy_model", [
+        pytest.param(lambda model: model, id="built"),
+        pytest.param(lambda model: pickle.loads(pickle.dumps(model)), id="pickle"),
+        pytest.param(copy.deepcopy, id="deepcopy"),
+    ])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_views_of_flat_are_the_tensors_own_values(self, kind, copy_model):
+        model = build_model(toy_config(kind))
+        params = copy_model(model).params
+        views = params.views(params.flat)
+        assert len(views) == len(params.names())
+        for name, view in zip(params.names(), views):
+            values = params[name].values
+            assert view.dtype == np.float64 and np.shares_memory(view, params.flat), name
+            assert view.__array_interface__ == values.__array_interface__, name
+            assert (params is model.params) == np.shares_memory(view, model.params.flat), name
+
+    @pytest.mark.parametrize("vector", [
+        np.zeros(3), np.zeros(5), np.zeros((2, 2)), np.zeros(8)[::2],
+    ], ids=["short", "long", "2-D", "strided"])
+    def test_views_refuse_a_vector_of_another_layout(self, vector):
+        params = Parameters({"w": Tensor(np.ones((2, 1)), requires_grad=True),
+                             "b": Tensor(np.ones(2), requires_grad=True)})
+        with pytest.raises(ContractError, match=r"views\(\) needs a C-contiguous vector of 4"):
+            params.views(vector)
+        vector = np.arange(4.0)
+        w, b = params.views(vector)
+        assert w.shape == (2, 1) and np.shares_memory(w, vector) and np.shares_memory(b, vector)
+        np.testing.assert_array_equal(np.concatenate([w.reshape(-1), b]), vector)
 
     def test_duplicate_name_rejected_at_build(self):
         b = _Builder(np.random.default_rng(0))
