@@ -151,8 +151,11 @@ def parse_config(path: str | None = None) -> RunConfig:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-        parser = configparser.ConfigParser(delimiters=("=", ":"), interpolation=None,
-                                           inline_comment_prefixes=("#", ";"))
+        parser = configparser.ConfigParser(
+            delimiters=("=", ":"),
+            inline_comment_prefixes=("#", ";"),
+            interpolation=None,
+        )
         try:
             parser.read_string(text, source=str(path))
         except configparser.Error as exc:
@@ -169,13 +172,9 @@ def parse_config(path: str | None = None) -> RunConfig:
                     raise ConfigurationError(f"unknown key '{name}' in section [{section}]")
                 values[name] = _parse_value(section, _SECTIONS[section][name], raw)
     config = RunConfig(**values)
-    _cross_validate(config)
-    return config
-
-
-def _cross_validate(config: RunConfig) -> None:
     config.market_spec()  # MarketSpec validates its ranges
     config.model_config(1)  # ModelConfig validates the model settings
+    return config
 
 
 def _format_value(value: Any) -> str:

@@ -101,8 +101,9 @@ class Parameters:
 
     def __init__(self, tensors: dict[str, Tensor]):
         self._tensors = dict(tensors)
-        self.flat = np.concatenate([np.empty(0), *(t.values.reshape(-1) for t in self.tensors())])
+        self.flat = np.empty(sum(t.values.size for t in tensors.values()))
         for t, view in zip(self.tensors(), self.views(self.flat)):
+            view[...] = t.values
             t.values = view
 
     def views(self, vector: np.ndarray) -> list[np.ndarray]:
