@@ -28,6 +28,9 @@ Array = np.ndarray
 
 LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Adam's usual defaults
+# values per Adam block: five float64 block slices (~0.6 MiB) stay in a 1 MiB
+# L2, and the scratch is 8 * (n - ADAM_BLOCK) bytes smaller than n values
+ADAM_BLOCK = 15_000
 
 
 class Tensor:
@@ -723,9 +726,10 @@ class OptimizerState:
     The betas and epsilon are fixed: ``ADAM_BETA1``, ``ADAM_BETA2`` and
     ``ADAM_EPSILON``.
 
-    The moments ``m`` and ``v`` and the ``scratch`` buffer each have the
-    length of the parameter vector; the first :func:`adam_step` allocates
-    them, and as :func:`backward` fills views of one gradient, no later step does.
+    The moments ``m`` and ``v`` have the length of the parameter vector and
+    ``scratch`` holds one block, ``min(n, ADAM_BLOCK)`` values; the first
+    :func:`adam_step` allocates them, and as :func:`backward` fills views of
+    one gradient, no later step does.
     """
 
     learning_rate: float = 0.01
@@ -740,6 +744,8 @@ def adam_step(values: Array, grad: Array, state: OptimizerState) -> None:
 
     ``values`` and ``grad`` are 1-D float64 vectors of one length, such as
     ``Parameters.flat`` and the vector whose ``params.views`` :func:`backward` fills.
+    It runs ``ADAM_BLOCK`` values at a time through one block of scratch, each
+    element through the same operations in the same order, so blocks change no bit.
     ``grad`` serves as a second scratch buffer once the moments are
     updated, so it no longer holds the gradient when the call returns.
     No training step after the first allocates a float64 array of that length.
@@ -749,7 +755,7 @@ def adam_step(values: Array, grad: Array, state: OptimizerState) -> None:
             f"adam_step: needs one vector shape, got values {values.shape}, grad {grad.shape}")
     if state.m is None:
         state.m, state.v = np.zeros_like(values), np.zeros_like(values)
-        state.scratch = np.empty_like(values)
+        state.scratch = np.empty(min(values.size, ADAM_BLOCK), values.dtype)
     elif state.m.shape != values.shape:
         raise ShapeMismatchError(
             f"adam_step: moments of shape {state.m.shape} for values {values.shape}")
@@ -757,20 +763,23 @@ def adam_step(values: Array, grad: Array, state: OptimizerState) -> None:
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
-    m, v, t = state.m, state.v, state.scratch
-    # the order of operations rounds exactly as
-    # values -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
-    np.multiply(grad, grad, out=t)
-    t *= 1.0 - b2
-    v *= b2
-    v += t
-    grad *= 1.0 - b1
-    m *= b1
-    m += grad
-    np.divide(m, bias1, out=t)
-    t *= state.learning_rate
-    np.divide(v, bias2, out=grad)
-    np.sqrt(grad, out=grad)
-    grad += ADAM_EPSILON
-    t /= grad
-    values -= t
+    for lo in range(0, values.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        g, m, v, p = grad[block], state.m[block], state.v[block], values[block]
+        t = state.scratch[:g.size]
+        # the order of operations rounds exactly as
+        # values -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.multiply(g, g, out=t)
+        t *= 1.0 - b2
+        v *= b2
+        v += t
+        g *= 1.0 - b1
+        m *= b1
+        m += g
+        np.divide(m, bias1, out=t)
+        t *= state.learning_rate
+        np.divide(v, bias2, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPSILON
+        t /= g
+        p -= t
