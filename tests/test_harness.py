@@ -67,6 +67,10 @@ def toy_config(kind="TransRE", **overrides):
     return ModelConfig(**base)
 
 
+# the C7 TransPPRZ: 44,104 parameters, so Adam runs three blocks
+C7_PPRZ = ModelConfig("TransPPRZ", vocab_size=20, t_in=5, t_out=5, d_model=32, d_ff=64)
+
+
 def random_samples(n, vocab_size=4, t_in=3, t_out=2, seed=0, dealer="D1", density=0.3):
     rng = np.random.default_rng(seed)
     out = []
@@ -458,14 +462,17 @@ class TestTrain:
         assert {RANGE_FIELDS.get(key, key) for key, _ in REFUSED} == (
             set(SPEC_OF) - {"seed", "vocab_size"})
 
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_flat_adam_matches_per_tensor_reference(self, kind):
-        samples = random_samples(12, seed=21)
+    @pytest.mark.parametrize("config", [pytest.param(toy_config(kind), id=kind)
+                                        for kind in MODEL_KINDS]
+                             + [pytest.param(C7_PPRZ, id="C7-TransPPRZ")])
+    def test_flat_adam_matches_per_tensor_reference(self, config):
+        samples = random_samples(12, vocab_size=config.vocab_size, t_in=config.t_in,
+                                 t_out=config.t_out, seed=21)
         spec = TrainSpec(epochs=1, batch_size=4, learning_rate=0.01, seed=22)
-        trained = build_model(toy_config(kind))
+        trained = build_model(config)
         flat = trained.params.flat
         train(trained, samples, spec)
-        reference = build_model(toy_config(kind))
+        reference = build_model(config)
         params = reference.params.tensors()
         moments = [(np.zeros_like(p.values), np.zeros_like(p.values)) for p in params]
         order = rng_for(spec.seed, "shuffle", 0).permutation(len(samples))
@@ -479,7 +486,7 @@ class TestTrain:
             per_tensor_adam(params, grads, moments, step, spec.learning_rate)
         ad.reset_tape()
         assert len(lows) == 3
-        initial = build_model(toy_config(kind)).params
+        initial = build_model(config).params
         assert any(not np.array_equal(initial[n].values, trained.params[n].values)
                    for n in initial.names())
         for name in reference.params.names():
