@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 from .errors import ConfigurationError
 from .harness import EVAL_MODES, GRANULARITIES, TrainSpec
-from .market import MarketSpec
+from .market import MarketSpec, atomic_write
 from .models import MODEL_KINDS, ModelConfig
 from .seeding import derive_seed
 
@@ -186,9 +186,9 @@ def _format_value(value: Any) -> str:
 
 
 def write_resolved(config: RunConfig, path) -> None:
-    """Echo the fully resolved configuration in declaration order."""
+    """Echo the fully resolved configuration in declaration order, through ``atomic_write``."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict({section: {name: _format_value(getattr(config, name)) for name in keys}
                       for section, keys in _SECTIONS.items()})
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         parser.write(fh)

@@ -12,12 +12,14 @@ are daily multi-hot vectors of length 2V: buys in [0, V), sells in [V, 2V).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -344,11 +346,23 @@ def split_train_test(
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str, **open_kwargs):
+    """Yield ``<path>.tmp`` opened, moved over ``path`` after the block or removed if it raises."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        tmp.replace(path)
+    finally:  # a no-op once the file is moved
+        tmp.unlink(missing_ok=True)
+
+
 def write_rows(path, rows) -> None:
-    """Write ``rows`` as a UTF-8 CSV table in the csv module's default
-    dialect: comma separated, ``\\r\\n`` line ends, minimal quoting, None
-    as an empty field.  Every CSV artifact is written here."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write ``rows`` through :func:`atomic_write` as a UTF-8 CSV table in the
+    csv module's default dialect: comma separated, ``\\r\\n`` line ends, minimal
+    quoting, None as an empty field.  Every CSV artifact is written here."""
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
 
 
@@ -368,11 +382,11 @@ def _unpack_bits(blob: bytes, shape: tuple[int, int]) -> np.ndarray:
 
 
 def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: int) -> str:
-    """Write ``histories`` and return the SHA-256 of the bytes written: a 16-byte
-    header (magic, version, D, V), then per dealer a length-prefixed UTF-8 id and the
-    packed D x 2V bitmap.  No dealer, day or bond, an empty, repeated or non-UTF-8 id,
-    or one longer than 65,535 UTF-8 bytes raises ContractError, and a history of the
-    wrong shape ShapeMismatchError, before ``path`` is opened."""
+    """Write ``histories`` through ``atomic_write``; return the SHA-256 of the bytes written: a
+    16-byte header (magic, version, D, V), then per dealer a length-prefixed UTF-8 id and the
+    packed D x 2V bitmap.  No dealer, day or bond, an empty, repeated or non-UTF-8 id, or one
+    longer than 65,535 UTF-8 bytes raises ContractError, and a history of the wrong shape
+    ShapeMismatchError, before any file is opened."""
     if min(len(histories), days, vocab_size) < 1:
         raise ContractError(f"{len(histories)} dealers, {days} days and {vocab_size} bonds: "
                             "a histories file needs at least one of each")
@@ -399,7 +413,7 @@ def save_histories(path, histories: list[DealerHistory], days: int, vocab_size: 
                      struct.pack("<I", len(histories)),
                      *(struct.pack("<H", len(ident)) + ident + _pack_bits(h.day_vectors)
                        for h, ident in zip(histories, idents))])
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(blob)
     return hashlib.sha256(blob).hexdigest()
 

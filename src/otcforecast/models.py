@@ -42,6 +42,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ArtifactError, ConfigurationError, ContractError, ShapeMismatchError
+from .market import atomic_write
 from .seeding import rng_for
 
 # (input embedding, residual scheme) per transformer kind; scalar and vector
@@ -466,12 +467,12 @@ def _manifest(config: ModelConfig, trained_on: dict) -> dict:
 
 
 def save_checkpoint(path, model, trained_on: dict) -> None:
-    """:func:`_manifest`'s record as one JSON line + the model's packed
-    parameter vector as little-endian f64."""
-    with open(path, "wb") as fh:
+    """:func:`_manifest`'s record as one JSON line + ``params.flat`` as little-endian
+    f64, written through :func:`market.atomic_write` with no copy of the vector."""
+    with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(_manifest(model.config, trained_on), separators=(",", ":")).encode())
         fh.write(b"\n")
-        fh.write(model.params.flat.astype("<f8").tobytes())
+        fh.write(model.params.flat.astype("<f8", copy=False))
 
 
 def check_checkpoint(path, model, trained_on: dict) -> np.ndarray:
