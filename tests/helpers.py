@@ -1,6 +1,10 @@
 """Helpers the test modules share."""
 
+import builtins
+import contextlib
+import io
 import math
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,6 +61,50 @@ seed = 3
 granularity = single
 output_dir = {out}
 """
+
+
+class _CutFile:
+    """A file whose first write puts half of its bytes on disk, then raises ``exc``."""
+
+    def __init__(self, fh, exc):
+        self._fh, self._exc = fh, exc
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def write(self, data):
+        if not isinstance(data, str):
+            data = memoryview(data).cast("B")
+        self._fh.write(data[:len(data) // 2])
+        self._fh.flush()
+        raise self._exc("interrupted mid-write")
+
+
+@contextlib.contextmanager
+def interrupted_writes(monkeypatch, path, exc):
+    """In the block, cut every file opened for writing whose name starts with
+    ``path``'s name by ``exc`` in its first write; after it, check that ``path``
+    kept its bytes and that no ``*.tmp`` file is left next to it."""
+    old, real_open = path.read_bytes(), io.open
+
+    def cut_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if set(mode) & set("wax+") and Path(file).name.startswith(path.name):
+            return _CutFile(fh, exc)
+        return fh
+
+    with monkeypatch.context() as patched:
+        for module in (builtins, io):  # pathlib opens through io.open
+            patched.setattr(module, "open", cut_open)
+        yield
+    assert path.read_bytes() == old
+    assert not list(path.parent.glob("*.tmp"))
 
 
 def sum_all(a: ad.Tensor) -> ad.Tensor:

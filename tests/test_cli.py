@@ -46,7 +46,7 @@ from otcforecast.models import (MODEL_KINDS, ModelConfig, build_model, check_che
                                 save_checkpoint)
 from otcforecast.seeding import derive_seed
 
-from helpers import TINY_CONFIG
+from helpers import TINY_CONFIG, interrupted_writes
 
 
 def ascii_locale_runner():
@@ -330,6 +330,14 @@ class TestParseConfig:
 
         assert keys(block) == keys((tmp_path / "resolved.ini").read_text())
 
+    @pytest.mark.parametrize("exc", [OSError, KeyboardInterrupt])
+    def test_a_write_cut_midway_keeps_the_earlier_echo(self, tmp_path, monkeypatch, exc):
+        path = tmp_path / "resolved.ini"
+        write_resolved(parse_config(None), path)
+        cfg_path, _ = write_config(tmp_path)
+        with interrupted_writes(monkeypatch, path, exc), pytest.raises(exc):
+            write_resolved(parse_config(cfg_path), path)
+
 
 # the spec fields RunConfig sets itself; every other field copies the setting of its name
 EXPLICIT_SPEC_FIELDS = {
@@ -418,6 +426,21 @@ class TestPipeline:
             listed = {name for glob in globs for name in fnmatch.filter(written, glob)}
             assert written == {"config.resolved.ini", *listed}, command
             assert all(fnmatch.filter(written, glob) for glob in globs), command
+
+    @pytest.mark.parametrize("exc", [OSError, KeyboardInterrupt])
+    def test_compare_cut_in_write_dealers_keeps_the_earlier_table(self, tmp_path, monkeypatch,
+                                                                   capsys, exc):
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "compare"):
+            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        capsys.readouterr()
+        with interrupted_writes(monkeypatch, out / "compare_dealers.csv", exc):
+            if exc is KeyboardInterrupt:  # the interpreter exits 130 on it
+                with pytest.raises(KeyboardInterrupt):
+                    self.run("compare", "-c", str(cfg_path))
+            else:
+                assert self.run("compare", "-c", str(cfg_path)) == 2
+                assert "unusable path: interrupted mid-write" in capsys.readouterr().err
 
     def test_eval_before_train_exits_2(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)

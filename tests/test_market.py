@@ -34,6 +34,8 @@ from otcforecast.market import (
 )
 from otcforecast.seeding import rng_for
 
+from helpers import interrupted_writes
+
 
 def one_periodic_spec(**overrides):
     base = dict(
@@ -524,6 +526,46 @@ class TestFileFormats:
         for name in ("a.csv", "b.csv"):
             save_records(tmp_path / name, generate_synthetic_market(spec))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+INTERRUPTIONS = pytest.mark.parametrize("exc", [OSError, KeyboardInterrupt])
+
+
+class TestInterruptedWrites:
+    """A write cut midway leaves the file it would replace as it was, and no ``.tmp``."""
+
+    @INTERRUPTIONS
+    def test_write_rows(self, tmp_path, monkeypatch, exc):
+        path = tmp_path / "table.csv"
+        market.write_rows(path, [("a", "b"), (1, None)])
+        with interrupted_writes(monkeypatch, path, exc), pytest.raises(exc):
+            market.write_rows(path, [("c", "d")] * 100)
+
+    @INTERRUPTIONS
+    def test_save_histories(self, tmp_path, monkeypatch, exc):
+        path = tmp_path / "hist.bin"
+        save_histories(path, [market.DealerHistory("D0", np.zeros((3, 4), dtype=np.uint8))], 3, 2)
+        hists = [market.DealerHistory("D1", np.ones((3, 4), dtype=np.uint8))]
+        with interrupted_writes(monkeypatch, path, exc), pytest.raises(exc):
+            save_histories(path, hists, 3, 2)
+
+    def test_the_target_changes_only_when_the_block_ends(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("old")
+        with market.atomic_write(path, "w") as fh:
+            fh.write("new")
+            fh.flush()
+            assert path.read_text() == "old"
+            assert (tmp_path / "table.csv.tmp").read_text() == "new"
+        assert path.read_text() == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    def test_a_failed_move_removes_the_tmp(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.mkdir()  # os.replace cannot move a file over a directory
+        with pytest.raises(OSError), market.atomic_write(path, "w") as fh:
+            fh.write("new")
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"] and path.is_dir()
 
 
 @st.composite

@@ -36,8 +36,8 @@ from otcforecast.models import (
 )
 from otcforecast.seeding import rng_for
 
-from helpers import (finite_diff_check, positioned_composite, random_day_matrix,
-                     squash_composite, sum_all)
+from helpers import (finite_diff_check, interrupted_writes, positioned_composite,
+                     random_day_matrix, squash_composite, sum_all)
 
 
 def toy_config(kind, **overrides):
@@ -902,6 +902,30 @@ class TestCheckpoints:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("exc", [OSError, KeyboardInterrupt])
+    def test_a_save_cut_midway_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch, exc):
+        path = tmp_path / "re.ckpt"
+        save_checkpoint(path, self.trained("TransRE"), TRAINED_ON)
+        with interrupted_writes(monkeypatch, path, exc), pytest.raises(exc):
+            save_checkpoint(path, self.trained("TransRE", seed=4), TRAINED_ON)
+
+    def test_saving_copies_no_parameter_vector(self, tmp_path):
+        # numpy reports its buffers to tracemalloc; a copy of the C7
+        # TransPPRZ vector would peak at 353 KB, a direct write at the
+        # file's buffer and the manifest
+        model = build_model(ModelConfig("TransPPRZ", vocab_size=20, t_in=5, t_out=5,
+                                        d_model=32, d_ff=64))
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "c7.ckpt", model, TRAINED_ON)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.params.flat.nbytes > 300_000
+        assert peak < model.params.flat.nbytes
+        reloaded = loaded(tmp_path / "c7.ckpt", model.config)
+        assert reloaded.params.flat.tobytes() == model.params.flat.tobytes()
 
     def test_manifest_line_longer_than_the_limit_rejected(self, tmp_path):
         path = tmp_path / "fc.ckpt"
