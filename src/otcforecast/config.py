@@ -35,7 +35,6 @@ PARSERS: dict[str, Callable[[str], Any]] = {
     "float": _parse_finite,
     "bool": lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
     "str": str,
-    "int | None": lambda raw: int(raw) if raw else None,
 }
 
 _AT_LEAST_1 = ("an integer >= 1", lambda v: v >= 1)
@@ -92,8 +91,6 @@ class RunConfig:
     learning_rate: float = _setting("train", TrainSpec.learning_rate,
                                     ("a float > 0", lambda v: v > 0))
     threshold: float = _setting("train", 0.5, _OPEN_RATE)
-    patience: int | None = _setting("train", TrainSpec.patience,
-                                    ("an integer >= 1 or empty", lambda v: v is None or v >= 1))
     seed: int = _setting("run", 0, ("an integer", None))
     granularity: str = _setting("run", "single", _one_of(GRANULARITIES))
     output_dir: str = _setting("run", "runs/default",
@@ -178,8 +175,6 @@ def parse_config(path: str | None = None) -> RunConfig:
 
 
 def _format_value(value: Any) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)

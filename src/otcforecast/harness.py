@@ -35,7 +35,6 @@ class TrainSpec:
     batch_size: int = 16
     learning_rate: float = 0.01
     seed: int = 0
-    patience: int | None = None
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -44,8 +43,6 @@ class TrainSpec:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.learning_rate > 0:
             raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.patience is not None and self.patience < 1:
-            raise ContractError(f"patience must be >= 1 or None, got {self.patience}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,16 +88,16 @@ def _batches(samples: list[Sample], size: int, order=None):
 
 
 def epochs(model, train_samples: list[Sample], spec: TrainSpec):
-    """Mini-batch Adam training; yields each epoch's loss after its last Adam step.
+    """Mini-batch Adam training for exactly ``spec.epochs`` epochs; yields each
+    epoch's loss after its last Adam step.
 
     Each mini-batch is one stacked forward and backward pass on the mean
     squared error over all of its cells, which is the mean of the
     per-sample losses.  The per-epoch value is the mean per-sample loss
     seen during that epoch.  A non-finite loss or parameter gradient
     aborts with NumericError before the optimizer step, so the parameters
-    stay finite.  Optional early stop when the epoch loss has not improved
-    by at least 0.1% (relative) for ``patience`` consecutive epochs.
-    Backward fills ``params.views`` of one gradient, built once; no later step allocates one.
+    stay finite.  Backward fills ``params.views`` of one gradient, built
+    once; no later step allocates one.
     """
     if not train_samples:
         raise ContractError("training needs a nonempty training set")
@@ -108,8 +105,6 @@ def epochs(model, train_samples: list[Sample], spec: TrainSpec):
     grad = np.empty_like(model.params.flat)
     grads = model.params.views(grad)
     state = OptimizerState(learning_rate=spec.learning_rate)
-    best = math.inf
-    stale = 0
     n = len(train_samples)
     for epoch in range(spec.epochs):
         order = rng_for(spec.seed, "shuffle", epoch).permutation(n)
@@ -130,14 +125,6 @@ def epochs(model, train_samples: list[Sample], spec: TrainSpec):
             epoch_loss += batch_loss
         epoch_loss /= n
         yield epoch_loss
-        if spec.patience is not None:
-            if epoch_loss < best * (1.0 - 1e-3):
-                best = epoch_loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= spec.patience:
-                    break
 
 
 def train(model, train_samples: list[Sample], spec: TrainSpec) -> tuple[object, list[float]]:

@@ -42,8 +42,8 @@ from otcforecast.harness import (
     write_reports,
 )
 from otcforecast.market import MarketSpec
-from otcforecast.models import (MODEL_KINDS, ModelConfig, build_model, check_checkpoint,
-                                save_checkpoint)
+from otcforecast.models import (CHECKPOINT_VERSION, MODEL_KINDS, ModelConfig, build_model,
+                                check_checkpoint, save_checkpoint)
 from otcforecast.seeding import derive_seed
 
 from helpers import TINY_CONFIG, interrupted_writes
@@ -126,7 +126,6 @@ SETTING_VALUES = {
     "batch_size": ("4", "0"),
     "learning_rate": ("0.5", "0"),
     "threshold": ("0.3", "1"),
-    "patience": ("3", "0"),
     "seed": ("-7", "1.5"),
     "granularity": ("cluster", "global"),
     "output_dir": ("runs/other", "out\0x"),
@@ -171,10 +170,16 @@ class TestParseConfig:
         path.write_text("[window]\nt_in: 7\n")
         assert parse_config(path).t_in == 7
 
-    def test_unknown_key_named_in_error(self, tmp_path):
+    # patience, the early stop that training no longer has, is refused like any unknown key,
+    # also as the empty line that every earlier config.resolved.ini echoed
+    @pytest.mark.parametrize("text, key", [("[window]\nt_inn = 5\n", "t_inn"),
+                                           ("[train]\npatience = 3\n", "patience"),
+                                           ("[train]\npatience =\n", "patience")],
+                             ids=["t_inn", "patience", "patience_empty"])
+    def test_unknown_key_named_in_error(self, tmp_path, text, key):
         path = tmp_path / "c.ini"
-        path.write_text("[window]\nt_inn = 5\n")
-        with pytest.raises(ConfigurationError, match="t_inn"):
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
             parse_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -207,13 +212,6 @@ class TestParseConfig:
             echoed = tmp_path / "resolved.ini"
             write_resolved(cfg, echoed)
             assert parse_config(echoed) == cfg
-
-    def test_patience_empty_means_none(self, tmp_path):
-        path = tmp_path / "c.ini"
-        path.write_text("[train]\npatience =\n")
-        assert parse_config(path).patience is None
-        path.write_text("[train]\npatience = 4\n")
-        assert parse_config(path).patience == 4
 
     def test_default_section_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -1388,8 +1386,7 @@ def trained_on(cfg, out):
     spec = cfg.train_spec()
     return {"histories_sha256": digest, "train_fraction": cfg.train_fraction,
             "stride": cfg.stride, "train_epochs": spec.epochs, "train_batch_size": spec.batch_size,
-            "train_learning_rate": spec.learning_rate, "train_seed": spec.seed,
-            "train_patience": spec.patience}
+            "train_learning_rate": spec.learning_rate, "train_seed": spec.seed}
 
 
 def load_trained(cfg_path, out, tag="single"):
@@ -1450,8 +1447,7 @@ class TestCheckpointConfig:
         ("batch_size = 8", "batch_size = 4", "train_batch_size = 8, expected 4"),
         ("learning_rate = 0.005", "learning_rate = 0.5",
          "train_learning_rate = 0.005, expected 0.5"),
-        ("[train]", "[train]\npatience = 2", "train_patience = None, expected 2"),
-    ], ids=["epochs", "batch_size", "learning_rate", "patience"])
+    ], ids=["epochs", "batch_size", "learning_rate"])
     def test_checkpoint_under_other_training_settings_exits_2(self, tmp_path, capsys,
                                                               setting, value, message):
         cfg_path, out = write_config(tmp_path)
@@ -1502,7 +1498,7 @@ class TestCheckpointConfig:
         cfg = parse_config(cfg_path)
         config = cfg.model_config(vocab_size)
         path = out / "checkpoint_single.ckpt"
-        manifest = {"magic": "otcforecast-checkpoint", "version": 8,
+        manifest = {"magic": "otcforecast-checkpoint", "version": CHECKPOINT_VERSION,
                     **vars(config), "vocab_size": 20000, **trained_on(cfg, out)}
         path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n")
         assert path.stat().st_size < 512
@@ -1593,7 +1589,7 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "version = 1, expected 8" in err
+        assert f"version = 1, expected {CHECKPOINT_VERSION}" in err
 
     @pytest.mark.parametrize("kind, commands", [("LSTM", ("eval",)),
                                                 ("TransPPRZ", ("eval",))])
@@ -1624,7 +1620,7 @@ class TestCheckpointConfig:
             assert main([command, "-c", str(cfg_path)]) == 2, command
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "unreadable artifact" in err
-            assert "version = 2, expected 8" in err
+            assert f"version = 2, expected {CHECKPOINT_VERSION}" in err
 
     def test_version_3_checkpoint_exits_2(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
@@ -1646,7 +1642,7 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "version = 3, expected 8" in err
+        assert f"version = 3, expected {CHECKPOINT_VERSION}" in err
 
     @pytest.mark.parametrize("version", [4, 5])
     def test_version_4_checkpoint_exits_2(self, tmp_path, capsys, version):
@@ -1668,7 +1664,7 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"version = {version}, expected 8" in err
+        assert f"version = {version}, expected {CHECKPOINT_VERSION}" in err
 
     def test_version_6_checkpoint_exits_2(self, tmp_path, capsys):
         # version 6 did not record the training settings
@@ -1685,7 +1681,22 @@ class TestCheckpointConfig:
         assert main(["eval", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "version = 6, expected 8" in err
+        assert f"version = 6, expected {CHECKPOINT_VERSION}" in err
+
+    def test_version_8_checkpoint_exits_2(self, tmp_path, capsys):
+        # version 8 recorded the patience early stop, null when unset
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "train"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        path = out / "checkpoint_single.ckpt"
+        header, payload = path.read_bytes().split(b"\n", 1)
+        old = {**json.loads(header), "train_patience": None, "version": 8}
+        path.write_bytes(json.dumps(old, separators=(",", ":")).encode() + b"\n" + payload)
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable artifact" in err
+        assert f"version = 8, expected {CHECKPOINT_VERSION}" in err
 
 
 def truncate(path, cut):
