@@ -561,6 +561,11 @@ def residual_norm(x: Tensor, fx: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _record("residual_norm", (x, fx, gamma, beta), out, residual_vjp)
 
 
+def _post_norm(x: Array, fx: Array, gamma: Array, beta: Array) -> Array:
+    """:func:`residual_norm` on arrays."""
+    return _layer_norm("residual_norm", x + fx, gamma, beta)[0]
+
+
 def _gate(x: Array, fx: Array, gate: Array) -> Array:
     return x + fx * gate
 
@@ -585,15 +590,27 @@ def _split_heads(p: Array, heads: int, keys: bool = False) -> Array:
     return np.ascontiguousarray(p.reshape(*lead, t, heads, d // heads).transpose(order))
 
 
-def _attend(qh: Array, kh: Array, vh: Array, causal: bool) -> tuple[Array, Array]:
+def _query_heads(q: Array, w: dict, heads: int) -> Array:
+    """Rows q projected by the block's ``wq`` and ``bq`` and split into heads."""
+    return _split_heads(_linear(q, w["wq"], w["bq"]), heads)
+
+
+def _key_value_heads(k: Array, v: Array, w: dict, heads: int) -> tuple[Array, Array]:
+    """Rows k projected by the block's ``wk``, with no bias, and rows v by its
+    ``wv`` and ``bv``, split into heads: keys (..., H, d_k, T), values (..., H, T, d_k)."""
+    return (_split_heads(_project(k, w["wk"]), heads, keys=True),
+            _split_heads(_linear(v, w["wv"], w["bv"]), heads))
+
+
+def _attend_out(qh: Array, kh: Array, vh: Array, w: dict, causal: bool):
     """Scaled dot-product attention of head-split queries (..., H, T_q, d_k)
     over keys (..., H, d_k, T_k) and values (..., H, T_k, d_k): the softmax
-    probabilities and the heads' outputs merged into (..., T_q, H·d_k)."""
+    probabilities, the heads' outputs merged into (..., T_q, H·d_k), and the
+    merged rows projected by the block's ``wo`` and ``bo``."""
     *lead, heads, t_q, d_k = qh.shape
-    n = len(lead)
     probs = _softmax((qh @ kh) * (1.0 / math.sqrt(d_k)), causal)
-    merged = np.ascontiguousarray((probs @ vh).transpose(*range(n), n + 1, n, n + 2))
-    return probs, merged.reshape(*lead, t_q, heads * d_k)
+    merged = np.ascontiguousarray((probs @ vh).swapaxes(-3, -2)).reshape(*lead, t_q, heads * d_k)
+    return probs, merged, _linear(merged, w["wo"], w["bo"])
 
 
 def multi_head_attention(
@@ -620,8 +637,8 @@ def multi_head_attention(
     ``causal`` (T_q = T_k) each query attends to keys at or before its own.
     Keys have no bias: it would add q·bk to every score of a query, a
     constant that the softmax over that query's row ignores.
-    The forward is :func:`_linear`, :func:`_split_heads` and
-    :func:`_attend`, which inference also calls on arrays.
+    The forward is :func:`_query_heads`, :func:`_key_value_heads` and
+    :func:`_attend_out`, which inference also calls on arrays.
 
     The backward is written by hand from the head-split Q'/K'/V' and the
     softmax probabilities kept from the forward.  It runs every product,
@@ -640,10 +657,11 @@ def multi_head_attention(
     # (..., T, H, d_k) <-> (..., H, T, d_k), its own inverse
     rows = (*range(n), n + 1, n, n + 2)
     c = 1.0 / math.sqrt(d_k)
-    qh = _split_heads(_linear(q.values, wq.values, bq.values), heads)
-    kh = _split_heads(_project(k.values, wk.values), heads, keys=True)
-    vh = _split_heads(_linear(v.values, wv.values, bv.values), heads)
-    probs, merged = _attend(qh, kh, vh, causal)
+    block = dict(wq=wq.values, bq=bq.values, wk=wk.values, wv=wv.values, bv=bv.values,
+                 wo=wo.values, bo=bo.values)
+    qh = _query_heads(q.values, block, heads)
+    kh, vh = _key_value_heads(k.values, v.values, block, heads)
+    probs, merged, out = _attend_out(qh, kh, vh, block, causal)
 
     def unsplit(x, w, b, dh):
         dp = dh.transpose(rows).reshape(x.shape)
@@ -661,8 +679,7 @@ def multi_head_attention(
         dq, dwq, dbq = unsplit(q, wq, bq, dqh)
         return dv, dk, dq, dwo, dbo, dwv, dbv, dwk, dwq, dbq
 
-    return _record("multi_head_attention", (v, k, q, wo, bo, wv, bv, wk, wq, bq),
-                   _linear(merged, wo.values, bo.values), vjp)
+    return _record("multi_head_attention", (v, k, q, wo, bo, wv, bv, wk, wq, bq), out, vjp)
 
 
 def lstm(projected: Tensor, wh: Tensor) -> Tensor:

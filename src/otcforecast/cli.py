@@ -4,7 +4,7 @@ The activity tiers are derived from the histories wherever a command needs
 them; ``cluster`` writes them out for inspection, and no command reads them.
 
 Every command reads one config file, writes its artifacts under the
-configured output directory next to an echo of the resolved config, and is
+configured output directory, then an echo of the resolved config, and is
 byte-reproducible from (config, seed).  Exit codes: 0 success, 1 usage or
 config error, 2 missing, unreadable or unusable artifact path, 3 numeric
 failure.
@@ -283,8 +283,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(args.config)
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_resolved(cfg, out / RESOLVED_CONFIG_FILE)
         _DISPATCH[args.command](cfg, out)
+        write_resolved(cfg, out / RESOLVED_CONFIG_FILE)  # last: a refused command keeps the echo
     except (ConfigurationError, ContractError, ShapeMismatchError) as exc:
         print(f"otcforecast: config error: {exc}", file=sys.stderr)
         return 1

@@ -4,8 +4,8 @@ Every setting is declared once, as a :class:`RunConfig` field that carries
 its section, default, constraint text and check; its type annotation picks
 the parser.  Unknown sections or keys, and a named file with no section,
 are rejected so mistakes fail loudly; missing keys fall back to the
-defaults.  The fully resolved configuration is echoed next to every
-artifact a command produces.
+defaults.  The fully resolved configuration is echoed next to the
+artifacts once a command has made them.
 """
 
 from __future__ import annotations

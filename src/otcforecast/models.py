@@ -25,8 +25,8 @@ per-layer tables hold the attention blocks keyed by
 tensors, and per sublayer its (gamma, beta) or its layer's shared (gate,).
 Training records one tape entry per input sequence (``positioned``) and
 per sublayer op.  Inference reads the tensors' ``values``, views of
-``params.flat``, once per ``predict`` call and runs the same rules on them
-through the ops' forward helpers.
+``params.flat``, once per ``predict`` call and runs on them the array rules
+that the ops' forwards call, such as ``autodiff._attend_out``.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ class TransformerModel:
         # with the sublayer's rule (gamma, beta), or x + gate ⊙ fx with the layer's
         # rule (gate,), zero at init: one value (scalar) or one per channel (vector)
         self._residual, self._residual_values = (
-            (ad.residual_norm, _post_norm) if self.residual_mode == "norm"
+            (ad.residual_norm, ad._post_norm) if self.residual_mode == "norm"
             else (ad.residual_gate, ad._gate))
         d, width = config.d_model, 2 * config.vocab_size
         b = _Builder(rng_for(config.seed, "init", config.kind))
@@ -382,16 +382,19 @@ class TransformerModel:
         d, heads = cfg.d_model, cfg.heads
         embed = functools.partial(self._embed_values, weights=[t.values for t in self._embedding])
         residual = self._residual_values
+
+        def attend(rows, block, kh, vh):
+            """The rows' queries over the head-split keys and values, unmasked."""
+            return ad._attend_out(ad._query_heads(rows, block, heads), kh, vh, block, False)[2]
+
         x = embed(_windows(input_days, cfg.t_in, cfg.vocab_size)) + positional_encoding(cfg.t_in, d)
         for (attn,), ff, (r1, r2) in map(_layer_values, self._encoder):
-            qh, kh, vh = _heads(x, attn, heads)
-            x = residual(x, _attend_projected(qh, kh, vh, attn), *r1)
+            x = residual(x, attend(x, attn, *ad._key_value_heads(x, x, attn, heads)), *r1)
             x = residual(x, ad._feed_forward(x, *ff)[1], *r2)
         lead = x.shape[:-2]
         decoder = [_layer_values(layer) for layer in self._decoder]
         # per decoder layer: the memory's keys and values, then those decoded so far
-        caches = [[ad._split_heads(ad._project(x, cross["wk"]), heads, keys=True),
-                   ad._split_heads(ad._linear(x, cross["wv"], cross["bv"]), heads),
+        caches = [[*ad._key_value_heads(x, x, cross, heads),
                    np.zeros((*lead, heads, d // heads, 0)), np.zeros((*lead, heads, 0, d // heads))]
                   for (_, cross), _, _ in decoder]
         del x  # decoding does not read it: free it before the caches grow
@@ -401,22 +404,16 @@ class TransformerModel:
         rows = []
         for step in range(1, cfg.t_out + 1):
             for ((own, cross), ff, (r1, r2, r3)), cache in zip(decoder, caches):
-                qh, kh, vh = _heads(y, own, heads)
+                kh, vh = ad._key_value_heads(y, y, own, heads)
                 cache[2] = np.concatenate([cache[2], kh], axis=-1)
                 cache[3] = np.concatenate([cache[3], vh], axis=-2)
-                y = residual(y, _attend_projected(qh, cache[2], cache[3], own), *r1)
-                qh = ad._split_heads(ad._linear(y, cross["wq"], cross["bq"]), heads)
-                y = residual(y, _attend_projected(qh, cache[0], cache[1], cross), *r2)
+                y = residual(y, attend(y, own, cache[2], cache[3]), *r1)
+                y = residual(y, attend(y, cross, cache[0], cache[1]), *r2)
                 y = residual(y, ad._feed_forward(y, *ff)[1], *r3)
             rows.append(ad._squash(ad._linear(y, *readout))[1])
             if step < cfg.t_out:
                 y = embed((rows[-1] >= FEEDBACK_THRESHOLD).astype(np.float64)) + pe[step:step + 1]
         return np.concatenate(rows, axis=-2)
-
-
-def _post_norm(x: np.ndarray, fx: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """:func:`autodiff.residual_norm` on arrays."""
-    return ad._layer_norm("residual_norm", x + fx, gamma, beta)[0]
 
 
 def _layer_values(layer: tuple) -> tuple:
@@ -425,20 +422,6 @@ def _layer_values(layer: tuple) -> tuple:
     attention, ff, rules = layer
     return ([{w: t.values for w, t in block.items()} for block in attention],
             [t.values for t in ff], [[t.values for t in rule] for rule in rules])
-
-
-def _heads(x: np.ndarray, block: dict, heads: int):
-    """Head-split queries, keys and values of rows x, projected by the
-    block's weights with the products ``multi_head_attention`` makes."""
-    return (ad._split_heads(ad._linear(x, block["wq"], block["bq"]), heads),
-            ad._split_heads(ad._project(x, block["wk"]), heads, keys=True),
-            ad._split_heads(ad._linear(x, block["wv"], block["bv"]), heads))
-
-
-def _attend_projected(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, block: dict):
-    """Unmasked attention of head-split queries, merged and output-projected
-    by the block's wo and bo."""
-    return ad._linear(ad._attend(qh, kh, vh, False)[1], block["wo"], block["bo"])
 
 
 def build_model(config: ModelConfig):

@@ -463,28 +463,26 @@ class TestFusedAttention:
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
     def test_helpers_on_keys_and_values_projected_once_match_the_op(self, lead):
         # inference projects the memory's keys and values once, and each
-        # decoded row's query, key and value with the op's three products;
-        # a one-row query then attends unmasked with the op's own helpers
+        # decoded row's query, key and value with the op's own rules;
+        # a one-row query then attends unmasked
         params = {n: t.values for n, t in self.params(61).items()}
         x, memory = rand((*lead, 3, 4), 62, grad=False), rand((*lead, 5, 4), 63, grad=False)
 
-        def attend(qh, kh, vh):
-            return ad._linear(ad._attend(qh, kh, vh, False)[1], params["wo"], params["bo"])
+        def attend(rows, kh, vh):
+            return ad._attend_out(ad._query_heads(rows, params, 2), kh, vh, params, False)[2]
 
         tensors = self.params(61)
         cross = ad.multi_head_attention(x, memory, memory, heads=2, **tensors).values
-        qh = ad._split_heads(ad._linear(x.values, params["wq"], params["bq"]), 2)
-        kh = ad._split_heads(ad._project(memory.values, params["wk"]), 2, keys=True)
-        vh = ad._split_heads(ad._linear(memory.values, params["wv"], params["bv"]), 2)
-        assert np.array_equal(attend(qh, kh, vh), cross)
+        kh, vh = ad._key_value_heads(memory.values, memory.values, params, 2)
+        assert np.array_equal(attend(x.values, kh, vh), cross)
         square = ad.multi_head_attention(x, x, x, heads=2, causal=True, **tensors).values
         keys, values = [], []
         for t in range(3):
             row = x.values[..., t:t + 1, :]
-            keys.append(ad._split_heads(ad._project(row, params["wk"]), 2, keys=True))
-            values.append(ad._split_heads(ad._linear(row, params["wv"], params["bv"]), 2))
-            out = attend(ad._split_heads(ad._linear(row, params["wq"], params["bq"]), 2),
-                         np.concatenate(keys, axis=-1), np.concatenate(values, axis=-2))
+            kh, vh = ad._key_value_heads(row, row, params, 2)
+            keys.append(kh)
+            values.append(vh)
+            out = attend(row, np.concatenate(keys, axis=-1), np.concatenate(values, axis=-2))
             # a one-row product may sum in another order than the matrix one
             np.testing.assert_allclose(out, square[..., t:t + 1, :], rtol=0, atol=1e-14)
 

@@ -498,7 +498,7 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("otcforecast: config error:")
         assert "no dealer with a record left after the filters" in err
-        assert [p.name for p in out.iterdir()] == ["config.resolved.ini"]
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("edit, message", [
         (("periodic_min_period = 2", "periodic_min_period = 5"),
@@ -1427,6 +1427,18 @@ class TestCheckpointConfig:
         assert err.count("\n") == 1 and "unreadable artifact" in err
         assert "checkpoint_single.ckpt: train_fraction = 0.8, expected 0.5" in err
         assert not (out / "report.csv").exists()
+
+    def test_refused_eval_keeps_the_echo(self, tmp_path, capsys):
+        # the echo names the config the directory's artifacts were made under
+        cfg_path, out = write_config(tmp_path)
+        for command in ("gen", "train"):
+            assert main([command, "-c", str(cfg_path)]) == 0, command
+        echo = (out / "config.resolved.ini").read_bytes()
+        assert b"train_fraction = 0.8\n" in echo
+        cfg_path, _ = write_config(
+            tmp_path, text=TINY_CONFIG.replace("train_fraction = 0.8", "train_fraction = 0.5"))
+        assert main(["eval", "-c", str(cfg_path)]) == 2
+        assert (out / "config.resolved.ini").read_bytes() == echo
 
     def test_checkpoint_under_other_stride_exits_2(self, tmp_path, capsys):
         # at stride 1 the split holds windows that a stride-2 checkpoint never saw
