@@ -92,6 +92,25 @@ def write_config(tmp_path, text=None, **format_args):
     return path, out
 
 
+def run(cfg_path, *commands):
+    """Run each of ``commands`` in process under ``cfg_path``; each must exit 0."""
+    for command in commands:
+        assert main([command, "-c", str(cfg_path)]) == 0, command
+
+
+def refused(capsys, code, command, cfg_path, *phrases):
+    """Run ``command`` in process under ``cfg_path`` and check that it fails as
+    every failure of the CLI must: exit ``code``, and one line on stderr, with
+    no traceback, holding each of ``phrases``.  Returns that line."""
+    capsys.readouterr()
+    assert main([command, "-c", str(cfg_path)]) == code, command
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, err
+    for phrase in phrases:
+        assert phrase in err, (phrase, err)
+    return err.removesuffix("\n")
+
+
 # a non-default valid and an invalid raw value per RunConfig field
 SETTING_VALUES = {
     "days": ("30", "0"),
@@ -159,8 +178,7 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             parse_config(path)
         monkeypatch.chdir(tmp_path)  # where the default output_dir would go
-        assert main(["gen", "-c", str(path)]) == 1
-        assert capsys.readouterr().err == f"otcforecast: config error: {message}\n"
+        assert refused(capsys, 1, "gen", path) == f"otcforecast: config error: {message}"
         assert sorted(os.listdir(tmp_path)) == ["c.ini"]
         path.write_text(text + "[run]\n")  # one section, even an empty one, means the defaults
         assert parse_config(path) == parse_config(None)
@@ -237,8 +255,7 @@ class TestParseConfig:
                         f"[run]\noutput_dir = {tmp_path / 'out'}\n")
         with pytest.raises(ConfigurationError, match="even d_model"):
             parse_config(path)
-        assert main(["gen", "-c", str(path)]) == 1
-        assert capsys.readouterr().err.count("\n") == 1
+        refused(capsys, 1, "gen", path, "even d_model")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "Infinity"])
@@ -254,9 +271,7 @@ class TestParseConfig:
     def test_non_finite_rate_exits_1_before_gen(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(
             "dense_rate = 2.0", "dense_rate = inf"))
-        assert main(["gen", "-c", str(cfg_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "[market] dense_rate must be a float >= 0" in err
+        refused(capsys, 1, "gen", cfg_path, "[market] dense_rate must be a float >= 0")
         assert not out.exists()
 
     @pytest.mark.parametrize("raw", ["9.223372006484772e18", "1e19"])
@@ -264,10 +279,9 @@ class TestParseConfig:
         # numpy's Generator.poisson refuses a mean above 2**63 - 10 * sqrt(2**63)
         cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(
             "dense_rate = 2.0", f"dense_rate = {raw}"))
-        assert main(["gen", "-c", str(cfg_path)]) == 1
-        err = capsys.readouterr().err
-        assert err == (f"otcforecast: config error: dense_rate {float(raw)!r} must be nonnegative "
-                       "and at most numpy's Poisson limit 9.223372006484771e+18\n")
+        assert refused(capsys, 1, "gen", cfg_path) == (
+            f"otcforecast: config error: dense_rate {float(raw)!r} must be nonnegative "
+            "and at most numpy's Poisson limit 9.223372006484771e+18")
         assert not out.exists()
 
     @pytest.mark.parametrize("key", fields(RunConfig), ids=lambda key: key.name)
@@ -378,13 +392,9 @@ class TestSpecsFromConfig:
 
 
 class TestPipeline:
-    def run(self, *argv):
-        return main(list(argv))
-
     def test_full_pipeline(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "cluster", "train", "eval"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster", "train", "eval")
         for artifact in ("records.csv", "vocab.csv", "histories.bin", "clusters.csv",
                          "checkpoint_single.ckpt", "train_log_single.jsonl", "report.csv",
                          "config.resolved.ini"):
@@ -404,7 +414,7 @@ class TestPipeline:
         cfg_path.write_text(path.read_text(encoding="utf-8").replace(
             "output_dir = runs/mini", f"output_dir = {out}"), encoding="utf-8")
         assert parse_config(cfg_path) == replace(cfg, output_dir=str(out))
-        assert self.run("gen", "-c", str(cfg_path)) == 0
+        run(cfg_path, "gen")
         histories, days, vocab_size, _ = market.load_histories(out / "histories.bin")
         assert days == 249 and vocab_size <= cfg.bonds
         assert len(histories) == cfg.periodic_dealers + cfg.sparse_dealers + cfg.dense_dealers
@@ -418,7 +428,7 @@ class TestPipeline:
         for command, files in table.items():
             for path in out.glob("*"):  # so that any file the command writes is newer
                 os.utime(path, ns=(0, 0))
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+            run(cfg_path, command)
             written = {p.name for p in out.glob("*") if p.stat().st_mtime_ns != 0}
             globs = [name.replace("<unit>", "*") for name in files]
             listed = {name for glob in globs for name in fnmatch.filter(written, glob)}
@@ -429,43 +439,35 @@ class TestPipeline:
     def test_compare_cut_in_write_dealers_keeps_the_earlier_table(self, tmp_path, monkeypatch,
                                                                    capsys, exc):
         cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "compare"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
-        capsys.readouterr()
+        run(cfg_path, "gen", "compare")
         with interrupted_writes(monkeypatch, out / "compare_dealers.csv", exc):
             if exc is KeyboardInterrupt:  # the interpreter exits 130 on it
                 with pytest.raises(KeyboardInterrupt):
-                    self.run("compare", "-c", str(cfg_path))
+                    main(["compare", "-c", str(cfg_path)])
             else:
-                assert self.run("compare", "-c", str(cfg_path)) == 2
-                assert "unusable path: interrupted mid-write" in capsys.readouterr().err
+                refused(capsys, 2, "compare", cfg_path, "unusable path: interrupted mid-write")
 
     def test_eval_before_train_exits_2(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
-        assert self.run("gen", "-c", str(cfg_path)) == 0
-        assert self.run("cluster", "-c", str(cfg_path)) == 0
-        code = self.run("eval", "-c", str(cfg_path))
-        assert code == 2
-        assert "checkpoint_single.ckpt" in capsys.readouterr().err
+        run(cfg_path, "gen", "cluster")
+        refused(capsys, 2, "eval", cfg_path, "checkpoint_single.ckpt")
 
     def test_cluster_before_gen_exits_2(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
-        code = self.run("cluster", "-c", str(cfg_path))
-        assert code == 2
-        assert "histories.bin" in capsys.readouterr().err
+        refused(capsys, 2, "cluster", cfg_path, "histories.bin")
 
     def test_gen_determinism_bytewise(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
-        assert self.run("gen", "-c", str(cfg_path)) == 0
+        run(cfg_path, "gen")
         first = (out / "records.csv").read_bytes()
         first_hist = (out / "histories.bin").read_bytes()
-        assert self.run("gen", "-c", str(cfg_path)) == 0
+        run(cfg_path, "gen")
         assert (out / "records.csv").read_bytes() == first
         assert (out / "histories.bin").read_bytes() == first_hist
 
     def test_dealers_file_holds_every_generated_dealers_plan(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
-        assert self.run("gen", "-c", str(cfg_path)) == 0
+        run(cfg_path, "gen")
         with open(out / "dealers.csv", newline="", encoding="utf-8") as fh:
             first, header, *rows = csv.reader(fh)
         digest = hashlib.sha256((out / "histories.bin").read_bytes()).hexdigest()
@@ -494,10 +496,8 @@ class TestPipeline:
     ], ids=["no-bonds", "no-dealers"])
     def test_gen_refuses_an_empty_market(self, tmp_path, capsys, edit):
         cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(*edit))
-        assert self.run("gen", "-c", str(cfg_path)) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("otcforecast: config error:")
-        assert "no dealer with a record left after the filters" in err
+        err = refused(capsys, 1, "gen", cfg_path, "no dealer with a record left after the filters")
+        assert err.startswith("otcforecast: config error:")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("edit, message", [
@@ -510,18 +510,16 @@ class TestPipeline:
     ], ids=["period", "periodic-bonds", "dense-bonds"])
     def test_inverted_range_exits_1(self, tmp_path, capsys, edit, message):
         cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(*edit))
-        assert self.run("gen", "-c", str(cfg_path)) == 1
-        err = capsys.readouterr().err
-        assert err == f"otcforecast: config error: {message}\n"
+        assert refused(capsys, 1, "gen", cfg_path) == f"otcforecast: config error: {message}"
         assert not out.exists()
 
     def test_cluster_warns_about_empty_tiers(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(
             "periodic_dealers = 3\nsparse_dealers = 2\ndense_dealers = 1",
             "periodic_dealers = 1\nsparse_dealers = 0\ndense_dealers = 0"))
-        assert self.run("gen", "-c", str(cfg_path)) == 0
+        run(cfg_path, "gen")
         with pytest.warns(UserWarning) as caught:
-            assert self.run("cluster", "-c", str(cfg_path)) == 0
+            run(cfg_path, "cluster")
         assert [str(w.message) for w in caught] == ["cluster: no dealer holds tier 1, 2, 3 of 0-3"]
         assert capsys.readouterr().out.endswith("(1 dealers, 1 populated tiers)\n")
         assert (out / "clusters.csv").read_text().splitlines()[1:] == ["D0000,0"]
@@ -529,24 +527,19 @@ class TestPipeline:
     def test_bad_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[window]\nt_inn = 3\n")
-        assert self.run("gen", "-c", str(path)) == 1
-        assert "t_inn" in capsys.readouterr().err
+        refused(capsys, 1, "gen", path, "t_inn")
 
     def test_non_utf8_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "latin1.ini"
         path.write_bytes("[run]\n# d\xe9j\xe0 vu\nseed = 3\n".encode("latin-1"))
-        assert self.run("gen", "-c", str(path)) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("otcforecast: config error:")
-        assert "latin1.ini" in err
+        assert refused(capsys, 1, "gen", path, "latin1.ini").startswith(
+            "otcforecast: config error:")
 
     def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("not a directory\n")
         cfg_path, _ = write_config(tmp_path, out=out)
-        assert self.run("gen", "-c", str(cfg_path)) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(out) in err
+        refused(capsys, 2, "gen", cfg_path, str(out))
 
     # an empty output_dir would be Path(""), the working directory
     @pytest.mark.parametrize("out", ["out\0x", ""], ids=["nul", "empty"])
@@ -555,22 +548,19 @@ class TestPipeline:
         cfg_path, _ = write_config(tmp_path, out=out)
         monkeypatch.chdir(tmp_path)
         for command in ("gen", "cluster", "train", "eval", "compare"):
-            assert self.run(command, "-c", str(cfg_path)) == 1, command
-            assert capsys.readouterr().err == (
+            assert refused(capsys, 1, command, cfg_path) == (
                 "otcforecast: config error: [run] output_dir must be a non-empty path without "
-                f"a NUL character, got {out!r}\n")
+                f"a NUL character, got {out!r}")
         assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_histories_that_is_a_directory_exits_2(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
         (out / "histories.bin").mkdir(parents=True)
-        assert self.run("cluster", "-c", str(cfg_path)) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(out / "histories.bin") in err
+        refused(capsys, 2, "cluster", cfg_path, str(out / "histories.bin"))
 
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            self.run("frobnicate")
+            main(["frobnicate"])
         assert exc.value.code == 1
 
     def test_console_script_is_the_cli_main(self):
@@ -590,9 +580,8 @@ class TestPipeline:
             text=TINY_CONFIG.replace("learning_rate = 0.005", "learning_rate = 1e200")
                             .replace("epochs = 1", "epochs = 3"),
         )
-        assert self.run("gen", "-c", str(cfg_path)) == 0
-        assert self.run("train", "-c", str(cfg_path)) == 3
-        assert "numeric failure" in capsys.readouterr().err
+        run(cfg_path, "gen")
+        refused(capsys, 3, "train", cfg_path, "numeric failure")
 
     def test_fc_train_probes_no_layer_stats(self, tmp_path, monkeypatch):
         cfg_path, out = write_config(
@@ -600,8 +589,7 @@ class TestPipeline:
         )
         probed = []
         monkeypatch.setattr(cli, "layer_signal_stats", lambda *args, **kwargs: probed.append(1))
-        for command in ("gen", "cluster", "train"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster", "train")
         assert (out / "checkpoint_single.ckpt").exists()
         assert probed == []
         lines = (out / "train_log_single.jsonl").read_text().splitlines()
@@ -612,8 +600,9 @@ class TestPipeline:
                                                               monkeypatch, trained_before):
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = TransFV"))
-        for command in ("gen", "train") if trained_before else ("gen",):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen")
+        if trained_before:
+            run(cfg_path, "train")
         layer_signal_stats = cli.layer_signal_stats
         calls = []
 
@@ -624,26 +613,19 @@ class TestPipeline:
             return layer_signal_stats(model, samples)
 
         monkeypatch.setattr(cli, "layer_signal_stats", overflowing)
-        capsys.readouterr()
-        assert self.run("train", "-c", str(cfg_path)) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("otcforecast: numeric failure:")
-        assert "non-finite layer statistic" in err
+        err = refused(capsys, 3, "train", cfg_path, "non-finite layer statistic")
+        assert err.startswith("otcforecast: numeric failure:")
         # the statistics are taken while training: the unit has no checkpoint,
         # not even one an earlier train saved, and its log holds the lines
         # before the failure, the model as built
         assert len(calls) == 2 and not list(out.glob("checkpoint_*"))
         lines = (out / "train_log_single.jsonl").read_text().splitlines()
         assert [json.loads(line)["epoch"] for line in lines] == [0]
-        assert self.run("eval", "-c", str(cfg_path)) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "missing artifact" in err
-        assert "checkpoint_single.ckpt" in err
+        refused(capsys, 2, "eval", cfg_path, "missing artifact", "checkpoint_single.ckpt")
 
     def test_union_eval_mode(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "cluster", "train", "eval"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster", "train", "eval")
 
         def all_row(path):
             rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
@@ -655,7 +637,7 @@ class TestPipeline:
         union_cfg.write_text(
             (tmp_path / "run.ini").read_text().replace(
                 "[run]", "[run]\neval_mode = union"))
-        assert self.run("eval", "-c", str(union_cfg)) == 0
+        run(union_cfg, "eval")
         union = all_row(out / "report.csv")
         # collapsing the window can only merge positive day-cells
         assert union[0] + union[2] <= per_day[0] + per_day[2]
@@ -665,25 +647,24 @@ class TestPipeline:
             tmp_path,
             text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"),
         )
-        for command in ("gen", "cluster", "train", "eval"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster", "train", "eval")
         checkpoints = sorted(p.name for p in out.glob("checkpoint_cluster*.ckpt"))
         assert checkpoints, "expected per-cluster checkpoints"
 
     def test_non_ascii_dealer_ids_under_an_ascii_locale(self, tmp_path):
         """CSV artifacts are UTF-8 and unit file names ASCII whatever the locale:
         the commands run as subprocesses under the C locale with UTF-8 mode off."""
-        run = ascii_locale_runner()
+        in_c_locale = ascii_locale_runner()
         cfg_path, out = write_config(
             tmp_path,
             text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"),
         )
-        assert self.run("gen", "-c", str(cfg_path)) == 0
+        run(cfg_path, "gen")
         histories, _, _, _ = market.load_histories(out / "histories.bin")
         ids = rename_dealers(out / "histories.bin",
                              [h.dealer_id.replace("D", "Dé", 1) for h in histories])
         for command in ("cluster", "train", "eval"):
-            proc = run(command, cfg_path)
+            proc = in_c_locale(command, cfg_path)
             assert proc.returncode == 0, (command, proc.stderr)
         rows = (out / "clusters.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert sorted(row.split(",")[0] for row in rows) == sorted(ids)
@@ -692,22 +673,22 @@ class TestPipeline:
         cfg_path.write_text(cfg_path.read_text().replace("granularity = cluster",
                                                          "granularity = individual"))
         for command in ("train", "eval"):
-            proc = run(command, cfg_path)
+            proc = in_c_locale(command, cfg_path)
             assert proc.returncode == 0, (command, proc.stderr)
         assert (out / "checkpoint_dealer_D%C3%A90000.ckpt").exists()
         assert all(name.isascii() for name in os.listdir(out))
 
     def test_any_nonempty_dealer_id_at_individual_granularity(self, tmp_path):
-        run = ascii_locale_runner()
+        in_c_locale = ascii_locale_runner()
         cfg_path, out = write_config(
             tmp_path,
             text=TINY_CONFIG.replace("granularity = single", "granularity = individual"),
         )
-        assert self.run("gen", "-c", str(cfg_path)) == 0
+        run(cfg_path, "gen")
         # "x%25y" is what a raw "x%y" would become, so the two names must differ
         ids = rename_dealers(out / "histories.bin", ["a/b", "a\0b", "Dé1", "x%y", "x%25y"])
         for command in ("cluster", "train", "eval"):
-            proc = run(command, cfg_path)
+            proc = in_c_locale(command, cfg_path)
             assert proc.returncode == 0, (command, proc.stderr)
         assert all(name.isascii() for name in os.listdir(out))
         tags = {"a/b": "a%2Fb", "a\0b": "a%00b", "Dé1": "D%C3%A91", "x%y": "x%25y",
@@ -723,10 +704,9 @@ class TestPipeline:
             tmp_path,
             text=TINY_CONFIG.replace("granularity = single", "granularity = individual"),
         )
-        assert self.run("gen", "-c", str(cfg_path)) == 0
+        run(cfg_path, "gen")
         rename_dealers(out / "histories.bin", [dealer_id])
-        for command in ("cluster", "train"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "cluster", "train")
         encoded = dealer_id.replace("/", "%2F").replace("\0", "%00")
         assert (out / f"checkpoint_dealer_{encoded}.ckpt").is_file()
         assert (out / f"train_log_dealer_{encoded}.jsonl").is_file()
@@ -736,7 +716,7 @@ class TestPipeline:
         """Run ``cluster`` on histories whose last dealer id is the raw
         ``ident``; returns that dealer's index and the error output."""
         cfg_path, out = write_config(tmp_path)
-        assert self.run("gen", "-c", str(cfg_path)) == 0
+        run(cfg_path, "gen")
         path = out / "histories.bin"
         histories, _, _, _ = market.load_histories(path)
         # the writer refuses an empty or non-UTF-8 id, so the last dealer's
@@ -746,11 +726,8 @@ class TestPipeline:
         blob = path.read_bytes()
         assert blob.count(record) == 1
         path.write_bytes(blob.replace(record, struct.pack("<H", len(ident)) + ident))
-        capsys.readouterr()
-        assert self.run("cluster", "-c", str(cfg_path)) == 2
+        err = refused(capsys, 2, "cluster", cfg_path, "unreadable artifact")
         assert not (out / "clusters.csv").exists()
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
         return len(histories) - 1, err
 
     def test_empty_dealer_id_exits_2_before_clustering(self, tmp_path, capsys):
@@ -768,8 +745,7 @@ class TestPipeline:
             text=TINY_CONFIG.replace("granularity = single", "granularity = cluster")
                             .replace("[run]", f"[run]\neval_mode = {mode}"),
         )
-        for command in ("gen", "cluster", "train", "eval"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster", "train", "eval")
         cfg = parse_config(cfg_path)
         histories, days, vocab_size, _ = market.load_histories(out / "histories.bin")
         samples = [s for h in histories
@@ -795,8 +771,7 @@ class TestPipeline:
                             .replace("kind = TransPPRZ", f"kind = {kind}")
                             .replace("epochs = 1", f"epochs = {epochs}"),
         )
-        for command in ("gen", "cluster", "train"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster", "train")
         cfg = parse_config(cfg_path)
         vocab_size, units, _, _ = cli._prepare(cfg, out)
         config = cfg.model_config(vocab_size)
@@ -830,16 +805,14 @@ class TestPipeline:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         keys = re.search(r"^\* `train_log_<unit>\.jsonl`: `([^`]*)`", readme, re.MULTILINE).group(1)
         cfg_path, out = write_config(tmp_path)  # a TransPPRZ unit, trained one epoch
-        for command in ("gen", "train"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "train")
         lines = (out / "train_log_single.jsonl").read_text().splitlines()
         assert len(lines) == 2
         assert all(list(json.loads(line)) == keys.split(",") for line in lines)
 
     def test_compare_grid_shape(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "cluster", "compare"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster", "compare")
         lines = (out / "compare_f1.csv").read_text().splitlines()
         assert lines[0] == "model,least,less,more,most,avg"
         assert len(lines) == 9  # header + 8 model kinds
@@ -856,8 +829,7 @@ class TestPipeline:
             text=TINY_CONFIG.replace("granularity = single", f"granularity = {granularity}")
                             .replace("[run]", f"[run]\neval_mode = {mode}"),
         )
-        for command in ("gen", "cluster", "compare"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster", "compare")
         with open(out / "compare_report.csv", newline="") as fh:
             pooled = {row["model"]: row for row in csv.DictReader(fh) if row["cluster"] == "all"}
         with open(out / "compare_days.csv", newline="") as fh:
@@ -886,8 +858,7 @@ class TestPipeline:
         tables, scoring = [], cli.score_units
         monkeypatch.setattr(cli, "score_units", lambda *args: tables.append(scoring(*args))
                             or tables[-1])
-        for command in ("gen", "train", "eval", "compare"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "train", "eval", "compare")
         labels, counts = tiers(cfg_path, out), ("tp", "fp", "fn", "tn")
 
         def read(name):
@@ -940,11 +911,10 @@ class TestPipeline:
             text=TINY_CONFIG.replace("granularity = single", "granularity = cluster")
                             .replace("train_fraction = 0.8", f"train_fraction = {train_fraction}"),
         )
-        for command in ("gen", "cluster"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster")
         with warnings.catch_warnings(record=True) as cli_warnings:
             warnings.simplefilter("always")
-            assert self.run("compare", "-c", str(cfg_path)) == 0
+            run(cfg_path, "compare")
         cfg = parse_config(cfg_path)
         histories, days, vocab_size, _ = market.load_histories(out / "histories.bin")
         samples = [s for h in histories
@@ -973,8 +943,7 @@ class TestPipeline:
     def test_compare_forms_units_once(self, tmp_path, monkeypatch):
         cfg_path, _ = write_config(
             tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
-        for command in ("gen", "cluster"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster")
         calls = []
         forming = harness.training_units
 
@@ -984,15 +953,14 @@ class TestPipeline:
 
         for module in (cli, harness):
             monkeypatch.setattr(module, "training_units", counted)
-        assert self.run("compare", "-c", str(cfg_path)) == 0
+        run(cfg_path, "compare")
         assert calls == ["cluster"]
 
     def test_compare_builds_each_kind_once_and_trains_every_unit_from_its_start(
             self, tmp_path, monkeypatch):
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
-        for command in ("gen", "cluster"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster")
         built, trained = {}, []
         build, fit = cli.build_model, cli.train
 
@@ -1010,7 +978,7 @@ class TestPipeline:
 
         monkeypatch.setattr(cli, "build_model", counted_build)
         monkeypatch.setattr(cli, "train", checked_fit)
-        assert self.run("compare", "-c", str(cfg_path)) == 0
+        run(cfg_path, "compare")
         assert list(built) == list(MODEL_KINDS)
         units = len(set(tiers(cfg_path, out).values()))
         assert units > 1
@@ -1019,7 +987,7 @@ class TestPipeline:
     def test_train_and_eval_build_one_model_for_every_unit(self, tmp_path, monkeypatch):
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
-        assert self.run("gen", "-c", str(cfg_path)) == 0
+        run(cfg_path, "gen")
         build = cli.build_model
         for command in ("train", "eval"):
             built = []
@@ -1029,7 +997,7 @@ class TestPipeline:
                 return build(config)
 
             monkeypatch.setattr(cli, "build_model", counted_build)
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+            run(cfg_path, command)
             assert len(built) == 1, command
         # each unit trained from the initial parameters: its checkpoint is a fresh build's
         cfg = parse_config(cfg_path)
@@ -1048,8 +1016,9 @@ class TestPipeline:
         a checkpoint pins is of the bytes the command parsed."""
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
-        for before in ("gen", "train") if command == "eval" else ("gen",):
-            assert self.run(before, "-c", str(cfg_path)) == 0, before
+        run(cfg_path, "gen")
+        if command == "eval":
+            run(cfg_path, "train")
         path, opens, real_open = out / "histories.bin", [], io.open
 
         def counted(file, *args, **kwargs):
@@ -1059,14 +1028,13 @@ class TestPipeline:
 
         for module in (builtins, io):  # pathlib's read_bytes opens through io.open
             monkeypatch.setattr(module, "open", counted)
-        assert self.run(command, "-c", str(cfg_path)) == 0
+        run(cfg_path, command)
         assert len(opens) == 1
 
     def test_eval_scores_each_unit_before_loading_the_next(self, tmp_path, monkeypatch):
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
-        for command in ("gen", "cluster", "train"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster", "train")
         events, last = [], []
         check, evaluate = cli.check_checkpoint, harness.evaluate
 
@@ -1084,7 +1052,7 @@ class TestPipeline:
 
         monkeypatch.setattr(cli, "check_checkpoint", checked)
         monkeypatch.setattr(harness, "evaluate", scored)
-        assert self.run("eval", "-c", str(cfg_path)) == 0
+        run(cfg_path, "eval")
         paths = sorted(p.name for p in out.glob("checkpoint_*.ckpt"))
         assert len(paths) > 1
         # every checkpoint is checked before the first unit is scored
@@ -1096,8 +1064,7 @@ class TestPipeline:
     def trained_without_the_last_checkpoint(self, tmp_path):
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
-        for command in ("gen", "cluster", "train"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster", "train")
         last = sorted(out.glob("checkpoint_*.ckpt"))[-1]
         last.unlink()
         return cfg_path, out, last
@@ -1109,10 +1076,7 @@ class TestPipeline:
         evaluate = harness.evaluate
         monkeypatch.setattr(harness, "evaluate",
                             lambda *args, **kwargs: scored.append(1) or evaluate(*args, **kwargs))
-        capsys.readouterr()
-        assert self.run("eval", "-c", str(cfg_path)) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and last.name in err
+        refused(capsys, 2, "eval", cfg_path, last.name)
         assert not (out / "report.csv").exists()
         # every checkpoint is checked before the first unit is scored
         assert scored == []
@@ -1121,8 +1085,7 @@ class TestPipeline:
                                                                    monkeypatch):
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
-        for command in ("gen", "cluster", "train"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster", "train")
         last = sorted(out.glob("checkpoint_*.ckpt"))[-1]
         header, payload = last.read_bytes().split(b"\n", 1)
         last.write_bytes(header + b"\n" + payload[:-8] + np.float64(np.nan).tobytes())
@@ -1130,9 +1093,7 @@ class TestPipeline:
         evaluate = harness.evaluate
         monkeypatch.setattr(harness, "evaluate",
                             lambda *args, **kwargs: scored.append(1) or evaluate(*args, **kwargs))
-        capsys.readouterr()
-        assert self.run("eval", "-c", str(cfg_path)) == 2
-        assert f"{last}: non-finite parameter value" in capsys.readouterr().err
+        refused(capsys, 2, "eval", cfg_path, f"{last}: non-finite parameter value")
         assert scored == [] and not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("command, train_fraction, split", [
@@ -1148,54 +1109,38 @@ class TestPipeline:
         # the boundary day 3 of train_fraction 0.1 (no training window)
         cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(
             "train_fraction = 0.8", f"train_fraction = {train_fraction}"))
-        for step in ("gen", "cluster"):
-            assert self.run(step, "-c", str(cfg_path)) == 0, step
+        run(cfg_path, "gen", "cluster")
         artifacts = sorted(out.iterdir())
-        capsys.readouterr()
-        assert self.run(command, "-c", str(cfg_path)) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("otcforecast: config error:")
-        for key in (f"no {split} window", "days 30", "t_in 3", "t_out 2",
-                    f"train_fraction {train_fraction}"):
-            assert key in err, key
+        err = refused(capsys, 1, command, cfg_path, f"no {split} window", "days 30", "t_in 3",
+                      "t_out 2", f"train_fraction {train_fraction}")
+        assert err.startswith("otcforecast: config error:")
         assert sorted(out.iterdir()) == artifacts
 
     @pytest.mark.parametrize("cut", [0, 7, 0.5, -1])
     def test_truncated_checkpoint_exits_2(self, tmp_path, capsys, cut):
         cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "cluster", "train"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster", "train")
         path = out / "checkpoint_single.ckpt"
         truncate(path, cut)
-        capsys.readouterr()
-        assert self.run("eval", "-c", str(cfg_path)) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err and path.name in err
+        refused(capsys, 2, "eval", cfg_path, "unreadable artifact", path.name)
 
     @pytest.mark.parametrize("cut", [0, 15, 19, 0.5, -1])
     def test_truncated_histories_exit_2(self, tmp_path, capsys, cut):
         cfg_path, out = write_config(tmp_path)
-        assert self.run("gen", "-c", str(cfg_path)) == 0
+        run(cfg_path, "gen")
         path = out / "histories.bin"
         truncate(path, cut)
-        capsys.readouterr()
         for command in ("cluster", "compare"):
-            assert self.run(command, "-c", str(cfg_path)) == 2, command
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and "unreadable artifact" in err and path.name in err
+            refused(capsys, 2, command, cfg_path, "unreadable artifact", path.name)
 
     def test_histories_without_dealers_exit_2(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path)
-        assert self.run("gen", "-c", str(cfg_path)) == 0
+        run(cfg_path, "gen")
         path = out / "histories.bin"
         # keep the header and write a dealer count of 0
         path.write_bytes(path.read_bytes()[:16] + bytes(4))
-        capsys.readouterr()
         for command in ("cluster", "train"):
-            assert self.run(command, "-c", str(cfg_path)) == 2, command
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and "unreadable artifact" in err
-            assert path.name in err and "0 dealers" in err
+            refused(capsys, 2, command, cfg_path, "unreadable artifact", path.name, "0 dealers")
 
     def test_compare_checks_every_model_config_before_training(self, tmp_path, capsys,
                                                                monkeypatch):
@@ -1205,14 +1150,10 @@ class TestPipeline:
             tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = LSTM")
                                       .replace("d_model = 8", "d_model = 6")
                                       .replace("heads = 2", "heads = 4"))
-        for command in ("gen", "cluster"):
-            assert self.run(command, "-c", str(cfg_path)) == 0, command
+        run(cfg_path, "gen", "cluster")
         trained = []
         monkeypatch.setattr(harness, "train", lambda *args: trained.append(args))
-        capsys.readouterr()
-        assert self.run("compare", "-c", str(cfg_path)) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "divisible by heads=4" in err
+        refused(capsys, 1, "compare", cfg_path, "divisible by heads=4")
         assert trained == []
 
 
@@ -1223,10 +1164,9 @@ class TestClustersFile:
     """No command but `cluster` touches clusters.csv: `train`, `eval` and
     `compare` derive the tiers from the histories they load."""
 
-    def run(self, cfg_path, *commands, outputs=COMPARE_OUTPUTS):
+    def after(self, cfg_path, *commands, outputs=COMPARE_OUTPUTS):
         """Run ``commands`` in order; returns the bytes of ``outputs``."""
-        for command in commands:
-            assert main([command, "-c", str(cfg_path)]) == 0, command
+        run(cfg_path, *commands)
         out = Path(parse_config(cfg_path).output_dir)
         return {name: (out / name).read_bytes() for name in outputs}
 
@@ -1239,9 +1179,9 @@ class TestClustersFile:
         text = TINY_CONFIG.replace("granularity = single", f"granularity = {granularity}")
         with_cluster, _ = self.config(tmp_path / "with", text)
         without, out = self.config(tmp_path / "without", text)
-        assert self.run(without, "gen", "compare") == self.run(with_cluster, "gen", "cluster",
-                                                               "compare")
-        assert self.run(without, "train", "eval", outputs=["report.csv"]) == self.run(
+        assert self.after(without, "gen", "compare") == self.after(with_cluster, "gen", "cluster",
+                                                                   "compare")
+        assert self.after(without, "train", "eval", outputs=["report.csv"]) == self.after(
             with_cluster, "train", "eval", outputs=["report.csv"])
         assert not (out / "clusters.csv").exists()
 
@@ -1257,21 +1197,21 @@ class TestClustersFile:
     def test_a_broken_clusters_file_changes_no_output(self, tmp_path, edit):
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
-        before = self.run(cfg_path, "gen", "cluster", "compare")
+        before = self.after(cfg_path, "gen", "cluster", "compare")
         edit(out / "clusters.csv")
-        assert self.run(cfg_path, "compare") == before
+        assert self.after(cfg_path, "compare") == before
 
     def test_compare_after_a_new_gen_scores_the_new_tiers(self, tmp_path):
         # the same dealer ids in an eight-dealer market, then in a six-dealer one
         eight = TINY_CONFIG.replace("periodic_dealers = 3", "periodic_dealers = 5") \
                            .replace("top_dealers = 6", "top_dealers = 8")
         cfg_path, out = self.config(tmp_path / "stale", eight)
-        self.run(cfg_path, "gen", "cluster", outputs=())
+        run(cfg_path, "gen", "cluster")
         stale = (out / "clusters.csv").read_bytes()
         cfg_path, out = self.config(tmp_path / "stale", TINY_CONFIG)
         fresh_path, fresh_out = self.config(tmp_path / "fresh", TINY_CONFIG)
-        assert self.run(cfg_path, "gen", "compare") == self.run(fresh_path, "gen", "cluster",
-                                                                "compare")
+        assert self.after(cfg_path, "gen", "compare") == self.after(fresh_path, "gen", "cluster",
+                                                                    "compare")
         assert (out / "clusters.csv").read_bytes() == stale != (
             fresh_out / "clusters.csv").read_bytes()
 
@@ -1283,29 +1223,29 @@ class TestClustersFile:
         at = {fraction: text.replace("train_fraction = 0.8", f"train_fraction = {fraction}")
               for fraction in ("0.8", "0.5")}
         earlier, out = self.config(tmp_path / "earlier", at["0.8"])
-        self.run(earlier, "gen", "cluster", outputs=())
+        run(earlier, "gen", "cluster")
         stale = (out / "clusters.csv").read_bytes()
         later, _ = self.config(tmp_path / "earlier", at["0.5"])
         fresh, fresh_out = self.config(tmp_path / "fresh", at["0.5"])
-        assert self.run(later, "compare") == self.run(fresh, "gen", "cluster", "compare")
+        assert self.after(later, "compare") == self.after(fresh, "gen", "cluster", "compare")
         assert stale != (fresh_out / "clusters.csv").read_bytes()
 
     def test_a_broken_clusters_file_changes_no_checkpoint_or_report(self, tmp_path):
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
-        self.run(cfg_path, "gen", "cluster", "train", outputs=())
+        run(cfg_path, "gen", "cluster", "train")
         outputs = sorted(path.name for path in out.glob("checkpoint_*.ckpt")) + ["report.csv"]
         assert len(outputs) > 2
-        before = self.run(cfg_path, "eval", outputs=outputs)
+        before = self.after(cfg_path, "eval", outputs=outputs)
         (out / "clusters.csv").write_bytes(b"\xff\x00 not a csv\r\n")
-        assert self.run(cfg_path, "train", "eval", outputs=outputs) == before
+        assert self.after(cfg_path, "train", "eval", outputs=outputs) == before
 
     @pytest.mark.parametrize("fraction", ["0.5", "0.8"])
     def test_cluster_writes_the_tiers_the_commands_derive(self, tmp_path, fraction):
         text = TINY_CONFIG.replace("seed = 3", "seed = 4") \
                           .replace("train_fraction = 0.8", f"train_fraction = {fraction}")
         cfg_path, out = write_config(tmp_path, text=text)
-        self.run(cfg_path, "gen", "cluster", outputs=())
+        run(cfg_path, "gen", "cluster")
         source = hashlib.sha256((out / "histories.bin").read_bytes()).hexdigest()
         rows = [("histories_sha256", source), *sorted(tiers(cfg_path, out).items())]
         assert (out / "clusters.csv").read_bytes() == "".join(
@@ -1399,58 +1339,117 @@ def load_trained(cfg_path, out, tag="single"):
     return model
 
 
+def v1_entries(params):
+    """The per-tensor name/shape/offset table of the version 1 manifest; that
+    format's payload bytes are the current format's."""
+    entries, offset = [], 0
+    for name, tensor in zip(params.names(), params.tensors()):
+        entries.append({"name": name, "shape": list(tensor.shape), "offset": offset})
+        offset += 8 * tensor.values.size
+    return entries
+
+
+def v2_payload(model, payload):
+    """``model``'s parameters as version 2 stored them, each LSTM direction
+    gate by gate: wx_i, wh_i, b_i, wx_f, ..."""
+    params, hidden = model.params, model.config.hidden
+    parts = []
+    for name in params.names():
+        if name.endswith(".wx"):
+            parts += [params[name[:-2] + weight].values[..., k * hidden:(k + 1) * hidden]
+                      for k in range(4) for weight in ("wx", "wh", "b")]
+        elif not name.startswith("lstm."):
+            parts.append(params[name].values)
+    old = b"".join(np.ascontiguousarray(part).astype("<f8").tobytes() for part in parts)
+    # same length, so for an LSTM only the version tells a scrambled load apart
+    assert len(old) == len(payload) and (old != payload) == (model.config.kind == "LSTM")
+    return old
+
+
+def v3_payload(model):
+    """``model``'s parameters as version 3 stored them, with a key bias after
+    each attention block's wk."""
+    parts = []
+    for name in model.params.names():
+        parts.append(model.params[name].values)
+        if name.endswith(".wk"):
+            parts.append(np.zeros(model.params[name].shape[1]))
+    return b"".join(part.astype("<f8").tobytes() for part in parts)
+
+
+def nested_config(manifest, version):
+    """Versions 4 and 5 nested the model config under "config"; version 4 did
+    not record the train_fraction a checkpoint trained under, and neither
+    recorded the histories."""
+    config = {key.name: manifest[key.name] for key in fields(ModelConfig)}
+    if version == 5:
+        config["train_fraction"] = manifest["train_fraction"]
+    return {"magic": manifest["magic"], "version": version, "config": config}
+
+
+# every retired checkpoint format: the kind trained, and the rewrite of a fresh
+# checkpoint's (manifest, payload, loaded model) into that format's manifest and payload
+RETIRED_CHECKPOINTS = {
+    "no-magic": ("TransPPRZ", lambda manifest, payload, model: (
+        {"entries": v1_entries(model.params)}, payload)),
+    "v1": ("TransPPRZ", lambda manifest, payload, model: (
+        {**manifest, "version": 1, "entries": v1_entries(model.params)}, payload)),
+    **{f"v2-{kind}": (kind, lambda manifest, payload, model: (
+        {**manifest, "version": 2}, v2_payload(model, payload)))
+       for kind in ("LSTM", "TransPPRZ")},
+    "v3": ("TransPPRZ", lambda manifest, payload, model: (
+        {**manifest, "version": 3}, v3_payload(model))),
+    **{f"v{version}": ("TransPPRZ", lambda manifest, payload, model, version=version: (
+        nested_config(manifest, version), payload)) for version in (4, 5)},
+    # version 6 did not record the training settings
+    "v6": ("TransPPRZ", lambda manifest, payload, model: (
+        {**{key: value for key, value in manifest.items() if not key.startswith("train_")},
+         "train_fraction": manifest["train_fraction"], "version": 6}, payload)),
+    # version 8 recorded the patience early stop, null when unset
+    "v8": ("TransPPRZ", lambda manifest, payload, model: (
+        {**manifest, "train_patience": None, "version": 8}, payload)),
+}
+
+
 class TestCheckpointConfig:
     def test_checkpoint_under_other_heads_exits_2(self, tmp_path, capsys):
         # parameter shapes do not depend on heads, so only the manifest's
         # config tells the two apart
         trained = TINY_CONFIG.replace("kind = TransPPRZ", "kind = TransRE")
         cfg_path, out = write_config(tmp_path, text=trained.replace("heads = 2", "heads = 4"))
-        for command in ("gen", "cluster", "train", "eval"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
+        run(cfg_path, "gen", "cluster", "train", "eval")
         cfg_path, _ = write_config(tmp_path, text=trained)
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "checkpoint_single.ckpt" in err and "heads = 4" in err and "2" in err
+        refused(capsys, 2, "eval", cfg_path, "unreadable artifact", "checkpoint_single.ckpt",
+                "heads = 4", "2")
 
     def test_checkpoint_under_other_train_fraction_exits_2(self, tmp_path, capsys):
         # at 0.5 the test split would hold windows the checkpoint trained on at 0.8
         cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "train"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
+        run(cfg_path, "gen", "train")
         cfg_path, _ = write_config(
             tmp_path, text=TINY_CONFIG.replace("train_fraction = 0.8", "train_fraction = 0.5"))
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "checkpoint_single.ckpt: train_fraction = 0.8, expected 0.5" in err
+        refused(capsys, 2, "eval", cfg_path, "unreadable artifact",
+                "checkpoint_single.ckpt: train_fraction = 0.8, expected 0.5")
         assert not (out / "report.csv").exists()
 
     def test_refused_eval_keeps_the_echo(self, tmp_path, capsys):
         # the echo names the config the directory's artifacts were made under
         cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "train"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
+        run(cfg_path, "gen", "train")
         echo = (out / "config.resolved.ini").read_bytes()
         assert b"train_fraction = 0.8\n" in echo
         cfg_path, _ = write_config(
             tmp_path, text=TINY_CONFIG.replace("train_fraction = 0.8", "train_fraction = 0.5"))
-        assert main(["eval", "-c", str(cfg_path)]) == 2
+        refused(capsys, 2, "eval", cfg_path, "unreadable artifact")
         assert (out / "config.resolved.ini").read_bytes() == echo
 
     def test_checkpoint_under_other_stride_exits_2(self, tmp_path, capsys):
         # at stride 1 the split holds windows that a stride-2 checkpoint never saw
         cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "train"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
+        run(cfg_path, "gen", "train")
         cfg_path, _ = write_config(tmp_path, text=TINY_CONFIG.replace("stride = 2", "stride = 1"))
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "checkpoint_single.ckpt: stride = 2, expected 1" in err
+        refused(capsys, 2, "eval", cfg_path, "unreadable artifact",
+                "checkpoint_single.ckpt: stride = 2, expected 1")
         assert not (out / "report.csv").exists() and not (out / "report_dealers.csv").exists()
 
     @pytest.mark.parametrize("setting, value, message", [
@@ -1463,37 +1462,29 @@ class TestCheckpointConfig:
     def test_checkpoint_under_other_training_settings_exits_2(self, tmp_path, capsys,
                                                               setting, value, message):
         cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "train"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
+        run(cfg_path, "gen", "train")
         assert TINY_CONFIG.count(setting) == 1
         cfg_path, _ = write_config(tmp_path, text=TINY_CONFIG.replace(setting, value))
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"checkpoint_single.ckpt: {message}" in err
+        refused(capsys, 2, "eval", cfg_path, "unreadable artifact",
+                f"checkpoint_single.ckpt: {message}")
         assert not (out / "report.csv").exists() and not (out / "report_dealers.csv").exists()
 
     def test_checkpoint_of_other_histories_exits_2(self, tmp_path, capsys):
         # another market of the same bonds: the model config cannot tell the
         # histories apart, so only the digest the checkpoint pins does
         cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "cluster", "train"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
+        run(cfg_path, "gen", "cluster", "train")
         path = out / "checkpoint_single.ckpt"
         trained = trained_on(parse_config(cfg_path), out)["histories_sha256"]
         cfg_path, _ = write_config(
             tmp_path, text=TINY_CONFIG.replace("dense_rate = 2.0", "dense_rate = 3.0")
                                       .replace("periodic_max_bonds = 3", "periodic_max_bonds = 2"))
-        assert main(["gen", "-c", str(cfg_path)]) == 0
+        run(cfg_path, "gen")
         assert market.load_histories(out / "histories.bin")[2] == 6
         current = trained_on(parse_config(cfg_path), out)["histories_sha256"]
         assert current != trained
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"{path}: histories_sha256 = '{trained}', expected '{current}'" in err
+        refused(capsys, 2, "eval", cfg_path, "unreadable artifact",
+                f"{path}: histories_sha256 = '{trained}', expected '{current}'")
         assert not (out / "report.csv").exists()
         # clusters.csv names the digest the checkpoint pins
         first = (out / "clusters.csv").read_text(encoding="utf-8").splitlines()[0]
@@ -1504,8 +1495,7 @@ class TestCheckpointConfig:
         # a short manifest asking for a large vocabulary, with no payload
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = TransFV"))
-        for command in ("gen", "cluster"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
+        run(cfg_path, "gen", "cluster")
         _, _, vocab_size, _ = market.load_histories(out / "histories.bin")
         cfg = parse_config(cfg_path)
         config = cfg.model_config(vocab_size)
@@ -1523,19 +1513,15 @@ class TestCheckpointConfig:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"vocab_size = 20000, expected {vocab_size}" in err
+        refused(capsys, 2, "eval", cfg_path, "unreadable artifact",
+                f"vocab_size = 20000, expected {vocab_size}")
 
     def trained_with_payload(self, tmp_path, kind, edit):
         """Train ``kind``, then rewrite its checkpoint's payload as ``edit``
         leaves the parameter vector; returns the config and checkpoint paths."""
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", f"kind = {kind}"))
-        for command in ("gen", "cluster", "train"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
+        run(cfg_path, "gen", "cluster", "train")
         path = out / "checkpoint_single.ckpt"
         header, payload = path.read_bytes().split(b"\n", 1)
         values = np.frombuffer(payload, dtype="<f8").copy()
@@ -1549,166 +1535,32 @@ class TestCheckpointConfig:
     ])
     def test_non_finite_checkpoint_exits_2(self, tmp_path, capsys, edit):
         cfg_path, path = self.trained_with_payload(tmp_path, "TransRE", edit)
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"{path}: non-finite parameter value" in err
+        refused(capsys, 2, "eval", cfg_path, "unreadable artifact",
+                f"{path}: non-finite parameter value")
         assert not (path.parent / "report.csv").exists()
 
     def test_overflowing_checkpoint_exits_3(self, tmp_path, capsys):
         # finite parameters whose forecasts overflow
         cfg_path, path = self.trained_with_payload(
             tmp_path, "TransFV", lambda values: values.fill(1e300))
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("otcforecast: numeric failure:")
-        assert "non-finite forecast" in err
+        err = refused(capsys, 3, "eval", cfg_path, "non-finite forecast")
+        assert err.startswith("otcforecast: numeric failure:")
         assert not (path.parent / "report.csv").exists()
 
-    def rewrite_as_old_format(self, tmp_path, header_of):
-        """Train, then replace the checkpoint's manifest line with
-        ``header_of(manifest, entries)``, where ``entries`` is the per-tensor
-        name/shape/offset table of the version 1 format; the payload bytes
-        of both formats are the same."""
-        cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "cluster", "train"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
-        path = out / "checkpoint_single.ckpt"
-        header, payload = path.read_bytes().split(b"\n", 1)
-        entries, offset = [], 0
-        params = load_trained(cfg_path, out).params
-        for name, tensor in zip(params.names(), params.tensors()):
-            entries.append({"name": name, "shape": list(tensor.shape), "offset": offset})
-            offset += 8 * tensor.values.size
-        old = header_of(json.loads(header), entries)
-        path.write_bytes(json.dumps(old, separators=(",", ":")).encode() + b"\n" + payload)
-        return cfg_path
-
-    def test_old_manifest_without_magic_exits_2(self, tmp_path, capsys):
-        cfg_path = self.rewrite_as_old_format(tmp_path, lambda _, entries: {"entries": entries})
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert "magic = None, expected 'otcforecast-checkpoint'" in err
-
-    def test_version_1_checkpoint_exits_2(self, tmp_path, capsys):
-        cfg_path = self.rewrite_as_old_format(
-            tmp_path, lambda manifest, entries: {**manifest, "version": 1, "entries": entries})
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"version = 1, expected {CHECKPOINT_VERSION}" in err
-
-    @pytest.mark.parametrize("kind, commands", [("LSTM", ("eval",)),
-                                                ("TransPPRZ", ("eval",))])
-    def test_version_2_checkpoint_exits_2(self, tmp_path, capsys, kind, commands):
+    @pytest.mark.parametrize("fmt", RETIRED_CHECKPOINTS)
+    def test_retired_checkpoint_exits_2(self, tmp_path, capsys, fmt):
+        kind, rewrite = RETIRED_CHECKPOINTS[fmt]
         cfg_path, out = write_config(
             tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", f"kind = {kind}"))
-        for command in ("gen", "cluster", "train"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
+        run(cfg_path, "gen", "train")
         path = out / "checkpoint_single.ckpt"
         header, payload = path.read_bytes().split(b"\n", 1)
-        # version 2 stored each LSTM direction gate by gate: wx_i, wh_i, b_i, wx_f, ...
-        model = load_trained(cfg_path, out)
-        params, hidden = model.params, model.config.hidden
-        parts = []
-        for name in params.names():
-            if name.endswith(".wx"):
-                parts += [params[name[:-2] + weight].values[..., k * hidden:(k + 1) * hidden]
-                          for k in range(4) for weight in ("wx", "wh", "b")]
-            elif not name.startswith("lstm."):
-                parts.append(params[name].values)
-        old = b"".join(np.ascontiguousarray(part).astype("<f8").tobytes() for part in parts)
-        # same length, so for an LSTM only the version tells a scrambled load apart
-        assert len(old) == len(payload) and (old != payload) == (kind == "LSTM")
-        manifest = {**json.loads(header), "version": 2}
-        path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + old)
-        capsys.readouterr()
-        for command in commands:
-            assert main([command, "-c", str(cfg_path)]) == 2, command
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and "unreadable artifact" in err
-            assert f"version = 2, expected {CHECKPOINT_VERSION}" in err
-
-    def test_version_3_checkpoint_exits_2(self, tmp_path, capsys):
-        cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "cluster", "train"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
-        path = out / "checkpoint_single.ckpt"
-        header = path.read_bytes().split(b"\n", 1)[0]
-        # version 3 held a key bias after each attention block's wk
-        params = load_trained(cfg_path, out).params
-        parts = []
-        for name in params.names():
-            parts.append(params[name].values)
-            if name.endswith(".wk"):
-                parts.append(np.zeros(params[name].shape[1]))
-        old = b"".join(part.astype("<f8").tobytes() for part in parts)
-        manifest = {**json.loads(header), "version": 3}
-        path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + old)
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"version = 3, expected {CHECKPOINT_VERSION}" in err
-
-    @pytest.mark.parametrize("version", [4, 5])
-    def test_version_4_checkpoint_exits_2(self, tmp_path, capsys, version):
-        # versions 4 and 5 nested the model config under "config"; version 4
-        # did not record the train_fraction a checkpoint trained under, and
-        # neither recorded the histories
-        cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "train"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
-        path = out / "checkpoint_single.ckpt"
-        header, payload = path.read_bytes().split(b"\n", 1)
-        manifest = json.loads(header)
-        config = {key.name: manifest[key.name] for key in fields(ModelConfig)}
-        if version == 5:
-            config["train_fraction"] = manifest["train_fraction"]
-        old = {"magic": manifest["magic"], "version": version, "config": config}
-        path.write_bytes(json.dumps(old, separators=(",", ":")).encode() + b"\n" + payload)
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"version = {version}, expected {CHECKPOINT_VERSION}" in err
-
-    def test_version_6_checkpoint_exits_2(self, tmp_path, capsys):
-        # version 6 did not record the training settings
-        cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "train"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
-        path = out / "checkpoint_single.ckpt"
-        header, payload = path.read_bytes().split(b"\n", 1)
-        manifest = json.loads(header)
-        old = {**{key: value for key, value in manifest.items() if not key.startswith("train_")},
-               "train_fraction": manifest["train_fraction"], "version": 6}
-        path.write_bytes(json.dumps(old, separators=(",", ":")).encode() + b"\n" + payload)
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"version = 6, expected {CHECKPOINT_VERSION}" in err
-
-    def test_version_8_checkpoint_exits_2(self, tmp_path, capsys):
-        # version 8 recorded the patience early stop, null when unset
-        cfg_path, out = write_config(tmp_path)
-        for command in ("gen", "train"):
-            assert main([command, "-c", str(cfg_path)]) == 0, command
-        path = out / "checkpoint_single.ckpt"
-        header, payload = path.read_bytes().split(b"\n", 1)
-        old = {**json.loads(header), "train_patience": None, "version": 8}
-        path.write_bytes(json.dumps(old, separators=(",", ":")).encode() + b"\n" + payload)
-        capsys.readouterr()
-        assert main(["eval", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unreadable artifact" in err
-        assert f"version = 8, expected {CHECKPOINT_VERSION}" in err
+        manifest, payload = rewrite(json.loads(header), payload, load_trained(cfg_path, out))
+        path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + payload)
+        # a manifest with the magic is refused on its version
+        expected = (f"version = {manifest['version']}, expected {CHECKPOINT_VERSION}"
+                    if "magic" in manifest else "magic = None, expected 'otcforecast-checkpoint'")
+        refused(capsys, 2, "eval", cfg_path, "unreadable artifact", expected)
 
 
 def truncate(path, cut):
