@@ -4,6 +4,7 @@ import builtins
 import contextlib
 import io
 import math
+import re
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -11,6 +12,7 @@ import numpy as np
 
 import otcforecast.autodiff as ad
 from otcforecast.autodiff import Tensor
+from otcforecast.models import ModelConfig
 
 
 # a market, model and run small enough for a whole CLI pipeline in a second;
@@ -61,6 +63,50 @@ seed = 3
 granularity = single
 output_dir = {out}
 """
+
+
+def tiny_config(**settings) -> str:
+    """:data:`TINY_CONFIG` with each setting's line set to its value; a setting it
+    does not hold goes at the end of its ``[run]`` section."""
+    text = TINY_CONFIG
+    for key, value in settings.items():
+        text, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+        text += "" if found else f"{key} = {value}\n"
+    return text
+
+
+C7 = dict(vocab_size=20, t_in=5, t_out=5, d_model=32, heads=4, n_layers=2, d_ff=64)  # criterion 7
+
+
+def toy_config(kind, vocab_size=8, **overrides) -> ModelConfig:
+    """A model config small enough to train and check by finite differences in a blink."""
+    return ModelConfig(**{"kind": kind, "vocab_size": vocab_size, "t_in": 3, "t_out": 2,
+                          "d_model": 4, "heads": 2, "n_layers": 1, "d_ff": 8, "hidden": 4,
+                          "seed": 0, **overrides})
+
+
+def perturbed(model, seed, scale=0.3):
+    """``model`` with seeded normals added to its parameters: off the zero
+    gates, every path (encoder, cross-attention) reaches the output."""
+    model.params.flat += np.random.default_rng(seed).normal(scale=scale,
+                                                            size=model.params.flat.size)
+    return model
+
+
+class FixedModel:
+    """Evaluation stub that predicts the same (T_out, 2V) matrix for every
+    window of a (..., T_in, 2V) input stack."""
+
+    class _Config:
+        kind = "stub"
+
+    config = _Config()
+
+    def __init__(self, predictions):
+        self.predictions = predictions
+
+    def predict(self, input_days):
+        return np.broadcast_to(self.predictions, np.shape(input_days)[:-2] + self.predictions.shape)
 
 
 class _CutFile:
@@ -250,6 +296,128 @@ def sublayer_case(name: str, lead: tuple = ()):
         return out, ad.mse_loss(ad.add(fx, out) if name == "project_pair" else out, target)
 
     return [x, w, b, *params], build
+
+
+ATTENTION = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")  # multi_head_attention's weights
+
+
+def attention_params(seed):
+    """Seeded normal (4, 4) weights and (4,) biases of one attention block."""
+    rng = np.random.default_rng(seed)
+    return {n: Tensor(rng.normal(scale=0.5, size=(4, 4) if n[0] == "w" else (4,)),
+                      requires_grad=True) for n in ATTENTION}
+
+
+def positioned_case(lead, rows, start):
+    """(x, pe, start, target) for ``ad.positioned`` on (*lead, rows, 4) rows x."""
+    x = rand((*lead, rows, 4), 60)
+    pe = np.random.default_rng(61).normal(size=(rows + start, 4))
+    target = Tensor(np.random.default_rng(62).normal(size=(*lead, rows + start, 4)))
+    return x, pe, rand((4,), 63) if start else None, target
+
+
+def squares(op, *leaves):
+    """(leaves, loss) for the sum of squares of ``op(*leaves)``, rebuilt on every call."""
+    def loss():
+        out = op(*leaves)
+        return sum_all(ad.mul(out, out))
+    return list(leaves), loss
+
+
+def attention_case(causal, q, *kv, seed):
+    """(leaves, loss) for attention of ``q`` over ``kv`` (``q`` itself when
+    empty) under seeded weights."""
+    params = attention_params(seed)
+    keys, values = kv or (q, q)
+    leaves = [q, *kv, *params.values()]
+    return squares(lambda *_: ad.multi_head_attention(q, keys, values, heads=2, causal=causal,
+                                                      **params), *leaves)
+
+
+def positioned_fd(rows, start):
+    x, pe, sos, _ = positioned_case((2,), rows, start)
+    return squares(lambda x, *s: ad.tanh(ad.positioned(x, pe, *s)), x, *([sos] if start else []))
+
+
+def structural_fd():
+    a, v, g, bias = rand((4, 6), 28), rand((3,), 29), rand((3,), 30), rand((6,), 31)
+    alpha = Tensor(np.asarray(0.7), requires_grad=True)
+
+    def op(a, v, g, alpha, bias):
+        merged = ad.concat_cols([ad.mul_rowvec(ad.slice_cols(a, 0, 3), v),
+                                 ad.scale_by(ad.slice_cols(a, 3, 6), alpha)])
+        merged = ad.add_rowvec(merged, bias)
+        rebuilt = ad.concat_rows([ad.transpose(ad.transpose(merged)), merged])
+        tiled = ad.tile_rows(ad.reshape(ad.stack_rows([g, g]), (6,)), 2)
+        return ad.concat_cols([ad.reshape(rebuilt, (2, 24)), tiled])
+    return squares(op, a, v, g, alpha, bias)
+
+
+def batched_structural(v, a, b):
+    rows = ad.concat_rows([b, ad.mul(ad.tile_rows(v, 3), a)])  # (2, 4, 4)
+    return ad.transpose(ad.concat_cols([rows, ad.transpose(rows)]), (1, 2, 0))  # (4, 8, 2)
+
+
+def sublayer_fd(case, lead):
+    leaves, build = sublayer_case(case, lead)
+    return leaves, lambda: build(sublayer_op(case))[1]
+
+
+# name -> a function returning (leaves, loss) for a finite-difference check of
+# the ops in the loss: every op, on one window and on a batch of them
+FD_CASES = {
+    "matmul": lambda: squares(ad.matmul, rand((3, 4), 2), rand((4, 2), 3)),
+    "matmul-shared-weight": lambda: squares(ad.matmul, rand((2, 3, 4), 1), rand((4, 2), 2)),
+    "matmul-stacked": lambda: squares(ad.matmul, rand((2, 3, 4), 3), rand((2, 4, 5), 4)),
+    "add": lambda: squares(ad.add, rand((5,), 5), rand((5,), 6)),
+    "mul": lambda: squares(ad.mul, rand((5,), 7), rand((5,), 8)),
+    "tanh-sigmoid": lambda: squares(lambda u, v: ad.mul(ad.tanh(u), ad.sigmoid(v)),
+                                    rand((5,), 32), rand((5,), 33)),
+    "scale-add_scalar": lambda: squares(lambda u: ad.scale(ad.add_scalar(u, 0.3), -1.7),
+                                        rand((5,), 34)),
+    "mse_loss": lambda: squares(ad.mse_loss, rand((4, 3), 35), rand((4, 3), 36)),
+    "linear": lambda: squares(ad.linear, rand((2, 3, 4), 77), rand((4, 5), 78), rand((5,), 79)),
+    "add_rowvec": lambda: squares(ad.add_rowvec, rand((2, 3, 4), 9), rand((4,), 10)),
+    "mul_rowvec": lambda: squares(ad.mul_rowvec, rand((2, 3, 4), 11), rand((4,), 12)),
+    "scale_by": lambda: squares(ad.scale_by, rand((2, 3, 4), 13), rand((), 14)),
+    "embedding_bag": lambda: squares(lambda t: ad.embedding_bag(t, (0, 2, 5)), rand((6, 4), 11)),
+    "layer_norm": lambda: squares(ad.layer_norm, rand((3, 5), 12), rand((5,), 13), rand((5,), 14)),
+    "layer_norm-batched": lambda: squares(ad.layer_norm, rand((2, 3, 5), 14), rand((5,), 15),
+                                          rand((5,), 16)),
+    "softmax": lambda: squares(ad.softmax_rows, rand((3, 5), 18, scale=2.0)),
+    "softmax-causal": lambda: squares(lambda s: ad.softmax_rows(s, causal=True),
+                                      rand((2, 3, 4, 4), 17, scale=2.0)),
+    "attention-causal": lambda: attention_case(True, rand((3, 4), 26), seed=25),
+    "attention-causal-batched": lambda: attention_case(True, rand((2, 3, 4), 22), seed=21),
+    "attention-cross": lambda: attention_case(False, rand((2, 3, 4), 55), rand((2, 5, 4), 56),
+                                              rand((2, 5, 4), 57), seed=54),
+    "lstm": lambda: squares(ad.lstm, rand((2, 3, 8), 73), rand((2, 8), 74, scale=0.8)),
+    "slice_cols": lambda: squares(lambda a: ad.concat_cols([ad.slice_cols(a, 0, 2),
+                                                            ad.slice_cols(a, 1, 5)]),
+                                  rand((2, 3, 5), 28)),
+    "structural": structural_fd,
+    "structural-batched": lambda: squares(batched_structural, rand((2, 4), 18),
+                                          rand((2, 3, 4), 19), rand((2, 1, 4), 20)),
+    **{f"positioned-{name}": lambda rows=rows, start=start: positioned_fd(rows, start)
+       for name, rows, start in (("rows", 4, False), ("start_and_rows", 4, True),
+                                 ("start_only", 0, True))},
+    **{f"{case}{suffix}": lambda case=case, lead=lead: sublayer_fd(case, lead)
+       for case in SUBLAYER_CASES for suffix, lead in (("", ()), ("-batched", (2, 3)))},
+}
+
+
+def assert_same_bits(leaves, build, *ops):
+    """``build(op)`` gives (output, loss) under each of two ops; their outputs and
+    the gradients of ``leaves`` must agree bit for bit."""
+    results = []
+    for op in ops:
+        ad.reset_tape()
+        out, loss = build(op)
+        results.append([out.values, *ad.backward(loss, leaves)])
+    fused, composite = results
+    assert len(fused) == len(composite) == len(leaves) + 1
+    for got, expected in zip(fused, composite):
+        assert np.array_equal(got, expected)
 
 
 def finite_diff_check(

@@ -30,18 +30,12 @@ from otcforecast.models import (
     positional_encoding,
 )
 
-from helpers import finite_diff_check, initial_loss, random_day_matrix, sum_all
-
-TOY = dict(vocab_size=8, t_in=3, t_out=2, d_model=4, heads=2, n_layers=1,
-           d_ff=8, hidden=4)
+from helpers import (C7, FD_CASES, FixedModel, finite_diff_check, initial_loss,
+                     random_day_matrix, tiny_config, toy_config)
 
 
 def report(number, detail):
     print(f"\n[criterion {number}] PASS: {detail}")
-
-
-def toy_model(kind, seed=0):
-    return build_model(ModelConfig(kind=kind, seed=seed, **TOY))
 
 
 def periodic_market_spec(seed):
@@ -72,8 +66,7 @@ def build_split(spec):
 
 def experiment_run(spec, seed):
     vocab, (train_s, test_s) = build_split(spec)
-    config = ModelConfig(kind="TransPPRZ", vocab_size=vocab.size, t_in=5, t_out=5,
-                         d_model=32, heads=4, n_layers=2, d_ff=64, seed=seed)
+    config = ModelConfig("TransPPRZ", seed=seed, **{**C7, "vocab_size": vocab.size})
     model = build_model(config)
     train(model, train_s, TrainSpec(epochs=16, batch_size=8, learning_rate=0.003, seed=seed))
     return evaluate(model, test_s, 0.5)
@@ -81,72 +74,17 @@ def experiment_run(spec, seed):
 
 def test_c1_gradient_correctness():
     started = time.time()
-    rng = np.random.default_rng(0)
-
-    def tensors(*shapes, scale=1.0):
-        return [Tensor(scale * rng.normal(size=s), requires_grad=True) for s in shapes]
-
     worst_ops = 0.0
-    a, b = tensors((3, 4), (4, 2))
-    worst_ops = max(worst_ops, finite_diff_check(lambda: sum_all(ad.matmul(a, b)), [a, b]))
-
-    u, v = tensors((5,), (5,))
-    for op in (ad.add, ad.mul):
-        worst_ops = max(worst_ops, finite_diff_check(
-            lambda op=op: sum_all(ad.mul(op(u, v), op(u, v))), [u, v]))
-    worst_ops = max(worst_ops, finite_diff_check(
-        lambda: sum_all(ad.mul(ad.tanh(u), ad.sigmoid(v))), [u, v]))
-    worst_ops = max(worst_ops, finite_diff_check(
-        lambda: sum_all(ad.scale(ad.add_scalar(u, 0.3), -1.7)), [u]))
-
-    table, = tensors((6, 4))
-    worst_ops = max(worst_ops, finite_diff_check(
-        lambda: sum_all(ad.mul(ad.embedding_bag(table, (0, 2, 5)),
-                               ad.embedding_bag(table, (0, 2, 5)))), [table]))
-
-    x, gamma, beta = tensors((3, 5), (5,), (5,))
-    worst_ops = max(worst_ops, finite_diff_check(
-        lambda: sum_all(ad.mul(ad.layer_norm(x, gamma, beta),
-                               ad.layer_norm(x, gamma, beta))), [x, gamma, beta]))
-
-    pred, target = tensors((4, 3), (4, 3))
-    worst_ops = max(worst_ops, finite_diff_check(lambda: ad.mse_loss(pred, target), [pred]))
-
-    scores, = tensors((4, 4), scale=2.0)
-    worst_ops = max(worst_ops, finite_diff_check(
-        lambda: sum_all(ad.mul(ad.softmax_rows(scores, causal=True),
-                               ad.softmax_rows(scores, causal=True))), [scores]))
-
-    q, k, w = tensors((3, 4), (3, 4), (3, 4))
-    attn = dict(zip(
-        ("wq", "bq", "wk", "wv", "bv", "wo", "bo"),
-        tensors((4, 4), (4,), (4, 4), (4, 4), (4,), (4, 4), (4,)),
-    ))
-    worst_ops = max(worst_ops, finite_diff_check(
-        lambda: ad.mse_loss(
-            ad.multi_head_attention(q, k, w, heads=2, causal=True, **attn), target_mha),
-        [q, k, w, *attn.values()]))
-
-    projected, wh = tensors((2, 3, 8), (2, 8))
-    worst_ops = max(worst_ops, finite_diff_check(
-        lambda: sum_all(ad.mul(ad.lstm(projected, wh), ad.lstm(projected, wh))), [projected, wh]))
-
-    xl, wl, bl = tensors((2, 3, 4), (4, 5), (5,))
-    worst_ops = max(worst_ops, finite_diff_check(
-        lambda: sum_all(ad.mul(ad.linear(xl, wl, bl), ad.linear(xl, wl, bl))), [xl, wl, bl]))
-
-    rows, start = tensors((2, 3, 4), (4,))
-    worst_ops = max(worst_ops, finite_diff_check(
-        lambda: sum_all(ad.mul(ad.positioned(rows, positional_encoding(4, 4), start),
-                               ad.positioned(rows, positional_encoding(4, 4), start))),
-        [rows, start]))
+    for case in FD_CASES.values():
+        leaves, loss = case()
+        worst_ops = max(worst_ops, finite_diff_check(loss, leaves))
     assert worst_ops < 1e-4
 
     worst_models = {}
     x_in = random_day_matrix(3, 8, 1)
     teacher = random_day_matrix(2, 8, 2)
     for kind in MODEL_KINDS:
-        model = toy_model(kind, seed=3)
+        model = build_model(toy_config(kind, seed=3))
 
         def f(model=model):
             out = model.forward(x_in, teacher=teacher)
@@ -162,13 +100,10 @@ def test_c1_gradient_correctness():
               f"({elapsed:.0f}s < 120s)")
 
 
-target_mha = Tensor(np.random.default_rng(99).normal(size=(3, 4)))
-
-
 def test_c2_identity_at_init():
     worst = 0.0
     for kind in ("TransRE", "TransPPRZ"):
-        model = toy_model(kind, seed=4)
+        model = build_model(toy_config(kind, n_layers=2, seed=4))
         x = random_day_matrix(3, 8, 5)
         encoder_out = model.encode(x).values
         expected = model.embed_days(x).values + positional_encoding(3, 4)
@@ -178,13 +113,12 @@ def test_c2_identity_at_init():
 
 
 def test_c3_pprz_rezero_reduction(monkeypatch):
-    config = ModelConfig(kind="TransPPRZ", seed=6, **{**TOY, "n_layers": 2})
+    config = toy_config("TransPPRZ", n_layers=2, seed=6)
     pprz = build_model(config)
     # the CTE embedding under scalar gates, a pairing no kind has
     monkeypatch.setitem(models._TRANSFORMER_MODES, "TransPPRZ", ("cte", "scalar"))
     twin = build_model(config)
     rng = np.random.default_rng(7)
-    worst = 0.0
     trials = 0
     for round_ in range(5):
         for name in pprz.params.names():
@@ -197,30 +131,18 @@ def test_c3_pprz_rezero_reduction(monkeypatch):
         for i in range(20):
             x = random_day_matrix(3, 8, 1000 * round_ + i)
             teacher = random_day_matrix(2, 8, 2000 * round_ + i)
-            a = pprz.forward(x, teacher=teacher).values
-            b = twin.forward(x, teacher=teacher).values
-            worst = max(worst, float(np.abs(a - b).max()))
+            assert np.array_equal(pprz.forward(x, teacher=teacher).values,
+                                  twin.forward(x, teacher=teacher).values)
+            np.testing.assert_array_equal(pprz.predict(x), twin.predict(x))
             trials += 1
     assert trials == 100
-    assert worst < 1e-12
-    report(3, f"constant-vector gates match scalar gates on {trials} inputs, "
-              f"max dev {worst:.1e}")
+    report(3, f"constant-vector gates match scalar gates bit for bit, trained and "
+              f"forecasting, on {trials} inputs")
 
 
 def test_c4_metrics_oracle():
-    class Stub:
-        class _Config:
-            kind = "stub"
-
-        config = _Config()
-        predictions = None
-
-        def predict(self, input_days):  # one fixed grid per input window
-            return np.broadcast_to(self.predictions,
-                                   np.shape(input_days)[:-2] + self.predictions.shape)
-
     rng = np.random.default_rng(8)
-    stub = Stub()
+    stub = FixedModel(None)
     checked = 0
     for _ in range(1000):
         t_out = int(rng.integers(1, 4))
@@ -247,56 +169,10 @@ def test_c4_metrics_oracle():
               f"on {checked} random grids, exactly")
 
 
-TINY_PIPELINE_CONFIG = """\
-[market]
-days = 30
-bonds = 6
-periodic_dealers = 3
-sparse_dealers = 2
-dense_dealers = 1
-periodic_min_period = 2
-periodic_max_period = 4
-periodic_min_bonds = 1
-periodic_max_bonds = 3
-dense_rate = 2.0
-dense_min_bonds = 3
-dense_max_bonds = 6
-cancellation_rate = 0.05
-
-[filters]
-top_dealers = 6
-top_bonds = 6
-
-[window]
-t_in = 3
-t_out = 2
-stride = 2
-
-[split]
-train_fraction = 0.8
-
-[model]
-d_model = 8
-heads = 2
-n_layers = 1
-d_ff = 8
-hidden = 8
-
-[train]
-epochs = 2
-batch_size = 8
-learning_rate = 0.005
-
-[run]
-seed = 12
-output_dir = {out}
-"""
-
-
 def test_c5_pipeline_determinism(tmp_path):
     out = tmp_path / "artifacts"
     cfg = tmp_path / "run.ini"
-    cfg.write_text(TINY_PIPELINE_CONFIG.format(out=out))
+    cfg.write_text(tiny_config(epochs=2, seed=12).format(out=out))
     assert main(["gen", "-c", str(cfg)]) == 0
     assert main(["cluster", "-c", str(cfg)]) == 0
     assert main(["compare", "-c", str(cfg)]) == 0
@@ -304,7 +180,7 @@ def test_c5_pipeline_determinism(tmp_path):
     first = {name: (out / name).read_bytes() for name in watched}
     grid = first["compare_f1.csv"].decode().splitlines()
     assert grid[0] == "model,least,less,more,most,avg"
-    assert len(grid) == 9  # 8 model rows under the header, one per variant
+    assert [row.split(",")[0] for row in grid[1:]] == list(MODEL_KINDS)  # one row per variant
     assert main(["compare", "-c", str(cfg)]) == 0
     for name in watched:
         assert (out / name).read_bytes() == first[name], name
@@ -319,7 +195,7 @@ def test_c6_overfit_sanity():
     sample = Sample("D0", 0, x, np.stack([day, day]))
     epochs_needed = {}
     for kind in MODEL_KINDS:
-        model = toy_model(kind, seed=11)
+        model = build_model(toy_config(kind, seed=11))
         first = initial_loss(model, sample)
         _, losses = train(model, [sample],
                           TrainSpec(epochs=500, batch_size=1, learning_rate=0.01, seed=12))
@@ -355,44 +231,12 @@ def test_c7_learnability_on_patterned_data():
               f"({elapsed:.0f}s < 900s)")
 
 
-STATS_CONFIG = """\
-[market]
-days = 100
-bonds = 20
-periodic_dealers = 20
-sparse_dealers = 0
-dense_dealers = 0
-periodic_min_period = 2
-periodic_max_period = 3
-periodic_min_bonds = 3
-periodic_max_bonds = 5
-cancellation_rate = 0.0
-
-[filters]
-top_dealers = 20
-top_bonds = 20
-
-[window]
-t_in = 5
-t_out = 5
-stride = 3
-
-[model]
-kind = {kind}
-d_model = 32
-heads = 4
-n_layers = 2
-d_ff = 64
-
-[train]
-epochs = 6
-batch_size = 8
-learning_rate = 0.003
-
-[run]
-seed = 0
-output_dir = {out}
-"""
+STATS_CONFIG = tiny_config(
+    days=100, bonds=20, periodic_dealers=20, sparse_dealers=0, dense_dealers=0,
+    periodic_max_period=3, periodic_min_bonds=3, periodic_max_bonds=5, dense_rate=8.0,
+    dense_min_bonds=50, dense_max_bonds=150, cancellation_rate=0.0, top_dealers=20, top_bonds=20,
+    t_in=5, t_out=5, stride=3, train_fraction=0.9, kind="{kind}", d_model=32, heads=4, n_layers=2,
+    d_ff=64, hidden=64, epochs=6, learning_rate=0.003, seed=0)
 
 
 def test_c8_covariate_shift_diagnostic(tmp_path):

@@ -15,10 +15,11 @@ from otcforecast.autodiff import OptimizerState, Tensor, adam_step, backward
 from otcforecast.errors import ConfigurationError, ContractError, ShapeMismatchError
 from otcforecast.models import MODEL_KINDS, ModelConfig, _cte_inputs, build_model
 
-from helpers import (SUBLAYER_CASES, cte_inputs_reference, finite_diff_check,
-                     layer_norm_reference, mse_reference, positioned_composite, rand,
+from helpers import (ATTENTION, C7, FD_CASES, SUBLAYER_CASES, assert_same_bits, attention_params,
+                     cte_inputs_reference, finite_diff_check, layer_norm_reference,
+                     mse_reference, positioned_case, positioned_composite, rand,
                      random_day_matrix, sigmoid_reference, softmax_reference,
-                     softmax_vjp_reference, sublayer_case, sublayer_op, sum_all)
+                     softmax_vjp_reference, sublayer_case, sublayer_op, sum_all, toy_config)
 
 
 class TestTensor:
@@ -56,12 +57,136 @@ class TestFiniteDiffOracle:
         assert err < 1e-8
 
 
-class TestMatmul:
-    def test_identity_exact(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.matmul(a, Tensor(np.eye(2)))
-        assert np.array_equal(out.values, [[1.0, 2.0], [3.0, 4.0]])
+@pytest.mark.parametrize("case", FD_CASES)
+def test_gradient_against_finite_differences(case):
+    leaves, loss = FD_CASES[case]()
+    assert finite_diff_check(loss, leaves) < 1e-6
 
+
+def layer_norm_of(x, beta=0.0):
+    return ad.layer_norm(Tensor(x), Tensor(np.ones(len(x))), Tensor(np.full(len(x), beta)))
+
+
+# a forward value and the hand oracle it must match, to an absolute tolerance
+FORWARD_CASES = {
+    "matmul": (lambda: ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]])), [[11.0]], 0),
+    "mul-annihilator": (lambda: ad.mul(Tensor([1.0, 2.0, 3.0]), Tensor([0.0, 0.0, 0.0])),
+                        [0.0, 0.0, 0.0], 0),
+    "mul": (lambda: ad.mul(Tensor([1.0, 2.0]), Tensor([2.0, 0.5])), [2.0, 1.0], 0),
+    "tanh-at-origin": (lambda: ad.tanh(Tensor([0.0])), [0.0], 0),
+    "scale": (lambda: ad.scale(Tensor([2.0, -4.0]), 0.5), [1.0, -2.0], 0),
+    "mse-perfect-fit": (lambda: ad.mse_loss(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])), 0.0, 0),
+    "mse-half": (lambda: ad.mse_loss(Tensor([1.0, 0.0]), Tensor([0.0, 0.0])), 0.5, 0),
+    "embedding_bag-pair": (lambda: ad.embedding_bag(rand((4, 3), 7), (0, 2)),
+                           rand((4, 3), 7).values[[0, 2]].sum(axis=0), 0),
+    "embedding_bag-singleton": (lambda: ad.embedding_bag(rand((5, 4), 6), (3,)),
+                                rand((5, 4), 6).values[3], 0),
+    "layer_norm-constant": (lambda: layer_norm_of([5.0, 5.0, 5.0, 5.0]), 0.0, 1e-9),
+    # mean 2, population std 1, so [1, 3] normalizes to [-1, 1]
+    "layer_norm-two-points": (lambda: layer_norm_of([1.0, 3.0]), [-1.0, 1.0], 1e-5),
+    "layer_norm-beta-only": (lambda: layer_norm_of([0.0, 0.0], beta=7.0), [7.0, 7.0], 1e-12),
+}
+
+
+@pytest.mark.parametrize("case", FORWARD_CASES)
+def test_forward_value(case):
+    op, expected, atol = FORWARD_CASES[case]
+    np.testing.assert_allclose(op().values, expected, rtol=0, atol=atol)
+
+
+def scatter_expected():
+    expected = np.zeros((4, 3))
+    expected[[1, 3]] = 1.0
+    return expected
+
+
+# a loss of one leaf and that leaf's gradient, worked out by hand
+BACKWARD_CASES = {
+    "sum": (lambda w: sum_all(w), [2.0, -1.0], [1.0, 1.0]),
+    "square": (lambda w: sum_all(ad.mul(w, w)), [3.0], [6.0]),
+    # y = w*w feeds two consumers; dL/dw = 2*(dL/dy)*w with dL/dy = 2
+    "shared-intermediate": (lambda w: sum_all(ad.add(y := ad.mul(w, w), y)), [2.0], [8.0]),
+    # d/dpred mean((pred - target)^2) = 2 (pred - target) / N
+    "mse": (lambda w: ad.mse_loss(w, Tensor([0.0, 0.0])), [1.0, 0.0], [1.0, 0.0]),
+    "tile_rows-sums": (lambda w: sum_all(ad.tile_rows(w, 3)), [1.0, 2.0], [3.0, 3.0]),
+    "embedding_bag-scatters": (lambda w: sum_all(ad.embedding_bag(w, (1, 3))),
+                               rand((4, 3), 10).values, scatter_expected()),
+}
+
+
+@pytest.mark.parametrize("case", BACKWARD_CASES)
+def test_gradient_by_hand(case):
+    loss, values, expected = BACKWARD_CASES[case]
+    w = Tensor(values, requires_grad=True)
+    np.testing.assert_array_equal(backward(loss(w), [w])[0], expected)
+
+
+# calls that must raise ShapeMismatchError
+SHAPE_ERRORS = {
+    "add": lambda: ad.add(Tensor([1.0]), Tensor([1.0, 2.0])),
+    "mse_loss": lambda: ad.mse_loss(Tensor([1.0]), Tensor([1.0, 2.0])),
+    **{f"linear-{i}": lambda x=x, w=w, b=b: ad.linear(rand(x, 0), rand(w, 1), rand(b, 2))
+       for i, (x, w, b) in enumerate([((2, 4), (4, 5), (4,)), ((2, 4), (3, 5), (5,)),
+                                      ((2, 4), (4,), (4,)), ((2, 4), (4, 5), (1, 5))])},
+    "residual_norm-fx": lambda: ad.residual_norm(rand((3, 4), 1), rand((3, 5), 2), rand((4,), 3),
+                                                 rand((4,), 4)),
+    "residual_norm-gamma": lambda: ad.residual_norm(rand((3, 4), 1), rand((3, 4), 2),
+                                                    rand((5,), 3), rand((4,), 4)),
+    "residual_gate-rows": lambda: ad.residual_gate(rand((3, 4), 1), rand((3, 4), 2),
+                                                   rand((3,), 3)),
+    "residual_gate-one": lambda: ad.residual_gate(rand((3, 4), 1), rand((3, 4), 2), rand((1,), 3)),
+    "residual_gate-fx": lambda: ad.residual_gate(rand((3, 4), 1), rand((2, 4), 2), rand((4,), 3)),
+    "feed_forward-w1": lambda: ad.feed_forward(rand((3, 4), 1), rand((5, 6), 2), rand((6,), 3),
+                                               rand((6, 4), 4), rand((4,), 5)),
+    "feed_forward-w2": lambda: ad.feed_forward(rand((3, 4), 1), rand((4, 6), 2), rand((6,), 3),
+                                               rand((5, 4), 4), rand((4,), 5)),
+    "project_pair-rows": lambda: ad.project_pair(np.ones((3, 4)), rand((4, 4), 1),
+                                                 np.ones((2, 2)), rand((2, 4), 2)),
+    "project_pair-width": lambda: ad.project_pair(np.ones((3, 4)), rand((4, 4), 1),
+                                                  np.ones((3, 2)), rand((2, 5), 2)),
+    # positions that do not fit the rows: a position too many, none for the start
+    # row, one row that numpy would broadcast, another width, a stack, no row axis
+    **{f"positioned-{i}": lambda x=x, pe=pe, start=start: ad.positioned(
+        rand(x, 66), np.zeros(pe), rand((4,), 67) if start else None)
+       for i, (x, pe, start) in enumerate([((2, 3, 4), (4, 4), False), ((2, 3, 4), (3, 4), True),
+                                           ((2, 3, 4), (1, 4), False), ((2, 3, 4), (3, 5), False),
+                                           ((2, 3, 4), (2, 3, 4), False), ((4,), (1, 4), False)])},
+    # projected's last axis is not 4H, wh is not (H, 4H), wh is not a matrix, no time axis
+    **{f"lstm-{i}": lambda p=p, wh=wh: ad.lstm(rand(p, 78), rand(wh, 79))
+       for i, (p, wh) in enumerate([((3, 12), (2, 8)), ((3, 8), (2, 6)), ((3, 8), (8,)),
+                                    ((8,), (2, 8))])},
+}
+# calls whose ShapeMismatchError must name what does not fit
+SHAPE_ERRORS_NAMING = {
+    "matmul": (lambda: ad.matmul(rand((2, 3), 0), rand((2, 2), 1)), r"\(2, 3\).*\(2, 2\)"),
+    # leading axes must agree
+    "matmul-stacked": (lambda: ad.matmul(rand((2, 3, 4), 7), rand((3, 4, 5), 8)), r"\(2, 3, 4\)"),
+    **{f"causal-softmax-{rows}x{cols}": (lambda rows=rows, cols=cols: ad.softmax_rows(
+        rand((2, rows, cols), 28, grad=False), causal=True), "square")
+       for rows, cols in ((1, 5), (4, 5), (6, 5))},
+    # causal attention of fewer keys, or fewer queries, than queries or keys
+    **{f"causal-attention-{i}": (lambda q=q, k=k: ad.multi_head_attention(
+        rand(q, 32), rand(k, 33), rand(k, 33), heads=2, causal=True, **attention_with(4, 31)),
+        "square") for i, (q, k) in enumerate([((3, 5, 4), (3, 4, 4)), ((3, 1, 4), (3, 5, 4))])},
+    # no position axis, keys and values of different lengths, more axes on the
+    # keys, other leading axes, other widths
+    **{f"attention-{i}": (lambda q=q, k=k, v=v: ad.multi_head_attention(
+        rand(q, 26), rand(k, 27), rand(v, 28), heads=2, **attention_with(4, 25)), "do not fit")
+       for i, (q, k, v) in enumerate([((4,), (4,), (4,)), ((3, 4), (5, 4), (4, 4)),
+                                      ((3, 4), (2, 5, 4), (2, 5, 4)),
+                                      ((2, 3, 4), (3, 5, 4), (3, 5, 4)),
+                                      ((3, 4), (5, 6), (5, 6))])},
+}
+
+
+@pytest.mark.parametrize("case", [*SHAPE_ERRORS, *SHAPE_ERRORS_NAMING])
+def test_shape_error(case):
+    call, match = SHAPE_ERRORS_NAMING.get(case, (SHAPE_ERRORS.get(case), None))
+    with pytest.raises(ShapeMismatchError, match=match):
+        call()
+
+
+class TestMatmul:
     def test_identity_exact_for_random_integer_matrices(self):
         rng = np.random.default_rng(77)
         for _ in range(20):
@@ -69,33 +194,11 @@ class TestMatmul:
             a = Tensor(rng.integers(-99, 100, size=(m, n)).astype(float))
             assert np.array_equal(ad.matmul(a, Tensor(np.eye(n))).values, a.values)
 
-    def test_direct_arithmetic(self):
-        out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-        assert out.values.tolist() == [[11.0]]
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeMismatchError) as exc:
-            ad.matmul(rand((2, 3), 0), rand((2, 2), 1))
-        assert "(2, 3)" in str(exc.value) and "(2, 2)" in str(exc.value)
-
-    def test_gradient_against_finite_differences(self):
-        a = rand((3, 4), 2)
-        b = rand((4, 2), 3)
-        err = finite_diff_check(lambda: sum_all(ad.matmul(a, b)), [a, b])
-        assert err < 1e-6
-
-    def test_no_gradient_for_a_constant_input(self):
-        w, g = rand((4, 5), 4), np.random.default_rng(5).normal(size=(2, 3, 5))
-        grads = []
-        for requires_grad in (False, True):
-            x = rand((2, 3, 4), 6, grad=requires_grad)
-            ad.reset_tape()
-            ad.matmul(x, w)
-            (entry,) = ad._TAPE
-            grads.append(entry.vjp(g))
-        (skipped, dw), (dx, dw_reference) = grads
-        assert skipped is None and dx.shape == (2, 3, 4)
-        assert np.array_equal(dw, dw_reference)
+    def test_rows_of_a_batch_match_the_unbatched_product(self):
+        a, b = rand((3, 2, 4), 5, grad=False), rand((4, 3), 6, grad=False)
+        out = ad.matmul(a, b).values
+        for i in range(3):
+            np.testing.assert_allclose(out[i], a.values[i] @ b.values, rtol=0, atol=1e-12)
 
 
 class TestLinear:
@@ -106,53 +209,13 @@ class TestLinear:
     def test_outputs_and_gradients_match_the_composite_bit_for_bit(self, lead, x_grad):
         x, w, b = rand((*lead, 5), 70, grad=x_grad), rand((5, 3), 71), rand((3,), 72)
         target = Tensor(np.random.default_rng(73).normal(size=(*lead, 3)))
-        wrt = [x, w, b] if x_grad else [w, b]
-        results = []
-        for affine in (ad.linear, lambda x, w, b: ad.add_rowvec(ad.matmul(x, w), b)):
-            ad.reset_tape()
+
+        def build(affine):
             out = ad.tanh(affine(x, w, b))
-            results.append([out.values, *backward(ad.mse_loss(out, target), wrt)])
-        fused, composite = results
-        for got, expected in zip(fused, composite):
-            assert np.array_equal(got, expected)
+            return out, ad.mse_loss(out, target)
 
-    def test_one_call_records_one_entry_and_skips_a_constant_input(self):
-        ad.linear(rand((2, 3, 4), 74, grad=False), rand((4, 5), 75), rand((5,), 76))
-        (entry,) = ad._TAPE
-        assert entry.name == "linear"
-        dx, dw, db = entry.vjp(np.ones((2, 3, 5)))
-        assert dx is None and dw.shape == (4, 5) and db.shape == (5,)
-
-    def test_gradient_against_finite_differences(self):
-        x, w, b = rand((2, 3, 4), 77), rand((4, 5), 78), rand((5,), 79)
-        assert finite_diff_check(lambda: sum_all(ad.tanh(ad.linear(x, w, b))), [x, w, b]) < 1e-6
-
-    @pytest.mark.parametrize("shapes", [((2, 4), (4, 5), (4,)), ((2, 4), (3, 5), (5,)),
-                                        ((2, 4), (4,), (4,)), ((2, 4), (4, 5), (1, 5))])
-    def test_shape_errors(self, shapes):
-        x, w, b = (rand(shape, seed) for seed, shape in enumerate(shapes))
-        with pytest.raises(ShapeMismatchError):
-            ad.linear(x, w, b)
-
-
-class TestElementwise:
-    def test_mul_annihilator(self):
-        out = ad.mul(Tensor([1.0, 2.0, 3.0]), Tensor([0.0, 0.0, 0.0]))
-        assert out.values.tolist() == [0.0, 0.0, 0.0]
-
-    def test_tanh_at_origin(self):
-        assert ad.tanh(Tensor([0.0])).values.tolist() == [0.0]
-
-    def test_mul_pointwise(self):
-        out = ad.mul(Tensor([1.0, 2.0]), Tensor([2.0, 0.5]))
-        assert out.values.tolist() == [2.0, 1.0]
-
-    def test_scale(self):
-        assert ad.scale(Tensor([2.0, -4.0]), 0.5).values.tolist() == [1.0, -2.0]
-
-    def test_binary_shape_error(self):
-        with pytest.raises(ShapeMismatchError):
-            ad.add(Tensor([1.0]), Tensor([1.0, 2.0]))
+        assert_same_bits([x, w, b] if x_grad else [w, b], build, ad.linear,
+                         lambda x, w, b: ad.add_rowvec(ad.matmul(x, w), b))
 
 
 class TestEmbeddingBag:
@@ -161,17 +224,6 @@ class TestEmbeddingBag:
         out = ad.embedding_bag(table, ())
         assert out.values.tolist() == [0.0, 0.0, 0.0]
         assert not out.requires_grad
-
-    def test_singleton_returns_row(self):
-        table = rand((5, 4), 6)
-        out = ad.embedding_bag(table, (3,))
-        assert np.array_equal(out.values, table.values[3])
-
-    def test_pair_is_vector_sum(self):
-        table = rand((4, 3), 7)
-        expected = table.values[0] + table.values[2]
-        out = ad.embedding_bag(table, (0, 2))
-        np.testing.assert_array_equal(out.values, expected)
 
     def test_out_of_range_names_offender(self):
         with pytest.raises(IndexError, match="7"):
@@ -189,77 +241,40 @@ class TestEmbeddingBag:
             rhs = ad.embedding_bag(table, s1).values + ad.embedding_bag(table, s2).values
             assert np.array_equal(lhs, rhs)
 
-    def test_backward_scatters_to_rows(self):
-        table = rand((4, 3), 10)
-        (grad,) = backward(sum_all(ad.embedding_bag(table, (1, 3))), [table])
-        expected = np.zeros((4, 3))
-        expected[[1, 3]] = 1.0
-        np.testing.assert_array_equal(grad, expected)
 
-    def test_gradient(self):
-        table = rand((6, 4), 11)
-        err = finite_diff_check(
-            lambda: sum_all(ad.mul(ad.embedding_bag(table, (0, 2, 5)),
-                                   ad.embedding_bag(table, (0, 2, 5)))),
-            [table],
-        )
-        assert err < 1e-6
+# a one-entry op whose input ``constant`` may need no gradient: its call with
+# that input requiring one or not
+CONSTANT_INPUTS = {
+    "matmul": (lambda grad: ad.matmul(rand((2, 3, 4), 6, grad=grad), rand((4, 5), 4)), 0),
+    "linear": (lambda grad: ad.linear(rand((2, 3, 4), 74, grad=grad), rand((4, 5), 75),
+                                      rand((5,), 76)), 0),
+    "mse_loss": (lambda grad: ad.mse_loss(rand((3, 4), 7), rand((3, 4), 8, grad=grad)), 1),
+}
 
 
-class TestLayerNorm:
-    def test_constant_slice_maps_to_zero(self):
-        out = ad.layer_norm(Tensor([5.0, 5.0, 5.0, 5.0]), Tensor(np.ones(4)), Tensor(np.zeros(4)))
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-9)
-
-    def test_two_point_slice(self):
-        # mean 2, population std 1, so [1, 3] normalizes to [-1, 1]
-        out = ad.layer_norm(Tensor([1.0, 3.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
-        np.testing.assert_allclose(out.values, [-1.0, 1.0], atol=1e-5)
-
-    def test_beta_only(self):
-        out = ad.layer_norm(Tensor([0.0, 0.0]), Tensor(np.ones(2)), Tensor([7.0, 7.0]))
-        np.testing.assert_allclose(out.values, [7.0, 7.0], atol=1e-12)
-
-    def test_gradient_2d(self):
-        x = rand((3, 5), 12)
-        gamma = rand((5,), 13)
-        beta = rand((5,), 14)
-        err = finite_diff_check(
-            lambda: sum_all(ad.mul(ad.layer_norm(x, gamma, beta),
-                                   ad.layer_norm(x, gamma, beta))),
-            [x, gamma, beta],
-        )
-        assert err < 1e-6
+@pytest.mark.parametrize("case", CONSTANT_INPUTS)
+def test_no_gradient_for_a_constant_input(case):
+    call, constant = CONSTANT_INPUTS[case]
+    grads = []
+    for requires_grad in (False, True):
+        ad.reset_tape()
+        out = call(requires_grad)
+        (entry,) = ad._TAPE
+        assert entry.name == case
+        grads.append(entry.vjp(np.random.default_rng(5).normal(size=out.shape)))
+    skipped, reference = grads
+    assert skipped[constant] is None
+    assert reference[constant].shape == entry.inputs[constant].shape
+    for i, (got, expected) in enumerate(zip(skipped, reference)):
+        assert i == constant or np.array_equal(got, expected)
 
 
-class TestMseLoss:
-    def test_perfect_fit(self):
-        assert ad.mse_loss(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).item() == 0.0
-
-    def test_half(self):
-        assert ad.mse_loss(Tensor([1.0, 0.0]), Tensor([0.0, 0.0])).item() == 0.5
-
-    def test_gradient_formula(self):
-        # d/dpred mean((pred - target)^2) = 2 (pred - target) / N
-        pred = Tensor([1.0, 0.0], requires_grad=True)
-        (grad,) = backward(ad.mse_loss(pred, Tensor([0.0, 0.0])), [pred])
-        np.testing.assert_allclose(grad, [1.0, 0.0], atol=1e-12)
-
-    def test_no_gradient_for_a_constant_target(self):
-        pred = rand((3, 4), 7)
-        grads = []
-        for requires_grad in (False, True):
-            ad.reset_tape()
-            loss = ad.mse_loss(pred, rand((3, 4), 8, grad=requires_grad))
-            (entry,) = ad._TAPE
-            grads.append((entry.vjp(np.ones(())), backward(loss, [pred])[0]))
-        ((dpred, skipped), grad), ((dpred_reference, dtarget), grad_reference) = grads
-        assert skipped is None and dtarget.shape == (3, 4)
-        assert np.array_equal(dpred, dpred_reference) and np.array_equal(grad, grad_reference)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeMismatchError):
-            ad.mse_loss(Tensor([1.0]), Tensor([1.0, 2.0]))
+def attention_with(d, seed=None):
+    """One attention block's weights: seeded normal (d, d) matrices and zero
+    biases, or identity matrices where ``seed`` is None."""
+    rng = np.random.default_rng(seed)
+    w = (lambda: np.eye(d)) if seed is None else (lambda: rng.normal(scale=0.5, size=(d, d)))
+    return {n: Tensor(w() if n[0] == "w" else np.zeros(d), requires_grad=True) for n in ATTENTION}
 
 
 class TestSoftmaxAndAttention:
@@ -272,88 +287,48 @@ class TestSoftmaxAndAttention:
             y = ad.softmax_rows(s, causal=True).values
             np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_causal_mask_zeroes_future(self):
-        y = ad.softmax_rows(rand((4, 4), 16, grad=False), causal=True).values
-        assert np.array_equal(np.triu(y, k=1), np.zeros((4, 4)))
-
-    def test_causal_mask_refuses_non_square_scores(self):
-        for rows, cols in ((1, 5), (4, 5), (6, 5)):
-            with pytest.raises(ShapeMismatchError, match="square"):
-                ad.softmax_rows(rand((2, rows, cols), 28, grad=False), causal=True)
-        params = self._attention_params(4, 31)
-        x = rand((3, 5, 4), 32, grad=False)
-        for q, k in ((x, Tensor(x.values[..., 1:, :])), (Tensor(x.values[..., -1:, :]), x)):
-            with pytest.raises(ShapeMismatchError, match="square"):
-                ad.multi_head_attention(q, k, k, heads=2, causal=True, **params)
-
-    def _attention_params(self, d, seed, identity=False):
-        if identity:
-            w = lambda: Tensor(np.eye(d), requires_grad=True)
-        else:
-            rng = np.random.default_rng(seed)
-            w = lambda: Tensor(rng.normal(scale=0.5, size=(d, d)), requires_grad=True)
-        zeros = lambda: Tensor(np.zeros(d), requires_grad=True)
-        return dict(wq=w(), bq=zeros(), wk=w(), wv=w(), bv=zeros(), wo=w(), bo=zeros())
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4, 4)])
+    def test_causal_mask_zeroes_future(self, shape):
+        y = ad.softmax_rows(rand(shape, 16, grad=False), causal=True).values
+        assert np.array_equal(np.triu(y, k=1), np.zeros_like(y))
 
     def test_single_position_returns_value_projection(self):
-        d = 4
-        params = self._attention_params(d, 17)
-        q = rand((1, d), 18, grad=False)
-        v = rand((1, d), 19, grad=False)
+        params = attention_with(4, 17)
+        q = rand((1, 4), 18, grad=False)
+        v = rand((1, 4), 19, grad=False)
         out = ad.multi_head_attention(q, q, v, heads=2, **params)
         expected = (v.values @ params["wv"].values + params["bv"].values) \
             @ params["wo"].values + params["bo"].values
         np.testing.assert_allclose(out.values, expected, atol=1e-12)
 
     def test_identical_keys_average_values(self):
-        d = 4
-        params = self._attention_params(d, 20, identity=True)
         q = Tensor(np.tile([[0.3, -0.2, 0.5, 0.1]], (2, 1)))
         v = Tensor([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-        out = ad.multi_head_attention(q, q, v, heads=2, **params)
+        out = ad.multi_head_attention(q, q, v, heads=2, **attention_with(4))
         expected = np.tile(v.values.mean(axis=0), (2, 1))
         np.testing.assert_allclose(out.values, expected, atol=1e-12)
 
     def test_causal_position_zero_equals_single_position(self):
-        d = 4
-        params = self._attention_params(d, 21)
-        x = rand((3, d), 22, grad=False)
+        params = attention_with(4, 21)
+        x = rand((3, 4), 22, grad=False)
         full = ad.multi_head_attention(x, x, x, heads=2, causal=True, **params)
         first = Tensor(x.values[:1])
         solo = ad.multi_head_attention(first, first, first, heads=2, **params)
         np.testing.assert_allclose(full.values[0], solo.values[0], atol=1e-12)
 
-    @pytest.mark.parametrize("q, k, v", [
-        ((4,), (4,), (4,)),  # no position axis
-        ((3, 4), (5, 4), (4, 4)),  # keys and values of different lengths
-        ((3, 4), (2, 5, 4), (2, 5, 4)),  # more axes on the keys
-        ((2, 3, 4), (3, 5, 4), (3, 5, 4)),  # other leading axes
-        ((3, 4), (5, 6), (5, 6)),  # other widths
-    ])
-    def test_operands_that_do_not_fit_rejected(self, q, k, v):
-        params = self._attention_params(4, 25)
-        with pytest.raises(ShapeMismatchError, match="do not fit"):
-            ad.multi_head_attention(rand(q, 26), rand(k, 27), rand(v, 28), heads=2, **params)
+    def test_rows_of_a_batch_match_the_unbatched_op(self):
+        params = attention_params(25)
+        x = rand((3, 4, 4), 26, grad=False)
+        batched = ad.multi_head_attention(x, x, x, heads=2, causal=True, **params).values
+        for i in range(3):
+            xi = Tensor(x.values[i])
+            single = ad.multi_head_attention(xi, xi, xi, heads=2, causal=True, **params).values
+            np.testing.assert_allclose(batched[i], single, rtol=0, atol=1e-12)
 
     def test_indivisible_heads_rejected(self):
-        d = 4
-        params = self._attention_params(d, 23)
-        x = rand((2, d), 24)
+        x = rand((2, 4), 24)
         with pytest.raises(ConfigurationError):
-            ad.multi_head_attention(x, x, x, heads=3, **params)
-
-    def test_gradient_with_causal_mask(self):
-        d = 4
-        params = self._attention_params(d, 25)
-        x = rand((3, d), 26)
-        target = Tensor(np.random.default_rng(27).normal(size=(3, d)))
-
-        def f():
-            out = ad.multi_head_attention(x, x, x, heads=2, causal=True, **params)
-            return ad.mse_loss(out, target)
-
-        err = finite_diff_check(f, [x, *params.values()])
-        assert err < 1e-6
+            ad.multi_head_attention(x, x, x, heads=3, **attention_with(4, 23))
 
 
 def attention_with_key_bias(q, k, v, *, wq, bq, wk, bk=None, wv, bv, wo, bo, heads, causal):
@@ -386,13 +361,8 @@ class TestKeyBias:
     every score of query q, cannot change the attention output."""
 
     def inputs(self, causal):
-        rng = np.random.default_rng(40)
-        params = {n: Tensor(rng.normal(scale=0.5, size=(4, 4) if n[0] == "w" else (4,)),
-                            requires_grad=True)
-                  for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")}
         x = rand((2, 3, 4), 41)
-        keys = x if causal else rand((2, 5, 4), 42)
-        return params, x, keys
+        return attention_params(40), x, x if causal else rand((2, 5, 4), 42)
 
     @pytest.mark.parametrize("causal", [True, False])
     def test_random_key_bias_changes_nothing(self, causal):
@@ -423,55 +393,36 @@ class TestKeyBias:
 class TestFusedAttention:
     """The one-entry attention op against the composite it replaced."""
 
-    def params(self, seed):
-        rng = np.random.default_rng(seed)
-        return {n: Tensor(rng.normal(scale=0.5, size=(4, 4) if n[0] == "w" else (4,)),
-                          requires_grad=True)
-                for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")}
-
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
     @pytest.mark.parametrize("cross", [False, True], ids=["causal_self", "cross"])
     def test_outputs_and_gradients_match_the_composite_bit_for_bit(self, lead, cross):
-        params = self.params(50)
+        params = attention_params(50)
         x = rand((*lead, 3, 4), 51)
         # self-attention reads one tensor three times; cross-attention reads
         # the memory as keys and values, over a different length
         memory = rand((*lead, 5, 4), 52) if cross else x
         target = Tensor(np.random.default_rng(53).normal(size=(*lead, 3, 4)))
-        results = []
-        for attend in (ad.multi_head_attention, attention_with_key_bias):
-            ad.reset_tape()
+
+        def build(attend):
             # the residual add makes x's gradient a sum over four contributions
             out = ad.add(x, attend(x, memory, memory, heads=2, causal=not cross, **params))
-            wrt = [x, memory, *params.values()] if cross else [x, *params.values()]
-            results.append([out.values, *backward(ad.mse_loss(out, target), wrt)])
-        fused, composite = results
-        assert len(fused) == len(composite)
-        for got, expected in zip(fused, composite):
-            assert np.array_equal(got, expected)
+            return out, ad.mse_loss(out, target)
 
-    def test_gradient_against_finite_differences(self):
-        params = self.params(54)
-        q, k, v = rand((2, 3, 4), 55), rand((2, 5, 4), 56), rand((2, 5, 4), 57)
-        target = Tensor(np.random.default_rng(58).normal(size=(2, 3, 4)))
-
-        def f():
-            return ad.mse_loss(ad.multi_head_attention(q, k, v, heads=2, **params), target)
-
-        assert finite_diff_check(f, [q, k, v, *params.values()]) < 1e-6
+        leaves = [x, memory, *params.values()] if cross else [x, *params.values()]
+        assert_same_bits(leaves, build, ad.multi_head_attention, attention_with_key_bias)
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
     def test_helpers_on_keys_and_values_projected_once_match_the_op(self, lead):
         # inference projects the memory's keys and values once, and each
         # decoded row's query, key and value with the op's own rules;
         # a one-row query then attends unmasked
-        params = {n: t.values for n, t in self.params(61).items()}
+        tensors = attention_params(61)
+        params = {n: t.values for n, t in tensors.items()}
         x, memory = rand((*lead, 3, 4), 62, grad=False), rand((*lead, 5, 4), 63, grad=False)
 
         def attend(rows, kh, vh):
             return ad._attend_out(ad._query_heads(rows, params, 2), kh, vh, params, False)[2]
 
-        tensors = self.params(61)
         cross = ad.multi_head_attention(x, memory, memory, heads=2, **tensors).values
         kh, vh = ad._key_value_heads(memory.values, memory.values, params, 2)
         assert np.array_equal(attend(x.values, kh, vh), cross)
@@ -485,121 +436,6 @@ class TestFusedAttention:
             out = attend(row, np.concatenate(keys, axis=-1), np.concatenate(values, axis=-2))
             # a one-row product may sum in another order than the matrix one
             np.testing.assert_allclose(out, square[..., t:t + 1, :], rtol=0, atol=1e-14)
-
-    def test_one_call_records_one_entry(self):
-        x = rand((2, 3, 4), 59)
-        ad.multi_head_attention(x, x, x, heads=2, causal=True, **self.params(60))
-        assert [entry.name for entry in ad._TAPE] == ["multi_head_attention"]
-
-
-class TestSublayerOps:
-    """The one-entry sublayer ops against the composites they replaced."""
-
-    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
-    @pytest.mark.parametrize("case", list(SUBLAYER_CASES))
-    def test_values_and_gradients_match_the_composite_bit_for_bit(self, case, lead):
-        leaves, build = sublayer_case(case, lead)
-        results = []
-        for op in (sublayer_op(case), SUBLAYER_CASES[case][1]):
-            ad.reset_tape()
-            out, loss = build(op)
-            results.append([out.values, *backward(loss, leaves)])
-        fused, composite = results
-        assert len(fused) == len(composite)
-        for got, expected in zip(fused, composite):
-            assert np.array_equal(got, expected)
-
-    @pytest.mark.parametrize("case", list(SUBLAYER_CASES))
-    def test_one_call_records_one_entry(self, case):
-        leaves, build = sublayer_case(case)
-        ad.reset_tape()
-        build(sublayer_op(case))
-        assert [entry.name for entry in ad._TAPE].count(SUBLAYER_CASES[case][0]) == 1
-
-    @pytest.mark.parametrize("case", list(SUBLAYER_CASES))
-    def test_gradient_against_finite_differences(self, case):
-        leaves, build = sublayer_case(case)
-        assert finite_diff_check(lambda: build(sublayer_op(case))[1], leaves) < 1e-6
-
-    @pytest.mark.parametrize("call", [
-        lambda: ad.residual_norm(rand((3, 4), 1), rand((3, 5), 2), rand((4,), 3), rand((4,), 4)),
-        lambda: ad.residual_norm(rand((3, 4), 1), rand((3, 4), 2), rand((5,), 3), rand((4,), 4)),
-        lambda: ad.residual_gate(rand((3, 4), 1), rand((3, 4), 2), rand((3,), 3)),
-        lambda: ad.residual_gate(rand((3, 4), 1), rand((3, 4), 2), rand((1,), 3)),
-        lambda: ad.residual_gate(rand((3, 4), 1), rand((2, 4), 2), rand((4,), 3)),
-        lambda: ad.feed_forward(rand((3, 4), 1), rand((5, 6), 2), rand((6,), 3),
-                                rand((6, 4), 4), rand((4,), 5)),
-        lambda: ad.feed_forward(rand((3, 4), 1), rand((4, 6), 2), rand((6,), 3),
-                                rand((5, 4), 4), rand((4,), 5)),
-        lambda: ad.project_pair(np.ones((3, 4)), rand((4, 4), 1), np.ones((2, 2)), rand((2, 4), 2)),
-        lambda: ad.project_pair(np.ones((3, 4)), rand((4, 4), 1), np.ones((3, 2)), rand((2, 5), 2)),
-    ])
-    def test_shape_errors(self, call):
-        with pytest.raises(ShapeMismatchError):
-            call()
-
-
-# (rows, start): encoder rows, decoder rows after the start row, and the
-# start row alone, as the decoder of a one-day forecast gets it
-POSITIONED_CASES = [(4, False), (4, True), (0, True)]
-POSITIONED_IDS = ["rows", "start_and_rows", "start_only"]
-
-
-def positioned_case(lead, rows, start):
-    """(x, pe, start, target) for ``ad.positioned`` on (*lead, rows, 4) rows x."""
-    x = rand((*lead, rows, 4), 60)
-    pe = np.random.default_rng(61).normal(size=(rows + start, 4))
-    target = Tensor(np.random.default_rng(62).normal(size=(*lead, rows + start, 4)))
-    return x, pe, rand((4,), 63) if start else None, target
-
-
-class TestPositioned:
-    """The one-entry input-sequence op against the ``tile_rows``, ``reshape``,
-    ``concat_rows`` and ``add`` composite it replaced."""
-
-    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
-    @pytest.mark.parametrize("rows, start", POSITIONED_CASES, ids=POSITIONED_IDS)
-    def test_output_and_gradients_match_the_composite_bit_for_bit(self, lead, rows, start):
-        x, pe, sos, target = positioned_case(lead, rows, start)
-        w, b = rand((4, 4), 64), rand((4,), 65)
-        leaves = [x, w, b] + ([sos] if start else [])
-        results = []
-        for op in (ad.positioned, positioned_composite):
-            ad.reset_tape()
-            # x arrives through an op, as the embedded days do
-            out = ad.tanh(op(ad.linear(x, w, b), pe, sos))
-            results.append([out.values, *backward(ad.mse_loss(out, target), leaves)])
-        fused, composite = results
-        assert len(fused) == len(composite) == len(leaves) + 1
-        for got, expected in zip(fused, composite):
-            assert np.array_equal(got, expected)
-
-    @pytest.mark.parametrize("rows, start", POSITIONED_CASES, ids=POSITIONED_IDS)
-    def test_one_call_records_one_entry(self, rows, start):
-        x, pe, sos, _ = positioned_case((2,), rows, start)
-        ad.reset_tape()
-        ad.positioned(x, pe, sos)
-        assert [entry.name for entry in ad._TAPE] == ["positioned"]
-
-    @pytest.mark.parametrize("rows, start", POSITIONED_CASES, ids=POSITIONED_IDS)
-    def test_gradient_against_finite_differences(self, rows, start):
-        x, pe, sos, target = positioned_case((2,), rows, start)
-        leaves = [x] + ([sos] if start else [])
-        err = finite_diff_check(lambda: ad.mse_loss(ad.tanh(ad.positioned(x, pe, sos)), target),
-                                leaves)
-        assert err < 1e-6
-
-    @pytest.mark.parametrize("x_shape, pe_shape, start", [
-        ((2, 3, 4), (4, 4), False),     # a position too many
-        ((2, 3, 4), (3, 4), True),      # no position for the start row
-        ((2, 3, 4), (1, 4), False),     # one row that numpy would broadcast
-        ((2, 3, 4), (3, 5), False),     # another width
-        ((2, 3, 4), (2, 3, 4), False),  # a stack of positions
-        ((4,), (1, 4), False),          # no row axis
-    ])
-    def test_positions_that_do_not_fit_the_rows_rejected(self, x_shape, pe_shape, start):
-        with pytest.raises(ShapeMismatchError):
-            ad.positioned(rand(x_shape, 66), np.zeros(pe_shape), rand((4,), 67) if start else None)
 
 
 def lstm_step_loop(projected, wh):
@@ -618,6 +454,68 @@ def lstm_step_loop(projected, wh):
     return h
 
 
+# (rows, start): encoder rows, decoder rows after the start row, and the
+# start row alone, as the decoder of a one-day forecast gets it
+POSITIONED_CASES = {"rows": (4, False), "start_and_rows": (4, True), "start_only": (0, True)}
+
+
+def positioned_call(rows, start):
+    x, pe, sos, _ = positioned_case((2,), rows, start)
+    return ad.positioned(x, pe, sos)
+
+
+# a call of each one-entry op whose whole tape is that one entry
+ONE_ENTRY = {
+    "multi_head_attention": lambda: ad.multi_head_attention(
+        x := rand((2, 3, 4), 59), x, x, heads=2, causal=True, **attention_params(60)),
+    "lstm": lambda: ad.lstm(rand((2, 5, 8), 76), rand((2, 8), 77)),
+    **{f"positioned-{name}": lambda case=case: positioned_call(*case)
+       for name, case in POSITIONED_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("case", ONE_ENTRY)
+def test_one_call_records_one_entry(case):
+    ONE_ENTRY[case]()
+    assert [entry.name for entry in ad._TAPE] == [case.split("-")[0]]
+
+
+class TestSublayerOps:
+    """The one-entry sublayer ops against the composites they replaced."""
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("case", list(SUBLAYER_CASES))
+    def test_values_and_gradients_match_the_composite_bit_for_bit(self, case, lead):
+        leaves, build = sublayer_case(case, lead)
+        assert_same_bits(leaves, build, sublayer_op(case), SUBLAYER_CASES[case][1])
+
+    @pytest.mark.parametrize("case", list(SUBLAYER_CASES))
+    def test_one_call_records_one_entry(self, case):
+        leaves, build = sublayer_case(case)
+        ad.reset_tape()
+        build(sublayer_op(case))
+        assert [entry.name for entry in ad._TAPE].count(SUBLAYER_CASES[case][0]) == 1
+
+
+class TestPositioned:
+    """The one-entry input-sequence op against the ``tile_rows``, ``reshape``,
+    ``concat_rows`` and ``add`` composite it replaced."""
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("case", POSITIONED_CASES)
+    def test_output_and_gradients_match_the_composite_bit_for_bit(self, lead, case):
+        x, pe, sos, target = positioned_case(lead, *POSITIONED_CASES[case])
+        w, b = rand((4, 4), 64), rand((4,), 65)
+
+        def build(op):
+            # x arrives through an op, as the embedded days do
+            out = ad.tanh(op(ad.linear(x, w, b), pe, sos))
+            return out, ad.mse_loss(out, target)
+
+        assert_same_bits([x, w, b] + ([sos] if sos is not None else []), build, ad.positioned,
+                         positioned_composite)
+
+
 class TestFusedLstm:
     """The one-entry LSTM op against the step loop it replaced."""
 
@@ -628,97 +526,28 @@ class TestFusedLstm:
         projected = rand((*lead, steps, 4 * hidden), 70, scale=1.5)
         wh = rand((hidden, 4 * hidden), 71, scale=0.8)
         target = Tensor(np.random.default_rng(72).normal(size=(*lead, hidden)))
-        results = []
-        for run in (ad.lstm, lstm_step_loop):
-            ad.reset_tape()
+
+        def build(run):
             out = run(projected, wh)
             # the tanh makes the incoming gradient differ from mse_loss's own
-            loss = ad.mse_loss(ad.tanh(out), target)
-            results.append([out.values, *backward(loss, [projected, wh])])
-        fused, composite = results
-        for got, expected in zip(fused, composite):
-            assert np.array_equal(got, expected)
+            return out, ad.mse_loss(ad.tanh(out), target)
 
-    def test_gradient_against_finite_differences(self):
-        projected, wh = rand((2, 3, 8), 73), rand((2, 8), 74, scale=0.8)
-        target = Tensor(np.random.default_rng(75).normal(size=(2, 2)))
-        err = finite_diff_check(lambda: ad.mse_loss(ad.lstm(projected, wh), target),
-                                [projected, wh])
-        assert err < 1e-6
-
-    def test_one_call_records_one_entry(self):
-        ad.lstm(rand((2, 5, 8), 76), rand((2, 8), 77))
-        assert [entry.name for entry in ad._TAPE] == ["lstm"]
-
-    @pytest.mark.parametrize("projected_shape, wh_shape", [
-        ((3, 12), (2, 8)),     # last axis is not 4H
-        ((3, 8), (2, 6)),      # wh is not (H, 4H)
-        ((3, 8), (8,)),        # wh is not a matrix
-        ((8,), (2, 8)),        # no time axis
-    ])
-    def test_shape_errors(self, projected_shape, wh_shape):
-        with pytest.raises(ShapeMismatchError):
-            ad.lstm(rand(projected_shape, 78), rand(wh_shape, 79))
+        assert_same_bits([projected, wh], build, ad.lstm, lstm_step_loop)
 
 
-class TestStructuralOps:
-    """Gradient checks for the slicing / stacking / gating primitives."""
-
-    def test_composite_gradient(self):
-        a = rand((4, 6), 28)
-        v = rand((3,), 29)
-        g = rand((3,), 30)
-        alpha = Tensor(np.asarray(0.7), requires_grad=True)
-        bias = rand((6,), 31)
-
-        def f():
-            left = ad.slice_cols(a, 0, 3)
-            right = ad.slice_cols(a, 3, 6)
-            merged = ad.concat_cols([ad.mul_rowvec(left, v), ad.scale_by(right, alpha)])
-            merged = ad.add_rowvec(merged, bias)
-            rebuilt = ad.concat_rows([ad.transpose(ad.transpose(merged)), merged])
-            vec = ad.reshape(rebuilt, (48,))
-            stacked = ad.stack_rows([g, g])
-            tiled = ad.tile_rows(ad.reshape(ad.stack_rows([g, g]), (6,)), 2)
-            extra = ad.add(sum_all(stacked), sum_all(tiled))
-            return ad.add(sum_all(ad.mul(vec, vec)), extra)
-
-        err = finite_diff_check(f, [a, v, g, alpha, bias])
-        assert err < 1e-6
-
-    @pytest.mark.parametrize("op, axis", [(ad.concat_rows, -2), (ad.concat_cols, -1)])
-    def test_concat_backward_hands_each_part_its_slice(self, op, axis):
-        sizes = (1, 3, 2)
-        parts = [rand((2, 4, 4)[:axis] + (n,) + (4,) * (-1 - axis), 33 + n) for n in sizes]
-        out = op(parts)
-        g = np.random.default_rng(36).normal(size=out.shape)
-        grads = backward(sum_all(ad.mul(out, Tensor(g))), parts)
-        for grad, part, expected in zip(grads, parts, np.split(g, [1, 4], axis=axis)):
-            assert grad.shape == part.shape
-            np.testing.assert_array_equal(grad, expected)
-
-    def test_tile_rows_backward_sums(self):
-        v = Tensor([1.0, 2.0], requires_grad=True)
-        (grad,) = backward(sum_all(ad.tile_rows(v, 3)), [v])
-        np.testing.assert_array_equal(grad, [3.0, 3.0])
-
-    def test_sigmoid_gradient(self):
-        x = rand((5,), 32)
-        err = finite_diff_check(lambda: sum_all(ad.mul(ad.sigmoid(x), ad.sigmoid(x))), [x])
-        assert err < 1e-6
+@pytest.mark.parametrize("op, axis", [(ad.concat_rows, -2), (ad.concat_cols, -1)])
+def test_concat_backward_hands_each_part_its_slice(op, axis):
+    sizes = (1, 3, 2)
+    parts = [rand((2, 4, 4)[:axis] + (n,) + (4,) * (-1 - axis), 33 + n) for n in sizes]
+    out = op(parts)
+    g = np.random.default_rng(36).normal(size=out.shape)
+    grads = backward(sum_all(ad.mul(out, Tensor(g))), parts)
+    for grad, part, expected in zip(grads, parts, np.split(g, [1, 4], axis=axis)):
+        assert grad.shape == part.shape
+        np.testing.assert_array_equal(grad, expected)
 
 
 class TestBackwardSemantics:
-    def test_linear_gradient_is_ones(self):
-        w = Tensor([2.0, -1.0], requires_grad=True)
-        (grad,) = backward(sum_all(w), [w])
-        np.testing.assert_array_equal(grad, [1.0, 1.0])
-
-    def test_quadratic_gradient(self):
-        w = Tensor([3.0], requires_grad=True)
-        (grad,) = backward(sum_all(ad.mul(w, w)), [w])
-        np.testing.assert_allclose(grad, [6.0], atol=1e-12)
-
     def test_gradients_follow_wrt_order(self):
         # d/da sum(a*b) = b and d/db = a, returned in the order asked for
         a = Tensor([1.0, 2.0], requires_grad=True)
@@ -736,18 +565,14 @@ class TestBackwardSemantics:
         np.testing.assert_array_equal(grad_w, [2.0, 4.0])
         assert grad_unused.shape == (2, 3) and not grad_unused.any()
 
-    def test_intermediate_and_constant_rejected(self):
+    def test_intermediate_constant_and_non_scalar_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         hidden = ad.tanh(w)
         loss = sum_all(ad.mul(hidden, hidden))
-        for bad in (hidden, loss, Tensor([1.0, 2.0])):
+        for start, wrt in ((loss, [w, hidden]), (loss, [w, loss]),
+                           (loss, [w, Tensor([1.0, 2.0])]), (hidden, [w])):
             with pytest.raises(ContractError):
-                backward(loss, [w, bad])
-
-    def test_non_scalar_loss_rejected(self):
-        w = Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(ContractError):
-            backward(ad.mul(w, w), [w])
+                backward(start, wrt)
 
     def test_item_needs_a_scalar(self):
         assert Tensor([[2.5]]).item() == 2.5
@@ -762,6 +587,7 @@ class TestBackwardSemantics:
         w = Tensor([1.0], requires_grad=True)
         with ad.no_grad():
             ad.mul(w, w)
+        ad.mul(Tensor([1.0]), Tensor([2.0]))  # nor is a constant subgraph recorded
         assert ad.tape_size() == 0
 
     def test_tape_records_in_execution_order(self):
@@ -776,17 +602,6 @@ class TestBackwardSemantics:
         for i, entry in enumerate(entries):
             for tensor in entry.inputs:
                 assert all(tensor is not later.output for later in entries[i:])
-
-    def test_constant_subgraphs_not_recorded(self):
-        ad.mul(Tensor([1.0]), Tensor([2.0]))
-        assert ad.tape_size() == 0
-
-    def test_shared_intermediate_accumulates(self):
-        # y = w*w feeds two consumers; dL/dw = 2*(dL/dy)*w with dL/dy = 2
-        w = Tensor([2.0], requires_grad=True)
-        y = ad.mul(w, w)
-        (grad,) = backward(sum_all(ad.add(y, y)), [w])
-        np.testing.assert_allclose(grad, [8.0], atol=1e-12)
 
     def test_finite_outputs_after_forward_backward(self):
         # random composite on finite inputs never yields NaN/Inf anywhere
@@ -824,8 +639,7 @@ class TestBackwardOut:
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_out_holds_the_bytes_of_the_per_leaf_gradients(self, kind):
-        model = build_model(ModelConfig(kind, vocab_size=4, t_in=3, t_out=2, d_model=8,
-                                        heads=2, n_layers=1, d_ff=8, hidden=4))
+        model = build_model(toy_config(kind, vocab_size=4, d_model=8))
         inputs = np.stack([random_day_matrix(3, 4, seed) for seed in (1, 2)])
         target = np.stack([random_day_matrix(2, 4, seed) for seed in (3, 4)]).astype(np.float64)
         loss = ad.mse_loss(model.forward(inputs, teacher=target), Tensor(target))
@@ -922,18 +736,15 @@ def awkward_gradient(rng, size):
 
 
 class TestAdam:
-    def test_zero_gradient_keeps_params(self):
-        values = np.array([1.0, -2.0])
-        state = OptimizerState(learning_rate=0.1)
-        adam_step(values, np.zeros(2), state)
-        np.testing.assert_array_equal(values, [1.0, -2.0])
+    # a zero gradient keeps the values; a unit one moves them by -lr, since the
+    # bias-corrected m / sqrt(v) is 1 on the first step
+    @pytest.mark.parametrize("grad, expected", [(0.0, 1.0), (1.0, 0.9)],
+                             ids=["zero_gradient", "first_step_is_minus_lr"])
+    def test_first_step(self, grad, expected):
+        values, state = np.ones(1), OptimizerState(learning_rate=0.1)
+        adam_step(values, np.full(1, grad), state)
+        np.testing.assert_allclose(values, [expected], rtol=0, atol=1e-8)
         assert state.step == 1
-
-    def test_first_step_is_minus_lr(self):
-        # bias-corrected m/sqrt(v) is 1 on the first step with unit gradient
-        values = np.zeros(1)
-        adam_step(values, np.ones(1), OptimizerState(learning_rate=0.1))
-        np.testing.assert_allclose(values, [-0.1], atol=1e-8)
 
     def test_two_steps_match_hand_rolled_oracle(self):
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
@@ -991,8 +802,7 @@ class TestAdam:
         # numpy reports its buffers to tracemalloc: m and v, then one block
         # of scratch, not a third parameter-length buffer; the slack covers
         # the block views, about 2.4 KB
-        c7 = ModelConfig("TransPPRZ", vocab_size=20, t_in=5, t_out=5, d_model=32, d_ff=64)
-        values = build_model(c7).params.flat.copy()
+        values = build_model(ModelConfig("TransPPRZ", **C7)).params.flat.copy()
         grad = np.random.default_rng(6).normal(size=values.size)
         state = OptimizerState()
         tracemalloc.start()
@@ -1004,25 +814,6 @@ class TestAdam:
         assert values.size > 2 * ad.ADAM_BLOCK
         assert state.scratch.nbytes == 8 * ad.ADAM_BLOCK
         assert peak < 2 * values.nbytes + 8 * ad.ADAM_BLOCK + 8192
-
-    def test_steps_after_the_first_allocate_less_than_one_vector(self):
-        # numpy reports its buffers to tracemalloc; a parameter-sized
-        # temporary in the update would show as a peak of at least
-        # values.nbytes
-        c7 = ModelConfig("TransPPRZ", vocab_size=20, t_in=5, t_out=5, d_model=32, d_ff=64)
-        values = build_model(c7).params.flat.copy()
-        rng = np.random.default_rng(5)
-        state = OptimizerState()
-        adam_step(values, rng.normal(size=values.size), state)
-        grad = rng.normal(size=values.size)
-        tracemalloc.start()
-        try:
-            adam_step(values, grad, state)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert values.size > 40_000
-        assert peak < values.nbytes
 
 
 HOT_PATH_PROPERTY = settings(max_examples=60, deadline=None)

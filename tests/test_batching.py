@@ -1,9 +1,9 @@
-"""The batch axis: batched ops, models and harness against the per-window path.
+"""The batch axis: batched models and harness against the per-window path.
 
 Tolerances are fixed from float64 before any comparison: a batched pass
 sums the same terms in another order, so values agree to 1e-12 absolute
-and gradients to 1e-12 absolute plus 1e-9 relative; finite-difference
-checks of ops with a leading batch axis stay below 1e-6.
+and gradients to 1e-12 absolute plus 1e-9 relative.  The batched ops are
+checked by finite differences with the others (``helpers.FD_CASES``).
 """
 
 import numpy as np
@@ -12,28 +12,19 @@ import pytest
 import otcforecast.autodiff as ad
 from otcforecast import harness
 from otcforecast.autodiff import Tensor
-from otcforecast.errors import ContractError, ShapeMismatchError
 from otcforecast.harness import evaluate, score_units, tier_rows
 from otcforecast.market import Sample
-from otcforecast.models import MODEL_KINDS, ModelConfig, build_model
+from otcforecast.models import MODEL_KINDS, build_model
 
-from helpers import (SUBLAYER_CASES, finite_diff_check, rand, sublayer_case, sublayer_op,
-                     sum_all)
+from helpers import perturbed, toy_config
 
 ATOL = 1e-12
 GRAD_RTOL = 1e-9
-FD_BOUND = 1e-6
 
 
 def perturbed_model(kind, seed=0):
-    """A toy model moved off its initialization, so zero-init gates open
-    every path (encoder, cross-attention) to the comparison."""
-    model = build_model(ModelConfig(kind=kind, vocab_size=8, t_in=3, t_out=2, d_model=4,
-                                    heads=2, n_layers=2, d_ff=8, hidden=4, seed=seed))
-    rng = np.random.default_rng(seed + 100)
-    for t in model.params.tensors():
-        t.values += rng.normal(scale=0.3, size=t.shape)
-    return model
+    """A two-layer toy model moved off its initialization."""
+    return perturbed(build_model(toy_config(kind, n_layers=2, seed=seed)), seed + 100)
 
 
 def windows(n, seed, density=0.3):
@@ -41,128 +32,6 @@ def windows(n, seed, density=0.3):
     x = (rng.random((n, 3, 16)) < density).astype(np.uint8)
     t = (rng.random((n, 2, 16)) < density).astype(np.uint8)
     return x, t
-
-
-class TestBatchedOps:
-    def test_matmul_shared_weight(self):
-        a, b = rand((2, 3, 4), 1), rand((4, 2), 2)
-        assert finite_diff_check(lambda: sum_all(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
-                                 [a, b]) < FD_BOUND
-
-    def test_matmul_stacked_operands(self):
-        a, b = rand((2, 3, 4), 3), rand((2, 4, 5), 4)
-        assert finite_diff_check(lambda: sum_all(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
-                                 [a, b]) < FD_BOUND
-
-    def test_matmul_rows_match_unbatched_product(self):
-        a, b = rand((3, 2, 4), 5, grad=False), rand((4, 3), 6, grad=False)
-        out = ad.matmul(a, b).values
-        for i in range(3):
-            np.testing.assert_allclose(out[i], a.values[i] @ b.values, rtol=0, atol=ATOL)
-
-    def test_matmul_leading_axes_must_agree(self):
-        with pytest.raises(ShapeMismatchError, match=r"\(2, 3, 4\)"):
-            ad.matmul(rand((2, 3, 4), 7), rand((3, 4, 5), 8))
-
-    def test_add_rowvec(self):
-        x, b = rand((2, 3, 4), 9), rand((4,), 10)
-        assert finite_diff_check(
-            lambda: sum_all(ad.mul(ad.add_rowvec(x, b), ad.add_rowvec(x, b))), [x, b]
-        ) < FD_BOUND
-
-    def test_mul_rowvec(self):
-        x, v = rand((2, 3, 4), 11), rand((4,), 12)
-        assert finite_diff_check(
-            lambda: sum_all(ad.mul(ad.mul_rowvec(x, v), ad.mul_rowvec(x, v))), [x, v]
-        ) < FD_BOUND
-
-    def test_scale_by(self):
-        a, s = rand((2, 3, 4), 13), Tensor(np.asarray(0.7), requires_grad=True)
-        assert finite_diff_check(
-            lambda: sum_all(ad.mul(ad.scale_by(a, s), ad.scale_by(a, s))), [a, s]
-        ) < FD_BOUND
-
-    def test_layer_norm(self):
-        x, gamma, beta = rand((2, 3, 5), 14), rand((5,), 15), rand((5,), 16)
-        assert finite_diff_check(
-            lambda: sum_all(ad.mul(ad.layer_norm(x, gamma, beta),
-                                   ad.layer_norm(x, gamma, beta))),
-            [x, gamma, beta],
-        ) < FD_BOUND
-
-    @pytest.mark.parametrize("case", list(SUBLAYER_CASES))
-    def test_sublayer_op(self, case):
-        leaves, build = sublayer_case(case, (2, 3))
-        assert finite_diff_check(lambda: build(sublayer_op(case))[1], leaves) < FD_BOUND
-
-    def test_causal_softmax(self):
-        s = rand((2, 3, 4, 4), 17, scale=2.0)
-        assert finite_diff_check(
-            lambda: sum_all(ad.mul(ad.softmax_rows(s, causal=True),
-                                   ad.softmax_rows(s, causal=True))), [s]
-        ) < FD_BOUND
-        y = ad.softmax_rows(Tensor(s.values), causal=True).values
-        assert np.array_equal(np.triu(y, k=1), np.zeros_like(y))
-
-    def test_structural_ops(self):
-        v, a, b = rand((2, 4), 18), rand((2, 3, 4), 19), rand((2, 1, 4), 20)
-
-        def f():
-            tiled = ad.tile_rows(v, 3)  # (2, 3, 4)
-            rows = ad.concat_rows([b, ad.mul(tiled, a)])  # (2, 4, 4)
-            cols = ad.concat_cols([rows, ad.transpose(rows)])  # (2, 4, 8)
-            moved = ad.transpose(cols, (1, 2, 0))  # (4, 8, 2)
-            return sum_all(ad.mul(moved, moved))
-
-        assert finite_diff_check(f, [v, a, b]) < FD_BOUND
-
-    def test_slice_cols_on_leading_axes(self):
-        a = rand((2, 3, 5), 28)
-        assert ad.slice_cols(a, 1, 4).shape == (2, 3, 3)
-
-        def f():
-            left, right = ad.slice_cols(a, 0, 2), ad.slice_cols(a, 1, 5)
-            return ad.add(sum_all(ad.mul(left, left)), sum_all(ad.mul(right, right)))
-
-        assert finite_diff_check(f, [a]) < FD_BOUND
-
-    def attention_params(self, seed):
-        rng = np.random.default_rng(seed)
-        names = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
-        return {n: Tensor(rng.normal(scale=0.5, size=(4, 4) if n[0] == "w" else (4,)),
-                          requires_grad=True) for n in names}
-
-    @pytest.mark.parametrize("causal", [True, False])
-    def test_multi_head_attention(self, causal):
-        # causal self-attention, and cross-attention onto a longer memory
-        params = self.attention_params(21)
-        x, memory = rand((2, 3, 4), 22), rand((2, 5, 4), 23)
-        keys = x if causal else memory
-        target = Tensor(np.random.default_rng(24).normal(size=(2, 3, 4)))
-
-        def f():
-            y = ad.multi_head_attention(x, keys, keys, heads=2, causal=causal, **params)
-            return ad.mse_loss(y, target)
-
-        assert finite_diff_check(f, [x, memory, *params.values()]) < FD_BOUND
-
-    def test_multi_head_attention_rows_match_unbatched(self):
-        params = self.attention_params(25)
-        x = rand((3, 4, 4), 26, grad=False)
-        batched = ad.multi_head_attention(x, x, x, heads=2, causal=True, **params).values
-        for i in range(3):
-            xi = Tensor(x.values[i])
-            single = ad.multi_head_attention(xi, xi, xi, heads=2, causal=True, **params).values
-            np.testing.assert_allclose(batched[i], single, rtol=0, atol=ATOL)
-
-    def test_backward_writes_only_leaves(self):
-        w = rand((2, 3), 27)
-        hidden = ad.tanh(w)
-        loss = sum_all(ad.mul(hidden, hidden))
-        (grad,) = ad.backward(loss, [w])
-        assert grad.shape == (2, 3) and np.abs(grad).sum() > 0
-        with pytest.raises(ContractError):
-            ad.backward(loss, [hidden])
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

@@ -46,7 +46,7 @@ from otcforecast.models import (CHECKPOINT_VERSION, MODEL_KINDS, ModelConfig, bu
                                 check_checkpoint, save_checkpoint)
 from otcforecast.seeding import derive_seed
 
-from helpers import TINY_CONFIG, interrupted_writes
+from helpers import interrupted_writes, tiny_config
 
 
 def ascii_locale_runner():
@@ -85,11 +85,29 @@ def tiers(cfg_path, out):
     return cli._tiers(parse_config(cfg_path), histories, days).labels
 
 
-def write_config(tmp_path, text=None, **format_args):
-    path = tmp_path / "run.ini"
-    out = format_args.pop("out", tmp_path / "artifacts")
-    path.write_text((text or TINY_CONFIG).format(out=out, **format_args))
+def write_config(tmp_path, out=None, **settings):
+    """``tmp_path``'s run.ini: :data:`TINY_CONFIG` with ``settings``, writing to ``out``."""
+    path, out = tmp_path / "run.ini", tmp_path / "artifacts" if out is None else out
+    path.write_text(tiny_config(**settings).format(out=out))
     return path, out
+
+
+def ini(tmp_path, text):
+    """``tmp_path``'s c.ini, holding ``text``."""
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    return path
+
+
+def non_default_ini(tmp_path, *left):
+    """A c.ini setting every key but those ``left`` to its non-default valid value."""
+    sections: dict[str, list[str]] = {}
+    for key in fields(RunConfig):
+        if key.name not in left:
+            sections.setdefault(key.metadata["section"], []).append(
+                f"{key.name} = {SETTING_VALUES[key.name][0]}")
+    return ini(tmp_path, "".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                                 for name, lines in sections.items()))
 
 
 def run(cfg_path, *commands):
@@ -172,8 +190,7 @@ class TestParseConfig:
                              ids=["empty", "comments-only"])
     def test_a_file_without_a_section_is_a_config_error(self, tmp_path, monkeypatch, capsys,
                                                         text):
-        path = tmp_path / "c.ini"
-        path.write_text(text)
+        path = ini(tmp_path, text)
         message = f"config file {path} has no section"
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             parse_config(path)
@@ -184,43 +201,28 @@ class TestParseConfig:
         assert parse_config(path) == parse_config(None)
 
     def test_colon_delimiter_and_nonstandard_t_in(self, tmp_path):
-        path = tmp_path / "c.ini"
-        path.write_text("[window]\nt_in: 7\n")
-        assert parse_config(path).t_in == 7
+        assert parse_config(ini(tmp_path, "[window]\nt_in: 7\n")).t_in == 7
 
-    # patience, the early stop that training no longer has, is refused like any unknown key,
-    # also as the empty line that every earlier config.resolved.ini echoed
-    @pytest.mark.parametrize("text, key", [("[window]\nt_inn = 5\n", "t_inn"),
-                                           ("[train]\npatience = 3\n", "patience"),
-                                           ("[train]\npatience =\n", "patience")],
-                             ids=["t_inn", "patience", "patience_empty"])
-    def test_unknown_key_named_in_error(self, tmp_path, text, key):
-        path = tmp_path / "c.ini"
-        path.write_text(text)
-        with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
-            parse_config(path)
-
-    def test_unknown_section_rejected(self, tmp_path):
-        path = tmp_path / "c.ini"
-        path.write_text("[windows]\nt_in = 5\n")
-        with pytest.raises(ConfigurationError, match="windows"):
-            parse_config(path)
-
-    def test_invalid_value_names_key_and_constraint(self, tmp_path):
-        path = tmp_path / "c.ini"
-        path.write_text("[window]\nt_in = 0\n")
-        with pytest.raises(ConfigurationError, match="t_in must be an integer >= 1"):
-            parse_config(path)
+    @pytest.mark.parametrize("text, message", [
+        ("[window]\nt_inn = 5\n", "unknown key 't_inn'"),
+        # patience, the early stop that training no longer has, is refused like any unknown
+        # key, also as the empty line that every earlier config.resolved.ini echoed
+        ("[train]\npatience = 3\n", "unknown key 'patience'"),
+        ("[train]\npatience =\n", "unknown key 'patience'"),
+        ("[windows]\nt_in = 5\n", "windows"),
+        ("[model]\nkind = TransRE\nd_model = 6\nheads = 4\n", "divisible"),
+        ("[DEFAULT]\nseed = 1\n", "DEFAULT"),
+        ("t_in = 5\n", "malformed"),  # a key before any section header
+        ("[window]\nt_in = 5\nt_in = 6\n", "malformed"),
+    ], ids=["t_inn", "patience", "patience_empty", "unknown-section", "heads-divisibility",
+            "default-section", "key-before-section", "duplicate-key"])
+    def test_refused_file_named_in_error(self, tmp_path, text, message):
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(ini(tmp_path, text))
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             parse_config(tmp_path / "absent.ini")
-
-    def test_heads_divisibility_checked(self, tmp_path):
-        path = tmp_path / "c.ini"
-        path.write_text("[model]\nkind = TransRE\nd_model = 6\nheads = 4\n")
-        with pytest.raises(ConfigurationError, match="divisible"):
-            parse_config(path)
 
     def test_resolved_echo_round_trips(self, tmp_path):
         # an indented continuation line makes a multi-line output_dir
@@ -231,57 +233,38 @@ class TestParseConfig:
             write_resolved(cfg, echoed)
             assert parse_config(echoed) == cfg
 
-    def test_default_section_rejected(self, tmp_path):
-        path = tmp_path / "c.ini"
-        path.write_text("[DEFAULT]\nseed = 1\n")
-        with pytest.raises(ConfigurationError, match="DEFAULT"):
-            parse_config(path)
-
-    def test_malformed_file_rejected(self, tmp_path):
-        path = tmp_path / "c.ini"
-        path.write_text("t_in = 5\n")  # key before any section header
-        with pytest.raises(ConfigurationError, match="malformed"):
-            parse_config(path)
-
-    def test_duplicate_key_rejected(self, tmp_path):
-        path = tmp_path / "c.ini"
-        path.write_text("[window]\nt_in = 5\nt_in = 6\n")
-        with pytest.raises(ConfigurationError, match="malformed"):
-            parse_config(path)
-
-    def test_odd_transformer_d_model_rejected_at_parse(self, tmp_path, capsys):
-        path = tmp_path / "c.ini"
-        path.write_text(f"[model]\nkind = TransFV\nd_model = 7\nheads = 1\n"
-                        f"[run]\noutput_dir = {tmp_path / 'out'}\n")
-        with pytest.raises(ConfigurationError, match="even d_model"):
-            parse_config(path)
-        refused(capsys, 1, "gen", path, "even d_model")
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "Infinity"])
     @pytest.mark.parametrize("key", [key for key in fields(RunConfig) if key.type == "float"],
                              ids=lambda key: key.name)
     def test_non_finite_float_rejected(self, tmp_path, key, raw):
-        path = tmp_path / "c.ini"
-        path.write_text(f"[{key.metadata['section']}]\n{key.name} = {raw}\n")
+        path = ini(tmp_path, f"[{key.metadata['section']}]\n{key.name} = {raw}\n")
         message = f"[{key.metadata['section']}] {key.name} must be {key.metadata['constraint']}"
         with pytest.raises(ConfigurationError, match=re.escape(f"{message}, got {raw!r}")):
             parse_config(path)
 
-    def test_non_finite_rate_exits_1_before_gen(self, tmp_path, capsys):
-        cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(
-            "dense_rate = 2.0", "dense_rate = inf"))
-        refused(capsys, 1, "gen", cfg_path, "[market] dense_rate must be a float >= 0")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("raw", ["9.223372006484772e18", "1e19"])
-    def test_rate_past_the_poisson_limit_exits_1_before_gen(self, tmp_path, capsys, raw):
+    @pytest.mark.parametrize("settings, error, message", [
+        ({"dense_rate": "inf"}, ConfigurationError,
+         "[market] dense_rate must be a float >= 0, got 'inf'"),
         # numpy's Generator.poisson refuses a mean above 2**63 - 10 * sqrt(2**63)
-        cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(
-            "dense_rate = 2.0", f"dense_rate = {raw}"))
-        assert refused(capsys, 1, "gen", cfg_path) == (
-            f"otcforecast: config error: dense_rate {float(raw)!r} must be nonnegative "
-            "and at most numpy's Poisson limit 9.223372006484771e+18")
+        *(({"dense_rate": raw}, ContractError, f"dense_rate {float(raw)!r} must be nonnegative "
+           "and at most numpy's Poisson limit 9.223372006484771e+18")
+          for raw in ("9.223372006484772e18", "1e19")),
+        ({"kind": "TransFV", "d_model": 7, "heads": 1}, ConfigurationError,
+         "positional encoding needs an even d_model"),
+        ({"periodic_min_period": 5}, ContractError,
+         "periodic_period_range (5, 4) needs 1 <= minimum <= maximum"),
+        ({"periodic_min_bonds": 4}, ContractError,
+         "periodic_bonds_range (4, 3) needs 0 <= minimum <= maximum"),
+        ({"dense_min_bonds": 7}, ContractError,
+         "dense_bonds_range (7, 6) needs 0 <= minimum <= maximum"),
+    ], ids=["non-finite-rate", "poisson-limit", "past-poisson-limit", "odd-d_model",
+            "inverted-period", "inverted-periodic-bonds", "inverted-dense-bonds"])
+    def test_refused_at_parse_and_by_gen_before_writing(self, tmp_path, capsys, settings, error,
+                                                        message):
+        cfg_path, out = write_config(tmp_path, **settings)
+        with pytest.raises(error, match=re.escape(message)):
+            parse_config(cfg_path)
+        assert refused(capsys, 1, "gen", cfg_path) == f"otcforecast: config error: {message}"
         assert not out.exists()
 
     @pytest.mark.parametrize("key", fields(RunConfig), ids=lambda key: key.name)
@@ -289,9 +272,7 @@ class TestParseConfig:
         section, constraint = key.metadata.get("section"), key.metadata.get("constraint")
         assert section and constraint and key.type in PARSERS
         valid, invalid = SETTING_VALUES[key.name]
-        path = tmp_path / "c.ini"
-        path.write_text(f"[{section}]\n{key.name} = {valid}\n")
-        cfg = parse_config(path)
+        cfg = parse_config(path := ini(tmp_path, f"[{section}]\n{key.name} = {valid}\n"))
         assert getattr(cfg, key.name) != key.default
         write_resolved(cfg, tmp_path / "resolved.ini")
         assert parse_config(tmp_path / "resolved.ini") == cfg
@@ -366,14 +347,7 @@ class TestSpecsFromConfig:
             assert {f.name for f in fields(spec)} - explicit <= settings, spec.__name__
 
     def test_non_default_settings_reach_their_specs(self, tmp_path):
-        sections: dict[str, list[str]] = {}
-        for key in fields(RunConfig):
-            sections.setdefault(key.metadata["section"], []).append(
-                f"{key.name} = {SETTING_VALUES[key.name][0]}")
-        path = tmp_path / "c.ini"
-        path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n"
-                                for name, lines in sections.items()))
-        cfg = parse_config(path)
+        cfg = parse_config(non_default_ini(tmp_path))
         specs = {MarketSpec: cfg.market_spec(), ModelConfig: cfg.model_config(11),
                  TrainSpec: cfg.train_spec()}
         defaults = {key.name: key.default for key in fields(RunConfig)}
@@ -447,14 +421,13 @@ class TestPipeline:
             else:
                 refused(capsys, 2, "compare", cfg_path, "unusable path: interrupted mid-write")
 
-    def test_eval_before_train_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("before, command, missing", [
+        ((), "cluster", "histories.bin"), (("gen", "cluster"), "eval", "checkpoint_single.ckpt"),
+    ], ids=["cluster_before_gen", "eval_before_train"])
+    def test_a_command_before_its_input_exits_2(self, tmp_path, capsys, before, command, missing):
         cfg_path, out = write_config(tmp_path)
-        run(cfg_path, "gen", "cluster")
-        refused(capsys, 2, "eval", cfg_path, "checkpoint_single.ckpt")
-
-    def test_cluster_before_gen_exits_2(self, tmp_path, capsys):
-        cfg_path, out = write_config(tmp_path)
-        refused(capsys, 2, "cluster", cfg_path, "histories.bin")
+        run(cfg_path, *before)
+        refused(capsys, 2, command, cfg_path, "missing artifact", str(out / missing))
 
     def test_gen_determinism_bytewise(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
@@ -490,33 +463,17 @@ class TestPipeline:
                 assert len({bond for bond, _ in traded[dealer]}) <= int(width)
 
     @pytest.mark.parametrize("edit", [
-        ("\nbonds = 6\n", "\nbonds = 0\n"),
-        ("periodic_dealers = 3\nsparse_dealers = 2\ndense_dealers = 1",
-         "periodic_dealers = 0\nsparse_dealers = 0\ndense_dealers = 0"),
+        {"bonds": 0}, {"periodic_dealers": 0, "sparse_dealers": 0, "dense_dealers": 0},
     ], ids=["no-bonds", "no-dealers"])
     def test_gen_refuses_an_empty_market(self, tmp_path, capsys, edit):
-        cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(*edit))
+        cfg_path, out = write_config(tmp_path, **edit)
         err = refused(capsys, 1, "gen", cfg_path, "no dealer with a record left after the filters")
         assert err.startswith("otcforecast: config error:")
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("edit, message", [
-        (("periodic_min_period = 2", "periodic_min_period = 5"),
-         "periodic_period_range (5, 4) needs 1 <= minimum <= maximum"),
-        (("periodic_min_bonds = 1", "periodic_min_bonds = 4"),
-         "periodic_bonds_range (4, 3) needs 0 <= minimum <= maximum"),
-        (("dense_min_bonds = 3", "dense_min_bonds = 7"),
-         "dense_bonds_range (7, 6) needs 0 <= minimum <= maximum"),
-    ], ids=["period", "periodic-bonds", "dense-bonds"])
-    def test_inverted_range_exits_1(self, tmp_path, capsys, edit, message):
-        cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(*edit))
-        assert refused(capsys, 1, "gen", cfg_path) == f"otcforecast: config error: {message}"
-        assert not out.exists()
-
     def test_cluster_warns_about_empty_tiers(self, tmp_path, capsys):
-        cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(
-            "periodic_dealers = 3\nsparse_dealers = 2\ndense_dealers = 1",
-            "periodic_dealers = 1\nsparse_dealers = 0\ndense_dealers = 0"))
+        cfg_path, out = write_config(tmp_path, periodic_dealers=1, sparse_dealers=0,
+                                     dense_dealers=0)
         run(cfg_path, "gen")
         with pytest.warns(UserWarning) as caught:
             run(cfg_path, "cluster")
@@ -524,22 +481,23 @@ class TestPipeline:
         assert capsys.readouterr().out.endswith("(1 dealers, 1 populated tiers)\n")
         assert (out / "clusters.csv").read_text().splitlines()[1:] == ["D0000,0"]
 
-    def test_bad_config_exits_1(self, tmp_path, capsys):
-        path = tmp_path / "bad.ini"
-        path.write_text("[window]\nt_inn = 3\n")
-        refused(capsys, 1, "gen", path, "t_inn")
+    @pytest.mark.parametrize("text, phrase", [
+        ("[window]\nt_inn = 3\n".encode(), "t_inn"),
+        ("[run]\n# d\xe9j\xe0 vu\nseed = 3\n".encode("latin-1"), "c.ini"),  # not UTF-8
+    ], ids=["unknown_key", "non_utf8"])
+    def test_bad_config_exits_1(self, tmp_path, capsys, text, phrase):
+        (path := tmp_path / "c.ini").write_bytes(text)
+        assert refused(capsys, 1, "gen", path, phrase).startswith("otcforecast: config error:")
 
-    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
-        path = tmp_path / "latin1.ini"
-        path.write_bytes("[run]\n# d\xe9j\xe0 vu\nseed = 3\n".encode("latin-1"))
-        assert refused(capsys, 1, "gen", path, "latin1.ini").startswith(
-            "otcforecast: config error:")
-
-    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "taken"
-        out.write_text("not a directory\n")
-        cfg_path, _ = write_config(tmp_path, out=out)
-        refused(capsys, 2, "gen", cfg_path, str(out))
+    @pytest.mark.parametrize("command, taken", [("gen", ""), ("cluster", "histories.bin")],
+                             ids=["output_dir_that_is_a_file", "histories_that_is_a_directory"])
+    def test_an_artifact_path_of_the_wrong_kind_exits_2(self, tmp_path, capsys, command, taken):
+        cfg_path, out = write_config(tmp_path)
+        if taken:
+            (out / taken).mkdir(parents=True)
+        else:
+            out.write_text("not a directory\n")
+        refused(capsys, 2, command, cfg_path, str(out / taken))
 
     # an empty output_dir would be Path(""), the working directory
     @pytest.mark.parametrize("out", ["out\0x", ""], ids=["nul", "empty"])
@@ -553,16 +511,6 @@ class TestPipeline:
                 f"a NUL character, got {out!r}")
         assert list(tmp_path.iterdir()) == [cfg_path]
 
-    def test_histories_that_is_a_directory_exits_2(self, tmp_path, capsys):
-        cfg_path, out = write_config(tmp_path)
-        (out / "histories.bin").mkdir(parents=True)
-        refused(capsys, 2, "cluster", cfg_path, str(out / "histories.bin"))
-
-    def test_unknown_command_exits_1(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 1
-
     def test_console_script_is_the_cli_main(self):
         with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["otcforecast"]
@@ -575,18 +523,12 @@ class TestPipeline:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_exits_3(self, tmp_path, capsys):
-        cfg_path, out = write_config(
-            tmp_path,
-            text=TINY_CONFIG.replace("learning_rate = 0.005", "learning_rate = 1e200")
-                            .replace("epochs = 1", "epochs = 3"),
-        )
+        cfg_path, out = write_config(tmp_path, learning_rate=1e200, epochs=3)
         run(cfg_path, "gen")
         refused(capsys, 3, "train", cfg_path, "numeric failure")
 
     def test_fc_train_probes_no_layer_stats(self, tmp_path, monkeypatch):
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = FCSum")
-        )
+        cfg_path, out = write_config(tmp_path, kind="FCSum")
         probed = []
         monkeypatch.setattr(cli, "layer_signal_stats", lambda *args, **kwargs: probed.append(1))
         run(cfg_path, "gen", "cluster", "train")
@@ -598,8 +540,7 @@ class TestPipeline:
     @pytest.mark.parametrize("trained_before", [False, True], ids=["fresh", "retrained"])
     def test_train_with_a_non_finite_layer_statistic_exits_3(self, tmp_path, capsys,
                                                               monkeypatch, trained_before):
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = TransFV"))
+        cfg_path, out = write_config(tmp_path, kind="TransFV")
         run(cfg_path, "gen")
         if trained_before:
             run(cfg_path, "train")
@@ -623,42 +564,11 @@ class TestPipeline:
         assert [json.loads(line)["epoch"] for line in lines] == [0]
         refused(capsys, 2, "eval", cfg_path, "missing artifact", "checkpoint_single.ckpt")
 
-    def test_union_eval_mode(self, tmp_path):
-        cfg_path, out = write_config(tmp_path)
-        run(cfg_path, "gen", "cluster", "train", "eval")
-
-        def all_row(path):
-            rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-            row = next(r for r in rows if r[2] == "all")
-            return int(row[3]), int(row[4]), int(row[5])
-
-        per_day = all_row(out / "report.csv")
-        union_cfg = tmp_path / "union.ini"
-        union_cfg.write_text(
-            (tmp_path / "run.ini").read_text().replace(
-                "[run]", "[run]\neval_mode = union"))
-        run(union_cfg, "eval")
-        union = all_row(out / "report.csv")
-        # collapsing the window can only merge positive day-cells
-        assert union[0] + union[2] <= per_day[0] + per_day[2]
-
-    def test_cluster_granularity_pipeline(self, tmp_path):
-        cfg_path, out = write_config(
-            tmp_path,
-            text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"),
-        )
-        run(cfg_path, "gen", "cluster", "train", "eval")
-        checkpoints = sorted(p.name for p in out.glob("checkpoint_cluster*.ckpt"))
-        assert checkpoints, "expected per-cluster checkpoints"
-
     def test_non_ascii_dealer_ids_under_an_ascii_locale(self, tmp_path):
         """CSV artifacts are UTF-8 and unit file names ASCII whatever the locale:
         the commands run as subprocesses under the C locale with UTF-8 mode off."""
         in_c_locale = ascii_locale_runner()
-        cfg_path, out = write_config(
-            tmp_path,
-            text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"),
-        )
+        cfg_path, out = write_config(tmp_path, granularity="cluster")
         run(cfg_path, "gen")
         histories, _, _, _ = market.load_histories(out / "histories.bin")
         ids = rename_dealers(out / "histories.bin",
@@ -669,21 +579,10 @@ class TestPipeline:
         rows = (out / "clusters.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert sorted(row.split(",")[0] for row in rows) == sorted(ids)
         assert all(row.startswith("Dé") for row in rows)
-        # at individual granularity the unit file names hold the ids percent-encoded
-        cfg_path.write_text(cfg_path.read_text().replace("granularity = cluster",
-                                                         "granularity = individual"))
-        for command in ("train", "eval"):
-            proc = in_c_locale(command, cfg_path)
-            assert proc.returncode == 0, (command, proc.stderr)
-        assert (out / "checkpoint_dealer_D%C3%A90000.ckpt").exists()
-        assert all(name.isascii() for name in os.listdir(out))
 
     def test_any_nonempty_dealer_id_at_individual_granularity(self, tmp_path):
         in_c_locale = ascii_locale_runner()
-        cfg_path, out = write_config(
-            tmp_path,
-            text=TINY_CONFIG.replace("granularity = single", "granularity = individual"),
-        )
+        cfg_path, out = write_config(tmp_path, granularity="individual")
         run(cfg_path, "gen")
         # "x%25y" is what a raw "x%y" would become, so the two names must differ
         ids = rename_dealers(out / "histories.bin", ["a/b", "a\0b", "Dé1", "x%y", "x%25y"])
@@ -700,10 +599,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("dealer_id", ["Z/bad", "Z\0bad"], ids=["slash", "nul"])
     def test_dealer_id_with_slash_or_nul_trains(self, tmp_path, dealer_id):
-        cfg_path, out = write_config(
-            tmp_path,
-            text=TINY_CONFIG.replace("granularity = single", "granularity = individual"),
-        )
+        cfg_path, out = write_config(tmp_path, granularity="individual")
         run(cfg_path, "gen")
         rename_dealers(out / "histories.bin", [dealer_id])
         run(cfg_path, "cluster", "train")
@@ -730,21 +626,17 @@ class TestPipeline:
         assert not (out / "clusters.csv").exists()
         return len(histories) - 1, err
 
-    def test_empty_dealer_id_exits_2_before_clustering(self, tmp_path, capsys):
-        last, err = self.cluster_with_last_dealer_id(tmp_path, capsys, b"")
-        assert f"dealer {last} has an empty id" in err
-
-    def test_non_utf8_dealer_id_exits_2_before_clustering(self, tmp_path, capsys):
-        last, err = self.cluster_with_last_dealer_id(tmp_path, capsys, b"D\xff")
-        assert f"dealer {last} id is not UTF-8" in err
+    @pytest.mark.parametrize("ident, message", [(b"", "has an empty id"),
+                                                (b"D\xff", "id is not UTF-8")],
+                             ids=["empty", "non_utf8"])
+    def test_a_spliced_dealer_id_exits_2_before_clustering(self, tmp_path, capsys, ident,
+                                                           message):
+        last, err = self.cluster_with_last_dealer_id(tmp_path, capsys, ident)
+        assert f"dealer {last} {message}" in err
 
     @pytest.mark.parametrize("mode", ["per_day", "union"])
     def test_report_rows_count_every_decision_cell(self, tmp_path, mode):
-        cfg_path, out = write_config(
-            tmp_path,
-            text=TINY_CONFIG.replace("granularity = single", "granularity = cluster")
-                            .replace("[run]", f"[run]\neval_mode = {mode}"),
-        )
+        cfg_path, out = write_config(tmp_path, granularity="cluster", eval_mode=mode)
         run(cfg_path, "gen", "cluster", "train", "eval")
         cfg = parse_config(cfg_path)
         histories, days, vocab_size, _ = market.load_histories(out / "histories.bin")
@@ -765,12 +657,7 @@ class TestPipeline:
     @pytest.mark.parametrize("epochs", [0, 2])
     @pytest.mark.parametrize("kind", ["TransPPRZ", "TransRE"])
     def test_train_logs_each_units_epochs(self, tmp_path, kind, epochs):
-        cfg_path, out = write_config(
-            tmp_path,
-            text=TINY_CONFIG.replace("granularity = single", "granularity = cluster")
-                            .replace("kind = TransPPRZ", f"kind = {kind}")
-                            .replace("epochs = 1", f"epochs = {epochs}"),
-        )
+        cfg_path, out = write_config(tmp_path, granularity="cluster", kind=kind, epochs=epochs)
         run(cfg_path, "gen", "cluster", "train")
         cfg = parse_config(cfg_path)
         vocab_size, units, _, _ = cli._prepare(cfg, out)
@@ -810,51 +697,11 @@ class TestPipeline:
         assert len(lines) == 2
         assert all(list(json.loads(line)) == keys.split(",") for line in lines)
 
-    def test_compare_grid_shape(self, tmp_path):
-        cfg_path, out = write_config(tmp_path)
-        run(cfg_path, "gen", "cluster", "compare")
-        lines = (out / "compare_f1.csv").read_text().splitlines()
-        assert lines[0] == "model,least,less,more,most,avg"
-        assert len(lines) == 9  # header + 8 model kinds
-        kinds = [line.split(",")[0] for line in lines[1:]]
-        assert kinds == ["FCSum", "FCConcat", "LSTM", "BiLSTM",
-                         "TransFV", "TransCTE", "TransRE", "TransPPRZ"]
-
-    @pytest.mark.parametrize("granularity, mode", [
-        ("single", "per_day"), ("cluster", "per_day"), ("individual", "per_day"),
-        ("single", "union")])
-    def test_compare_days_add_up_to_each_kinds_all_row(self, tmp_path, granularity, mode):
-        cfg_path, out = write_config(
-            tmp_path,
-            text=TINY_CONFIG.replace("granularity = single", f"granularity = {granularity}")
-                            .replace("[run]", f"[run]\neval_mode = {mode}"),
-        )
-        run(cfg_path, "gen", "cluster", "compare")
-        with open(out / "compare_report.csv", newline="") as fh:
-            pooled = {row["model"]: row for row in csv.DictReader(fh) if row["cluster"] == "all"}
-        with open(out / "compare_days.csv", newline="") as fh:
-            header, *rows = list(csv.reader(fh))
-        assert header == ["model", "day", "tp", "fp", "fn", "tn", "precision", "recall", "f1"]
-        t_out = parse_config(cfg_path).t_out
-        days = ["union"] if mode == "union" else [str(day) for day in range(1, t_out + 1)]
-        assert [row[:2] for row in rows] == [[kind, day] for kind in MODEL_KINDS for day in days]
-        for kind in MODEL_KINDS:
-            mine = [list(map(int, row[2:6])) for row in rows if row[0] == kind]
-            assert np.sum(mine, axis=0).tolist() == [
-                int(pooled[kind][name]) for name in ("tp", "fp", "fn", "tn")], kind
-            assert len({sum(counts) for counts in mine}) == 1  # every day: scored windows x 2V
-        for row in rows:
-            assert row[6:] == [repr(score) for score in micro_prf(*map(int, row[2:5]))]
-
     @pytest.mark.parametrize("mode", EVAL_MODES)
     @pytest.mark.parametrize("granularity", GRANULARITIES)
     def test_tier_all_and_day_rows_are_sums_of_the_dealer_table(self, tmp_path, monkeypatch,
                                                                 granularity, mode):
-        cfg_path, out = write_config(
-            tmp_path,
-            text=TINY_CONFIG.replace("granularity = single", f"granularity = {granularity}")
-                            .replace("[run]", f"[run]\neval_mode = {mode}"),
-        )
+        cfg_path, out = write_config(tmp_path, granularity=granularity, eval_mode=mode)
         tables, scoring = [], cli.score_units
         monkeypatch.setattr(cli, "score_units", lambda *args: tables.append(scoring(*args))
                             or tables[-1])
@@ -901,16 +748,18 @@ class TestPipeline:
             per_day = np.sum([report.counts for _, _, report in table], axis=0)
             expected += [[kind, day, *day_counts.tolist()]
                          for day, day_counts in zip(days, per_day, strict=True)]
+            assert len({int(day_counts.sum()) for day_counts in per_day}) == 1  # windows x 2V
+        day_rows = read("compare_days.csv")
+        assert list(day_rows[0]) == ["model", "day", *counts, "precision", "recall", "f1"]
         assert [[row["model"], row["day"], *(int(row[name]) for name in counts)]
-                for row in read("compare_days.csv")] == expected
+                for row in day_rows] == expected
+        for row in day_rows:
+            assert [row[name] for name in ("precision", "recall", "f1")] == [
+                repr(score) for score in micro_prf(*(int(row[name]) for name in counts[:3]))]
 
     @pytest.mark.parametrize("train_fraction", ["0.8"])
     def test_compare_matches_library_driver(self, tmp_path, train_fraction):
-        cfg_path, out = write_config(
-            tmp_path,
-            text=TINY_CONFIG.replace("granularity = single", "granularity = cluster")
-                            .replace("train_fraction = 0.8", f"train_fraction = {train_fraction}"),
-        )
+        cfg_path, out = write_config(tmp_path, granularity="cluster", train_fraction=train_fraction)
         run(cfg_path, "gen", "cluster")
         with warnings.catch_warnings(record=True) as cli_warnings:
             warnings.simplefilter("always")
@@ -940,29 +789,12 @@ class TestPipeline:
         assert (tmp_path / "days.csv").read_bytes() == (out / "compare_days.csv").read_bytes()
         assert [str(w.message) for w in cli_warnings] == [str(w.message) for w in lib_warnings]
 
-    def test_compare_forms_units_once(self, tmp_path, monkeypatch):
-        cfg_path, _ = write_config(
-            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
+    def test_compare_forms_units_and_builds_each_kind_once(self, tmp_path, monkeypatch):
+        # ... and trains every unit from the kind's initial parameters
+        cfg_path, out = write_config(tmp_path, granularity="cluster")
         run(cfg_path, "gen", "cluster")
-        calls = []
-        forming = harness.training_units
-
-        def counted(*args):
-            calls.append(args[0])
-            return forming(*args)
-
-        for module in (cli, harness):
-            monkeypatch.setattr(module, "training_units", counted)
-        run(cfg_path, "compare")
-        assert calls == ["cluster"]
-
-    def test_compare_builds_each_kind_once_and_trains_every_unit_from_its_start(
-            self, tmp_path, monkeypatch):
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
-        run(cfg_path, "gen", "cluster")
-        built, trained = {}, []
-        build, fit = cli.build_model, cli.train
+        built, trained, formed = {}, [], []
+        build, fit, forming = cli.build_model, cli.train, harness.training_units
 
         def counted_build(config):
             model = build(config)
@@ -978,15 +810,17 @@ class TestPipeline:
 
         monkeypatch.setattr(cli, "build_model", counted_build)
         monkeypatch.setattr(cli, "train", checked_fit)
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "training_units",
+                                lambda *args: formed.append(args[0]) or forming(*args))
         run(cfg_path, "compare")
-        assert list(built) == list(MODEL_KINDS)
+        assert formed == ["cluster"] and list(built) == list(MODEL_KINDS)
         units = len(set(tiers(cfg_path, out).values()))
         assert units > 1
         assert trained == [kind for kind in MODEL_KINDS for _ in range(units)]
 
     def test_train_and_eval_build_one_model_for_every_unit(self, tmp_path, monkeypatch):
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
+        cfg_path, out = write_config(tmp_path, granularity="individual")
         run(cfg_path, "gen")
         build = cli.build_model
         for command in ("train", "eval"):
@@ -1014,8 +848,7 @@ class TestPipeline:
     def test_each_command_reads_histories_once(self, tmp_path, monkeypatch, command):
         """Every open of histories.bin is counted, whatever reads it: the digest
         a checkpoint pins is of the bytes the command parsed."""
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
+        cfg_path, out = write_config(tmp_path, granularity="cluster")
         run(cfg_path, "gen")
         if command == "eval":
             run(cfg_path, "train")
@@ -1032,8 +865,7 @@ class TestPipeline:
         assert len(opens) == 1
 
     def test_eval_scores_each_unit_before_loading_the_next(self, tmp_path, monkeypatch):
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
+        cfg_path, out = write_config(tmp_path, granularity="individual")
         run(cfg_path, "gen", "cluster", "train")
         events, last = [], []
         check, evaluate = cli.check_checkpoint, harness.evaluate
@@ -1061,39 +893,23 @@ class TestPipeline:
         # then each unit is loaded, through its second check, and scored before the next
         assert events[len(paths):] == [(step, tag) for tag in order for step in ("check", "score")]
 
-    def trained_without_the_last_checkpoint(self, tmp_path):
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
+    @pytest.mark.parametrize("edit, phrase", [
+        (lambda last: last.unlink(), "missing artifact"),
+        (lambda last: last.write_bytes(last.read_bytes()[:-8] + np.float64(np.nan).tobytes()),
+         "non-finite parameter value"),
+    ], ids=["missing", "non_finite"])
+    def test_eval_with_a_bad_last_unit_checkpoint_scores_no_unit(self, tmp_path, capsys,
+                                                                 monkeypatch, edit, phrase):
+        cfg_path, out = write_config(tmp_path, granularity="individual")
         run(cfg_path, "gen", "cluster", "train")
         last = sorted(out.glob("checkpoint_*.ckpt"))[-1]
-        last.unlink()
-        return cfg_path, out, last
-
-    def test_eval_with_a_missing_unit_checkpoint_writes_no_report(self, tmp_path, capsys,
-                                                                  monkeypatch):
-        cfg_path, out, last = self.trained_without_the_last_checkpoint(tmp_path)
+        edit(last)
         scored = []
         evaluate = harness.evaluate
         monkeypatch.setattr(harness, "evaluate",
                             lambda *args, **kwargs: scored.append(1) or evaluate(*args, **kwargs))
-        refused(capsys, 2, "eval", cfg_path, last.name)
-        assert not (out / "report.csv").exists()
+        refused(capsys, 2, "eval", cfg_path, f"{last}", phrase)
         # every checkpoint is checked before the first unit is scored
-        assert scored == []
-
-    def test_eval_with_a_non_finite_last_checkpoint_scores_no_unit(self, tmp_path, capsys,
-                                                                   monkeypatch):
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = individual"))
-        run(cfg_path, "gen", "cluster", "train")
-        last = sorted(out.glob("checkpoint_*.ckpt"))[-1]
-        header, payload = last.read_bytes().split(b"\n", 1)
-        last.write_bytes(header + b"\n" + payload[:-8] + np.float64(np.nan).tobytes())
-        scored = []
-        evaluate = harness.evaluate
-        monkeypatch.setattr(harness, "evaluate",
-                            lambda *args, **kwargs: scored.append(1) or evaluate(*args, **kwargs))
-        refused(capsys, 2, "eval", cfg_path, f"{last}: non-finite parameter value")
         assert scored == [] and not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("command, train_fraction, split", [
@@ -1107,8 +923,7 @@ class TestPipeline:
         # days 30, t_in 3, t_out 2: a 5-day window fits neither after the
         # boundary day 27 of train_fraction 0.9 (no test window) nor before
         # the boundary day 3 of train_fraction 0.1 (no training window)
-        cfg_path, out = write_config(tmp_path, text=TINY_CONFIG.replace(
-            "train_fraction = 0.8", f"train_fraction = {train_fraction}"))
+        cfg_path, out = write_config(tmp_path, train_fraction=train_fraction)
         run(cfg_path, "gen", "cluster")
         artifacts = sorted(out.iterdir())
         err = refused(capsys, 1, command, cfg_path, f"no {split} window", "days 30", "t_in 3",
@@ -1146,10 +961,7 @@ class TestPipeline:
                                                                monkeypatch):
         # heads 4 does not divide d_model 6, which only the transformer kinds
         # need; LSTM itself is valid, so the config parses
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = LSTM")
-                                      .replace("d_model = 8", "d_model = 6")
-                                      .replace("heads = 2", "heads = 4"))
+        cfg_path, out = write_config(tmp_path, kind="LSTM", d_model=6, heads=4)
         run(cfg_path, "gen", "cluster")
         trained = []
         monkeypatch.setattr(harness, "train", lambda *args: trained.append(args))
@@ -1170,15 +982,14 @@ class TestClustersFile:
         out = Path(parse_config(cfg_path).output_dir)
         return {name: (out / name).read_bytes() for name in outputs}
 
-    def config(self, directory, text):
+    def config(self, directory, **settings):
         directory.mkdir(exist_ok=True)
-        return write_config(directory, text=text)
+        return write_config(directory, **settings)
 
     @pytest.mark.parametrize("granularity", ["single", "cluster", "individual"])
     def test_no_command_needs_cluster(self, tmp_path, granularity):
-        text = TINY_CONFIG.replace("granularity = single", f"granularity = {granularity}")
-        with_cluster, _ = self.config(tmp_path / "with", text)
-        without, out = self.config(tmp_path / "without", text)
+        with_cluster, _ = self.config(tmp_path / "with", granularity=granularity)
+        without, out = self.config(tmp_path / "without", granularity=granularity)
         assert self.after(without, "gen", "compare") == self.after(with_cluster, "gen", "cluster",
                                                                    "compare")
         assert self.after(without, "train", "eval", outputs=["report.csv"]) == self.after(
@@ -1195,21 +1006,18 @@ class TestClustersFile:
         pytest.param(lambda path: path.unlink() or path.mkdir(), id="directory"),
     ])
     def test_a_broken_clusters_file_changes_no_output(self, tmp_path, edit):
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
+        cfg_path, out = write_config(tmp_path, granularity="cluster")
         before = self.after(cfg_path, "gen", "cluster", "compare")
         edit(out / "clusters.csv")
         assert self.after(cfg_path, "compare") == before
 
     def test_compare_after_a_new_gen_scores_the_new_tiers(self, tmp_path):
         # the same dealer ids in an eight-dealer market, then in a six-dealer one
-        eight = TINY_CONFIG.replace("periodic_dealers = 3", "periodic_dealers = 5") \
-                           .replace("top_dealers = 6", "top_dealers = 8")
-        cfg_path, out = self.config(tmp_path / "stale", eight)
+        cfg_path, out = self.config(tmp_path / "stale", periodic_dealers=5, top_dealers=8)
         run(cfg_path, "gen", "cluster")
         stale = (out / "clusters.csv").read_bytes()
-        cfg_path, out = self.config(tmp_path / "stale", TINY_CONFIG)
-        fresh_path, fresh_out = self.config(tmp_path / "fresh", TINY_CONFIG)
+        cfg_path, out = self.config(tmp_path / "stale")
+        fresh_path, fresh_out = self.config(tmp_path / "fresh")
         assert self.after(cfg_path, "gen", "compare") == self.after(fresh_path, "gen", "cluster",
                                                                     "compare")
         assert (out / "clusters.csv").read_bytes() == stale != (
@@ -1218,21 +1026,19 @@ class TestClustersFile:
     @pytest.mark.parametrize("granularity", ["single", "cluster", "individual"])
     def test_compare_uses_the_tiers_of_its_own_split(self, tmp_path, granularity):
         # this market's tiers over the first 24 days differ from those over the first 15
-        text = TINY_CONFIG.replace("seed = 3", "seed = 4") \
-                          .replace("granularity = single", f"granularity = {granularity}")
-        at = {fraction: text.replace("train_fraction = 0.8", f"train_fraction = {fraction}")
-              for fraction in ("0.8", "0.5")}
-        earlier, out = self.config(tmp_path / "earlier", at["0.8"])
+        def at(directory, fraction):
+            return self.config(directory, seed=4, granularity=granularity, train_fraction=fraction)
+
+        earlier, out = at(tmp_path / "earlier", 0.8)
         run(earlier, "gen", "cluster")
         stale = (out / "clusters.csv").read_bytes()
-        later, _ = self.config(tmp_path / "earlier", at["0.5"])
-        fresh, fresh_out = self.config(tmp_path / "fresh", at["0.5"])
+        later, _ = at(tmp_path / "earlier", 0.5)
+        fresh, fresh_out = at(tmp_path / "fresh", 0.5)
         assert self.after(later, "compare") == self.after(fresh, "gen", "cluster", "compare")
         assert stale != (fresh_out / "clusters.csv").read_bytes()
 
     def test_a_broken_clusters_file_changes_no_checkpoint_or_report(self, tmp_path):
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("granularity = single", "granularity = cluster"))
+        cfg_path, out = write_config(tmp_path, granularity="cluster")
         run(cfg_path, "gen", "cluster", "train")
         outputs = sorted(path.name for path in out.glob("checkpoint_*.ckpt")) + ["report.csv"]
         assert len(outputs) > 2
@@ -1242,9 +1048,7 @@ class TestClustersFile:
 
     @pytest.mark.parametrize("fraction", ["0.5", "0.8"])
     def test_cluster_writes_the_tiers_the_commands_derive(self, tmp_path, fraction):
-        text = TINY_CONFIG.replace("seed = 3", "seed = 4") \
-                          .replace("train_fraction = 0.8", f"train_fraction = {fraction}")
-        cfg_path, out = write_config(tmp_path, text=text)
+        cfg_path, out = write_config(tmp_path, seed=4, train_fraction=fraction)
         run(cfg_path, "gen", "cluster")
         source = hashlib.sha256((out / "histories.bin").read_bytes()).hexdigest()
         rows = [("histories_sha256", source), *sorted(tiers(cfg_path, out).items())]
@@ -1303,15 +1107,7 @@ class TestTiers:
         assert means == sorted(means)
 
     def test_no_other_setting_moves_a_dealer(self, tmp_path):
-        sections: dict[str, list[str]] = {}
-        for key in fields(RunConfig):
-            if key.name not in ("train_fraction", "seed"):
-                sections.setdefault(key.metadata["section"], []).append(
-                    f"{key.name} = {SETTING_VALUES[key.name][0]}")
-        path = tmp_path / "c.ini"
-        path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n"
-                                for name, lines in sections.items()))
-        cfg = parse_config(path)
+        cfg = parse_config(non_default_ini(tmp_path, "train_fraction", "seed"))
         assert cfg.train_fraction == RunConfig().train_fraction and cfg.seed == RunConfig().seed
         assert all(getattr(cfg, key.name) != key.default for key in fields(RunConfig)
                    if key.name not in ("train_fraction", "seed"))
@@ -1339,33 +1135,6 @@ def load_trained(cfg_path, out, tag="single"):
     return model
 
 
-def v1_entries(params):
-    """The per-tensor name/shape/offset table of the version 1 manifest; that
-    format's payload bytes are the current format's."""
-    entries, offset = [], 0
-    for name, tensor in zip(params.names(), params.tensors()):
-        entries.append({"name": name, "shape": list(tensor.shape), "offset": offset})
-        offset += 8 * tensor.values.size
-    return entries
-
-
-def v2_payload(model, payload):
-    """``model``'s parameters as version 2 stored them, each LSTM direction
-    gate by gate: wx_i, wh_i, b_i, wx_f, ..."""
-    params, hidden = model.params, model.config.hidden
-    parts = []
-    for name in params.names():
-        if name.endswith(".wx"):
-            parts += [params[name[:-2] + weight].values[..., k * hidden:(k + 1) * hidden]
-                      for k in range(4) for weight in ("wx", "wh", "b")]
-        elif not name.startswith("lstm."):
-            parts.append(params[name].values)
-    old = b"".join(np.ascontiguousarray(part).astype("<f8").tobytes() for part in parts)
-    # same length, so for an LSTM only the version tells a scrambled load apart
-    assert len(old) == len(payload) and (old != payload) == (model.config.kind == "LSTM")
-    return old
-
-
 def v3_payload(model):
     """``model``'s parameters as version 3 stored them, with a key bias after
     each attention block's wk."""
@@ -1387,87 +1156,53 @@ def nested_config(manifest, version):
     return {"magic": manifest["magic"], "version": version, "config": config}
 
 
-# every retired checkpoint format: the kind trained, and the rewrite of a fresh
-# checkpoint's (manifest, payload, loaded model) into that format's manifest and payload
+# every retired checkpoint format: the rewrite of a fresh checkpoint's (manifest,
+# payload, loaded model) into that format's manifest and payload; a payload of the
+# current length is the current one, since the version is checked before the payload
 RETIRED_CHECKPOINTS = {
-    "no-magic": ("TransPPRZ", lambda manifest, payload, model: (
-        {"entries": v1_entries(model.params)}, payload)),
-    "v1": ("TransPPRZ", lambda manifest, payload, model: (
-        {**manifest, "version": 1, "entries": v1_entries(model.params)}, payload)),
-    **{f"v2-{kind}": (kind, lambda manifest, payload, model: (
-        {**manifest, "version": 2}, v2_payload(model, payload)))
-       for kind in ("LSTM", "TransPPRZ")},
-    "v3": ("TransPPRZ", lambda manifest, payload, model: (
-        {**manifest, "version": 3}, v3_payload(model))),
-    **{f"v{version}": ("TransPPRZ", lambda manifest, payload, model, version=version: (
-        nested_config(manifest, version), payload)) for version in (4, 5)},
+    # version 1 listed each tensor's name, shape and offset under "entries"
+    "no-magic": lambda manifest, payload, model: ({"entries": []}, payload),
+    "v1": lambda manifest, payload, model: ({**manifest, "version": 1, "entries": []}, payload),
+    # version 2 stored each LSTM direction gate by gate, in as many bytes
+    "v2": lambda manifest, payload, model: ({**manifest, "version": 2}, payload),
+    "v3": lambda manifest, payload, model: ({**manifest, "version": 3}, v3_payload(model)),
+    **{f"v{version}": lambda manifest, payload, model, version=version: (
+        nested_config(manifest, version), payload) for version in (4, 5)},
     # version 6 did not record the training settings
-    "v6": ("TransPPRZ", lambda manifest, payload, model: (
+    "v6": lambda manifest, payload, model: (
         {**{key: value for key, value in manifest.items() if not key.startswith("train_")},
-         "train_fraction": manifest["train_fraction"], "version": 6}, payload)),
+         "train_fraction": manifest["train_fraction"], "version": 6}, payload),
     # version 8 recorded the patience early stop, null when unset
-    "v8": ("TransPPRZ", lambda manifest, payload, model: (
-        {**manifest, "train_patience": None, "version": 8}, payload)),
+    "v8": lambda manifest, payload, model: (
+        {**manifest, "train_patience": None, "version": 8}, payload),
 }
 
 
 class TestCheckpointConfig:
-    def test_checkpoint_under_other_heads_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("trained, scored, message", [
         # parameter shapes do not depend on heads, so only the manifest's
         # config tells the two apart
-        trained = TINY_CONFIG.replace("kind = TransPPRZ", "kind = TransRE")
-        cfg_path, out = write_config(tmp_path, text=trained.replace("heads = 2", "heads = 4"))
-        run(cfg_path, "gen", "cluster", "train", "eval")
-        cfg_path, _ = write_config(tmp_path, text=trained)
-        refused(capsys, 2, "eval", cfg_path, "unreadable artifact", "checkpoint_single.ckpt",
-                "heads = 4", "2")
-
-    def test_checkpoint_under_other_train_fraction_exits_2(self, tmp_path, capsys):
+        ({"kind": "TransRE", "heads": 4}, {"kind": "TransRE"}, "heads = 4, expected 2"),
         # at 0.5 the test split would hold windows the checkpoint trained on at 0.8
-        cfg_path, out = write_config(tmp_path)
-        run(cfg_path, "gen", "train")
-        cfg_path, _ = write_config(
-            tmp_path, text=TINY_CONFIG.replace("train_fraction = 0.8", "train_fraction = 0.5"))
-        refused(capsys, 2, "eval", cfg_path, "unreadable artifact",
-                "checkpoint_single.ckpt: train_fraction = 0.8, expected 0.5")
-        assert not (out / "report.csv").exists()
-
-    def test_refused_eval_keeps_the_echo(self, tmp_path, capsys):
-        # the echo names the config the directory's artifacts were made under
-        cfg_path, out = write_config(tmp_path)
+        ({}, {"train_fraction": 0.5}, "train_fraction = 0.8, expected 0.5"),
+        # at stride 1 the split holds windows that a stride-2 checkpoint never saw
+        ({}, {"stride": 1}, "stride = 2, expected 1"),
+        # a 1-epoch checkpoint must not be scored as the 3-epoch model the config names
+        ({}, {"epochs": 3}, "train_epochs = 1, expected 3"),
+        ({}, {"batch_size": 4}, "train_batch_size = 8, expected 4"),
+        ({}, {"learning_rate": 0.5}, "train_learning_rate = 0.005, expected 0.5"),
+    ], ids=["heads", "train_fraction", "stride", "epochs", "batch_size", "learning_rate"])
+    def test_checkpoint_under_other_settings_exits_2(self, tmp_path, capsys, trained, scored,
+                                                     message):
+        cfg_path, out = write_config(tmp_path, **trained)
         run(cfg_path, "gen", "train")
         echo = (out / "config.resolved.ini").read_bytes()
-        assert b"train_fraction = 0.8\n" in echo
-        cfg_path, _ = write_config(
-            tmp_path, text=TINY_CONFIG.replace("train_fraction = 0.8", "train_fraction = 0.5"))
-        refused(capsys, 2, "eval", cfg_path, "unreadable artifact")
-        assert (out / "config.resolved.ini").read_bytes() == echo
-
-    def test_checkpoint_under_other_stride_exits_2(self, tmp_path, capsys):
-        # at stride 1 the split holds windows that a stride-2 checkpoint never saw
-        cfg_path, out = write_config(tmp_path)
-        run(cfg_path, "gen", "train")
-        cfg_path, _ = write_config(tmp_path, text=TINY_CONFIG.replace("stride = 2", "stride = 1"))
-        refused(capsys, 2, "eval", cfg_path, "unreadable artifact",
-                "checkpoint_single.ckpt: stride = 2, expected 1")
-        assert not (out / "report.csv").exists() and not (out / "report_dealers.csv").exists()
-
-    @pytest.mark.parametrize("setting, value, message", [
-        # a 1-epoch checkpoint must not be scored as the 3-epoch model the config names
-        ("epochs = 1", "epochs = 3", "train_epochs = 1, expected 3"),
-        ("batch_size = 8", "batch_size = 4", "train_batch_size = 8, expected 4"),
-        ("learning_rate = 0.005", "learning_rate = 0.5",
-         "train_learning_rate = 0.005, expected 0.5"),
-    ], ids=["epochs", "batch_size", "learning_rate"])
-    def test_checkpoint_under_other_training_settings_exits_2(self, tmp_path, capsys,
-                                                              setting, value, message):
-        cfg_path, out = write_config(tmp_path)
-        run(cfg_path, "gen", "train")
-        assert TINY_CONFIG.count(setting) == 1
-        cfg_path, _ = write_config(tmp_path, text=TINY_CONFIG.replace(setting, value))
+        cfg_path, _ = write_config(tmp_path, **scored)
         refused(capsys, 2, "eval", cfg_path, "unreadable artifact",
                 f"checkpoint_single.ckpt: {message}")
         assert not (out / "report.csv").exists() and not (out / "report_dealers.csv").exists()
+        # the echo still names the config the directory's artifacts were made under
+        assert (out / "config.resolved.ini").read_bytes() == echo
 
     def test_checkpoint_of_other_histories_exits_2(self, tmp_path, capsys):
         # another market of the same bonds: the model config cannot tell the
@@ -1476,9 +1211,7 @@ class TestCheckpointConfig:
         run(cfg_path, "gen", "cluster", "train")
         path = out / "checkpoint_single.ckpt"
         trained = trained_on(parse_config(cfg_path), out)["histories_sha256"]
-        cfg_path, _ = write_config(
-            tmp_path, text=TINY_CONFIG.replace("dense_rate = 2.0", "dense_rate = 3.0")
-                                      .replace("periodic_max_bonds = 3", "periodic_max_bonds = 2"))
+        cfg_path, _ = write_config(tmp_path, dense_rate=3.0, periodic_max_bonds=2)
         run(cfg_path, "gen")
         assert market.load_histories(out / "histories.bin")[2] == 6
         current = trained_on(parse_config(cfg_path), out)["histories_sha256"]
@@ -1493,8 +1226,7 @@ class TestCheckpointConfig:
 
     def test_manifest_config_cannot_drive_memory_use(self, tmp_path, capsys):
         # a short manifest asking for a large vocabulary, with no payload
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", "kind = TransFV"))
+        cfg_path, out = write_config(tmp_path, kind="TransFV")
         run(cfg_path, "gen", "cluster")
         _, _, vocab_size, _ = market.load_histories(out / "histories.bin")
         cfg = parse_config(cfg_path)
@@ -1519,8 +1251,7 @@ class TestCheckpointConfig:
     def trained_with_payload(self, tmp_path, kind, edit):
         """Train ``kind``, then rewrite its checkpoint's payload as ``edit``
         leaves the parameter vector; returns the config and checkpoint paths."""
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", f"kind = {kind}"))
+        cfg_path, out = write_config(tmp_path, kind=kind)
         run(cfg_path, "gen", "cluster", "train")
         path = out / "checkpoint_single.ckpt"
         header, payload = path.read_bytes().split(b"\n", 1)
@@ -1549,13 +1280,12 @@ class TestCheckpointConfig:
 
     @pytest.mark.parametrize("fmt", RETIRED_CHECKPOINTS)
     def test_retired_checkpoint_exits_2(self, tmp_path, capsys, fmt):
-        kind, rewrite = RETIRED_CHECKPOINTS[fmt]
-        cfg_path, out = write_config(
-            tmp_path, text=TINY_CONFIG.replace("kind = TransPPRZ", f"kind = {kind}"))
+        cfg_path, out = write_config(tmp_path)
         run(cfg_path, "gen", "train")
         path = out / "checkpoint_single.ckpt"
         header, payload = path.read_bytes().split(b"\n", 1)
-        manifest, payload = rewrite(json.loads(header), payload, load_trained(cfg_path, out))
+        manifest, payload = RETIRED_CHECKPOINTS[fmt](json.loads(header), payload,
+                                                     load_trained(cfg_path, out))
         path.write_bytes(json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + payload)
         # a manifest with the magic is refused on its version
         expected = (f"version = {manifest['version']}, expected {CHECKPOINT_VERSION}"

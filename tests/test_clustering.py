@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from otcforecast import clustering
 from otcforecast.clustering import (
     FEATURES,
     ClusterAssignment,
@@ -67,29 +68,20 @@ class TestDealerFeatures:
                 assert vector.dtype == np.float64 and vector.shape == (len(FEATURES),)
                 assert named(vector) == recount(h.day_vectors, b)
 
-    def test_all_zero_history_flagged(self):
-        hist = history_from_bits("D1", np.zeros((10, 6)))
-        feats = compute_dealer_features([hist], 10)
-        assert feats["D1"].tolist() == [0.0] * len(FEATURES)
-
-    def test_hand_count(self):
-        # two bonds bought once each on one day of a 10-day interval
-        mat = np.zeros((10, 6), dtype=np.uint8)  # V = 3
-        mat[4, 0] = 1
-        mat[4, 2] = 1
-        feats = compute_dealer_features([history_from_bits("D1", mat)], 10)
-        f = named(feats["D1"])
-        assert f["total_trades"] == 2
-        assert f["distinct_bonds"] == 2
-        assert f["active_day_fraction"] == pytest.approx(0.1)
-        assert f["mean_trades_per_active_day"] == pytest.approx(2.0)
-
-    def test_buys_only_ratio_one(self):
-        mat = np.zeros((5, 4), dtype=np.uint8)
-        mat[0, 0] = 1
-        mat[3, 1] = 1
-        f = named(compute_dealer_features([history_from_bits("D1", mat)], 5)["D1"])
-        assert f["buy_ratio"] == 1.0
+    @pytest.mark.parametrize("cells, shape, boundary, expected", [
+        # two bonds (of V = 3) bought once each on one day of a 10-day interval
+        ([(4, 0), (4, 2)], (10, 6), 10, {"total_trades": 2, "distinct_bonds": 2,
+                                         "active_day_fraction": 0.1,
+                                         "mean_trades_per_active_day": 2.0}),
+        ([(0, 0), (3, 1)], (5, 4), 5, {"buy_ratio": 1.0}),
+        ([(8, 0)], (10, 4), 5, {"total_trades": 0}),  # a trade after the boundary
+        ([(0, 0), (1, 2)], (4, 4), 4, {"distinct_bonds": 1, "total_trades": 2}),  # bond 0 both ways
+    ], ids=["hand_count", "buys_only", "past_the_boundary", "one_bond_bought_and_sold"])
+    def test_hand_features(self, cells, shape, boundary, expected):
+        bits = np.zeros(shape, dtype=np.uint8)
+        bits[tuple(zip(*cells))] = 1
+        f = named(compute_dealer_features([history_from_bits("D1", bits)], boundary)["D1"])
+        assert {name: f[name] for name in expected} == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("boundary, message", [
         (-1, "boundary -1 must be nonnegative"),
@@ -99,20 +91,6 @@ class TestDealerFeatures:
         hist = history_from_bits("D1", np.zeros((5, 4)))
         with pytest.raises(ContractError, match=message):
             compute_dealer_features([hist], boundary)
-
-    def test_features_ignore_days_past_boundary(self):
-        mat = np.zeros((10, 4), dtype=np.uint8)
-        mat[8, 0] = 1  # after the boundary
-        f = named(compute_dealer_features([history_from_bits("D1", mat)], 5)["D1"])
-        assert f["total_trades"] == 0
-
-    def test_same_bond_buy_and_sell_counts_once_distinct(self):
-        mat = np.zeros((4, 4), dtype=np.uint8)
-        mat[0, 0] = 1
-        mat[1, 2] = 1  # sell of bond 0
-        f = named(compute_dealer_features([history_from_bits("D1", mat)], 4)["D1"])
-        assert f["distinct_bonds"] == 1
-        assert f["total_trades"] == 2
 
 
 def synthetic_features(vectors):
@@ -196,12 +174,6 @@ class TestKMeans:
         assert a.labels == b.labels
         assert a.wcss_history == b.wcss_history
 
-    def test_partition_covers_all_dealers(self):
-        feats = two_groups(seed=6)
-        assignment = kmeans_cluster(feats, k=4, seed=7)
-        assert set(assignment.labels) == set(feats)
-        assert all(0 <= c < 4 for c in assignment.labels.values())
-
     def test_wcss_nonincreasing(self):
         rng = np.random.default_rng(8)
         feats = synthetic_features(
@@ -248,6 +220,15 @@ class TestKMeans:
             assert set(assignment.labels) == set(feats)
             assert set(assignment.labels.values()) == {0, 1, 2, 3}
 
+    def test_an_empty_cluster_takes_the_farthest_point(self, monkeypatch):
+        # a seed centroid past every dealer holds none of them; repair hands it
+        # the high dealer farthest from the one centroid left, and Lloyd's
+        # steps then split the two groups
+        monkeypatch.setattr(clustering, "_kmeanspp_init",
+                            lambda z, k, rng: np.stack([z[0], np.full(z.shape[1], 1e6)]))
+        assignment = kmeans_cluster(two_groups(), k=2, seed=0)
+        assert list(assignment.labels.values()) == [0] * 10 + [1] * 10
+
     def test_empty_features_rejected(self):
         with pytest.raises(ContractError):
             kmeans_cluster({}, k=4, seed=0)
@@ -259,17 +240,16 @@ class TestKMeans:
 
 
 class TestOrderClusters:
-    def test_already_ordered_unchanged(self):
-        feats = synthetic_features([[5, 1, 0.1, 0.5, 1.0], [500, 20, 0.5, 0.5, 9.0]])
-        assignment = ClusterAssignment({"D000": 0, "D001": 1})
-        ordered = order_clusters(assignment, feats)
-        assert ordered.labels == {"D000": 0, "D001": 1}
-
-    def test_swap_when_means_inverted(self):
-        feats = synthetic_features([[100, 9, 0.5, 0.5, 4.0], [5, 1, 0.1, 0.5, 1.0]])
-        assignment = ClusterAssignment({"D000": 0, "D001": 1})
-        ordered = order_clusters(assignment, feats)
-        assert ordered.labels == {"D000": 1, "D001": 0}
+    @pytest.mark.parametrize("vectors, labels, ordered", [
+        ([[5, 1, 0.1, 0.5, 1.0], [500, 20, 0.5, 0.5, 9.0]], (0, 1), (0, 1)),  # already ordered
+        ([[100, 9, 0.5, 0.5, 4.0], [5, 1, 0.1, 0.5, 1.0]], (0, 1), (1, 0)),  # means inverted
+        # the populated labels are renumbered from zero
+        ([[500, 20, 0.5, 0.5, 9.0], [5, 1, 0.1, 0.5, 1.0]], (3, 1), (1, 0)),
+    ], ids=["ordered", "inverted", "renumbered"])
+    def test_tiers_run_from_the_fewest_trades(self, vectors, labels, ordered):
+        assignment = ClusterAssignment(dict(zip(("D000", "D001"), labels)))
+        result = order_clusters(assignment, synthetic_features(vectors))
+        assert result.labels == dict(zip(("D000", "D001"), ordered))
 
     def test_tie_breaks_by_distinct_bonds_then_stable(self):
         feats = synthetic_features([
@@ -281,11 +261,6 @@ class TestOrderClusters:
         same = synthetic_features([[10, 5, 0.5, 0.5, 4.0], [10, 5, 0.1, 0.5, 1.0]])
         ordered = order_clusters(ClusterAssignment({"D000": 0, "D001": 1}), same)
         assert ordered.labels == {"D000": 0, "D001": 1}
-
-    def test_populated_labels_renumbered_from_zero(self):
-        feats = synthetic_features([[500, 20, 0.5, 0.5, 9.0], [5, 1, 0.1, 0.5, 1.0]])
-        ordered = order_clusters(ClusterAssignment({"D000": 3, "D001": 1}), feats)
-        assert ordered.labels == {"D000": 1, "D001": 0}
 
     def test_ordering_contract_on_random_data(self):
         rng = np.random.default_rng(12)

@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import itertools
 import re
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from otcforecast.market import MarketSpec, Sample
 from otcforecast.models import MODEL_KINDS, ModelConfig, Parameters, build_model
 from otcforecast.seeding import rng_for
 
-from helpers import initial_loss
+from helpers import FixedModel, initial_loss, toy_config
 
 
 # a value its RunConfig field refuses, for every setting a spec takes; seed and
@@ -59,18 +61,14 @@ SPEC_OF = {f.name: spec for spec in (MarketSpec, ModelConfig, TrainSpec)
            for f in dataclasses.fields(spec)}
 
 
-def toy_config(kind="TransRE", **overrides):
-    base = dict(kind=kind, vocab_size=4, t_in=3, t_out=2,
-                d_model=4, heads=2, n_layers=1, d_ff=8, hidden=4, seed=0)
-    base.update(overrides)
-    return ModelConfig(**base)
-
-
 # the C7 TransPPRZ: 44,104 parameters, so Adam runs three blocks
 C7_PPRZ = ModelConfig("TransPPRZ", vocab_size=20, t_in=5, t_out=5, d_model=32, d_ff=64)
 
 
-def random_samples(n, vocab_size=4, t_in=3, t_out=2, seed=0, dealer="D1", density=0.3):
+V = 4  # the vocabulary of the toy models and samples
+
+
+def random_samples(n, vocab_size=V, t_in=3, t_out=2, seed=0, dealer="D1", density=0.3):
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
@@ -93,42 +91,14 @@ def per_tensor_adam(params, grads, moments, step, lr, b1=0.9, b2=0.999, eps=1e-8
         p.values -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
 
 
-class FixedModel:
-    """Evaluation stub that predicts the same (T_out, 2V) matrix for every
-    window of a (..., T_in, 2V) input stack."""
-
-    class _Config:
-        kind = "stub"
-
-    config = _Config()
-
-    def __init__(self, predictions):
-        self.predictions = predictions
-
-    def predict(self, input_days):
-        return np.broadcast_to(self.predictions, np.shape(input_days)[:-2] + self.predictions.shape)
-
-
 class TestMicroPrf:
-    def test_empty_convention(self):
-        assert micro_prf(0, 0, 0) == (0.0, 0.0, 0.0)
-
-    def test_perfect(self):
-        assert micro_prf(5, 0, 0) == (1.0, 1.0, 1.0)
-
-    def test_formula_oracle(self):
-        p, r, f1 = micro_prf(3, 1, 2)
-        assert p == pytest.approx(0.75)
-        assert r == pytest.approx(0.6)
-        assert f1 == pytest.approx(2 * 0.45 / 1.35)
-
-    def test_identity_on_random_counts(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            tp, fp, fn = (int(v) for v in rng.integers(0, 50, size=3))
-            p, r, f1 = micro_prf(tp, fp, fn)
-            assert 0.0 <= f1 <= 1.0
-            assert abs(f1 * (p + r) - 2 * p * r) < 1e-12
+    @pytest.mark.parametrize("counts, expected", [
+        ((0, 0, 0), (0.0, 0.0, 0.0)),  # the empty convention
+        ((5, 0, 0), (1.0, 1.0, 1.0)),
+        ((3, 1, 2), (0.75, 0.6, 2 * 0.45 / 1.35)),
+    ], ids=["empty", "perfect", "formula"])
+    def test_hand_values(self, counts, expected):
+        assert micro_prf(*counts) == pytest.approx(expected, rel=1e-15)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ContractError):
@@ -193,44 +163,29 @@ class TestEvaluate:
         assert all(type(count) is int for count in (rep.tp, rep.fp, rep.fn, rep.tn))
         assert (rep.precision, rep.recall, rep.f1) == micro_prf(*pooled[:3])
 
-    def test_all_negative_predictor(self):
-        samples = random_samples(3, seed=2, density=0.5)
-        model = FixedModel(np.zeros((2, 8)))
-        rep = evaluate(model, samples, 0.5)
-        assert rep.recall == 0.0 and rep.f1 == 0.0
-
     def test_overflowing_forecast_raises(self):
         # finite parameters whose forecasts overflow to NaN, which would
         # otherwise count as negatives
-        model = build_model(toy_config("TransFV"))
+        model = build_model(toy_config("TransFV", vocab_size=V))
         model.params.flat[:] = 1e300
         with pytest.raises(NumericError, match="non-finite forecast from the TransFV model"):
             evaluate(model, random_samples(3, seed=3), 0.5)
 
-    def test_formula_case(self):
-        # one sample, one output day: tp=2, fp=1, fn=1
-        target = np.array([[1, 1, 1, 0, 0, 0, 0, 0]], dtype=np.uint8)
-        probs = np.array([[0.9, 0.8, 0.1, 0.7, 0.0, 0.0, 0.0, 0.0]])
-        sample = Sample("D1", 0, np.zeros((3, 8), np.uint8), target)
-        rep = evaluate(FixedModel(probs), [sample], 0.5)
-        assert (rep.tp, rep.fp, rep.fn) == (2, 1, 1)
-        assert rep.precision == pytest.approx(2 / 3)
-        assert rep.recall == pytest.approx(2 / 3)
-        assert rep.f1 == pytest.approx(2 / 3)
+    @pytest.mark.parametrize("target, probs, mode, counts, scores", [
+        # one output day: tp 2, fp 1, fn 1
+        (["11100000"], ["98170000"], "per_day", (2, 1, 1, 4), (2 / 3, 2 / 3, 2 / 3)),
+        # a day's hit in the union of both days
+        (["10000000", "01000000"], ["90000000", "09000000"], "union", (2, 0, 0, 6), (1, 1, 1)),
+        (["11110000", "00001111"], ["00000000"] * 2, "per_day", (0, 0, 8, 8), (0, 0, 0)),
+    ], ids=["formula", "union", "all_negative"])
+    def test_hand_counts(self, target, probs, mode, counts, scores):
+        def grid(rows, scale):
+            return np.array([[int(c) for c in row] for row in rows]) / scale
 
-    def test_brute_force_recount_on_random_grids(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            target = (rng.random((2, 8)) < 0.4).astype(np.uint8)
-            probs = rng.random((2, 8))
-            sample = Sample("D1", 0, np.zeros((3, 8), np.uint8), target)
-            rep = evaluate(FixedModel(probs), [sample], 0.5)
-            pred = probs >= 0.5
-            tp = int((pred & (target == 1)).sum())
-            fp = int((pred & (target == 0)).sum())
-            fn = int((~pred & (target == 1)).sum())
-            assert (rep.tp, rep.fp, rep.fn) == (tp, fp, fn)
-            assert rep.tp + rep.fp + rep.fn + rep.tn == target.size
+        sample = Sample("D1", 0, np.zeros((3, 8), np.uint8), grid(target, 1).astype(np.uint8))
+        rep = evaluate(FixedModel(grid(probs, 10)), [sample], 0.5, mode=mode)
+        assert (rep.tp, rep.fp, rep.fn, rep.tn) == counts
+        assert (rep.precision, rep.recall, rep.f1) == pytest.approx(scores, rel=1e-15)
 
     def test_threshold_monotone_in_tp(self):
         rng = np.random.default_rng(4)
@@ -244,16 +199,6 @@ class TestEvaluate:
                 assert rep.tp <= previous
             previous = rep.tp
 
-    def test_union_mode(self):
-        target = np.array([[1, 0, 0, 0, 0, 0, 0, 0],
-                           [0, 1, 0, 0, 0, 0, 0, 0]], dtype=np.uint8)
-        sample = Sample("D1", 0, np.zeros((3, 8), np.uint8), target)
-        probs = np.array([[0.9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-                          [0.0, 0.9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
-        rep = evaluate(FixedModel(probs), [sample], 0.5, mode="union")
-        assert (rep.tp, rep.fp, rep.fn) == (2, 0, 0)
-        assert rep.tn == 6
-
     def test_union_mode_reads_edited_targets(self):
         # the union target is the window-wise max of target_days as they are
         # when scored, not as they were when the Sample was built
@@ -265,40 +210,20 @@ class TestEvaluate:
         rep = evaluate(FixedModel(probs), [sample], 0.5, mode="union")
         assert (rep.tp, rep.fp, rep.fn, rep.tn) == (1, 0, 1, 6)
 
-    def test_empty_test_set_rejected(self):
-        with pytest.raises(ContractError):
-            evaluate(FixedModel(np.zeros((2, 8))), [], 0.5)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ContractError, match="unknown evaluation mode 'max'"):
-            evaluate(FixedModel(np.zeros((2, 8))), random_samples(1, seed=6), 0.5, mode="max")
-
-    def test_forecast_of_the_wrong_shape_rejected(self):
+    @pytest.mark.parametrize("days, windows, mode, error, match", [
+        (2, 0, "per_day", ContractError, None),
+        (2, 1, "max", ContractError, "unknown evaluation mode 'max'"),
         # three output days where the targets have two
-        with pytest.raises(ShapeMismatchError,
-                           match=r"predict returned shape \(2, 3, 8\) .* targets \(2, 2, 8\)"):
-            evaluate(FixedModel(np.zeros((3, 8))), random_samples(2, seed=7), 0.5)
+        (3, 2, "per_day", ShapeMismatchError,
+         r"predict returned shape \(2, 3, 8\) .* targets \(2, 2, 8\)"),
+    ], ids=["no_windows", "unknown_mode", "forecast_of_another_shape"])
+    def test_refused(self, days, windows, mode, error, match):
+        with pytest.raises(error, match=match):
+            evaluate(FixedModel(np.zeros((days, 8))), random_samples(windows, seed=6), 0.5,
+                     mode=mode)
 
 
 class TestScoreUnits:
-    def test_single_unit_rows_split_counts_by_cluster(self):
-        rng = np.random.default_rng(6)
-        a = random_samples(3, seed=6, dealer="DA")
-        b = random_samples(2, seed=7, dealer="DB")
-        model = FixedModel(rng.random((2, 8)))
-        labels = {"DA": 0, "DB": 1}
-        rows = tier_rows("stub", score_units("stub", [("single", [], b + a)], [model], 0.5,
-                                             "per_day", labels))
-        assert [cluster for cluster, _ in rows] == ["0", "1", "all"]
-
-        def counts(r):
-            return [r.tp, r.fp, r.fn, r.tn]
-
-        (_, r0), (_, r1), (_, pooled) = rows
-        assert counts(r0) == counts(evaluate(model, a, 0.5))
-        assert counts(r1) == counts(evaluate(model, b, 0.5))
-        assert counts(pooled) == (np.array(counts(r0)) + counts(r1)).tolist()
-
     @pytest.mark.parametrize("mode", EVAL_MODES)
     def test_one_evaluate_call_per_unit_summed_per_dealer(self, monkeypatch, mode):
         dealers = ("DB", "DA", "DC")
@@ -374,33 +299,17 @@ class TestScoreUnits:
 
 
 class TestTrain:
-    def test_zero_epochs_keeps_params(self):
-        model = build_model(toy_config())
-        before = model.params.flat.copy()
-        _, losses = train(model, random_samples(3, seed=8), TrainSpec(epochs=0))
-        assert losses == []
-        np.testing.assert_array_equal(model.params.flat, before)
-
-    def test_loss_curve_deterministic(self):
-        spec = TrainSpec(epochs=3, batch_size=2, learning_rate=0.01, seed=9)
-        curves = []
-        for _ in range(2):
-            model = build_model(toy_config(seed=10))
-            _, losses = train(model, random_samples(6, seed=11), spec)
-            curves.append(losses)
-        assert curves[0] == curves[1]
-
     def test_single_sample_overfit(self):
         sample = random_samples(1, seed=12)[0]
         sample.target_days[1] = sample.target_days[0]  # representable by all kinds
-        model = build_model(toy_config("TransPPRZ"))
+        model = build_model(toy_config("TransPPRZ", vocab_size=V))
         first = initial_loss(model, sample)
         _, losses = train(model, [sample], TrainSpec(epochs=120, batch_size=1))
         assert min(losses) < 0.01 * first
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ContractError):
-            train(build_model(toy_config()), [], TrainSpec())
+            train(build_model(toy_config("TransRE", vocab_size=V)), [], TrainSpec())
 
     @pytest.mark.parametrize("kind", ["FCSum", "LSTM", "TransPPRZ"])
     def test_each_epoch_yields_after_its_last_step(self, kind):
@@ -408,10 +317,10 @@ class TestTrain:
         # show the parameters one step short
         samples = random_samples(6, seed=23)
         spec = TrainSpec(epochs=3, batch_size=4, learning_rate=0.01, seed=24)
-        model = build_model(toy_config(kind))
+        model = build_model(toy_config(kind, vocab_size=V))
         yielded = 0
         for k, loss in enumerate(epochs(model, samples, spec), 1):
-            fresh = build_model(toy_config(kind))
+            fresh = build_model(toy_config(kind, vocab_size=V))
             _, losses = train(fresh, samples, dataclasses.replace(spec, epochs=k))
             assert model.params.flat.tobytes() == fresh.params.flat.tobytes(), k
             assert loss == losses[-1]
@@ -421,7 +330,8 @@ class TestTrain:
     def test_every_epoch_runs_when_the_loss_stalls(self):
         # at this rate Adam overshoots, so some epochs do not improve on the best before them
         spec = TrainSpec(epochs=50, batch_size=6, learning_rate=0.3, seed=26)
-        _, losses = train(build_model(toy_config("FCSum")), random_samples(6, seed=27), spec)
+        model = build_model(toy_config("FCSum", vocab_size=V))
+        _, losses = train(model, random_samples(6, seed=27), spec)
         assert any(loss >= min(losses[:k]) for k, loss in enumerate(losses) if k)
         assert len(losses) == spec.epochs
 
@@ -429,7 +339,7 @@ class TestTrain:
         # three mini-batches whose steps barely move the parameters: the epoch's
         # loss is the mean of the windows' losses, not a sum or a batch's mean
         samples = random_samples(6, seed=28)
-        model = build_model(toy_config("FCSum"))
+        model = build_model(toy_config("FCSum", vocab_size=V))
         expected = np.mean([initial_loss(model, sample) for sample in samples])
         _, losses = train(model, samples, TrainSpec(epochs=1, batch_size=2, learning_rate=1e-12))
         assert losses[0] == pytest.approx(expected, rel=1e-6)
@@ -441,14 +351,13 @@ class TestTrain:
     ], ids=["three_epochs", "no_epochs"])
     def test_epochs_yields_what_train_returns(self, kind, spec):
         samples = random_samples(6, seed=27)
-        yielded = list(epochs(build_model(toy_config(kind)), samples, spec))
-        _, losses = train(build_model(toy_config(kind)), samples, spec)
+        yielded = list(epochs(build_model(toy_config(kind, vocab_size=V)), samples, spec))
+        params, losses = train(build_model(toy_config(kind, vocab_size=V)), samples, spec)
         assert yielded == losses
         assert len(losses) == spec.epochs
-
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ContractError):
-            TrainSpec(batch_size=0)
+        # no epoch, no step
+        initial = build_model(toy_config(kind, vocab_size=V)).params.flat
+        assert (params.flat.tobytes() == initial.tobytes()) == (spec.epochs == 0)
 
     @pytest.mark.parametrize("key, value", REFUSED)
     def test_spec_refuses_what_the_config_refuses(self, tmp_path, key, value):
@@ -459,7 +368,8 @@ class TestTrain:
         with pytest.raises(ConfigurationError, match=rf"\[{section}\] {key} must be"):
             parse_config(path)
         name = RANGE_FIELDS.get(key, key)
-        base = toy_config() if SPEC_OF[name] is ModelConfig else SPEC_OF[name]()
+        spec = SPEC_OF[name]
+        base = toy_config("TransRE", vocab_size=V) if spec is ModelConfig else spec()
         if name != key:  # the key sets one end of the range
             lo, hi = getattr(base, name)
             value = (value, hi) if "_min_" in key else (lo, value)
@@ -470,22 +380,24 @@ class TestTrain:
         assert {RANGE_FIELDS.get(key, key) for key, _ in REFUSED} == (
             set(SPEC_OF) - {"seed", "vocab_size"})
 
-    @pytest.mark.parametrize("config", [pytest.param(toy_config(kind), id=kind)
+    @pytest.mark.parametrize("config", [pytest.param(toy_config(kind, vocab_size=V), id=kind)
                                         for kind in MODEL_KINDS]
                              + [pytest.param(C7_PPRZ, id="C7-TransPPRZ")])
     def test_flat_adam_matches_per_tensor_reference(self, config):
         samples = random_samples(12, vocab_size=config.vocab_size, t_in=config.t_in,
                                  t_out=config.t_out, seed=21)
-        spec = TrainSpec(epochs=1, batch_size=4, learning_rate=0.01, seed=22)
+        spec = TrainSpec(epochs=2, batch_size=4, learning_rate=0.01, seed=22)
         trained = build_model(config)
         flat = trained.params.flat
         train(trained, samples, spec)
         reference = build_model(config)
         params = reference.params.tensors()
         moments = [(np.zeros_like(p.values), np.zeros_like(p.values)) for p in params]
-        order = rng_for(spec.seed, "shuffle", 0).permutation(len(samples))
         lows = range(0, len(samples), spec.batch_size)
-        for step, lo in enumerate(lows, start=1):
+        # each epoch draws its own order
+        orders = [rng_for(spec.seed, "shuffle", epoch).permutation(len(samples))
+                  for epoch in range(spec.epochs)]
+        for step, (order, lo) in enumerate(itertools.product(orders, lows), start=1):
             batch = [samples[i] for i in order[lo:lo + spec.batch_size]]
             target = np.stack([s.target_days for s in batch]).astype(np.float64)
             ad.reset_tape()
@@ -539,7 +451,7 @@ class TestTrain:
             adam_step(values, grad, state)
 
         monkeypatch.setattr(ad, "adam_step", counted)
-        train(build_model(toy_config(kind)), random_samples(5, seed=24),
+        train(build_model(toy_config(kind, vocab_size=V)), random_samples(5, seed=24),
               TrainSpec(epochs=2, batch_size=2))
         assert tapes == [0] * 6
 
@@ -549,10 +461,7 @@ class TestTrain:
         # is about 1, so the loss is finite, but dloss/dw sums 32 terms of
         # (1/16) * 1e308, which overflows to inf
         class OverflowingGradient:
-            class _Config:
-                kind = "stub"
-
-            config = _Config()
+            config = SimpleNamespace(kind="stub")
 
             def __init__(self):
                 self.params = Parameters({"w": Tensor(np.asarray(1e-308), requires_grad=True)})
@@ -568,9 +477,19 @@ class TestTrain:
         assert model.params["w"].values == 1e-308
 
 
+class TracedModel:
+    """A stub ``kind`` model whose forward traces ``field`` as layer enc0."""
+
+    def __init__(self, kind, field):
+        self.config, self.field = SimpleNamespace(kind=kind), field
+
+    def forward(self, input_days, teacher=None, trace=None):
+        trace.append(("enc0", self.field))
+
+
 class TestLayerStats:
     def test_identity_at_init_stats(self):
-        model = build_model(toy_config("TransPPRZ", n_layers=2))
+        model = build_model(toy_config("TransPPRZ", vocab_size=V, n_layers=2))
         samples = random_samples(3, seed=14)
         stats = layer_signal_stats(model, samples)
         assert list(stats) == ["encoder.l0", "encoder.l1", "decoder.l0", "decoder.l1"]
@@ -580,64 +499,33 @@ class TestLayerStats:
         for mean, variance in stats.values():
             assert variance >= 0.0
 
-    def test_population_moment_oracle(self):
-        class TwoValueModel:
-            class _Config:
-                kind = "TransPPRZ"
-
-            config = _Config()
-
-            def forward(self, input_days, teacher=None, trace=None):
-                trace.append(("enc0", np.array([[-1.0, 1.0]])))
-                return None
-
-        stats = layer_signal_stats(TwoValueModel(), random_samples(1, seed=15))
-        mean, variance = stats["enc0"]
-        assert mean == 0.0
-        assert variance == 1.0
-
-    def test_constant_field_zero_variance(self):
-        class ConstModel:
-            class _Config:
-                kind = "TransRE"
-
-            config = _Config()
-
-            def forward(self, input_days, teacher=None, trace=None):
-                trace.append(("enc0", np.full((2, 3), 4.5)))
-                return None
-
-        stats = layer_signal_stats(ConstModel(), random_samples(1, seed=16))
-        assert stats["enc0"] == (4.5, 0.0)
+    @pytest.mark.parametrize("kind, field, moments", [
+        ("TransPPRZ", np.array([[-1.0, 1.0]]), (0.0, 1.0)),  # the population moments
+        ("TransRE", np.full((2, 3), 4.5), (4.5, 0.0)),  # a constant field has no variance
+    ])
+    def test_moments_of_a_traced_field(self, kind, field, moments):
+        stats = layer_signal_stats(TracedModel(kind, field), random_samples(1, seed=15))
+        assert stats == {"enc0": moments}
 
     def test_overflowing_forward_raises(self):
-        model = build_model(toy_config("TransFV"))
+        model = build_model(toy_config("TransFV", vocab_size=V))
         model.params.flat[:] = 1e300
         with pytest.raises(NumericError, match="non-finite layer statistic of the TransFV"):
             layer_signal_stats(model, random_samples(3, seed=18))
 
     def test_overflowing_variance_raises(self):
-        class HugeModel:
-            class _Config:
-                kind = "TransRE"
-
-            config = _Config()
-
-            def forward(self, input_days, teacher=None, trace=None):
-                trace.append(("enc0", np.array([-1e300, 1e300])))  # finite, variance is not
-                return None
-
+        huge = TracedModel("TransRE", np.array([-1e300, 1e300]))  # finite, variance is not
         with pytest.raises(NumericError, match="non-finite layer statistic"):
-            layer_signal_stats(HugeModel(), random_samples(1, seed=19))
+            layer_signal_stats(huge, random_samples(1, seed=19))
 
     def test_non_transformer_rejected(self):
         with pytest.raises(ContractError):
-            layer_signal_stats(build_model(toy_config("FCSum")),
+            layer_signal_stats(build_model(toy_config("FCSum", vocab_size=V)),
                                random_samples(1, seed=17))
 
     def test_empty_probe_batch_rejected(self):
         with pytest.raises(ContractError, match="needs a nonempty probe batch"):
-            layer_signal_stats(build_model(toy_config()), [])
+            layer_signal_stats(build_model(toy_config("TransRE", vocab_size=V)), [])
 
 
 def market_samples(dealers, per_dealer=4, seed=0):
@@ -651,7 +539,7 @@ def run_experiment(granularity, train_s, test_s, labels):
     """training_units -> a model trained per unit -> score_units, as ``compare`` runs them."""
     spec = TrainSpec(epochs=2, batch_size=4, learning_rate=0.01, seed=1)
     units = training_units(granularity, train_s, test_s, labels)
-    models = [build_model(toy_config()) for _ in units]
+    models = [build_model(toy_config("TransRE", vocab_size=V)) for _ in units]
     for model, (_, unit_train, _) in zip(models, units):
         train(model, unit_train, spec)
     return tier_rows("TransRE", score_units("TransRE", units, models, 0.5, "per_day", labels))
@@ -669,16 +557,12 @@ class TestGranularityExperiment:
             f1s[granularity] = rows[-1][1].f1
         assert len(set(f1s.values())) == 1
 
-    def test_cluster_granularity_trains_one_model_per_cluster(self):
-        labels = {"DA": 0, "DB": 0, "DC": 1, "DD": 1}
-        units = training_units("cluster", market_samples(labels), [], labels)
-        assert [tag for tag, _, _ in units] == ["cluster0", "cluster1"]
-
     def test_units_group_test_samples_by_the_same_key(self):
         labels = {"DA": 0, "DB": 0, "DC": 1, "DD": 1}
         train_s = market_samples(labels, per_dealer=3, seed=90)
         test_s = market_samples(labels, per_dealer=2, seed=95)
         by_cluster = training_units("cluster", train_s, test_s, labels)
+        assert [tag for tag, _, _ in by_cluster] == ["cluster0", "cluster1"]
         for tag, unit_train, unit_test in by_cluster:
             assert {f"cluster{labels[s.dealer_id]}" for s in unit_train + unit_test} == {tag}
         by_dealer = training_units("individual", train_s, test_s, labels)
@@ -728,15 +612,14 @@ class TestGranularityExperiment:
         assert report.f1 == 0.0
         assert report.counts.dtype == np.int64 and report.counts.shape == (0, 0, 4)
 
-    def test_missing_assignment_rejected(self):
+    @pytest.mark.parametrize("granularity, labels, message", [
+        ("cluster", {}, "DA missing from cluster assignment"),
+        ("dealer", {"DA": 0}, "unknown granularity 'dealer'"),
+    ], ids=["missing_assignment", "unknown_granularity"])
+    def test_refused(self, granularity, labels, message):
         train_s = market_samples(["DA"], seed=80)
-        with pytest.raises(ContractError, match="DA missing from cluster assignment"):
-            training_units("cluster", train_s, train_s, {})
-
-    def test_unknown_granularity_rejected(self):
-        train_s = market_samples(["DA"], seed=85)
-        with pytest.raises(ContractError, match="unknown granularity 'dealer'"):
-            training_units("dealer", train_s, train_s, {"DA": 0})
+        with pytest.raises(ContractError, match=message):
+            training_units(granularity, train_s, train_s, labels)
 
 
 class TestReportIO:

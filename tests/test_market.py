@@ -27,7 +27,6 @@ from otcforecast.market import (
     generate_synthetic_market,
     load_histories,
     save_histories,
-    save_records,
     split_boundary,
     split_train_test,
     windowize,
@@ -194,26 +193,16 @@ class TestFilters:
         with pytest.raises(ContractError, match=f"record 1: status '{status}', ref_record {ref!r}:"):
             apply_trade_filters(records, 10, 10)
 
-    def test_dealer_ranking(self):
-        records = []
-        for dealer, count in (("D1", 5), ("D2", 3), ("D3", 1)):
-            records += [TradeRecord(i, dealer, "B1", "B", "C") for i in range(count)]
-        out, dealers, _ = apply_trade_filters(records, 2, 10)
-        assert dealers == {"D1", "D2"}
-        assert all(r.dealer_id != "D3" for r in out)
-
-    def test_threshold_above_population_is_noop(self):
-        records = [TradeRecord(0, f"D{i}", "B1", "B", "C") for i in range(3)]
-        _, dealers, _ = apply_trade_filters(records, 10, 10)
-        assert dealers == {"D0", "D1", "D2"}
-
-    def test_rank_ties_break_by_ascending_id(self):
-        records = [
-            TradeRecord(0, "D2", "B1", "B", "C"),
-            TradeRecord(0, "D1", "B1", "B", "C"),
-        ]
-        _, dealers, _ = apply_trade_filters(records, 1, 10)
-        assert dealers == {"D1"}
+    @pytest.mark.parametrize("counts, top, kept", [
+        ({"D1": 5, "D2": 3, "D3": 1}, 2, {"D1", "D2"}),
+        ({"D0": 1, "D1": 1, "D2": 1}, 10, {"D0", "D1", "D2"}),  # fewer dealers than the top
+        ({"D2": 1, "D1": 1}, 1, {"D1"}),  # ties break by ascending id
+    ], ids=["ranking", "threshold_above_population", "ties"])
+    def test_top_dealers_by_record_count(self, counts, top, kept):
+        records = [TradeRecord(i, dealer, "B1", "B", "C")
+                   for dealer, count in counts.items() for i in range(count)]
+        out, dealers, _ = apply_trade_filters(records, top, 10)
+        assert dealers == kept and {r.dealer_id for r in out} == kept
 
     def test_drop_top_bonds_inverts_selection(self):
         records = [TradeRecord(i, "D1", "B1", "B", "C") for i in range(3)]
@@ -232,53 +221,35 @@ class TestFilters:
 
 
 class TestVocabulary:
-    def test_empty(self):
-        assert build_vocabulary([]).size == 0
-
-    def test_ascending_bond_order(self):
-        records = [
-            TradeRecord(0, "D1", "B9", "B", "C"),
-            TradeRecord(0, "D1", "B2", "S", "C"),
-        ]
-        vocab = build_vocabulary(records)
-        assert vocab.index == {"B2": 0, "B9": 1}
-
-    def test_duplicates_collapse(self):
-        records = [TradeRecord(i, "D1", "B1", "B", "C") for i in range(5)]
-        assert build_vocabulary(records).size == 1
+    @pytest.mark.parametrize("bonds, index", [
+        ((), {}), (("B9", "B2"), {"B2": 0, "B9": 1}), (("B1",) * 5, {"B1": 0}),
+    ], ids=["empty", "ascending_order", "duplicates_collapse"])
+    def test_bonds_indexed_in_ascending_order(self, bonds, index):
+        vocab = build_vocabulary([TradeRecord(i, "D1", b, "BS"[i % 2], "C")
+                                  for i, b in enumerate(bonds)])
+        assert vocab.index == index and vocab.size == len(index)
 
 
 class TestHistories:
-    def test_buy_placement(self):
-        records = [TradeRecord(0, "D1", f"B{i}", "B", "C") for i in range(10)]
-        vocab = build_vocabulary(records)
-        hist = build_histories([TradeRecord(7, "D1", "B3", "B", "C")], vocab, 10)
-        mat = hist[0].day_vectors
-        assert mat.sum() == 1
-        assert mat[7, vocab.index["B3"]] == 1
+    # a buy sets (day, bond), a sell (day, V + bond), in a 10-bond vocabulary
+    @pytest.mark.parametrize("trades, cells", [
+        ([(7, "B3", "B")], [(7, 3)]), ([(2, "B1", "B"), (2, "B1", "S")], [(2, 1), (2, 11)]),
+    ], ids=["buy", "buy_and_sell_same_day"])
+    def test_each_trade_sets_its_cell(self, trades, cells):
+        vocab = build_vocabulary([TradeRecord(0, "D1", f"B{i}", "B", "C") for i in range(10)])
+        hist = build_histories([TradeRecord(d, "D1", b, s, "C") for d, b, s in trades], vocab, 10)
+        expected = np.zeros((10, 20), np.uint8)
+        expected[tuple(zip(*cells))] = 1
+        np.testing.assert_array_equal(hist[0].day_vectors, expected)
 
-    def test_buy_and_sell_same_day(self):
-        base = [TradeRecord(0, "D1", f"B{i}", "B", "C") for i in range(4)]
-        vocab = build_vocabulary(base)
-        hist = build_histories(
-            [TradeRecord(2, "D1", "B1", "B", "C"), TradeRecord(2, "D1", "B1", "S", "C")],
-            vocab, 5,
-        )
-        mat = hist[0].day_vectors
-        idx = vocab.index["B1"]
-        assert mat[2, idx] == 1 and mat[2, 4 + idx] == 1
-        assert mat.sum() == 2
-
-    def test_unknown_bond_raises(self):
+    @pytest.mark.parametrize("day, bond, message", [
+        (0, "B9", "B9"), (-1, "B1", "day_index -1 outside calendar of 5 days"),
+        (5, "B1", "day_index 5 outside calendar of 5 days"),
+    ], ids=["unknown_bond", "day_before", "day_after"])
+    def test_a_record_outside_the_grid_raises(self, day, bond, message):
         vocab = build_vocabulary([TradeRecord(0, "D1", "B1", "B", "C")])
-        with pytest.raises(IndexError, match="B9"):
-            build_histories([TradeRecord(0, "D1", "B9", "B", "C")], vocab, 5)
-
-    @pytest.mark.parametrize("day", [-1, 5])
-    def test_day_outside_calendar_raises(self, day):
-        vocab = build_vocabulary([TradeRecord(0, "D1", "B1", "B", "C")])
-        with pytest.raises(IndexError, match=f"day_index {day} outside calendar of 5 days"):
-            build_histories([TradeRecord(day, "D1", "B1", "B", "C")], vocab, 5)
+        with pytest.raises(IndexError, match=message):
+            build_histories([TradeRecord(day, "D1", bond, "B", "C")], vocab, 5)
 
     def test_cell_sum_equals_distinct_tuples(self):
         spec = MarketSpec(days=25, bonds=15, periodic_dealers=3, sparse_dealers=3,
@@ -298,34 +269,23 @@ def toy_history(days=20, width=6, seed=0):
 
 
 class TestWindowing:
-    def test_count_formula(self):
-        assert len(windowize(toy_history(20), 5, 5)) == 11
+    @pytest.mark.parametrize("days, stride, starts", [
+        (20, 1, list(range(11))), (10, 1, [0]), (8, 1, []), (20, 3, [0, 3, 6, 9]),
+    ], ids=["count", "boundary", "infeasible", "stride"])
+    def test_window_starts(self, days, stride, starts):
+        assert [s.start_day for s in windowize(toy_history(days), 5, 5, stride)] == starts
 
-    def test_boundary_count(self):
-        assert len(windowize(toy_history(10), 5, 5)) == 1
+    def test_invalid_args(self):
+        with pytest.raises(ContractError):
+            windowize(toy_history(), 0, 5)
 
-    def test_infeasible_window(self):
-        assert windowize(toy_history(8), 5, 5) == []
-
-    def test_stride(self):
-        samples = windowize(toy_history(20), 5, 5, stride=3)
-        assert [s.start_day for s in samples] == [0, 3, 6, 9]
-
-    def test_round_trip_slices(self):
+    def test_windows_are_read_only_views_of_their_days(self):
         hist = toy_history(18, seed=3)
         for s in windowize(hist, 4, 3):
             np.testing.assert_array_equal(
                 s.input_days, hist.day_vectors[s.start_day:s.start_day + 4])
             np.testing.assert_array_equal(
                 s.target_days, hist.day_vectors[s.start_day + 4:s.start_day + 7])
-
-    def test_invalid_args(self):
-        with pytest.raises(ContractError):
-            windowize(toy_history(), 0, 5)
-
-    def test_windows_are_read_only_views(self):
-        hist = toy_history(18, seed=3)
-        for s in windowize(hist, 4, 3, stride=2):
             for days in (s.input_days, s.target_days):
                 assert np.shares_memory(days, hist.day_vectors)
                 with pytest.raises(ValueError, match="read-only"):
@@ -334,14 +294,6 @@ class TestWindowing:
 
 
 class TestSplit:
-    def test_boundary_value(self):
-        assert split_boundary(249, 0.9) == 224
-
-    def test_degenerate_fraction_empties_train(self):
-        samples = windowize(toy_history(20), 5, 5)
-        train, test = split_train_test(samples, 20, 0.05)
-        assert train == []
-
     def test_disjoint_and_leak_free(self):
         rng = np.random.default_rng(6)
         for trial in range(10):
@@ -350,14 +302,13 @@ class TestSplit:
             t_in = int(rng.integers(2, 6))
             t_out = int(rng.integers(1, 5))
             samples = windowize(hist, t_in, t_out)
-            train, test = split_train_test(samples, days, 0.7)
-            boundary = split_boundary(days, 0.7)
+            fraction = (0.05, 0.7)[trial % 2]  # at 0.05 no window ends by the boundary
+            train, test = split_train_test(samples, days, fraction)
+            boundary = split_boundary(days, fraction)
             ids = lambda part: {(s.dealer_id, s.start_day) for s in part}
-            assert not (ids(train) & ids(test))
-            if train:
-                assert max(s.start_day + t_in + t_out for s in train) <= boundary
-            if test:
-                assert min(s.start_day for s in test) >= boundary
+            # train: every window that ends by the boundary; test: every one that starts there
+            assert ids(train) == ids(s for s in samples if s.start_day + t_in + t_out <= boundary)
+            assert ids(test) == ids(s for s in samples if s.start_day >= boundary)
 
     def test_invalid_fraction(self):
         with pytest.raises(ContractError):
@@ -382,23 +333,6 @@ def splice_dealers(path, *ids):
 
 
 class TestFileFormats:
-    def test_histories_round_trip(self, tmp_path):
-        spec = MarketSpec(days=15, bonds=8, periodic_dealers=2, sparse_dealers=1,
-                          dense_dealers=0, cancellation_rate=0.0, seed=14)
-        records = generate_synthetic_market(spec)
-        vocab = build_vocabulary(records)
-        histories = build_histories(records, vocab, spec.days)
-        path = tmp_path / "hist.bin"
-        written = save_histories(path, histories, spec.days, vocab.size)
-        loaded, days, v, digest = load_histories(path)
-        assert written == digest
-        assert (days, v) == (spec.days, vocab.size)
-        assert [h.dealer_id for h in loaded] == [h.dealer_id for h in histories]
-        for a, b in zip(loaded, histories):
-            assert a.day_vectors.dtype == np.uint8
-            np.testing.assert_array_equal(a.day_vectors, b.day_vectors)
-        assert path.read_bytes()[:4] == b"OTCF"
-
     def small_histories_file(self, tmp_path):
         spec = MarketSpec(days=6, bonds=3, periodic_dealers=2, sparse_dealers=1,
                           dense_dealers=0, cancellation_rate=0.0, seed=15)
@@ -428,24 +362,18 @@ class TestFileFormats:
         with pytest.raises(ArtifactError, match="dealer 1 repeats the id 'D0000' of dealer 0"):
             load_histories(path)
 
-    def test_save_histories_rejects_repeated_dealer_before_writing(self, tmp_path):
-        hists = [market.DealerHistory(ident, np.zeros((3, 4), dtype=np.uint8))
-                 for ident in ("D0", "D1", "D0")]
-        path = tmp_path / "hist.bin"
-        with pytest.raises(ContractError, match="dealer 2 repeats the id 'D0' of dealer 0"):
-            save_histories(path, hists, 3, 2)
-        assert not path.exists()
-
     @pytest.mark.parametrize("dealer_id, error, message", [
         ("D" * 70_000, ContractError, "70000 UTF-8 bytes"),
         ("D\ud800", ContractError, "no UTF-8 encoding"),
         (None, ShapeMismatchError, r"shape \(2, 4\) != \(3, 4\)"),
-    ], ids=["long_id", "lone_surrogate", "wrong_shape"])
+        ("D0", ContractError, "dealer 1 repeats the id 'D0' of dealer 0"),
+        ("", ContractError, "dealer 1 has an empty id"),
+    ], ids=["long_id", "lone_surrogate", "wrong_shape", "repeated_id", "empty_id"])
     def test_save_histories_checks_every_dealer_before_opening(self, tmp_path, dealer_id,
                                                                error, message):
         # the faulty dealer comes last, after a valid one
-        last = market.DealerHistory(dealer_id or "D1",
-                                    np.zeros((3 if dealer_id else 2, 4), dtype=np.uint8))
+        last = market.DealerHistory("D1" if dealer_id is None else dealer_id,
+                                    np.zeros((2 if dealer_id is None else 3, 4), dtype=np.uint8))
         hists = [market.DealerHistory("D0", np.zeros((3, 4), dtype=np.uint8)), last]
         path = tmp_path / "hist.bin"
         path.write_bytes(b"kept")
@@ -464,21 +392,13 @@ class TestFileFormats:
         assert [h.dealer_id for h in loaded] == ["D0", dealer_id]
         np.testing.assert_array_equal(loaded[1].day_vectors, hists[1].day_vectors)
 
-    def test_empty_dealer_id_rejected(self, tmp_path):
-        hists = [market.DealerHistory(ident, np.zeros((3, 4), dtype=np.uint8))
-                 for ident in ("D0", "")]
+    @pytest.mark.parametrize("ident, message", [
+        (b"", "dealer 1 has an empty id"), (b"D\xff", "dealer 1 id is not UTF-8"),
+    ], ids=["empty", "non_utf8"])
+    def test_a_spliced_dealer_id_rejected(self, tmp_path, ident, message):
         path = tmp_path / "hist.bin"
-        with pytest.raises(ContractError, match="dealer 1 has an empty id"):
-            save_histories(path, hists, 3, 2)
-        assert not path.exists()
-        splice_dealers(path, b"D0", b"")
-        with pytest.raises(ArtifactError, match="dealer 1 has an empty id"):
-            load_histories(path)
-
-    def test_non_utf8_dealer_id_rejected(self, tmp_path):
-        path = tmp_path / "hist.bin"
-        splice_dealers(path, b"D0", b"D\xff")
-        with pytest.raises(ArtifactError, match="dealer 1 id is not UTF-8"):
+        splice_dealers(path, b"D0", ident)
+        with pytest.raises(ArtifactError, match=message):
             load_histories(path)
 
     @pytest.mark.parametrize("dealers, days, vocab_size", EMPTY_SIZES)
@@ -520,12 +440,6 @@ class TestFileFormats:
         assert tuple(name for name, _ in parsed) == TradeRecord._fields
         statuses = {getattr(market, name) for name in dir(market) if name.startswith("STATUS_")}
         assert set(dict(parsed)["status"].split("|")) == statuses
-
-    def test_gen_byte_determinism(self, tmp_path):
-        spec = one_periodic_spec(seed=7)
-        for name in ("a.csv", "b.csv"):
-            save_records(tmp_path / name, generate_synthetic_market(spec))
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 INTERRUPTIONS = pytest.mark.parametrize("exc", [OSError, KeyboardInterrupt])
@@ -589,10 +503,11 @@ class TestHistoriesProperties:
     def test_round_trip(self, tmp_path, drawn):
         histories, days, vocab_size = drawn
         path = tmp_path / "hist.bin"
-        save_histories(path, histories, days, vocab_size)
+        written = save_histories(path, histories, days, vocab_size)
         loaded, loaded_days, loaded_v, digest = load_histories(path)
         assert (loaded_days, loaded_v) == (days, vocab_size)
-        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert written == digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert path.read_bytes()[:4] == b"OTCF"
         assert [h.dealer_id for h in loaded] == [h.dealer_id for h in histories]
         for a, b in zip(loaded, histories):
             assert a.day_vectors.dtype == np.uint8

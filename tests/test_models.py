@@ -34,85 +34,41 @@ from otcforecast.models import (
     positional_encoding,
     save_checkpoint,
 )
-from otcforecast.seeding import rng_for
 
-from helpers import (finite_diff_check, interrupted_writes, positioned_composite,
-                     random_day_matrix, squash_composite, sum_all)
+from helpers import (C7, assert_same_bits, finite_diff_check, interrupted_writes, perturbed,
+                     positioned_composite, random_day_matrix, squash_composite, sum_all,
+                     toy_config)
 
 
-def toy_config(kind, **overrides):
-    base = dict(kind=kind, vocab_size=8, t_in=3, t_out=2,
-                d_model=4, heads=2, n_layers=1, d_ff=8, hidden=4, seed=0)
-    base.update(overrides)
-    return ModelConfig(**base)
+# builds that must raise ConfigurationError, and what its message must hold
+REFUSED_BUILDS = {
+    "unknown_kind": (lambda: toy_config("TransXXL"), None),
+    "indivisible_heads": (lambda: toy_config("TransFV", d_model=6, heads=4), None),
+    **{f"{field}_below_one": (lambda field=field: toy_config("LSTM", **{field: 0}),
+                              f"{field} must be >= 1, got 0")
+       for field in ("vocab_size", "t_in", "t_out", "d_model", "heads", "n_layers", "d_ff",
+                     "hidden")},
+    "transformer_of_FCSum": (lambda: models.TransformerModel(toy_config("FCSum")),
+                             "'FCSum' is not a transformer kind"),
+}
 
 
 class TestBuildContracts:
-    def test_pprz_gate_count_and_init(self):
-        model = build_model(toy_config("TransPPRZ", n_layers=2))
-        gates = [n for n in model.params.names() if n.endswith(".gate")]
-        assert len(gates) == 4  # 2 encoder + 2 decoder layers
-        for name in gates:
-            tensor = model.params[name]
-            assert tensor.shape == (4,)
-            assert np.array_equal(tensor.values, np.zeros(4))
-
-    def test_rezero_gates_are_scalars(self):
-        model = build_model(toy_config("TransRE", n_layers=2))
-        gates = [n for n in model.params.names() if n.endswith(".gate")]
-        assert len(gates) == 4
-        assert all(model.params[n].shape == () for n in gates)
-        assert all(model.params[n].values == 0.0 for n in gates)
-
-    def test_re_vs_pprz_name_set_diff(self):
-        re_names = set(build_model(toy_config("TransRE")).params.names())
-        pprz_names = set(build_model(toy_config("TransPPRZ")).params.names())
-        assert re_names - pprz_names == {"embed.w", "embed.b"}
-        assert pprz_names - re_names == {"cte.bonds", "cte.actions"}
-
-    def test_build_determinism(self):
-        for kind in MODEL_KINDS:
-            a = build_model(toy_config(kind, seed=42)).params
-            b = build_model(toy_config(kind, seed=42)).params
-            assert a.names() == b.names()
-            np.testing.assert_array_equal(a.flat, b.flat)
-
-    def test_param_count_is_config_pure(self):
-        for kind in MODEL_KINDS:
-            c1 = build_model(toy_config(kind, seed=1)).params.flat.size
-            c2 = build_model(toy_config(kind, seed=99)).params.flat.size
-            assert c1 == c2
-
-    def test_invalid_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ModelConfig(kind="TransXXL", vocab_size=4, t_in=2, t_out=2)
-
-    def test_indivisible_heads_rejected(self):
-        with pytest.raises(ConfigurationError):
-            toy_config("TransFV", d_model=6, heads=4)
-
-    @pytest.mark.parametrize("field", ["vocab_size", "t_in", "t_out", "d_model", "heads",
-                                       "n_layers", "d_ff", "hidden"])
-    def test_field_below_one_rejected(self, field):
-        with pytest.raises(ConfigurationError, match=f"{field} must be >= 1, got 0"):
-            toy_config("LSTM", **{field: 0})
-
-    def test_transformer_of_a_non_transformer_kind_rejected(self):
-        with pytest.raises(ConfigurationError, match="'FCSum' is not a transformer kind"):
-            models.TransformerModel(toy_config("FCSum"))
+    @pytest.mark.parametrize("case", REFUSED_BUILDS)
+    def test_refused(self, case):
+        build, match = REFUSED_BUILDS[case]
+        with pytest.raises(ConfigurationError, match=match):
+            build()
 
 
 class TestPositionalEncoding:
-    def test_position_zero_alternates(self):
-        pe = positional_encoding(3, 6)
-        np.testing.assert_array_equal(pe[0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
-
-    def test_bounded(self):
+    def test_the_sinusoid_formula(self):
+        # channel 2i at position p is sin(p / 10000^(2i/d)), channel 2i + 1 its cosine
         pe = positional_encoding(50, 16)
-        assert (pe >= -1.0).all() and (pe <= 1.0).all()
-
-    def test_formula_value(self):
-        assert positional_encoding(2, 4)[1, 0] == pytest.approx(np.sin(1.0), abs=1e-12)
+        angles = np.arange(50)[:, None] / 10000.0 ** (np.arange(0, 16, 2) / 16)
+        np.testing.assert_allclose(pe[:, 0::2], np.sin(angles), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pe[:, 1::2], np.cos(angles), rtol=0, atol=1e-12)
+        assert np.abs(pe).max() <= 1.0
 
     def test_odd_width_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -120,37 +76,13 @@ class TestPositionalEncoding:
 
 
 class TestFCModels:
-    def test_sum_variant_permutation_invariant(self):
-        model = build_model(toy_config("FCSum"))
+    @pytest.mark.parametrize("kind", ["FCSum", "FCConcat"])
+    def test_only_the_sum_forgets_the_order_of_the_days(self, kind):
+        model = build_model(toy_config(kind))
         x = random_day_matrix(3, 8, 1)
-        base = model.predict(x)
+        assert len({day.tobytes() for day in x}) == 3
         for perm in ([2, 0, 1], [1, 2, 0]):
-            np.testing.assert_array_equal(model.predict(x[perm]), base)
-
-    def test_concat_variant_not_permutation_invariant(self):
-        model = build_model(toy_config("FCConcat"))
-        x = np.zeros((3, 16), dtype=np.uint8)
-        x[0, 2] = 1  # witness: a trade on day 0 vs day 2
-        swapped = x[[2, 1, 0]]
-        assert not np.array_equal(model.predict(x), model.predict(swapped))
-
-    def test_concat_first_layer_width(self):
-        model = build_model(ModelConfig(kind="FCConcat", vocab_size=10, t_in=5,
-                                        t_out=2, hidden=4, seed=0))
-        assert model.params["fc.w1"].shape == (100, 4)
-
-    def test_zero_network_outputs_half(self):
-        model = build_model(toy_config("FCSum"))
-        for t in model.params.tensors():
-            t.values[...] = 0.0
-        out = model.predict(np.zeros((3, 16), dtype=np.uint8))
-        np.testing.assert_array_equal(out, np.full((2, 16), 0.5))
-
-    def test_output_tiled_over_horizon(self):
-        model = build_model(toy_config("FCConcat", t_out=4))
-        out = model.predict(random_day_matrix(3, 8, 2))
-        assert out.shape == (4, 16)
-        assert all(np.array_equal(out[0], out[i]) for i in range(1, 4))
+            assert np.array_equal(model.predict(x[perm]), model.predict(x)) == (kind == "FCSum")
 
     def test_input_shape_validated(self):
         model = build_model(toy_config("FCSum"))
@@ -183,17 +115,6 @@ class TestFCModels:
 
 
 class TestRecurrentModels:
-    def test_zero_recurrence_fixed_point(self):
-        model = build_model(toy_config("LSTM"))
-        for t in model.params.tensors():
-            t.values[...] = 0.0
-        out = model.predict(np.zeros((3, 16), dtype=np.uint8))
-        np.testing.assert_array_equal(out, np.full((2, 16), 0.5))
-
-    def test_bilstm_readout_width(self):
-        model = build_model(toy_config("BiLSTM", hidden=5))
-        assert model.params["readout.w"].shape == (10, 16)
-
     def test_manual_two_step_recurrence_oracle(self):
         cfg = ModelConfig(kind="LSTM", vocab_size=1, t_in=2, t_out=1, hidden=1, seed=0)
         model = build_model(cfg)
@@ -221,31 +142,6 @@ class TestRecurrentModels:
         expected = (np.tanh(h * 1.0) + 1.0) / 2.0
         out = model.predict(x.astype(np.uint8))
         np.testing.assert_allclose(out, np.full((1, 2), expected), atol=1e-12)
-
-    def test_stacked_layout_holds_the_per_gate_draws(self):
-        # blocks drawn gate by gate, wx then wh, in i, f, g, o order
-        width, hidden = 16, 4
-        for kind, directions in (("LSTM", ("fwd",)), ("BiLSTM", ("fwd", "bwd"))):
-            params = build_model(toy_config(kind, seed=7)).params
-            rng = rng_for(7, "init", kind)
-            names = [f"lstm.{d}.{w}" for d in directions for w in ("wx", "wh", "b")]
-            assert params.names() == names + ["readout.w", "readout.b"]
-            for direction in directions:
-                wx, wh = params[f"lstm.{direction}.wx"], params[f"lstm.{direction}.wh"]
-                assert wx.shape == (width, 4 * hidden) and wh.shape == (hidden, 4 * hidden)
-                for k in range(4):
-                    block = slice(k * hidden, (k + 1) * hidden)
-                    for weight, rows in ((wx, width), (wh, hidden)):
-                        bound = 1.0 / math.sqrt(rows)
-                        np.testing.assert_array_equal(
-                            weight.values[:, block],
-                            rng.uniform(-bound, bound, size=(rows, hidden)))
-                np.testing.assert_array_equal(params[f"lstm.{direction}.b"].values,
-                                              np.zeros(4 * hidden))
-            bound = 1.0 / math.sqrt(hidden * len(directions))
-            np.testing.assert_array_equal(
-                params["readout.w"].values,
-                rng.uniform(-bound, bound, size=(hidden * len(directions), width)))
 
     @pytest.mark.parametrize("kind", ["LSTM", "BiLSTM"])
     @pytest.mark.parametrize("lead", [(), (4,)], ids=["window", "batch"])
@@ -316,6 +212,8 @@ def test_predict_is_forward_with_nothing_recorded(kind):
     forward = model.forward(x).values
     assert ad.tape_size() > 0
     assert np.array_equal(predicted.view(np.uint64), forward.view(np.uint64))
+    model.params.flat[:] = 0.0  # zero parameters forecast one half
+    np.testing.assert_array_equal(model.predict(x), np.full((4, 2, 16), 0.5))
 
 
 def per_gate_weights(model):
@@ -393,26 +291,16 @@ class TestCoTradingEmbedding:
         self.bonds = self.bond_table.values
         self.actions = self.action_table.values
 
-    def encode(self, day):
-        return self.model.embed_days(day)
-
-    def test_empty_day_is_zero(self):
-        out = self.encode(np.zeros(16, dtype=np.uint8))
-        np.testing.assert_array_equal(out.values, np.zeros(4))
-
-    def test_single_buy(self):
+    @pytest.mark.parametrize("cells, expected, atol", [
+        ((), lambda bonds, actions: np.zeros(4), 0),
+        ((3,), lambda bonds, actions: bonds[3] + actions[0], 1e-15),
+        ((1, 8 + 1), lambda bonds, actions: 2.0 * bonds[1] + actions[0] + actions[1], 1e-15),
+    ], ids=["empty_day", "single_buy", "buy_and_sell_same_bond"])
+    def test_a_day_embeds_as_its_bonds_and_actions(self, cells, expected, atol):
         day = np.zeros(16, dtype=np.uint8)
-        day[3] = 1
-        out = self.encode(day)
-        np.testing.assert_allclose(out.values, self.bonds[3] + self.actions[0], atol=1e-15)
-
-    def test_buy_and_sell_same_bond(self):
-        day = np.zeros(16, dtype=np.uint8)
-        day[1] = 1
-        day[8 + 1] = 1
-        out = self.encode(day)
-        expected = 2.0 * self.bonds[1] + self.actions[0] + self.actions[1]
-        np.testing.assert_allclose(out.values, expected, atol=1e-15)
+        day[list(cells)] = 1
+        np.testing.assert_allclose(self.model.embed_days(day).values,
+                                   expected(self.bonds, self.actions), rtol=0, atol=atol)
 
     def test_dense_product_matches_embedding_bag_loop(self):
         # a (2, 3) stack of days with an empty day in it; float64 sums of a
@@ -421,7 +309,7 @@ class TestCoTradingEmbedding:
         days[1, 2] = 0
         params = [self.bond_table, self.action_table]
         grads = []
-        for encode in (self.encode, lambda d: embedding_bag_cte(d, *params)):
+        for encode in (self.model.embed_days, lambda d: embedding_bag_cte(d, *params)):
             ad.reset_tape()
             out = encode(days)
             assert out.shape == (2, 3, 4)
@@ -451,12 +339,6 @@ def residual(kind, x, fx, **values):
 
 
 class TestResidualSchemes:
-    def test_zero_vector_gate_is_identity(self):
-        x = Tensor(np.random.default_rng(6).normal(size=(3, 4)))
-        fx = Tensor(np.random.default_rng(7).normal(size=(3, 4)))
-        out = residual("TransPPRZ", x, fx)
-        assert np.array_equal(out.values, x.values)
-
     def test_constant_vector_equals_scalar_gate(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(3, 4)))
@@ -475,11 +357,12 @@ class TestResidualSchemes:
         assert model.params["encoder.l0.gate"].shape == shape
         assert [entry.name for entry in ad._TAPE] == ["residual_gate"]
 
-    def test_pointwise_arithmetic_example(self):
-        x = Tensor(np.array([[1.0, 2.0]]))
-        fx = Tensor(np.array([[0.5, -0.5]]))
-        out = residual("TransPPRZ", x, fx, gate=[2.0, 0.0])
-        assert out.values.tolist() == [[2.0, 2.0]]
+    @pytest.mark.parametrize("gate, expected", [
+        ((0.0, 0.0), [[1.0, 2.0]]), ((2.0, 0.0), [[2.0, 2.0]]),
+    ], ids=["zero_is_identity", "pointwise"])
+    def test_vector_gate_adds_its_share_of_each_channel(self, gate, expected):
+        out = residual("TransPPRZ", Tensor([[1.0, 2.0]]), Tensor([[0.5, -0.5]]), gate=gate)
+        assert out.values.tolist() == expected
 
     def test_norm_mode_normalizes_sum(self):
         x = Tensor(np.array([[1.0, 3.0]]))
@@ -542,7 +425,7 @@ class TestLayerTables:
         # a copy of any weight kept from an earlier call would miss the write
         model, other = (build_model(toy_config(kind, n_layers=2, seed=s)) for s in (1, 2))
         # off the zero gates, so that every weight reaches the output
-        other.params.flat += np.random.default_rng(43).normal(scale=0.2, size=other.params.flat.size)
+        perturbed(other, 43, scale=0.2)
         x, teacher = random_day_matrix(3, 8, 41), random_day_matrix(2, 8, 42)
         before = model.predict(x)
         model.forward(x, teacher=teacher)
@@ -555,14 +438,6 @@ class TestLayerTables:
 
 
 class TestTransformer:
-    def test_identity_at_init(self):
-        for kind in ("TransRE", "TransPPRZ"):
-            model = build_model(toy_config(kind, n_layers=2))
-            x = random_day_matrix(3, 8, 9)
-            encoder_out = model.encode(x)
-            expected = model.embed_days(x).values + positional_encoding(3, 4)
-            assert np.abs(encoder_out.values - expected).max() < 1e-12
-
     @pytest.mark.parametrize("kind", ["TransFV", "TransPPRZ"])
     def test_embedding_reads_uint8_bool_and_float64_days_alike(self, kind):
         # an empty day, and a bond bought and sold on one day: a bool sum
@@ -588,31 +463,26 @@ class TestTransformer:
             assert pred.shape == (2, 16)
             assert (pred >= 0.0).all() and (pred <= 1.0).all()
 
-    def test_missing_teacher_rejected(self):
+    @pytest.mark.parametrize("teacher, error, match", [
+        (None, ContractError, None),
+        (random_day_matrix(6, 8, 13).reshape(3, 2, 16), ShapeMismatchError,
+         r"teacher shape \(3, 2, 16\) does not match"),
+    ], ids=["missing", "of_other_windows"])
+    def test_teacher_refused(self, teacher, error, match):
         model = build_model(toy_config("TransFV"))
-        with pytest.raises(ContractError):
-            model.forward(random_day_matrix(3, 8, 12))
-
-    def test_teacher_of_other_windows_rejected(self):
-        model = build_model(toy_config("TransFV"))
-        x = random_day_matrix(6, 8, 12).reshape(2, 3, 16)
-        teacher = random_day_matrix(6, 8, 13).reshape(3, 2, 16)
-        with pytest.raises(ShapeMismatchError, match=r"teacher shape \(3, 2, 16\) does not match"):
-            model.forward(x, teacher=teacher)
+        with pytest.raises(error, match=match):
+            model.forward(random_day_matrix(6, 8, 12).reshape(2, 3, 16), teacher=teacher)
 
     def test_causality_exact(self):
         # perturbing teacher day t may only affect predictions at days > t
-        model = build_model(toy_config("TransCTE", t_out=4, seed=3))
-        rng = np.random.default_rng(13)
-        for t in model.params.tensors():
-            t.values += rng.normal(scale=0.2, size=t.shape)  # leave init symmetry
+        model = perturbed(build_model(toy_config("TransCTE", t_out=4, seed=3)), 13, scale=0.2)
         x = random_day_matrix(3, 8, 14)
         teacher = random_day_matrix(4, 8, 15)
         base = model.forward(x, teacher=teacher).values
         for t in range(4):
-            perturbed = teacher.copy()
-            perturbed[t] = 1 - perturbed[t]
-            out = model.forward(x, teacher=perturbed).values
+            flipped = teacher.copy()
+            flipped[t] = 1 - flipped[t]
+            out = model.forward(x, teacher=flipped).values
             assert np.array_equal(out[: t + 1], base[: t + 1])
 
     def test_gate_gradients_flow(self):
@@ -646,36 +516,13 @@ class TestTransformer:
                 if name.endswith(".gate"):
                     assert np.abs(grads[name]).max() > 0, name
 
-    def test_pprz_reduces_to_scalar_gate_model(self, monkeypatch):
-        cfg = toy_config("TransPPRZ", n_layers=2, seed=5)
-        pprz = build_model(cfg)
-        # the CTE embedding under scalar gates, a pairing no kind has
-        monkeypatch.setitem(models._TRANSFORMER_MODES, "TransPPRZ", ("cte", "scalar"))
-        twin = build_model(cfg)
-        rng = np.random.default_rng(18)
-        for name in pprz.params.names():
-            if name.endswith(".gate"):
-                c = float(rng.normal(scale=0.5))
-                pprz.params[name].values[...] = c
-                twin.params[name].values[...] = c
-            else:
-                twin.params[name].values[...] = pprz.params[name].values
-        for trial in range(5):
-            x = random_day_matrix(3, 8, 100 + trial)
-            teacher = random_day_matrix(2, 8, 200 + trial)
-            a = pprz.forward(x, teacher=teacher).values
-            b = twin.forward(x, teacher=teacher).values
-            assert np.array_equal(a, b)
-            np.testing.assert_array_equal(pprz.predict(x), twin.predict(x))
-
     def test_no_key_bias_and_27_tape_entries_at_c7_size(self):
         x = np.stack([random_day_matrix(5, 20, seed) for seed in range(8)])
         teacher = np.stack([random_day_matrix(5, 20, seed) for seed in range(8, 16)])
         for kind in TRANSFORMER_KINDS:
             model = build_model(toy_config(kind))
             assert not [name for name in model.params.names() if name.endswith(".bk")], kind
-            config = ModelConfig(kind=kind, vocab_size=20, t_in=5, t_out=5, d_model=32,
-                                 heads=4, n_layers=2, d_ff=64)
+            config = ModelConfig(kind=kind, **C7)
             ad.reset_tape()
             ad.mse_loss(build_model(config).forward(x, teacher=teacher),
                         Tensor(teacher.astype(np.float64)))
@@ -690,27 +537,20 @@ class TestTransformer:
     def test_training_matches_composite_input_sequences_bit_for_bit(self, monkeypatch, kind,
                                                                      t_out):
         # at t_out 1 the decoder's input is the start row alone
-        model = build_model(toy_config(kind, t_out=t_out, n_layers=2, seed=23))
-        flat = model.params.flat
-        flat += np.random.default_rng(24).normal(scale=0.3, size=flat.size)  # open the gates
+        model = perturbed(build_model(toy_config(kind, t_out=t_out, n_layers=2, seed=23)), 24)
         x = np.stack([random_day_matrix(3, 8, seed) for seed in range(4)])
         teacher = np.stack([random_day_matrix(t_out, 8, seed) for seed in range(4, 8)])
-        results = []
-        for positioned in (ad.positioned, positioned_composite):
+
+        def build(positioned):
             monkeypatch.setattr(ad, "positioned", positioned)
-            ad.reset_tape()
             out = model.forward(x, teacher=teacher)
-            loss = ad.mse_loss(out, Tensor(teacher.astype(np.float64)))
-            results.append([out.values, *ad.backward(loss, model.params.tensors())])
-        fused, composite = results
-        for got, expected in zip(fused, composite):
-            assert np.array_equal(got, expected)
+            return out, ad.mse_loss(out, Tensor(teacher.astype(np.float64)))
+
+        assert_same_bits(model.params.tensors(), build, ad.positioned, positioned_composite)
 
     @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
     def test_one_day_training_gradient_against_finite_differences(self, kind):
-        model = build_model(toy_config(kind, t_out=1, seed=25))
-        flat = model.params.flat
-        flat += np.random.default_rng(26).normal(scale=0.3, size=flat.size)  # open the gates
+        model = perturbed(build_model(toy_config(kind, t_out=1, seed=25)), 26)
         x, teacher = random_day_matrix(3, 8, 27), random_day_matrix(1, 8, 28)
 
         def loss():
@@ -725,8 +565,7 @@ class TestTransformer:
     @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
     def test_predict_matches_full_prefix_decoding(self, kind):
         small = dict(vocab_size=8, t_in=3, t_out=4, d_model=4, heads=2, n_layers=2, d_ff=8)
-        c7 = dict(vocab_size=20, t_in=5, t_out=5, d_model=32, heads=4, n_layers=2, d_ff=64)
-        cases = [(small, ()), (small, (3,)), (small, (2, 3)), (c7, (40,)),
+        cases = [(small, ()), (small, (3,)), (small, (2, 3)), (C7, (40,)),
                  ({**small, "t_out": 1}, (3,)), ({**small, "t_in": 2, "t_out": 6}, (3,)),
                  ({**small, "n_layers": 1}, (3,)), ({**small, "n_layers": 3}, (2, 3))]
         for sizes, lead in cases:
@@ -778,14 +617,6 @@ class TestTransformer:
         model.predict(np.stack([random_day_matrix(3, 8, seed) for seed in range(4)]))
         assert ad.tape_size() == 0 and not built
 
-    def test_trace_collects_all_layers(self):
-        model = build_model(toy_config("TransPPRZ", n_layers=2))
-        trace = []
-        model.forward(random_day_matrix(3, 8, 19),
-                      teacher=random_day_matrix(2, 8, 20), trace=trace)
-        assert [name for name, _ in trace] == ["encoder.l0", "encoder.l1",
-                                               "decoder.l0", "decoder.l1"]
-
 
 # what a checkpoint records it was fitted to besides its model config
 TRAINED_ON = {"histories_sha256": "ab" * 32, "train_fraction": 0.9, "stride": 1, "train_epochs": 2,
@@ -806,23 +637,14 @@ class TestCheckpoints:
         model.params.flat[:] = np.random.default_rng(24).normal(size=model.params.flat.size)
         return model
 
-    def test_round_trip_bit_exact(self, tmp_path):
-        for kind in ("FCSum", "BiLSTM", "TransPPRZ"):
-            model = self.trained(kind)
-            path = tmp_path / f"{kind}.ckpt"
-            save_checkpoint(path, model, TRAINED_ON)
-            copy = loaded(path, model.config)
-            assert type(copy) is type(model)
-            assert copy.config == model.config
-            assert copy.params.names() == model.params.names()
-            assert copy.params.flat.tobytes() == model.params.flat.tobytes()
-            x = random_day_matrix(3, 8, 24)
-            np.testing.assert_array_equal(copy.predict(x), model.predict(x))
+    def saved(self, tmp_path, kind="FCSum", **overrides):
+        """(path, model, manifest line, payload) of a trained model saved to tmp_path."""
+        path, model = tmp_path / "model.ckpt", self.trained(kind, **overrides)
+        save_checkpoint(path, model, TRAINED_ON)
+        return path, model, *path.read_bytes().split(b"\n", 1)
 
     def test_truncated_at_every_offset_rejected(self, tmp_path):
-        path = tmp_path / "fc.ckpt"
-        model = self.trained("FCSum")
-        save_checkpoint(path, model, TRAINED_ON)
+        path, model, _, _ = self.saved(tmp_path)
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
@@ -830,11 +652,8 @@ class TestCheckpoints:
                 check_checkpoint(path, model, TRAINED_ON)
 
     def test_malformed_manifest_and_trailing_bytes_rejected(self, tmp_path):
-        path = tmp_path / "fc.ckpt"
-        model = self.trained("FCSum")
-        save_checkpoint(path, model, TRAINED_ON)
+        path, model, header, payload = self.saved(tmp_path)
         blob = path.read_bytes()
-        header, payload = blob.split(b"\n", 1)
         extra = np.float64(1.5).astype("<f8").tobytes()
         for corrupt, reason in ((blob + extra, "8 trailing"), (blob + b"\0", "1 trailing"),
                                 (b"{" + blob, "malformed"),
@@ -846,10 +665,7 @@ class TestCheckpoints:
                 check_checkpoint(path, model, TRAINED_ON)
 
     def test_manifest_carries_magic_version_and_config(self, tmp_path):
-        path = tmp_path / "re.ckpt"
-        model = self.trained("TransRE", heads=4, seed=3)
-        save_checkpoint(path, model, TRAINED_ON)
-        header, payload = path.read_bytes().split(b"\n", 1)
+        path, model, header, payload = self.saved(tmp_path, "TransRE", heads=4, seed=3)
         manifest = json.loads(header)
         assert list(manifest) == ["magic", "version", "kind", "vocab_size", "t_in", "t_out",
                                   "d_model", "heads", "n_layers", "d_ff", "hidden", "seed",
@@ -879,10 +695,7 @@ class TestCheckpoints:
          "train_learning_rate = 0.02, expected 0.01"),
     ])
     def test_bad_magic_version_or_config_rejected(self, tmp_path, edit):
-        path = tmp_path / "re.ckpt"
-        model = self.trained("TransRE")
-        save_checkpoint(path, model, TRAINED_ON)
-        header, payload = path.read_bytes().split(b"\n", 1)
+        path, model, header, payload = self.saved(tmp_path, "TransRE")
         old, new, reason = edit
         assert old.encode() in header
         path.write_bytes(header.replace(old.encode(), new.encode(), 1) + b"\n" + payload)
@@ -914,8 +727,7 @@ class TestCheckpoints:
         # numpy reports its buffers to tracemalloc; a copy of the C7
         # TransPPRZ vector would peak at 353 KB, a direct write at the
         # file's buffer and the manifest
-        model = build_model(ModelConfig("TransPPRZ", vocab_size=20, t_in=5, t_out=5,
-                                        d_model=32, d_ff=64))
+        model = build_model(ModelConfig("TransPPRZ", **C7))
         tracemalloc.start()
         try:
             save_checkpoint(tmp_path / "c7.ckpt", model, TRAINED_ON)
@@ -928,10 +740,7 @@ class TestCheckpoints:
         assert reloaded.params.flat.tobytes() == model.params.flat.tobytes()
 
     def test_manifest_line_longer_than_the_limit_rejected(self, tmp_path):
-        path = tmp_path / "fc.ckpt"
-        model = self.trained("FCSum")
-        save_checkpoint(path, model, TRAINED_ON)
-        header, payload = path.read_bytes().split(b"\n", 1)
+        path, model, header, payload = self.saved(tmp_path)
         # JSON allows trailing spaces; the limit counts the newline
         path.write_bytes(header.ljust(MANIFEST_LIMIT - 1) + b"\n" + payload)
         values = check_checkpoint(path, model, TRAINED_ON)
@@ -965,8 +774,12 @@ class TestCheckpointProperties:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, TRAINED_ON)
         copy = loaded(path, model.config)
-        assert copy.config == model.config
+        assert type(copy) is type(model) and copy.config == model.config
+        assert copy.params.names() == model.params.names()
         assert copy.params.flat.tobytes() == model.params.flat.tobytes()
+        with np.errstate(all="ignore"):  # arbitrary bits may overflow
+            x = random_day_matrix(3, 8, 24)
+            assert copy.predict(x).tobytes() == model.predict(x).tobytes()
 
     @CHECKPOINT_PROPERTY
     @given(checkpointed_models(), st.data())
@@ -1007,19 +820,6 @@ class TestFlatParameters:
             assert params[name] is tensor and np.shares_memory(tensor.values, params.flat), name
         arrays["w"][0, 0] = -1.0  # the constructor copied the values
         assert params["w"].values[0, 0] == 0.0
-        for kind in MODEL_KINDS:
-            params = build_model(toy_config(kind)).params
-            flat = params.flat
-            assert flat.dtype == np.float64 and flat.ndim == 1
-            offset = 0
-            # harness.epochs' gradient views, params.views(grad), share this layout
-            for name, tensor in zip(params.names(), params.tensors()):
-                values = tensor.values
-                assert tensor is params[name] and np.shares_memory(values, flat), name
-                assert values.__array_interface__["data"][0] == (
-                    flat.__array_interface__["data"][0] + 8 * offset), name
-                offset += values.size
-            assert offset == flat.size
 
     def test_scalar_gate_packs_as_a_0d_view(self):
         params = build_model(toy_config("TransRE")).params
@@ -1060,13 +860,21 @@ class TestFlatParameters:
     def test_views_of_flat_are_the_tensors_own_values(self, kind, copy_model):
         model = build_model(toy_config(kind))
         params = copy_model(model).params
-        views = params.views(params.flat)
+        flat, offset = params.flat, 0
+        assert flat.dtype == np.float64 and flat.ndim == 1
+        views = params.views(flat)
         assert len(views) == len(params.names())
-        for name, view in zip(params.names(), views):
-            values = params[name].values
-            assert view.dtype == np.float64 and np.shares_memory(view, params.flat), name
+        # each tensor's values, and so harness.epochs' gradient views, lie in
+        # flat one after another in names() order
+        for name, view, tensor in zip(params.names(), views, params.tensors()):
+            values = tensor.values
+            assert tensor is params[name] and view.dtype == np.float64, name
             assert view.__array_interface__ == values.__array_interface__, name
+            assert values.__array_interface__["data"][0] == (
+                flat.__array_interface__["data"][0] + 8 * offset), name
             assert (params is model.params) == np.shares_memory(view, model.params.flat), name
+            offset += values.size
+        assert offset == flat.size
 
     @pytest.mark.parametrize("vector", [
         np.zeros(3), np.zeros(5), np.zeros((2, 2)), np.zeros(8)[::2],
@@ -1088,218 +896,76 @@ class TestFlatParameters:
             b.zeros("head.w", 2)
 
 
-# (SHA-256 of the initial flat.tobytes(), [(name, shape), ...] in names() order)
-# per kind at toy_config, recorded with numpy 2.4.6
+def transformer_layout(kind, n_layers):
+    """[(name, shape), ...] in names() order of a toy Transformer: the embedding,
+    the start row, each encoder layer, then each decoder layer, then the head;
+    per layer its attention blocks, feed-forward, and norms or one gate."""
+    rows = ([("embed.w", (16, 4)), ("embed.b", (4,))] if kind in ("TransFV", "TransRE")
+            else [("cte.bonds", (8, 4)), ("cte.actions", (2, 4))]) + [("decoder.sos", (4,))]
+    gate = {"TransRE": (), "TransPPRZ": (4,)}.get(kind)
+    for stack, blocks in (("encoder", ("attn",)), ("decoder", ("self", "cross"))):
+        for layer in (f"{stack}.l{i}" for i in range(n_layers)):
+            rows += [(f"{layer}.{block}.{w}", (4, 4) if w[0] == "w" else (4,))
+                     for block in blocks for w in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")]
+            rows += [(f"{layer}.ff.w1", (4, 8)), (f"{layer}.ff.b1", (8,)),
+                     (f"{layer}.ff.w2", (8, 4)), (f"{layer}.ff.b2", (4,))]
+            rows += ([(f"{layer}.norm{j}.{p}", (4,)) for j in range(1, len(blocks) + 2)
+                      for p in ("gamma", "beta")] if gate is None else [(f"{layer}.gate", gate)])
+    return rows + [("head.w", (4, 16)), ("head.b", (16,))]
+
+
+# [(name, shape), ...] in names() order per kind at toy_config
 LAYOUTS = {
-    "FCSum": (
-        "8b20e9662a2949d20a812e13eb4ed6b6b636263940d29b6a4487badbca891b03",
-        [("fc.w1", (16, 4)), ("fc.b1", (4,)), ("fc.w2", (4, 4)), ("fc.b2", (4,)),
-         ("fc.w3", (4, 16)), ("fc.b3", (16,))],
-    ),
-    "FCConcat": (
-        "99084896279c2e1bfd38ac29591e2a3fe8ef5d23788798a9c86e83cb55b4901b",
-        [("fc.w1", (48, 4)), ("fc.b1", (4,)), ("fc.w2", (4, 4)), ("fc.b2", (4,)),
-         ("fc.w3", (4, 16)), ("fc.b3", (16,))],
-    ),
-    "LSTM": (
-        "bd575461b7ed7c988991d3f3e3e15fe8e827119b9fd309c4f4c2438871d7c219",
-        [("lstm.fwd.wx", (16, 16)), ("lstm.fwd.wh", (4, 16)), ("lstm.fwd.b", (16,)),
-         ("readout.w", (4, 16)), ("readout.b", (16,))],
-    ),
-    "BiLSTM": (
-        "7f42f4731a1b7601644e5ad4e3a2d848fb661a8ebe39bb4fd5cf8058e9be2d9b",
-        [("lstm.fwd.wx", (16, 16)), ("lstm.fwd.wh", (4, 16)), ("lstm.fwd.b", (16,)),
-         ("lstm.bwd.wx", (16, 16)), ("lstm.bwd.wh", (4, 16)), ("lstm.bwd.b", (16,)),
-         ("readout.w", (8, 16)), ("readout.b", (16,))],
-    ),
-    "TransFV": (
-        "348f7bf7abb4695ec0ff4c45489f9e669755af6aa22340470e2847aeb4db245f",
-        [("embed.w", (16, 4)), ("embed.b", (4,)), ("decoder.sos", (4,)),
-         ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
-         ("encoder.l0.attn.wk", (4, 4)),
-         ("encoder.l0.attn.wv", (4, 4)), ("encoder.l0.attn.bv", (4,)),
-         ("encoder.l0.attn.wo", (4, 4)), ("encoder.l0.attn.bo", (4,)),
-         ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)), ("encoder.l0.ff.w2", (8, 4)),
-         ("encoder.l0.ff.b2", (4,)), ("encoder.l0.norm1.gamma", (4,)),
-         ("encoder.l0.norm1.beta", (4,)), ("encoder.l0.norm2.gamma", (4,)),
-         ("encoder.l0.norm2.beta", (4,)), ("decoder.l0.self.wq", (4, 4)),
-         ("decoder.l0.self.bq", (4,)), ("decoder.l0.self.wk", (4, 4)),
-         ("decoder.l0.self.wv", (4, 4)),
-         ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
-         ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
-         ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
-         ("decoder.l0.cross.wv", (4, 4)),
-         ("decoder.l0.cross.bv", (4,)), ("decoder.l0.cross.wo", (4, 4)),
-         ("decoder.l0.cross.bo", (4,)), ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)),
-         ("decoder.l0.ff.w2", (8, 4)), ("decoder.l0.ff.b2", (4,)),
-         ("decoder.l0.norm1.gamma", (4,)), ("decoder.l0.norm1.beta", (4,)),
-         ("decoder.l0.norm2.gamma", (4,)), ("decoder.l0.norm2.beta", (4,)),
-         ("decoder.l0.norm3.gamma", (4,)), ("decoder.l0.norm3.beta", (4,)), ("head.w", (4, 16)),
-         ("head.b", (16,))],
-    ),
-    "TransCTE": (
-        "bfdf119a4b8a0badf05060c6f5b4660a433fac134f9604b4f172cf66052af3ee",
-        [("cte.bonds", (8, 4)), ("cte.actions", (2, 4)), ("decoder.sos", (4,)),
-         ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
-         ("encoder.l0.attn.wk", (4, 4)),
-         ("encoder.l0.attn.wv", (4, 4)), ("encoder.l0.attn.bv", (4,)),
-         ("encoder.l0.attn.wo", (4, 4)), ("encoder.l0.attn.bo", (4,)),
-         ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)), ("encoder.l0.ff.w2", (8, 4)),
-         ("encoder.l0.ff.b2", (4,)), ("encoder.l0.norm1.gamma", (4,)),
-         ("encoder.l0.norm1.beta", (4,)), ("encoder.l0.norm2.gamma", (4,)),
-         ("encoder.l0.norm2.beta", (4,)), ("decoder.l0.self.wq", (4, 4)),
-         ("decoder.l0.self.bq", (4,)), ("decoder.l0.self.wk", (4, 4)),
-         ("decoder.l0.self.wv", (4, 4)),
-         ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
-         ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
-         ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
-         ("decoder.l0.cross.wv", (4, 4)),
-         ("decoder.l0.cross.bv", (4,)), ("decoder.l0.cross.wo", (4, 4)),
-         ("decoder.l0.cross.bo", (4,)), ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)),
-         ("decoder.l0.ff.w2", (8, 4)), ("decoder.l0.ff.b2", (4,)),
-         ("decoder.l0.norm1.gamma", (4,)), ("decoder.l0.norm1.beta", (4,)),
-         ("decoder.l0.norm2.gamma", (4,)), ("decoder.l0.norm2.beta", (4,)),
-         ("decoder.l0.norm3.gamma", (4,)), ("decoder.l0.norm3.beta", (4,)), ("head.w", (4, 16)),
-         ("head.b", (16,))],
-    ),
-    "TransRE": (
-        "2c7a07dba32ec34289857d18b1e6f2ecc2b9c511cffd861eea2e3692360e9973",
-        [("embed.w", (16, 4)), ("embed.b", (4,)), ("decoder.sos", (4,)),
-         ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
-         ("encoder.l0.attn.wk", (4, 4)),
-         ("encoder.l0.attn.wv", (4, 4)), ("encoder.l0.attn.bv", (4,)),
-         ("encoder.l0.attn.wo", (4, 4)), ("encoder.l0.attn.bo", (4,)),
-         ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)), ("encoder.l0.ff.w2", (8, 4)),
-         ("encoder.l0.ff.b2", (4,)), ("encoder.l0.gate", ()), ("decoder.l0.self.wq", (4, 4)),
-         ("decoder.l0.self.bq", (4,)), ("decoder.l0.self.wk", (4, 4)),
-         ("decoder.l0.self.wv", (4, 4)),
-         ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
-         ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
-         ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
-         ("decoder.l0.cross.wv", (4, 4)),
-         ("decoder.l0.cross.bv", (4,)), ("decoder.l0.cross.wo", (4, 4)),
-         ("decoder.l0.cross.bo", (4,)), ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)),
-         ("decoder.l0.ff.w2", (8, 4)), ("decoder.l0.ff.b2", (4,)), ("decoder.l0.gate", ()),
-         ("head.w", (4, 16)), ("head.b", (16,))],
-    ),
-    "TransPPRZ": (
-        "db6879ea9461338c564c51e75170c90dff03eee6cd999c32d3a6d3aecb1f4c7b",
-        [("cte.bonds", (8, 4)), ("cte.actions", (2, 4)), ("decoder.sos", (4,)),
-         ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
-         ("encoder.l0.attn.wk", (4, 4)),
-         ("encoder.l0.attn.wv", (4, 4)), ("encoder.l0.attn.bv", (4,)),
-         ("encoder.l0.attn.wo", (4, 4)), ("encoder.l0.attn.bo", (4,)),
-         ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)), ("encoder.l0.ff.w2", (8, 4)),
-         ("encoder.l0.ff.b2", (4,)), ("encoder.l0.gate", (4,)), ("decoder.l0.self.wq", (4, 4)),
-         ("decoder.l0.self.bq", (4,)), ("decoder.l0.self.wk", (4, 4)),
-         ("decoder.l0.self.wv", (4, 4)),
-         ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
-         ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
-         ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
-         ("decoder.l0.cross.wv", (4, 4)),
-         ("decoder.l0.cross.bv", (4,)), ("decoder.l0.cross.wo", (4, 4)),
-         ("decoder.l0.cross.bo", (4,)), ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)),
-         ("decoder.l0.ff.w2", (8, 4)), ("decoder.l0.ff.b2", (4,)), ("decoder.l0.gate", (4,)),
-         ("head.w", (4, 16)), ("head.b", (16,))],
-    ),
+    "FCSum": [("fc.w1", (16, 4)), ("fc.b1", (4,)), ("fc.w2", (4, 4)), ("fc.b2", (4,)),
+              ("fc.w3", (4, 16)), ("fc.b3", (16,))],
+    "FCConcat": [("fc.w1", (48, 4)), ("fc.b1", (4,)), ("fc.w2", (4, 4)), ("fc.b2", (4,)),
+                 ("fc.w3", (4, 16)), ("fc.b3", (16,))],
+    "LSTM": [("lstm.fwd.wx", (16, 16)), ("lstm.fwd.wh", (4, 16)), ("lstm.fwd.b", (16,)),
+             ("readout.w", (4, 16)), ("readout.b", (16,))],
+    "BiLSTM": [("lstm.fwd.wx", (16, 16)), ("lstm.fwd.wh", (4, 16)), ("lstm.fwd.b", (16,)),
+               ("lstm.bwd.wx", (16, 16)), ("lstm.bwd.wh", (4, 16)), ("lstm.bwd.b", (16,)),
+               ("readout.w", (8, 16)), ("readout.b", (16,))],
 }
 
-
-# the same at n_layers=2 for one norm kind and one gate kind: each stack's
-# layers are drawn in order, the encoder's before the decoder's
-TWO_LAYER_LAYOUTS = {
-    "TransFV": (
-        "144a4f8cd89b1445d9253f229e83506a9e83e1c49cd9dbda11272271fad9d467",
-        [("embed.w", (16, 4)), ("embed.b", (4,)), ("decoder.sos", (4,)),
-         ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
-         ("encoder.l0.attn.wk", (4, 4)), ("encoder.l0.attn.wv", (4, 4)),
-         ("encoder.l0.attn.bv", (4,)), ("encoder.l0.attn.wo", (4, 4)),
-         ("encoder.l0.attn.bo", (4,)), ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)),
-         ("encoder.l0.ff.w2", (8, 4)), ("encoder.l0.ff.b2", (4,)),
-         ("encoder.l0.norm1.gamma", (4,)), ("encoder.l0.norm1.beta", (4,)),
-         ("encoder.l0.norm2.gamma", (4,)), ("encoder.l0.norm2.beta", (4,)),
-         ("encoder.l1.attn.wq", (4, 4)), ("encoder.l1.attn.bq", (4,)),
-         ("encoder.l1.attn.wk", (4, 4)), ("encoder.l1.attn.wv", (4, 4)),
-         ("encoder.l1.attn.bv", (4,)), ("encoder.l1.attn.wo", (4, 4)),
-         ("encoder.l1.attn.bo", (4,)), ("encoder.l1.ff.w1", (4, 8)), ("encoder.l1.ff.b1", (8,)),
-         ("encoder.l1.ff.w2", (8, 4)), ("encoder.l1.ff.b2", (4,)),
-         ("encoder.l1.norm1.gamma", (4,)), ("encoder.l1.norm1.beta", (4,)),
-         ("encoder.l1.norm2.gamma", (4,)), ("encoder.l1.norm2.beta", (4,)),
-         ("decoder.l0.self.wq", (4, 4)), ("decoder.l0.self.bq", (4,)),
-         ("decoder.l0.self.wk", (4, 4)), ("decoder.l0.self.wv", (4, 4)),
-         ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
-         ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
-         ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
-         ("decoder.l0.cross.wv", (4, 4)), ("decoder.l0.cross.bv", (4,)),
-         ("decoder.l0.cross.wo", (4, 4)), ("decoder.l0.cross.bo", (4,)),
-         ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)), ("decoder.l0.ff.w2", (8, 4)),
-         ("decoder.l0.ff.b2", (4,)), ("decoder.l0.norm1.gamma", (4,)),
-         ("decoder.l0.norm1.beta", (4,)), ("decoder.l0.norm2.gamma", (4,)),
-         ("decoder.l0.norm2.beta", (4,)), ("decoder.l0.norm3.gamma", (4,)),
-         ("decoder.l0.norm3.beta", (4,)), ("decoder.l1.self.wq", (4, 4)),
-         ("decoder.l1.self.bq", (4,)), ("decoder.l1.self.wk", (4, 4)),
-         ("decoder.l1.self.wv", (4, 4)), ("decoder.l1.self.bv", (4,)),
-         ("decoder.l1.self.wo", (4, 4)), ("decoder.l1.self.bo", (4,)),
-         ("decoder.l1.cross.wq", (4, 4)), ("decoder.l1.cross.bq", (4,)),
-         ("decoder.l1.cross.wk", (4, 4)), ("decoder.l1.cross.wv", (4, 4)),
-         ("decoder.l1.cross.bv", (4,)), ("decoder.l1.cross.wo", (4, 4)),
-         ("decoder.l1.cross.bo", (4,)), ("decoder.l1.ff.w1", (4, 8)),
-         ("decoder.l1.ff.b1", (8,)), ("decoder.l1.ff.w2", (8, 4)), ("decoder.l1.ff.b2", (4,)),
-         ("decoder.l1.norm1.gamma", (4,)), ("decoder.l1.norm1.beta", (4,)),
-         ("decoder.l1.norm2.gamma", (4,)), ("decoder.l1.norm2.beta", (4,)),
-         ("decoder.l1.norm3.gamma", (4,)), ("decoder.l1.norm3.beta", (4,)), ("head.w", (4, 16)),
-         ("head.b", (16,))],
-    ),
-    "TransPPRZ": (
-        "b2e9041ee61925e20d4d93eece0797ae1aeab67f0146f5a17a4fbdb66bbd9828",
-        [("cte.bonds", (8, 4)), ("cte.actions", (2, 4)), ("decoder.sos", (4,)),
-         ("encoder.l0.attn.wq", (4, 4)), ("encoder.l0.attn.bq", (4,)),
-         ("encoder.l0.attn.wk", (4, 4)), ("encoder.l0.attn.wv", (4, 4)),
-         ("encoder.l0.attn.bv", (4,)), ("encoder.l0.attn.wo", (4, 4)),
-         ("encoder.l0.attn.bo", (4,)), ("encoder.l0.ff.w1", (4, 8)), ("encoder.l0.ff.b1", (8,)),
-         ("encoder.l0.ff.w2", (8, 4)), ("encoder.l0.ff.b2", (4,)), ("encoder.l0.gate", (4,)),
-         ("encoder.l1.attn.wq", (4, 4)), ("encoder.l1.attn.bq", (4,)),
-         ("encoder.l1.attn.wk", (4, 4)), ("encoder.l1.attn.wv", (4, 4)),
-         ("encoder.l1.attn.bv", (4,)), ("encoder.l1.attn.wo", (4, 4)),
-         ("encoder.l1.attn.bo", (4,)), ("encoder.l1.ff.w1", (4, 8)), ("encoder.l1.ff.b1", (8,)),
-         ("encoder.l1.ff.w2", (8, 4)), ("encoder.l1.ff.b2", (4,)), ("encoder.l1.gate", (4,)),
-         ("decoder.l0.self.wq", (4, 4)), ("decoder.l0.self.bq", (4,)),
-         ("decoder.l0.self.wk", (4, 4)), ("decoder.l0.self.wv", (4, 4)),
-         ("decoder.l0.self.bv", (4,)), ("decoder.l0.self.wo", (4, 4)),
-         ("decoder.l0.self.bo", (4,)), ("decoder.l0.cross.wq", (4, 4)),
-         ("decoder.l0.cross.bq", (4,)), ("decoder.l0.cross.wk", (4, 4)),
-         ("decoder.l0.cross.wv", (4, 4)), ("decoder.l0.cross.bv", (4,)),
-         ("decoder.l0.cross.wo", (4, 4)), ("decoder.l0.cross.bo", (4,)),
-         ("decoder.l0.ff.w1", (4, 8)), ("decoder.l0.ff.b1", (8,)), ("decoder.l0.ff.w2", (8, 4)),
-         ("decoder.l0.ff.b2", (4,)), ("decoder.l0.gate", (4,)), ("decoder.l1.self.wq", (4, 4)),
-         ("decoder.l1.self.bq", (4,)), ("decoder.l1.self.wk", (4, 4)),
-         ("decoder.l1.self.wv", (4, 4)), ("decoder.l1.self.bv", (4,)),
-         ("decoder.l1.self.wo", (4, 4)), ("decoder.l1.self.bo", (4,)),
-         ("decoder.l1.cross.wq", (4, 4)), ("decoder.l1.cross.bq", (4,)),
-         ("decoder.l1.cross.wk", (4, 4)), ("decoder.l1.cross.wv", (4, 4)),
-         ("decoder.l1.cross.bv", (4,)), ("decoder.l1.cross.wo", (4, 4)),
-         ("decoder.l1.cross.bo", (4,)), ("decoder.l1.ff.w1", (4, 8)),
-         ("decoder.l1.ff.b1", (8,)), ("decoder.l1.ff.w2", (8, 4)), ("decoder.l1.ff.b2", (4,)),
-         ("decoder.l1.gate", (4,)), ("head.w", (4, 16)), ("head.b", (16,))],
-    ),
+# SHA-256 of the initial flat.tobytes() per (kind, n_layers) at toy_config,
+# recorded with numpy 2.4.6
+DIGESTS = {
+    ("FCSum", 1): "8b20e9662a2949d20a812e13eb4ed6b6b636263940d29b6a4487badbca891b03",
+    ("FCConcat", 1): "99084896279c2e1bfd38ac29591e2a3fe8ef5d23788798a9c86e83cb55b4901b",
+    ("LSTM", 1): "bd575461b7ed7c988991d3f3e3e15fe8e827119b9fd309c4f4c2438871d7c219",
+    ("BiLSTM", 1): "7f42f4731a1b7601644e5ad4e3a2d848fb661a8ebe39bb4fd5cf8058e9be2d9b",
+    ("TransFV", 1): "348f7bf7abb4695ec0ff4c45489f9e669755af6aa22340470e2847aeb4db245f",
+    ("TransCTE", 1): "bfdf119a4b8a0badf05060c6f5b4660a433fac134f9604b4f172cf66052af3ee",
+    ("TransRE", 1): "2c7a07dba32ec34289857d18b1e6f2ecc2b9c511cffd861eea2e3692360e9973",
+    ("TransPPRZ", 1): "db6879ea9461338c564c51e75170c90dff03eee6cd999c32d3a6d3aecb1f4c7b",
+    ("TransFV", 2): "144a4f8cd89b1445d9253f229e83506a9e83e1c49cd9dbda11272271fad9d467",
+    ("TransCTE", 2): "00469b81429d60f7925a00e38dac9e0242488015809e6492ba50da1f25557589",
+    ("TransRE", 2): "f5b0947fecaf58e1b7e11bf5b3ae802ba0c9e4997346fe76a42dd355e63ce357",
+    ("TransPPRZ", 2): "b2e9041ee61925e20d4d93eece0797ae1aeab67f0146f5a17a4fbdb66bbd9828",
 }
 
 
 class TestParameterLayout:
     """A checkpoint stores ``flat`` in ``names()`` order and nothing else, so
-    the names, shapes, order and initial draws are pinned per kind."""
+    the names, shapes, order and initial draws are pinned per kind: among
+    them each gate's shape and zero start."""
 
     @pytest.mark.parametrize("kind, n_layers", [
         *(pytest.param(kind, 1, id=kind) for kind in MODEL_KINDS),
-        *(pytest.param(kind, 2, id=f"{kind}-n_layers=2") for kind in TWO_LAYER_LAYOUTS)])
+        *(pytest.param(kind, 2, id=f"{kind}-n_layers=2") for kind in TRANSFORMER_KINDS)])
     def test_names_shapes_and_initial_values_are_pinned(self, kind, n_layers):
         params = build_model(toy_config(kind, n_layers=n_layers)).params
-        digest, layout = (LAYOUTS if n_layers == 1 else TWO_LAYER_LAYOUTS)[kind]
+        layout = LAYOUTS[kind] if kind in LAYOUTS else transformer_layout(kind, n_layers)
         assert [(name, params[name].shape) for name in params.names()] == layout
-        assert hashlib.sha256(params.flat.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(params.flat.tobytes()).hexdigest() == DIGESTS[kind, n_layers]
+        # another seed draws other values of the same layout, the same ones each time
+        a, b = (build_model(toy_config(kind, n_layers=n_layers, seed=42)).params for _ in "ab")
+        assert [(name, a[name].shape) for name in a.names()] == layout
+        assert a.flat.tobytes() == b.flat.tobytes() != params.flat.tobytes()
 
     def test_every_kind_is_pinned(self):
-        assert list(LAYOUTS) == list(MODEL_KINDS)
+        assert list(LAYOUTS) + list(TRANSFORMER_KINDS) == list(MODEL_KINDS)
+        assert {kind for kind, _ in DIGESTS} == set(MODEL_KINDS)
 
 
 def test_readme_model_zoo_lists_every_kind_in_order():
