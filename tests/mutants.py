@@ -210,7 +210,7 @@ MUTANTS = [
     # the models against their reference walks and pinned layouts
     Mutant("the decoder attends to its newest key only", "models.py",
            "cache[2] = np.concatenate([cache[2], kh], axis=-1)", "cache[2] = kh",
-           (M + "TestTransformer::test_predict_matches_full_prefix_decoding[TransFV]",
+           (M + "TestTransformer::test_predict_matches_full_prefix_decoding[TransFV-windows]",
             B + "TestBatchedModels::test_predict_matches_per_window_predict[TransPPRZ]")),
     Mutant("cosine channels as sine", "models.py",
            "pe[:, 1::2] = np.cos(positions * freqs)", "pe[:, 1::2] = np.sin(positions * freqs)",

@@ -371,6 +371,9 @@ class TestResidualSchemes:
         np.testing.assert_allclose(out.values, [[-1.0, 1.0]], atol=1e-5)
 
 
+SMALL = dict(vocab_size=8, t_in=3, t_out=4, d_model=4, heads=2, n_layers=2, d_ff=8)
+
+
 def full_prefix_predict(model, input_days):
     """Autoregressive inference that re-decodes the whole prefix (the start
     vector and every day fed back so far) at every step and heads every
@@ -451,17 +454,17 @@ class TestTransformer:
         assert np.array_equal(embedded[0], embedded[1])
         assert np.array_equal(embedded[0], embedded[2])
 
-    def test_output_shape_and_range(self):
-        for kind in ("TransFV", "TransCTE", "TransRE", "TransPPRZ"):
-            model = build_model(toy_config(kind))
-            x = random_day_matrix(3, 8, 10)
-            teacher = random_day_matrix(2, 8, 11)
-            out = model.forward(x, teacher=teacher)
-            assert out.values.shape == (2, 16)
-            assert (out.values >= 0.0).all() and (out.values <= 1.0).all()
-            pred = model.predict(x)
-            assert pred.shape == (2, 16)
-            assert (pred >= 0.0).all() and (pred <= 1.0).all()
+    @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
+    def test_output_shape_and_range(self, kind):
+        model = build_model(toy_config(kind))
+        x = random_day_matrix(3, 8, 10)
+        teacher = random_day_matrix(2, 8, 11)
+        out = model.forward(x, teacher=teacher)
+        assert out.values.shape == (2, 16)
+        assert (out.values >= 0.0).all() and (out.values <= 1.0).all()
+        pred = model.predict(x)
+        assert pred.shape == (2, 16)
+        assert (pred >= 0.0).all() and (pred <= 1.0).all()
 
     @pytest.mark.parametrize("teacher, error, match", [
         (None, ContractError, None),
@@ -485,52 +488,51 @@ class TestTransformer:
             out = model.forward(x, teacher=flipped).values
             assert np.array_equal(out[: t + 1], base[: t + 1])
 
-    def test_gate_gradients_flow(self):
+    @pytest.mark.parametrize("kind", ["TransRE", "TransPPRZ"])
+    def test_gate_gradients_flow(self, kind):
         # At exact zero init the decoder ignores the encoder (cross-attention
         # is gated away), so encoder gates see gradient only once the decoder
         # gates have moved; one optimizer step establishes full flow.
-        for kind in ("TransRE", "TransPPRZ"):
-            model = build_model(toy_config(kind, n_layers=2))
-            x = random_day_matrix(3, 8, 16)
-            teacher = random_day_matrix(2, 8, 17)
-            params = model.params.tensors()
+        model = build_model(toy_config(kind, n_layers=2))
+        x = random_day_matrix(3, 8, 16)
+        teacher = random_day_matrix(2, 8, 17)
+        params = model.params.tensors()
 
-            def loss_grads():
-                ad.reset_tape()
-                loss = ad.mse_loss(model.forward(x, teacher=teacher),
-                                   Tensor(teacher.astype(float)))
-                assert loss.item() > 0
-                return dict(zip(model.params.names(), ad.backward(loss, params)))
+        def loss_grads():
+            ad.reset_tape()
+            loss = ad.mse_loss(model.forward(x, teacher=teacher),
+                               Tensor(teacher.astype(float)))
+            assert loss.item() > 0
+            return dict(zip(model.params.names(), ad.backward(loss, params)))
 
-            grads = loss_grads()
-            decoder_gates = [n for n in model.params.names()
-                             if n.endswith(".gate") and n.startswith("decoder")]
-            assert decoder_gates
-            for name in decoder_gates:
+        grads = loss_grads()
+        decoder_gates = [n for n in model.params.names()
+                         if n.endswith(".gate") and n.startswith("decoder")]
+        assert decoder_gates
+        for name in decoder_gates:
+            assert np.abs(grads[name]).max() > 0, name
+
+        flat_grad = np.concatenate([g.reshape(-1) for g in grads.values()])
+        ad.adam_step(model.params.flat, flat_grad, ad.OptimizerState(learning_rate=0.01))
+        grads = loss_grads()
+        for name in model.params.names():
+            if name.endswith(".gate"):
                 assert np.abs(grads[name]).max() > 0, name
 
-            flat_grad = np.concatenate([g.reshape(-1) for g in grads.values()])
-            ad.adam_step(model.params.flat, flat_grad, ad.OptimizerState(learning_rate=0.01))
-            grads = loss_grads()
-            for name in model.params.names():
-                if name.endswith(".gate"):
-                    assert np.abs(grads[name]).max() > 0, name
-
-    def test_no_key_bias_and_27_tape_entries_at_c7_size(self):
+    @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
+    def test_no_key_bias_and_27_tape_entries_at_c7_size(self, kind):
         x = np.stack([random_day_matrix(5, 20, seed) for seed in range(8)])
         teacher = np.stack([random_day_matrix(5, 20, seed) for seed in range(8, 16)])
-        for kind in TRANSFORMER_KINDS:
-            model = build_model(toy_config(kind))
-            assert not [name for name in model.params.names() if name.endswith(".bk")], kind
-            config = ModelConfig(kind=kind, **C7)
-            ad.reset_tape()
-            ad.mse_loss(build_model(config).forward(x, teacher=teacher),
-                        Tensor(teacher.astype(np.float64)))
-            # per layer one entry per attention, residual and feed-forward
-            # block: 8 in the encoder, 12 in the decoder; then 2 for each
-            # input sequence (its embedding and its positioned rows), 2 for
-            # the head, the loss
-            assert ad.tape_size() == 27, kind
+        model = build_model(toy_config(kind))
+        assert not [name for name in model.params.names() if name.endswith(".bk")]
+        ad.reset_tape()
+        ad.mse_loss(build_model(ModelConfig(kind=kind, **C7)).forward(x, teacher=teacher),
+                    Tensor(teacher.astype(np.float64)))
+        # per layer one entry per attention, residual and feed-forward
+        # block: 8 in the encoder, 12 in the decoder; then 2 for each
+        # input sequence (its embedding and its positioned rows), 2 for
+        # the head, the loss
+        assert ad.tape_size() == 27
 
     @pytest.mark.parametrize("t_out", [1, 3])
     @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
@@ -562,24 +564,25 @@ class TestTransformer:
         (sos,) = ad.backward(loss(), [model.params["decoder.sos"]])
         assert np.abs(sos).max() > 0
 
+    # (sizes, the leading axes of x)
+    @pytest.mark.parametrize("sizes, lead", [
+        (SMALL, ()), (SMALL, (3,)), (SMALL, (2, 3)), (C7, (40,)), ({**SMALL, "t_out": 1}, (3,)),
+        ({**SMALL, "t_in": 2, "t_out": 6}, (3,)), ({**SMALL, "n_layers": 1}, (3,)),
+        ({**SMALL, "n_layers": 3}, (2, 3))], ids=["one_window", "windows", "grid", "c7",
+                                                  "t_out_1", "t_out_6", "1_layer", "3_layers"])
     @pytest.mark.parametrize("kind", TRANSFORMER_KINDS)
-    def test_predict_matches_full_prefix_decoding(self, kind):
-        small = dict(vocab_size=8, t_in=3, t_out=4, d_model=4, heads=2, n_layers=2, d_ff=8)
-        cases = [(small, ()), (small, (3,)), (small, (2, 3)), (C7, (40,)),
-                 ({**small, "t_out": 1}, (3,)), ({**small, "t_in": 2, "t_out": 6}, (3,)),
-                 ({**small, "n_layers": 1}, (3,)), ({**small, "n_layers": 3}, (2, 3))]
-        for sizes, lead in cases:
-            model = build_model(ModelConfig(kind=kind, seed=21, **sizes))
-            rng = np.random.default_rng(22)
-            for t in model.params.tensors():
-                t.values += rng.normal(scale=0.3, size=t.shape)  # open the zero gates
-            v, t_in = sizes["vocab_size"], sizes["t_in"]
-            x = (rng.random((*lead, t_in, 2 * v)) < 0.3).astype(np.uint8)
-            predicted, reference = model.predict(x), full_prefix_predict(model, x)
-            # day 1 runs the teacher-forced path's calls on the same shapes
-            assert np.array_equal(predicted[..., :1, :], reference[..., :1, :])
-            # a later step's one-row products may sum in another order
-            np.testing.assert_allclose(predicted, reference, rtol=0, atol=1e-12)
+    def test_predict_matches_full_prefix_decoding(self, kind, sizes, lead):
+        model = build_model(ModelConfig(kind=kind, seed=21, **sizes))
+        rng = np.random.default_rng(22)
+        for t in model.params.tensors():
+            t.values += rng.normal(scale=0.3, size=t.shape)  # open the zero gates
+        v, t_in = sizes["vocab_size"], sizes["t_in"]
+        x = (rng.random((*lead, t_in, 2 * v)) < 0.3).astype(np.uint8)
+        predicted, reference = model.predict(x), full_prefix_predict(model, x)
+        # day 1 runs the teacher-forced path's calls on the same shapes
+        assert np.array_equal(predicted[..., :1, :], reference[..., :1, :])
+        # a later step's one-row products may sum in another order
+        np.testing.assert_allclose(predicted, reference, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_layers, t_out", [(1, 1), (2, 4), (3, 5)])
     def test_predict_projects_each_row_once(self, monkeypatch, n_layers, t_out):
