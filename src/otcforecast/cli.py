@@ -69,11 +69,15 @@ RESOLVED_CONFIG_FILE = "config.resolved.ini"
 PROBE_WINDOWS = 64  # a Transformer unit's first training windows its layer statistics probe
 
 
+def _fail(code: int, message: str) -> int:
+    """Print ``message`` as a failure's one stderr line, each newline escaped; returns ``code``."""
+    print(f"otcforecast: {message}".replace("\n", "\\n"), file=sys.stderr)
+    return code
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors instead of argparse's 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise SystemExit(_fail(1, f"error: {message}"))
 
 
 def _require(path: Path, producer: str) -> Path:
@@ -286,23 +290,17 @@ def main(argv: list[str] | None = None) -> int:
         _DISPATCH[args.command](cfg, out)
         write_resolved(cfg, out / RESOLVED_CONFIG_FILE)  # last: a refused command keeps the echo
     except (ConfigurationError, ContractError, ShapeMismatchError) as exc:
-        print(f"otcforecast: config error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"config error: {exc}")
     except MissingArtifactError as exc:
-        print(f"otcforecast: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, str(exc))
     except ArtifactError as exc:
-        print(f"otcforecast: unreadable artifact {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"unreadable artifact {exc}")
     except OSError as exc:  # an artifact or output path that cannot be used
-        print(f"otcforecast: unusable path: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"unusable path: {exc}")
     except UnicodeEncodeError as exc:  # a path the file-system encoding cannot hold
-        print(f"otcforecast: unusable path {exc.object!r}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"unusable path {exc.object!r}: {exc}")
     except NumericError as exc:
-        print(f"otcforecast: numeric failure: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"numeric failure: {exc}")
     return 0
 
 

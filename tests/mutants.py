@@ -246,8 +246,20 @@ MUTANTS = [
            (C + "TestTiers::test_the_test_days_move_no_dealer[0.25]",
             C + "TestClustersFile::test_compare_uses_the_tiers_of_its_own_split[single]")),
     Mutant("a numeric failure exits 2", "cli.py",
-           "        return 3\n", "        return 2\n",
+           "return _fail(3, ", "return _fail(2, ",
            (C + "TestPipeline::test_numeric_blowup_exits_3",)),
+    Mutant("a failure line keeps its newlines", "cli.py",
+           '.replace("\\n", "\\\\n")', "",
+           (C + "TestParseConfig::test_refused_file_named_in_error[key-before-section]",
+            C + "TestParseConfig::test_refused_file_named_in_error[unclosed-header]",
+            C + "TestParseConfig::test_refused_file_named_in_error[keys-without-values]",
+            C + "TestPipeline::test_a_command_before_its_input_exits_2"
+                "[eval_before_gen_in_a_multi_line_dir]")),
+    Mutant("a usage error prints the usage line first", "cli.py",
+           "        raise SystemExit(_fail(1, ",
+           "        self.print_usage(sys.stderr)\n        raise SystemExit(_fail(1, ",
+           (C + "TestPipeline::test_console_script_is_the_cli_main[unknown_command]",
+            C + "TestPipeline::test_console_script_is_the_cli_main[no_command]")),
     Mutant("a failed train keeps the unit's stale checkpoint", "cli.py",
            "        _checkpoint_path(out, tag).unlink(missing_ok=True)\n", "",
            (C + "TestPipeline::test_train_with_a_non_finite_layer_statistic_exits_3[retrained]",)),

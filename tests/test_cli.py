@@ -212,13 +212,21 @@ class TestParseConfig:
         ("[windows]\nt_in = 5\n", "windows"),
         ("[model]\nkind = TransRE\nd_model = 6\nheads = 4\n", "divisible"),
         ("[DEFAULT]\nseed = 1\n", "DEFAULT"),
+        # configparser's messages for these three span lines; the CLI prints them on one
         ("t_in = 5\n", "malformed"),  # a key before any section header
+        ("[window\n", "malformed"),
+        ("[window]\nt_in\nstride\n", "malformed"),
         ("[window]\nt_in = 5\nt_in = 6\n", "malformed"),
     ], ids=["t_inn", "patience", "patience_empty", "unknown-section", "heads-divisibility",
-            "default-section", "key-before-section", "duplicate-key"])
-    def test_refused_file_named_in_error(self, tmp_path, text, message):
+            "default-section", "key-before-section", "unclosed-header", "keys-without-values",
+            "duplicate-key"])
+    def test_refused_file_named_in_error(self, tmp_path, monkeypatch, capsys, text, message):
+        path = ini(tmp_path, text)
         with pytest.raises(ConfigurationError, match=message):
-            parse_config(ini(tmp_path, text))
+            parse_config(path)
+        monkeypatch.chdir(tmp_path)  # where the default output_dir would go
+        refused(capsys, 1, "gen", path, "otcforecast: config error:", message)
+        assert sorted(os.listdir(tmp_path)) == ["c.ini"]
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -393,7 +401,7 @@ class TestPipeline:
         assert days == 249 and vocab_size <= cfg.bonds
         assert len(histories) == cfg.periodic_dealers + cfg.sparse_dealers + cfg.dense_dealers
 
-    def test_readme_cli_table_names_what_each_command_writes(self, tmp_path):
+    def test_readme_cli_table_names_what_each_command_writes(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         table = {command: re.findall(r"`([^`]+)`", writes) for command, writes in
                  re.findall(r"^\| `(\w+)`\s*\|[^|]*\|([^|]*)\|$", readme, re.MULTILINE)}
@@ -408,6 +416,14 @@ class TestPipeline:
             listed = {name for glob in globs for name in fnmatch.filter(written, glob)}
             assert written == {"config.resolved.ini", *listed}, command
             assert all(fnmatch.filter(written, glob) for glob in globs), command
+        # in the directory the five commands filled, a command refused at parse touches nothing
+        bad = tmp_path / "patience.ini"
+        bad.write_text(cfg_path.read_text().replace("[train]\n", "[train]\npatience = 2\n"))
+        for path in out.glob("*"):
+            os.utime(path, ns=(0, 0))
+        before = dict.fromkeys(os.listdir(out), 0)
+        refused(capsys, 1, "train", bad, "unknown key 'patience' in section [train]")
+        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("exc", [OSError, KeyboardInterrupt])
     def test_compare_cut_in_write_dealers_keeps_the_earlier_table(self, tmp_path, monkeypatch,
@@ -421,13 +437,20 @@ class TestPipeline:
             else:
                 refused(capsys, 2, "compare", cfg_path, "unusable path: interrupted mid-write")
 
-    @pytest.mark.parametrize("before, command, missing", [
-        ((), "cluster", "histories.bin"), (("gen", "cluster"), "eval", "checkpoint_single.ckpt"),
-    ], ids=["cluster_before_gen", "eval_before_train"])
-    def test_a_command_before_its_input_exits_2(self, tmp_path, capsys, before, command, missing):
-        cfg_path, out = write_config(tmp_path)
+    @pytest.mark.parametrize("before, command, missing, out", [
+        ((), "cluster", "histories.bin", "artifacts"),
+        (("gen", "cluster"), "eval", "checkpoint_single.ckpt", "artifacts"),
+        # an indented continuation line makes a multi-line output_dir, named with its
+        # newline escaped
+        ((), "eval", "histories.bin", "a\n  b"),
+    ], ids=["cluster_before_gen", "eval_before_train", "eval_before_gen_in_a_multi_line_dir"])
+    def test_a_command_before_its_input_exits_2(self, tmp_path, capsys, before, command, missing,
+                                                out):
+        cfg_path, _ = write_config(tmp_path, out=tmp_path / out)
         run(cfg_path, *before)
-        refused(capsys, 2, command, cfg_path, "missing artifact", str(out / missing))
+        missing = Path(parse_config(cfg_path).output_dir, missing)
+        refused(capsys, 2, command, cfg_path, "missing artifact",
+                str(missing).replace("\n", "\\n"))
 
     def test_gen_determinism_bytewise(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
@@ -511,15 +534,22 @@ class TestPipeline:
                 f"a NUL character, got {out!r}")
         assert list(tmp_path.iterdir()) == [cfg_path]
 
-    def test_console_script_is_the_cli_main(self):
+    # a usage error exits 1 with argparse's error line alone, without its usage line
+    @pytest.mark.parametrize("argv, message", [
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown_command", "no_command"])
+    def test_console_script_is_the_cli_main(self, capsys, argv, message):
         with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["otcforecast"]
         module, attr = target.split(":")
         entry = getattr(importlib.import_module(module), attr)
         assert entry is cli.main
         with pytest.raises(SystemExit) as exc:
-            entry(["frobnicate"])
+            entry(argv)
         assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"otcforecast: error: {message}") and err.count("\n") == 1, err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_exits_3(self, tmp_path, capsys):
@@ -716,6 +746,8 @@ class TestPipeline:
                 ([parse_config(cfg_path).kind], "report_dealers.csv", "report.csv"),
                 (MODEL_KINDS, "compare_dealers.csv", "compare_report.csv")):
             dealers = read(dealer_file)
+            assert list(dealers[0]) == ["model", "dealer", "tier", *counts,
+                                        "precision", "recall", "f1"], dealer_file
             # every dealer once per model, in ascending id, with its derived tier
             assert [(row["model"], row["dealer"], row["tier"]) for row in dealers] == [
                 (kind, dealer, str(labels[dealer])) for kind in kinds for dealer in sorted(labels)]
@@ -1216,9 +1248,15 @@ class TestCheckpointConfig:
         assert market.load_histories(out / "histories.bin")[2] == 6
         current = trained_on(parse_config(cfg_path), out)["histories_sha256"]
         assert current != trained
+        echo, listing = (out / "config.resolved.ini").read_bytes(), sorted(os.listdir(out))
+        # under another eval_mode too, which no checkpoint pins, so that an echo written
+        # before the command ran would not be the one gen wrote
+        cfg_path, _ = write_config(tmp_path, dense_rate=3.0, periodic_max_bonds=2,
+                                   eval_mode="union")
         refused(capsys, 2, "eval", cfg_path, "unreadable artifact",
                 f"{path}: histories_sha256 = '{trained}', expected '{current}'")
-        assert not (out / "report.csv").exists()
+        assert sorted(os.listdir(out)) == listing
+        assert (out / "config.resolved.ini").read_bytes() == echo
         # clusters.csv names the digest the checkpoint pins
         first = (out / "clusters.csv").read_text(encoding="utf-8").splitlines()[0]
         manifest = json.loads(path.read_bytes().split(b"\n", 1)[0])
