@@ -70,8 +70,9 @@ PROBE_WINDOWS = 64  # a Transformer unit's first training windows its layer stat
 
 
 def _fail(code: int, message: str) -> int:
-    """Print ``message`` as a failure's one stderr line, each newline escaped; returns ``code``."""
-    print(f"otcforecast: {message}".replace("\n", "\\n"), file=sys.stderr)
+    """Print ``message`` as a failure's one stderr line, each backslash doubled and then each
+    newline escaped, so that no two messages print alike; returns ``code``."""
+    print(f"otcforecast: {message}".replace("\\", "\\\\").replace("\n", "\\n"), file=sys.stderr)
     return code
 
 

@@ -5,8 +5,9 @@ import contextlib
 import io
 import math
 import re
+import struct
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,6 +74,127 @@ def tiny_config(**settings) -> str:
         text, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
         text += "" if found else f"{key} = {value}\n"
     return text
+
+
+class Setting(NamedTuple):
+    """One run setting's row: a non-default raw value that parse_config takes and
+    one that it refuses; for a [market] count, the least value both parse_config
+    and MarketSpec take; and any more typed values its spec must refuse."""
+
+    valid: str
+    invalid: str
+    floor: int | None = None
+    refused: tuple = ()
+
+
+# one row per RunConfig field.  For a setting a spec takes, the spec must refuse
+# the floor less one where there is a floor, else the invalid value parsed, and
+# each of ``refused``
+SETTING_VALUES = {
+    "days": Setting("30", "0", 1),
+    "bonds": Setting("7", "-1", 0),
+    "periodic_dealers": Setting("3", "-1", 0),
+    "sparse_dealers": Setting("0", "2.5", 0),
+    "dense_dealers": Setting("1", "x", 0),
+    "periodic_min_period": Setting("3", "0", 1),
+    "periodic_max_period": Setting("9", "0", 1),
+    "periodic_min_bonds": Setting("1", "-1", 0),
+    "periodic_max_bonds": Setting("8", "", 0),
+    "periodic_buy_prob": Setting("0.25", "1.5"),
+    "sparse_rate": Setting("0.0", "-0.1"),
+    "dense_rate": Setting("2.5", "-1"),
+    "dense_min_bonds": Setting("10", "-1", 0),
+    "dense_max_bonds": Setting("200", "-1", 0),
+    "cancellation_rate": Setting("1.0", "2"),
+    "top_dealers": Setting("12", "0"),
+    "top_bonds": Setting("9", "0"),
+    "drop_top_bonds": Setting("yes", "maybe"),
+    "t_in": Setting("7", "0"),
+    "t_out": Setting("2", "0"),
+    "stride": Setting("3", "0"),
+    "train_fraction": Setting("0.75", "1.0"),
+    "kind": Setting("LSTM", "MLP"),
+    "d_model": Setting("32", "0"),
+    "heads": Setting("8", "0"),
+    "n_layers": Setting("1", "0"),
+    "d_ff": Setting("16", "0"),
+    "hidden": Setting("16", "0"),
+    "epochs": Setting("0", "-1"),
+    "batch_size": Setting("4", "0"),
+    "learning_rate": Setting("0.5", "0", refused=(-0.01,)),
+    "threshold": Setting("0.3", "1"),
+    "seed": Setting("-7", "1.5"),
+    "granularity": Setting("cluster", "global"),
+    "output_dir": Setting("runs/other", "out\0x"),
+    "eval_mode": Setting("union", "max"),
+}
+
+
+def packed_histories(*ids, days=3, vocab_size=2, magic=b"OTCF", version=1) -> bytes:
+    """A histories.bin packed by hand, past the checks of ``save_histories``: the
+    header, the dealer count, then per raw id its length prefix, the id and an
+    all-zero days x 2V bitmap."""
+    bitmap = bytes((days * 2 * vocab_size + 7) // 8)
+    return (struct.pack("<4sIIII", magic, version, days, vocab_size, len(ids))
+            + b"".join(struct.pack("<H", len(ident)) + ident + bitmap for ident in ids))
+
+
+_ONE_DEALER = packed_histories(b"D0")  # 26 bytes: header, count, id length, id, bitmap
+
+# each histories.bin that load_histories refuses, with the words of the
+# ArtifactError that follow its path; `cluster`, `train`, `eval` and `compare`
+# each exit 2 with them
+HISTORIES_DEFECTS = {
+    "empty-id": (packed_histories(b"D0", b""), "dealer 1 has an empty id"),
+    "non-utf8-id": (packed_histories(b"D0", b"D\xff"), "dealer 1 id is not UTF-8"),
+    # at individual granularity the two dealers' windows would merge into one unit
+    "repeated-id": (packed_histories(b"D0", b"D0"), "dealer 1 repeats the id 'D0' of dealer 0"),
+    "no-dealer": (packed_histories(), "0 dealers, 3 days and 2 bonds"),
+    "no-day": (packed_histories(b"D0", days=0), "1 dealers, 0 days and 2 bonds"),
+    "no-bond": (packed_histories(b"D0", vocab_size=0), "1 dealers, 3 days and 0 bonds"),
+    **{f"cut-{cut}": (_ONE_DEALER[:cut], f"truncated at byte {cut} while reading {what}")
+       for cut, what in ((0, "the header"), (15, "the header"), (19, "the dealer count"),
+                         (21, "the id length of dealer 0"), (23, "the id of dealer 0"),
+                         (25, "the bitmap of dealer D0"))},
+    "trailing-byte": (_ONE_DEALER + b"\0", "1 trailing bytes after 1 dealers"),
+    "bad-magic": (packed_histories(b"D0", magic=b"XXXX"), "bad magic b'XXXX'"),
+    "bad-version": (packed_histories(b"D0", version=9), "unsupported version 9"),
+}
+
+
+def payload_edit(edit):
+    """A checkpoint edit: the file's bytes with its float64 payload as ``edit`` leaves it."""
+    def rewrite(blob):
+        header, payload = blob.split(b"\n", 1)
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        edit(values)
+        return header + b"\n" + values.tobytes()
+    return rewrite
+
+
+# each checkpoint that check_checkpoint refuses, as an edit of a valid file's
+# bytes, with the words of the ArtifactError that follow its path; `eval` exits 2
+# with them
+CHECKPOINT_DEFECTS = {
+    "cut-0": (lambda blob: b"", "truncated manifest line"),
+    "cut-7": (lambda blob: blob[:7], "truncated manifest line"),
+    "cut-half": (lambda blob: blob[:len(blob) // 2], "truncated payload"),
+    "cut-last": (lambda blob: blob[:-1], "truncated payload"),
+    "nan-everywhere": (payload_edit(lambda values: values.fill(np.nan)),
+                       "non-finite parameter value"),
+    "one-inf": (payload_edit(lambda values: values.__setitem__(7, np.inf)),
+                "non-finite parameter value"),
+    "trailing-value": (lambda blob: blob + np.float64(1.5).tobytes(), "8 trailing payload bytes"),
+    "trailing-byte": (lambda blob: blob + b"\0", "1 trailing payload bytes"),
+    "unclosed-manifest": (lambda blob: b"{" + blob,
+                          "malformed manifest (Expecting property name enclosed in double quotes"),
+    "non-utf8-manifest": (lambda blob: b"\xff" + blob,
+                          "malformed manifest ('utf-8' codec can't decode byte 0xff"),
+    "list-manifest": (lambda blob: b"[3]\n" + blob.split(b"\n", 1)[1],
+                      "malformed manifest (a JSON list, not an object)"),
+    "no-magic": (lambda blob: b'{"entries":3}\n' + blob.split(b"\n", 1)[1],
+                 "magic = None, expected 'otcforecast-checkpoint'"),
+}
 
 
 C7 = dict(vocab_size=20, t_in=5, t_out=5, d_model=32, heads=4, n_layers=2, d_ff=64)  # criterion 7

@@ -54,6 +54,11 @@ LAYOUT = M + "TestParameterLayout::test_names_shapes_and_initial_values_are_pinn
 MANIFEST = M + "TestCheckpoints::"
 STEP_LOOP = A + "TestFusedLstm::test_output_and_gradients_match_the_step_loop_bit_for_bit"
 ROUND_TRIP = C + "TestParseConfig::test_every_setting_round_trips_and_names_its_constraint"
+SPEC = C + "TestSpecsFromConfig::test_spec_refuses_what_the_config_refuses"
+HISTORIES = (K + "TestFileFormats::test_a_defective_histories_file_rejected",
+             C + "TestPipeline::test_a_defective_histories_file_exits_2")
+CHECKPOINTS = (M + "TestCheckpoints::test_a_defective_checkpoint_rejected",
+               C + "TestCheckpointConfig::test_a_defective_checkpoint_exits_2")
 
 MUTANTS = [
     # the oracle families: finite differences and the kept reference composites
@@ -178,7 +183,7 @@ MUTANTS = [
            (K + "TestHistories::test_each_trade_sets_its_cell[buy]",)),
     Mutant("trailing histories bytes accepted", "market.py",
            "if at != len(blob):", "if at > len(blob):",
-           (K + "TestFileFormats::test_histories_trailing_bytes_and_bad_header_rejected",)),
+           tuple(f"{test}[trailing-byte]" for test in HISTORIES)),
     # the split
     Mutant("split_boundary one day late", "market.py",
            "return int(math.floor(train_fraction * days))",
@@ -195,8 +200,7 @@ MUTANTS = [
     Mutant("epochs unchecked", "config.py",
            'epochs: int = _setting("train", TrainSpec.epochs, _AT_LEAST_0)',
            'epochs: int = _setting("train", TrainSpec.epochs, ("an integer >= 0", None))',
-           (f"{ROUND_TRIP}[epochs]",
-            f"{TRAIN}test_spec_refuses_what_the_config_refuses[epochs--1]")),
+           (f"{ROUND_TRIP}[epochs]", f"{SPEC}[epochs]")),
     # the checkpoint refusals
     Mutant("trained_on drops the stride", "cli.py",
            '                  "stride": cfg.stride,\n', "",
@@ -206,7 +210,7 @@ MUTANTS = [
            (f"{MANIFEST}test_bad_magic_version_or_config_rejected[edit5]",)),
     Mutant("a trailing payload accepted", "models.py",
            "if payload_bytes > expected:", "if payload_bytes > expected + 8:",
-           (f"{MANIFEST}test_malformed_manifest_and_trailing_bytes_rejected",)),
+           tuple(f"{test}[trailing-byte]" for test in CHECKPOINTS)),
     # the models against their reference walks and pinned layouts
     Mutant("the decoder attends to its newest key only", "models.py",
            "cache[2] = np.concatenate([cache[2], kh], axis=-1)", "cache[2] = kh",
@@ -307,6 +311,28 @@ MUTANTS = [
     Mutant("a repeated parameter name", "models.py",
            "if name in self.tensors:", "if False:",
            (M + "TestFlatParameters::test_duplicate_name_rejected_at_build",)),
+    # the refused settings and histories.bin files, each stated once for both layers
+    Mutant("a market of no day", "market.py",
+           '("days", 1), ("bonds", 0)', '("days", 0), ("bonds", 0)', (f"{SPEC}[days]",)),
+    Mutant("a learning rate of 0", "harness.py",
+           "if not self.learning_rate > 0:", "if not self.learning_rate >= 0:",
+           (f"{SPEC}[learning_rate]",)),
+    Mutant("model sizes of 0", "models.py",
+           "if getattr(self, name) < 1:", "if getattr(self, name) < 0:",
+           (f"{SPEC}[t_in]", f"{SPEC}[d_model]", f"{SPEC}[hidden]")),
+    Mutant("an empty dealer id read", "market.py",
+           "if not dealer_id:", "if False:", tuple(f"{test}[empty-id]" for test in HISTORIES)),
+    Mutant("a repeated dealer id read", "market.py",
+           "if dealer_id in first_index:", "if False:",
+           tuple(f"{test}[repeated-id]" for test in HISTORIES)),
+    Mutant("histories of no dealer, day or bond read", "market.py",
+           "if min(count, days, vocab_size) < 1:", "if min(count, days, vocab_size) < 0:",
+           (*(f"{test}[no-dealer]" for test in HISTORIES), f"{HISTORIES[0]}[no-day]",
+            f"{HISTORIES[0]}[no-bond]")),
+    Mutant("a failure line keeps its backslashes", "cli.py",
+           '.replace("\\\\", "\\\\\\\\")', "",
+           (C + "TestPipeline::test_a_command_before_its_input_exits_2"
+                "[eval_before_gen_in_a_dir_with_a_backslash]",)),
     Mutant("a missing artifact read anyway", "cli.py",
            "    if not path.exists():\n        raise MissingArtifactError(",
            "    if False:\n        raise MissingArtifactError(",

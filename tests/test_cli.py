@@ -10,7 +10,6 @@ import io
 import json
 import os
 import re
-import struct
 import subprocess
 import sys
 import tomllib
@@ -46,7 +45,8 @@ from otcforecast.models import (CHECKPOINT_VERSION, MODEL_KINDS, ModelConfig, bu
                                 check_checkpoint, save_checkpoint)
 from otcforecast.seeding import derive_seed
 
-from helpers import interrupted_writes, tiny_config
+from helpers import (CHECKPOINT_DEFECTS, HISTORIES_DEFECTS, SETTING_VALUES, interrupted_writes,
+                     payload_edit, tiny_config)
 
 
 def ascii_locale_runner():
@@ -105,7 +105,7 @@ def non_default_ini(tmp_path, *left):
     for key in fields(RunConfig):
         if key.name not in left:
             sections.setdefault(key.metadata["section"], []).append(
-                f"{key.name} = {SETTING_VALUES[key.name][0]}")
+                f"{key.name} = {SETTING_VALUES[key.name].valid}")
     return ini(tmp_path, "".join(f"[{name}]\n" + "\n".join(lines) + "\n"
                                  for name, lines in sections.items()))
 
@@ -127,54 +127,6 @@ def refused(capsys, code, command, cfg_path, *phrases):
     for phrase in phrases:
         assert phrase in err, (phrase, err)
     return err.removesuffix("\n")
-
-
-# a non-default valid and an invalid raw value per RunConfig field
-SETTING_VALUES = {
-    "days": ("30", "0"),
-    "bonds": ("7", "-1"),
-    "periodic_dealers": ("3", "-1"),
-    "sparse_dealers": ("0", "2.5"),
-    "dense_dealers": ("1", "x"),
-    "periodic_min_period": ("3", "0"),
-    "periodic_max_period": ("9", "0"),
-    "periodic_min_bonds": ("1", "-1"),
-    "periodic_max_bonds": ("8", ""),
-    "periodic_buy_prob": ("0.25", "1.5"),
-    "sparse_rate": ("0.0", "-0.1"),
-    "dense_rate": ("2.5", "-1"),
-    "dense_min_bonds": ("10", "-1"),
-    "dense_max_bonds": ("200", "-1"),
-    "cancellation_rate": ("1.0", "2"),
-    "top_dealers": ("12", "0"),
-    "top_bonds": ("9", "0"),
-    "drop_top_bonds": ("yes", "maybe"),
-    "t_in": ("7", "0"),
-    "t_out": ("2", "0"),
-    "stride": ("3", "0"),
-    "train_fraction": ("0.75", "1.0"),
-    "kind": ("LSTM", "MLP"),
-    "d_model": ("32", "0"),
-    "heads": ("8", "0"),
-    "n_layers": ("1", "0"),
-    "d_ff": ("16", "0"),
-    "hidden": ("16", "0"),
-    "epochs": ("0", "-1"),
-    "batch_size": ("4", "0"),
-    "learning_rate": ("0.5", "0"),
-    "threshold": ("0.3", "1"),
-    "seed": ("-7", "1.5"),
-    "granularity": ("cluster", "global"),
-    "output_dir": ("runs/other", "out\0x"),
-    "eval_mode": ("union", "max"),
-}
-
-# the least value MarketSpec takes for each [market] count key
-MARKET_COUNT_FLOORS = {
-    "days": 1, "bonds": 0, "periodic_dealers": 0, "sparse_dealers": 0, "dense_dealers": 0,
-    "periodic_min_period": 1, "periodic_max_period": 1, "periodic_min_bonds": 0,
-    "periodic_max_bonds": 0, "dense_min_bonds": 0, "dense_max_bonds": 0,
-}
 
 
 class TestParseConfig:
@@ -279,7 +231,7 @@ class TestParseConfig:
     def test_every_setting_round_trips_and_names_its_constraint(self, tmp_path, key):
         section, constraint = key.metadata.get("section"), key.metadata.get("constraint")
         assert section and constraint and key.type in PARSERS
-        valid, invalid = SETTING_VALUES[key.name]
+        valid, invalid = SETTING_VALUES[key.name][:2]
         cfg = parse_config(path := ini(tmp_path, f"[{section}]\n{key.name} = {valid}\n"))
         assert getattr(cfg, key.name) != key.default
         write_resolved(cfg, tmp_path / "resolved.ini")
@@ -288,33 +240,6 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError) as err:
             parse_config(path)
         assert str(err.value) == f"[{section}] {key.name} must be {constraint}, got {invalid!r}"
-
-    @pytest.mark.parametrize("key, floor", MARKET_COUNT_FLOORS.items())
-    def test_market_counts_take_the_spec_floor(self, tmp_path, key, floor):
-        assert MARKET_COUNT_FLOORS.keys() == {k.name for k in fields(RunConfig)
-                                              if k.metadata["section"] == "market"
-                                              and k.type == "int"}
-        path = tmp_path / "c.ini"
-        for value in (floor, floor - 1):
-            values = {key: value}
-            for end, other in (("_min_", "_max_"), ("_max_", "_min_")):
-                if end in key:  # the range's other end at the floor: only this key decides
-                    values[key.replace(end, other)] = floor
-            try:
-                RunConfig(**values).market_spec()
-            except ContractError:
-                spec_accepts = False
-            else:
-                spec_accepts = True
-            assert spec_accepts == (value == floor)
-            path.write_text("[market]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
-            if spec_accepts:
-                assert getattr(parse_config(path), key) == value
-            else:
-                with pytest.raises(ConfigurationError) as err:
-                    parse_config(path)
-                assert str(err.value) == (f"[market] {key} must be an integer >= {floor}, "
-                                          f"got '{value}'")
 
     def test_readme_configuration_block_is_the_defaults(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -348,6 +273,27 @@ EXPLICIT_SPEC_FIELDS = {
 }
 
 
+def spec_field(name):
+    """The spec field that the setting ``name`` sets: a range end sets its range."""
+    return re.sub(r"_(?:min|max)_(\w+)$", r"_\1_range", name)
+
+
+# every setting a spec takes but the seed, from which RunConfig derives each spec's own
+SPEC_SETTINGS = [key for key in fields(RunConfig) if key.name != "seed" and spec_field(key.name)
+                 in {f.name for spec in EXPLICIT_SPEC_FIELDS for f in fields(spec)}]
+
+
+def spec_errors(cfg):
+    """The message of each spec that RunConfig builds from ``cfg`` and that refuses it."""
+    errors = []
+    for build in (RunConfig.market_spec, lambda cfg: cfg.model_config(1), RunConfig.train_spec):
+        try:
+            build(cfg)
+        except (ContractError, ConfigurationError) as exc:
+            errors.append(str(exc))
+    return errors
+
+
 class TestSpecsFromConfig:
     def test_every_spec_field_is_a_setting_or_explicit(self):
         settings = {key.name for key in fields(RunConfig)}
@@ -371,6 +317,31 @@ class TestSpecsFromConfig:
         assert cfg.model_config(11, "TransRE").kind == "TransRE"
         for cls, stream in ((MarketSpec, "market"), (ModelConfig, "model"), (TrainSpec, "train")):
             assert specs[cls].seed == derive_seed(cfg.seed, stream), stream
+
+    @pytest.mark.parametrize("key", SPEC_SETTINGS, ids=lambda key: key.name)
+    def test_spec_refuses_what_the_config_refuses(self, tmp_path, key):
+        """parse_config and the spec refuse each typed value that the setting's row
+        names, and both take a [market] count's floor."""
+        name, section, row = key.name, key.metadata["section"], SETTING_VALUES[key.name]
+        assert (row.floor is not None) == (section == "market" and key.type == "int")
+        refused = [PARSERS[key.type](row.invalid) if row.floor is None else row.floor - 1,
+                   *row.refused]
+        for value in [*([] if row.floor is None else [row.floor]), *refused]:
+            values = {name: value}
+            for end, other in (("_min_", "_max_"), ("_max_", "_min_")):
+                if end in name:  # the range's other end at the floor: only this key decides
+                    values[name.replace(end, other)] = row.floor
+            path = ini(tmp_path, f"[{section}]\n" + "".join(f"{k} = {v}\n"
+                                                             for k, v in values.items()))
+            errors = spec_errors(RunConfig(**values))
+            if value == row.floor:
+                assert getattr(parse_config(path), name) == value and errors == []
+                continue
+            with pytest.raises(ConfigurationError) as err:
+                parse_config(path)
+            assert str(err.value) == (f"[{section}] {name} must be "
+                                      f"{key.metadata['constraint']}, got {str(value)!r}")
+            assert len(errors) == 1 and spec_field(name) in errors[0], errors
 
 
 class TestPipeline:
@@ -437,20 +408,26 @@ class TestPipeline:
             else:
                 refused(capsys, 2, "compare", cfg_path, "unusable path: interrupted mid-write")
 
-    @pytest.mark.parametrize("before, command, missing, out", [
-        ((), "cluster", "histories.bin", "artifacts"),
-        (("gen", "cluster"), "eval", "checkpoint_single.ckpt", "artifacts"),
+    @pytest.mark.parametrize("before, command, missing, outs", [
+        ((), "cluster", "histories.bin", ["artifacts"]),
+        (("gen", "cluster"), "eval", "checkpoint_single.ckpt", ["artifacts"]),
         # an indented continuation line makes a multi-line output_dir, named with its
         # newline escaped
-        ((), "eval", "histories.bin", "a\n  b"),
-    ], ids=["cluster_before_gen", "eval_before_train", "eval_before_gen_in_a_multi_line_dir"])
+        ((), "eval", "histories.bin", ["a\n  b"]),
+        # ... and a backslash then an n, named with its backslash doubled: the two differ
+        ((), "eval", "histories.bin", ["o/a\n  b", "o/a\\nb"]),
+    ], ids=["cluster_before_gen", "eval_before_train", "eval_before_gen_in_a_multi_line_dir",
+            "eval_before_gen_in_a_dir_with_a_backslash"])
     def test_a_command_before_its_input_exits_2(self, tmp_path, capsys, before, command, missing,
-                                                out):
-        cfg_path, _ = write_config(tmp_path, out=tmp_path / out)
-        run(cfg_path, *before)
-        missing = Path(parse_config(cfg_path).output_dir, missing)
-        refused(capsys, 2, command, cfg_path, "missing artifact",
-                str(missing).replace("\n", "\\n"))
+                                                outs):
+        lines = set()
+        for out in outs:
+            cfg_path, _ = write_config(tmp_path, out=tmp_path / out)
+            run(cfg_path, *before)
+            path = str(Path(parse_config(cfg_path).output_dir, missing))
+            lines.add(refused(capsys, 2, command, cfg_path, "missing artifact",
+                              path.replace("\\", "\\\\").replace("\n", "\\n")))
+        assert len(lines) == len(outs)
 
     def test_gen_determinism_bytewise(self, tmp_path):
         cfg_path, out = write_config(tmp_path)
@@ -522,16 +499,18 @@ class TestPipeline:
             out.write_text("not a directory\n")
         refused(capsys, 2, command, cfg_path, str(out / taken))
 
-    # an empty output_dir would be Path(""), the working directory
-    @pytest.mark.parametrize("out", ["out\0x", ""], ids=["nul", "empty"])
+    # an empty output_dir would be Path(""), the working directory; the failure line
+    # doubles the backslash of the NUL's repr
+    @pytest.mark.parametrize("out, shown", [("out\0x", "'out\\\\x00x'"), ("", "''")],
+                             ids=["nul", "empty"])
     def test_output_dir_with_a_nul_exits_1_before_writing(self, tmp_path, monkeypatch, capsys,
-                                                           out):
+                                                           out, shown):
         cfg_path, _ = write_config(tmp_path, out=out)
         monkeypatch.chdir(tmp_path)
         for command in ("gen", "cluster", "train", "eval", "compare"):
             assert refused(capsys, 1, command, cfg_path) == (
                 "otcforecast: config error: [run] output_dir must be a non-empty path without "
-                f"a NUL character, got {out!r}")
+                f"a NUL character, got {shown}")
         assert list(tmp_path.iterdir()) == [cfg_path]
 
     # a usage error exits 1 with argparse's error line alone, without its usage line
@@ -637,32 +616,6 @@ class TestPipeline:
         assert (out / f"checkpoint_dealer_{encoded}.ckpt").is_file()
         assert (out / f"train_log_dealer_{encoded}.jsonl").is_file()
         assert not [p for p in out.iterdir() if p.is_dir()]
-
-    def cluster_with_last_dealer_id(self, tmp_path, capsys, ident):
-        """Run ``cluster`` on histories whose last dealer id is the raw
-        ``ident``; returns that dealer's index and the error output."""
-        cfg_path, out = write_config(tmp_path)
-        run(cfg_path, "gen")
-        path = out / "histories.bin"
-        histories, _, _, _ = market.load_histories(path)
-        # the writer refuses an empty or non-UTF-8 id, so the last dealer's
-        # length-prefixed id is replaced by hand
-        last = histories[-1].dealer_id.encode()
-        record = struct.pack("<H", len(last)) + last
-        blob = path.read_bytes()
-        assert blob.count(record) == 1
-        path.write_bytes(blob.replace(record, struct.pack("<H", len(ident)) + ident))
-        err = refused(capsys, 2, "cluster", cfg_path, "unreadable artifact")
-        assert not (out / "clusters.csv").exists()
-        return len(histories) - 1, err
-
-    @pytest.mark.parametrize("ident, message", [(b"", "has an empty id"),
-                                                (b"D\xff", "id is not UTF-8")],
-                             ids=["empty", "non_utf8"])
-    def test_a_spliced_dealer_id_exits_2_before_clustering(self, tmp_path, capsys, ident,
-                                                           message):
-        last, err = self.cluster_with_last_dealer_id(tmp_path, capsys, ident)
-        assert f"dealer {last} {message}" in err
 
     @pytest.mark.parametrize("mode", ["per_day", "union"])
     def test_report_rows_count_every_decision_cell(self, tmp_path, mode):
@@ -927,8 +880,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("edit, phrase", [
         (lambda last: last.unlink(), "missing artifact"),
-        (lambda last: last.write_bytes(last.read_bytes()[:-8] + np.float64(np.nan).tobytes()),
-         "non-finite parameter value"),
+        (lambda last: last.write_bytes(CHECKPOINT_DEFECTS["one-inf"][0](last.read_bytes())),
+         CHECKPOINT_DEFECTS["one-inf"][1]),
     ], ids=["missing", "non_finite"])
     def test_eval_with_a_bad_last_unit_checkpoint_scores_no_unit(self, tmp_path, capsys,
                                                                  monkeypatch, edit, phrase):
@@ -963,31 +916,15 @@ class TestPipeline:
         assert err.startswith("otcforecast: config error:")
         assert sorted(out.iterdir()) == artifacts
 
-    @pytest.mark.parametrize("cut", [0, 7, 0.5, -1])
-    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys, cut):
+    @pytest.mark.parametrize("blob, message", HISTORIES_DEFECTS.values(), ids=HISTORIES_DEFECTS)
+    def test_a_defective_histories_file_exits_2(self, tmp_path, capsys, blob, message):
         cfg_path, out = write_config(tmp_path)
-        run(cfg_path, "gen", "cluster", "train")
-        path = out / "checkpoint_single.ckpt"
-        truncate(path, cut)
-        refused(capsys, 2, "eval", cfg_path, "unreadable artifact", path.name)
-
-    @pytest.mark.parametrize("cut", [0, 15, 19, 0.5, -1])
-    def test_truncated_histories_exit_2(self, tmp_path, capsys, cut):
-        cfg_path, out = write_config(tmp_path)
-        run(cfg_path, "gen")
-        path = out / "histories.bin"
-        truncate(path, cut)
-        for command in ("cluster", "compare"):
-            refused(capsys, 2, command, cfg_path, "unreadable artifact", path.name)
-
-    def test_histories_without_dealers_exit_2(self, tmp_path, capsys):
-        cfg_path, out = write_config(tmp_path)
-        run(cfg_path, "gen")
-        path = out / "histories.bin"
-        # keep the header and write a dealer count of 0
-        path.write_bytes(path.read_bytes()[:16] + bytes(4))
-        for command in ("cluster", "train"):
-            refused(capsys, 2, command, cfg_path, "unreadable artifact", path.name, "0 dealers")
+        out.mkdir()
+        (path := out / "histories.bin").write_bytes(blob)
+        for command in ("cluster", "train", "eval", "compare"):
+            refused(capsys, 2, command, cfg_path,
+                    f"otcforecast: unreadable artifact {path}: {message}")
+        assert os.listdir(out) == ["histories.bin"]
 
     def test_compare_checks_every_model_config_before_training(self, tmp_path, capsys,
                                                                monkeypatch):
@@ -1286,35 +1223,24 @@ class TestCheckpointConfig:
         refused(capsys, 2, "eval", cfg_path, "unreadable artifact",
                 f"vocab_size = 20000, expected {vocab_size}")
 
-    def trained_with_payload(self, tmp_path, kind, edit):
-        """Train ``kind``, then rewrite its checkpoint's payload as ``edit``
-        leaves the parameter vector; returns the config and checkpoint paths."""
-        cfg_path, out = write_config(tmp_path, kind=kind)
-        run(cfg_path, "gen", "cluster", "train")
+    @pytest.mark.parametrize("edit, message", CHECKPOINT_DEFECTS.values(), ids=CHECKPOINT_DEFECTS)
+    def test_a_defective_checkpoint_exits_2(self, tmp_path, capsys, edit, message):
+        cfg_path, out = write_config(tmp_path)
+        run(cfg_path, "gen", "train")
         path = out / "checkpoint_single.ckpt"
-        header, payload = path.read_bytes().split(b"\n", 1)
-        values = np.frombuffer(payload, dtype="<f8").copy()
-        edit(values)
-        path.write_bytes(header + b"\n" + values.tobytes())
-        return cfg_path, path
-
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda values: values.fill(np.nan), id="nan-everywhere"),
-        pytest.param(lambda values: values.__setitem__(7, np.inf), id="one-inf"),
-    ])
-    def test_non_finite_checkpoint_exits_2(self, tmp_path, capsys, edit):
-        cfg_path, path = self.trained_with_payload(tmp_path, "TransRE", edit)
-        refused(capsys, 2, "eval", cfg_path, "unreadable artifact",
-                f"{path}: non-finite parameter value")
-        assert not (path.parent / "report.csv").exists()
+        path.write_bytes(edit(path.read_bytes()))
+        refused(capsys, 2, "eval", cfg_path, f"otcforecast: unreadable artifact {path}: {message}")
+        assert not (out / "report.csv").exists()
 
     def test_overflowing_checkpoint_exits_3(self, tmp_path, capsys):
         # finite parameters whose forecasts overflow
-        cfg_path, path = self.trained_with_payload(
-            tmp_path, "TransFV", lambda values: values.fill(1e300))
+        cfg_path, out = write_config(tmp_path, kind="TransFV")
+        run(cfg_path, "gen", "train")
+        path = out / "checkpoint_single.ckpt"
+        path.write_bytes(payload_edit(lambda values: values.fill(1e300))(path.read_bytes()))
         err = refused(capsys, 3, "eval", cfg_path, "non-finite forecast")
         assert err.startswith("otcforecast: numeric failure:")
-        assert not (path.parent / "report.csv").exists()
+        assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("fmt", RETIRED_CHECKPOINTS)
     def test_retired_checkpoint_exits_2(self, tmp_path, capsys, fmt):
@@ -1332,8 +1258,6 @@ class TestCheckpointConfig:
 
 
 def truncate(path, cut):
-    """Keep the first ``cut`` bytes of a file: a byte count, a fraction of
-    its length, or -1 for all but the last byte."""
+    """Keep the first ``cut`` bytes of a file: a byte count or a fraction of its length."""
     blob = path.read_bytes()
-    keep = len(blob) - 1 if cut == -1 else int(cut * len(blob)) if isinstance(cut, float) else cut
-    path.write_bytes(blob[:keep])
+    path.write_bytes(blob[:int(cut * len(blob)) if isinstance(cut, float) else cut])

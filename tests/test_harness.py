@@ -16,9 +16,8 @@ from hypothesis.extra import numpy as hnp
 
 import otcforecast.autodiff as ad
 from otcforecast.autodiff import Tensor
-from otcforecast.config import RunConfig, parse_config
 from otcforecast import harness
-from otcforecast.errors import ConfigurationError, ContractError, NumericError, ShapeMismatchError
+from otcforecast.errors import ContractError, NumericError, ShapeMismatchError
 from otcforecast.harness import (
     EVAL_MODES,
     GRANULARITIES,
@@ -34,31 +33,11 @@ from otcforecast.harness import (
     training_units,
     write_reports,
 )
-from otcforecast.market import MarketSpec, Sample
+from otcforecast.market import Sample
 from otcforecast.models import MODEL_KINDS, ModelConfig, Parameters, build_model
 from otcforecast.seeding import rng_for
 
 from helpers import FixedModel, initial_loss, toy_config
-
-
-# a value its RunConfig field refuses, for every setting a spec takes; seed and
-# vocab_size are no such setting, and a range key sets one end of a *_range field
-REFUSED = [
-    ("days", 0), ("bonds", -1), ("periodic_dealers", -1), ("sparse_dealers", -1),
-    ("dense_dealers", -1), ("periodic_min_period", 0), ("periodic_max_period", 0),
-    ("periodic_min_bonds", -1), ("periodic_max_bonds", -1), ("periodic_buy_prob", 1.5),
-    ("sparse_rate", -0.1), ("dense_rate", -1.0), ("dense_min_bonds", -1),
-    ("dense_max_bonds", -1), ("cancellation_rate", 2.0), ("kind", "MLP"), ("t_in", 0),
-    ("t_out", 0), ("d_model", 0), ("heads", 0), ("n_layers", 0), ("d_ff", 0), ("hidden", 0),
-    ("epochs", -1), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -0.01),
-]
-RANGE_FIELDS = {
-    "periodic_min_period": "periodic_period_range", "periodic_max_period": "periodic_period_range",
-    "periodic_min_bonds": "periodic_bonds_range", "periodic_max_bonds": "periodic_bonds_range",
-    "dense_min_bonds": "dense_bonds_range", "dense_max_bonds": "dense_bonds_range",
-}
-SPEC_OF = {f.name: spec for spec in (MarketSpec, ModelConfig, TrainSpec)
-           for f in dataclasses.fields(spec)}
 
 
 # the C7 TransPPRZ: 44,104 parameters, so Adam runs three blocks
@@ -358,27 +337,6 @@ class TestTrain:
         # no epoch, no step
         initial = build_model(toy_config(kind, vocab_size=V)).params.flat
         assert (params.flat.tobytes() == initial.tobytes()) == (spec.epochs == 0)
-
-    @pytest.mark.parametrize("key, value", REFUSED)
-    def test_spec_refuses_what_the_config_refuses(self, tmp_path, key, value):
-        section = next(f.metadata["section"] for f in dataclasses.fields(RunConfig)
-                       if f.name == key)
-        path = tmp_path / "run.ini"
-        path.write_text(f"[{section}]\n{key} = {value}\n")
-        with pytest.raises(ConfigurationError, match=rf"\[{section}\] {key} must be"):
-            parse_config(path)
-        name = RANGE_FIELDS.get(key, key)
-        spec = SPEC_OF[name]
-        base = toy_config("TransRE", vocab_size=V) if spec is ModelConfig else spec()
-        if name != key:  # the key sets one end of the range
-            lo, hi = getattr(base, name)
-            value = (value, hi) if "_min_" in key else (lo, value)
-        with pytest.raises((ContractError, ConfigurationError), match=re.escape(name)):
-            dataclasses.replace(base, **{name: value})
-
-    def test_every_spec_setting_has_a_refused_value(self):
-        assert {RANGE_FIELDS.get(key, key) for key, _ in REFUSED} == (
-            set(SPEC_OF) - {"seed", "vocab_size"})
 
     @pytest.mark.parametrize("config", [pytest.param(toy_config(kind, vocab_size=V), id=kind)
                                         for kind in MODEL_KINDS]

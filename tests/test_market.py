@@ -3,7 +3,6 @@
 import hashlib
 import math
 import re
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from otcforecast.market import (
 )
 from otcforecast.seeding import rng_for
 
-from helpers import interrupted_writes
+from helpers import HISTORIES_DEFECTS, interrupted_writes
 
 
 def one_periodic_spec(**overrides):
@@ -315,52 +314,19 @@ class TestSplit:
             split_train_test([], 10, 1.0)
 
 
-# (dealers, days, V) of a histories file that holds no dealer, day or bond
-EMPTY_SIZES = [
-    pytest.param(0, 6, 2, id="no-dealers"),
-    pytest.param(1, 0, 2, id="no-days"),
-    pytest.param(1, 6, 0, id="no-bonds"),
-]
-
-
-def splice_dealers(path, *ids):
-    """Write a histories file of 3 days, 2 bonds and one empty dealer per raw
-    id by hand, since the writer refuses an empty or non-UTF-8 id: 3 x 4
-    bits take 2 bytes."""
-    records = b"".join(struct.pack("<H", len(ident)) + ident + bytes(2) for ident in ids)
-    path.write_bytes(struct.pack("<4sIII", b"OTCF", 1, 3, 2) + struct.pack("<I", len(ids))
-                     + records)
-
-
 class TestFileFormats:
-    def small_histories_file(self, tmp_path):
+    def test_histories_truncated_at_every_offset_rejected(self, tmp_path):
         spec = MarketSpec(days=6, bonds=3, periodic_dealers=2, sparse_dealers=1,
                           dense_dealers=0, cancellation_rate=0.0, seed=15)
         records = generate_synthetic_market(spec)
         vocab = build_vocabulary(records)
         path = tmp_path / "hist.bin"
         save_histories(path, build_histories(records, vocab, spec.days), spec.days, vocab.size)
-        return path, path.read_bytes()
-
-    def test_histories_truncated_at_every_offset_rejected(self, tmp_path):
-        path, blob = self.small_histories_file(tmp_path)
+        blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
             with pytest.raises(ArtifactError, match="truncated"):
                 load_histories(path)
-
-    def test_histories_repeated_dealer_rejected(self, tmp_path):
-        # at individual granularity the two dealers' windows would merge
-        # into one unit
-        hist = market.DealerHistory("D0000", np.zeros((3, 4), dtype=np.uint8))
-        path = tmp_path / "hist.bin"
-        save_histories(path, [hist], 3, 2)
-        # the writer refuses a repeat, so the second record is spliced in:
-        # 16-byte header, u32 dealer count, then the dealer's record
-        blob = path.read_bytes()
-        path.write_bytes(blob[:16] + struct.pack("<I", 2) + 2 * blob[20:])
-        with pytest.raises(ArtifactError, match="dealer 1 repeats the id 'D0000' of dealer 0"):
-            load_histories(path)
 
     @pytest.mark.parametrize("dealer_id, error, message", [
         ("D" * 70_000, ContractError, "70000 UTF-8 bytes"),
@@ -392,29 +358,8 @@ class TestFileFormats:
         assert [h.dealer_id for h in loaded] == ["D0", dealer_id]
         np.testing.assert_array_equal(loaded[1].day_vectors, hists[1].day_vectors)
 
-    @pytest.mark.parametrize("ident, message", [
-        (b"", "dealer 1 has an empty id"), (b"D\xff", "dealer 1 id is not UTF-8"),
-    ], ids=["empty", "non_utf8"])
-    def test_a_spliced_dealer_id_rejected(self, tmp_path, ident, message):
-        path = tmp_path / "hist.bin"
-        splice_dealers(path, b"D0", ident)
-        with pytest.raises(ArtifactError, match=message):
-            load_histories(path)
-
-    @pytest.mark.parametrize("dealers, days, vocab_size", EMPTY_SIZES)
-    def test_histories_without_dealer_day_or_bond_rejected(self, tmp_path, dealers, days,
-                                                           vocab_size):
-        # spliced by hand, because the writer refuses these files too
-        bitmap = bytes((days * 2 * vocab_size + 7) // 8)
-        path = tmp_path / "hist.bin"
-        path.write_bytes(struct.pack("<4sIII", b"OTCF", 1, days, vocab_size)
-                         + struct.pack("<I", dealers)
-                         + dealers * (struct.pack("<H", 2) + b"D0" + bitmap))
-        with pytest.raises(ArtifactError,
-                           match=f"{dealers} dealers, {days} days and {vocab_size} bonds"):
-            load_histories(path)
-
-    @pytest.mark.parametrize("dealers, days, vocab_size", EMPTY_SIZES)
+    @pytest.mark.parametrize("dealers, days, vocab_size", [(0, 6, 2), (1, 0, 2), (1, 6, 0)],
+                             ids=["no-dealers", "no-days", "no-bonds"])
     def test_save_histories_refuses_an_empty_file_before_writing(self, tmp_path, dealers, days,
                                                                  vocab_size):
         hists = [market.DealerHistory("D0", np.zeros((days, 2 * vocab_size), dtype=np.uint8))
@@ -424,13 +369,11 @@ class TestFileFormats:
             save_histories(path, hists, days, vocab_size)
         assert not path.exists()
 
-    def test_histories_trailing_bytes_and_bad_header_rejected(self, tmp_path):
-        path, blob = self.small_histories_file(tmp_path)
-        for corrupt, reason in ((blob + b"\0", "trailing"), (b"XXXX" + blob[4:], "magic"),
-                                (blob[:4] + b"\x09" + blob[5:], "version")):
-            path.write_bytes(corrupt)
-            with pytest.raises(ArtifactError, match=reason):
-                load_histories(path)
+    @pytest.mark.parametrize("blob, message", HISTORIES_DEFECTS.values(), ids=HISTORIES_DEFECTS)
+    def test_a_defective_histories_file_rejected(self, tmp_path, blob, message):
+        (path := tmp_path / "hist.bin").write_bytes(blob)
+        with pytest.raises(ArtifactError, match=re.escape(f"{path}: {message}")):
+            load_histories(path)
 
     def test_readme_records_columns_are_the_record_fields(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

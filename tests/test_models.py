@@ -35,9 +35,9 @@ from otcforecast.models import (
     save_checkpoint,
 )
 
-from helpers import (C7, assert_same_bits, finite_diff_check, interrupted_writes, perturbed,
-                     positioned_composite, random_day_matrix, squash_composite, sum_all,
-                     toy_config)
+from helpers import (C7, CHECKPOINT_DEFECTS, assert_same_bits, finite_diff_check,
+                     interrupted_writes, perturbed, positioned_composite, random_day_matrix,
+                     squash_composite, sum_all, toy_config)
 
 
 # builds that must raise ConfigurationError, and what its message must hold
@@ -654,18 +654,12 @@ class TestCheckpoints:
             with pytest.raises(ArtifactError, match="truncated"):
                 check_checkpoint(path, model, TRAINED_ON)
 
-    def test_malformed_manifest_and_trailing_bytes_rejected(self, tmp_path):
-        path, model, header, payload = self.saved(tmp_path)
-        blob = path.read_bytes()
-        extra = np.float64(1.5).astype("<f8").tobytes()
-        for corrupt, reason in ((blob + extra, "8 trailing"), (blob + b"\0", "1 trailing"),
-                                (b"{" + blob, "malformed"),
-                                (b"\xff" + blob, "malformed manifest .*utf-8"),
-                                (b"[3]\n" + payload, "malformed manifest .*JSON list"),
-                                (b'{"entries":3}\n' + payload, "magic = None")):
-            path.write_bytes(corrupt)
-            with pytest.raises(ArtifactError, match=reason):
-                check_checkpoint(path, model, TRAINED_ON)
+    @pytest.mark.parametrize("edit, message", CHECKPOINT_DEFECTS.values(), ids=CHECKPOINT_DEFECTS)
+    def test_a_defective_checkpoint_rejected(self, tmp_path, edit, message):
+        path, model, _, _ = self.saved(tmp_path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ArtifactError, match=re.escape(f"{path}: {message}")):
+            check_checkpoint(path, model, TRAINED_ON)
 
     def test_manifest_carries_magic_version_and_config(self, tmp_path):
         path, model, header, payload = self.saved(tmp_path, "TransRE", heads=4, seed=3)
