@@ -338,6 +338,31 @@ MUTANTS = [
            "    if False:\n        raise MissingArtifactError(",
            (C + "TestPipeline::test_a_command_before_its_input_exits_2[cluster_before_gen]",
             C + "TestPipeline::test_a_command_before_its_input_exits_2[eval_before_train]")),
+    # the tier-1 folds: each kept check still catches what a removed duplicate caught
+    Mutant("the start row gets no gradient", "autodiff.py",
+           "np.add.reduce(g[..., 0, :].reshape(-1, pe.shape[1]), axis=0)))",
+           "np.zeros(pe.shape[1])))",
+           (*(f"tests/test_acceptance.py::test_c1_gradient_correctness[{kind}]"
+              for kind in ("TransFV", "TransCTE", "TransRE", "TransPPRZ")),
+            f"{FD}[positioned-start_only]")),
+    Mutant("a histories read one byte short of its field accepted", "market.py",
+           "if at + size > len(blob):", "if at + size > len(blob) + 1:",
+           tuple(f"{K}TestFileFormats::test_histories_truncated_at_every_offset_rejected[{ids}]"
+                 for ids in ("generated_ids", "multibyte_ids"))),
+    Mutant("a checkpoint payload one value short accepted", "models.py",
+           "if payload_bytes < expected:", "if payload_bytes < expected - 8:",
+           (f"{MANIFEST}test_truncated_at_every_offset_rejected",)),
+    Mutant("tiers read from an existing clusters.csv", "cli.py",
+           "    labels = _tiers(cfg, histories, days).labels\n",
+           "    labels = _tiers(cfg, histories, days).labels\n"
+           "    if (out / CLUSTERS_FILE).exists():\n"
+           "        labels = {dealer: int(tier) for dealer, tier in (line.split(\",\") for line\n"
+           "                  in (out / CLUSTERS_FILE).read_text().splitlines()[1:])}\n",
+           tuple(f"{C}TestClustersFile::test_a_broken_clusters_file_changes_no_output"
+                 f"[{edit}-{commands}]" for edit in ("garbage", "label-7", "directory")
+                 for commands in ("compare", "train_eval"))),
+    Mutant("Adam steps up the gradient", "autodiff.py", "        p -= t", "        p += t",
+           ("tests/test_acceptance.py::test_c6_overfit_sanity",)),
 ]
 
 

@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, in order, each printing a
-PASS line with its measured figure (run with ``pytest -s`` to see them).
+PASS line with its measured figure (run with ``pytest -s`` to see them);
+criterion 1 runs once per model kind.
 
 The absolute scores of the original TRACE study are not reproducible on
 synthetic data, so everything here is property-based except criterion 7,
@@ -18,6 +19,7 @@ from otcforecast.autodiff import Tensor
 from otcforecast.cli import main
 from otcforecast.harness import (
     TrainSpec,
+    epochs,
     evaluate,
     micro_prf,
     train,
@@ -30,7 +32,7 @@ from otcforecast.models import (
     positional_encoding,
 )
 
-from helpers import (C7, FD_CASES, FixedModel, finite_diff_check, initial_loss,
+from helpers import (C7, FixedModel, finite_diff_check, initial_loss, perturbed,
                      random_day_matrix, tiny_config, toy_config)
 
 
@@ -72,32 +74,32 @@ def experiment_run(spec, seed):
     return evaluate(model, test_s, 0.5)
 
 
-def test_c1_gradient_correctness():
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_c1_gradient_correctness(kind):
+    # every op is checked alone at 1e-6 (test_autodiff.py); here each model
+    # as trained, its parameters moved off the zero gates of a fresh build
+    # so that every one of them reaches the loss
     started = time.time()
-    worst_ops = 0.0
-    for case in FD_CASES.values():
-        leaves, loss = case()
-        worst_ops = max(worst_ops, finite_diff_check(loss, leaves))
-    assert worst_ops < 1e-4
+    x_in = random_day_matrix(3, 8, 27)
+    teacher = random_day_matrix(2, 8, 28)
+    model = perturbed(build_model(toy_config(kind, seed=25)), 26)
 
-    worst_models = {}
-    x_in = random_day_matrix(3, 8, 1)
-    teacher = random_day_matrix(2, 8, 2)
-    for kind in MODEL_KINDS:
-        model = build_model(toy_config(kind, seed=3))
+    def f():
+        out = model.forward(x_in, teacher=teacher)
+        return ad.mse_loss(out, Tensor(teacher.astype(float)))
 
-        def f(model=model):
-            out = model.forward(x_in, teacher=teacher)
-            return ad.mse_loss(out, Tensor(teacher.astype(float)))
-
-        worst_models[kind] = finite_diff_check(f, model.params.tensors())
-        assert worst_models[kind] < 1e-4, kind
+    worst = finite_diff_check(f, model.params.tensors())
+    assert worst < 1e-4
+    grads = ad.backward(f(), model.params.tensors())
+    ad.reset_tape()
+    # a zero gradient would pass the check vacuously; decoder.sos among them
+    assert [name for name, g in zip(model.params.names(), grads)
+            if not np.abs(g).max() > 0] == []
 
     elapsed = time.time() - started
     assert elapsed < 120.0
-    worst = max(worst_ops, max(worst_models.values()))
-    report(1, f"max relative gradient error {worst:.2e} over ops and all 8 models "
-              f"({elapsed:.0f}s < 120s)")
+    report(1, f"max relative gradient error {worst:.2e} for {kind} "
+              f"off its initial parameters ({elapsed:.1f}s < 120s)")
 
 
 def test_c2_identity_at_init():
@@ -197,11 +199,12 @@ def test_c6_overfit_sanity():
     for kind in MODEL_KINDS:
         model = build_model(toy_config(kind, seed=11))
         first = initial_loss(model, sample)
-        _, losses = train(model, [sample],
-                          TrainSpec(epochs=500, batch_size=1, learning_rate=0.01, seed=12))
-        hits = [e for e, loss in enumerate(losses) if loss < 0.01 * first]
-        assert hits, f"{kind} never reached 1% of initial loss {first:.4f}"
-        epochs_needed[kind] = hits[0] + 1
+        losses = epochs(model, [sample],
+                        TrainSpec(epochs=500, batch_size=1, learning_rate=0.01, seed=12))
+        # the first epoch below 1% decides the check: train no further
+        hit = next((e for e, loss in enumerate(losses, 1) if loss < 0.01 * first), None)
+        assert hit is not None, f"{kind} never reached 1% of initial loss {first:.4f}"
+        epochs_needed[kind] = hit
     elapsed = time.time() - started
     assert elapsed < 300.0
     slowest = max(epochs_needed.values())
