@@ -59,6 +59,9 @@ HISTORIES = (K + "TestFileFormats::test_a_defective_histories_file_rejected",
              C + "TestPipeline::test_a_defective_histories_file_exits_2")
 CHECKPOINTS = (M + "TestCheckpoints::test_a_defective_checkpoint_rejected",
                C + "TestCheckpointConfig::test_a_defective_checkpoint_exits_2")
+BROKEN_CLUSTERS = C + "TestClustersFile::test_a_broken_clusters_file_changes_no_output"
+ANY_DEALER_ID = C + "TestPipeline::test_any_nonempty_dealer_id_at_individual_granularity"
+EACH_DEALER_ID = C + "TestPipeline::test_each_dealer_id_keeps_its_row_and_unit_files"
 
 MUTANTS = [
     # the oracle families: finite differences and the kept reference composites
@@ -248,7 +251,8 @@ MUTANTS = [
            "compute_dealer_features(histories, market.split_boundary(days, cfg.train_fraction))",
            "compute_dealer_features(histories, days)",
            (C + "TestTiers::test_the_test_days_move_no_dealer[0.25]",
-            C + "TestClustersFile::test_compare_uses_the_tiers_of_its_own_split[single]")),
+            f"{BROKEN_CLUSTERS}[stale-split-compare]",
+            f"{BROKEN_CLUSTERS}[stale-split-train_eval]")),
     Mutant("a numeric failure exits 2", "cli.py",
            "return _fail(3, ", "return _fail(2, ",
            (C + "TestPipeline::test_numeric_blowup_exits_3",)),
@@ -358,11 +362,38 @@ MUTANTS = [
            "    if (out / CLUSTERS_FILE).exists():\n"
            "        labels = {dealer: int(tier) for dealer, tier in (line.split(\",\") for line\n"
            "                  in (out / CLUSTERS_FILE).read_text().splitlines()[1:])}\n",
-           tuple(f"{C}TestClustersFile::test_a_broken_clusters_file_changes_no_output"
-                 f"[{edit}-{commands}]" for edit in ("garbage", "label-7", "directory")
+           tuple(f"{BROKEN_CLUSTERS}[{edit}-{commands}]"
+                 for edit in ("garbage", "label-7", "directory", "stale-market", "stale-split")
                  for commands in ("compare", "train_eval"))),
+    Mutant("a checkpoint nudged where a clusters.csv exists", "cli.py",
+           "        save_checkpoint(_checkpoint_path(out, tag), model, trained_on)\n",
+           "        if (out / CLUSTERS_FILE).exists():\n"
+           "            model.params.flat[:1] *= 1.0 + 2.0 ** -40\n"
+           "        save_checkpoint(_checkpoint_path(out, tag), model, trained_on)\n",
+           tuple(f"{C}TestClustersFile::test_no_command_needs_cluster[{granularity}]"
+                 for granularity in ("single", "cluster", "individual"))),
     Mutant("Adam steps up the gradient", "autodiff.py", "        p -= t", "        p += t",
            ("tests/test_acceptance.py::test_c6_overfit_sanity",)),
+    # the dealer ids that a unit file name escapes and a CSV artifact holds, under the C locale
+    Mutant("a slash in a dealer id left in its unit's file name", "harness.py",
+           'quote(k, safe="")', "quote(k)", (ANY_DEALER_ID, f"{EACH_DEALER_ID}[slash]")),
+    Mutant("a NUL in a dealer id left in its unit's file name", "harness.py",
+           'quote(k, safe="")', 'quote(k, safe="\\0")', (ANY_DEALER_ID, f"{EACH_DEALER_ID}[nul]")),
+    Mutant("CSV artifacts written in the locale's encoding", "market.py",
+           'newline="", encoding="utf-8"', 'newline=""',
+           (ANY_DEALER_ID, f"{EACH_DEALER_ID}[non_ascii]")),
+    # the artifact columns that no test read before
+    Mutant("report.csv names another granularity", "cli.py",
+           "write_reports(out / REPORT_FILE, cfg.granularity,",
+           'write_reports(out / REPORT_FILE, "single",',
+           tuple(f"{C}TestPipeline::test_report_rows_count_every_decision_cell[{mode}]"
+                 for mode in ("per_day", "union"))),
+    Mutant("dealers.csv widens each universe by one", "cli.py",
+           "len(plan.universe))", "len(plan.universe) + 1)",
+           (C + "TestPipeline::test_dealers_file_holds_every_generated_dealers_plan",)),
+    Mutant("compare_f1.csv scores an empty tier 0.0", "cli.py",
+           'f1.get(str(label), "")', 'f1.get(str(label), "0.0")',
+           (C + "TestPipeline::test_cluster_warns_about_empty_tiers",)),
 ]
 
 

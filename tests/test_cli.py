@@ -1,7 +1,6 @@
 """Config parsing and end-to-end command-line pipeline tests."""
 
 import builtins
-import codecs
 import csv
 import fnmatch
 import hashlib
@@ -10,6 +9,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tomllib
@@ -49,23 +49,20 @@ from helpers import (CHECKPOINT_DEFECTS, HISTORIES_DEFECTS, SETTING_VALUES, inte
                      payload_edit, tiny_config)
 
 
-def ascii_locale_runner():
-    """A function running one CLI command as a subprocess under the C locale
-    with UTF-8 mode off; skips the test where that locale still prefers UTF-8."""
-    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
-           "PYTHONPATH": str(Path(otcforecast.__file__).parents[1])}
-    probe = subprocess.run(
-        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
-        env=env, capture_output=True, text=True, check=True)
-    if codecs.lookup(probe.stdout.strip()).name == "utf-8":
-        pytest.skip("the C locale still prefers UTF-8 here")
+# runs each command named after the config path in order, and exits at the first that fails
+RUN_COMMANDS = """
+import sys
+from otcforecast.cli import main
+for command in sys.argv[2:]:
+    if main([command, "-c", sys.argv[1]]) != 0:
+        sys.exit(f"{command} failed")
+"""
 
-    def run(command, cfg_path):
-        return subprocess.run(
-            [sys.executable, "-m", "otcforecast.cli", command, "-c", str(cfg_path)],
-            env=env, capture_output=True, text=True)
 
-    return run
+# dealer ids that a unit file name must escape, and the tag each unit's files carry;
+# "x%25y" is what a raw "x%y" would become, so the two names must differ
+ODD_IDS = {"slash": ("a/b", "a%2Fb"), "nul": ("a\0b", "a%00b"), "non_ascii": ("Dé1", "D%C3%A91"),
+           "percent": ("x%y", "x%25y"), "escaped_percent": ("x%25y", "x%2525y")}
 
 
 def rename_dealers(path, ids):
@@ -345,18 +342,6 @@ class TestSpecsFromConfig:
 
 
 class TestPipeline:
-    def test_full_pipeline(self, tmp_path, capsys):
-        cfg_path, out = write_config(tmp_path)
-        run(cfg_path, "gen", "cluster", "train", "eval")
-        for artifact in ("records.csv", "vocab.csv", "histories.bin", "clusters.csv",
-                         "checkpoint_single.ckpt", "train_log_single.jsonl", "report.csv",
-                         "config.resolved.ini"):
-            assert (out / artifact).exists(), artifact
-        with open(out / "report.csv", newline="") as fh:
-            pooled = [row for row in csv.DictReader(fh) if row["cluster"] == "all"]
-        assert len(pooled) == 1 and pooled[0]["granularity"] == "single"
-        assert 0.0 <= float(pooled[0]["f1"]) <= 1.0
-
     def test_mini_config_parses_and_generates(self, tmp_path):
         """configs/mini.ini, whose compare is the README's one-minute reproduction,
         parses and generates its market; its gen runs into ``tmp_path``."""
@@ -446,8 +431,10 @@ class TestPipeline:
         digest = hashlib.sha256((out / "histories.bin").read_bytes()).hexdigest()
         assert first == ["histories_sha256", digest]
         assert header == ["dealer_id", "archetype", "period", "buys", "sells", "universe_width"]
-        spec = parse_config(cfg_path).market_spec()
-        assert [tuple(row[:2]) for row in rows] == market._dealer_ids(spec)
+        plans = market.dealer_plans(parse_config(cfg_path).market_spec())
+        assert [(*row[:2], row[-1]) for row in rows] == [
+            (p.dealer_id, p.archetype, "" if p.universe is None else str(len(p.universe)))
+            for p in plans]
         assert len(rows) == 6 and {row[1] for row in rows} == {"periodic", "sparse", "dense"}
         traded = {}
         with open(out / "records.csv", newline="", encoding="utf-8") as fh:
@@ -480,6 +467,12 @@ class TestPipeline:
         assert [str(w.message) for w in caught] == ["cluster: no dealer holds tier 1, 2, 3 of 0-3"]
         assert capsys.readouterr().out.endswith("(1 dealers, 1 populated tiers)\n")
         assert (out / "clusters.csv").read_text().splitlines()[1:] == ["D0000,0"]
+        # compare_f1.csv leaves the empty tiers' columns blank
+        run(cfg_path, "compare")
+        with open(out / "compare_f1.csv", newline="") as fh:
+            _, *grid = csv.reader(fh)
+        assert [row[0] for row in grid] == list(MODEL_KINDS)
+        assert all(row[1] and row[2:5] == ["", "", ""] and row[5] for row in grid), grid
 
     @pytest.mark.parametrize("text, phrase", [
         ("[window]\nt_inn = 3\n".encode(), "t_inn"),
@@ -573,49 +566,39 @@ class TestPipeline:
         assert [json.loads(line)["epoch"] for line in lines] == [0]
         refused(capsys, 2, "eval", cfg_path, "missing artifact", "checkpoint_single.ckpt")
 
-    def test_non_ascii_dealer_ids_under_an_ascii_locale(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def odd_ids(self, tmp_path_factory):
+        """A market whose first dealers carry :data:`ODD_IDS`, run through `cluster`,
+        `train` and `eval` in one subprocess under the C locale with UTF-8 mode off:
+        (output dir, case -> (dealer id, unit tag)); the last dealer keeps its id."""
+        cfg_path, out = write_config(tmp_path_factory.mktemp("odd_ids"), granularity="individual")
+        run(cfg_path, "gen")
+        ids = rename_dealers(out / "histories.bin", [ident for ident, _ in ODD_IDS.values()])
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": str(Path(otcforecast.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", RUN_COMMANDS, str(cfg_path), "cluster",
+                               "train", "eval"], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return out, {**ODD_IDS, "generated": (ids[-1], ids[-1])}
+
+    def test_any_nonempty_dealer_id_at_individual_granularity(self, odd_ids):
         """CSV artifacts are UTF-8 and unit file names ASCII whatever the locale:
-        the commands run as subprocesses under the C locale with UTF-8 mode off."""
-        in_c_locale = ascii_locale_runner()
-        cfg_path, out = write_config(tmp_path, granularity="cluster")
-        run(cfg_path, "gen")
-        histories, _, _, _ = market.load_histories(out / "histories.bin")
-        ids = rename_dealers(out / "histories.bin",
-                             [h.dealer_id.replace("D", "Dé", 1) for h in histories])
-        for command in ("cluster", "train", "eval"):
-            proc = in_c_locale(command, cfg_path)
-            assert proc.returncode == 0, (command, proc.stderr)
-        rows = (out / "clusters.csv").read_text(encoding="utf-8").splitlines()[1:]
-        assert sorted(row.split(",")[0] for row in rows) == sorted(ids)
-        assert all(row.startswith("Dé") for row in rows)
-
-    def test_any_nonempty_dealer_id_at_individual_granularity(self, tmp_path):
-        in_c_locale = ascii_locale_runner()
-        cfg_path, out = write_config(tmp_path, granularity="individual")
-        run(cfg_path, "gen")
-        # "x%25y" is what a raw "x%y" would become, so the two names must differ
-        ids = rename_dealers(out / "histories.bin", ["a/b", "a\0b", "Dé1", "x%y", "x%25y"])
-        for command in ("cluster", "train", "eval"):
-            proc = in_c_locale(command, cfg_path)
-            assert proc.returncode == 0, (command, proc.stderr)
+        one row of clusters.csv, one checkpoint and one log per dealer, and no directory."""
+        out, units = odd_ids
         assert all(name.isascii() for name in os.listdir(out))
-        tags = {"a/b": "a%2Fb", "a\0b": "a%00b", "Dé1": "D%C3%A91", "x%y": "x%25y",
-                "x%25y": "x%2525y", ids[-1]: ids[-1]}
-        assert sorted(p.name for p in out.glob("checkpoint_*.ckpt")) == sorted(
-            f"checkpoint_dealer_{tag}.ckpt" for tag in tags.values())
-        assert sorted(p.name for p in out.glob("train_log_*.jsonl")) == sorted(
-            f"train_log_dealer_{tag}.jsonl" for tag in tags.values())
-
-    @pytest.mark.parametrize("dealer_id", ["Z/bad", "Z\0bad"], ids=["slash", "nul"])
-    def test_dealer_id_with_slash_or_nul_trains(self, tmp_path, dealer_id):
-        cfg_path, out = write_config(tmp_path, granularity="individual")
-        run(cfg_path, "gen")
-        rename_dealers(out / "histories.bin", [dealer_id])
-        run(cfg_path, "cluster", "train")
-        encoded = dealer_id.replace("/", "%2F").replace("\0", "%00")
-        assert (out / f"checkpoint_dealer_{encoded}.ckpt").is_file()
-        assert (out / f"train_log_dealer_{encoded}.jsonl").is_file()
         assert not [p for p in out.iterdir() if p.is_dir()]
+        rows = (out / "clusters.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == len(list(out.glob("checkpoint_*.ckpt"))) == len(
+            list(out.glob("train_log_*.jsonl"))) == len(units)
+
+    @pytest.mark.parametrize("case", [*ODD_IDS, "generated"])
+    def test_each_dealer_id_keeps_its_row_and_unit_files(self, odd_ids, case):
+        out, units = odd_ids
+        ident, tag = units[case]
+        rows = (out / "clusters.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert ident in [row.split(",")[0] for row in rows]
+        assert (out / f"checkpoint_dealer_{tag}.ckpt").is_file()
+        assert (out / f"train_log_dealer_{tag}.jsonl").is_file()
 
     @pytest.mark.parametrize("mode", ["per_day", "union"])
     def test_report_rows_count_every_decision_cell(self, tmp_path, mode):
@@ -636,6 +619,7 @@ class TestPipeline:
         for row in rows:
             counts = sum(int(row[name]) for name in ("tp", "fp", "fn", "tn"))
             assert counts == windows[row["cluster"]] * cells, row["cluster"]
+            assert row["granularity"] == "cluster"
 
     @pytest.mark.parametrize("epochs", [0, 2])
     @pytest.mark.parametrize("kind", ["TransPPRZ", "TransRE"])
@@ -938,18 +922,26 @@ class TestPipeline:
         assert trained == []
 
 
+# the commands that read the tiers, and the files of theirs that the tiers decide
+TIER_COMMANDS = ("compare", "train", "eval")
 COMPARE_OUTPUTS = ("compare_f1.csv", "compare_report.csv", "compare_days.csv")
+
+# the settings of the clean run the broken files are set against: this market's tiers
+# over the first 15 days differ from those over the first 24
+CLEAN = {"seed": 4, "granularity": "cluster", "train_fraction": 0.5}
+
+
+def tier_outputs(out, *commands):
+    """The bytes of each file that ``commands`` wrote in ``out`` and that the tiers decide."""
+    names = [*COMPARE_OUTPUTS] if "compare" in commands else []
+    if "eval" in commands:  # after a train
+        names += [*sorted(p.name for p in out.glob("checkpoint_*.ckpt")), "report.csv"]
+    return {name: (out / name).read_bytes() for name in names}
 
 
 class TestClustersFile:
     """No command but `cluster` touches clusters.csv: `train`, `eval` and
     `compare` derive the tiers from the histories they load."""
-
-    def after(self, cfg_path, *commands, outputs=COMPARE_OUTPUTS):
-        """Run ``commands`` in order; returns the bytes of ``outputs``."""
-        run(cfg_path, *commands)
-        out = Path(parse_config(cfg_path).output_dir)
-        return {name: (out / name).read_bytes() for name in outputs}
 
     def config(self, directory, **settings):
         directory.mkdir(exist_ok=True)
@@ -957,58 +949,51 @@ class TestClustersFile:
 
     @pytest.mark.parametrize("granularity", ["single", "cluster", "individual"])
     def test_no_command_needs_cluster(self, tmp_path, granularity):
-        with_cluster, _ = self.config(tmp_path / "with", granularity=granularity)
+        with_cluster, with_out = self.config(tmp_path / "with", granularity=granularity)
         without, out = self.config(tmp_path / "without", granularity=granularity)
-        assert self.after(without, "gen", "compare") == self.after(with_cluster, "gen", "cluster",
-                                                                   "compare")
-        assert self.after(without, "train", "eval", outputs=["report.csv"]) == self.after(
-            with_cluster, "train", "eval", outputs=["report.csv"])
+        run(with_cluster, "gen", "cluster", *TIER_COMMANDS)
+        run(without, "gen", *TIER_COMMANDS)
+        assert tier_outputs(out, *TIER_COMMANDS) == tier_outputs(with_out, *TIER_COMMANDS)
         assert not (out / "clusters.csv").exists()
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        """One clean run for the whole table, and each broken row's clusters.csv:
+        (output dir, edit -> the file's bytes, or None for a directory)."""
+        root = tmp_path_factory.mktemp("clusters")
+        cfg_path, out = self.config(root / "clean", **CLEAN)
+        run(cfg_path, "gen", "cluster", *TIER_COMMANDS)
+        # what `cluster` wrote for the same dealer ids in an eight-dealer market, and
+        # for the same histories under another split
+        market_path, stale_market = self.config(root / "market", **CLEAN, periodic_dealers=5,
+                                                top_dealers=8)
+        run(market_path, "gen", "cluster")
+        split_path, stale_split = self.config(root / "split", **{**CLEAN, "train_fraction": 0.8})
+        stale_split.mkdir()
+        shutil.copy(out / "histories.bin", stale_split)
+        run(split_path, "cluster")
+        tiers = (out / "clusters.csv").read_bytes()
+        return out, {"garbage": b"\xff\x00 not a csv\r\n",
+                     "label-7": tiers.replace(b",0\r\n", b",7\r\n"), "directory": None,
+                     "stale-market": (stale_market / "clusters.csv").read_bytes(),
+                     "stale-split": (stale_split / "clusters.csv").read_bytes()}
 
     @pytest.mark.parametrize("commands", [("compare",), ("train", "eval")],
                              ids=["compare", "train_eval"])
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda path: path.write_bytes(b"\xff\x00 not a csv\r\n"), id="garbage"),
-        pytest.param(lambda path: path.write_text(path.read_text().replace(",0\n", ",7\n")),
-                     id="label-7"),
-        pytest.param(lambda path: path.unlink(), id="deleted"),
-        pytest.param(lambda path: path.unlink() or path.mkdir(), id="directory"),
-    ])
-    def test_a_broken_clusters_file_changes_no_output(self, tmp_path, edit, commands):
-        cfg_path, out = write_config(tmp_path, granularity="cluster")
-        run(cfg_path, "gen", "cluster", *commands)
-        outputs = (COMPARE_OUTPUTS if commands == ("compare",) else
-                   [*sorted(path.name for path in out.glob("checkpoint_*.ckpt")), "report.csv"])
-        assert len(outputs) > 2
-        before = {name: (out / name).read_bytes() for name in outputs}
-        edit(out / "clusters.csv")
-        assert self.after(cfg_path, *commands, outputs=outputs) == before
-
-    def test_compare_after_a_new_gen_scores_the_new_tiers(self, tmp_path):
-        # the same dealer ids in an eight-dealer market, then in a six-dealer one
-        cfg_path, out = self.config(tmp_path / "stale", periodic_dealers=5, top_dealers=8)
-        run(cfg_path, "gen", "cluster")
-        stale = (out / "clusters.csv").read_bytes()
-        cfg_path, out = self.config(tmp_path / "stale")
-        fresh_path, fresh_out = self.config(tmp_path / "fresh")
-        assert self.after(cfg_path, "gen", "compare") == self.after(fresh_path, "gen", "cluster",
-                                                                    "compare")
-        assert (out / "clusters.csv").read_bytes() == stale != (
-            fresh_out / "clusters.csv").read_bytes()
-
-    @pytest.mark.parametrize("granularity", ["single", "cluster", "individual"])
-    def test_compare_uses_the_tiers_of_its_own_split(self, tmp_path, granularity):
-        # this market's tiers over the first 24 days differ from those over the first 15
-        def at(directory, fraction):
-            return self.config(directory, seed=4, granularity=granularity, train_fraction=fraction)
-
-        earlier, out = at(tmp_path / "earlier", 0.8)
-        run(earlier, "gen", "cluster")
-        stale = (out / "clusters.csv").read_bytes()
-        later, _ = at(tmp_path / "earlier", 0.5)
-        fresh, fresh_out = at(tmp_path / "fresh", 0.5)
-        assert self.after(later, "compare") == self.after(fresh, "gen", "cluster", "compare")
-        assert stale != (fresh_out / "clusters.csv").read_bytes()
+    @pytest.mark.parametrize("edit", ["garbage", "label-7", "directory", "stale-market",
+                                      "stale-split"])
+    def test_a_broken_clusters_file_changes_no_output(self, tmp_path, clean, edit, commands):
+        clean_out, broken = clean
+        cfg_path, out = write_config(tmp_path, **CLEAN)
+        out.mkdir()
+        shutil.copy(clean_out / "histories.bin", out)
+        if broken[edit] is None:
+            (out / "clusters.csv").mkdir()
+        else:
+            assert broken[edit] != (clean_out / "clusters.csv").read_bytes()
+            (out / "clusters.csv").write_bytes(broken[edit])
+        run(cfg_path, *commands)
+        assert tier_outputs(out, *commands) == tier_outputs(clean_out, *commands)
 
     @pytest.mark.parametrize("fraction", ["0.5", "0.8"])
     def test_cluster_writes_the_tiers_the_commands_derive(self, tmp_path, fraction):

@@ -1,6 +1,5 @@
 """The repository's pytest configuration, run on a throwaway test file."""
 
-import importlib.util
 import os
 import re
 import subprocess
@@ -14,7 +13,8 @@ import mutants
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 
-PROPERTY_TESTS = """
+THROWAWAY_TESTS = """
+import pytest
 from hypothesis import given, strategies as st
 
 
@@ -25,11 +25,6 @@ def test_property_fails(n):
 
 def test_plain_passes():
     assert True
-"""
-
-
-SKIPPED_TEST = """
-import pytest
 
 
 @pytest.mark.skip(reason="no golden file for this platform")
@@ -63,21 +58,25 @@ def run_pytest(tmp_path, name, source, command=None, env=None):
     return (run.stdout + run.stderr).decode("utf-8", errors="replace")
 
 
-@pytest.mark.skipif(importlib.util.find_spec("libcst") is None,
-                    reason="hypothesis imports libcst only where it is installed")
-def test_failing_property_fails_only_itself(tmp_path):
-    # hypothesis imports libcst to print the falsifying example, and the
-    # warning that import raises must not end the session
-    output = run_pytest(tmp_path, "test_property.py", PROPERTY_TESTS)
-    assert "INTERNALERROR" not in output
-    assert "1 failed, 1 passed" in output
+@pytest.fixture(scope="module")
+def throwaway_output(tmp_path_factory):
+    """The output of one pytest run under the repository's configuration on
+    :data:`THROWAWAY_TESTS`, which both tests below read."""
+    return run_pytest(tmp_path_factory.mktemp("throwaway"), "test_throwaway.py", THROWAWAY_TESTS)
 
 
-def test_every_run_names_its_skipped_tests(tmp_path):
+def test_failing_property_fails_only_itself(throwaway_output):
+    # where libcst is installed, hypothesis imports it to print the falsifying
+    # example, and the warning that import raises must not end the session
+    assert "INTERNALERROR" not in throwaway_output
+    assert "1 failed, 1 passed" in throwaway_output
+
+
+def test_every_run_names_its_skipped_tests(throwaway_output):
     # without -rs on the command line, a skip and its reason are reported
-    output = run_pytest(tmp_path, "test_skip.py", SKIPPED_TEST)
-    assert re.search(r"SKIPPED \[1\] test_skip\.py:\d+: no golden file for this platform", output)
-    assert "1 skipped" in output
+    assert re.search(r"SKIPPED \[1\] test_throwaway\.py:\d+: no golden file for this platform",
+                     throwaway_output)
+    assert "1 skipped" in throwaway_output
 
 
 def test_the_mutant_runner_tests_the_copy(tmp_path):
