@@ -1,10 +1,10 @@
-"""Minimal reverse-mode automatic differentiation on dense float64 arrays.
+"""Minimal reverse-mode automatic differentiation on dense floating arrays.
 
 Operations record entries on a module-level tape as they execute; calling
 :func:`backward` on a scalar loss walks the tape once in reverse and
-returns the gradients of the requested leaf tensors.  Everything is
-64-bit and summation orders are fixed, so a run is bit-reproducible under a
-fixed seed.
+returns the gradients of the requested leaf tensors.  Every array takes
+its operands' dtype (float64 for parameters as the models draw them), and
+summation orders are fixed, so a run is bit-reproducible under a fixed seed.
 
 The tape is process-global and not thread-safe: a graph and its tensors are
 meant to be confined to one training run.  Frozen parameter values may be
@@ -34,12 +34,14 @@ ADAM_BLOCK = 15_000
 
 
 class Tensor:
-    """A shaped float64 buffer; ``requires_grad`` marks it as differentiable."""
+    """A shaped buffer of a floating input's dtype, any other input cast to
+    float64; ``requires_grad`` marks it as differentiable."""
 
     __slots__ = ("values", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.values = np.asarray(values, dtype=np.float64, order="C")
+        values = np.asarray(values, order="C")
+        self.values = values if values.dtype.kind == "f" else values.astype(np.float64)
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -104,7 +106,7 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], out: list[Array] | None = None
     A leaf is a tensor that requires gradients and that no tape entry
     produced (parameters, typically); anything else in ``wrt``, and a leaf
     listed twice, is rejected before the walk.  Each gradient is written into
-    its float64 array of ``out``, of its leaf's shape (``params.views(vector)``
+    its array of ``out``, of its leaf's shape and dtype (``params.views(vector)``
     for ``params.tensors()``), or into a fresh one; the arrays are returned.
     A leaf the loss does not reach gets zeros.  The tape is left in place.
     """
@@ -112,14 +114,14 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], out: list[Array] | None = None
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("loss does not belong to a recorded graph")
-    out = [np.empty(t.shape) for t in wrt] if out is None else out
+    out = [np.empty_like(t.values) for t in wrt] if out is None else out
     produced = {id(entry.output) for entry in _TAPE}
     for t in wrt:
         if not t.requires_grad or id(t) in produced:
             raise ContractError(f"backward() differentiates leaf tensors only, got {t!r}")
-    if ([g.shape for g in out] != [t.values.shape for t in wrt]
-            or {g.dtype for g in out} - {np.dtype(np.float64)}):
-        raise ContractError(f"backward() needs {len(wrt)} float64 out arrays of the leaves' shapes")
+    if [(g.shape, g.dtype) for g in out] != [(t.shape, t.values.dtype) for t in wrt]:
+        raise ContractError(
+            f"backward() needs {len(wrt)} out arrays of the leaves' shapes and dtypes")
     leaves = {id(t): grad for t, grad in zip(wrt, out)}
     if len(leaves) < len(wrt):
         raise ContractError("backward() needs each leaf once, got one listed twice")
@@ -289,7 +291,7 @@ def embedding_bag(table: Tensor, indices) -> Tensor:
         if i < 0 or i >= rows:
             raise IndexError(f"embedding_bag: index {i} out of range for {rows} rows")
     if not idx:
-        return Tensor(np.zeros(dim))
+        return Tensor(np.zeros(dim, table.values.dtype))
     idx_arr = np.asarray(idx, dtype=np.intp)
     out = np.add.reduce(table.values[idx_arr], axis=0)
 
@@ -443,7 +445,7 @@ def tile_rows(v: Tensor, n: int) -> Tensor:
 
 def _positioned(x: Array, pe: Array, start: Array) -> Array:
     """:func:`positioned` with a start row, on arrays; a product by one copies it exactly."""
-    return np.concatenate([np.ones((*x.shape[:-2], 1, 1)) * start, x], axis=-2) + pe
+    return np.concatenate([np.ones((*x.shape[:-2], 1, 1), start.dtype) * start, x], axis=-2) + pe
 
 
 def positioned(x: Tensor, pe: Array, start: Tensor | None = None) -> Tensor:
@@ -501,8 +503,8 @@ def project_pair(a, wa: Tensor, b, wb: Tensor) -> Tensor:
     """a @ wa + b @ wb for constant (..., k) and (..., m) arrays and 2-D
     weights, as one tape entry, bit-identical to
     ``add(matmul(Tensor(a), wa), matmul(Tensor(b), wb))``."""
-    av, bv = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     wav, wbv = wa.values, wb.values
+    av, bv = np.asarray(a, dtype=wav.dtype), np.asarray(b, dtype=wbv.dtype)
     if (wav.ndim != 2 or wbv.ndim != 2 or av.shape[:-1] != bv.shape[:-1]
             or av.shape[-1:] != wav.shape[:1] or bv.shape[-1:] != wbv.shape[:1]
             or wav.shape[1] != wbv.shape[1]):
@@ -699,7 +701,7 @@ def lstm(projected: Tensor, wh: Tensor) -> Tensor:
     if xv.ndim < 2 or w.shape != (hidden, 4 * hidden) or xv.shape[-1] != 4 * hidden:
         raise ShapeMismatchError(f"lstm: projected {projected.shape} and wh {wh.shape} do not fit")
     blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
-    h = c = np.zeros((*xv.shape[:-2], hidden))
+    h = c = np.zeros((*xv.shape[:-2], hidden), xv.dtype)
     kept = []  # per step: the h and c it read, its gate activations and tanh of its c
     for t in range(xv.shape[-2]):
         pre = xv[..., t, :] + _project(h, w)
@@ -759,13 +761,13 @@ class OptimizerState:
 def adam_step(values: Array, grad: Array, state: OptimizerState) -> None:
     """One bias-corrected Adam update of a flat parameter vector, in place.
 
-    ``values`` and ``grad`` are 1-D float64 vectors of one length, such as
+    ``values`` and ``grad`` are 1-D vectors of one length and dtype, such as
     ``Parameters.flat`` and the vector whose ``params.views`` :func:`backward` fills.
     It runs ``ADAM_BLOCK`` values at a time through one block of scratch, each
     element through the same operations in the same order, so blocks change no bit.
     ``grad`` serves as a second scratch buffer once the moments are
     updated, so it no longer holds the gradient when the call returns.
-    No training step after the first allocates a float64 array of that length.
+    No training step after the first allocates an array of that length.
     """
     if values.ndim != 1 or grad.shape != values.shape:
         raise ShapeMismatchError(

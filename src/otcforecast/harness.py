@@ -110,7 +110,7 @@ def epochs(model, train_samples: list[Sample], spec: TrainSpec):
         order = rng_for(spec.seed, "shuffle", epoch).permutation(n)
         epoch_loss = 0.0
         for inputs, target in _batches(train_samples, spec.batch_size, order):
-            target = target.astype(np.float64)
+            target = target.astype(grad.dtype)
             ad.reset_tape()
             pred = model.forward(inputs, teacher=target)
             loss = ad.mse_loss(pred, Tensor(target))

@@ -14,8 +14,9 @@ Every model maps a (..., T_in, 2V) stack of input windows to a
 through (tanh + 1) / 2).  The leading axes are a batch: one forward pass
 serves a whole mini-batch, and a single (T_in, 2V) window has no leading
 axis.  The FC and recurrent baselines predict one day vector, tiled over the
-output window.  Day vectors become float64 once, where they enter: in
-``_windows``, in the ops ``embed_days`` calls, and in ``predict``'s feedback.
+output window.  Arrays follow ``params.flat``'s dtype (float64 as drawn); day
+vectors take it once, where they enter: in ``_windows``, in the ops
+``embed_days`` calls, and in ``predict``'s feedback.
 
 Each parameter is named once, where it is drawn: the builder hands back
 its tensor, and every model keeps the tensors it draws in small tuples and
@@ -93,8 +94,8 @@ class Parameters:
     """Ordered, uniquely named trainable tensors packed into one vector.
 
     The constructor copies the tensors' values, in insertion (:meth:`names`)
-    order, into :attr:`flat`, one contiguous float64 vector, and rebinds
-    each tensor's ``values`` to its :meth:`views` of it; the tensors
+    order, into :attr:`flat`, one contiguous vector of their common dtype, and
+    rebinds each tensor's ``values`` to its :meth:`views` of it; the tensors
     themselves are kept, so ``params[name]`` is the tensor the caller passed.
     A snapshot is ``flat.copy()`` and a restore is ``flat[:] = snapshot``.  A
     pickled or deep-copied one repacks its copied tensors into its own ``flat``.
@@ -102,9 +103,8 @@ class Parameters:
 
     def __init__(self, tensors: dict[str, Tensor]):
         self._tensors = dict(tensors)
-        self.flat = np.empty(sum(t.values.size for t in tensors.values()))
+        self.flat = np.concatenate([t.values.reshape(-1) for t in self.tensors()])
         for t, view in zip(self.tensors(), self.views(self.flat)):
-            view[...] = t.values
             t.values = view
 
     def views(self, vector: np.ndarray) -> list[np.ndarray]:
@@ -156,14 +156,14 @@ class _Builder:
 
 
 @functools.cache
-def positional_encoding(length: int, d_model: int) -> np.ndarray:
-    """Sinusoidal position matrix: sin on even channels, cos on odd ones.
-    Built once per shape and read-only."""
+def positional_encoding(length: int, d_model: int, dtype=np.float64) -> np.ndarray:
+    """Sinusoidal position matrix: sin on even channels, cos on odd ones,
+    computed in float64.  Built once per shape and dtype, and read-only."""
     if d_model % 2 != 0:
         raise ConfigurationError(f"positional encoding needs even d_model, got {d_model}")
     positions = np.arange(length, dtype=np.float64)[:, None]
     freqs = np.exp(-math.log(10000.0) * np.arange(0, d_model, 2, dtype=np.float64) / d_model)
-    pe = np.zeros((length, d_model))
+    pe = np.zeros((length, d_model), dtype)
     pe[:, 0::2] = np.sin(positions * freqs)
     pe[:, 1::2] = np.cos(positions * freqs)
     pe.flags.writeable = False
@@ -179,13 +179,12 @@ def _cte_inputs(days, v: int) -> tuple[np.ndarray, np.ndarray]:
     return np.add(days[..., :v], days[..., v:], dtype=counts.dtype), counts
 
 
-def _windows(days, rows: int, vocab_size: int, what: str = "input") -> np.ndarray:
-    """Validate a (..., rows, 2V) stack of day vectors and cast it to float64."""
-    data = np.asarray(days, dtype=np.float64)
-    if data.ndim < 2 or data.shape[-2:] != (rows, 2 * vocab_size):
-        raise ShapeMismatchError(
-            f"{what} shape {data.shape} does not end in {(rows, 2 * vocab_size)}"
-        )
+def _windows(model, days, rows: int, what: str = "input") -> np.ndarray:
+    """Validate a (..., rows, 2V) stack of day vectors and cast it to the
+    dtype of ``model``'s parameters."""
+    data, width = np.asarray(days, model.params.flat.dtype), 2 * model.config.vocab_size
+    if data.ndim < 2 or data.shape[-2:] != (rows, width):
+        raise ShapeMismatchError(f"{what} shape {data.shape} does not end in {(rows, width)}")
     return data
 
 
@@ -206,7 +205,7 @@ class FCModel:
 
     def forward(self, input_days: np.ndarray, teacher: np.ndarray | None = None) -> Tensor:
         cfg = self.config
-        data = _windows(input_days, cfg.t_in, cfg.vocab_size)
+        data = _windows(self, input_days, cfg.t_in)
         if cfg.kind == "FCSum":
             x = Tensor(np.add.reduce(data, axis=-2))
         else:
@@ -247,7 +246,7 @@ class RecurrentModel:
 
     def forward(self, input_days: np.ndarray, teacher: np.ndarray | None = None) -> Tensor:
         cfg = self.config
-        data = _windows(input_days, cfg.t_in, cfg.vocab_size)
+        data = _windows(self, input_days, cfg.t_in)
         # each direction steps over its days, forwards or reversed, to its final (..., H) state
         states = [ad.lstm(ad.linear(Tensor(days), wx, bias), wh)
                   for days, (wx, wh, bias) in zip((data, data[..., ::-1, :]), self._directions)]
@@ -320,8 +319,9 @@ class TransformerModel:
 
     def encode(self, input_days: np.ndarray, trace: list | None = None) -> Tensor:
         cfg = self.config
-        data = _windows(input_days, cfg.t_in, cfg.vocab_size)
-        x = ad.positioned(self.embed_days(data), positional_encoding(cfg.t_in, cfg.d_model))
+        data = _windows(self, input_days, cfg.t_in)
+        x = ad.positioned(self.embed_days(data),
+                          positional_encoding(cfg.t_in, cfg.d_model, data.dtype))
         for i, ((attn,), ff, (r1, r2)) in enumerate(self._encoder):
             x = self._residual(x, ad.multi_head_attention(x, x, x, heads=cfg.heads, **attn), *r1)
             x = self._residual(x, ad.feed_forward(x, *ff), *r2)
@@ -351,14 +351,14 @@ class TransformerModel:
         cfg = self.config
         if teacher is None:
             raise ContractError("transformer training forward needs teacher day vectors")
-        teacher = _windows(teacher, cfg.t_out, cfg.vocab_size, "teacher")
+        teacher = _windows(self, teacher, cfg.t_out, "teacher")
         if teacher.shape[:-2] != np.shape(input_days)[:-2]:
             raise ShapeMismatchError(
                 f"teacher shape {teacher.shape} does not match input shape {np.shape(input_days)}"
             )
         memory = self.encode(input_days, trace=trace)
         y = ad.positioned(self.embed_days(teacher[..., :-1, :]),
-                          positional_encoding(cfg.t_out, cfg.d_model), self._sos)
+                          positional_encoding(cfg.t_out, cfg.d_model, teacher.dtype), self._sos)
         y = self._decode(y, memory, trace=trace)
         return ad.squash(ad.linear(y, *self._readout))
 
@@ -379,7 +379,7 @@ class TransformerModel:
         memory's keys and values are projected once; a step decodes only the
         newest position, whose one query row sees every cached one unmasked."""
         cfg = self.config
-        d, heads = cfg.d_model, cfg.heads
+        d, heads, dtype = cfg.d_model, cfg.heads, self.params.flat.dtype
         embed = functools.partial(self._embed_values, weights=[t.values for t in self._embedding])
         residual = self._residual_values
 
@@ -387,7 +387,7 @@ class TransformerModel:
             """The rows' queries over the head-split keys and values, unmasked."""
             return ad._attend_out(ad._query_heads(rows, block, heads), kh, vh, block, False)[2]
 
-        x = embed(_windows(input_days, cfg.t_in, cfg.vocab_size)) + positional_encoding(cfg.t_in, d)
+        x = embed(_windows(self, input_days, cfg.t_in)) + positional_encoding(cfg.t_in, d, dtype)
         for (attn,), ff, (r1, r2) in map(_layer_values, self._encoder):
             x = residual(x, attend(x, attn, *ad._key_value_heads(x, x, attn, heads)), *r1)
             x = residual(x, ad._feed_forward(x, *ff)[1], *r2)
@@ -395,12 +395,13 @@ class TransformerModel:
         decoder = [_layer_values(layer) for layer in self._decoder]
         # per decoder layer: the memory's keys and values, then those decoded so far
         caches = [[*ad._key_value_heads(x, x, cross, heads),
-                   np.zeros((*lead, heads, d // heads, 0)), np.zeros((*lead, heads, 0, d // heads))]
+                   np.zeros((*lead, heads, d // heads, 0), dtype),
+                   np.zeros((*lead, heads, 0, d // heads), dtype)]
                   for (_, cross), _, _ in decoder]
         del x  # decoding does not read it: free it before the caches grow
         readout = [t.values for t in self._readout]
-        pe = positional_encoding(cfg.t_out, d)
-        y = ad._positioned(np.zeros((*lead, 0, d)), pe[:1], self._sos.values)
+        pe = positional_encoding(cfg.t_out, d, dtype)
+        y = ad._positioned(np.zeros((*lead, 0, d), dtype), pe[:1], self._sos.values)
         rows = []
         for step in range(1, cfg.t_out + 1):
             for ((own, cross), ff, (r1, r2, r3)), cache in zip(decoder, caches):
@@ -412,7 +413,7 @@ class TransformerModel:
                 y = residual(y, ad._feed_forward(y, *ff)[1], *r3)
             rows.append(ad._squash(ad._linear(y, *readout))[1])
             if step < cfg.t_out:
-                y = embed((rows[-1] >= FEEDBACK_THRESHOLD).astype(np.float64)) + pe[step:step + 1]
+                y = embed((rows[-1] >= FEEDBACK_THRESHOLD).astype(dtype)) + pe[step:step + 1]
         return np.concatenate(rows, axis=-2)
 
 

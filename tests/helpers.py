@@ -13,7 +13,7 @@ import numpy as np
 
 import otcforecast.autodiff as ad
 from otcforecast.autodiff import Tensor
-from otcforecast.models import ModelConfig
+from otcforecast.models import ModelConfig, Parameters
 
 
 # a market, model and run small enough for a whole CLI pipeline in a second;
@@ -212,6 +212,16 @@ def perturbed(model, seed, scale=0.3):
     gates, every path (encoder, cross-attention) reaches the output."""
     model.params.flat += np.random.default_rng(seed).normal(scale=scale,
                                                             size=model.params.flat.size)
+    return model
+
+
+def as_float32(model):
+    """``model`` with each tensor's values cast to float32 and repacked into a new
+    ``params``: the one way to reach float32, as every array follows ``params.flat``."""
+    tensors = dict(zip(model.params.names(), model.params.tensors()))
+    for tensor in tensors.values():
+        tensor.values = tensor.values.astype(np.float32)
+    model.params = Parameters(tensors)
     return model
 
 

@@ -3,19 +3,23 @@
 Each row of :data:`MUTANTS` is one defect: a file under ``src/otcforecast/``,
 one exact substring of it, its replacement, and the test IDs that must fail
 once the substring is replaced.  Run as a script, this module copies
-``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory per
-mutant, applies the one replacement there, runs only the named tests
-against the copy, and prints each mutant as killed or survived:
+``src/``, ``tests/``, ``perfbench/`` and ``pyproject.toml`` into a temporary
+directory per mutant, applies the one replacement there, runs only the named
+tests against the copy, and prints each mutant as killed or survived, in
+table order:
 
     python tests/mutants.py
 
-A mutant is killed when at least one of its tests fails and none passes.
-A skipped test kills nothing: the golden digests skip on any BLAS core
-other than the one they were written under, so a mutant that they catch
-names a test that runs everywhere as well.  A mutant that no test catches
-stays in the table with ``found`` set to the ``FOUND`` line that records
-it; it is reported, and it does not fail the run.  The run exits 1 if an
-unmarked mutant survives.  ``tests/test_pytest_config.py`` checks that every
+First it runs every named test on one unmutated copy, since a test that
+fails there shows nothing.  Then the rows are shared out among
+:data:`WORKERS` threads, each waiting on one pytest process at a time.  A
+mutant is killed when at least one of its tests fails and none passes.  A
+skipped test kills nothing: the golden digests skip on any BLAS core other
+than the one they were written under, so a mutant that they catch names a
+test that runs everywhere as well.  A mutant that no test catches stays in
+the table with ``found`` set to the ``FOUND`` line that records it; it is
+reported, and it does not fail the run.  The run exits 1 if an unmarked
+mutant survives.  ``tests/test_pytest_config.py`` checks that every
 substring occurs exactly once in its file and that every named test is
 collected, so the table fails loudly when the code moves.
 """
@@ -28,12 +32,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 TIMEOUT = 600  # seconds for one mutant's tests
+WORKERS = min(2, os.cpu_count() or 1)  # the rows are independent: one per core
 
 
 class Mutant(NamedTuple):
@@ -114,10 +120,11 @@ MUTANTS = [
            (A + "TestBackwardSemantics::test_unreached_leaf_gets_zeros",
             A + "TestBackwardOut::test_an_unreached_leaf_reads_zeros_over_nan")),
     Mutant("out arrays unchecked", "autodiff.py",
-           '        raise ContractError(f"backward() needs {len(wrt)} float64 out arrays of the'
-           " leaves' shapes\")", "        pass",
-           (A + "TestBackwardOut::test_a_bad_out_is_refused_before_any_vjp_runs[short]",
-            A + "TestBackwardOut::test_a_bad_out_is_refused_before_any_vjp_runs[float32]")),
+           '        raise ContractError(\n            f"backward() needs {len(wrt)} out arrays'
+           " of the leaves' shapes and dtypes\")",
+           "        pass",
+           tuple(f"{A}TestBackwardOut::test_a_bad_out_is_refused_before_any_vjp_runs[{case}]"
+                 for case in ("short", "float32", "float64_for_a_float32_leaf"))),
     Mutant("epochs keeps the step's tape through Adam", "harness.py",
            "ad.reset_tape()  # frees the step's activations before the check and Adam", "pass",
            (f"{TRAIN}test_the_tape_is_empty_whenever_adam_runs[FCSum]",)),
@@ -394,6 +401,19 @@ MUTANTS = [
     Mutant("compare_f1.csv scores an empty tier 0.0", "cli.py",
            'f1.get(str(label), "")', 'f1.get(str(label), "0.0")',
            (C + "TestPipeline::test_cluster_warns_about_empty_tiers",)),
+    # every array follows the parameters' dtype
+    Mutant("the LSTM's zero state in float64", "autodiff.py",
+           "h = c = np.zeros((*xv.shape[:-2], hidden), xv.dtype)",
+           "h = c = np.zeros((*xv.shape[:-2], hidden))",
+           tuple(f"{M}TestFlatParameters::test_float32_parameters_make_every_array_float32[{kind}]"
+                 for kind in ("LSTM", "BiLSTM"))),
+    # the calls the benchmark's tracer counts
+    Mutant("an epoch trains on every other window", "harness.py",
+           "_batches(train_samples, spec.batch_size, order)",
+           "_batches(train_samples, spec.batch_size, order[::2])",
+           ("tests/test_benchmark_bindings.py::"
+            "test_tracer_sees_one_backward_and_one_adam_step_per_batch",
+            f"{TRAIN}test_epoch_loss_is_the_mean_per_sample_loss")),
 ]
 
 
@@ -410,9 +430,11 @@ def copy_checkout(dest: Path) -> None:
 
 def pytest_command(tests) -> list[str]:
     """The pytest command the runner starts in a copy, for the node IDs ``tests``:
-    one line per passed, failed or erroring test, and no cache."""
+    one line per passed, failed or erroring test, and no cache.  Asserts stay
+    plain: the runner reads only verdicts, and without bytecode pytest would
+    rewrite every module of hypothesis, a plugin, in each run (about 1 s)."""
     return [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfEp", "-p", "no:cacheprovider",
-            "--hypothesis-seed=0", *tests]
+            "--assert=plain", "--hypothesis-seed=0", *tests]
 
 
 def run_env(copy: Path) -> dict:
@@ -453,17 +475,18 @@ def main() -> int:
     if broken:
         print("named tests that fail on the unmutated copy:", *sorted(broken), sep="\n  ")
         return 1
-    for number, mutant in enumerate(MUTANTS, 1):
-        passed, failed = run_tests(mutant.tests, mutant)
-        killed = bool(failed) and not passed
-        how = (f"passed: {', '.join(sorted(passed))}" if passed
-               else f"{len(failed)} of {len(mutant.tests)} failed" if failed
-               else "no named test ran")
-        verdict = "killed" if killed else "SURVIVED" if mutant.found is None else "survived"
-        print(f"{number:3d} {verdict:8s} {mutant.file}: {mutant.what} ({how})", flush=True)
-        if mutant.found is not None:
-            print(f"             known: {mutant.found}", flush=True)
-        survivors += not killed and mutant.found is None
+    with ThreadPoolExecutor(WORKERS) as pool:
+        runs = pool.map(lambda mutant: run_tests(mutant.tests, mutant), MUTANTS)
+        for number, (mutant, (passed, failed)) in enumerate(zip(MUTANTS, runs), 1):
+            killed = bool(failed) and not passed
+            how = (f"passed: {', '.join(sorted(passed))}" if passed
+                   else f"{len(failed)} of {len(mutant.tests)} failed" if failed
+                   else "no named test ran")
+            verdict = "killed" if killed else "SURVIVED" if mutant.found is None else "survived"
+            print(f"{number:3d} {verdict:8s} {mutant.file}: {mutant.what} ({how})", flush=True)
+            if mutant.found is not None:
+                print(f"             known: {mutant.found}", flush=True)
+            survivors += not killed and mutant.found is None
     print(f"{len(MUTANTS)} mutants, {survivors} unmarked survivors, "
           f"{time.monotonic() - started:.0f} s")
     return 1 if survivors else 0

@@ -661,10 +661,10 @@ class TestBackwardOut:
         np.testing.assert_array_equal(out[1], np.zeros((2, 3)))
 
     @staticmethod
-    def probe():
-        """Two leaves and a loss whose one vjp records each call."""
-        w = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, -4.0], requires_grad=True)
+    def probe(dtype=np.float64):
+        """Two leaves of ``dtype`` and a loss whose one vjp records each call."""
+        w = Tensor(np.array([1.0, 2.0], dtype), requires_grad=True)
+        b = Tensor(np.array([3.0, -4.0], dtype), requires_grad=True)
         calls = []
 
         def vjp(g):
@@ -673,19 +673,24 @@ class TestBackwardOut:
 
         return w, b, ad._record("dot", (w, b), np.asarray(w.values @ b.values), vjp), calls
 
-    @pytest.mark.parametrize("out", [
-        [np.zeros(2)], [np.zeros(2)] * 3, [np.zeros(2), np.zeros(2, dtype=np.float32)],
-        [np.zeros(2), np.zeros((1, 2))],
-    ], ids=["short", "long", "float32", "2-D"])
-    def test_a_bad_out_is_refused_before_any_vjp_runs(self, out):
-        w, b, loss, calls = self.probe()
-        with pytest.raises(ContractError, match="needs 2 float64 out arrays of the leaves' shapes"):
+    @pytest.mark.parametrize("dtype, out", [
+        (np.float64, [np.zeros(2)]), (np.float64, [np.zeros(2)] * 3),
+        (np.float64, [np.zeros(2), np.zeros(2, dtype=np.float32)]),
+        (np.float64, [np.zeros(2), np.zeros((1, 2))]),
+        (np.float32, [np.zeros(2, dtype=np.float32), np.zeros(2)]),
+    ], ids=["short", "long", "float32", "2-D", "float64_for_a_float32_leaf"])
+    def test_a_bad_out_is_refused_before_any_vjp_runs(self, dtype, out):
+        """One out array per leaf, of that leaf's shape and dtype, in any layout."""
+        w, b, loss, calls = self.probe(dtype)
+        with pytest.raises(ContractError,
+                           match="needs 2 out arrays of the leaves' shapes and dtypes"):
             backward(loss, [w, b], out=out)
         assert calls == []
-        good = [np.full(4, np.nan)[::2], np.empty(2)]  # any layout of the right shape will do
+        good = [np.full(4, np.nan, dtype)[::2], np.empty(2, dtype)]
         backward(loss, [w, b], out=good)
         assert len(calls) == 1
         np.testing.assert_array_equal(np.concatenate(good), [3.0, -4.0, 1.0, 2.0])
+        assert [g.dtype for g in backward(loss, [w, b])] == [np.dtype(dtype)] * 2
 
     def test_a_leaf_listed_twice_is_refused_before_any_vjp_runs(self):
         w, b, loss, calls = self.probe()

@@ -35,9 +35,9 @@ from otcforecast.models import (
     save_checkpoint,
 )
 
-from helpers import (C7, CHECKPOINT_DEFECTS, assert_same_bits, interrupted_writes, perturbed,
-                     positioned_composite, random_day_matrix, squash_composite, sum_all,
-                     toy_config)
+from helpers import (C7, CHECKPOINT_DEFECTS, as_float32, assert_same_bits, interrupted_writes,
+                     perturbed, positioned_composite, random_day_matrix, squash_composite,
+                     sum_all, toy_config)
 
 
 # builds that must raise ConfigurationError, and what its message must hold
@@ -823,6 +823,40 @@ class TestFlatParameters:
         train(copied, samples, TrainSpec(epochs=2, batch_size=4, learning_rate=0.05))
         assert not np.array_equal(copied.predict(inputs), copied_before)
         assert np.array_equal(model.predict(inputs), before)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_float32_parameters_make_every_array_float32(self, kind, monkeypatch):
+        """Repacked in float32, a model trains one step and forecasts with no other
+        dtype: not in any tape entry's inputs or output, any vjp contribution, the
+        gradient, Adam's moments or the forecast."""
+        model = as_float32(perturbed(build_model(toy_config(kind)), seed=7))
+        days = random_day_matrix(5 * 4, 8, seed=8).reshape(4, 5, 16)
+        samples = [Sample("D1", i, x[:3], x[3:]) for i, x in enumerate(days)]
+        seen, backward, adam_step = [], ad.backward, ad.adam_step
+
+        def recorded(vjp):
+            def wrapped(g):
+                contributions = vjp(g)
+                seen.extend(c for c in contributions if c is not None)
+                return contributions
+            return wrapped
+
+        def traced_backward(loss, wrt, out=None):
+            for entry in ad._TAPE:
+                seen.extend([entry.output.values, *(t.values for t in entry.inputs)])
+                entry.vjp = recorded(entry.vjp)
+            return backward(loss, wrt, out)
+
+        def traced_adam_step(values, grad, state):
+            seen.append(grad)
+            adam_step(values, grad, state)
+            seen.extend([values, state.m, state.v])
+
+        monkeypatch.setattr(ad, "backward", traced_backward)
+        monkeypatch.setattr(ad, "adam_step", traced_adam_step)
+        train(model, samples, TrainSpec(epochs=1, batch_size=len(samples)))
+        forecast = model.predict(np.stack([s.input_days for s in samples]))
+        assert len(seen) > 4 and {a.dtype for a in (*seen, forecast)} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("copy_model", [
         pytest.param(lambda model: model, id="built"),
